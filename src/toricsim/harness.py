@@ -571,7 +571,7 @@ def excitation_density(rho: np.ndarray, lat: lt.TorusLattice) -> float:
     stabs = [lt.vertex_stabilizer(lat, v) for v in range(lat.n_vertices)]
     stabs += [lt.plaquette_stabilizer(lat, q) for q in range(lat.n_plaquettes)]
     for stab in stabs:
-        total += (1.0 - float(np.real(np.trace(stab.to_dense() @ rho)))) / 2.0
+        total += (1.0 - stab.expectation(rho).real) / 2.0
     return total / len(stabs)
 
 

@@ -837,9 +837,9 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
             rho, gibbs_state(model.hamiltonian, temperature_db))
     loops = {}
     for idx, string in enumerate(lt.z_loops(model.lattice)):
-        loops[f"wilson_z_{idx}"] = float(np.real(np.trace(string.to_dense() @ rho)))
+        loops[f"wilson_z_{idx}"] = string.expectation(rho).real
     for idx, string in enumerate(lt.x_loops(model.lattice)):
-        loops[f"wilson_x_{idx}"] = float(np.real(np.trace(string.to_dense() @ rho)))
+        loops[f"wilson_x_{idx}"] = string.expectation(rho).real
     return StationaryResult(rho=rho, null_dim=null_dim, residual=residual,
                             trace_distance_to_gibbs=distance,
                             gibbs_temperature=temperature,

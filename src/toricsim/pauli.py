@@ -213,6 +213,21 @@ class PauliString:
         scalar = 1j ** ((self.phase_quarter + _popcount(self.x_mask & self.z_mask)) % 4)
         return scalar * signs * state[src]
 
+    def expectation(self, rho: np.ndarray) -> complex:
+        """Tr(P rho) from the 2**n entries rho[j, j ^ x] that P reaches.
+
+        P is a signed permutation, P[j ^ x, j] = i**phase' (-1)**|j & z|, so
+        the trace needs no dense product.
+        """
+        dim = 1 << self.n_qubits
+        rho = np.asarray(rho)
+        if rho.shape != (dim, dim):
+            raise ValueError(f"matrix shape {rho.shape} != ({dim}, {dim})")
+        idx = np.arange(dim, dtype=np.uint64)
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(self.z_mask)) & 1)
+        scalar = 1j ** ((self.phase_quarter + _popcount(self.x_mask & self.z_mask)) % 4)
+        return complex(scalar * np.dot(signs, rho[idx, idx ^ np.uint64(self.x_mask)]))
+
     def to_dense(self, force: bool = False) -> np.ndarray:
         if self.n_qubits > DENSE_QUBIT_CAP and not force:
             raise ValueError(

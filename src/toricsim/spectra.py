@@ -13,9 +13,14 @@ the 2nd and 3rd links of the neighborhood ordering (``chi_pairs =
 nearest-neighbour link pair (``chi_pairs = "all"``) to bracket the pairing
 ambiguity.
 
-Matvecs group Pauli terms by their X-mask so one gather plus one weight
-multiply serves every term in a group; the dense construction is the oracle
-the grouped form is tested against.
+Every such H is real up to a diagonal phase gauge: S gates on the links
+of a mask found by a GF(2) solve over the terms (:func:`real_gauge`; the
+vertical links) turn each X.Y pair into a real product and leave every
+plaquette with an even number of Y letters.  H is compiled once into one
+CSR matrix in that gauge, with one entry per row for each distinct X-mask;
+it serves both the Z-basis matvec and the symmetric Lanczos solve.  The
+dense construction, and dense ``eigh`` below ``DENSE_DIM_CAP``, are the
+oracle the compiled form is tested against.
 """
 
 from __future__ import annotations
@@ -38,9 +43,49 @@ class ConvergenceError(RuntimeError):
     """Eigensolver finished without meeting the residual bound."""
 
 
+# i**q for the quarter turns q = 0..3
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _popcount(a: np.ndarray, mask: int) -> np.ndarray:
+    return np.bitwise_count(a & np.uint64(mask)).astype(np.int64)
+
+
+def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
+    """Link mask ``s`` of an S-gate gauge that makes every term real, or None.
+
+    With V = diag(v), v_j = i**popcount(j & s), the weight of a term at
+    (j, j ^ x) in V^H H V is its real coefficient times a sign times
+    i**(q + popcount(x & s)), where q = phase + popcount(x & z) counts the
+    term's quarter phase and Y letters.  It is real iff
+    popcount(x & s) = q (mod 2): one GF(2) equation per term, solved by
+    elimination on the X-masks with every free link left out of ``s``.
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, rhs)
+    for _, t in terms:
+        row = t.x_mask
+        rhs = (t.phase_quarter + (t.x_mask & t.z_mask).bit_count()) & 1
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (row, rhs)
+                break
+            prow, prhs = pivots[lead]
+            row, rhs = row ^ prow, rhs ^ prhs
+        else:
+            if rhs:
+                return None
+    s = 0
+    for lead in sorted(pivots):  # lower bits of every row are settled first
+        row, rhs = pivots[lead]
+        if ((row & s).bit_count() ^ rhs) & 1:
+            s |= 1 << lead
+    return s
+
+
 @dataclass
 class SparseHamiltonian:
-    """Hermitian Pauli-term Hamiltonian with a grouped matrix-free matvec."""
+    """Hermitian Pauli-term Hamiltonian compiled once to a CSR operator."""
 
     n_qubits: int
     terms: tuple[tuple[float, PauliString], ...]
@@ -52,41 +97,67 @@ class SparseHamiltonian:
                     f"non-Hermitian term {coeff!r} * {string.label()}")
             if string.n_qubits != self.n_qubits:
                 raise ValueError("term register size mismatch")
-        self._groups = None
+        self.terms = tuple((float(np.real(coeff)), string)
+                           for coeff, string in self.terms)
+        self._compiled = None
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
-    def _build_groups(self):
-        # one (permutation, weight-vector) pair per distinct X-mask:
-        # (H psi)[j] = sum_g w_g[j] * psi[j ^ x_g]
+    def compile(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray | None]:
+        """(A, v) with H = V A V^H, V = diag(v), built once and cached.
+
+        ``v`` is the :func:`real_gauge` diagonal and ``A`` is real
+        symmetric; when no real gauge exists ``v`` is None and ``A`` is the
+        complex Z-basis H.  Every row of A holds one entry per distinct
+        X-mask x, at column j ^ x, so the CSR arrays are built directly.
+        """
+        if self._compiled is not None:
+            return self._compiled
+        mask = real_gauge(self.terms)
         idx = np.arange(self.dim, dtype=np.uint64)
-        by_x: dict[int, np.ndarray] = {}
-        for coeff, s in self.terms:
-            scalar = 1j ** ((s.phase_quarter + bin(s.x_mask & s.z_mask).count("1")) % 4)
-            signs = 1.0 - 2.0 * (
-                np.bitwise_count((idx ^ np.uint64(s.x_mask)) & np.uint64(s.z_mask))
-                & np.uint64(1)).astype(np.float64)
-            w = float(coeff) * scalar * signs
-            if s.x_mask in by_x:
-                by_x[s.x_mask] = by_x[s.x_mask] + w
+        groups: dict[int, list[tuple[float, PauliString]]] = {}
+        for coeff, t in self.terms:
+            groups.setdefault(t.x_mask, []).append((coeff, t))
+        xs = sorted(groups)
+        data = np.empty((self.dim, len(xs)),
+                        dtype=complex if mask is None else float)
+        row_turns = _popcount(idx, mask or 0)
+        for g, x in enumerate(xs):
+            cols = idx ^ np.uint64(x)
+            # conj(v_j) v_{j^x} = i**(popcount((j^x) & s) - popcount(j & s))
+            turns = _popcount(cols, mask or 0) - row_turns
+            w = np.zeros(self.dim, dtype=complex)
+            for coeff, t in groups[x]:
+                q = (t.phase_quarter + (x & t.z_mask).bit_count()
+                     + 2 * _popcount(cols, t.z_mask) + turns)
+                w += coeff * _QUARTER_TURNS[q % 4]
+            if mask is None:
+                data[:, g] = w
+            elif np.any(w.imag != 0.0):
+                raise RuntimeError(
+                    f"gauge {mask:#x} leaves X-mask {x:#x} complex")
             else:
-                by_x[s.x_mask] = w.astype(complex)
-        self._groups = [(np.uint64(x), w) for x, w in sorted(by_x.items())]
+                data[:, g] = w.real
+        rows = np.arange(self.dim, dtype=np.int32)
+        indices = rows[:, None] ^ np.array(xs, dtype=np.int32)[None, :]
+        indptr = np.arange(self.dim + 1, dtype=np.int32) * len(xs)
+        a = scipy.sparse.csr_matrix(
+            (data.reshape(-1), indices.reshape(-1), indptr),
+            shape=(self.dim, self.dim))
+        gauge = None if mask is None else _QUARTER_TURNS[row_turns % 4]
+        self._compiled = (a, gauge)
+        return self._compiled
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
-        if self._groups is None:
-            self._build_groups()
+        """H psi in the Z basis, through the compiled operator."""
+        a, gauge = self.compile()
         psi = np.asarray(psi, dtype=complex).reshape(self.dim)
-        out = np.zeros(self.dim, dtype=complex)
-        idx = np.arange(self.dim, dtype=np.uint64)
-        for x, w in self._groups:
-            if x == 0:
-                out += w * psi
-            else:
-                out += w * psi[idx ^ x]
-        return out
+        if gauge is None:
+            return a @ psi
+        u = gauge.conj() * psi
+        return gauge * (a @ u.real + 1j * (a @ u.imag))
 
     def to_dense(self) -> np.ndarray:
         if self.dim > DENSE_DIM_CAP:
@@ -98,10 +169,6 @@ class SparseHamiltonian:
 
     def to_pauli_sum(self) -> PauliSum:
         return PauliSum.from_terms((c, s) for c, s in self.terms)
-
-    def operator(self) -> scipy.sparse.linalg.LinearOperator:
-        return scipy.sparse.linalg.LinearOperator(
-            shape=(self.dim, self.dim), matvec=self.matvec, dtype=complex)
 
 
 def chi_pair_terms(lat: lt.TorusLattice, mode: str = "sequence"
@@ -159,6 +226,7 @@ class SpectrumResult:
 
 
 RESIDUAL_BOUND = 1e-8
+ORTHONORMALITY_BOUND = 1e-10
 
 
 def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
@@ -166,11 +234,17 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
                       residual_bound: float = RESIDUAL_BOUND) -> SpectrumResult:
     """k smallest eigenpairs; dense below ``DENSE_DIM_CAP``, else Lanczos.
 
-    The Krylov space (ncv >= 4k) is wide enough for the 4-fold
-    quasi-degenerate manifold to converge as a block; the start vector is
-    seeded so results are reproducible.  Every reported pair is verified
-    against ``residual_bound`` or :class:`ConvergenceError` is raised.  The
-    dense path is backward stable, so there the bound tightens to
+    Below the cap, dense ``eigh`` of :meth:`SparseHamiltonian.to_dense` is
+    the oracle.  Above it, symmetric Lanczos (ARPACK ``eigsh``) runs in real
+    arithmetic on the compiled real-gauge matrix A = V^H H V, and the
+    eigenvectors are mapped back to the Z basis with V; terms without a real
+    gauge raise ``ValueError``.  The Krylov space (ncv >= 4k) is wide enough
+    for the 4-fold quasi-degenerate manifold to converge as a block; the
+    start vector is seeded so results are reproducible.  The Lanczos Ritz
+    vectors are checked orthonormal to ``ORTHONORMALITY_BOUND``, also across
+    exactly degenerate levels.  Every reported pair is verified against
+    ``residual_bound`` or :class:`ConvergenceError` is raised.  The dense
+    path is backward stable, so there the bound tightens to
     ``dim * eps * ||H||``, with ||H|| <= sum |coefficient| since every Pauli
     string has norm 1.
     """
@@ -182,22 +256,33 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
         norm = sum(abs(coeff) for coeff, _ in h.terms)
         residual_bound = min(residual_bound,
                              h.dim * np.finfo(float).eps * norm)
+        residuals = np.array([
+            np.linalg.norm(h.matvec(evecs[:, i]) - evals[i] * evecs[:, i])
+            for i in range(len(evals))])
     else:
+        a, gauge = h.compile()
+        if gauge is None:
+            raise ValueError("no real gauge exists for these terms; "
+                             "the Lanczos path needs one")
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=h.dim)
         v0 /= np.linalg.norm(v0)
         ncv = min(h.dim - 1, max(4 * k + 1, 40))
         try:
-            evals, evecs = scipy.sparse.linalg.eigsh(
-                h.operator(), k=k, which="SA", v0=v0, ncv=ncv, tol=1e-10,
+            evals, vecs = scipy.sparse.linalg.eigsh(
+                a, k=k, which="SA", v0=v0, ncv=ncv, tol=1e-10,
                 maxiter=max(2000, 40 * k))
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
         order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-    residuals = np.array([
-        np.linalg.norm(h.matvec(evecs[:, i]) - evals[i] * evecs[:, i])
-        for i in range(len(evals))])
+        evals, vecs = evals[order], vecs[:, order]
+        # V is unitary, so the gauged residual is the Z-basis one
+        residuals = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
+        drift = np.max(np.abs(vecs.T @ vecs - np.eye(k)))
+        if drift > ORTHONORMALITY_BOUND:
+            raise ConvergenceError(
+                f"Ritz vectors off orthonormal by {drift:.1e}")
+        evecs = gauge[:, None] * vecs
     if np.any(residuals > residual_bound):
         raise ConvergenceError(
             f"residuals {residuals} exceed the bound {residual_bound}")

@@ -72,6 +72,26 @@ def test_apply_matches_dense():
         np.testing.assert_allclose(p.apply(state), p.to_dense() @ state, atol=1e-12)
 
 
+def test_expectation_matches_dense_trace():
+    # L = 2 register: the lattice stabilizers and loops, plus random strings
+    from toricsim import lattice as lt
+    lat = lt.build(2)
+    rng = np.random.default_rng(5)
+    strings = [lt.vertex_stabilizer(lat, v) for v in range(lat.n_vertices)]
+    strings += [lt.plaquette_stabilizer(lat, q) for q in range(lat.n_plaquettes)]
+    strings += lt.z_loops(lat) + lt.x_loops(lat)
+    strings += [PauliString.from_label("".join(rng.choice(list(LETTERS), 8)),
+                                       int(rng.integers(0, 4)))
+                for _ in range(20)]
+    rho = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    for p in strings:
+        oracle = 1j ** p.phase_quarter * kron_dense(p.label(with_phase=False))
+        assert p.expectation(rho) == pytest.approx(np.trace(oracle @ rho),
+                                                   abs=1e-11)
+    with pytest.raises(ValueError):
+        strings[0].expectation(rho[:16, :16])
+
+
 def test_generator_commutators_frozen():
     # the two-body generators close onto the four-body stabilizer:
     # [ZYII, IXYI] = -2i ZZYI and [[ZYII, IXYI], IIXZ] = -4 ZZZZ

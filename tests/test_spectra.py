@@ -31,6 +31,10 @@ def test_rejects_non_hermitian_terms():
         sp.SparseHamiltonian(8, ((1.0j, z),))
     with pytest.raises(ValueError):
         sp.SparseHamiltonian(8, ((1.0, PauliString.from_label("+i·" + "Z" * 8)),))
+    # complex-typed but real coefficients are stored as floats
+    h = sp.SparseHamiltonian(8, ((1.0 + 0j, z),))
+    assert h.terms == ((1.0, z),) and isinstance(h.terms[0][0], float)
+    np.testing.assert_array_equal(h.matvec(np.ones(256)), h.to_dense().sum(axis=1))
 
 
 def test_unperturbed_ground_sector():
@@ -50,6 +54,49 @@ def test_matvec_matches_dense():
         for _ in range(3):
             v = RNG.normal(size=256) + 1j * RNG.normal(size=256)
             np.testing.assert_allclose(h.matvec(v), dense @ v, atol=1e-12)
+    assert not sp.SparseHamiltonian(8, ()).matvec(v).any()
+
+
+@pytest.mark.parametrize("mode", ["sequence", "all"])
+@pytest.mark.parametrize("chi", [0.0, 0.25])
+def test_compiled_operator_is_the_real_gauge(mode, chi):
+    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    a, gauge = h.compile()
+    assert a.dtype == np.float64
+    dense = h.to_dense()
+    gauged = gauge.conj()[:, None] * dense * gauge[None, :]
+    assert np.max(np.abs(a.toarray() - gauged)) <= 1e-14
+    np.testing.assert_array_equal(np.abs(gauge), 1.0)
+    rng = np.random.default_rng(2)
+    psi = rng.normal(size=256) + 1j * rng.normal(size=256)
+    np.testing.assert_allclose(h.matvec(psi), dense @ psi, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_real_gauge_from_terms_alone(size):
+    lat = lt.build(size)
+    vertical = sum(1 << link for link in range(lat.n_links)
+                   if lat.link_kind(link) == "v")
+    for mode in ("sequence", "all"):
+        h = sp.build_hamiltonian(lat, chi=0.2, h_z=0.05, chi_pairs=mode)
+        mask = sp.real_gauge(h.terms)
+        assert mask == vertical
+        for _, t in h.terms:
+            quarter = t.phase_quarter + (t.x_mask & t.z_mask).bit_count()
+            assert ((t.x_mask & mask).bit_count() - quarter) % 2 == 0
+
+
+def test_no_real_gauge_refuses_lanczos(monkeypatch):
+    x0, y0 = PauliString.single(3, 0, "X"), PauliString.single(3, 0, "Y")
+    h = sp.SparseHamiltonian(3, ((1.0, x0), (0.5, y0)))
+    assert sp.real_gauge(h.terms) is None
+    a, gauge = h.compile()
+    assert gauge is None
+    psi = np.arange(8) + 1j
+    np.testing.assert_allclose(h.matvec(psi), h.to_dense() @ psi, atol=1e-14)
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
+    with pytest.raises(ValueError, match="real gauge"):
+        sp.lowest_eigenpairs(h, k=1)
 
 
 def test_vertex_terms_commute_with_everything():
@@ -112,6 +159,22 @@ def test_lanczos_path_matches_dense(monkeypatch):
     again = sp.lowest_eigenpairs(h, k=6, seed=3)
     np.testing.assert_allclose(again.eigenvalues, sparse_res.eigenvalues,
                                atol=1e-12)
+
+
+def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
+    # at chi = 0 the 2nd and 3rd levels are exactly degenerate; the vectors
+    # must still be orthonormal and span the dense solve's manifold
+    h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
+    reference, _ = sp.ground_space_reference(LAT)
+    dense_res = sp.lowest_eigenpairs(h, k=6)
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 64)
+    res = sp.lowest_eigenpairs(h, k=6, seed=7)
+    vecs = res.eigenvectors
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-10
+    np.testing.assert_allclose(
+        sp.ground_fidelity(reference, vecs[:, :4]).sector_weights,
+        sp.ground_fidelity(reference, dense_res.eigenvectors[:, :4]).sector_weights,
+        rtol=0, atol=1e-9)
 
 
 def test_eigenvalues_invariant_under_relabeling():
