@@ -9,7 +9,8 @@ writes CSV/JSON outputs atomically with versioned schema headers.
 
 Determinism contract: the configuration plus the seed fix every byte of
 every emitted file.  Wall time is therefore kept on the returned record
-(and printed by the CLI) but never written to disk, and quantities an
+(and printed by the CLI) but never written to disk; what the eigensolver
+did goes into the record's ``solver`` block as counters only.  Quantities an
 eigensolver computes are printed at ``SOLVER_DECIMALS``, far above the
 round-off that differs between BLAS builds.
 """
@@ -436,6 +437,7 @@ class RunRecord:
     assertions: list[Assertion]
     outputs: tuple[str, ...]
     wall_time_s: float
+    solver: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -453,6 +455,8 @@ class RunRecord:
             # basenames only: emitted bytes must not depend on the outdir
             "outputs": [Path(p).name for p in self.outputs],
         }
+        if self.solver:
+            data["solver"] = self.solver
         if include_wall_time:
             data["wall_time_s"] = self.wall_time_s
         return json.dumps(data, sort_keys=True, indent=1)
@@ -594,6 +598,7 @@ class _Parts:
     metrics: dict[str, tuple] = field(default_factory=dict)
     assertions: list[Assertion] = field(default_factory=list)
     files: list[tuple[str, str]] = field(default_factory=list)  # name, text
+    solver: dict = field(default_factory=dict)  # deterministic counters
 
     def check(self, name: str, passed: bool, detail: str) -> None:
         self.assertions.append(Assertion(name, bool(passed), detail))
@@ -666,17 +671,20 @@ def _run_spectrum(cfg: ScenarioConfig) -> _Parts:
     lat = lt.build(cfg.lattice_l)
     rows = []
     quasi = []
+    solver = []
     for chi in cfg.chi_grid:
         h = sp.build_hamiltonian(lat, chi=chi, h_z=cfg.h_z,
                                  chi_pairs=cfg.chi_pairs)
         res = sp.lowest_eigenpairs(h, k=cfg.n_eigenvalues, seed=cfg.seed,
                                    with_vectors=False)
         rows.extend(res.report_rows(chi, cfg.h_z))
+        solver.append({"chi": chi, **res.counters})
         evals = res.eigenvalues
         quasi.append({"chi": chi,
                       "manifold_spread": _solver_value(evals[3] - evals[0]),
                       "gap": _solver_value(evals[4] - evals[3])})
     parts.metrics = _columns("spectrum", rows)
+    parts.solver = {"points": solver}
     parts.files.append(("spectrum.csv", emit_figure_data("spectrum", rows)))
     parts.files.append(("spectrum.json",
                         json.dumps({"points": quasi}, sort_keys=True, indent=1)))
@@ -705,6 +713,8 @@ def _run_fidelity_scan(cfg: ScenarioConfig) -> _Parts:
                      *map(float, point.sector_weights),
                      point.manifold_spread, point.gap))
     parts.metrics = _columns("fidelity", rows)
+    parts.solver = {"points": [{"chi": p.chi, **p.counters}
+                               for p in scan.points if p.error is None]}
     parts.files.append(("fidelity.csv", emit_figure_data("fidelity", rows)))
     failures = [p.chi for p in scan.points if p.error is not None]
     parts.check("solver-converged", not failures,
@@ -977,7 +987,7 @@ def run(cfg: ScenarioConfig) -> RunRecord:
         scenario=cfg.kind, config_hash=cfg.config_hash(),
         versions=_versions(), omega_definition=OMEGA_DEFINITION,
         metrics=parts.metrics, assertions=parts.assertions,
-        outputs=tuple(written), wall_time_s=wall)
+        outputs=tuple(written), wall_time_s=wall, solver=parts.solver)
     record_path = outdir / f"{cfg.kind}-record.json"
     _atomic_write(record_path, record.to_json(include_wall_time=False) + "\n")
     record.outputs = record.outputs + (str(record_path),)

@@ -16,17 +16,22 @@ ambiguity.
 Every such H is real up to a diagonal phase gauge: S gates on the links
 of a mask found by a GF(2) solve over the terms (:func:`real_gauge`; the
 vertical links) turn each X.Y pair into a real product and leave every
-plaquette with an even number of Y letters.  H is compiled once into one
-CSR matrix in that gauge, with one entry per row for each distinct X-mask;
-it serves both the Z-basis matvec and the symmetric Lanczos solve.  The
-dense construction, and dense ``eigh`` below ``DENSE_DIM_CAP``, are the
-oracle the compiled form is tested against.
+plaquette with an even number of Y letters.  Every term maps a Z-basis
+state j only to j ^ x with x in the GF(2) span W of the X-masks, so H is
+block diagonal over the cosets of W: 1024 sectors of 256 states at L = 3
+and chi = 0, 8 of 32768 at chi != 0 (2 with ``chi_pairs = "all"``).  H is
+compiled once into one CSR matrix in that gauge with its basis ordered by
+coset, one entry per row for each distinct X-mask; it serves the Z-basis
+matvec, and its diagonal blocks are the sectors the eigensolver visits,
+skipping every block whose Gershgorin floor proves it holds none of the
+lowest levels.  The dense construction, and dense ``eigh`` below
+``DENSE_DIM_CAP``, are the oracle the compiled form is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -51,20 +56,14 @@ def _popcount(a: np.ndarray, mask: int) -> np.ndarray:
     return np.bitwise_count(a & np.uint64(mask)).astype(np.int64)
 
 
-def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
-    """Link mask ``s`` of an S-gate gauge that makes every term real, or None.
+def _echelon(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
+    """Reduced GF(2) echelon form of (mask, rhs) rows, or None if inconsistent.
 
-    With V = diag(v), v_j = i**popcount(j & s), the weight of a term at
-    (j, j ^ x) in V^H H V is its real coefficient times a sign times
-    i**(q + popcount(x & s)), where q = phase + popcount(x & z) counts the
-    term's quarter phase and Y letters.  It is real iff
-    popcount(x & s) = q (mod 2): one GF(2) equation per term, solved by
-    elimination on the X-masks with every free link left out of ``s``.
+    Maps each pivot, the leading bit of its row, to (row, rhs); every row
+    is zero at every other pivot.
     """
-    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, rhs)
-    for _, t in terms:
-        row = t.x_mask
-        rhs = (t.phase_quarter + (t.x_mask & t.z_mask).bit_count()) & 1
+    pivots: dict[int, tuple[int, int]] = {}
+    for row, rhs in rows:
         while row:
             lead = row.bit_length() - 1
             if lead not in pivots:
@@ -75,12 +74,64 @@ def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
         else:
             if rhs:
                 return None
-    s = 0
-    for lead in sorted(pivots):  # lower bits of every row are settled first
-        row, rhs = pivots[lead]
-        if ((row & s).bit_count() ^ rhs) & 1:
-            s |= 1 << lead
-    return s
+    for lead in sorted(pivots):  # clear each pivot from the rows above it
+        prow, prhs = pivots[lead]
+        for other, (row, rhs) in pivots.items():
+            if other != lead and row >> lead & 1:
+                pivots[other] = (row ^ prow, rhs ^ prhs)
+    return pivots
+
+
+def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
+    """Link mask ``s`` of an S-gate gauge that makes every term real, or None.
+
+    With V = diag(v), v_j = i**popcount(j & s), the weight of a term at
+    (j, j ^ x) in V^H H V is its real coefficient times a sign times
+    i**(q + popcount(x & s)), where q = phase + popcount(x & z) counts the
+    term's quarter phase and Y letters.  It is real iff
+    popcount(x & s) = q (mod 2): one GF(2) equation per term, solved by
+    elimination on the X-masks with every free link left out of ``s``.
+    """
+    pivots = _echelon(
+        (t.x_mask, (t.phase_quarter + (t.x_mask & t.z_mask).bit_count()) & 1)
+        for _, t in terms)
+    if pivots is None:
+        return None
+    # a reduced row meets s only at its own pivot
+    return sum(1 << lead for lead, (_, rhs) in pivots.items() if rhs)
+
+
+def _span(vectors: Iterable[int]) -> np.ndarray:
+    """Every XOR combination of ``vectors``; bit i of the index picks vector i."""
+    out = np.zeros(1, dtype=np.uint64)
+    for v in vectors:
+        out = np.concatenate([out, out ^ np.uint64(v)])
+    return out
+
+
+@dataclass(frozen=True)
+class SectorOperator:
+    """H compiled in sector order: H[order][:, order] = V A V^H.
+
+    ``order[p]`` is the Z-basis state at position p.  Every term maps a
+    state j only to j ^ x with x in the GF(2) span W of the X-masks, so the
+    cosets of W are invariant: positions run coset by coset,
+    ``sector_dim`` = |W| states each, and A is block diagonal.  ``gauge``
+    holds v, the :func:`real_gauge` diagonal, at each position, and A is
+    real symmetric; when no real gauge exists ``gauge`` is None and A is
+    the complex H.  ``floors[s]`` is the Gershgorin floor of block s,
+    min_i(a_ii - sum_{j != i} |a_ij|), a lower bound on its spectrum.
+    """
+
+    matrix: scipy.sparse.csr_matrix
+    gauge: np.ndarray | None
+    order: np.ndarray
+    sector_dim: int
+    floors: np.ndarray
+
+    def block(self, s: int) -> scipy.sparse.csr_matrix:
+        lo = s * self.sector_dim
+        return self.matrix[lo:lo + self.sector_dim, lo:lo + self.sector_dim]
 
 
 @dataclass
@@ -105,27 +156,36 @@ class SparseHamiltonian:
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
-    def compile(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray | None]:
-        """(A, v) with H = V A V^H, V = diag(v), built once and cached.
+    def compile(self) -> SectorOperator:
+        """The sector-ordered operator, built once and cached.
 
-        ``v`` is the :func:`real_gauge` diagonal and ``A`` is real
-        symmetric; when no real gauge exists ``v`` is None and ``A`` is the
-        complex Z-basis H.  Every row of A holds one entry per distinct
-        X-mask x, at column j ^ x, so the CSR arrays are built directly.
+        A state's position is its coset, then its bits at the pivots of
+        W's reduced echelon basis, so the position of j ^ x is the position
+        of j XOR the pivot bits of x.  Every row of A holds one entry per
+        distinct X-mask, and the CSR arrays are built directly.
         """
         if self._compiled is not None:
             return self._compiled
         mask = real_gauge(self.terms)
-        idx = np.arange(self.dim, dtype=np.uint64)
         groups: dict[int, list[tuple[float, PauliString]]] = {}
         for coeff, t in self.terms:
             groups.setdefault(t.x_mask, []).append((coeff, t))
         xs = sorted(groups)
+        pivots = _echelon((x, 0) for x in xs)
+        leads = sorted(pivots)
+        # one representative per coset (zero at every pivot) XOR all of W
+        reps = _span(1 << b for b in range(self.n_qubits) if b not in pivots)
+        local = _span(pivots[b][0] for b in leads)
+        order = (reps[:, None] ^ local[None, :]).reshape(-1)
+        shifts = [sum(1 << i for i, b in enumerate(leads) if x >> b & 1)
+                  for x in xs]
         data = np.empty((self.dim, len(xs)),
                         dtype=complex if mask is None else float)
-        row_turns = _popcount(idx, mask or 0)
+        diag = np.zeros(self.dim)
+        radius = np.zeros(self.dim)
+        row_turns = _popcount(order, mask or 0)
         for g, x in enumerate(xs):
-            cols = idx ^ np.uint64(x)
+            cols = order ^ np.uint64(x)
             # conj(v_j) v_{j^x} = i**(popcount((j^x) & s) - popcount(j & s))
             turns = _popcount(cols, mask or 0) - row_turns
             w = np.zeros(self.dim, dtype=complex)
@@ -140,24 +200,36 @@ class SparseHamiltonian:
                     f"gauge {mask:#x} leaves X-mask {x:#x} complex")
             else:
                 data[:, g] = w.real
+            if x:
+                radius += np.abs(w)
+            else:
+                diag = w.real
         rows = np.arange(self.dim, dtype=np.int32)
-        indices = rows[:, None] ^ np.array(xs, dtype=np.int32)[None, :]
+        indices = rows[:, None] ^ np.array(shifts, dtype=np.int32)[None, :]
         indptr = np.arange(self.dim + 1, dtype=np.int32) * len(xs)
         a = scipy.sparse.csr_matrix(
             (data.reshape(-1), indices.reshape(-1), indptr),
             shape=(self.dim, self.dim))
-        gauge = None if mask is None else _QUARTER_TURNS[row_turns % 4]
-        self._compiled = (a, gauge)
+        sector_dim = 1 << len(leads)
+        self._compiled = SectorOperator(
+            matrix=a,
+            gauge=None if mask is None else _QUARTER_TURNS[row_turns % 4],
+            order=order, sector_dim=sector_dim,
+            floors=(diag - radius).reshape(-1, sector_dim).min(axis=1))
         return self._compiled
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """H psi in the Z basis, through the compiled operator."""
-        a, gauge = self.compile()
-        psi = np.asarray(psi, dtype=complex).reshape(self.dim)
-        if gauge is None:
-            return a @ psi
-        u = gauge.conj() * psi
-        return gauge * (a @ u.real + 1j * (a @ u.imag))
+        op = self.compile()
+        u = np.asarray(psi, dtype=complex).reshape(self.dim)[op.order]
+        if op.gauge is None:
+            y = op.matrix @ u
+        else:
+            u = op.gauge.conj() * u
+            y = op.gauge * (op.matrix @ u.real + 1j * (op.matrix @ u.imag))
+        out = np.empty_like(y)
+        out[op.order] = y
+        return out
 
     def to_dense(self) -> np.ndarray:
         if self.dim > DENSE_DIM_CAP:
@@ -212,12 +284,25 @@ class SpectrumResult:
     ``residuals`` are the measured ||H v - e v||, round-off that changes
     with the BLAS build; ``residual_bound`` is the bound every one of them
     was verified against, fixed by the Hamiltonian and the solver path.
+    The counters say what the solver did: the number and dimension of the
+    sectors it split the space into, and how many of their blocks it
+    solved with dense ``eigh`` and with Lanczos; the rest were skipped.
     """
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
     residual_bound: float
+    sectors: int
+    sector_dim: int
+    dense_blocks: int
+    lanczos_blocks: int
     eigenvectors: np.ndarray | None = None
+
+    @property
+    def counters(self) -> dict[str, int]:
+        return {"sectors": self.sectors, "sector_dim": self.sector_dim,
+                "dense_blocks": self.dense_blocks,
+                "lanczos_blocks": self.lanczos_blocks}
 
     def report_rows(self, chi: float, h_z: float) -> list[tuple]:
         """(chi, h_z, index, energy, residual_bound) per eigenpair."""
@@ -229,24 +314,67 @@ RESIDUAL_BOUND = 1e-8
 ORTHONORMALITY_BOUND = 1e-10
 
 
+def _verify(residuals: np.ndarray, residual_bound: float) -> None:
+    if np.any(residuals > residual_bound):
+        raise ConvergenceError(
+            f"residuals {residuals} exceed the bound {residual_bound}")
+
+
+def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
+                 residual_bound: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(eigenvalues, vectors, residuals, by_lanczos) of the k lowest pairs
+    of a real symmetric block, every pair verified."""
+    dim = a.shape[0]
+    lanczos = dim > max(DENSE_DIM_CAP, k + 1)
+    if not lanczos:
+        evals, vecs = scipy.linalg.eigh(
+            a.toarray(), subset_by_index=[0, min(k, dim) - 1])
+    else:
+        v0 = np.random.default_rng(seed).normal(size=dim)
+        v0 /= np.linalg.norm(v0)
+        ncv = min(dim - 1, max(4 * k + 1, 40))
+        try:
+            evals, vecs = scipy.sparse.linalg.eigsh(
+                a, k=k, which="SA", v0=v0, ncv=ncv, tol=1e-10,
+                maxiter=max(2000, 40 * k))
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
+        order = np.argsort(evals)
+        evals, vecs = evals[order], vecs[:, order]
+    drift = np.max(np.abs(vecs.T @ vecs - np.eye(len(evals))))
+    if drift > ORTHONORMALITY_BOUND:
+        raise ConvergenceError(f"Ritz vectors off orthonormal by {drift:.1e}")
+    # V is unitary, so the gauged residual is the Z-basis one
+    residuals = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
+    _verify(residuals, residual_bound)
+    return evals, vecs, residuals, lanczos
+
+
 def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
                       with_vectors: bool = True,
                       residual_bound: float = RESIDUAL_BOUND) -> SpectrumResult:
-    """k smallest eigenpairs; dense below ``DENSE_DIM_CAP``, else Lanczos.
+    """k smallest eigenpairs; dense below ``DENSE_DIM_CAP``, else by sector.
 
     Below the cap, dense ``eigh`` of :meth:`SparseHamiltonian.to_dense` is
-    the oracle.  Above it, symmetric Lanczos (ARPACK ``eigsh``) runs in real
-    arithmetic on the compiled real-gauge matrix A = V^H H V, and the
-    eigenvectors are mapped back to the Z basis with V; terms without a real
-    gauge raise ``ValueError``.  The Krylov space (ncv >= 4k) is wide enough
-    for the 4-fold quasi-degenerate manifold to converge as a block; the
-    start vector is seeded so results are reproducible.  The Lanczos Ritz
-    vectors are checked orthonormal to ``ORTHONORMALITY_BOUND``, also across
-    exactly degenerate levels.  Every reported pair is verified against
-    ``residual_bound`` or :class:`ConvergenceError` is raised.  The dense
-    path is backward stable, so there the bound tightens to
-    ``dim * eps * ||H||``, with ||H|| <= sum |coefficient| since every Pauli
-    string has norm 1.
+    the oracle.  The dense path is backward stable, so there the bound
+    tightens to ``dim * eps * ||H||``, with ||H|| <= sum |coefficient| since
+    every Pauli string has norm 1.
+
+    Above it, the blocks of the compiled real-gauge matrix A = V^H H V
+    (:meth:`SparseHamiltonian.compile`) are visited in ascending Gershgorin
+    floor.  A block at or below the cap is solved by dense ``eigh``, a
+    larger one by symmetric Lanczos (ARPACK ``eigsh``) in real arithmetic,
+    with a Krylov space (ncv >= 4k) wide enough for the 4-fold
+    quasi-degenerate manifold to converge as a block and a seeded start
+    vector.  The visit stops once the next floor lies above the k-th lowest
+    level found plus ``residual_bound``: no skipped block can hold a lower
+    level.  In every block the vectors are checked orthonormal to
+    ``ORTHONORMALITY_BOUND``, also across exactly degenerate levels, and
+    every pair is verified against ``residual_bound`` or
+    :class:`ConvergenceError` is raised.  The k lowest levels are merged
+    and their vectors mapped back to the Z basis with V; terms without a
+    real gauge raise ``ValueError``.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -259,37 +387,40 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
         residuals = np.array([
             np.linalg.norm(h.matvec(evecs[:, i]) - evals[i] * evecs[:, i])
             for i in range(len(evals))])
-    else:
-        a, gauge = h.compile()
-        if gauge is None:
-            raise ValueError("no real gauge exists for these terms; "
-                             "the Lanczos path needs one")
-        rng = np.random.default_rng(seed)
-        v0 = rng.normal(size=h.dim)
-        v0 /= np.linalg.norm(v0)
-        ncv = min(h.dim - 1, max(4 * k + 1, 40))
-        try:
-            evals, vecs = scipy.sparse.linalg.eigsh(
-                a, k=k, which="SA", v0=v0, ncv=ncv, tol=1e-10,
-                maxiter=max(2000, 40 * k))
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
-        order = np.argsort(evals)
-        evals, vecs = evals[order], vecs[:, order]
-        # V is unitary, so the gauged residual is the Z-basis one
-        residuals = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
-        drift = np.max(np.abs(vecs.T @ vecs - np.eye(k)))
-        if drift > ORTHONORMALITY_BOUND:
-            raise ConvergenceError(
-                f"Ritz vectors off orthonormal by {drift:.1e}")
-        evecs = gauge[:, None] * vecs
-    if np.any(residuals > residual_bound):
-        raise ConvergenceError(
-            f"residuals {residuals} exceed the bound {residual_bound}")
+        _verify(residuals, residual_bound)
+        return SpectrumResult(
+            eigenvalues=evals, residuals=residuals,
+            residual_bound=float(residual_bound),
+            sectors=1, sector_dim=h.dim, dense_blocks=1, lanczos_blocks=0,
+            eigenvectors=evecs if with_vectors else None)
+    op = h.compile()
+    if op.gauge is None:
+        raise ValueError("no real gauge exists for these terms; "
+                         "the Lanczos path needs one")
+    found = []  # the k lowest (level, residual, sector, gauged vector)
+    solved = lanczos_blocks = 0
+    for s in np.argsort(op.floors, kind="stable"):
+        if len(found) >= k and op.floors[s] > found[k - 1][0] + residual_bound:
+            break
+        evals, vecs, residuals, lanczos = _solve_block(
+            op.block(s), k, seed, residual_bound)
+        found = sorted(found + [(e, r, s, vecs[:, j]) for j, (e, r)
+                                in enumerate(zip(evals, residuals))],
+                       key=lambda f: f[0])[:k]
+        solved += 1
+        lanczos_blocks += lanczos
+    evecs = None
+    if with_vectors:
+        evecs = np.zeros((h.dim, len(found)), dtype=complex)
+        for col, (_, _, s, vec) in enumerate(found):
+            block = slice(s * op.sector_dim, (s + 1) * op.sector_dim)
+            evecs[op.order[block], col] = op.gauge[block] * vec
     return SpectrumResult(
-        eigenvalues=np.real(evals), residuals=residuals,
-        residual_bound=float(residual_bound),
-        eigenvectors=evecs if with_vectors else None)
+        eigenvalues=np.array([f[0] for f in found]),
+        residuals=np.array([f[1] for f in found]),
+        residual_bound=float(residual_bound), eigenvectors=evecs,
+        sectors=len(op.floors), sector_dim=op.sector_dim,
+        dense_blocks=solved - lanczos_blocks, lanczos_blocks=lanczos_blocks)
 
 
 def ground_space_reference(lat: lt.TorusLattice) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -365,6 +496,7 @@ class FidelityScanPoint:
     manifold_spread: float | None
     gap: float | None
     error: str | None = None
+    counters: dict[str, int] | None = None
 
 
 @dataclass
@@ -409,5 +541,6 @@ def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
             chi=chi, eigenvalues=evals, subspace_fidelity=fid.subspace,
             sector_weights=fid.sector_weights,
             manifold_spread=float(evals[3] - evals[0]),
-            gap=float(evals[4] - evals[3]) if len(evals) > 4 else None))
+            gap=float(evals[4] - evals[3]) if len(evals) > 4 else None,
+            counters=res.counters))
     return FidelityScan(h_z=h_z, chi_pairs=chi_pairs, points=points)

@@ -256,6 +256,31 @@ class TestScenarioRuns:
         assert fidelities[0] > 0.99          # measured 0.9994 at chi = 0
         assert all(f >= 0.8 for f in fidelities)
 
+    def test_solver_block_in_records(self, tmp_path, monkeypatch):
+        # below the dense cap L = 2 is solved whole; at cap 16 by sector
+        dense = {"sectors": 1, "sector_dim": 256, "dense_blocks": 1,
+                 "lanczos_blocks": 0}
+        for kind, record_name in (("spectrum", "spectrum-record.json"),
+                                  ("fidelity-scan",
+                                   "fidelity-scan-record.json")):
+            cfg = hn.ScenarioConfig(kind=kind, chi_grid=(0.0, 0.25),
+                                    outdir=str(tmp_path))
+            assert hn.run(cfg).ok
+            stored = json.loads((tmp_path / record_name).read_text())
+            assert stored["solver"] == {"points": [
+                {"chi": 0.0, **dense}, {"chi": 0.25, **dense}]}
+        monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
+        record = hn.run(cfg)
+        assert record.ok, record.summary_lines()
+        at_zero, at_chi = record.solver["points"]
+        assert (at_zero["sectors"], at_zero["sector_dim"]) == (32, 8)
+        assert 0 < at_zero["dense_blocks"] < 32
+        assert at_zero["lanczos_blocks"] == 0
+        assert (at_chi["sectors"], at_chi["sector_dim"]) == (4, 64)
+        assert at_chi["dense_blocks"] == 0 and at_chi["lanczos_blocks"] >= 1
+        stored = json.loads((tmp_path / record_name).read_text())
+        assert stored["solver"] == record.solver
+
     def test_thermalize(self, tmp_path):
         cfg = hn.ScenarioConfig(kind="thermalize", outdir=str(tmp_path))
         record = hn.run(cfg)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricsim import lattice as lt
 from toricsim import spectra as sp
@@ -61,10 +63,12 @@ def test_matvec_matches_dense():
 @pytest.mark.parametrize("chi", [0.0, 0.25])
 def test_compiled_operator_is_the_real_gauge(mode, chi):
     h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
-    a, gauge = h.compile()
+    op = h.compile()
+    a, gauge, order = op.matrix, op.gauge, op.order
     assert a.dtype == np.float64
+    np.testing.assert_array_equal(np.sort(order), np.arange(256))
     dense = h.to_dense()
-    gauged = gauge.conj()[:, None] * dense * gauge[None, :]
+    gauged = gauge.conj()[:, None] * dense[np.ix_(order, order)] * gauge[None, :]
     assert np.max(np.abs(a.toarray() - gauged)) <= 1e-14
     np.testing.assert_array_equal(np.abs(gauge), 1.0)
     rng = np.random.default_rng(2)
@@ -90,8 +94,7 @@ def test_no_real_gauge_refuses_lanczos(monkeypatch):
     x0, y0 = PauliString.single(3, 0, "X"), PauliString.single(3, 0, "Y")
     h = sp.SparseHamiltonian(3, ((1.0, x0), (0.5, y0)))
     assert sp.real_gauge(h.terms) is None
-    a, gauge = h.compile()
-    assert gauge is None
+    assert h.compile().gauge is None
     psi = np.arange(8) + 1j
     np.testing.assert_allclose(h.matvec(psi), h.to_dense() @ psi, atol=1e-14)
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
@@ -147,18 +150,39 @@ def test_lowest_eigenpairs_dense_path():
     assert np.all(res.residuals <= res.residual_bound)
 
 
-def test_lanczos_path_matches_dense(monkeypatch):
-    h = sp.build_hamiltonian(LAT, chi=0.25, h_z=0.05)
+@pytest.mark.parametrize("mode", ["sequence", "all"])
+@pytest.mark.parametrize("chi", [0.0, 0.25, -0.5])
+def test_lanczos_path_matches_dense(monkeypatch, mode, chi):
+    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
     dense_res = sp.lowest_eigenpairs(h, k=6)
-    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 64)
+    # every L = 2 block holds at most 128 states; at cap 16 the 8-state
+    # blocks (chi = 0) go dense and the 64- and 128-state ones to Lanczos
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
     sparse_res = sp.lowest_eigenpairs(h, k=6, seed=3)
     np.testing.assert_allclose(sparse_res.eigenvalues, dense_res.eigenvalues,
                                atol=1e-8)
+    assert (sparse_res.lanczos_blocks > 0) == (chi != 0.0)
     assert np.all(sparse_res.residuals <= 1e-8)
     assert sparse_res.residual_bound == sp.RESIDUAL_BOUND
     again = sp.lowest_eigenpairs(h, k=6, seed=3)
     np.testing.assert_allclose(again.eigenvalues, sparse_res.eigenvalues,
                                atol=1e-12)
+
+
+def test_gershgorin_stop_is_exact(monkeypatch):
+    h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
+    op = h.compile()
+    n = op.sector_dim
+    every_block = np.sort(np.concatenate([
+        np.linalg.eigvalsh(op.matrix[lo:lo + n, lo:lo + n].toarray())[:6]
+        for lo in range(0, h.dim, n)]))
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
+    res = sp.lowest_eigenpairs(h, k=6)
+    np.testing.assert_allclose(res.eigenvalues, every_block[:6],
+                               rtol=0, atol=1e-12)
+    assert (res.sectors, res.sector_dim) == (32, 8)
+    assert res.lanczos_blocks == 0
+    assert 0 < res.dense_blocks < res.sectors  # some blocks were skipped
 
 
 def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
@@ -244,3 +268,35 @@ def test_fidelity_scan_survives_solver_failure(monkeypatch):
     assert scan.points[0].error is None
     assert scan.points[1].error is not None
     assert len(scan.report_rows()) == 1
+
+
+@st.composite
+def gauged_term_sets(draw):
+    """Random Hermitian Pauli term sets on at most 8 qubits with a real gauge."""
+    n = draw(st.integers(1, 8))
+    masks = st.integers(0, 2 ** n - 1)
+    terms = tuple(
+        (draw(st.floats(-2.0, 2.0)),
+         PauliString(n, draw(masks), draw(masks), draw(st.sampled_from([0, 2]))))
+        for _ in range(draw(st.integers(0, 6))))
+    assume(sp.real_gauge(terms) is not None)
+    return sp.SparseHamiltonian(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauged_term_sets(), st.integers(0, 2 ** 32 - 1))
+def test_sector_order_is_block_diagonal(h, seed):
+    op = h.compile()
+    coo = op.matrix.tocoo()
+    # no entry crosses a sector
+    np.testing.assert_array_equal(coo.row // op.sector_dim,
+                                  coo.col // op.sector_dim)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+    np.testing.assert_allclose(h.matvec(psi), h.to_dense() @ psi,
+                               rtol=0, atol=1e-12)
+    # each floor bounds its block's spectrum from below
+    n = op.sector_dim
+    for s, floor in enumerate(op.floors):
+        block = op.matrix[s * n:(s + 1) * n, s * n:(s + 1) * n].toarray()
+        assert np.linalg.eigvalsh(block)[0] >= floor - 1e-12
