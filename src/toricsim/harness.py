@@ -146,10 +146,6 @@ _FIELD_SPEC: dict[str, tuple[str, str, str]] = {
     "relaxation_grid": ("probe", "floats", "ancilla relaxation rates"),
     "step_time": ("probe", "float",
                   "stroboscopic step; g * step_time < pi/2 required"),
-    "policy": ("integrator", "str", "step controller: adaptive | rk4"),
-    "dt": ("integrator", "optfloat", "fixed step size for the rk4 policy"),
-    "rtol": ("integrator", "float", "adaptive relative tolerance"),
-    "atol": ("integrator", "float", "adaptive absolute tolerance"),
 }
 
 
@@ -166,6 +162,29 @@ def _parse_value(kind: str, raw: str):
             return ()
         return tuple(float(v) for v in raw.split(","))
     return raw
+
+
+def _ini_text(cfg: "ScenarioConfig", with_help: bool) -> str:
+    """Every field of ``cfg`` as INI sections, values as
+    :func:`_parse_value` reads them back, each optionally under its help."""
+    lines = []
+    for section in dict.fromkeys(s for s, _, _ in _FIELD_SPEC.values()):
+        lines.append(f"[{section}]")
+        for name, (sec, kind, help_text) in _FIELD_SPEC.items():
+            if sec != section:
+                continue
+            value = getattr(cfg, name)
+            if kind == "floats":
+                text = ", ".join(repr(v) for v in value)
+            elif value is None:
+                text = "none"
+            else:
+                text = str(value)
+            if with_help:
+                lines.append(f"# {help_text}")
+            lines.append(f"{name} = {text}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -203,10 +222,6 @@ class ScenarioConfig:
     coupling_grid: tuple[float, ...] = (0.02, 0.03, 0.045)
     relaxation_grid: tuple[float, ...] = (0.6, 1.0, 1.6)
     step_time: float = 1.0
-    policy: str = "adaptive"
-    dt: float | None = None
-    rtol: float = 1e-9
-    atol: float = 1e-12
 
     # -- validation (all problems enumerated before any compute) ---------
 
@@ -221,12 +236,6 @@ class ScenarioConfig:
             bad.append("seed must be >= 0")
         if self.tau <= 0:
             bad.append("tau must be > 0")
-        if self.policy not in ("adaptive", "rk4"):
-            bad.append(f"policy must be adaptive or rk4, got {self.policy!r}")
-        if self.dt is not None and self.dt <= 0:
-            bad.append("dt must be > 0 when given")
-        if self.rtol <= 0 or self.atol <= 0:
-            bad.append("rtol and atol must be > 0")
         angles = (self.alpha, self.beta, self.gamma_angle)
         if any(a is not None for a in angles) and None in angles:
             bad.append("alpha, beta and gamma_angle must be given together")
@@ -342,22 +351,7 @@ class ScenarioConfig:
         return Path(os.environ.get(OUTDIR_ENV, "."))
 
     def to_ini(self) -> str:
-        lines = []
-        for section in dict.fromkeys(s for s, _, _ in _FIELD_SPEC.values()):
-            lines.append(f"[{section}]")
-            for name, (sec, kind, _) in _FIELD_SPEC.items():
-                if sec != section:
-                    continue
-                value = getattr(self, name)
-                if kind == "floats":
-                    text = ", ".join(repr(v) for v in value)
-                elif value is None:
-                    text = "none"
-                else:
-                    text = str(value)
-                lines.append(f"{name} = {text}")
-            lines.append("")
-        return "\n".join(lines)
+        return _ini_text(self, with_help=False)
 
     @classmethod
     def from_ini(cls, text: str, **overrides) -> "ScenarioConfig":
@@ -392,25 +386,9 @@ class ScenarioConfig:
 
 def describe_defaults() -> str:
     """Commented INI listing every field, its default, and what it does."""
-    cfg = ScenarioConfig(kind=KINDS[0])
-    lines = ["# toricsim scenario configuration (key = value sections)",
-             f"# schema v{SCHEMA_VERSION}; {OMEGA_DEFINITION}", ""]
-    for section in dict.fromkeys(s for s, _, _ in _FIELD_SPEC.values()):
-        lines.append(f"[{section}]")
-        for name, (sec, kind, help_text) in _FIELD_SPEC.items():
-            if sec != section:
-                continue
-            value = getattr(cfg, name)
-            if kind == "floats":
-                text = ", ".join(repr(v) for v in value)
-            elif value is None:
-                text = "none"
-            else:
-                text = str(value)
-            lines.append(f"# {help_text}")
-            lines.append(f"{name} = {text}")
-        lines.append("")
-    return "\n".join(lines)
+    return ("# toricsim scenario configuration (key = value sections)\n"
+            f"# schema v{SCHEMA_VERSION}; {OMEGA_DEFINITION}\n\n"
+            + _ini_text(ScenarioConfig(kind=KINDS[0]), with_help=True))
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +717,7 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     stat = lb.stationary_state(model)
     dim = model.dim
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
-    out = lb.evolve(model, np.eye(dim) / dim, cfg.t_final, policy=cfg.policy,
-                    dt=cfg.dt, rtol=cfg.rtol, atol=cfg.atol,
-                    sample_times=times)
+    out = lb.evolve(model, np.eye(dim) / dim, cfg.t_final, sample_times=times)
     h_dense = model.hamiltonian.to_dense()
     rows = []
     for t, state in zip(out.times, out.states):

@@ -11,13 +11,18 @@ Generator convention throughout: with jump entries c = sqrt(rate) * op,
 
 so a jump of rate r relaxes the target population at rate 2r.
 
-The dense-density integrators cap the register at 2**n <= 256 (the L = 2
-torus).  For lattice-backed models the work happens in an orthonormal
-eigenbasis of the stabilizer group (``StabilizerFrame``) where every Pauli
-string acts as a signed permutation and all engineered jump operators become
-sparse; the diagonal of the density matrix then closes under the generator
-and the stationary state reduces to the null space of an explicit classical
-rate matrix, cross-checked against the full generator's residual.
+Density-matrix evolution caps the register at 2**n <= 256 (the L = 2
+torus) and has one integrator, scipy's adaptive RK45.  The model picks the
+generator it runs: lattice-backed models work in an orthonormal eigenbasis
+of the stabilizer group (``StabilizerFrame``), where every Pauli string
+acts as a signed permutation, so the vectorized generator is one sparse
+superoperator (``_superoperator``); models without a lattice use dense
+matrices, which also serve as the L = 2 oracle.  When the diagonal of the
+frame density matrix closes under the generator, the stationary state
+reduces to the null space of an explicit classical rate matrix; otherwise
+(for example with a transverse field) it is a null vector of the
+superoperator.  Either way it is cross-checked against the full
+generator's residual.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.integrate
@@ -44,6 +49,7 @@ TRACE_TOL_PER_TIME = 1e-9    # trace / positivity drift budget per unit time
 EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
+SUPEROP_ROW_BLOCK = 8        # left-factor rows per superoperator assembly step
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -399,6 +405,8 @@ class StabilizerFrame:
         """Frame matrix of a Pauli sum (signed permutation per string)."""
         if op.n_qubits != self.n_qubits:
             raise ValueError("operator register size mismatch")
+        if len(op) == 0:
+            return scipy.sparse.csr_matrix((self.size, self.size), dtype=complex)
         t_arr = np.arange(self.n_char, dtype=np.uint64)
         cols = (np.arange(self.n_orbits, dtype=np.int64)[:, None] * self.n_char
                 + t_arr[None, :].astype(np.int64))
@@ -480,11 +488,50 @@ class _DenseGenerator:
             out += np.einsum("k,kij->ij", self._rates, gains)
         return out
 
-    def scale(self) -> float:
-        h_norm = scipy.linalg.eigvalsh(self.h)
-        a_norm = scipy.linalg.eigvalsh(self.absorber)
-        return float(max(abs(h_norm[0]), abs(h_norm[-1]))
-                     + 2.0 * max(abs(a_norm[0]), abs(a_norm[-1])) + 1e-30)
+
+def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
+    """Vectorized generator of ``h`` and ``(rate, operator)`` channels.
+
+    With A = sum r c†c and row-major vec(rho), it is
+    -i(H⊗1 - 1⊗Hᵀ) - (A⊗1 + 1⊗Aᵀ) + sum 2r c⊗c̄.  One pass gathers the
+    COO entries of every Kronecker term, ``SUPEROP_ROW_BLOCK`` rows of the
+    left factor at a time so that memory stays near the size of the
+    result; each position sums its terms in the order written above and
+    exact zeros are dropped.  Dense or sparse inputs are accepted.
+    """
+    h = scipy.sparse.csr_matrix(h)
+    n = h.shape[0]
+    size = n * n
+    channels = [(r, scipy.sparse.csr_matrix(c)) for r, c in channels]
+    absorber = scipy.sparse.csr_matrix((n, n), dtype=complex)
+    for r, c in channels:
+        absorber = absorber + r * (c.conj().T @ c)
+    eye = scipy.sparse.identity(n, dtype=complex, format="csr")
+    terms = [(-1j, h, eye), (1j, eye, h.T), (-1.0, absorber, eye),
+             (-1.0, eye, absorber.T)]
+    terms += [(2.0 * r, c, c.conj()) for r, c in channels]
+    terms = [(s, a, scipy.sparse.coo_matrix(b)) for s, a, b in terms]
+    counts, cols, vals = [], [], []
+    for lo in range(0, n, SUPEROP_ROW_BLOCK):
+        hi = min(lo + SUPEROP_ROW_BLOCK, n)
+        keys, data = [], []
+        for s, a, b in terms:
+            span = slice(a.indptr[lo], a.indptr[hi])
+            rows = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
+            # key = (row within the block) * size + column
+            keys.append(((rows[:, None] * n + b.row) * size
+                         + a.indices[span, None] * n + b.col).ravel())
+            data.append((s * (a.data[span, None] * b.data)).ravel())
+        keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+        sums = np.zeros(keys.size, dtype=complex)
+        np.add.at(sums, where, np.concatenate(data))    # adds in term order
+        keep = sums != 0
+        counts.append(np.bincount(keys[keep] // size, minlength=(hi - lo) * n))
+        cols.append((keys[keep] % size).astype(np.int32))
+        vals.append(sums[keep])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(size, size))
 
 
 class _FrameGenerator:
@@ -507,20 +554,7 @@ class _FrameGenerator:
         self.h = frame.operator(model.hamiltonian.to_pauli_sum())
         self.channels = [(jt.rate, frame.operator(jt.operator))
                          for jt in model.jumps]
-        absorber = scipy.sparse.csr_matrix((frame.size, frame.size), dtype=complex)
-        for r, c in self.channels:
-            absorber = absorber + r * (c.conj().T.tocsr() @ c)
-        self.absorber = absorber.tocsr()
-        eye = scipy.sparse.identity(frame.size, format="csr", dtype=complex)
-        super_op = (-1j) * (scipy.sparse.kron(self.h, eye, format="csr")
-                            - scipy.sparse.kron(eye, self.h.T, format="csr"))
-        super_op = super_op \
-            - scipy.sparse.kron(self.absorber, eye, format="csr") \
-            - scipy.sparse.kron(eye, self.absorber.T, format="csr")
-        for r, c in self.channels:
-            super_op = super_op + (2.0 * r) * scipy.sparse.kron(
-                c, c.conj(), format="csr")
-        self.super_op = super_op.tocsr()
+        self.super_op = _superoperator(self.h, self.channels)
 
     def into(self, rho: np.ndarray) -> np.ndarray:
         return self.frame.to_frame(np.asarray(rho, dtype=complex))
@@ -532,26 +566,10 @@ class _FrameGenerator:
         n = self.frame.size
         return (self.super_op @ rho_f.reshape(n * n)).reshape(n, n)
 
-    def scale(self) -> float:
-        h_diag = self.h.diagonal()
-        off = self.h - scipy.sparse.diags(h_diag)
-        h_norm = float(np.abs(h_diag).max()) if self.h.nnz else 0.0
-        if off.nnz:
-            h_norm = float(np.abs(scipy.sparse.linalg.eigsh(
-                self.h, k=1, which="LM", return_eigenvectors=False))[0])
-        a_norm = float(scipy.sparse.linalg.eigsh(
-            self.absorber, k=1, which="LM",
-            return_eigenvectors=False)[0].real) if self.absorber.nnz else 0.0
-        return h_norm + 2.0 * abs(a_norm) + 1e-30
 
-
-def _compile_generator(model: LindbladModel, path: str | None = None):
-    if path not in (None, "dense", "frame"):
-        raise ValueError(f"unknown generator path {path!r}")
-    if path == "frame" or (path is None and model.lattice is not None
-                           and model.n_qubits <= FRAME_QUBIT_CAP):
-        if model.lattice is None:
-            raise ValueError("frame path requires a lattice-backed model")
+def _compile_generator(model: LindbladModel):
+    """Frame generator for lattice-backed models, dense matrices otherwise."""
+    if model.lattice is not None and model.n_qubits <= FRAME_QUBIT_CAP:
         return _FrameGenerator(model, StabilizerFrame(model.lattice))
     return _DenseGenerator(model)
 
@@ -584,8 +602,7 @@ class EvolutionResult:
     states: np.ndarray              # (n_times, dim, dim)
     trace_defects: np.ndarray
     min_eigenvalues: np.ndarray
-    path: str
-    policy: str
+    path: str                       # generator that ran: "frame" or "dense"
 
     @property
     def final(self) -> np.ndarray:
@@ -593,30 +610,23 @@ class EvolutionResult:
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
-           policy: str = "adaptive", dt: float | None = None,
-           rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-           sample_times: Sequence[float] | None = None,
-           validate: bool = True, path: str | None = None) -> EvolutionResult:
+           sample_times: Sequence[float] | None = None) -> EvolutionResult:
     """Integrate the master equation up to ``t_final``.
 
-    ``policy`` selects the step controller:
+    The integrator is the embedded Dormand-Prince 4(5) pair with
+    proportional-integral step control (scipy ``RK45``) at ``DEFAULT_RTOL``
+    / ``DEFAULT_ATOL``; a failed integration raises
+    ``StepSizeUnderflowError``.  The model picks the generator: the sparse
+    frame superoperator for lattice-backed models, dense matrices otherwise.
 
-    * ``"adaptive"`` delegates to the embedded Dormand-Prince 4(5) pair with
-      proportional-integral step control (scipy ``RK45``) at ``rtol`` /
-      ``atol``;
-    * ``"rk4"`` takes fixed classical Runge-Kutta steps of size ``dt``
-      (default 0.02 / generator-scale, which keeps the global error near
-      1e-8 per unit time and makes step-halving checks meaningful).
-
-    Trace and positivity are monitored at every sample time against a budget
-    of 1e-9 per unit time; violations raise ``PositivityError`` when
-    ``validate`` is set.
+    ``rho0`` must be a density matrix, and trace and positivity are
+    monitored at every sample time against a budget of 1e-9 per unit time;
+    violations raise ``PositivityError``.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be >= 0")
-    gen = _compile_generator(model, path)
-    if validate:
-        validate_density_matrix(rho0)
+    gen = _compile_generator(model)
+    validate_density_matrix(rho0)
     if sample_times is None:
         times = np.array([0.0, t_final]) if t_final > 0 else np.array([0.0])
     else:
@@ -630,67 +640,38 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
     def rhs(_t, y):
         return gen.apply(y.reshape(dim, dim)).ravel()
 
-    frames: list[np.ndarray]
     if t_final == 0.0 or (times.size == 1 and times[0] == 0.0):
         frames = [y0]
         times = np.array([0.0])
-    elif policy == "adaptive":
+    else:
         sol = scipy.integrate.solve_ivp(
             rhs, (0.0, t_final), y0.ravel(), method="RK45",
-            t_eval=times, rtol=rtol, atol=atol)
+            t_eval=times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
         if not sol.success:
             raise StepSizeUnderflowError(sol.message)
         frames = [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])]
-    elif policy == "rk4":
-        if dt is None:
-            dt = 0.02 / gen.scale()
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        frames = []
-        y = y0.copy()
-        t = 0.0
-        for target in times:
-            span = target - t
-            if span > 1e-15:
-                n_steps = max(1, int(math.ceil(span / dt)))
-                h = span / n_steps
-                if h < 1e-14:
-                    raise StepSizeUnderflowError(f"step {h:.3e} underflows")
-                for _ in range(n_steps):
-                    k1 = gen.apply(y)
-                    k2 = gen.apply(y + 0.5 * h * k1)
-                    k3 = gen.apply(y + 0.5 * h * k2)
-                    k4 = gen.apply(y + h * k3)
-                    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = target
-            frames.append(y.copy())
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
 
     states = np.stack([gen.out_of(f) for f in frames])
     trace_defects = np.abs(np.einsum("kii->k", states).real - 1.0)
     min_eigs = np.array([scipy.linalg.eigvalsh(s)[0].real for s in states])
-    if validate:
-        for t, defect, low in zip(times, trace_defects, min_eigs):
-            budget = TRACE_TOL_PER_TIME * max(t, 1.0)
-            if defect > budget:
-                raise PositivityError(
-                    f"trace defect {defect:.3e} beyond budget {budget:.1e} at t={t}")
-            # eigenvalue drift tracks the full-state integration error, an
-            # order of magnitude above the trace drift for rank-deficient rho
-            if low < EIGENVALUE_FLOOR - 10.0 * TRACE_TOL_PER_TIME * max(t, 1.0):
-                raise PositivityError(
-                    f"eigenvalue {low:.3e} beyond budget at t={t}")
+    for t, defect, low in zip(times, trace_defects, min_eigs):
+        budget = TRACE_TOL_PER_TIME * max(t, 1.0)
+        if defect > budget:
+            raise PositivityError(
+                f"trace defect {defect:.3e} beyond budget {budget:.1e} at t={t}")
+        # eigenvalue drift tracks the full-state integration error, an
+        # order of magnitude above the trace drift for rank-deficient rho
+        if low < EIGENVALUE_FLOOR - 10.0 * TRACE_TOL_PER_TIME * max(t, 1.0):
+            raise PositivityError(
+                f"eigenvalue {low:.3e} beyond budget at t={t}")
     return EvolutionResult(times=times, states=states,
                            trace_defects=trace_defects,
-                           min_eigenvalues=min_eigs,
-                           path=gen.path, policy=policy)
+                           min_eigenvalues=min_eigs, path=gen.path)
 
 
-def generator_residual(model: LindbladModel, rho: np.ndarray,
-                       path: str | None = None) -> float:
+def generator_residual(model: LindbladModel, rho: np.ndarray) -> float:
     """Frobenius norm of the generator applied to ``rho``."""
-    gen = _compile_generator(model, path)
+    gen = _compile_generator(model)
     return float(np.linalg.norm(gen.apply(gen.into(np.asarray(rho, dtype=complex)))))
 
 
@@ -888,8 +869,7 @@ class TrajectoryResult:
 def trajectories(model: LindbladModel, psi0: np.ndarray,
                  times: Sequence[float], n_samples: int, seed: int,
                  observables: Mapping[str, PauliSum] | None = None,
-                 dt: float | None = None,
-                 method: str = "auto") -> TrajectoryResult:
+                 dt: float | None = None) -> TrajectoryResult:
     """Stochastic wave-function unraveling of the master equation.
 
     Between jumps the state follows the exact non-Hermitian propagator
@@ -913,12 +893,7 @@ def trajectories(model: LindbladModel, psi0: np.ndarray,
     psi0 = psi0 / np.linalg.norm(psi0)
     t_max = float(times[-1])
 
-    if method not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown trajectory method {method!r}")
-    dense = model.dim <= DENSITY_DIM_CAP if method == "auto" else method == "dense"
-    if dense and model.dim > DENSITY_DIM_CAP:
-        raise ValueError("dense trajectories exceed the density dimension cap")
-    if dense:
+    if model.dim <= DENSITY_DIM_CAP:
         h = model.hamiltonian.to_dense()
         ops = [(jt.rate, jt.operator.to_dense()) for jt in model.jumps]
         absorber = sum((r * (o.conj().T @ o) for r, o in ops),
@@ -1259,19 +1234,6 @@ def probe_model(coupling: float, relaxation: float,
                          p=0.0, label="elimination-probe")
 
 
-def _dense_superoperator(model: LindbladModel) -> np.ndarray:
-    h = model.hamiltonian.to_dense()
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for jt in model.jumps:
-        o = jt.operator.to_dense()
-        occ = o.conj().T @ o
-        gen += jt.rate * (2.0 * np.kron(o, o.conj())
-                          - np.kron(occ, eye) - np.kron(eye, occ.T))
-    return gen
-
-
 def adiabatic_elimination_probe(coupling_values: Sequence[float],
                                 relaxation_values: Sequence[float],
                                 fit_residual_tol: float = 0.02,
@@ -1312,8 +1274,10 @@ def adiabatic_elimination_probe(coupling_values: Sequence[float],
             burn = burn_in_factor / lam
             horizon = burn + decay_window / predicted
             t_grid = np.linspace(burn, horizon, 40)
-            gen = _dense_superoperator(model)
-            vals, vecs = np.linalg.eig(gen)
+            gen = _superoperator(
+                model.hamiltonian.to_dense(),
+                [(jt.rate, jt.operator.to_dense()) for jt in model.jumps])
+            vals, vecs = np.linalg.eig(gen.toarray())
             coeffs = np.linalg.solve(vecs, rho0.ravel())
             diag_idx = np.arange(dim) * dim + np.arange(dim)
             weights = (projector[:, None] * vecs[diag_idx, :]).sum(axis=0) * coeffs

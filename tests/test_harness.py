@@ -5,6 +5,7 @@ values measured once at the default configuration and frozen here so
 that regressions in the scenario pipeline surface as test failures.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -104,10 +105,16 @@ class TestScenarioConfig:
 
     def test_ini_round_trip_preserves_every_field(self):
         cfg = hn.ScenarioConfig(kind="pump", theta=0.4, rabi_rate=1.25e4,
-                                ratio_grid=(1.5, 2.0), dt=0.01,
-                                policy="rk4", outdir="/tmp/somewhere")
+                                ratio_grid=(1.5, 2.0), alpha=0.1,
+                                chi_pairs="all", outdir="/tmp/somewhere")
         again = hn.ScenarioConfig.from_ini(cfg.to_ini())
         assert again == cfg
+
+    def test_field_spec_lists_every_field_in_order(self):
+        # a field removed from the config cannot linger as an INI key or
+        # as a CLI flag
+        assert list(hn._FIELD_SPEC) == [
+            f.name for f in dataclasses.fields(hn.ScenarioConfig)]
 
     def test_ini_overrides_win(self):
         base = hn.ScenarioConfig(kind="pump").to_ini()

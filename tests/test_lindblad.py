@@ -3,10 +3,13 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsim import lattice as lt
 from toricsim import lindblad as lb
@@ -21,6 +24,7 @@ GROUND = VECTORS[:, :4]
 # pair gap oracle: one flipped vertex (or plaquette) pair costs 2 + 2
 GAP = 4.0
 THERMAL = lb.thermal_jump_set(LAT, p=0.2, lambda_star=1.0, gamma_star=0.8)
+FRAME = lb.StabilizerFrame(LAT)
 
 
 def _single_qubit_damped_rabi(rate: float = 0.15):
@@ -252,6 +256,28 @@ def test_frame_operator_matches_dense_conjugation():
         np.testing.assert_allclose(got, target, atol=1e-12)
 
 
+@st.composite
+def pauli_sums(draw):
+    """Pauli sums on the L = 2 register: 1-4 strings with random phases and
+    complex coefficients."""
+    n = LAT.n_links
+    masks = st.integers(0, 2 ** n - 1)
+    parts = st.floats(-2.0, 2.0)
+    return PauliSum.from_terms(
+        ((complex(draw(parts), draw(parts)),
+          PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3))))
+         for _ in range(draw(st.integers(1, 4)))), n_qubits=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pauli_sums())
+def test_frame_operator_is_dense_conjugation(op):
+    basis = FRAME.basis
+    np.testing.assert_allclose(FRAME.operator(op).toarray(),
+                               basis.T @ op.to_dense() @ basis,
+                               rtol=0, atol=1e-12)
+
+
 def test_frame_diagonalizes_hamiltonian():
     frame = lb.StabilizerFrame(LAT)
     h_frame = frame.operator(build_hamiltonian(LAT).to_pauli_sum()).toarray()
@@ -331,32 +357,39 @@ def test_evolve_relaxes_toward_stationary_state():
     assert out.min_eigenvalues.min() > -1e-7
 
 
-def test_evolve_rk4_step_halving_converges():
+def _random_density(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    sigma = w @ w.conj().T
+    return sigma / np.trace(sigma).real
+
+
+def test_frame_generator_matches_dense_oracle():
+    cool = lb.cooling_jump_set(LAT, lambda_star=1.0)
+    noisy = lb.LindbladModel(
+        n_qubits=LAT.n_links, hamiltonian=cool.hamiltonian,
+        jumps=cool.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=0.1),
+        lattice=LAT)
+    sigma = _random_density(DIM, seed=12)
+    for model in (THERMAL, cool, noisy):
+        frame = lb._compile_generator(model)
+        dense = lb._DenseGenerator(model)
+        assert frame.path == "frame"
+        np.testing.assert_allclose(frame.out_of(frame.apply(frame.into(sigma))),
+                                   dense.apply(dense.into(sigma)),
+                                   rtol=0, atol=1e-12)
+
+
+def test_superoperator_matches_dense_generator_on_probe():
+    dense = lb._DenseGenerator(lb.probe_model(0.03, 1.0))
+    sigma = _random_density(dense.h.shape[0], seed=13)
+    vec = lb._superoperator(dense.h, dense.channels) @ sigma.ravel()
+    np.testing.assert_allclose(vec.reshape(sigma.shape), dense.apply(sigma),
+                               rtol=0, atol=1e-14)
+
+
+def test_evolve_validation_and_errors(monkeypatch):
     rho0 = np.eye(DIM) / DIM
-    a = lb.evolve(THERMAL, rho0, 0.5, policy="rk4", dt=0.02)
-    b = lb.evolve(THERMAL, rho0, 0.5, policy="rk4", dt=0.01)
-    assert np.abs(a.final - b.final).max() < 1e-8
-    c = lb.evolve(THERMAL, rho0, 0.5, policy="adaptive")
-    assert np.abs(b.final - c.final).max() < 1e-7
-
-
-def test_evolve_frame_and_dense_paths_agree():
-    model = lb.cooling_jump_set(LAT, lambda_star=1.0)
-    rho0 = np.eye(DIM) / DIM
-    # coarse steps on purpose: both paths must produce identical iterates,
-    # accurate or not, so validation is off
-    frame = lb.evolve(model, rho0, 0.25, policy="rk4", dt=0.05,
-                      validate=False)
-    dense = lb.evolve(model, rho0, 0.25, policy="rk4", dt=0.05, path="dense",
-                      validate=False)
-    assert frame.path == "frame" and dense.path == "dense"
-    np.testing.assert_allclose(frame.final, dense.final, atol=1e-12)
-
-
-def test_evolve_validation_and_errors():
-    rho0 = np.eye(DIM) / DIM
-    with pytest.raises(ValueError):
-        lb.evolve(THERMAL, rho0, 1.0, policy="verlet")
     with pytest.raises(ValueError):
         lb.evolve(THERMAL, rho0, 1.0, sample_times=[0.5, 0.2])
     with pytest.raises(ValueError):
@@ -367,10 +400,11 @@ def test_evolve_validation_and_errors():
         bad = np.eye(DIM, dtype=complex) / DIM
         bad[0, 1] = 0.5  # non-Hermitian
         lb.evolve(THERMAL, bad, 0.5)
-    with pytest.raises(lb.StepSizeUnderflowError):
-        lb.evolve(THERMAL, rho0, 0.5, policy="rk4", dt=1e-16)
-    with pytest.raises(ValueError):
-        lb.evolve(THERMAL, rho0, 1.0, path="hybrid")
+    monkeypatch.setattr(lb.scipy.integrate, "solve_ivp",
+                        lambda *args, **kwargs: SimpleNamespace(
+                            success=False, message="step size underflow"))
+    with pytest.raises(lb.StepSizeUnderflowError, match="underflow"):
+        lb.evolve(THERMAL, rho0, 0.5)
 
 
 # -- stochastic trajectories ----------------------------------------------
@@ -420,8 +454,8 @@ def test_trajectories_sparse_path_matches_dense():
     times = [0.0, 1.0, 2.5, 4.0]
     obs = {"z": PauliSum.from_string(PauliString.single(1, 0, "Z"))}
     dense = lb.trajectories(model, psi0, times, 200, seed=5, observables=obs)
-    sparse = lb.trajectories(model, psi0, times, 200, seed=5, observables=obs,
-                             method="sparse", dt=dense.dt)
+    sparse = lb._trajectories_sparse(model, psi0, np.asarray(times), 200, 5,
+                                     obs, dense.dt)
     # same per-sample streams; only the no-jump integrator differs
     np.testing.assert_allclose(dense.means["z"], sparse.means["z"], atol=5e-3)
     ref = lb.evolve(model, np.outer(psi0, psi0.conj()), 4.0, sample_times=times)
@@ -430,8 +464,6 @@ def test_trajectories_sparse_path_matches_dense():
         z_ref = float(np.real(np.trace(zd @ ref.states[k])))
         pull = abs(sparse.means["z"][k] - z_ref) / sparse.stderrs["z"][k]
         assert pull < 3.0
-    with pytest.raises(ValueError):
-        lb.trajectories(model, psi0, times, 10, seed=1, method="lattice")
 
 
 def test_trajectory_stderr_scales_with_samples():
