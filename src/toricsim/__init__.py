@@ -7,7 +7,7 @@ pauli      symplectic Pauli-string algebra and Pauli-basis decompositions
 lattice    torus link lattice, stabilizers, Wilson loops, cubic embedding
 sequences  gate sequences, effective Hamiltonians, perturbative order scans
 spectra    sparse stabilizer Hamiltonians, eigensolvers, ground-space fidelity
-lindblad   engineered jump operators, master-equation and trajectory solvers
+lindblad   engineered jump operators, population-chain dissipation, ancilla pump
 harness    scenario configs, noise models, deterministic run records
 cli        command-line entry point (``toricsim <subcommand>``)
 """

@@ -9,8 +9,9 @@ writes CSV/JSON outputs atomically with versioned schema headers.
 
 Determinism contract: the configuration plus the seed fix every byte of
 every emitted file.  Wall time is therefore kept on the returned record
-(and printed by the CLI) but never written to disk; what the eigensolver
-did goes into the record's ``solver`` block as counters only.  Quantities an
+(and printed by the CLI) but never written to disk; what the solvers did
+(the eigensolver, the stationary-state engine and the evolution path) goes
+into the record's ``solver`` block as counters only.  Quantities an
 eigensolver computes are printed at ``SOLVER_DECIMALS``, far above the
 round-off that differs between BLAS builds.
 """
@@ -741,6 +742,8 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     }
     parts.files.append(("thermalize.json",
                         json.dumps(report, sort_keys=True, indent=1)))
+    parts.solver = {"stationary": stat.counters,
+                    "evolve": {"path": out.path, **out.counters}}
     parts.check("stationary-residual", stat.residual < 1e-8,
                 f"generator residual {stat.residual:.2e} vs < 1e-8")
     expected = 1 if cfg.p > 0 else 4
@@ -765,6 +768,7 @@ class CoolingPoint:
     fitted_temperature: float
     residual: float
     steady: bool
+    solver: dict = field(default_factory=dict)  # stationary-state counters
 
 
 @dataclass
@@ -811,7 +815,8 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
             ratio=ratio, gamma_c=gamma_c, gamma_e=gamma_e,
             epg=gamma_e / cfg.omega, excitation_density=density,
             fitted_temperature=_fitted_temperature(density),
-            residual=stat.residual, steady=stat.residual < 1e-8))
+            residual=stat.residual, steady=stat.residual < 1e-8,
+            solver=stat.counters))
     fit_constant = fit_residual = rank = None
     usable = [pt for pt in points
               if math.isfinite(pt.ratio) and pt.ratio > 1.0
@@ -847,6 +852,8 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
     }
     parts.files.append(("cool-with-noise.json",
                         json.dumps(report, sort_keys=True, indent=1)))
+    parts.solver = {"points": [{"gamma_e": pt.gamma_e, **pt.solver}
+                               for pt in sweep.points]}
     parts.check("steady", all(pt.steady for pt in sweep.points),
                 f"max generator residual "
                 f"{max(pt.residual for pt in sweep.points):.2e}")

@@ -1,9 +1,9 @@
 """Engineered dissipation for the stabilizer code.
 
 Pair-creation / translation operators built from adjacent stabilizer
-neighborhoods, thermal and cooling jump-operator sets, master-equation
-integration, stationary-state extraction, stochastic-trajectory unraveling,
-three-level ancilla pumping, and a small adiabatic-elimination rate probe.
+neighborhoods, thermal and cooling jump-operator sets, stationary states
+and time evolution of the master equation, three-level ancilla pumping,
+and a small adiabatic-elimination rate probe.
 
 Generator convention throughout: with jump entries c = sqrt(rate) * op,
 
@@ -11,27 +11,30 @@ Generator convention throughout: with jump entries c = sqrt(rate) * op,
 
 so a jump of rate r relaxes the target population at rate 2r.
 
-Density-matrix evolution caps the register at 2**n <= 256 (the L = 2
-torus) and has one integrator, scipy's adaptive RK45.  The model picks the
-generator it runs: lattice-backed models work in an orthonormal eigenbasis
-of the stabilizer group (``StabilizerFrame``), where every Pauli string
-acts as a signed permutation, so the vectorized generator is one sparse
-superoperator (``_superoperator``); models without a lattice use dense
-matrices, which also serve as the L = 2 oracle.  When the diagonal of the
-frame density matrix closes under the generator, the stationary state
-reduces to the null space of an explicit classical rate matrix; otherwise
-(for example with a transverse field) it is a null vector of the
-superoperator.  Either way it is cross-checked against the full
-generator's residual.
+Density matrices are capped at 2**n <= 256 (the L = 2 torus).  Lattice-
+backed models run in an orthonormal eigenbasis of the stabilizer group
+(``StabilizerFrame``), where every Pauli string acts as a signed
+permutation.  When the diagonal of the frame density matrix closes under
+the generator, as it does for every engineered jump set with or without
+depolarizing noise, lattice dissipation runs on the population chain: the
+classical rate matrix M of the frame populations.  The stationary state is
+the null space of M, and a frame-diagonal start evolves exactly as
+exp(M t) p0.  The full generator is applied in matrix form on the sparse
+frame matrices; it gives the residual that every stationary state is
+checked against and, integrated by scipy's adaptive RK45, evolves starts
+with frame coherences.  Models without a lattice use dense matrices, which
+also serve as the L = 2 oracle.  The vectorized superoperator
+(``_superoperator``) serves only the adiabatic-elimination probe and the
+null-vector fallback for models whose population sector does not close
+(for example with a transverse field).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.integrate
@@ -50,6 +53,7 @@ EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 SUPEROP_ROW_BLOCK = 8        # left-factor rows per superoperator assembly step
+FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a chain start
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -191,46 +195,6 @@ class LindbladModel:
         if self.p == 0.5:
             return math.inf
         return self.delta / math.log((1.0 - self.p) / self.p)
-
-    def to_json(self) -> str:
-        rows = []
-        for jt in self.jumps:
-            terms = sorted(
-                (s.label(with_phase=False), float(c.real), float(c.imag))
-                for s, c in jt.operator.items())
-            rows.append({"label": jt.label, "rate": jt.rate, "terms": terms})
-        payload = {
-            "n_qubits": self.n_qubits,
-            "hamiltonian": sorted(
-                (s.label(with_phase=False), float(c)) for c, s
-                in self.hamiltonian.terms),
-            "jumps": rows,
-            "temperature_target": self.temperature_target,
-            "delta": self.delta,
-            "p": self.p,
-            "lattice_size": self.lattice.L if self.lattice is not None else None,
-            "label": self.label,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LindbladModel":
-        data = json.loads(text)
-        n = data["n_qubits"]
-        ham = SparseHamiltonian(n_qubits=n, terms=tuple(
-            (coeff, PauliString.from_label(label))
-            for label, coeff in data["hamiltonian"]))
-        jumps = []
-        for row in data["jumps"]:
-            op = PauliSum.from_terms(
-                ((complex(re, im), PauliString.from_label(label))
-                 for label, re, im in row["terms"]), n_qubits=n)
-            jumps.append(JumpTerm(row["label"], row["rate"], op))
-        lat = lt.build(data["lattice_size"]) if data.get("lattice_size") else None
-        return cls(n_qubits=n, hamiltonian=ham, jumps=tuple(jumps),
-                   temperature_target=data.get("temperature_target"),
-                   delta=data.get("delta"), p=data.get("p"),
-                   lattice=lat, label=data.get("label", ""))
 
 
 def _pair_sites(lat: lt.TorusLattice) -> list[tuple[int, str]]:
@@ -534,13 +498,13 @@ def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
         (np.concatenate(vals), np.concatenate(cols), indptr), shape=(size, size))
 
 
-class _FrameGenerator:
-    """Sparse frame-coordinate generator for lattice-backed models.
+class _FrameMatrices:
+    """H and the jump channels of a lattice-backed model in the frame.
 
-    Every Pauli string is a signed permutation in the frame, so each jump
-    channel contributes at most size**2 entries to the vectorized generator;
-    the whole superoperator fits comfortably in memory and one sparse
-    matrix-vector product evaluates the right-hand side.
+    Each operator is transported once by ``StabilizerFrame.operator``.
+    ``apply`` evaluates the generator in matrix form,
+    -i[H, rho] - {A, rho} + sum 2r c rho c† with A = sum r c†c, one channel
+    at a time.
     """
 
     path = "frame"
@@ -549,12 +513,17 @@ class _FrameGenerator:
         if model.dim > DENSITY_DIM_CAP:
             raise ValueError(
                 f"dimension {model.dim} exceeds the dense cap of {DENSITY_DIM_CAP}")
-        self.model = model
         self.frame = frame
         self.h = frame.operator(model.hamiltonian.to_pauli_sum())
         self.channels = [(jt.rate, frame.operator(jt.operator))
                          for jt in model.jumps]
-        self.super_op = _superoperator(self.h, self.channels)
+        absorber = scipy.sparse.csr_matrix(self.h.shape, dtype=complex)
+        self._gains = []
+        for rate, c in self.channels:
+            absorber = absorber + rate * (c.conj().T @ c)
+            coo = c.tocoo()
+            self._gains.append((2.0 * rate, coo.row, coo.col, coo.data))
+        self._drift = (-1j * self.h - absorber).tocsr()      # K = -iH - A
 
     def into(self, rho: np.ndarray) -> np.ndarray:
         return self.frame.to_frame(np.asarray(rho, dtype=complex))
@@ -563,14 +532,23 @@ class _FrameGenerator:
         return self.frame.from_frame(rho_f)
 
     def apply(self, rho_f: np.ndarray) -> np.ndarray:
-        n = self.frame.size
-        return (self.super_op @ rho_f.reshape(n * n)).reshape(n, n)
+        # K rho + rho K† with rho K† = (K rho†)†, so both products are
+        # sparse @ dense; a channel with entries v at (r, k) adds
+        # 2 rate v_a conj(v_b) rho[k_a, k_b] at (r_a, r_b)
+        n = rho_f.shape[0]
+        out = self._drift @ rho_f
+        out += (self._drift @ np.ascontiguousarray(rho_f.conj().T)).conj().T
+        rho_flat, out_flat = rho_f.reshape(-1), out.reshape(-1)
+        for rate, rows, cols, vals in self._gains:
+            gains = rate * vals[:, None] * rho_flat[cols[:, None] * n + cols]
+            np.add.at(out_flat, rows[:, None] * n + rows, gains * vals.conj())
+        return out
 
 
 def _compile_generator(model: LindbladModel):
-    """Frame generator for lattice-backed models, dense matrices otherwise."""
+    """Frame matrices for lattice-backed models, dense matrices otherwise."""
     if model.lattice is not None and model.n_qubits <= FRAME_QUBIT_CAP:
-        return _FrameGenerator(model, StabilizerFrame(model.lattice))
+        return _FrameMatrices(model, StabilizerFrame(model.lattice))
     return _DenseGenerator(model)
 
 
@@ -602,7 +580,8 @@ class EvolutionResult:
     states: np.ndarray              # (n_times, dim, dim)
     trace_defects: np.ndarray
     min_eigenvalues: np.ndarray
-    path: str                       # generator that ran: "frame" or "dense"
+    path: str                       # "chain", or RK45 on "frame" / "dense"
+    counters: dict = field(default_factory=dict)  # sizes and evaluations
 
     @property
     def final(self) -> np.ndarray:
@@ -611,17 +590,24 @@ class EvolutionResult:
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
            sample_times: Sequence[float] | None = None) -> EvolutionResult:
-    """Integrate the master equation up to ``t_final``.
+    """Evolve ``rho0`` under the master equation up to ``t_final``.
 
-    The integrator is the embedded Dormand-Prince 4(5) pair with
+    A lattice-backed model whose population sector closes, started from a
+    frame-diagonal ``rho0`` (off-diagonal frame weight below
+    ``FRAME_DIAGONAL_TOL``), runs on the population chain: p(t) =
+    exp(M t) p0 is exact, with one ``scipy.linalg.expm`` per distinct
+    increment between samples, and rho(t) = B diag(p) Bᵀ.  Every other
+    start is integrated by the embedded Dormand-Prince 4(5) pair with
     proportional-integral step control (scipy ``RK45``) at ``DEFAULT_RTOL``
-    / ``DEFAULT_ATOL``; a failed integration raises
-    ``StepSizeUnderflowError``.  The model picks the generator: the sparse
-    frame superoperator for lattice-backed models, dense matrices otherwise.
+    / ``DEFAULT_ATOL``, on the frame matrices for lattice-backed models and
+    on dense matrices otherwise; a failed integration raises
+    ``StepSizeUnderflowError``.
 
     ``rho0`` must be a density matrix, and trace and positivity are
     monitored at every sample time against a budget of 1e-9 per unit time;
-    violations raise ``PositivityError``.
+    violations raise ``PositivityError``.  On the chain the frame basis B is
+    orthogonal, so the monitors read the populations: the trace defect is
+    |sum p - 1| and the smallest eigenvalue is min p.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be >= 0")
@@ -634,26 +620,29 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
         if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0) \
                 or times[-1] > t_final + 1e-12:
             raise ValueError("sample times must ascend within [0, t_final]")
-    y0 = gen.into(np.asarray(rho0, dtype=complex))
-    dim = y0.shape[0]
-
-    def rhs(_t, y):
-        return gen.apply(y.reshape(dim, dim)).ravel()
-
     if t_final == 0.0 or (times.size == 1 and times[0] == 0.0):
-        frames = [y0]
         times = np.array([0.0])
+    y0 = gen.into(np.asarray(rho0, dtype=complex))
+    p0 = np.diag(y0).real
+    chain = (isinstance(gen, _FrameMatrices)
+             and np.linalg.norm(y0 - np.diag(p0)) < FRAME_DIAGONAL_TOL)
+    if chain:
+        m, chain = _classical_rate_matrix(gen)
+    if chain:
+        pops, n_props = _propagate_chain(m, p0, times)
+        b = gen.frame.basis
+        states = np.stack([(b * p) @ b.T for p in pops])
+        trace_defects = np.abs(pops.sum(axis=1) - 1.0)
+        min_eigs = pops.min(axis=1)
+        path = "chain"
+        counters = {"chain_size": p0.size, "propagator_evaluations": n_props}
     else:
-        sol = scipy.integrate.solve_ivp(
-            rhs, (0.0, t_final), y0.ravel(), method="RK45",
-            t_eval=times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
-        if not sol.success:
-            raise StepSizeUnderflowError(sol.message)
-        frames = [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])]
-
-    states = np.stack([gen.out_of(f) for f in frames])
-    trace_defects = np.abs(np.einsum("kii->k", states).real - 1.0)
-    min_eigs = np.array([scipy.linalg.eigvalsh(s)[0].real for s in states])
+        frames, n_rhs = _integrate(gen, y0, times, t_final)
+        states = np.stack([gen.out_of(f) for f in frames])
+        trace_defects = np.abs(np.einsum("kii->k", states).real - 1.0)
+        min_eigs = np.array([scipy.linalg.eigvalsh(s)[0].real for s in states])
+        path = gen.path
+        counters = {"rhs_evaluations": n_rhs}
     for t, defect, low in zip(times, trace_defects, min_eigs):
         budget = TRACE_TOL_PER_TIME * max(t, 1.0)
         if defect > budget:
@@ -666,7 +655,44 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
                 f"eigenvalue {low:.3e} beyond budget at t={t}")
     return EvolutionResult(times=times, states=states,
                            trace_defects=trace_defects,
-                           min_eigenvalues=min_eigs, path=gen.path)
+                           min_eigenvalues=min_eigs, path=path,
+                           counters=counters)
+
+
+def _propagate_chain(m: np.ndarray, p0: np.ndarray,
+                     times: np.ndarray) -> tuple[np.ndarray, int]:
+    """Populations exp(M t) p0 at ``times`` and the number of propagators
+    exp(M dt) built, one per distinct increment between samples."""
+    propagators: dict[float, np.ndarray] = {}
+    p, pops, t_prev = p0, [], 0.0
+    for t in times:
+        dt = float(t) - t_prev
+        if dt > 0.0:
+            if dt not in propagators:
+                propagators[dt] = scipy.linalg.expm(m * dt)
+            p = propagators[dt] @ p
+        pops.append(p)
+        t_prev = float(t)
+    return np.array(pops), len(propagators)
+
+
+def _integrate(gen, y0: np.ndarray, times: np.ndarray,
+               t_final: float) -> tuple[list[np.ndarray], int]:
+    """RK45 samples of the generator's matrix form and the number of
+    right-hand-side evaluations."""
+    if times.size == 1 and times[0] == 0.0:
+        return [y0], 0
+    dim = y0.shape[0]
+
+    def rhs(_t, y):
+        return gen.apply(y.reshape(dim, dim)).ravel()
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, t_final), y0.ravel(), method="RK45",
+        t_eval=times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
+    if not sol.success:
+        raise StepSizeUnderflowError(sol.message)
+    return [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])], sol.nfev
 
 
 def generator_residual(model: LindbladModel, rho: np.ndarray) -> float:
@@ -723,9 +749,10 @@ class StationaryResult:
     detailed_balance_temperature: float | None
     loop_expectations: dict[str, float]
     method: str
+    counters: dict = field(default_factory=dict)  # engine and sizes
 
 
-def _classical_rate_matrix(gen: _FrameGenerator) -> tuple[np.ndarray, bool]:
+def _classical_rate_matrix(gen: _FrameMatrices) -> tuple[np.ndarray, bool]:
     """Population-sector generator; flag is False if any channel leaks
     coherence (some column holding two entries) or H is not frame-diagonal."""
     n = gen.frame.size
@@ -775,19 +802,22 @@ def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
 def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResult:
     """Stationary density matrix of a lattice-backed model.
 
-    In the stabilizer frame every engineered jump is a partial signed
-    permutation, so the population sector closes under the generator and the
-    stationary state is the null space of an explicit classical rate matrix;
-    the candidate is verified against the full generator afterwards.  When
-    several recurrent classes exist (for example at p = 0) their stationary
-    distributions are averaged with equal weights and the null-space
-    dimension is reported.  Falls back to a shift-inverted sparse null-vector
-    solve of the vectorized generator if the population sector does not
-    close.
+    H and the channels are transported into the stabilizer frame once.
+    Every engineered jump is a partial signed permutation there, so the
+    population sector closes under the generator and the stationary state
+    is the null space of the population chain's rate matrix M; no
+    superoperator is built.  The candidate is verified against the full
+    generator in matrix form (``residual``).  When several recurrent
+    classes exist (for example at p = 0) their stationary distributions are
+    averaged with equal weights and the null-space dimension is reported.
+    Only if the population sector does not close is the vectorized
+    generator built, for a shift-inverted sparse null-vector solve.
+    ``counters`` names the engine (``population-chain`` or
+    ``vectorized-null-space``) with the chain size and null dimension.
     """
     if model.lattice is None:
         raise ValueError("stationary_state requires a lattice-backed model")
-    gen = _FrameGenerator(model, StabilizerFrame(model.lattice))
+    gen = _FrameMatrices(model, StabilizerFrame(model.lattice))
     m, closed = _classical_rate_matrix(gen)
     if closed:
         singulars = np.linalg.svd(m, compute_uv=False)
@@ -798,9 +828,11 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
         pi = np.mean(dists, axis=0)
         rho_f = np.diag(pi.astype(complex))
         method = "classical-rate-matrix"
+        counters = {"engine": "population-chain", "chain_size": pi.size}
     else:
         rho_f, null_dim = _vectorized_null_state(gen, tol)
         method = "vectorized-null-space"
+        counters = {"engine": method}
     residual = float(np.linalg.norm(gen.apply(rho_f)))
     rho = gen.out_of(rho_f)
     rho = 0.5 * (rho + rho.conj().T)
@@ -826,13 +858,14 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
                             gibbs_temperature=temperature,
                             trace_distance_to_detailed_balance=distance_db,
                             detailed_balance_temperature=temperature_db,
-                            loop_expectations=loops, method=method)
+                            loop_expectations=loops, method=method,
+                            counters={**counters, "null_dim": null_dim})
 
 
-def _vectorized_null_state(gen: _FrameGenerator, tol: float) -> tuple[np.ndarray, int]:
+def _vectorized_null_state(gen: _FrameMatrices, tol: float) -> tuple[np.ndarray, int]:
     """Null vector of the sparse vectorized generator by shift-inversion."""
     n = gen.frame.size
-    super_op = gen.super_op.tocsc()
+    super_op = _superoperator(gen.h, gen.channels).tocsc()
     vals, vecs = scipy.sparse.linalg.eigs(super_op, k=4, sigma=1e-9, which="LM")
     order = np.argsort(np.abs(vals))
     null_dim = int(np.sum(np.abs(vals) < tol))
@@ -840,188 +873,6 @@ def _vectorized_null_state(gen: _FrameGenerator, tol: float) -> tuple[np.ndarray
     rho = 0.5 * (vec + vec.conj().T)
     rho /= np.trace(rho)
     return rho, max(null_dim, 1)
-
-
-# ---------------------------------------------------------------------------
-# stochastic trajectories
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrajectoryResult:
-    """Sample statistics of unraveled trajectories."""
-
-    times: np.ndarray
-    means: dict[str, np.ndarray]
-    stderrs: dict[str, np.ndarray]
-    n_samples: int
-    seed: int
-    dt: float
-
-    def rows(self) -> list[tuple[float, str, float, float]]:
-        out = []
-        for name in sorted(self.means):
-            for t, mu, se in zip(self.times, self.means[name], self.stderrs[name]):
-                out.append((float(t), name, float(mu), float(se)))
-        return out
-
-
-def trajectories(model: LindbladModel, psi0: np.ndarray,
-                 times: Sequence[float], n_samples: int, seed: int,
-                 observables: Mapping[str, PauliSum] | None = None,
-                 dt: float | None = None) -> TrajectoryResult:
-    """Stochastic wave-function unraveling of the master equation.
-
-    Between jumps the state follows the exact non-Hermitian propagator
-    expm(-i dt (H - i A)) with A the summed absorber, so the only
-    discretization error is the location of jumps on the dt grid (first
-    order).  Each sample owns the random stream ``default_rng((seed, k))``,
-    which makes results independent of batching and deterministic per seed.
-    Beyond the dense cap the same scheme runs matrix-free per sample with
-    RK4 no-jump steps.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0) and times.size > 1:
-        raise ValueError("times must be ascending and non-negative")
-    if n_samples <= 0:
-        raise ValueError("n_samples must be > 0")
-    if observables is None:
-        observables = {"energy": model.hamiltonian.to_pauli_sum()}
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi0.shape[0] != model.dim:
-        raise ValueError("state dimension mismatch")
-    psi0 = psi0 / np.linalg.norm(psi0)
-    t_max = float(times[-1])
-
-    if model.dim <= DENSITY_DIM_CAP:
-        h = model.hamiltonian.to_dense()
-        ops = [(jt.rate, jt.operator.to_dense()) for jt in model.jumps]
-        absorber = sum((r * (o.conj().T @ o) for r, o in ops),
-                       np.zeros_like(h))
-        rate_scale = float(scipy.linalg.eigvalsh(2.0 * absorber)[-1]) if ops else 0.0
-        if dt is None:
-            dt = 0.05 / rate_scale if rate_scale > 0 else (t_max / 100 or 1.0)
-        obs_dense = {name: op.to_dense() for name, op in observables.items()}
-        return _trajectories_dense(psi0, times, n_samples, seed,
-                                   obs_dense, ops, h - 1j * absorber, dt)
-    return _trajectories_sparse(model, psi0, times, n_samples, seed,
-                                observables, dt)
-
-
-def _expectations(obs: Mapping[str, np.ndarray], psi_block: np.ndarray
-                  ) -> dict[str, np.ndarray]:
-    norms = np.sum(np.abs(psi_block) ** 2, axis=0)
-    out = {}
-    for name, mat in obs.items():
-        vals = np.einsum("ik,ij,jk->k", psi_block.conj(), mat, psi_block)
-        out[name] = np.real(vals) / norms
-    return out
-
-
-def _segment_steps(times: np.ndarray, dt: float) -> list[tuple[int, float]]:
-    """(substep count, substep size) per interval between sample times."""
-    plan = []
-    t_prev = 0.0
-    for t in times:
-        span = float(t) - t_prev
-        if span > 1e-15:
-            n_sub = max(1, int(math.ceil(span / dt - 1e-12)))
-            plan.append((n_sub, span / n_sub))
-        else:
-            plan.append((0, 0.0))
-        t_prev = float(t)
-    return plan
-
-
-def _trajectories_dense(psi0, times, n_samples, seed, obs, ops,
-                        h_eff, dt) -> TrajectoryResult:
-    psi = np.tile(psi0[:, None], (1, n_samples))
-    rngs = [np.random.default_rng((seed, k)) for k in range(n_samples)]
-    thresholds = np.array([rng.uniform() for rng in rngs])
-    acc = {name: np.zeros((len(times), n_samples)) for name in obs}
-    propagators: dict[float, np.ndarray] = {}
-    for t_i, (n_sub, h) in enumerate(_segment_steps(np.asarray(times), dt)):
-        if n_sub:
-            if h not in propagators:
-                propagators[h] = scipy.linalg.expm(-1j * h * h_eff)
-            prop = propagators[h]
-            for _ in range(n_sub):
-                psi = prop @ psi
-                norms2 = np.sum(np.abs(psi) ** 2, axis=0)
-                for k in np.flatnonzero(norms2 < thresholds):
-                    rng = rngs[k]
-                    vec = psi[:, k]
-                    weights = np.array([2.0 * r * np.linalg.norm(o @ vec) ** 2
-                                        for r, o in ops])
-                    total = weights.sum()
-                    if total <= 0.0:
-                        continue
-                    pick = int(np.searchsorted(np.cumsum(weights) / total,
-                                               rng.uniform()))
-                    vec = ops[pick][1] @ vec
-                    psi[:, k] = vec / np.linalg.norm(vec)
-                    thresholds[k] = rng.uniform()
-        vals = _expectations(obs, psi)
-        for name in obs:
-            acc[name][t_i] = vals[name]
-    return _trajectory_stats(times, acc, n_samples, seed, dt)
-
-
-def _trajectories_sparse(model, psi0, times, n_samples, seed, observables,
-                         dt) -> TrajectoryResult:
-    ham = model.hamiltonian
-    ops = [(jt.rate, jt.operator) for jt in model.jumps]
-    absorber = PauliSum.zero(model.n_qubits)
-    for r, op in ops:
-        absorber = absorber + r * op.adjoint().product(op)
-    rate_scale = 2.0 * sum(abs(c) for _, c in absorber.items()) + 1e-30
-    if dt is None:
-        dt = 0.02 / rate_scale
-    plan = _segment_steps(np.asarray(times, dtype=float), dt)
-    acc = {name: np.zeros((len(times), n_samples)) for name in observables}
-
-    def nd_apply(vec):
-        return -1j * (ham.matvec(vec) - 1j * absorber.apply(vec))
-
-    for k in range(n_samples):
-        rng = np.random.default_rng((seed, k))
-        psi = psi0.copy()
-        threshold = rng.uniform()
-        for t_i, (n_sub, h) in enumerate(plan):
-            for _ in range(n_sub):
-                k1 = nd_apply(psi)
-                k2 = nd_apply(psi + 0.5 * h * k1)
-                k3 = nd_apply(psi + 0.5 * h * k2)
-                k4 = nd_apply(psi + h * k3)
-                psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if np.vdot(psi, psi).real < threshold:
-                    weights = np.array(
-                        [2.0 * r * np.linalg.norm(op.apply(psi)) ** 2
-                         for r, op in ops])
-                    total = weights.sum()
-                    if total > 0.0:
-                        pick = int(np.searchsorted(
-                            np.cumsum(weights) / total, rng.uniform()))
-                        psi = ops[pick][1].apply(psi)
-                        psi = psi / np.linalg.norm(psi)
-                        threshold = rng.uniform()
-            for name, op in observables.items():
-                acc[name][t_i, k] = np.real(
-                    np.vdot(psi, op.apply(psi))) / np.vdot(psi, psi).real
-    return _trajectory_stats(times, acc, n_samples, seed, dt)
-
-
-def _trajectory_stats(times, acc, n_samples, seed, dt) -> TrajectoryResult:
-    means, stderrs = {}, {}
-    for name, table in acc.items():
-        means[name] = table.mean(axis=1)
-        if n_samples > 1:
-            stderrs[name] = table.std(axis=1, ddof=1) / math.sqrt(n_samples)
-        else:
-            stderrs[name] = np.zeros(table.shape[0])
-    return TrajectoryResult(times=np.asarray(times, dtype=float), means=means,
-                            stderrs=stderrs, n_samples=n_samples, seed=seed,
-                            dt=float(dt))
 
 
 # ---------------------------------------------------------------------------

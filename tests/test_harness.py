@@ -264,6 +264,27 @@ class TestScenarioRuns:
         assert all(f >= 0.8 for f in fidelities)
 
     def test_solver_block_in_records(self, tmp_path, monkeypatch):
+        # the dissipative scenarios run on the 256-state population chain;
+        # the 11 samples are one unit apart, so one propagator serves them
+        chain = {"engine": "population-chain", "chain_size": 256,
+                 "null_dim": 1}
+        record = hn.run(hn.ScenarioConfig(kind="thermalize",
+                                          outdir=str(tmp_path)))
+        assert record.ok, record.summary_lines()
+        assert record.solver == {
+            "stationary": chain,
+            "evolve": {"path": "chain", "chain_size": 256,
+                       "propagator_evaluations": 1}}
+        stored = json.loads((tmp_path / "thermalize-record.json").read_text())
+        assert stored["solver"] == record.solver
+        record = hn.run(hn.ScenarioConfig(kind="cool-with-noise",
+                                          outdir=str(tmp_path)))
+        assert record.ok, record.summary_lines()
+        assert record.solver == {"points": [
+            {"gamma_e": g, **chain} for g in record.metrics["gamma_e"]]}
+        stored = json.loads(
+            (tmp_path / "cool-with-noise-record.json").read_text())
+        assert stored["solver"] == record.solver
         # below the dense cap L = 2 is solved whole; at cap 16 by sector
         dense = {"sectors": 1, "sector_dim": 256, "dense_blocks": 1,
                  "lanczos_blocks": 0}

@@ -1,6 +1,5 @@
 """Engineered-dissipation checks against dense oracles (L=2, 256 dimensions)."""
 
-import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -8,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,13 @@ GROUND = VECTORS[:, :4]
 # pair gap oracle: one flipped vertex (or plaquette) pair costs 2 + 2
 GAP = 4.0
 THERMAL = lb.thermal_jump_set(LAT, p=0.2, lambda_star=1.0, gamma_star=0.8)
+COOL = lb.cooling_jump_set(LAT, lambda_star=1.0)
+NOISY = lb.LindbladModel(
+    n_qubits=LAT.n_links, hamiltonian=COOL.hamiltonian,
+    jumps=COOL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=0.1),
+    lattice=LAT)
+# the three jump sets whose population sector closes
+CHAIN_MODELS = {"thermal": THERMAL, "cooling": COOL, "noisy-cooling": NOISY}
 FRAME = lb.StabilizerFrame(LAT)
 
 
@@ -172,25 +179,6 @@ def test_detailed_balance_temperature():
                                ).detailed_balance_temperature() == math.inf
     assert lb.thermal_jump_set(LAT, p=0.0, lambda_star=1.0, gamma_star=0.1
                                ).detailed_balance_temperature() == 0.0
-
-
-def test_model_json_round_trip_acts_identically():
-    clone = lb.LindbladModel.from_json(THERMAL.to_json())
-    assert clone.n_qubits == THERMAL.n_qubits
-    assert clone.p == THERMAL.p
-    assert clone.delta == THERMAL.delta
-    assert clone.temperature_target == THERMAL.temperature_target
-    assert len(clone.jumps) == len(THERMAL.jumps)
-    assert json.loads(clone.to_json()) == json.loads(THERMAL.to_json())
-    rng = np.random.default_rng(4)
-    w = rng.normal(size=(DIM, 2)) + 1j * rng.normal(size=(DIM, 2))
-    sigma = w @ w.conj().T
-    sigma /= np.trace(sigma).real
-    a = lb._compile_generator(THERMAL)
-    b = lb._compile_generator(clone)
-    lhs = a.out_of(a.apply(a.into(sigma)))
-    rhs = b.out_of(b.apply(b.into(sigma)))
-    np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 def test_cooling_set_is_dark_on_ground_states():
@@ -365,19 +353,48 @@ def _random_density(dim: int, seed: int) -> np.ndarray:
 
 
 def test_frame_generator_matches_dense_oracle():
-    cool = lb.cooling_jump_set(LAT, lambda_star=1.0)
-    noisy = lb.LindbladModel(
-        n_qubits=LAT.n_links, hamiltonian=cool.hamiltonian,
-        jumps=cool.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=0.1),
-        lattice=LAT)
     sigma = _random_density(DIM, seed=12)
-    for model in (THERMAL, cool, noisy):
+    for model in CHAIN_MODELS.values():
         frame = lb._compile_generator(model)
         dense = lb._DenseGenerator(model)
         assert frame.path == "frame"
         np.testing.assert_allclose(frame.out_of(frame.apply(frame.into(sigma))),
                                    dense.apply(dense.into(sigma)),
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_chain_stationary_state_is_dense_fixed_point(name):
+    model = CHAIN_MODELS[name]
+    res = lb.stationary_state(model)
+    assert res.counters == {"engine": "population-chain", "chain_size": DIM,
+                            "null_dim": res.null_dim}
+    assert np.linalg.norm(lb._DenseGenerator(model).apply(res.rho)) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_chain_evolution_matches_superoperator_propagator(name):
+    model = CHAIN_MODELS[name]
+    rng = np.random.default_rng(21)
+    p0 = rng.random(DIM)
+    rho0_f = np.diag(p0 / p0.sum()).astype(complex)
+    times = [0.0, 1.0, 3.0, 10.0]
+    out = lb.evolve(model, FRAME.from_frame(rho0_f), 10.0, sample_times=times)
+    assert out.path == "chain"
+    assert out.counters == {"chain_size": DIM, "propagator_evaluations": 3}
+    # independent propagator: the vectorized frame generator, exp(S t)
+    h = FRAME.operator(model.hamiltonian.to_pauli_sum())
+    channels = [(jt.rate, FRAME.operator(jt.operator)) for jt in model.jumps]
+    oracle = scipy.sparse.linalg.expm_multiply(
+        lb._superoperator(h, channels), rho0_f.ravel(),
+        start=0.0, stop=10.0, num=11, endpoint=True)
+    for k, t in enumerate(times):
+        want = oracle[int(t)].reshape(DIM, DIM)
+        np.testing.assert_allclose(FRAME.to_frame(out.states[k]), want,
+                                   rtol=0, atol=1e-10)
+        assert out.trace_defects[k] < 1e-12
+        assert out.min_eigenvalues[k] == pytest.approx(
+            np.diag(want).real.min(), abs=1e-10)
 
 
 def test_superoperator_matches_dense_generator_on_probe():
@@ -403,79 +420,13 @@ def test_evolve_validation_and_errors(monkeypatch):
     monkeypatch.setattr(lb.scipy.integrate, "solve_ivp",
                         lambda *args, **kwargs: SimpleNamespace(
                             success=False, message="step size underflow"))
+    # a computational basis state is coherent in the frame, so it reaches
+    # RK45; the frame-diagonal I/D runs on the chain and never does
+    coherent = np.zeros((DIM, DIM))
+    coherent[0, 0] = 1.0
     with pytest.raises(lb.StepSizeUnderflowError, match="underflow"):
-        lb.evolve(THERMAL, rho0, 0.5)
-
-
-# -- stochastic trajectories ----------------------------------------------
-
-
-def test_trajectories_unitary_limit_is_deterministic():
-    h = SparseHamiltonian(n_qubits=1,
-                          terms=((1.0, PauliString.single(1, 0, "X")),))
-    model = lb.LindbladModel(n_qubits=1, hamiltonian=h, jumps=())
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    times = [0.0, 1.0, 2.5, 4.0]
-    obs = {"z": PauliSum.from_string(PauliString.single(1, 0, "Z"))}
-    res = lb.trajectories(model, psi0, times, n_samples=5, seed=2,
-                          observables=obs)
-    assert res.stderrs["z"].max() < 1e-12
-    for k, t in enumerate(times):
-        assert res.means["z"][k] == pytest.approx(math.cos(2 * t), abs=1e-12)
-
-
-def test_trajectories_deterministic_per_seed():
-    model = _single_qubit_damped_rabi()
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    obs = {"z": PauliSum.from_string(PauliString.single(1, 0, "Z"))}
-    a = lb.trajectories(model, psi0, [1.0, 2.0], 50, seed=7, observables=obs)
-    b = lb.trajectories(model, psi0, [1.0, 2.0], 50, seed=7, observables=obs)
-    c = lb.trajectories(model, psi0, [1.0, 2.0], 50, seed=8, observables=obs)
-    np.testing.assert_array_equal(a.means["z"], b.means["z"])
-    assert not np.array_equal(a.means["z"], c.means["z"])
-
-
-def test_trajectories_match_master_equation():
-    psi0 = GROUND[:, 0]
-    times = [0.0, 0.5, 1.0]
-    ref = lb.evolve(THERMAL, np.outer(psi0, psi0.conj()), 1.0,
-                    sample_times=times)
-    e_ref = [float(np.real(np.trace(H_DENSE @ s))) for s in ref.states]
-    res = lb.trajectories(THERMAL, psi0, times, n_samples=300, seed=11)
-    assert res.n_samples == 300
-    for k in range(1, len(times)):
-        pull = abs(res.means["energy"][k] - e_ref[k]) / res.stderrs["energy"][k]
-        assert pull < 3.0
-
-
-def test_trajectories_sparse_path_matches_dense():
-    model = _single_qubit_damped_rabi()
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    times = [0.0, 1.0, 2.5, 4.0]
-    obs = {"z": PauliSum.from_string(PauliString.single(1, 0, "Z"))}
-    dense = lb.trajectories(model, psi0, times, 200, seed=5, observables=obs)
-    sparse = lb._trajectories_sparse(model, psi0, np.asarray(times), 200, 5,
-                                     obs, dense.dt)
-    # same per-sample streams; only the no-jump integrator differs
-    np.testing.assert_allclose(dense.means["z"], sparse.means["z"], atol=5e-3)
-    ref = lb.evolve(model, np.outer(psi0, psi0.conj()), 4.0, sample_times=times)
-    zd = PauliString.single(1, 0, "Z").to_dense()
-    for k in range(1, len(times)):
-        z_ref = float(np.real(np.trace(zd @ ref.states[k])))
-        pull = abs(sparse.means["z"][k] - z_ref) / sparse.stderrs["z"][k]
-        assert pull < 3.0
-
-
-def test_trajectory_stderr_scales_with_samples():
-    model = _single_qubit_damped_rabi()
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    obs = {"z": PauliSum.from_string(PauliString.single(1, 0, "Z"))}
-    small = lb.trajectories(model, psi0, [2.5], 100, seed=9, observables=obs)
-    large = lb.trajectories(model, psi0, [2.5], 400, seed=9, observables=obs)
-    ratio = small.stderrs["z"][0] / large.stderrs["z"][0]
-    assert 1.5 < ratio < 2.7
-    rows = large.rows()
-    assert rows[0][:2] == (2.5, "z") and len(rows) == 1
+        lb.evolve(THERMAL, coherent, 0.5)
+    assert lb.evolve(THERMAL, rho0, 0.5).path == "chain"
 
 
 # -- ancilla pumping -------------------------------------------------------
