@@ -4,9 +4,9 @@ of the toric code on a periodic square lattice.
 Subpackages
 -----------
 pauli      symplectic Pauli-string algebra and Pauli-basis decompositions
-lattice    torus link lattice, stabilizers, Wilson loops, cubic embedding
+lattice    torus link lattice, stabilizers, Wilson loops, translations, cubic embedding
 sequences  gate sequences, effective Hamiltonians, perturbative order scans
-spectra    sparse stabilizer Hamiltonians, eigensolvers, ground-space fidelity
+spectra    sparse stabilizer Hamiltonians, orbit-by-orbit eigensolver, ground-space fidelity
 lindblad   engineered jump operators, population-chain dissipation, ancilla pump
 harness    scenario configs, noise models, deterministic run records
 cli        command-line entry point (``toricsim <subcommand>``)

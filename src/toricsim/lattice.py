@@ -161,6 +161,25 @@ def neighbor_pairs(lat: TorusLattice) -> list[tuple[int, int]]:
     return out
 
 
+def translations(lat: TorusLattice) -> tuple[tuple[int, ...], ...]:
+    """The ``L^2`` lattice translations as link permutations.
+
+    Entry ``link`` of the (dr, dc) translation is the link it moves to:
+    h(r, c) -> h(r + dr, c + dc) and v(r, c) -> v(r + dr, c + dc).  The
+    identity (0, 0) comes first.
+    """
+    out = []
+    for dr in range(lat.L):
+        for dc in range(lat.L):
+            perm = []
+            for link in range(lat.n_links):
+                r, c = lat.link_rc(link)
+                index = lat.h_index if lat.link_kind(link) == "h" else lat.v_index
+                perm.append(index(r + dr, c + dc))
+            out.append(tuple(perm))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Cubic embedding
 # ---------------------------------------------------------------------------

@@ -148,7 +148,11 @@ class JumpTerm:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus a list of rate-weighted jump operators."""
+    """Hamiltonian plus a list of rate-weighted jump operators.
+
+    The compiled generator (:func:`_compile_generator`) is built on first
+    use and cached on the model.
+    """
 
     n_qubits: int
     hamiltonian: SparseHamiltonian
@@ -165,6 +169,7 @@ class LindbladModel:
         for jt in self.jumps:
             if jt.operator.n_qubits != self.n_qubits:
                 raise ValueError(f"jump {jt.label!r} acts outside the register")
+        object.__setattr__(self, "_generator", None)
 
     @property
     def dim(self) -> int:
@@ -502,6 +507,8 @@ class _FrameMatrices:
     """H and the jump channels of a lattice-backed model in the frame.
 
     Each operator is transported once by ``StabilizerFrame.operator``.
+    Every channel must be a partial signed permutation in the frame, with
+    distinct rows and distinct columns, or ``ValueError`` names it.
     ``apply`` evaluates the generator in matrix form,
     -i[H, rho] - {A, rho} + sum 2r c rho c† with A = sum r c†c, one channel
     at a time.
@@ -519,9 +526,13 @@ class _FrameMatrices:
                          for jt in model.jumps]
         absorber = scipy.sparse.csr_matrix(self.h.shape, dtype=complex)
         self._gains = []
-        for rate, c in self.channels:
+        for jt, (rate, c) in zip(model.jumps, self.channels):
             absorber = absorber + rate * (c.conj().T @ c)
             coo = c.tocoo()
+            if (np.unique(coo.row).size < coo.nnz
+                    or np.unique(coo.col).size < coo.nnz):
+                raise ValueError(f"channel {jt.label!r} is not a partial "
+                                 "permutation in the stabilizer frame")
             self._gains.append((2.0 * rate, coo.row, coo.col, coo.data))
         self._drift = (-1j * self.h - absorber).tocsr()      # K = -iH - A
 
@@ -534,22 +545,28 @@ class _FrameMatrices:
     def apply(self, rho_f: np.ndarray) -> np.ndarray:
         # K rho + rho K† with rho K† = (K rho†)†, so both products are
         # sparse @ dense; a channel with entries v at (r, k) adds
-        # 2 rate v_a conj(v_b) rho[k_a, k_b] at (r_a, r_b)
+        # 2 rate v_a conj(v_b) rho[k_a, k_b] at (r_a, r_b), and its rows
+        # are distinct, so every (r_a, r_b) is hit once
         n = rho_f.shape[0]
         out = self._drift @ rho_f
         out += (self._drift @ np.ascontiguousarray(rho_f.conj().T)).conj().T
         rho_flat, out_flat = rho_f.reshape(-1), out.reshape(-1)
         for rate, rows, cols, vals in self._gains:
             gains = rate * vals[:, None] * rho_flat[cols[:, None] * n + cols]
-            np.add.at(out_flat, rows[:, None] * n + rows, gains * vals.conj())
+            out_flat[rows[:, None] * n + rows] += gains * vals.conj()
         return out
 
 
 def _compile_generator(model: LindbladModel):
-    """Frame matrices for lattice-backed models, dense matrices otherwise."""
-    if model.lattice is not None and model.n_qubits <= FRAME_QUBIT_CAP:
-        return _FrameMatrices(model, StabilizerFrame(model.lattice))
-    return _DenseGenerator(model)
+    """Frame matrices for lattice-backed models, dense matrices otherwise,
+    built once per model and cached on it."""
+    if model._generator is None:
+        if model.lattice is not None and model.n_qubits <= FRAME_QUBIT_CAP:
+            gen = _FrameMatrices(model, StabilizerFrame(model.lattice))
+        else:
+            gen = _DenseGenerator(model)
+        object.__setattr__(model, "_generator", gen)
+    return model._generator
 
 
 def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
@@ -753,18 +770,15 @@ class StationaryResult:
 
 
 def _classical_rate_matrix(gen: _FrameMatrices) -> tuple[np.ndarray, bool]:
-    """Population-sector generator; flag is False if any channel leaks
-    coherence (some column holding two entries) or H is not frame-diagonal."""
+    """Population-sector generator; flag is False if H is not
+    frame-diagonal.  Every channel is a partial permutation in the frame
+    (checked by ``_FrameMatrices``), so none leaks coherence."""
     n = gen.frame.size
     m = np.zeros((n, n))
-    closed = True
     h_off = gen.h - scipy.sparse.diags(gen.h.diagonal())
-    if h_off.nnz and np.abs(h_off.data).max() > 1e-12:
-        closed = False
+    closed = not (h_off.nnz and np.abs(h_off.data).max() > 1e-12)
     for rate, c in gen.channels:
         coo = c.tocoo()
-        if np.bincount(coo.col, minlength=n).max(initial=0) > 1:
-            closed = False
         flows = 2.0 * rate * np.abs(coo.data) ** 2
         np.add.at(m, (coo.row, coo.col), flows)
         np.add.at(m, (coo.col, coo.col), -flows)
@@ -817,7 +831,7 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
     """
     if model.lattice is None:
         raise ValueError("stationary_state requires a lattice-backed model")
-    gen = _FrameMatrices(model, StabilizerFrame(model.lattice))
+    gen = _compile_generator(model)
     m, closed = _classical_rate_matrix(gen)
     if closed:
         singulars = np.linalg.svd(m, compute_uv=False)

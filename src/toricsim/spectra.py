@@ -24,12 +24,22 @@ compiled once into one CSR matrix in that gauge with its basis ordered by
 coset, one entry per row for each distinct X-mask; it serves the Z-basis
 matvec, and its diagonal blocks are the sectors the eigensolver visits,
 skipping every block whose Gershgorin floor proves it holds none of the
-lowest levels.  The dense construction, and dense ``eigh`` below
-``DENSE_DIM_CAP``, are the oracle the compiled form is tested against.
+lowest levels.
+
+The lattice translations permute the links, and those that leave the term
+multiset exactly invariant commute with H and permute the cosets of W.
+Blocks in one translation orbit are permutation-similar, so the solver
+diagonalizes one block per orbit and reuses its levels for the others:
+128 orbits of the 1024 sectors at L = 3 and chi = 0, 4 of the 8 at
+chi != 0 (2 of 2 with ``chi_pairs = "all"``).  A member's vectors are the representative's, carried across by
+the qubit permutation in the Z basis and verified on the member's block.
+The dense construction, and dense ``eigh`` below ``DENSE_DIM_CAP``, are
+the oracle the compiled form is tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,6 +111,66 @@ def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
     return sum(1 << lead for lead, (_, rhs) in pivots.items() if rhs)
 
 
+def _permute_bits(masks: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+    """Every mask with bit q moved to bit ``perm[q]``."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    out = np.zeros_like(masks)
+    for q, target in enumerate(perm):
+        out |= (masks >> np.uint64(q) & np.uint64(1)) << np.uint64(target)
+    return out
+
+
+def _term_symmetries(terms: Sequence[tuple[float, PauliString]],
+                     candidates: Iterable[Sequence[int]]
+                     ) -> tuple[tuple[int, ...], ...]:
+    """The candidate link permutations that map the multiset of terms
+    (coefficient, X-mask, Z-mask, phase) exactly onto itself."""
+    coeffs = [c for c, _ in terms]
+    phases = [t.phase_quarter for _, t in terms]
+    xs = np.array([t.x_mask for _, t in terms], dtype=np.uint64)
+    zs = np.array([t.z_mask for _, t in terms], dtype=np.uint64)
+
+    def multiset(x, z):
+        return Counter(zip(coeffs, x.tolist(), z.tolist(), phases))
+
+    own = multiset(xs, zs)
+    return tuple(tuple(p) for p in candidates
+                 if multiset(_permute_bits(xs, p), _permute_bits(zs, p)) == own)
+
+
+def _sector_orbits(n_qubits: int, symmetries: Sequence[tuple[int, ...]],
+                   reps: np.ndarray, order: np.ndarray, sector_dim: int,
+                   floors: np.ndarray
+                   ) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """(orbit, carry) of every sector under the link permutations.
+
+    A symmetry maps the coset of ``reps[s]`` onto the coset holding the
+    permuted state.  Sectors are taken in ascending floor (stable sort); the
+    first of each orbit is its representative, ``orbit[s]`` names it, and
+    ``carry[s]`` is a link permutation taking its coset onto sector s.
+    """
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    images = [position[_permute_bits(reps, p)] // sector_dim
+              for p in symmetries]
+    orbit = np.full(reps.size, -1, dtype=np.int64)
+    carry: list = [None] * reps.size
+    identity = tuple(range(n_qubits))
+    for first in np.argsort(floors, kind="stable"):
+        if orbit[first] >= 0:
+            continue
+        orbit[first], carry[first] = first, identity
+        reached = [first]
+        for s in reached:
+            for perm, image in zip(symmetries, images):
+                t = image[s]
+                if orbit[t] < 0:
+                    orbit[t] = first
+                    carry[t] = tuple(perm[q] for q in carry[s])
+                    reached.append(t)
+    return orbit, tuple(carry)
+
+
 def _span(vectors: Iterable[int]) -> np.ndarray:
     """Every XOR combination of ``vectors``; bit i of the index picks vector i."""
     out = np.zeros(1, dtype=np.uint64)
@@ -121,6 +191,13 @@ class SectorOperator:
     real symmetric; when no real gauge exists ``gauge`` is None and A is
     the complex H.  ``floors[s]`` is the Gershgorin floor of block s,
     min_i(a_ii - sum_{j != i} |a_ij|), a lower bound on its spectrum.
+
+    ``symmetries`` are the candidate link permutations that leave the terms
+    exactly invariant; they commute with H and permute the sectors.
+    ``orbit[s]`` is the representative of sector s's orbit, its first
+    sector in ascending floor (stable sort), and ``carry[s]`` a link
+    permutation, a product of symmetries, that maps the representative's
+    coset onto sector s's.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -128,18 +205,29 @@ class SectorOperator:
     order: np.ndarray
     sector_dim: int
     floors: np.ndarray
+    symmetries: tuple[tuple[int, ...], ...]
+    orbit: np.ndarray
+    carry: tuple[tuple[int, ...], ...]
+
+    def positions(self, s: int) -> slice:
+        return slice(s * self.sector_dim, (s + 1) * self.sector_dim)
 
     def block(self, s: int) -> scipy.sparse.csr_matrix:
-        lo = s * self.sector_dim
-        return self.matrix[lo:lo + self.sector_dim, lo:lo + self.sector_dim]
+        return self.matrix[self.positions(s), self.positions(s)]
 
 
 @dataclass
 class SparseHamiltonian:
-    """Hermitian Pauli-term Hamiltonian compiled once to a CSR operator."""
+    """Hermitian Pauli-term Hamiltonian compiled once to a CSR operator.
+
+    ``symmetries`` are candidate link permutations (entry q is the link
+    qubit q moves to); :meth:`compile` keeps those that leave the terms
+    invariant.
+    """
 
     n_qubits: int
     terms: tuple[tuple[float, PauliString], ...]
+    symmetries: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         for coeff, string in self.terms:
@@ -150,6 +238,9 @@ class SparseHamiltonian:
                 raise ValueError("term register size mismatch")
         self.terms = tuple((float(np.real(coeff)), string)
                            for coeff, string in self.terms)
+        for perm in self.symmetries:
+            if sorted(perm) != list(range(self.n_qubits)):
+                raise ValueError(f"{perm} is not a permutation of the links")
         self._compiled = None
 
     @property
@@ -162,7 +253,8 @@ class SparseHamiltonian:
         A state's position is its coset, then its bits at the pivots of
         W's reduced echelon basis, so the position of j ^ x is the position
         of j XOR the pivot bits of x.  Every row of A holds one entry per
-        distinct X-mask, and the CSR arrays are built directly.
+        distinct X-mask, and the CSR arrays are built directly.  Each
+        coset is sent to its orbit by permuting its representative state.
         """
         if self._compiled is not None:
             return self._compiled
@@ -211,11 +303,15 @@ class SparseHamiltonian:
             (data.reshape(-1), indices.reshape(-1), indptr),
             shape=(self.dim, self.dim))
         sector_dim = 1 << len(leads)
+        floors = (diag - radius).reshape(-1, sector_dim).min(axis=1)
+        symmetries = _term_symmetries(self.terms, self.symmetries)
+        orbit, carry = _sector_orbits(self.n_qubits, symmetries, reps, order,
+                                      sector_dim, floors)
         self._compiled = SectorOperator(
             matrix=a,
             gauge=None if mask is None else _QUARTER_TURNS[row_turns % 4],
-            order=order, sector_dim=sector_dim,
-            floors=(diag - radius).reshape(-1, sector_dim).min(axis=1))
+            order=order, sector_dim=sector_dim, floors=floors,
+            symmetries=symmetries, orbit=orbit, carry=carry)
         return self._compiled
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
@@ -259,7 +355,8 @@ def chi_pair_terms(lat: lt.TorusLattice, mode: str = "sequence"
 def build_hamiltonian(lat: lt.TorusLattice, j_e: float = 1.0, j_m: float = 1.0,
                       chi: float = 0.0, h_z: float = 0.0,
                       chi_pairs: str = "sequence") -> SparseHamiltonian:
-    """Assemble the perturbed stabilizer Hamiltonian on the lattice links."""
+    """Assemble the perturbed stabilizer Hamiltonian on the lattice links,
+    with the lattice translations as candidate symmetries."""
     n = lat.n_links
     terms: list[tuple[float, PauliString]] = []
     for v in range(lat.n_vertices):
@@ -274,7 +371,8 @@ def build_hamiltonian(lat: lt.TorusLattice, j_e: float = 1.0, j_m: float = 1.0,
             x = PauliString.single(n, a, "X")
             y = PauliString.single(n, b, "Y")
             terms.append((chi, x * y))
-    return SparseHamiltonian(n_qubits=n, terms=tuple(terms))
+    return SparseHamiltonian(n_qubits=n, terms=tuple(terms),
+                             symmetries=lt.translations(lat))
 
 
 @dataclass
@@ -285,8 +383,10 @@ class SpectrumResult:
     with the BLAS build; ``residual_bound`` is the bound every one of them
     was verified against, fixed by the Hamiltonian and the solver path.
     The counters say what the solver did: the number and dimension of the
-    sectors it split the space into, and how many of their blocks it
-    solved with dense ``eigh`` and with Lanczos; the rest were skipped.
+    sectors it split the space into, the number of translation orbits they
+    fall into, and how many blocks it solved with dense ``eigh`` and with
+    Lanczos, at most one per orbit; the other members of a solved orbit
+    reuse its levels, and the remaining orbits were skipped.
     """
 
     eigenvalues: np.ndarray
@@ -294,6 +394,7 @@ class SpectrumResult:
     residual_bound: float
     sectors: int
     sector_dim: int
+    orbits: int
     dense_blocks: int
     lanczos_blocks: int
     eigenvectors: np.ndarray | None = None
@@ -301,7 +402,7 @@ class SpectrumResult:
     @property
     def counters(self) -> dict[str, int]:
         return {"sectors": self.sectors, "sector_dim": self.sector_dim,
-                "dense_blocks": self.dense_blocks,
+                "orbits": self.orbits, "dense_blocks": self.dense_blocks,
                 "lanczos_blocks": self.lanczos_blocks}
 
     def report_rows(self, chi: float, h_z: float) -> list[tuple]:
@@ -363,18 +464,24 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
 
     Above it, the blocks of the compiled real-gauge matrix A = V^H H V
     (:meth:`SparseHamiltonian.compile`) are visited in ascending Gershgorin
-    floor.  A block at or below the cap is solved by dense ``eigh``, a
-    larger one by symmetric Lanczos (ARPACK ``eigsh``) in real arithmetic,
-    with a Krylov space (ncv >= 4k) wide enough for the 4-fold
-    quasi-degenerate manifold to converge as a block and a seeded start
-    vector.  The visit stops once the next floor lies above the k-th lowest
-    level found plus ``residual_bound``: no skipped block can hold a lower
-    level.  In every block the vectors are checked orthonormal to
+    floor.  The first block reached in a translation orbit is solved: by
+    dense ``eigh`` at or below the cap, otherwise by symmetric Lanczos
+    (ARPACK ``eigsh``) in real arithmetic, with a Krylov space (ncv >= 4k)
+    wide enough for the 4-fold quasi-degenerate manifold to converge as a
+    block and a seeded start vector.  The other blocks of the orbit are
+    permutation-similar to it and reuse its levels.  The visit stops once
+    the next floor lies above the k-th lowest level found plus
+    ``residual_bound``: no skipped block can hold a lower level.  In every
+    solved block the vectors are checked orthonormal to
     ``ORTHONORMALITY_BOUND``, also across exactly degenerate levels, and
     every pair is verified against ``residual_bound`` or
     :class:`ConvergenceError` is raised.  The k lowest levels are merged
-    and their vectors mapped back to the Z basis with V; terms without a
-    real gauge raise ``ValueError``.
+    and their vectors mapped back to the Z basis with V.  A level kept from
+    another member of an orbit takes the representative's Z-basis vector
+    through the qubit permutation that carries one coset onto the other,
+    which commutes with H, and that vector is verified against
+    ``residual_bound`` on the member's own block.  Terms without a real
+    gauge raise ``ValueError``.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -391,36 +498,49 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
         return SpectrumResult(
             eigenvalues=evals, residuals=residuals,
             residual_bound=float(residual_bound),
-            sectors=1, sector_dim=h.dim, dense_blocks=1, lanczos_blocks=0,
+            sectors=1, sector_dim=h.dim, orbits=1, dense_blocks=1,
+            lanczos_blocks=0,
             eigenvectors=evecs if with_vectors else None)
     op = h.compile()
     if op.gauge is None:
         raise ValueError("no real gauge exists for these terms; "
                          "the Lanczos path needs one")
-    found = []  # the k lowest (level, residual, sector, gauged vector)
-    solved = lanczos_blocks = 0
+    found = []  # the k lowest (level, residual, sector, representative's vector)
+    solved = {}  # orbit representative -> its verified (levels, vectors, residuals)
+    lanczos_blocks = 0
     for s in np.argsort(op.floors, kind="stable"):
         if len(found) >= k and op.floors[s] > found[k - 1][0] + residual_bound:
             break
-        evals, vecs, residuals, lanczos = _solve_block(
-            op.block(s), k, seed, residual_bound)
+        if op.orbit[s] == s:
+            evals, vecs, residuals, lanczos = _solve_block(
+                op.block(s), k, seed, residual_bound)
+            solved[s] = evals, vecs, residuals
+            lanczos_blocks += lanczos
+        evals, vecs, residuals = solved[op.orbit[s]]
         found = sorted(found + [(e, r, s, vecs[:, j]) for j, (e, r)
                                 in enumerate(zip(evals, residuals))],
                        key=lambda f: f[0])[:k]
-        solved += 1
-        lanczos_blocks += lanczos
     evecs = None
     if with_vectors:
         evecs = np.zeros((h.dim, len(found)), dtype=complex)
-        for col, (_, _, s, vec) in enumerate(found):
-            block = slice(s * op.sector_dim, (s + 1) * op.sector_dim)
-            evecs[op.order[block], col] = op.gauge[block] * vec
+        for col, (e, _, s, vec) in enumerate(found):
+            rep = op.positions(op.orbit[s])
+            evecs[_permute_bits(op.order[rep], op.carry[s]), col] = (
+                op.gauge[rep] * vec)
+            if op.orbit[s] != s:
+                block = op.positions(s)
+                u = op.gauge[block].conj() * evecs[op.order[block], col]
+                residual = np.linalg.norm(op.block(s) @ u - e * u)
+                _verify(np.array([residual]), residual_bound)
+                found[col] = (e, residual, s, vec)
     return SpectrumResult(
         eigenvalues=np.array([f[0] for f in found]),
         residuals=np.array([f[1] for f in found]),
         residual_bound=float(residual_bound), eigenvectors=evecs,
         sectors=len(op.floors), sector_dim=op.sector_dim,
-        dense_blocks=solved - lanczos_blocks, lanczos_blocks=lanczos_blocks)
+        orbits=int(np.unique(op.orbit).size),
+        dense_blocks=len(solved) - lanczos_blocks,
+        lanczos_blocks=lanczos_blocks)
 
 
 def ground_space_reference(lat: lt.TorusLattice) -> tuple[np.ndarray, list[tuple[int, int]]]:

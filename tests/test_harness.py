@@ -16,6 +16,7 @@ import pytest
 from toricsim import cli
 from toricsim import harness as hn
 from toricsim import lattice as lt
+from toricsim import lindblad as lb
 from toricsim import spectra as sp
 from toricsim.pauli import PauliString
 
@@ -286,8 +287,8 @@ class TestScenarioRuns:
             (tmp_path / "cool-with-noise-record.json").read_text())
         assert stored["solver"] == record.solver
         # below the dense cap L = 2 is solved whole; at cap 16 by sector
-        dense = {"sectors": 1, "sector_dim": 256, "dense_blocks": 1,
-                 "lanczos_blocks": 0}
+        dense = {"sectors": 1, "sector_dim": 256, "orbits": 1,
+                 "dense_blocks": 1, "lanczos_blocks": 0}
         for kind, record_name in (("spectrum", "spectrum-record.json"),
                                   ("fidelity-scan",
                                    "fidelity-scan-record.json")):
@@ -302,17 +303,25 @@ class TestScenarioRuns:
         assert record.ok, record.summary_lines()
         at_zero, at_chi = record.solver["points"]
         assert (at_zero["sectors"], at_zero["sector_dim"]) == (32, 8)
-        assert 0 < at_zero["dense_blocks"] < 32
+        assert at_zero["orbits"] == 14
+        assert 0 < at_zero["dense_blocks"] <= 14
         assert at_zero["lanczos_blocks"] == 0
         assert (at_chi["sectors"], at_chi["sector_dim"]) == (4, 64)
+        assert at_chi["orbits"] == 3
         assert at_chi["dense_blocks"] == 0 and at_chi["lanczos_blocks"] >= 1
         stored = json.loads((tmp_path / record_name).read_text())
         assert stored["solver"] == record.solver
 
-    def test_thermalize(self, tmp_path):
+    def test_thermalize(self, tmp_path, monkeypatch):
+        # the stationary state and the evolution share one frame build
+        builds = []
+        build = lb._FrameMatrices.__init__
+        monkeypatch.setattr(lb._FrameMatrices, "__init__",
+                            lambda gen, *a: builds.append(1) or build(gen, *a))
         cfg = hn.ScenarioConfig(kind="thermalize", outdir=str(tmp_path))
         record = hn.run(cfg)
         assert record.ok, record.summary_lines()
+        assert len(builds) == 1
         report = json.loads((tmp_path / "thermalize.json").read_text())
         assert report["null_dim"] == 1
         assert report["method"] == "classical-rate-matrix"

@@ -363,6 +363,16 @@ def test_frame_generator_matches_dense_oracle():
                                    rtol=0, atol=1e-12)
 
 
+def test_frame_matrices_need_permutation_channels():
+    mixed = PauliSum.from_terms(((1.0, PauliString.single(8, 0, "X")),
+                                 (1.0, PauliString.single(8, 1, "X"))))
+    model = lb.LindbladModel(
+        n_qubits=8, hamiltonian=COOL.hamiltonian, lattice=LAT,
+        jumps=COOL.jumps[:2] + (lb.JumpTerm("x0+x1", 0.1, mixed),))
+    with pytest.raises(ValueError, match=r"'x0\+x1'"):
+        lb._compile_generator(model)
+
+
 @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
 def test_chain_stationary_state_is_dense_fixed_point(name):
     model = CHAIN_MODELS[name]

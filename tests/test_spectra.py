@@ -300,3 +300,116 @@ def test_sector_order_is_block_diagonal(h, seed):
     for s, floor in enumerate(op.floors):
         block = op.matrix[s * n:(s + 1) * n, s * n:(s + 1) * n].toarray()
         assert np.linalg.eigvalsh(block)[0] >= floor - 1e-12
+
+
+def _source_blocks(op, vectors):
+    """The sector holding the support of each column."""
+    position = np.empty(op.order.size, dtype=np.int64)
+    position[op.order] = np.arange(op.order.size)
+    return [int(position[np.flatnonzero(np.abs(v) > 1e-12)[0]]) // op.sector_dim
+            for v in vectors.T]
+
+
+# (sectors, translation orbits) of the L = 2 Hamiltonian
+ORBITS_AT_L2 = {(0.0, "sequence"): (32, 14), (0.0, "all"): (32, 14),
+                (0.2, "sequence"): (4, 3), (0.2, "all"): (2, 2)}
+
+
+@pytest.mark.parametrize("mode", ["sequence", "all"])
+@pytest.mark.parametrize("chi, k, from_member", [
+    (0.0, 4, False), (0.0, 15, True), (0.2, 4, False), (0.2, 20, True)])
+def test_orbit_solve_matches_every_block(monkeypatch, mode, chi, k, from_member):
+    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    levels = np.linalg.eigvalsh(h.to_dense())
+    assert levels[k] - levels[k - 1] > 1e-3  # the k lowest span a clean space
+    every = sp.SparseHamiltonian(h.n_qubits, h.terms)  # no symmetries
+    # at cap 16 the 8-state blocks (chi = 0) go dense, the others to Lanczos
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
+    res = sp.lowest_eigenpairs(h, k=k, seed=3)
+    ref = sp.lowest_eigenpairs(every, k=k, seed=3)
+    op = h.compile()
+    assert ref.orbits == ref.sectors
+    assert (res.sectors, res.orbits) == ORBITS_AT_L2[chi, mode]
+    assert (res.lanczos_blocks > 0) == (chi != 0.0)
+    assert (res.dense_blocks + res.lanczos_blocks
+            <= min(res.orbits, ref.dense_blocks + ref.lanczos_blocks))
+    np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues,
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(res.eigenvalues, levels[:k], rtol=0, atol=1e-8)
+    assert np.all(res.residuals <= res.residual_bound)
+    v, w = res.eigenvectors, ref.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-10
+    np.testing.assert_allclose(v @ v.conj().T, w @ w.conj().T,
+                               rtol=0, atol=1e-8)
+    # a kept level from a non-representative member runs the vector mapping
+    members = [b for b in _source_blocks(op, v) if op.orbit[b] != b]
+    assert bool(members) == (from_member and res.orbits < res.sectors)
+
+
+@st.composite
+def symmetric_term_sets(draw):
+    """A random link permutation and a term set it leaves invariant: every
+    drawn term together with its images under the permutation."""
+    n = draw(st.integers(2, 8))
+    perm = tuple(draw(st.permutations(range(n))))
+    masks = st.integers(0, 2 ** n - 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(st.floats(-2.0, 2.0))
+        t = PauliString(n, draw(masks), draw(masks), draw(st.sampled_from([0, 2])))
+        while (t.x_mask, t.z_mask, t.phase_quarter) not in terms:
+            terms[t.x_mask, t.z_mask, t.phase_quarter] = (coeff, t)
+            t = _relabel(t, perm)
+    return sp.SparseHamiltonian(n, tuple(terms.values()), symmetries=(perm,))
+
+
+def _relabel(s: PauliString, perm) -> PauliString:
+    x = sum(1 << perm[q] for q in range(s.n_qubits) if s.x_mask >> q & 1)
+    z = sum(1 << perm[q] for q in range(s.n_qubits) if s.z_mask >> q & 1)
+    return PauliString(s.n_qubits, x, z, s.phase_quarter)
+
+
+def _term_keys(terms):
+    return sorted((c, s.x_mask, s.z_mask, s.phase_quarter) for c, s in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_term_sets())
+def test_symmetry_maps_blocks_to_isospectral_blocks(h):
+    perm = h.symmetries[0]
+    op = h.compile()
+    assert op.symmetries == (perm,)
+    n = op.sector_dim
+    position = {int(j): p for p, j in enumerate(op.order)}
+    for s in range(len(op.floors)):
+        j = int(op.order[s * n])
+        image = sum(1 << perm[q] for q in range(h.n_qubits) if j >> q & 1)
+        t = position[image] // n
+        assert op.orbit[t] == op.orbit[s]
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(op.block(t).toarray()),
+            np.linalg.eigvalsh(op.block(s).toarray()), rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compile_keeps_only_term_symmetries(data):
+    n = data.draw(st.integers(2, 8))
+    masks = st.integers(0, 2 ** n - 1)
+    terms = tuple(
+        (data.draw(st.sampled_from([-1.0, 0.5, 1.0])),
+         PauliString(n, data.draw(masks), data.draw(masks), 0))
+        for _ in range(data.draw(st.integers(1, 5))))
+    perm = tuple(data.draw(st.permutations(range(n))))
+    h = sp.SparseHamiltonian(n, terms, symmetries=(perm,))
+    invariant = (_term_keys((c, _relabel(s, perm)) for c, s in terms)
+                 == _term_keys(terms))
+    assert (h.compile().symmetries == (perm,)) == invariant
+    if not invariant:
+        assert np.unique(h.compile().orbit).size == len(h.compile().floors)
+
+
+def test_candidate_symmetries_must_be_permutations():
+    z = PauliString.single(3, 0, "Z")
+    with pytest.raises(ValueError, match="permutation"):
+        sp.SparseHamiltonian(3, ((1.0, z),), symmetries=((0, 0, 1),))
