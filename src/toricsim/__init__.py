@@ -4,7 +4,7 @@ of the toric code on a periodic square lattice.
 Subpackages
 -----------
 pauli      symplectic Pauli-string algebra and Pauli-basis decompositions
-lattice    torus link lattice, stabilizers, Wilson loops, translations, cubic embedding
+lattice    torus link lattice, stabilizers, Wilson loops, translations
 sequences  gate sequences, effective Hamiltonians, perturbative order scans
 spectra    sparse stabilizer Hamiltonians, orbit-by-orbit eigensolver, ground-space fidelity
 lindblad   engineered jump operators, population-chain dissipation, ancilla pump

@@ -43,8 +43,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from . import lattice as lt
-from .pauli import PauliString, PauliSum
-from .spectra import SparseHamiltonian, build_hamiltonian
+from .pauli import QUARTER_TURNS, PauliString, PauliSum
+from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_flips
 
 DENSITY_DIM_CAP = 256        # dense density-matrix evolution cap (L = 2)
 FRAME_QUBIT_CAP = 12
@@ -315,25 +315,24 @@ class StabilizerFrame:
         self.generator_masks = tuple(
             lt.plaquette_stabilizer(lat, k).x_mask
             for k in range(lat.n_plaquettes - 1))
-        n_gen = len(self.generator_masks)
-        self.n_char = 1 << n_gen
-        group = np.zeros(self.n_char, dtype=np.uint64)
-        for j in range(1, self.n_char):
-            low = j & -j
-            group[j] = group[j ^ low] ^ np.uint64(
-                self.generator_masks[low.bit_length() - 1])
-        self.group_masks = group
-        self._mask_to_index = {int(g): j for j, g in enumerate(group)}
-        if len(self._mask_to_index) != self.n_char:
+        group = plaquette_flips(lat)
+        self.n_char = group.size
+        if np.unique(group).size != self.n_char:
             raise ValueError("stabilizer generators are not independent")
+        self.group_masks = group
 
+        # state b is reps[orbit_of[b]] ^ group[element_of[b]]
         orbit_of = np.full(self.dim, -1, dtype=np.int64)
+        element_of = np.zeros(self.dim, dtype=np.uint64)
         reps = []
         for b in range(self.dim):
             if orbit_of[b] < 0:
-                orbit_of[np.uint64(b) ^ group] = len(reps)
+                members = np.uint64(b) ^ group
+                orbit_of[members] = len(reps)
+                element_of[members] = np.arange(self.n_char, dtype=np.uint64)
                 reps.append(b)
         self.orbit_of = orbit_of
+        self.element_of = element_of
         self.reps = np.array(reps, dtype=np.uint64)
         self.n_orbits = len(reps)
         self.size = self.n_orbits * self.n_char
@@ -381,28 +380,22 @@ class StabilizerFrame:
                 + t_arr[None, :].astype(np.int64))
         rows_all, cols_all, vals_all = [], [], []
         for string, coeff in op.items():
-            x, z = string.x_mask, string.z_mask
-            scalar = complex(coeff) * 1j ** (
-                (string.phase_quarter + bin(x & z).count("1")) % 4)
-            u = 0
-            for k, m in enumerate(self.generator_masks):
-                u |= (bin(m & z).count("1") & 1) << k
-            dest = np.empty(self.n_orbits, dtype=np.int64)
-            j0 = np.empty(self.n_orbits, dtype=np.uint64)
-            for o in range(self.n_orbits):
-                b2 = int(self.reps[o]) ^ x
-                oo = int(self.orbit_of[b2])
-                dest[o] = oo
-                j0[o] = self._mask_to_index[b2 ^ int(self.reps[oo])]
-            sign_rep = 1.0 - 2.0 * (
-                np.bitwise_count(self.reps & np.uint64(z)) & np.uint64(1)
-            ).astype(np.float64)
+            z = string.z_mask
+            # |o, t> -> i**q(rep_o) (-1)**|t2 & j0| |oo, t2>, where
+            # rep_o ^ x = reps[oo] ^ group[j0] and t2 = t ^ u flips the
+            # character of every generator that anticommutes with the string
+            u = sum(((m & z).bit_count() & 1) << k
+                    for k, m in enumerate(self.generator_masks))
+            targets = self.reps ^ np.uint64(string.x_mask)
+            dest = self.orbit_of[targets]
+            j0 = self.element_of[targets]
             t2 = t_arr ^ np.uint64(u)
             sign_t = 1.0 - 2.0 * (
                 np.bitwise_count(t2[None, :] & j0[:, None]) & np.uint64(1)
             ).astype(np.float64)
             rows = dest[:, None] * self.n_char + t2[None, :].astype(np.int64)
-            vals = scalar * sign_rep[:, None] * sign_t
+            turns = QUARTER_TURNS[string.quarter_turns(self.reps) % 4]
+            vals = complex(coeff) * turns[:, None] * sign_t
             rows_all.append(rows.ravel())
             cols_all.append(np.broadcast_to(cols, rows.shape).ravel())
             vals_all.append(vals.ravel())
@@ -710,12 +703,6 @@ def _integrate(gen, y0: np.ndarray, times: np.ndarray,
     if not sol.success:
         raise StepSizeUnderflowError(sol.message)
     return [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])], sol.nfev
-
-
-def generator_residual(model: LindbladModel, rho: np.ndarray) -> float:
-    """Frobenius norm of the generator applied to ``rho``."""
-    gen = _compile_generator(model)
-    return float(np.linalg.norm(gen.apply(gen.into(np.asarray(rho, dtype=complex)))))
 
 
 def gibbs_state(hamiltonian: SparseHamiltonian | np.ndarray,

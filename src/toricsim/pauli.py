@@ -27,11 +27,19 @@ quarter-phase of a product is
 with ``s(p) = |x_p & z_p|`` (number of Y letters) and ``|.|`` a popcount.
 Two strings commute iff the symplectic form ``|x_a & z_b| + |z_a & x_b|``
 is even; anticommuting strings satisfy [a, b] = 2ab.
+
+On a basis state a string acts as a signed permutation,
+
+    P|j> = i**q(j) |j ^ x>,    q(j) = phase + |x & z| + 2*|j & z|
+
+(Aaronson & Gottesman, PRA 70, 052328 (2004)).
+:meth:`PauliString.quarter_turns` is the one place that rule is written;
+every dense, state, trace, sparse and stabilizer-frame action reduces its q
+mod 4 in ``QUARTER_TURNS``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -46,16 +54,8 @@ _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PHASE_PREFIX = {0: "+", 1: "+i·", 2: "-", 3: "-i·"}
 
-_SINGLE_DENSE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+# i**q for the quarter turns q = 0..3
+QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 class PauliString:
@@ -121,7 +121,7 @@ class PauliString:
     @property
     def weight(self) -> int:
         """Number of non-identity letters."""
-        return _popcount(self.x_mask | self.z_mask)
+        return (self.x_mask | self.z_mask).bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -168,10 +168,10 @@ class PauliString:
         x = self.x_mask ^ other.x_mask
         z = self.z_mask ^ other.z_mask
         phase = (self.phase_quarter + other.phase_quarter
-                 + _popcount(self.x_mask & self.z_mask)
-                 + _popcount(other.x_mask & other.z_mask)
-                 - _popcount(x & z)
-                 + 2 * _popcount(self.z_mask & other.x_mask))
+                 + (self.x_mask & self.z_mask).bit_count()
+                 + (other.x_mask & other.z_mask).bit_count()
+                 - (x & z).bit_count()
+                 + 2 * (self.z_mask & other.x_mask).bit_count())
         return PauliString(self.n_qubits, x, z, phase)
 
     def adjoint(self) -> "PauliString":
@@ -181,25 +181,20 @@ class PauliString:
         """Symplectic predicate; ignores the scalar phases."""
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit counts differ")
-        form = _popcount(self.x_mask & other.z_mask) + _popcount(self.z_mask & other.x_mask)
+        form = ((self.x_mask & other.z_mask).bit_count()
+                + (self.z_mask & other.x_mask).bit_count())
         return form % 2 == 0
 
-    def embedded(self, n_qubits: int, positions: Iterable[int]) -> "PauliString":
-        """Map local qubit ``j`` onto global qubit ``positions[j]``."""
-        positions = tuple(positions)
-        if len(positions) != self.n_qubits:
-            raise ValueError("positions must match the local qubit count")
-        if len(set(positions)) != len(positions):
-            raise ValueError("positions must be distinct")
-        x = z = 0
-        for j, q in enumerate(positions):
-            if not 0 <= q < n_qubits:
-                raise ValueError(f"position {q} outside register of {n_qubits}")
-            x |= ((self.x_mask >> j) & 1) << q
-            z |= ((self.z_mask >> j) & 1) << q
-        return PauliString(n_qubits, x, z, self.phase_quarter)
-
     # -- dense / state action -----------------------------------------
+
+    def quarter_turns(self, index: np.ndarray) -> np.ndarray:
+        """q(j) at every basis index j, so that P|j> = i**q(j) |j ^ x>.
+
+        The Z-letters sign the source state, each Y adds a quarter turn
+        (Y = i X Z), and the X-letters flip its bits.
+        """
+        z_hits = np.bitwise_count(index & np.uint64(self.z_mask)).astype(np.int64)
+        return self.phase_quarter + (self.x_mask & self.z_mask).bit_count() + 2 * z_hits
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Apply to a state vector of length 2**n (qubit 0 = LSB of the index)."""
@@ -207,26 +202,24 @@ class PauliString:
         state = np.asarray(state)
         if state.shape[0] != dim:
             raise ValueError(f"state length {state.shape[0]} != {dim}")
-        idx = np.arange(dim, dtype=np.uint64)
-        src = idx ^ np.uint64(self.x_mask)
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(self.z_mask)) & 1)
-        scalar = 1j ** ((self.phase_quarter + _popcount(self.x_mask & self.z_mask)) % 4)
-        return scalar * signs * state[src]
+        src = np.arange(dim, dtype=np.uint64) ^ np.uint64(self.x_mask)
+        return QUARTER_TURNS[self.quarter_turns(src) % 4] * state[src]
 
     def expectation(self, rho: np.ndarray) -> complex:
-        """Tr(P rho) from the 2**n entries rho[j, j ^ x] that P reaches.
+        """Tr(P rho) = sum_j i**q(j) rho[j, j ^ x], the 2**n entries P reaches.
 
-        P is a signed permutation, P[j ^ x, j] = i**phase' (-1)**|j & z|, so
-        the trace needs no dense product.
+        The real and imaginary parts are real dots, so a real ``rho`` stays
+        in real arithmetic.
         """
         dim = 1 << self.n_qubits
         rho = np.asarray(rho)
         if rho.shape != (dim, dim):
             raise ValueError(f"matrix shape {rho.shape} != ({dim}, {dim})")
         idx = np.arange(dim, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(self.z_mask)) & 1)
-        scalar = 1j ** ((self.phase_quarter + _popcount(self.x_mask & self.z_mask)) % 4)
-        return complex(scalar * np.dot(signs, rho[idx, idx ^ np.uint64(self.x_mask)]))
+        q = self.quarter_turns(idx) % 4
+        reached = rho[idx, idx ^ np.uint64(self.x_mask)]
+        return complex(np.dot(QUARTER_TURNS.real[q], reached)
+                       + 1j * np.dot(QUARTER_TURNS.imag[q], reached))
 
     def to_dense(self, force: bool = False) -> np.ndarray:
         if self.n_qubits > DENSE_QUBIT_CAP and not force:
@@ -235,11 +228,9 @@ class PauliString:
                 "pass force=True to override")
         dim = 1 << self.n_qubits
         idx = np.arange(dim, dtype=np.uint64)
-        rows = idx ^ np.uint64(self.x_mask)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(self.z_mask)) & 1)
-        scalar = 1j ** ((self.phase_quarter + _popcount(self.x_mask & self.z_mask)) % 4)
         out = np.zeros((dim, dim), dtype=complex)
-        out[rows, idx] = scalar * signs
+        out[idx ^ np.uint64(self.x_mask), idx] = (
+            QUARTER_TURNS[self.quarter_turns(idx) % 4])
         return out
 
 
@@ -311,10 +302,6 @@ class PauliSum:
     def items(self) -> Iterator[tuple[PauliString, complex]]:
         return iter(self._terms.items())
 
-    def items_by_label(self) -> list[tuple[str, complex]]:
-        """(label, coefficient) rows sorted by label; stable across runs."""
-        return sorted((s.label(with_phase=False), c) for s, c in self._terms.items())
-
     def coefficient(self, string: PauliString | str) -> complex:
         if isinstance(string, str):
             string = PauliString.from_label(string)
@@ -380,9 +367,6 @@ class PauliSum:
         return PauliSum({s: c for s, c in self._terms.items() if abs(c) > tol},
                         n_qubits=self.n_qubits)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
-
     def l2_norm(self) -> float:
         """Normalized Frobenius norm sqrt(tr(A†A)/2^n) = sqrt(sum |c|^2)."""
         return float(np.sqrt(sum(abs(c) ** 2 for c in self._terms.values())))
@@ -405,21 +389,6 @@ class PauliSum:
         for string, coeff in self._terms.items():
             out += coeff * string.to_dense(force=force)
         return out
-
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> str:
-        rows = sorted(
-            (s.label(with_phase=False), float(np.real(c)), float(np.imag(c)))
-            for s, c in self._terms.items())
-        return json.dumps({"n_qubits": self.n_qubits, "terms": rows})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PauliSum":
-        data = json.loads(text)
-        terms = {PauliString.from_label(label): complex(re, im)
-                 for label, re, im in data["terms"]}
-        return cls(terms, n_qubits=data["n_qubits"])
 
 
 def decompose(matrix: np.ndarray, prune_tol: float = PRUNE_TOL) -> PauliSum:
@@ -457,15 +426,3 @@ def decompose(matrix: np.ndarray, prune_tol: float = PRUNE_TOL) -> PauliSum:
 
     recurse(matrix, n, 0, 0)
     return PauliSum(terms, n_qubits=n)
-
-
-def kron_dense(labels: str) -> np.ndarray:
-    """Dense matrix for a letter string via an explicit Kronecker chain.
-
-    Qubit 0 is the leftmost letter and the least-significant index bit, so
-    the chain runs right to left: kron(L_{n-1}, ..., L_0).
-    """
-    out = np.array([[1.0 + 0j]])
-    for letter in labels:  # qubit 0 first: each new letter lands in higher bits
-        out = np.kron(_SINGLE_DENSE[letter], out)
-    return out

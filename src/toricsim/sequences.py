@@ -26,7 +26,6 @@ closed-form second-order approximant used to cross-check conventions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -105,25 +104,6 @@ class GateSequence:
         """This sequence followed by ``other``."""
         return GateSequence(self.gates + other.gates,
                             label or f"{self.label}+{other.label}")
-
-    def to_json(self) -> str:
-        data = {
-            "label": self.label,
-            "gates": [
-                {"generator": g.generator.label(), "angle": g.angle,
-                 "duration": g.duration}
-                for g in self.gates
-            ],
-        }
-        return json.dumps(data, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GateSequence":
-        data = json.loads(text)
-        gates = tuple(
-            Gate(PauliString.from_label(g["generator"]), g["angle"], g["duration"])
-            for g in data["gates"])
-        return cls(gates, data.get("label", ""))
 
 
 def u123(alpha: float, beta: float, gamma: float,
@@ -347,14 +327,6 @@ def serial_compose(first: GateSequence, second: GateSequence
     report = TrotterReport(combined=rep_ab.h_eff, parts_sum=parts,
                            error_norm=diff.l2_norm(), total_time=total)
     return combined_seq, report
-
-
-def embedded_sequence(seq: GateSequence, n_qubits: int,
-                      positions: Sequence[int]) -> GateSequence:
-    """Map every gate onto ``positions`` of a larger register."""
-    gates = tuple(Gate(g.generator.embedded(n_qubits, positions), g.angle,
-                       g.duration) for g in seq.gates)
-    return GateSequence(gates, label=seq.label)
 
 
 def residual_scale(phi: float, tau: float = 1.0) -> float:

@@ -49,17 +49,13 @@ import scipy.optimize
 import scipy.sparse.linalg
 
 from . import lattice as lt
-from .pauli import PauliString, PauliSum
+from .pauli import QUARTER_TURNS, PauliString, PauliSum
 
 DENSE_DIM_CAP = 4096
 
 
 class ConvergenceError(RuntimeError):
     """Eigensolver finished without meeting the residual bound."""
-
-
-# i**q for the quarter turns q = 0..3
-_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def _popcount(a: np.ndarray, mask: int) -> np.ndarray:
@@ -97,14 +93,14 @@ def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
 
     With V = diag(v), v_j = i**popcount(j & s), the weight of a term at
     (j, j ^ x) in V^H H V is its real coefficient times a sign times
-    i**(q + popcount(x & s)), where q = phase + popcount(x & z) counts the
-    term's quarter phase and Y letters.  It is real iff
-    popcount(x & s) = q (mod 2): one GF(2) equation per term, solved by
-    elimination on the X-masks with every free link left out of ``s``.
+    i**(q + popcount(x & s)), where q is the term's
+    :meth:`~toricsim.pauli.PauliString.quarter_turns`, whose parity is the
+    same at every j.  It is real iff popcount(x & s) = q (mod 2): one GF(2)
+    equation per term, solved by elimination on the X-masks with every free
+    link left out of ``s``.
     """
-    pivots = _echelon(
-        (t.x_mask, (t.phase_quarter + (t.x_mask & t.z_mask).bit_count()) & 1)
-        for _, t in terms)
+    pivots = _echelon((t.x_mask, int(t.quarter_turns(np.uint64(0))) & 1)
+                      for _, t in terms)
     if pivots is None:
         return None
     # a reduced row meets s only at its own pivot
@@ -177,6 +173,13 @@ def _span(vectors: Iterable[int]) -> np.ndarray:
     for v in vectors:
         out = np.concatenate([out, out ^ np.uint64(v)])
     return out
+
+
+def plaquette_flips(lat: lt.TorusLattice) -> np.ndarray:
+    """The plaquette-flip group as X-masks; bit k of the index picks
+    plaquette k.  The last plaquette is the product of the others."""
+    return _span(lt.plaquette_stabilizer(lat, p).x_mask
+                 for p in range(lat.n_plaquettes - 1))
 
 
 @dataclass(frozen=True)
@@ -282,9 +285,7 @@ class SparseHamiltonian:
             turns = _popcount(cols, mask or 0) - row_turns
             w = np.zeros(self.dim, dtype=complex)
             for coeff, t in groups[x]:
-                q = (t.phase_quarter + (x & t.z_mask).bit_count()
-                     + 2 * _popcount(cols, t.z_mask) + turns)
-                w += coeff * _QUARTER_TURNS[q % 4]
+                w += coeff * QUARTER_TURNS[(t.quarter_turns(cols) + turns) % 4]
             if mask is None:
                 data[:, g] = w
             elif np.any(w.imag != 0.0):
@@ -309,7 +310,7 @@ class SparseHamiltonian:
                                       sector_dim, floors)
         self._compiled = SectorOperator(
             matrix=a,
-            gauge=None if mask is None else _QUARTER_TURNS[row_turns % 4],
+            gauge=None if mask is None else QUARTER_TURNS[row_turns % 4],
             order=order, sector_dim=sector_dim, floors=floors,
             symmetries=symmetries, orbit=orbit, carry=carry)
         return self._compiled
@@ -553,12 +554,7 @@ def ground_space_reference(lat: lt.TorusLattice) -> tuple[np.ndarray, list[tuple
     ((+1, +1), (-1, +1), (+1, -1), (-1, -1) for the two Z-loops).
     """
     n = lat.n_links
-    flips = [lt.plaquette_stabilizer(lat, p).x_mask
-             for p in range(lat.n_plaquettes - 1)]  # last = product of rest
-    group = [0]
-    for f in flips:
-        group += [g ^ f for g in group]
-    group = np.array(group, dtype=np.uint64)
+    group = plaquette_flips(lat)
     x1, x2 = (loop.x_mask for loop in lt.x_loops(lat))
     reps = [0, x1, x2, x1 ^ x2]
     z1, z2 = (loop.z_mask for loop in lt.z_loops(lat))
@@ -567,8 +563,8 @@ def ground_space_reference(lat: lt.TorusLattice) -> tuple[np.ndarray, list[tuple
     amp = 1.0 / np.sqrt(len(group))
     for col, rep in enumerate(reps):
         states[np.uint64(rep) ^ group, col] = amp
-        sectors.append((1 - 2 * (bin(rep & z1).count("1") & 1),
-                        1 - 2 * (bin(rep & z2).count("1") & 1)))
+        sectors.append((1 - 2 * ((rep & z1).bit_count() & 1),
+                        1 - 2 * ((rep & z2).bit_count() & 1)))
     return states, sectors
 
 

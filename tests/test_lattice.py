@@ -1,7 +1,6 @@
-"""Torus geometry, stabilizers, loop operators, and the cubic embedding."""
+"""Torus geometry, stabilizers and loop operators."""
 
 import itertools
-import json
 from collections import Counter
 
 import pytest
@@ -99,50 +98,3 @@ def test_neighbor_pairs_unique_and_shared(lat):
         in_p = sum(any({a, b} == {x, y} for x, y in zip(ls, ls[1:]))
                    for ls in lat.plaquette_links)
         assert (in_v, in_p) == (1, 1)
-
-
-def test_embedding_validates(lat):
-    emb = lt.plan_cubic_embedding(lat)
-    report = lt.validate_embedding(emb, lat)
-    assert report.ok, report.violations
-    wrapped = sum(1 for p in emb.swap_paths.values() if p)
-    assert wrapped == 4 * lat.L - 1
-    # bulk pairs sit adjacent with zero swaps
-    assert sum(1 for p in emb.swap_paths.values() if not p) == (
-        3 * lat.L**2 - wrapped)
-
-
-def test_embedding_homes_in_plane(lat):
-    emb = lt.plan_cubic_embedding(lat)
-    for coord in emb.logical_to_physical.values():
-        assert coord[2] == 0
-    for path in emb.swap_paths.values():
-        for coord in path[1:]:
-            assert coord[2] == 1  # shuttling stays in the aux layer
-
-
-def test_validator_flags_corruption():
-    lat2 = lt.build(2)
-    emb = lt.plan_cubic_embedding(lat2)
-    bad = lt.CubicEmbedding(L=2,
-                            logical_to_physical=dict(emb.logical_to_physical),
-                            swap_paths=dict(emb.swap_paths))
-    bad.logical_to_physical[0] = bad.logical_to_physical[1]
-    wrap = next(k for k, v in bad.swap_paths.items() if v)
-    bad.swap_paths[wrap] = bad.swap_paths[wrap][:-1]
-    report = lt.validate_embedding(bad, lat2)
-    assert not report.ok
-    assert len(report.violations) >= 2
-
-
-def test_exports_parse():
-    lat2 = lt.build(2)
-    emb = lt.plan_cubic_embedding(lat2)
-    geo = json.loads(lt.lattice_to_json(lat2))
-    assert geo["L"] == 2 and len(geo["links"]) == 8
-    plan = json.loads(emb.to_json())
-    assert len(plan["sites"]) == 8
-    rows = emb.schedule_rows()
-    assert all(len(r) == 6 for r in rows)
-    assert emb.swap_count == sum(max(len(p) - 1, 0)
-                                 for p in emb.swap_paths.values())

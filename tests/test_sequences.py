@@ -10,8 +10,8 @@ from toricsim import sequences as sq
 from toricsim.pauli import PauliString
 from toricsim.sequences import (BranchCutError, Gate, GateSequence,
                                 bch_second_order, cycled, echoed_u123,
-                                effective_hamiltonian, embedded_sequence,
-                                eq3_targets, estimate_cycle_time, order_scan,
+                                effective_hamiltonian, eq3_targets,
+                                estimate_cycle_time, order_scan,
                                 plaquette_generators, serial_compose, u123)
 
 PHIS = (0.05, 0.08, 0.12, 0.2)
@@ -252,10 +252,13 @@ def test_bch_error_is_third_order():
 
 
 def test_serial_compose_disjoint_supports():
-    v = embedded_sequence(echoed_u123(0.15, 0.15, 0.15), 8, (0, 1, 2, 3))
-    x = embedded_sequence(
-        echoed_u123(0.15, 0.15, 0.15, generators=plaquette_generators()),
-        8, (4, 5, 6, 7))
+    # the vertex set on qubits 0-3 and the plaquette set on qubits 4-7
+    v = echoed_u123(0.15, 0.15, 0.15, generators=[
+        PauliString.from_label(g.label(with_phase=False) + "IIII")
+        for g in sq.DEFAULT_VERTEX_GENERATORS])
+    x = echoed_u123(0.15, 0.15, 0.15, generators=[
+        PauliString.from_label("IIII" + g.label(with_phase=False))
+        for g in plaquette_generators()])
     _, rep = serial_compose(v, x)
     assert rep.error_norm == pytest.approx(0.0, abs=1e-13)
 
@@ -281,14 +284,6 @@ def test_cycle_time_estimate():
         serial / 2)
     with pytest.raises(ValueError):
         estimate_cycle_time(lat, 1e-6, gates_per_u=0)
-
-
-def test_sequence_json_round_trip():
-    seq = echoed_u123(0.11, 0.07, 0.19)
-    back = GateSequence.from_json(seq.to_json())
-    assert back.label == seq.label
-    assert len(back.gates) == 20
-    np.testing.assert_allclose(back.unitary(), seq.unitary(), atol=1e-14)
 
 
 def test_report_rows_export():
