@@ -40,11 +40,12 @@ from . import sequences as sq
 from . import spectra as sp
 from .pauli import PauliString
 
-SCHEMA_VERSION = 2
-# Fixed-point decimals of the eigensolver columns (energies, gaps,
-# fidelities).  Their last digit, 1e-10, sits far above both the ~1e-14
-# round-off that differs between BLAS builds and the ~1e-13 shift that a
-# Hermitian perturbation of norm 1e-13 causes, so it cannot flip.
+SCHEMA_VERSION = 3
+# Fixed-point decimals of the solver columns (energies, gaps, fidelities,
+# and the observables of the dissipative scenarios).  Their last digit,
+# 1e-10, sits far above both the ~1e-14 round-off that differs between
+# BLAS builds and the ~1e-13 shift that a Hermitian perturbation of norm
+# 1e-13 causes, so it cannot flip.
 SOLVER_DECIMALS = 10
 OMEGA_DEFINITION = ("omega = elementary gates per unit time of the "
                     "configured pulse schedule")
@@ -508,6 +509,9 @@ _SOLVER_COLUMNS: dict[str, tuple[str, ...]] = {
     "spectrum": ("energy",),
     "fidelity": ("subspace_fidelity", "sector_0", "sector_1", "sector_2",
                  "sector_3", "manifold_spread", "gap"),
+    "thermalize": ("energy", "entropy", "excitation_density",
+                   "trace_distance_to_stationary"),
+    "cool-with-noise": ("excitation_density", "fitted_temperature"),
 }
 
 
@@ -543,19 +547,36 @@ def emit_figure_data(kind: str, rows: Sequence[Sequence],
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr rho ln rho in nats, clipped at the numerical floor."""
-    vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > 1e-15]
+    return population_entropy(np.linalg.eigvalsh(rho))
+
+
+def population_entropy(populations: np.ndarray) -> float:
+    """Shannon entropy -sum p ln p in nats, clipped at the numerical floor;
+    for frame populations it is the von Neumann entropy of the state."""
+    vals = populations[populations > 1e-15]
     return float(-(vals * np.log(vals)).sum())
+
+
+def _stabilizers(lat: lt.TorusLattice) -> list[PauliString]:
+    return ([lt.vertex_stabilizer(lat, v) for v in range(lat.n_vertices)]
+            + [lt.plaquette_stabilizer(lat, q) for q in range(lat.n_plaquettes)])
 
 
 def excitation_density(rho: np.ndarray, lat: lt.TorusLattice) -> float:
     """Mean flipped-stabilizer weight (1 - <h>)/2 over all stabilizers."""
+    stabs = _stabilizers(lat)
     total = 0.0
-    stabs = [lt.vertex_stabilizer(lat, v) for v in range(lat.n_vertices)]
-    stabs += [lt.plaquette_stabilizer(lat, q) for q in range(lat.n_plaquettes)]
     for stab in stabs:
         total += (1.0 - stab.expectation(rho).real) / 2.0
     return total / len(stabs)
+
+
+def excitation_weights(frame: lb.StabilizerFrame) -> np.ndarray:
+    """Mean flipped-stabilizer weight of each frame state, from the frame
+    diagonals of the stabilizers: populations @ weights is the excitation
+    density of a frame-diagonal state."""
+    stabs = _stabilizers(frame.lattice)
+    return sum((1.0 - frame.diagonal(s)) / 2.0 for s in stabs) / len(stabs)
 
 
 def _fitted_temperature(density: float) -> float:
@@ -719,14 +740,15 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     dim = model.dim
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
     out = lb.evolve(model, np.eye(dim) / dim, cfg.t_final, sample_times=times)
-    h_dense = model.hamiltonian.to_dense()
+    # every sample is frame-diagonal: read the observables off populations
+    weights = excitation_weights(model.frame)
     rows = []
-    for t, state in zip(out.times, out.states):
+    for t, pops in zip(out.times, out.populations):
         rows.append((float(t),
-                     float(np.real(np.trace(h_dense @ state))),
-                     von_neumann_entropy(state),
-                     excitation_density(state, lat),
-                     lb.trace_distance(state, stat.rho)))
+                     float(pops @ stat.energies),
+                     population_entropy(pops),
+                     float(pops @ weights),
+                     float(0.5 * np.abs(pops - stat.populations).sum())))
     parts.metrics = _columns("thermalize", rows)
     parts.files.append(("thermalize.csv", emit_figure_data("thermalize", rows)))
     report = {
@@ -743,7 +765,9 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     parts.files.append(("thermalize.json",
                         json.dumps(report, sort_keys=True, indent=1)))
     parts.solver = {"stationary": stat.counters,
-                    "evolve": {"path": out.path, **out.counters}}
+                    "evolve": {"path": out.path, **out.counters},
+                    "frame_transports": model.frame.transports,
+                    "observables": "frame-populations"}
     parts.check("stationary-residual", stat.residual < 1e-8,
                 f"generator residual {stat.residual:.2e} vs < 1e-8")
     expected = 1 if cfg.p > 0 else 4
@@ -778,6 +802,7 @@ class CoolingSweep:
     fit_residual: float | None
     rank_correlation: float | None
     omega: float
+    frame_transports: int           # operators carried into the frame
     omega_definition: str = OMEGA_DEFINITION
 
 
@@ -791,26 +816,38 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     EPG point.  The fitted temperature comes from the Boltzmann inversion
     of the mean per-stabilizer excitation weight, and the sweep is fit to
     T = c * Delta / ln(Gamma_c / Gamma_e) with the residual reported.
+
+    H and every channel are transported into the stabilizer frame once per
+    sweep; each point only reweights them (``LindbladModel.with_rates``),
+    and its density is read off the stationary frame populations.
     """
     cfg.require_valid()
     lat = lt.build(cfg.lattice_l)
-    h = sp.build_hamiltonian(lat)
     gamma_c = cfg.lambda_star
     if cfg.ratio_grid:
         settings = [(r, gamma_c / r) for r in cfg.ratio_grid]
     else:
         gamma_e = cfg.epg * cfg.omega
         settings = [(math.inf if gamma_e == 0 else gamma_c / gamma_e, gamma_e)]
+    cooling = lb.cooling_jump_set(lat, lambda_star=gamma_c).jumps
+
+    def jumps(gamma_e: float) -> tuple[lb.JumpTerm, ...]:
+        if gamma_e == 0:
+            return cooling
+        return cooling + lb.depolarizing_jumps(lat.n_links, gamma=gamma_e)
+
+    # a ratio grid makes every point noisy, so all points share the
+    # channel list of the first
+    sweep = lb.LindbladModel(n_qubits=lat.n_links,
+                             hamiltonian=sp.build_hamiltonian(lat),
+                             jumps=jumps(settings[0][1]), lattice=lat,
+                             label="cool-with-noise")
+    weights = excitation_weights(sweep.frame)
     points = []
     for ratio, gamma_e in settings:
-        jumps = lb.cooling_jump_set(lat, lambda_star=gamma_c).jumps
-        if gamma_e > 0:
-            jumps = jumps + lb.depolarizing_jumps(lat.n_links, gamma=gamma_e)
-        model = lb.LindbladModel(n_qubits=lat.n_links, hamiltonian=h,
-                                 jumps=jumps, lattice=lat,
-                                 label="cool-with-noise")
-        stat = lb.stationary_state(model)
-        density = excitation_density(stat.rho, lat)
+        stat = lb.stationary_state(
+            sweep.with_rates([jt.rate for jt in jumps(gamma_e)]))
+        density = float(stat.populations @ weights)
         points.append(CoolingPoint(
             ratio=ratio, gamma_c=gamma_c, gamma_e=gamma_e,
             epg=gamma_e / cfg.omega, excitation_density=density,
@@ -831,7 +868,8 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
         rank = float(scipy.stats.spearmanr(x, t).statistic)
     return CoolingSweep(points=points, fit_constant=fit_constant,
                         fit_residual=fit_residual, rank_correlation=rank,
-                        omega=cfg.omega)
+                        omega=cfg.omega,
+                        frame_transports=sweep.frame.transports)
 
 
 def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
@@ -853,7 +891,9 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
     parts.files.append(("cool-with-noise.json",
                         json.dumps(report, sort_keys=True, indent=1)))
     parts.solver = {"points": [{"gamma_e": pt.gamma_e, **pt.solver}
-                               for pt in sweep.points]}
+                               for pt in sweep.points],
+                    "frame_transports": sweep.frame_transports,
+                    "observables": "frame-populations"}
     parts.check("steady", all(pt.steady for pt in sweep.points),
                 f"max generator residual "
                 f"{max(pt.residual for pt in sweep.points):.2e}")

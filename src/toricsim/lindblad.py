@@ -19,18 +19,24 @@ the generator, as it does for every engineered jump set with or without
 depolarizing noise, lattice dissipation runs on the population chain: the
 classical rate matrix M of the frame populations.  The stationary state is
 the null space of M, and a frame-diagonal start evolves exactly as
-exp(M t) p0.  The full generator is applied in matrix form on the sparse
-frame matrices; it gives the residual that every stationary state is
-checked against and, integrated by scipy's adaptive RK45, evolves starts
-with frame coherences.  Models without a lattice use dense matrices, which
-also serve as the L = 2 oracle.  The vectorized superoperator
-(``_superoperator``) serves only the adiabatic-elimination probe and the
-null-vector fallback for models whose population sector does not close
-(for example with a transverse field).
+exp(M t) p0.  H and every frame-diagonal observable (stabilizers, Wilson
+loops) are diagonal in the frame, so the results carry the populations
+and the Gibbs distances and loops are read from them without a dense
+eigensolve.  Each operator is transported into the frame once per model,
+or once per rate sweep (``LindbladModel.with_rates``).  The full generator
+is applied in matrix form on the sparse frame matrices; it gives the
+residual that every stationary state is checked against and, integrated
+by scipy's adaptive RK45, evolves starts with frame coherences.  Models
+without a lattice use dense matrices, which also serve as the L = 2
+oracle, as do ``gibbs_state`` and ``trace_distance``.  The vectorized
+superoperator (``_superoperator``) serves only the adiabatic-elimination
+probe and the null-vector fallback for models whose population sector
+does not close (for example with a transverse field).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -201,6 +207,36 @@ class LindbladModel:
             return math.inf
         return self.delta / math.log((1.0 - self.p) / self.p)
 
+    @property
+    def frame(self) -> StabilizerFrame:
+        """Stabilizer frame of the compiled generator (lattice-backed
+        models only)."""
+        gen = _compile_generator(self)
+        if not isinstance(gen, _FrameMatrices):
+            raise ValueError("model is not solved in a stabilizer frame")
+        return gen.frame
+
+    def with_rates(self, rates: Sequence[float]) -> "LindbladModel":
+        """This model with jump ``k`` at ``rates[k]``; zero-rate jumps are
+        dropped.
+
+        A lattice-backed copy shares the frame, H and channel transports of
+        this model's compiled generator and rebuilds only the parts that
+        depend on the rates, so a rate sweep transports each operator once.
+        """
+        if len(rates) != len(self.jumps):
+            raise ValueError(f"{len(rates)} rates for {len(self.jumps)} jumps")
+        terms = [JumpTerm(jt.label, float(r), jt.operator)
+                 for jt, r in zip(self.jumps, rates)]
+        keep = [k for k, jt in enumerate(terms) if jt.rate > 0.0]
+        model = dataclasses.replace(self, jumps=tuple(terms[k] for k in keep))
+        gen = _compile_generator(self)
+        if isinstance(gen, _FrameMatrices):
+            object.__setattr__(model, "_generator", _FrameMatrices(
+                gen.frame, gen.h, model.jumps,
+                [gen.channels[k][1] for k in keep]))
+        return model
+
 
 def _pair_sites(lat: lt.TorusLattice) -> list[tuple[int, str]]:
     return [(link, kind) for kind in ("e", "m") for link in range(lat.n_links)]
@@ -302,6 +338,7 @@ class StabilizerFrame:
     on computational bitstrings and by a group character; every Pauli string
     maps one basis state to exactly one basis state times a scalar, so
     operators built from few strings are sparse signed permutations here.
+    ``transports`` counts the calls of :meth:`operator`.
     """
 
     def __init__(self, lat: lt.TorusLattice):
@@ -339,6 +376,8 @@ class StabilizerFrame:
         if self.size != self.dim:
             raise ValueError("frame dimension mismatch")
         self._basis: np.ndarray | None = None
+        self._diagonals: dict[PauliString, np.ndarray] = {}
+        self.transports = 0
 
     # -- basis ---------------------------------------------------------
 
@@ -369,10 +408,20 @@ class StabilizerFrame:
 
     # -- operator transport ---------------------------------------------
 
+    def diagonal(self, string: PauliString) -> np.ndarray:
+        """Real frame diagonal of a Hermitian Pauli string, transported once
+        per frame: p @ diagonal(s) is <s> for frame populations p (zero
+        where s moves the frame state)."""
+        if string not in self._diagonals:
+            self._diagonals[string] = self.operator(
+                PauliSum.from_string(string)).diagonal().real
+        return self._diagonals[string]
+
     def operator(self, op: PauliSum) -> scipy.sparse.csr_matrix:
         """Frame matrix of a Pauli sum (signed permutation per string)."""
         if op.n_qubits != self.n_qubits:
             raise ValueError("operator register size mismatch")
+        self.transports += 1
         if len(op) == 0:
             return scipy.sparse.csr_matrix((self.size, self.size), dtype=complex)
         t_arr = np.arange(self.n_char, dtype=np.uint64)
@@ -499,35 +548,48 @@ def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
 class _FrameMatrices:
     """H and the jump channels of a lattice-backed model in the frame.
 
-    Each operator is transported once by ``StabilizerFrame.operator``.
-    Every channel must be a partial signed permutation in the frame, with
-    distinct rows and distinct columns, or ``ValueError`` names it.
-    ``apply`` evaluates the generator in matrix form,
-    -i[H, rho] - {A, rho} + sum 2r c rho c† with A = sum r c†c, one channel
-    at a time.
+    :meth:`transport` carries H and every channel into the frame once with
+    ``StabilizerFrame.operator``.  Every channel must be a partial signed
+    permutation in the frame, with distinct rows and distinct columns, or
+    ``ValueError`` names it.  The constructor builds only what depends on
+    the rates, in O(nnz): for such a channel c†c is diagonal, so the
+    absorber A = sum r c†c is a vector that adds r |v|^2 at each channel's
+    columns.  ``apply`` evaluates the generator in matrix form,
+    -i[H, rho] - {A, rho} + sum 2r c rho c†, one channel at a time.
     """
 
     path = "frame"
 
-    def __init__(self, model: LindbladModel, frame: StabilizerFrame):
+    def __init__(self, frame: StabilizerFrame, h: scipy.sparse.csr_matrix,
+                 jumps: Sequence[JumpTerm],
+                 transports: Sequence[scipy.sparse.coo_matrix]):
+        self.frame = frame
+        self.h = h
+        self.channels = [(jt.rate, c) for jt, c in zip(jumps, transports)]
+        absorber = np.zeros(h.shape[0])
+        self._gains = []
+        for rate, c in self.channels:
+            absorber[c.col] += rate * (c.data.conj() * c.data).real
+            self._gains.append((2.0 * rate, c.row, c.col, c.data))
+        # K = -iH - A
+        self._drift = (-1j * h - scipy.sparse.diags(absorber)).tocsr()
+
+    @classmethod
+    def transport(cls, model: LindbladModel,
+                  frame: StabilizerFrame) -> "_FrameMatrices":
         if model.dim > DENSITY_DIM_CAP:
             raise ValueError(
                 f"dimension {model.dim} exceeds the dense cap of {DENSITY_DIM_CAP}")
-        self.frame = frame
-        self.h = frame.operator(model.hamiltonian.to_pauli_sum())
-        self.channels = [(jt.rate, frame.operator(jt.operator))
-                         for jt in model.jumps]
-        absorber = scipy.sparse.csr_matrix(self.h.shape, dtype=complex)
-        self._gains = []
-        for jt, (rate, c) in zip(model.jumps, self.channels):
-            absorber = absorber + rate * (c.conj().T @ c)
-            coo = c.tocoo()
-            if (np.unique(coo.row).size < coo.nnz
-                    or np.unique(coo.col).size < coo.nnz):
+        h = frame.operator(model.hamiltonian.to_pauli_sum())
+        transports = []
+        for jt in model.jumps:
+            c = frame.operator(jt.operator).tocoo()
+            if (np.unique(c.row).size < c.nnz
+                    or np.unique(c.col).size < c.nnz):
                 raise ValueError(f"channel {jt.label!r} is not a partial "
                                  "permutation in the stabilizer frame")
-            self._gains.append((2.0 * rate, coo.row, coo.col, coo.data))
-        self._drift = (-1j * self.h - absorber).tocsr()      # K = -iH - A
+            transports.append(c)
+        return cls(frame, h, model.jumps, transports)
 
     def into(self, rho: np.ndarray) -> np.ndarray:
         return self.frame.to_frame(np.asarray(rho, dtype=complex))
@@ -555,7 +617,7 @@ def _compile_generator(model: LindbladModel):
     built once per model and cached on it."""
     if model._generator is None:
         if model.lattice is not None and model.n_qubits <= FRAME_QUBIT_CAP:
-            gen = _FrameMatrices(model, StabilizerFrame(model.lattice))
+            gen = _FrameMatrices.transport(model, StabilizerFrame(model.lattice))
         else:
             gen = _DenseGenerator(model)
         object.__setattr__(model, "_generator", gen)
@@ -584,7 +646,12 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
 
 @dataclass
 class EvolutionResult:
-    """Density-matrix trajectory with per-sample conservation monitors."""
+    """Density-matrix trajectory with per-sample conservation monitors.
+
+    On the ``chain`` path ``populations`` holds the frame populations at
+    each sample, with states[k] = B diag(populations[k]) Bᵀ; it is None on
+    the RK45 paths.
+    """
 
     times: np.ndarray
     states: np.ndarray              # (n_times, dim, dim)
@@ -592,6 +659,7 @@ class EvolutionResult:
     min_eigenvalues: np.ndarray
     path: str                       # "chain", or RK45 on "frame" / "dense"
     counters: dict = field(default_factory=dict)  # sizes and evaluations
+    populations: np.ndarray | None = None     # (n_times, dim) on the chain
 
     @property
     def final(self) -> np.ndarray:
@@ -647,6 +715,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
         path = "chain"
         counters = {"chain_size": p0.size, "propagator_evaluations": n_props}
     else:
+        pops = None
         frames, n_rhs = _integrate(gen, y0, times, t_final)
         states = np.stack([gen.out_of(f) for f in frames])
         trace_defects = np.abs(np.einsum("kii->k", states).real - 1.0)
@@ -666,7 +735,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
     return EvolutionResult(times=times, states=states,
                            trace_defects=trace_defects,
                            min_eigenvalues=min_eigs, path=path,
-                           counters=counters)
+                           counters=counters, populations=pops)
 
 
 def _propagate_chain(m: np.ndarray, p0: np.ndarray,
@@ -711,14 +780,21 @@ def gibbs_state(hamiltonian: SparseHamiltonian | np.ndarray,
     h = hamiltonian.to_dense() if isinstance(hamiltonian, SparseHamiltonian) \
         else np.asarray(hamiltonian)
     energies, vectors = scipy.linalg.eigh(h)
+    weights = _gibbs_weights(energies, temperature)
+    return (vectors * weights) @ vectors.conj().T
+
+
+def _gibbs_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
+    """Normalized exp(-(E - E0)/T) over ``energies`` (E0 the lowest); at
+    T = 0 uniform over the levels within 1e-10 of E0."""
     if temperature < 0.0:
         raise ValueError("temperature must be >= 0")
+    shifted = energies - energies.min()
     if temperature == 0.0:
-        weights = (energies - energies[0] < 1e-10).astype(float)
+        weights = (shifted < 1e-10).astype(float)
     else:
-        weights = np.exp(-(energies - energies[0]) / temperature)
-    weights /= weights.sum()
-    return (vectors * weights) @ vectors.conj().T
+        weights = np.exp(-shifted / temperature)
+    return weights / weights.sum()
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -741,7 +817,10 @@ class StationaryResult:
     ``gibbs_temperature`` is the model's ``temperature_target`` (for a
     thermal set the Boltzmann-weight reading -delta/ln p, equal to the
     former only as p -> 0), and ``trace_distance_to_gibbs`` stays finite
-    whenever the two temperatures differ.
+    whenever the two temperatures differ.  When the population chain ran,
+    ``populations`` holds the stationary frame populations and ``energies``
+    the frame diagonal of H, so rho = B diag(populations) Bᵀ; both are
+    None on the vectorized fallback.
     """
 
     rho: np.ndarray
@@ -754,6 +833,8 @@ class StationaryResult:
     loop_expectations: dict[str, float]
     method: str
     counters: dict = field(default_factory=dict)  # engine and sizes
+    populations: np.ndarray | None = None
+    energies: np.ndarray | None = None
 
 
 def _classical_rate_matrix(gen: _FrameMatrices) -> tuple[np.ndarray, bool]:
@@ -765,10 +846,9 @@ def _classical_rate_matrix(gen: _FrameMatrices) -> tuple[np.ndarray, bool]:
     h_off = gen.h - scipy.sparse.diags(gen.h.diagonal())
     closed = not (h_off.nnz and np.abs(h_off.data).max() > 1e-12)
     for rate, c in gen.channels:
-        coo = c.tocoo()
-        flows = 2.0 * rate * np.abs(coo.data) ** 2
-        np.add.at(m, (coo.row, coo.col), flows)
-        np.add.at(m, (coo.col, coo.col), -flows)
+        flows = 2.0 * rate * np.abs(c.data) ** 2
+        np.add.at(m, (c.row, c.col), flows)
+        np.add.at(m, (c.col, c.col), -flows)
     return m, closed
 
 
@@ -803,7 +883,8 @@ def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
 def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResult:
     """Stationary density matrix of a lattice-backed model.
 
-    H and the channels are transported into the stabilizer frame once.
+    H and the channels are transported into the stabilizer frame once per
+    model (or once per rate sweep, see :meth:`LindbladModel.with_rates`).
     Every engineered jump is a partial signed permutation there, so the
     population sector closes under the generator and the stationary state
     is the null space of the population chain's rate matrix M; no
@@ -811,15 +892,20 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
     generator in matrix form (``residual``).  When several recurrent
     classes exist (for example at p = 0) their stationary distributions are
     averaged with equal weights and the null-space dimension is reported.
-    Only if the population sector does not close is the vectorized
-    generator built, for a shift-inverted sparse null-vector solve.
-    ``counters`` names the engine (``population-chain`` or
-    ``vectorized-null-space``) with the chain size and null dimension.
+    On the chain H is frame-diagonal, and so is every Gibbs state: each
+    Gibbs distance is ½‖π − w‖₁ with w the Gibbs weights of the frame
+    energies, and each Wilson loop is π @ its frame diagonal.  Only if the
+    population sector does not close is the vectorized generator built,
+    for a shift-inverted sparse null-vector solve, and the Gibbs distances
+    and loops then come from dense matrices.  ``counters`` names the engine
+    (``population-chain`` or ``vectorized-null-space``) with the chain size
+    and null dimension.
     """
     if model.lattice is None:
         raise ValueError("stationary_state requires a lattice-backed model")
     gen = _compile_generator(model)
     m, closed = _classical_rate_matrix(gen)
+    pi = energies = None
     if closed:
         singulars = np.linalg.svd(m, compute_uv=False)
         null_dim = int(np.sum(singulars < tol * max(singulars[0], 1.0)))
@@ -827,6 +913,7 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
         if not dists:
             raise RuntimeError("no recurrent class found")
         pi = np.mean(dists, axis=0)
+        energies = gen.h.diagonal().real
         rho_f = np.diag(pi.astype(complex))
         method = "classical-rate-matrix"
         counters = {"engine": "population-chain", "chain_size": pi.size}
@@ -839,28 +926,36 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
 
+    def gibbs_distance(temperature: float) -> float:
+        if closed:
+            return float(0.5 * np.abs(
+                pi - _gibbs_weights(energies, temperature)).sum())
+        return trace_distance(rho, gibbs_state(model.hamiltonian, temperature))
+
     distance = None
     temperature = model.temperature_target
     if temperature is not None and temperature > 0.0:
-        distance = trace_distance(rho, gibbs_state(model.hamiltonian, temperature))
+        distance = gibbs_distance(temperature)
     distance_db = None
     temperature_db = None
     if model.p is not None and model.delta is not None:
         temperature_db = model.detailed_balance_temperature()
-        distance_db = trace_distance(
-            rho, gibbs_state(model.hamiltonian, temperature_db))
+        distance_db = gibbs_distance(temperature_db)
     loops = {}
-    for idx, string in enumerate(lt.z_loops(model.lattice)):
-        loops[f"wilson_z_{idx}"] = string.expectation(rho).real
-    for idx, string in enumerate(lt.x_loops(model.lattice)):
-        loops[f"wilson_x_{idx}"] = string.expectation(rho).real
+    for name, strings in (("z", lt.z_loops(model.lattice)),
+                          ("x", lt.x_loops(model.lattice))):
+        for idx, string in enumerate(strings):
+            loops[f"wilson_{name}_{idx}"] = (
+                float(pi @ gen.frame.diagonal(string)) if closed
+                else string.expectation(rho).real)
     return StationaryResult(rho=rho, null_dim=null_dim, residual=residual,
                             trace_distance_to_gibbs=distance,
                             gibbs_temperature=temperature,
                             trace_distance_to_detailed_balance=distance_db,
                             detailed_balance_temperature=temperature_db,
                             loop_expectations=loops, method=method,
-                            counters={**counters, "null_dim": null_dim})
+                            counters={**counters, "null_dim": null_dim},
+                            populations=pi, energies=energies)
 
 
 def _vectorized_null_state(gen: _FrameMatrices, tol: float) -> tuple[np.ndarray, int]:

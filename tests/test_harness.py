@@ -178,7 +178,7 @@ class TestEmitFigureData:
     def test_schema_header_and_float_format(self):
         text = hn.emit_figure_data("eliminate", [(0.02, 0.6, 1.0 / 3.0, 1e-3)])
         lines = text.splitlines()
-        assert lines[0].startswith("# toricsim-csv v2 schema=eliminate")
+        assert lines[0].startswith("# toricsim-csv v3 schema=eliminate")
         assert lines[1] == "coupling,relaxation,rate,fit_residual"
         assert "3.333333333333e-01" in lines[2]
 
@@ -242,7 +242,7 @@ class TestScenarioRuns:
         assert abs(report["single_term_slopes"]["IXZZ"] - 4.0) < 0.3
         assert report["echoed_residual_slope"] > 5.5
         csv_lines = (tmp_path / "sequence-order-scan.csv").read_text()
-        assert csv_lines.startswith("# toricsim-csv v2 "
+        assert csv_lines.startswith("# toricsim-csv v3 "
                                     "schema=sequence-order-scan")
 
     def test_spectrum_scan(self, tmp_path):
@@ -267,6 +267,8 @@ class TestScenarioRuns:
     def test_solver_block_in_records(self, tmp_path, monkeypatch):
         # the dissipative scenarios run on the 256-state population chain;
         # the 11 samples are one unit apart, so one propagator serves them
+        # H, the channels, 8 stabilizers and 4 Wilson loops are each carried
+        # into the frame once: 1 + 64 + 12 and 1 + 32 + 24 + 12 operators
         chain = {"engine": "population-chain", "chain_size": 256,
                  "null_dim": 1}
         record = hn.run(hn.ScenarioConfig(kind="thermalize",
@@ -275,14 +277,17 @@ class TestScenarioRuns:
         assert record.solver == {
             "stationary": chain,
             "evolve": {"path": "chain", "chain_size": 256,
-                       "propagator_evaluations": 1}}
+                       "propagator_evaluations": 1},
+            "frame_transports": 77, "observables": "frame-populations"}
         stored = json.loads((tmp_path / "thermalize-record.json").read_text())
         assert stored["solver"] == record.solver
         record = hn.run(hn.ScenarioConfig(kind="cool-with-noise",
                                           outdir=str(tmp_path)))
         assert record.ok, record.summary_lines()
-        assert record.solver == {"points": [
-            {"gamma_e": g, **chain} for g in record.metrics["gamma_e"]]}
+        assert record.solver == {
+            "points": [{"gamma_e": g, **chain}
+                       for g in record.metrics["gamma_e"]],
+            "frame_transports": 69, "observables": "frame-populations"}
         stored = json.loads(
             (tmp_path / "cool-with-noise-record.json").read_text())
         assert stored["solver"] == record.solver
@@ -334,6 +339,25 @@ class TestScenarioRuns:
         assert stored["config_hash"] == cfg.config_hash()
         assert set(stored["outputs"]) == {"thermalize.csv", "thermalize.json"}
 
+    def test_cool_with_noise_transports_each_operator_once(self,
+                                                           monkeypatch):
+        # one frame for the sweep, and one transport per distinct operator:
+        # H, 32 cooling and 24 depolarizing channels, 8 stabilizers and
+        # 4 Wilson loops, although the sweep solves 4 models
+        frames, transported = [], []
+        init, operator = lb.StabilizerFrame.__init__, lb.StabilizerFrame.operator
+        monkeypatch.setattr(lb.StabilizerFrame, "__init__",
+                            lambda f, lat: frames.append(1) or init(f, lat))
+        monkeypatch.setattr(
+            lb.StabilizerFrame, "operator",
+            lambda f, op: transported.append(frozenset(op.items()))
+            or operator(f, op))
+        sweep = hn.cool_with_noise(hn.ScenarioConfig(kind="cool-with-noise"))
+        assert len(sweep.points) == 4
+        assert len(frames) == 1
+        assert len(transported) == len(set(transported)) == 69
+        assert sweep.frame_transports == 69
+
     def test_cool_with_noise_sweep(self, tmp_path):
         cfg = hn.ScenarioConfig(kind="cool-with-noise", outdir=str(tmp_path))
         record = hn.run(cfg)
@@ -352,9 +376,9 @@ class TestScenarioRuns:
         assert len(sweep.points) == 1
         point = sweep.points[0]
         assert point.gamma_e == 0.0 and point.ratio == math.inf
-        assert point.excitation_density < 1e-6
-        # density ~1e-16 inverts to a tiny but nonzero temperature
-        assert point.fitted_temperature < 0.15
+        # the four ground states absorb every population: density 0
+        assert point.excitation_density == 0.0
+        assert point.fitted_temperature == 0.0
         assert sweep.fit_constant is None
 
     def test_cool_with_noise_heating_endpoint(self):
@@ -391,9 +415,13 @@ class TestScenarioRuns:
             assert ((out_a / name).read_bytes()
                     == (out_b / name).read_bytes())
 
+    # the dissipative scenarios ignore chi_grid: their goldens are at the
+    # defaults
     @pytest.mark.parametrize("name,kind,grid_field", [
         ("spectrum-l2.csv", "spectrum", "spectrum.csv"),
         ("fidelity-l2.csv", "fidelity-scan", "fidelity.csv"),
+        ("thermalize-l2.csv", "thermalize", "thermalize.csv"),
+        ("cool-with-noise-l2.csv", "cool-with-noise", "cool-with-noise.csv"),
     ])
     def test_golden_files_regenerate_byte_identically(self, tmp_path, name,
                                                       kind, grid_field):
@@ -448,6 +476,39 @@ class TestScenarioRuns:
                     moved = max(moved, abs(value - old))
         assert set(emitted) == {"spectrum", "fidelity"}
         assert moved > 0.0          # the perturbation reached the solver
+
+    def test_dissipative_golden_cells_clear_their_rounding_boundary(
+            self, tmp_path, monkeypatch):
+        # The dissipative goldens read their observables off frame
+        # populations; the dense oracle on B diag(p) Bᵀ and the population
+        # formulas differ by up to ~1e-14 (round-off, as between BLAS
+        # builds).  Every solver cell must sit at least `margin` from the
+        # midpoint between two printed values, so no such drift flips it.
+        margin = 5e-13
+        emitted = {}
+        emit = hn.emit_figure_data
+
+        def capture(kind, rows, path=None):
+            emitted[kind] = rows
+            return emit(kind, rows, path)
+
+        monkeypatch.setattr(hn, "emit_figure_data", capture)
+        for kind in ("thermalize", "cool-with-noise"):
+            assert hn.run(hn.ScenarioConfig(kind=kind,
+                                            outdir=str(tmp_path))).ok
+        unit = 10.0 ** -hn.SOLVER_DECIMALS
+        for kind, rows in emitted.items():
+            columns = hn._FIGURE_SCHEMAS[kind][0]
+            solver = hn._SOLVER_COLUMNS[kind]
+            assert set(solver) < set(columns)
+            for row in rows:
+                for column, value in zip(columns, row):
+                    if column in solver:
+                        scaled = abs(value) / unit
+                        gap = abs(scaled - math.floor(scaled) - 0.5) * unit
+                        # nearest measured: 9.8e-13, the t = 2 entropy
+                        assert gap >= margin, (kind, column, value)
+        assert set(emitted) == {"thermalize", "cool-with-noise"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsim import harness as hn
 from toricsim import lattice as lt
 from toricsim import lindblad as lb
 from toricsim.pauli import PauliString, PauliSum
@@ -408,6 +409,116 @@ def test_chain_evolution_matches_superoperator_propagator(name):
             np.diag(want).real.min(), abs=1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_population_observables_match_dense_oracle(name):
+    # every chain result is B diag(p) Bᵀ; the population formulas must give
+    # what the dense functions give on that matrix
+    model = CHAIN_MODELS[name]
+    h = model.hamiltonian.to_dense()
+    basis = model.frame.basis
+    res = lb.stationary_state(model)
+    # a random frame-diagonal start breaks the logical symmetry of I/D, so
+    # the Z loops read nonzero values along the way
+    p0 = np.random.default_rng(3).random(DIM)
+    out = lb.evolve(model, (basis * (p0 / p0.sum())) @ basis.T, 3.0,
+                    sample_times=[0.0, 1.0, 3.0])
+    assert out.path == "chain"
+    np.testing.assert_allclose(res.rho, (basis * res.populations) @ basis.T,
+                               rtol=0, atol=1e-14)
+    weights = hn.excitation_weights(model.frame)
+    loops = lt.z_loops(LAT) + lt.x_loops(LAT)
+    gibbs = {t: (lb._gibbs_weights(res.energies, t), lb.gibbs_state(h, t))
+             for t in (0.0, 2.0, math.inf)}
+    for pops in (res.populations, *out.populations):
+        rho = (basis * pops) @ basis.T
+        assert abs(pops @ res.energies - np.trace(h @ rho).real) < 1e-12
+        assert abs(hn.population_entropy(pops)
+                   - hn.von_neumann_entropy(rho)) < 1e-12
+        assert abs(pops @ weights - hn.excitation_density(rho, LAT)) < 1e-12
+        for populations_t, state_t in gibbs.values():
+            assert abs(0.5 * np.abs(pops - populations_t).sum()
+                       - lb.trace_distance(rho, state_t)) < 1e-12
+        for loop in loops:
+            assert abs(pops @ model.frame.diagonal(loop)
+                       - loop.expectation(rho).real) < 1e-12
+    # what stationary_state reports
+    for distance, temperature in (
+            (res.trace_distance_to_gibbs, res.gibbs_temperature),
+            (res.trace_distance_to_detailed_balance,
+             res.detailed_balance_temperature)):
+        if distance is not None:
+            assert abs(distance - lb.trace_distance(
+                res.rho, lb.gibbs_state(h, temperature))) < 1e-12
+    for label, loop in zip(("wilson_z_0", "wilson_z_1", "wilson_x_0",
+                            "wilson_x_1"), loops):
+        assert abs(res.loop_expectations[label]
+                   - loop.expectation(res.rho).real) < 1e-12
+
+
+def test_stationary_loops_read_the_logical_sector(monkeypatch):
+    # keep one recurrent class of the cooling chain: a single logical
+    # sector, where each Z loop reads +-1 and each X loop 0
+    recurrent = lb._recurrent_distributions
+    monkeypatch.setattr(lb, "_recurrent_distributions",
+                        lambda m: recurrent(m)[:1])
+    res = lb.stationary_state(COOL)
+    loops = {f"wilson_{name}_{k}": loop
+             for name, group in (("z", lt.z_loops(LAT)), ("x", lt.x_loops(LAT)))
+             for k, loop in enumerate(group)}
+    assert set(res.loop_expectations) == set(loops)
+    for label, loop in loops.items():
+        assert abs(res.loop_expectations[label]
+                   - loop.expectation(res.rho).real) < 1e-12
+        assert abs(abs(res.loop_expectations[label])
+                   - label.startswith("wilson_z")) < 1e-12
+
+
+def test_rate_sweep_shares_transports_and_matches_fresh_models():
+    def jumps(gamma):
+        return COOL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=gamma)
+
+    sweep = lb.LindbladModel(n_qubits=LAT.n_links,
+                             hamiltonian=COOL.hamiltonian,
+                             jumps=jumps(0.1), lattice=LAT)
+    lb.stationary_state(sweep)
+    transports = sweep.frame.transports
+    assert transports == 1 + 32 + 24 + 4      # H, channels, Wilson loops
+    sigma = FRAME.to_frame(_random_density(DIM, seed=5))
+    for gamma in (0.3, 0.0):
+        point = jumps(gamma)
+        shared = sweep.with_rates([jt.rate for jt in point])
+        fresh = lb.LindbladModel(n_qubits=LAT.n_links,
+                                 hamiltonian=COOL.hamiltonian,
+                                 jumps=tuple(jt for jt in point if jt.rate > 0),
+                                 lattice=LAT)
+        assert ([(jt.label, jt.rate) for jt in shared.jumps]
+                == [(jt.label, jt.rate) for jt in fresh.jumps])
+        assert shared.frame is sweep.frame
+        a, b = lb.stationary_state(shared), lb.stationary_state(fresh)
+        np.testing.assert_allclose(a.populations, b.populations,
+                                   rtol=0, atol=1e-14)
+        assert a.null_dim == b.null_dim
+        assert abs(a.residual - b.residual) <= 1e-14
+        np.testing.assert_allclose(
+            lb._compile_generator(shared).apply(sigma),
+            lb._compile_generator(fresh).apply(sigma), rtol=0, atol=1e-14)
+    assert sweep.frame.transports == transports
+
+
+def test_with_rates_validation():
+    model = _single_qubit_damped_rabi()
+    with pytest.raises(ValueError, match="2 rates for 1 jumps"):
+        model.with_rates([0.1, 0.2])
+    with pytest.raises(ValueError):
+        model.with_rates([-0.1])
+    assert model.with_rates([0.0]).jumps == ()
+    faster = model.with_rates([0.3])
+    assert faster.jumps[0].rate == 0.3
+    assert lb._compile_generator(faster).path == "dense"
+    with pytest.raises(ValueError, match="stabilizer frame"):
+        faster.frame
+
+
 def test_superoperator_matches_dense_generator_on_probe():
     dense = lb._DenseGenerator(lb.probe_model(0.03, 1.0))
     sigma = _random_density(dense.h.shape[0], seed=13)
@@ -547,6 +658,13 @@ def test_gibbs_and_trace_distance_helpers():
     np.testing.assert_allclose(np.sort(scipy.linalg.eigvalsh(gibbs)),
                                np.sort(boltzmann / boltzmann.sum()),
                                atol=1e-12)
+    # the weights follow the energies in any order (frame order is not
+    # sorted)
+    for temperature in (0.0, 2.0):
+        np.testing.assert_allclose(
+            lb._gibbs_weights(ENERGIES[::-1], temperature),
+            lb._gibbs_weights(ENERGIES, temperature)[::-1],
+            rtol=1e-14, atol=0)
     ground = lb.gibbs_state(H_DENSE, 0.0)
     np.testing.assert_allclose(ground, GROUND @ GROUND.conj().T / 4.0,
                                atol=1e-12)
