@@ -705,13 +705,7 @@ def _run_fidelity_scan(cfg: ScenarioConfig) -> _Parts:
     scan = sp.fidelity_scan(lat, cfg.chi_grid, h_z=cfg.h_z,
                             k=cfg.n_eigenvalues, chi_pairs=cfg.chi_pairs,
                             seed=cfg.seed)
-    rows = []
-    for point in scan.points:
-        if point.error is not None:
-            continue
-        rows.append((point.chi, point.subspace_fidelity,
-                     *map(float, point.sector_weights),
-                     point.manifold_spread, point.gap))
+    rows = scan.report_rows()
     parts.metrics = _columns("fidelity", rows)
     parts.solver = {"points": [{"chi": p.chi, **p.counters}
                                for p in scan.points if p.error is None]}

@@ -47,6 +47,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum
@@ -58,7 +59,6 @@ TRACE_TOL_PER_TIME = 1e-9    # trace / positivity drift budget per unit time
 EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
-SUPEROP_ROW_BLOCK = 8        # left-factor rows per superoperator assembly step
 FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a chain start
 
 
@@ -504,15 +504,12 @@ def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
     """Vectorized generator of ``h`` and ``(rate, operator)`` channels.
 
     With A = sum r c†c and row-major vec(rho), it is
-    -i(H⊗1 - 1⊗Hᵀ) - (A⊗1 + 1⊗Aᵀ) + sum 2r c⊗c̄.  One pass gathers the
-    COO entries of every Kronecker term, ``SUPEROP_ROW_BLOCK`` rows of the
-    left factor at a time so that memory stays near the size of the
-    result; each position sums its terms in the order written above and
-    exact zeros are dropped.  Dense or sparse inputs are accepted.
+    -i(H⊗1 - 1⊗Hᵀ) - (A⊗1 + 1⊗Aᵀ) + sum 2r c⊗c̄, summed term by term in
+    that order; exact zeros are dropped.  Dense or sparse inputs are
+    accepted.
     """
     h = scipy.sparse.csr_matrix(h)
     n = h.shape[0]
-    size = n * n
     channels = [(r, scipy.sparse.csr_matrix(c)) for r, c in channels]
     absorber = scipy.sparse.csr_matrix((n, n), dtype=complex)
     for r, c in channels:
@@ -521,28 +518,10 @@ def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
     terms = [(-1j, h, eye), (1j, eye, h.T), (-1.0, absorber, eye),
              (-1.0, eye, absorber.T)]
     terms += [(2.0 * r, c, c.conj()) for r, c in channels]
-    terms = [(s, a, scipy.sparse.coo_matrix(b)) for s, a, b in terms]
-    counts, cols, vals = [], [], []
-    for lo in range(0, n, SUPEROP_ROW_BLOCK):
-        hi = min(lo + SUPEROP_ROW_BLOCK, n)
-        keys, data = [], []
-        for s, a, b in terms:
-            span = slice(a.indptr[lo], a.indptr[hi])
-            rows = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
-            # key = (row within the block) * size + column
-            keys.append(((rows[:, None] * n + b.row) * size
-                         + a.indices[span, None] * n + b.col).ravel())
-            data.append((s * (a.data[span, None] * b.data)).ravel())
-        keys, where = np.unique(np.concatenate(keys), return_inverse=True)
-        sums = np.zeros(keys.size, dtype=complex)
-        np.add.at(sums, where, np.concatenate(data))    # adds in term order
-        keep = sums != 0
-        counts.append(np.bincount(keys[keep] // size, minlength=(hi - lo) * n))
-        cols.append((keys[keep] % size).astype(np.int32))
-        vals.append(sums[keep])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(size, size))
+    out = scipy.sparse.csr_matrix((n * n, n * n), dtype=complex)
+    for s, a, b in terms:
+        out = out + s * scipy.sparse.kron(a, b, format="csr")
+    return out
 
 
 class _FrameMatrices:
@@ -860,9 +839,8 @@ def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
         graph, directed=True, connection="strong")
     leaks = np.zeros(n_comp, dtype=bool)
     rows, cols = graph.nonzero()
-    for r, c in zip(rows, cols):
-        if labels[r] != labels[c]:
-            leaks[labels[c]] = True          # class of c flows elsewhere
+    # an edge c -> r between two classes: the class of c flows elsewhere
+    leaks[labels[cols][labels[cols] != labels[rows]]] = True
     dists = []
     for comp in range(n_comp):
         if leaks[comp]:

@@ -31,10 +31,11 @@ multiset exactly invariant commute with H and permute the cosets of W.
 Blocks in one translation orbit are permutation-similar, so the solver
 diagonalizes one block per orbit and reuses its levels for the others:
 128 orbits of the 1024 sectors at L = 3 and chi = 0, 4 of the 8 at
-chi != 0 (2 of 2 with ``chi_pairs = "all"``).  A member's vectors are the representative's, carried across by
-the qubit permutation in the Z basis and verified on the member's block.
-The dense construction, and dense ``eigh`` below ``DENSE_DIM_CAP``, are
-the oracle the compiled form is tested against.
+chi != 0 (2 of 2 with ``chi_pairs = "all"``).  A member's vectors are the
+representative's, carried across by the qubit permutation in the Z basis
+and verified on the member's block.  This is the one solver path at every
+lattice size; the dense construction, and dense ``eigh`` of the whole H,
+are the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -456,22 +457,17 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
 def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
                       with_vectors: bool = True,
                       residual_bound: float = RESIDUAL_BOUND) -> SpectrumResult:
-    """k smallest eigenpairs; dense below ``DENSE_DIM_CAP``, else by sector.
+    """k smallest eigenpairs, solved block by block at every size.
 
-    Below the cap, dense ``eigh`` of :meth:`SparseHamiltonian.to_dense` is
-    the oracle.  The dense path is backward stable, so there the bound
-    tightens to ``dim * eps * ||H||``, with ||H|| <= sum |coefficient| since
-    every Pauli string has norm 1.
-
-    Above it, the blocks of the compiled real-gauge matrix A = V^H H V
+    The blocks of the compiled real-gauge matrix A = V^H H V
     (:meth:`SparseHamiltonian.compile`) are visited in ascending Gershgorin
     floor.  The first block reached in a translation orbit is solved: by
-    dense ``eigh`` at or below the cap, otherwise by symmetric Lanczos
-    (ARPACK ``eigsh``) in real arithmetic, with a Krylov space (ncv >= 4k)
-    wide enough for the 4-fold quasi-degenerate manifold to converge as a
-    block and a seeded start vector.  The other blocks of the orbit are
-    permutation-similar to it and reuse its levels.  The visit stops once
-    the next floor lies above the k-th lowest level found plus
+    dense ``eigh`` at or below ``DENSE_DIM_CAP``, otherwise by symmetric
+    Lanczos (ARPACK ``eigsh``) in real arithmetic, with a Krylov space
+    (ncv >= 4k) wide enough for the 4-fold quasi-degenerate manifold to
+    converge as a block and a seeded start vector.  The other blocks of the
+    orbit are permutation-similar to it and reuse its levels.  The visit
+    stops once the next floor lies above the k-th lowest level found plus
     ``residual_bound``: no skipped block can hold a lower level.  In every
     solved block the vectors are checked orthonormal to
     ``ORTHONORMALITY_BOUND``, also across exactly degenerate levels, and
@@ -481,31 +477,24 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
     another member of an orbit takes the representative's Z-basis vector
     through the qubit permutation that carries one coset onto the other,
     which commutes with H, and that vector is verified against
-    ``residual_bound`` on the member's own block.  Terms without a real
-    gauge raise ``ValueError``.
+    ``residual_bound`` on the member's own block.
+
+    When the whole space fits under ``DENSE_DIM_CAP`` every block is
+    solved by the backward-stable dense path, so the bound tightens to
+    ``dim * eps * ||H||``, with ||H|| <= sum |coefficient| since every
+    Pauli string has norm 1.  Terms without a real gauge raise
+    ``ValueError``.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if h.dim <= DENSE_DIM_CAP:
-        evals, evecs = scipy.linalg.eigh(h.to_dense())
-        evals, evecs = evals[:k], evecs[:, :k]
-        norm = sum(abs(coeff) for coeff, _ in h.terms)
-        residual_bound = min(residual_bound,
-                             h.dim * np.finfo(float).eps * norm)
-        residuals = np.array([
-            np.linalg.norm(h.matvec(evecs[:, i]) - evals[i] * evecs[:, i])
-            for i in range(len(evals))])
-        _verify(residuals, residual_bound)
-        return SpectrumResult(
-            eigenvalues=evals, residuals=residuals,
-            residual_bound=float(residual_bound),
-            sectors=1, sector_dim=h.dim, orbits=1, dense_blocks=1,
-            lanczos_blocks=0,
-            eigenvectors=evecs if with_vectors else None)
     op = h.compile()
     if op.gauge is None:
         raise ValueError("no real gauge exists for these terms; "
-                         "the Lanczos path needs one")
+                         "the sector solver needs one")
+    if h.dim <= DENSE_DIM_CAP:
+        norm = sum(abs(coeff) for coeff, _ in h.terms)
+        residual_bound = min(residual_bound,
+                             h.dim * np.finfo(float).eps * norm)
     found = []  # the k lowest (level, residual, sector, representative's vector)
     solved = {}  # orbit representative -> its verified (levels, vectors, residuals)
     lanczos_blocks = 0
@@ -622,13 +611,11 @@ class FidelityScan:
     points: list[FidelityScanPoint]
 
     def report_rows(self) -> list[tuple]:
-        rows = []
-        for p in self.points:
-            if p.error is not None:
-                continue
-            rows.append((p.chi, p.subspace_fidelity,
-                         *map(float, p.sector_weights)))
-        return rows
+        """(chi, subspace_fidelity, sector_0..3, manifold_spread, gap) per
+        solved point; failed points are left out."""
+        return [(p.chi, p.subspace_fidelity, *map(float, p.sector_weights),
+                 p.manifold_spread, p.gap)
+                for p in self.points if p.error is None]
 
 
 def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],

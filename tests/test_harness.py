@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from toricsim import cli
 from toricsim import harness as hn
@@ -264,6 +265,18 @@ class TestScenarioRuns:
         assert fidelities[0] > 0.99          # measured 0.9994 at chi = 0
         assert all(f >= 0.8 for f in fidelities)
 
+    def test_l2_spectral_scenarios_never_build_the_dense_h(self, tmp_path,
+                                                           monkeypatch):
+        # the L = 2 scenarios run the sector solver that L = 3 runs
+        def refuse(h):
+            raise AssertionError("dense H built")
+
+        monkeypatch.setattr(sp.SparseHamiltonian, "to_dense", refuse)
+        for kind in ("spectrum", "fidelity-scan"):
+            record = hn.run(hn.ScenarioConfig(kind=kind,
+                                              outdir=str(tmp_path)))
+            assert record.ok, record.summary_lines()
+
     def test_solver_block_in_records(self, tmp_path, monkeypatch):
         # the dissipative scenarios run on the 256-state population chain;
         # the 11 samples are one unit apart, so one propagator serves them
@@ -291,9 +304,12 @@ class TestScenarioRuns:
         stored = json.loads(
             (tmp_path / "cool-with-noise-record.json").read_text())
         assert stored["solver"] == record.solver
-        # below the dense cap L = 2 is solved whole; at cap 16 by sector
-        dense = {"sectors": 1, "sector_dim": 256, "orbits": 1,
-                 "dense_blocks": 1, "lanczos_blocks": 0}
+        # L = 2 is solved by sector: 32 of 8 states in 14 orbits at chi = 0,
+        # 4 of 64 in 3 orbits at chi != 0, every solved block by dense eigh
+        at_zero = {"sectors": 32, "sector_dim": 8, "orbits": 14,
+                   "dense_blocks": 8, "lanczos_blocks": 0}
+        at_chi = {"sectors": 4, "sector_dim": 64, "orbits": 3,
+                  "dense_blocks": 3, "lanczos_blocks": 0}
         for kind, record_name in (("spectrum", "spectrum-record.json"),
                                   ("fidelity-scan",
                                    "fidelity-scan-record.json")):
@@ -302,7 +318,8 @@ class TestScenarioRuns:
             assert hn.run(cfg).ok
             stored = json.loads((tmp_path / record_name).read_text())
             assert stored["solver"] == {"points": [
-                {"chi": 0.0, **dense}, {"chi": 0.25, **dense}]}
+                {"chi": 0.0, **at_zero}, {"chi": 0.25, **at_chi}]}
+        # at cap 16 the 64-state blocks go to Lanczos
         monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
         record = hn.run(cfg)
         assert record.ok, record.summary_lines()
@@ -435,14 +452,18 @@ class TestScenarioRuns:
     def test_golden_columns_are_well_conditioned(self, tmp_path,
                                                  monkeypatch):
         # Byte identity across BLAS builds holds only if round-off cannot
-        # reach the last printed digit.  Perturb H by a seeded Hermitian of
-        # norm 1e-13 (above the ~1e-14 round-off that differs between
-        # builds) and require every emitted cell to move by less than half
-        # a unit of its last digit.
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-        delta = a + a.conj().T
-        delta *= 1e-13 / np.linalg.norm(delta, 2)
+        # reach the last printed digit.  Perturb every solved block of the
+        # real-gauge H by a seeded symmetric matrix of norm 1e-13 (above the
+        # ~1e-14 round-off that differs between builds) and require every
+        # emitted cell to move by less than half a unit of its last digit.
+        deltas = {}
+
+        def delta(dim):
+            if dim not in deltas:
+                a = np.random.default_rng(13).normal(size=(dim, dim))
+                deltas[dim] = (a + a.T) * (1e-13 / np.linalg.norm(a + a.T, 2))
+            return deltas[dim]
+
         emitted = {}
         emit = hn.emit_figure_data
 
@@ -460,9 +481,11 @@ class TestScenarioRuns:
 
         monkeypatch.setattr(hn, "emit_figure_data", capture)
         run_golden_scenarios()
-        dense = sp.SparseHamiltonian.to_dense
-        monkeypatch.setattr(sp.SparseHamiltonian, "to_dense",
-                            lambda h: dense(h) + delta)
+        solve = sp._solve_block
+        monkeypatch.setattr(
+            sp, "_solve_block", lambda a, *args: solve(
+                scipy.sparse.csr_matrix(a.toarray() + delta(a.shape[0])),
+                *args))
         run_golden_scenarios()
         moved = 0.0
         for kind, ((rows, text), (perturbed, _)) in emitted.items():
@@ -476,6 +499,7 @@ class TestScenarioRuns:
                     moved = max(moved, abs(value - old))
         assert set(emitted) == {"spectrum", "fidelity"}
         assert moved > 0.0          # the perturbation reached the solver
+        assert set(deltas) == {8, 64}
 
     def test_dissipative_golden_cells_clear_their_rounding_boundary(
             self, tmp_path, monkeypatch):

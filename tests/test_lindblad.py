@@ -297,6 +297,21 @@ def test_stationary_thermal_obeys_detailed_balance():
     assert lb.trace_distance(half.rho, np.eye(DIM) / DIM) < 1e-6
 
 
+def test_recurrent_distributions_skip_leaking_classes():
+    # m[r, c] is the rate c -> r: the class {0, 1} leaks into {2, 3}, and
+    # {2, 3} and {4} are closed, so only the last two hold a distribution
+    m = np.zeros((5, 5))
+    for src, dst, rate in ((0, 1, 1.0), (1, 0, 2.0), (1, 2, 0.5),
+                           (2, 3, 1.0), (3, 2, 3.0)):
+        m[dst, src] += rate
+        m[src, src] -= rate
+    dists = lb._recurrent_distributions(m)
+    assert sorted(tuple(np.flatnonzero(pi)) for pi in dists) == [(2, 3), (4,)]
+    for pi in dists:
+        assert pi.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(m @ pi, 0.0, atol=1e-14)
+
+
 def test_stationary_ground_pump_has_four_sectors():
     res = lb.stationary_state(
         lb.thermal_jump_set(LAT, p=0.0, lambda_star=1.0, gamma_star=0.8))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,12 @@ from toricsim.pauli import PauliString
 
 LAT = lt.build(2)
 RNG = np.random.default_rng(11)
+
+
+def dense_lowest(h: sp.SparseHamiltonian, k: int):
+    """The oracle: the k lowest pairs of dense ``eigh`` of the whole H."""
+    evals, evecs = scipy.linalg.eigh(h.to_dense())
+    return evals[:k], evecs[:, :k]
 
 
 def test_term_counts_and_pair_modes():
@@ -90,14 +97,13 @@ def test_real_gauge_from_terms_alone(size):
             assert ((t.x_mask & mask).bit_count() - quarter) % 2 == 0
 
 
-def test_no_real_gauge_refuses_lanczos(monkeypatch):
+def test_no_real_gauge_refuses_lanczos():
     x0, y0 = PauliString.single(3, 0, "X"), PauliString.single(3, 0, "Y")
     h = sp.SparseHamiltonian(3, ((1.0, x0), (0.5, y0)))
     assert sp.real_gauge(h.terms) is None
     assert h.compile().gauge is None
     psi = np.arange(8) + 1j
     np.testing.assert_allclose(h.matvec(psi), h.to_dense() @ psi, atol=1e-14)
-    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
     with pytest.raises(ValueError, match="real gauge"):
         sp.lowest_eigenpairs(h, k=1)
 
@@ -138,13 +144,18 @@ def test_lowest_eigenpairs_dense_path():
     h = sp.build_hamiltonian(LAT, j_e=0.0, j_m=0.0, h_z=0.05)
     res = sp.lowest_eigenpairs(h, k=1)
     assert res.eigenvalues[0] == pytest.approx(-8 * 0.05)
-    res = sp.lowest_eigenpairs(sp.build_hamiltonian(LAT, h_z=0.05), k=6)
+    h = sp.build_hamiltonian(LAT, h_z=0.05)
+    res = sp.lowest_eigenpairs(h, k=6)
     evals = res.eigenvalues
+    np.testing.assert_allclose(evals, dense_lowest(h, 6)[0], rtol=0, atol=1e-12)
+    # every 8-state block is solved by dense eigh
+    assert (res.sectors, res.sector_dim, res.lanczos_blocks) == (32, 8, 0)
     assert np.all(np.diff(evals) >= -1e-12)
     assert evals[3] - evals[0] < 4 * 0.05  # splitting is O(h_z)
     assert evals[4] - evals[3] > 3.5       # below a gap of about 4
     assert np.all(res.residuals <= 1e-8)
-    # backward-stable bound dim * eps * sum|coeff|, verified per pair
+    # every block dense: backward-stable bound dim * eps * sum|coeff|,
+    # verified per pair
     assert res.residual_bound == pytest.approx(
         256 * np.finfo(float).eps * (8 + 8 * 0.05), rel=1e-12)
     assert np.all(res.residuals <= res.residual_bound)
@@ -154,12 +165,14 @@ def test_lowest_eigenpairs_dense_path():
 @pytest.mark.parametrize("chi", [0.0, 0.25, -0.5])
 def test_lanczos_path_matches_dense(monkeypatch, mode, chi):
     h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
-    dense_res = sp.lowest_eigenpairs(h, k=6)
+    dense_evals, _ = dense_lowest(h, 6)
+    np.testing.assert_allclose(sp.lowest_eigenpairs(h, k=6).eigenvalues,
+                               dense_evals, rtol=0, atol=1e-12)
     # every L = 2 block holds at most 128 states; at cap 16 the 8-state
     # blocks (chi = 0) go dense and the 64- and 128-state ones to Lanczos
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
     sparse_res = sp.lowest_eigenpairs(h, k=6, seed=3)
-    np.testing.assert_allclose(sparse_res.eigenvalues, dense_res.eigenvalues,
+    np.testing.assert_allclose(sparse_res.eigenvalues, dense_evals,
                                atol=1e-8)
     assert (sparse_res.lanczos_blocks > 0) == (chi != 0.0)
     assert np.all(sparse_res.residuals <= 1e-8)
@@ -169,14 +182,13 @@ def test_lanczos_path_matches_dense(monkeypatch, mode, chi):
                                atol=1e-12)
 
 
-def test_gershgorin_stop_is_exact(monkeypatch):
+def test_gershgorin_stop_is_exact():
     h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
     op = h.compile()
     n = op.sector_dim
     every_block = np.sort(np.concatenate([
         np.linalg.eigvalsh(op.matrix[lo:lo + n, lo:lo + n].toarray())[:6]
         for lo in range(0, h.dim, n)]))
-    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
     res = sp.lowest_eigenpairs(h, k=6)
     np.testing.assert_allclose(res.eigenvalues, every_block[:6],
                                rtol=0, atol=1e-12)
@@ -190,14 +202,14 @@ def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
     # must still be orthonormal and span the dense solve's manifold
     h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
     reference, _ = sp.ground_space_reference(LAT)
-    dense_res = sp.lowest_eigenpairs(h, k=6)
+    _, dense_vecs = dense_lowest(h, 6)
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 64)
     res = sp.lowest_eigenpairs(h, k=6, seed=7)
     vecs = res.eigenvectors
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-10
     np.testing.assert_allclose(
         sp.ground_fidelity(reference, vecs[:, :4]).sector_weights,
-        sp.ground_fidelity(reference, dense_res.eigenvectors[:, :4]).sector_weights,
+        sp.ground_fidelity(reference, dense_vecs[:, :4]).sector_weights,
         rtol=0, atol=1e-9)
 
 
@@ -251,8 +263,12 @@ def test_fidelity_scan_structure():
         assert p.error is None
         assert 0.0 <= p.subspace_fidelity <= 1.0
         assert p.manifold_spread < p.gap / 5
+    # the full fidelity schema row: chi, subspace, 4 sector weights,
+    # manifold spread and gap
     rows = scan.report_rows()
-    assert len(rows) == 2 and len(rows[0]) == 6
+    assert rows == [(p.chi, p.subspace_fidelity, *p.sector_weights,
+                     p.manifold_spread, p.gap) for p in scan.points]
+    assert len(rows[0]) == 8
 
 
 def test_fidelity_scan_survives_solver_failure(monkeypatch):
