@@ -11,27 +11,26 @@ Generator convention throughout: with jump entries c = sqrt(rate) * op,
 
 so a jump of rate r relaxes the target population at rate 2r.
 
-Density matrices are capped at 2**n <= 256 (the L = 2 torus).  Lattice-
-backed models run in an orthonormal eigenbasis of the stabilizer group
+Density matrices are capped at 2**n <= 256 (the L = 2 torus).  Lattice
+dissipation runs in an orthonormal eigenbasis of the stabilizer group
 (``StabilizerFrame``), where every Pauli string acts as a signed
-permutation.  When the diagonal of the frame density matrix closes under
-the generator, as it does for every engineered jump set with or without
-depolarizing noise, lattice dissipation runs on the population chain: the
-classical rate matrix M of the frame populations.  The stationary state is
-the null space of M, and a frame-diagonal start evolves exactly as
-exp(M t) p0.  H and every frame-diagonal observable (stabilizers, Wilson
-loops) are diagonal in the frame, so the results carry the populations
-and the Gibbs distances and loops are read from them without a dense
-eigensolve.  Each operator is transported into the frame once per model,
-or once per rate sweep (``LindbladModel.with_rates``).  The full generator
-is applied in matrix form on the sparse frame matrices; it gives the
-residual that every stationary state is checked against and, integrated
-by scipy's adaptive RK45, evolves starts with frame coherences.  Models
-without a lattice use dense matrices, which also serve as the L = 2
-oracle, as do ``gibbs_state`` and ``trace_distance``.  The vectorized
-superoperator (``_superoperator``) serves only the adiabatic-elimination
-probe and the null-vector fallback for models whose population sector
-does not close (for example with a transverse field).
+permutation.  The diagonal of the frame density matrix closes under the
+generator for every engineered jump set, with or without depolarizing
+noise, so lattice dissipation runs on the population chain: the classical
+rate matrix M of the frame populations.  The stationary state is the null
+space of M, and a frame-diagonal start evolves exactly as exp(M t) p0.
+H and every frame-diagonal observable (stabilizers, Wilson loops) are
+diagonal in the frame, so the results carry the populations and the Gibbs
+distances and loops are read from them without a dense eigensolve.  A
+model without a lattice, a start with frame coherences, or a model whose
+population sector does not close (for example with a transverse field)
+raises ``ValueError``.  Each operator is transported into the frame once
+per model, or once per rate sweep (``LindbladModel.with_rates``).  The
+full generator is applied in matrix form on the sparse frame matrices; it
+gives the residual that every stationary state is checked against.
+``gibbs_state`` and ``trace_distance`` are dense L = 2 oracles.  The
+vectorized superoperator (``_superoperator``) serves only the
+adiabatic-elimination probe.
 """
 
 from __future__ import annotations
@@ -43,27 +42,19 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum
 from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_flips
 
-DENSITY_DIM_CAP = 256        # dense density-matrix evolution cap (L = 2)
+DENSITY_DIM_CAP = 256        # density-matrix dimension cap (L = 2)
 FRAME_QUBIT_CAP = 12
 TRACE_TOL_PER_TIME = 1e-9    # trace / positivity drift budget per unit time
 EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
-DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-12
 FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a chain start
-
-
-class StepSizeUnderflowError(RuntimeError):
-    """The adaptive integrator could not meet tolerances with a finite step."""
 
 
 class PositivityError(RuntimeError):
@@ -211,10 +202,7 @@ class LindbladModel:
     def frame(self) -> StabilizerFrame:
         """Stabilizer frame of the compiled generator (lattice-backed
         models only)."""
-        gen = _compile_generator(self)
-        if not isinstance(gen, _FrameMatrices):
-            raise ValueError("model is not solved in a stabilizer frame")
-        return gen.frame
+        return _compile_generator(self).frame
 
     def with_rates(self, rates: Sequence[float]) -> "LindbladModel":
         """This model with jump ``k`` at ``rates[k]``; zero-rate jumps are
@@ -230,8 +218,8 @@ class LindbladModel:
                  for jt, r in zip(self.jumps, rates)]
         keep = [k for k, jt in enumerate(terms) if jt.rate > 0.0]
         model = dataclasses.replace(self, jumps=tuple(terms[k] for k in keep))
-        gen = _compile_generator(self)
-        if isinstance(gen, _FrameMatrices):
+        if self.lattice is not None:
+            gen = _compile_generator(self)
             object.__setattr__(model, "_generator", _FrameMatrices(
                 gen.frame, gen.h, model.jumps,
                 [gen.channels[k][1] for k in keep]))
@@ -462,44 +450,6 @@ class StabilizerFrame:
 # ---------------------------------------------------------------------------
 
 
-class _DenseGenerator:
-    """Dense matrices for the generator; used off-lattice and as an oracle."""
-
-    path = "dense"
-
-    def __init__(self, model: LindbladModel):
-        if model.dim > DENSITY_DIM_CAP:
-            raise ValueError(
-                f"dimension {model.dim} exceeds the dense cap of {DENSITY_DIM_CAP}")
-        self.model = model
-        self.h = model.hamiltonian.to_dense()
-        self.channels = [(jt.rate, jt.operator.to_dense()) for jt in model.jumps]
-        self.absorber = sum(
-            (r * (o.conj().T @ o) for r, o in self.channels),
-            np.zeros_like(self.h))
-        if self.channels:
-            # stacked channel tensors so one batched matmul covers all jumps
-            self._rates = np.array([2.0 * r for r, _ in self.channels])
-            self._ops = np.stack([o for _, o in self.channels])
-            self._ops_dag = np.stack([o.conj().T for _, o in self.channels])
-        else:
-            self._rates = None
-
-    def into(self, rho: np.ndarray) -> np.ndarray:
-        return np.array(rho, dtype=complex)
-
-    def out_of(self, rho: np.ndarray) -> np.ndarray:
-        return rho
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self.h @ rho - rho @ self.h)
-        out -= self.absorber @ rho + rho @ self.absorber
-        if self._rates is not None:
-            gains = np.matmul(np.matmul(self._ops, rho[None]), self._ops_dag)
-            out += np.einsum("k,kij->ij", self._rates, gains)
-        return out
-
-
 def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
     """Vectorized generator of ``h`` and ``(rate, operator)`` channels.
 
@@ -537,8 +487,6 @@ class _FrameMatrices:
     -i[H, rho] - {A, rho} + sum 2r c rho c†, one channel at a time.
     """
 
-    path = "frame"
-
     def __init__(self, frame: StabilizerFrame, h: scipy.sparse.csr_matrix,
                  jumps: Sequence[JumpTerm],
                  transports: Sequence[scipy.sparse.coo_matrix]):
@@ -570,12 +518,6 @@ class _FrameMatrices:
             transports.append(c)
         return cls(frame, h, model.jumps, transports)
 
-    def into(self, rho: np.ndarray) -> np.ndarray:
-        return self.frame.to_frame(np.asarray(rho, dtype=complex))
-
-    def out_of(self, rho_f: np.ndarray) -> np.ndarray:
-        return self.frame.from_frame(rho_f)
-
     def apply(self, rho_f: np.ndarray) -> np.ndarray:
         # K rho + rho K† with rho K† = (K rho†)†, so both products are
         # sparse @ dense; a channel with entries v at (r, k) adds
@@ -591,15 +533,15 @@ class _FrameMatrices:
         return out
 
 
-def _compile_generator(model: LindbladModel):
-    """Frame matrices for lattice-backed models, dense matrices otherwise,
-    built once per model and cached on it."""
+def _compile_generator(model: LindbladModel) -> _FrameMatrices:
+    """Frame matrices of a lattice-backed model, built once per model and
+    cached on it."""
     if model._generator is None:
-        if model.lattice is not None and model.n_qubits <= FRAME_QUBIT_CAP:
-            gen = _FrameMatrices.transport(model, StabilizerFrame(model.lattice))
-        else:
-            gen = _DenseGenerator(model)
-        object.__setattr__(model, "_generator", gen)
+        if model.lattice is None:
+            raise ValueError(f"model {model.label!r} has no lattice, so it "
+                             "has no stabilizer frame to be solved in")
+        object.__setattr__(model, "_generator", _FrameMatrices.transport(
+            model, StabilizerFrame(model.lattice)))
     return model._generator
 
 
@@ -619,7 +561,7 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# master-equation integration
+# time evolution
 # ---------------------------------------------------------------------------
 
 
@@ -627,18 +569,17 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
 class EvolutionResult:
     """Density-matrix trajectory with per-sample conservation monitors.
 
-    On the ``chain`` path ``populations`` holds the frame populations at
-    each sample, with states[k] = B diag(populations[k]) Bᵀ; it is None on
-    the RK45 paths.
+    ``populations`` holds the frame populations at each sample, with
+    states[k] = B diag(populations[k]) Bᵀ.
     """
 
     times: np.ndarray
     states: np.ndarray              # (n_times, dim, dim)
+    populations: np.ndarray         # (n_times, dim)
     trace_defects: np.ndarray
     min_eigenvalues: np.ndarray
-    path: str                       # "chain", or RK45 on "frame" / "dense"
     counters: dict = field(default_factory=dict)  # sizes and evaluations
-    populations: np.ndarray | None = None     # (n_times, dim) on the chain
+    path: str = "chain"             # the engine: the population chain
 
     @property
     def final(self) -> np.ndarray:
@@ -647,24 +588,20 @@ class EvolutionResult:
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
            sample_times: Sequence[float] | None = None) -> EvolutionResult:
-    """Evolve ``rho0`` under the master equation up to ``t_final``.
+    """Evolve the frame-diagonal ``rho0`` under the master equation up to
+    ``t_final``.
 
-    A lattice-backed model whose population sector closes, started from a
-    frame-diagonal ``rho0`` (off-diagonal frame weight below
-    ``FRAME_DIAGONAL_TOL``), runs on the population chain: p(t) =
-    exp(M t) p0 is exact, with one ``scipy.linalg.expm`` per distinct
-    increment between samples, and rho(t) = B diag(p) Bᵀ.  Every other
-    start is integrated by the embedded Dormand-Prince 4(5) pair with
-    proportional-integral step control (scipy ``RK45``) at ``DEFAULT_RTOL``
-    / ``DEFAULT_ATOL``, on the frame matrices for lattice-backed models and
-    on dense matrices otherwise; a failed integration raises
-    ``StepSizeUnderflowError``.
+    The run is on the population chain: p(t) = exp(M t) p0 is exact, with
+    one ``scipy.linalg.expm`` per distinct increment between samples, and
+    rho(t) = B diag(p) Bᵀ.  A model without a lattice, a ``rho0`` with
+    off-diagonal frame weight of ``FRAME_DIAGONAL_TOL`` or more, or a model
+    whose population sector does not close raises ``ValueError``.
 
     ``rho0`` must be a density matrix, and trace and positivity are
     monitored at every sample time against a budget of 1e-9 per unit time;
-    violations raise ``PositivityError``.  On the chain the frame basis B is
-    orthogonal, so the monitors read the populations: the trace defect is
-    |sum p - 1| and the smallest eigenvalue is min p.
+    violations raise ``PositivityError``.  The frame basis B is orthogonal,
+    so the monitors read the populations: the trace defect is |sum p - 1|
+    and the smallest eigenvalue is min p.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be >= 0")
@@ -679,42 +616,28 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
             raise ValueError("sample times must ascend within [0, t_final]")
     if t_final == 0.0 or (times.size == 1 and times[0] == 0.0):
         times = np.array([0.0])
-    y0 = gen.into(np.asarray(rho0, dtype=complex))
+    y0 = gen.frame.to_frame(np.asarray(rho0, dtype=complex))
     p0 = np.diag(y0).real
-    chain = (isinstance(gen, _FrameMatrices)
-             and np.linalg.norm(y0 - np.diag(p0)) < FRAME_DIAGONAL_TOL)
-    if chain:
-        m, chain = _classical_rate_matrix(gen)
-    if chain:
-        pops, n_props = _propagate_chain(m, p0, times)
-        b = gen.frame.basis
-        states = np.stack([(b * p) @ b.T for p in pops])
-        trace_defects = np.abs(pops.sum(axis=1) - 1.0)
-        min_eigs = pops.min(axis=1)
-        path = "chain"
-        counters = {"chain_size": p0.size, "propagator_evaluations": n_props}
-    else:
-        pops = None
-        frames, n_rhs = _integrate(gen, y0, times, t_final)
-        states = np.stack([gen.out_of(f) for f in frames])
-        trace_defects = np.abs(np.einsum("kii->k", states).real - 1.0)
-        min_eigs = np.array([scipy.linalg.eigvalsh(s)[0].real for s in states])
-        path = gen.path
-        counters = {"rhs_evaluations": n_rhs}
+    if np.linalg.norm(y0 - np.diag(p0)) >= FRAME_DIAGONAL_TOL:
+        raise ValueError("rho0 has coherences in the stabilizer frame")
+    pops, n_props = _propagate_chain(_classical_rate_matrix(gen), p0, times)
+    b = gen.frame.basis
+    states = np.stack([(b * p) @ b.T for p in pops])
+    trace_defects = np.abs(pops.sum(axis=1) - 1.0)
+    min_eigs = pops.min(axis=1)
     for t, defect, low in zip(times, trace_defects, min_eigs):
         budget = TRACE_TOL_PER_TIME * max(t, 1.0)
         if defect > budget:
             raise PositivityError(
                 f"trace defect {defect:.3e} beyond budget {budget:.1e} at t={t}")
-        # eigenvalue drift tracks the full-state integration error, an
-        # order of magnitude above the trace drift for rank-deficient rho
         if low < EIGENVALUE_FLOOR - 10.0 * TRACE_TOL_PER_TIME * max(t, 1.0):
             raise PositivityError(
                 f"eigenvalue {low:.3e} beyond budget at t={t}")
-    return EvolutionResult(times=times, states=states,
+    return EvolutionResult(times=times, states=states, populations=pops,
                            trace_defects=trace_defects,
-                           min_eigenvalues=min_eigs, path=path,
-                           counters=counters, populations=pops)
+                           min_eigenvalues=min_eigs,
+                           counters={"chain_size": p0.size,
+                                     "propagator_evaluations": n_props})
 
 
 def _propagate_chain(m: np.ndarray, p0: np.ndarray,
@@ -732,25 +655,6 @@ def _propagate_chain(m: np.ndarray, p0: np.ndarray,
         pops.append(p)
         t_prev = float(t)
     return np.array(pops), len(propagators)
-
-
-def _integrate(gen, y0: np.ndarray, times: np.ndarray,
-               t_final: float) -> tuple[list[np.ndarray], int]:
-    """RK45 samples of the generator's matrix form and the number of
-    right-hand-side evaluations."""
-    if times.size == 1 and times[0] == 0.0:
-        return [y0], 0
-    dim = y0.shape[0]
-
-    def rhs(_t, y):
-        return gen.apply(y.reshape(dim, dim)).ravel()
-
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, t_final), y0.ravel(), method="RK45",
-        t_eval=times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
-    if not sol.success:
-        raise StepSizeUnderflowError(sol.message)
-    return [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])], sol.nfev
 
 
 def gibbs_state(hamiltonian: SparseHamiltonian | np.ndarray,
@@ -796,10 +700,9 @@ class StationaryResult:
     ``gibbs_temperature`` is the model's ``temperature_target`` (for a
     thermal set the Boltzmann-weight reading -delta/ln p, equal to the
     former only as p -> 0), and ``trace_distance_to_gibbs`` stays finite
-    whenever the two temperatures differ.  When the population chain ran,
-    ``populations`` holds the stationary frame populations and ``energies``
-    the frame diagonal of H, so rho = B diag(populations) Bᵀ; both are
-    None on the vectorized fallback.
+    whenever the two temperatures differ.  ``populations`` holds the
+    stationary frame populations and ``energies`` the frame diagonal of H,
+    so rho = B diag(populations) Bᵀ.
     """
 
     rho: np.ndarray
@@ -811,24 +714,27 @@ class StationaryResult:
     detailed_balance_temperature: float | None
     loop_expectations: dict[str, float]
     method: str
+    populations: np.ndarray
+    energies: np.ndarray
     counters: dict = field(default_factory=dict)  # engine and sizes
-    populations: np.ndarray | None = None
-    energies: np.ndarray | None = None
 
 
-def _classical_rate_matrix(gen: _FrameMatrices) -> tuple[np.ndarray, bool]:
-    """Population-sector generator; flag is False if H is not
-    frame-diagonal.  Every channel is a partial permutation in the frame
-    (checked by ``_FrameMatrices``), so none leaks coherence."""
+def _classical_rate_matrix(gen: _FrameMatrices) -> np.ndarray:
+    """Population-sector generator; ``ValueError`` if H is not
+    frame-diagonal, so that the sector does not close.  Every channel is a
+    partial permutation in the frame (checked by ``_FrameMatrices``), so
+    none leaks coherence."""
+    h_off = gen.h - scipy.sparse.diags(gen.h.diagonal())
+    if h_off.nnz and np.abs(h_off.data).max() > 1e-12:
+        raise ValueError("H is not diagonal in the stabilizer frame, so the "
+                         "population sector does not close")
     n = gen.frame.size
     m = np.zeros((n, n))
-    h_off = gen.h - scipy.sparse.diags(gen.h.diagonal())
-    closed = not (h_off.nnz and np.abs(h_off.data).max() > 1e-12)
     for rate, c in gen.channels:
         flows = 2.0 * rate * np.abs(c.data) ** 2
         np.add.at(m, (c.row, c.col), flows)
         np.add.at(m, (c.col, c.col), -flows)
-    return m, closed
+    return m
 
 
 def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
@@ -858,7 +764,7 @@ def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
     return dists
 
 
-def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResult:
+def stationary_state(model: LindbladModel) -> StationaryResult:
     """Stationary density matrix of a lattice-backed model.
 
     H and the channels are transported into the stabilizer frame once per
@@ -866,49 +772,32 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
     Every engineered jump is a partial signed permutation there, so the
     population sector closes under the generator and the stationary state
     is the null space of the population chain's rate matrix M; no
-    superoperator is built.  The candidate is verified against the full
-    generator in matrix form (``residual``).  When several recurrent
-    classes exist (for example at p = 0) their stationary distributions are
-    averaged with equal weights and the null-space dimension is reported.
-    On the chain H is frame-diagonal, and so is every Gibbs state: each
-    Gibbs distance is ½‖π − w‖₁ with w the Gibbs weights of the frame
-    energies, and each Wilson loop is π @ its frame diagonal.  Only if the
-    population sector does not close is the vectorized generator built,
-    for a shift-inverted sparse null-vector solve, and the Gibbs distances
-    and loops then come from dense matrices.  ``counters`` names the engine
-    (``population-chain`` or ``vectorized-null-space``) with the chain size
-    and null dimension.
+    superoperator is built.  A model without a lattice, or one whose
+    population sector does not close, raises ``ValueError``.  The candidate
+    is verified against the full generator in matrix form (``residual``).
+    Each closed recurrent class of the chain holds one stationary
+    distribution, and the null space of a rate matrix is spanned by them,
+    so ``null_dim`` is their number; when there are several (for example at
+    p = 0) they are averaged with equal weights.  H is frame-diagonal, and
+    so is every Gibbs state: each Gibbs distance is ½‖π − w‖₁ with w the
+    Gibbs weights of the frame energies, and each Wilson loop is π @ its
+    frame diagonal.  ``counters`` names the engine (``population-chain``)
+    with the chain size and null dimension.
     """
-    if model.lattice is None:
-        raise ValueError("stationary_state requires a lattice-backed model")
     gen = _compile_generator(model)
-    m, closed = _classical_rate_matrix(gen)
-    pi = energies = None
-    if closed:
-        singulars = np.linalg.svd(m, compute_uv=False)
-        null_dim = int(np.sum(singulars < tol * max(singulars[0], 1.0)))
-        dists = _recurrent_distributions(m)
-        if not dists:
-            raise RuntimeError("no recurrent class found")
-        pi = np.mean(dists, axis=0)
-        energies = gen.h.diagonal().real
-        rho_f = np.diag(pi.astype(complex))
-        method = "classical-rate-matrix"
-        counters = {"engine": "population-chain", "chain_size": pi.size}
-    else:
-        rho_f, null_dim = _vectorized_null_state(gen, tol)
-        method = "vectorized-null-space"
-        counters = {"engine": method}
+    dists = _recurrent_distributions(_classical_rate_matrix(gen))
+    null_dim = len(dists)
+    pi = np.mean(dists, axis=0)
+    energies = gen.h.diagonal().real
+    rho_f = np.diag(pi.astype(complex))
     residual = float(np.linalg.norm(gen.apply(rho_f)))
-    rho = gen.out_of(rho_f)
+    rho = gen.frame.from_frame(rho_f)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
 
     def gibbs_distance(temperature: float) -> float:
-        if closed:
-            return float(0.5 * np.abs(
-                pi - _gibbs_weights(energies, temperature)).sum())
-        return trace_distance(rho, gibbs_state(model.hamiltonian, temperature))
+        return float(0.5 * np.abs(
+            pi - _gibbs_weights(energies, temperature)).sum())
 
     distance = None
     temperature = model.temperature_target
@@ -923,30 +812,19 @@ def stationary_state(model: LindbladModel, tol: float = 1e-9) -> StationaryResul
     for name, strings in (("z", lt.z_loops(model.lattice)),
                           ("x", lt.x_loops(model.lattice))):
         for idx, string in enumerate(strings):
-            loops[f"wilson_{name}_{idx}"] = (
-                float(pi @ gen.frame.diagonal(string)) if closed
-                else string.expectation(rho).real)
+            loops[f"wilson_{name}_{idx}"] = float(
+                pi @ gen.frame.diagonal(string))
     return StationaryResult(rho=rho, null_dim=null_dim, residual=residual,
                             trace_distance_to_gibbs=distance,
                             gibbs_temperature=temperature,
                             trace_distance_to_detailed_balance=distance_db,
                             detailed_balance_temperature=temperature_db,
-                            loop_expectations=loops, method=method,
-                            counters={**counters, "null_dim": null_dim},
-                            populations=pi, energies=energies)
-
-
-def _vectorized_null_state(gen: _FrameMatrices, tol: float) -> tuple[np.ndarray, int]:
-    """Null vector of the sparse vectorized generator by shift-inversion."""
-    n = gen.frame.size
-    super_op = _superoperator(gen.h, gen.channels).tocsc()
-    vals, vecs = scipy.sparse.linalg.eigs(super_op, k=4, sigma=1e-9, which="LM")
-    order = np.argsort(np.abs(vals))
-    null_dim = int(np.sum(np.abs(vals) < tol))
-    vec = vecs[:, order[0]].reshape(n, n)
-    rho = 0.5 * (vec + vec.conj().T)
-    rho /= np.trace(rho)
-    return rho, max(null_dim, 1)
+                            loop_expectations=loops,
+                            method="classical-rate-matrix",
+                            populations=pi, energies=energies,
+                            counters={"engine": "population-chain",
+                                      "chain_size": pi.size,
+                                      "null_dim": null_dim})
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse.linalg
 
 from . import lattice as lt
@@ -566,14 +565,9 @@ class FidelityResult:
     norm of reference state k projected onto the perturbed manifold,
     sqrt(sum_j |overlap[k, j]|^2); it ignores mixing inside the perturbed
     manifold, so it is as well conditioned as the manifold itself.
-    ``per_state`` pairs states by optimal assignment on |overlap| and
-    depends on the eigenvector basis chosen inside the perturbed manifold:
-    under a near-degenerate splitting s it moves by ~||dH|| / s, and at an
-    exact degeneracy it is not determined at all.
     """
 
     overlap: np.ndarray
-    per_state: np.ndarray
     sector_weights: np.ndarray
     subspace: float
 
@@ -584,10 +578,7 @@ def ground_fidelity(reference: np.ndarray, perturbed: np.ndarray) -> FidelityRes
     m = reference.conj().T @ perturbed
     svals = np.linalg.svd(m, compute_uv=False)
     subspace = float(np.mean(np.clip(svals, 0.0, 1.0)))
-    rows, cols = scipy.optimize.linear_sum_assignment(-np.abs(m))
-    per_state = np.zeros(4)
-    per_state[rows] = np.abs(m[rows, cols])
-    return FidelityResult(overlap=m, per_state=per_state,
+    return FidelityResult(overlap=m,
                           sector_weights=np.linalg.norm(m, axis=1),
                           subspace=subspace)
 

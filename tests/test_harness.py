@@ -8,11 +8,15 @@ that regressions in the scenario pipeline surface as test failures.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.stats
 
 from toricsim import cli
 from toricsim import harness as hn
@@ -224,6 +228,23 @@ class TestDiagnostics:
         assert hn._fitted_temperature(0.7) == math.inf
         d = 1.0 / (1.0 + math.e ** 2)
         assert abs(hn._fitted_temperature(d) - 1.0) < 1e-12
+
+    def test_rank_correlation_is_spearmanr(self):
+        rng = np.random.default_rng(5)
+        cases = [(rng.normal(size=n), rng.normal(size=n))
+                 for n in (2, 3, 4, 7, 20)]
+        # ties within either input, and inputs tied in the same places
+        cases += [(rng.integers(0, 3, n).astype(float),
+                   rng.integers(0, 4, n).astype(float)) for n in (5, 9, 30)]
+        cases += [(np.array([1.0, 2.0, 2.0, 3.0]),
+                   np.array([4.0, 1.0, 1.0, 0.5])),
+                  (np.array([0.3, 0.1, 0.3, 0.2, 0.1]),
+                   np.array([2.0, 2.0, 5.0, 1.0, 0.0]))]
+        for x, y in cases:
+            assert hn.rank_correlation(x, y) == scipy.stats.spearmanr(
+                x, y).statistic
+        assert hn.rank_correlation(np.array([1.0, 2.0, 3.0]),
+                                   np.array([5.0, 6.0, 9.0])) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +591,20 @@ class TestEntropyPerGate:
 class TestCli:
     def test_command_kinds_cover_every_scenario(self):
         assert set(cli.COMMAND_KINDS.values()) == set(hn.KINDS)
+
+    def test_import_loads_no_unused_scipy_subpackage(self):
+        # every CLI call pays for the modules it imports
+        unused = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+                  "scipy.special", "scipy.spatial")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+                os.pathsep) if p])}
+        code = ("import sys, toricsim.cli; "
+                f"print([m for m in {unused!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_describe_round_trips(self, capsys):
         assert cli.main(["describe"]) == 0

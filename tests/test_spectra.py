@@ -198,15 +198,19 @@ def test_gershgorin_stop_is_exact():
 
 
 def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
-    # at chi = 0 the 2nd and 3rd levels are exactly degenerate; the vectors
-    # must still be orthonormal and span the dense solve's manifold
+    # at chi = 0 the 2nd and 3rd levels are exactly degenerate, and so are
+    # levels inside the 8-state blocks; with the cap below the block size
+    # every block goes to Lanczos, whose vectors must still be orthonormal
+    # and span the dense solve's manifold.  k = 5 is the largest k that
+    # leaves ARPACK room to restart in an 8-state block (ncv = 7 > k + 1)
     h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
     reference, _ = sp.ground_space_reference(LAT)
-    _, dense_vecs = dense_lowest(h, 6)
-    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 64)
-    res = sp.lowest_eigenpairs(h, k=6, seed=7)
+    _, dense_vecs = dense_lowest(h, 5)
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
+    res = sp.lowest_eigenpairs(h, k=5, seed=7)
+    assert res.lanczos_blocks > 0
     vecs = res.eigenvectors
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-10
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) <= 1e-10
     np.testing.assert_allclose(
         sp.ground_fidelity(reference, vecs[:, :4]).sector_weights,
         sp.ground_fidelity(reference, dense_vecs[:, :4]).sector_weights,
@@ -241,11 +245,9 @@ def test_ground_fidelity_aggregates():
     states, _ = sp.ground_space_reference(LAT)
     fid = sp.ground_fidelity(states, states)
     assert fid.subspace == pytest.approx(1.0)
-    np.testing.assert_allclose(fid.per_state, 1.0, atol=1e-12)
     q, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
     fid2 = sp.ground_fidelity(states, states @ q)
     assert fid2.subspace == pytest.approx(1.0, abs=1e-10)
-    assert np.all(fid2.per_state < 0.999)
     # sector weights do not see a basis change inside the manifold
     np.testing.assert_allclose(fid2.sector_weights, 1.0, atol=1e-12)
     # global phases never matter
