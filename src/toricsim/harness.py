@@ -166,29 +166,6 @@ def _parse_value(kind: str, raw: str):
     return raw
 
 
-def _ini_text(cfg: "ScenarioConfig", with_help: bool) -> str:
-    """Every field of ``cfg`` as INI sections, values as
-    :func:`_parse_value` reads them back, each optionally under its help."""
-    lines = []
-    for section in dict.fromkeys(s for s, _, _ in _FIELD_SPEC.values()):
-        lines.append(f"[{section}]")
-        for name, (sec, kind, help_text) in _FIELD_SPEC.items():
-            if sec != section:
-                continue
-            value = getattr(cfg, name)
-            if kind == "floats":
-                text = ", ".join(repr(v) for v in value)
-            elif value is None:
-                text = "none"
-            else:
-                text = str(value)
-            if with_help:
-                lines.append(f"# {help_text}")
-            lines.append(f"{name} = {text}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 @dataclass
 class ScenarioConfig:
     """Every scenario knob, with defaults that satisfy all preconditions."""
@@ -352,9 +329,6 @@ class ScenarioConfig:
             return Path(self.outdir)
         return Path(os.environ.get(OUTDIR_ENV, "."))
 
-    def to_ini(self) -> str:
-        return _ini_text(self, with_help=False)
-
     @classmethod
     def from_ini(cls, text: str, **overrides) -> "ScenarioConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -387,10 +361,27 @@ class ScenarioConfig:
 
 
 def describe_defaults() -> str:
-    """Commented INI listing every field, its default, and what it does."""
-    return ("# toricsim scenario configuration (key = value sections)\n"
-            f"# schema v{SCHEMA_VERSION}; {OMEGA_DEFINITION}\n\n"
-            + _ini_text(ScenarioConfig(kind=KINDS[0]), with_help=True))
+    """Commented INI listing every field, its default, and what it does,
+    values written as :func:`_parse_value` reads them back."""
+    defaults = ScenarioConfig(kind=KINDS[0])
+    lines = ["# toricsim scenario configuration (key = value sections)",
+             f"# schema v{SCHEMA_VERSION}; {OMEGA_DEFINITION}", ""]
+    for section in dict.fromkeys(s for s, _, _ in _FIELD_SPEC.values()):
+        lines.append(f"[{section}]")
+        for name, (sec, kind, help_text) in _FIELD_SPEC.items():
+            if sec != section:
+                continue
+            value = getattr(defaults, name)
+            if kind == "floats":
+                text = ", ".join(repr(v) for v in value)
+            elif value is None:
+                text = "none"
+            else:
+                text = str(value)
+            lines.append(f"# {help_text}")
+            lines.append(f"{name} = {text}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

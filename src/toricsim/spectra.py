@@ -428,7 +428,8 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
     """(eigenvalues, vectors, residuals, by_lanczos) of the k lowest pairs
     of a real symmetric block, every pair verified."""
     dim = a.shape[0]
-    lanczos = dim > max(DENSE_DIM_CAP, k + 1)
+    # ARPACK needs ncv = dim - 1 >= k + 2 to restart; smaller blocks go dense
+    lanczos = dim > max(DENSE_DIM_CAP, k + 2)
     if not lanczos:
         evals, vecs = scipy.linalg.eigh(
             a.toarray(), subset_by_index=[0, min(k, dim) - 1])
@@ -440,7 +441,7 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
             evals, vecs = scipy.sparse.linalg.eigsh(
                 a, k=k, which="SA", v0=v0, ncv=ncv, tol=1e-10,
                 maxiter=max(2000, 40 * k))
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        except scipy.sparse.linalg.ArpackError as exc:
             raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]

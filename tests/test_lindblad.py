@@ -690,6 +690,55 @@ def test_probe_zero_coupling_and_errors():
         lb.probe_model(0.1, -1.0)
 
 
+def _full_pair_populations(model: lb.LindbladModel,
+                           times: np.ndarray) -> np.ndarray:
+    """The oracle: the excited-pair population from the eigendecomposition
+    of the whole 256-dim vectorized generator."""
+    dim = model.dim
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0b0011, 0b0011] = rho0[0b1011, 0b1011] = 0.5
+    projector = np.zeros(dim)
+    projector[[0b0011, 0b1011, 0b0111, 0b1111]] = 1.0
+    dense = _DenseGenerator(model)
+    vals, vecs = np.linalg.eig(
+        lb._superoperator(dense.h, dense.channels).toarray())
+    coeffs = np.linalg.solve(vecs, rho0.ravel())
+    diag_idx = np.arange(dim) * (dim + 1)
+    weights = (projector[:, None] * vecs[diag_idx, :]).sum(axis=0) * coeffs
+    return np.real(weights[None, :] * np.exp(np.outer(times, vals))).sum(axis=1)
+
+
+@pytest.mark.parametrize("coupling, relaxation",
+                         [(0.02, 1.6), (0.03, 1.0), (0.045, 0.6)])
+def test_restricted_probe_solve_matches_full_eigendecomposition(
+        coupling, relaxation):
+    model = lb.probe_model(coupling, relaxation)
+    # burn-in and fit window of the probe, from t = 0
+    horizon = 8.0 / relaxation + 2.0 * relaxation / (4.0 * coupling ** 2)
+    times = np.linspace(0.0, horizon, 41)
+    want = _full_pair_populations(model, times)
+    got = lb._pair_populations(model, times)
+    assert got[0] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_probe_start_reaches_a_closed_set_of_ten_entries():
+    model = lb.probe_model(0.03, 1.0)
+    dense = _DenseGenerator(model)
+    gen = lb._superoperator(dense.h, dense.channels)
+    dim = model.dim
+    idx = lb._reachable(gen, np.array(lb._PROBE_START) * (dim + 1))
+    assert idx.size == 10
+    # populations and coherences of |11,0_t> and |00,1_t>, populations of
+    # |00,0_t>, each with the translation ancilla (bit 3) in 0 or 1
+    want = {(i | m, j | m) for m in (0, 8)
+            for i in (0b0011, 0b0100) for j in (0b0011, 0b0100)}
+    want |= {(0, 0), (8, 8)}
+    assert {divmod(int(k), dim) for k in idx} == want
+    outside = np.setdiff1d(np.arange(dim * dim), idx)
+    assert gen[outside][:, idx].nnz == 0
+
+
 # -- shared helpers --------------------------------------------------------
 
 

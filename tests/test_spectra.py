@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +216,29 @@ def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
         sp.ground_fidelity(reference, vecs[:, :4]).sector_weights,
         sp.ground_fidelity(reference, dense_vecs[:, :4]).sector_weights,
         rtol=0, atol=1e-9)
+
+
+def test_blocks_too_small_for_a_krylov_space_go_dense(monkeypatch):
+    # at chi = 0 every L = 2 block holds 8 states; Lanczos with k = 6 would
+    # get ncv = 7 = k + 1 there and ARPACK stops with error 3
+    h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
+    dense_evals, _ = dense_lowest(h, 6)
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
+    res = sp.lowest_eigenpairs(h, k=6, seed=7)
+    assert (res.dense_blocks, res.lanczos_blocks) == (8, 0)
+    np.testing.assert_allclose(res.eigenvalues, dense_evals,
+                               rtol=0, atol=1e-12)
+
+
+def test_arpack_failure_is_a_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(3)
+
+    h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(sp.ConvergenceError, match="ARPACK error 3"):
+        sp.lowest_eigenpairs(h, k=5, seed=7)
 
 
 def test_eigenvalues_invariant_under_relabeling():
