@@ -25,18 +25,23 @@ distances and loops are read from them without a dense eigensolve.  A
 model without a lattice, a start with frame coherences, or a model whose
 population sector does not close (for example with a transverse field)
 raises ``ValueError``.  Each operator is transported into the frame once
-per model, or once per rate sweep (``LindbladModel.with_rates``).  The
-full generator is applied in matrix form on the sparse frame matrices; it
-gives the residual that every stationary state is checked against.
-``gibbs_state`` and ``trace_distance`` are dense L = 2 oracles.  The
-vectorized superoperator (``_superoperator``) serves only the
-adiabatic-elimination probe, which eigendecomposes it on the entries of
-vec(rho) that its start reaches.
+per model, or once per rate sweep (``LindbladModel.with_rates``), and the
+rate matrix is built once per model.  Every channel is a partial
+permutation in the frame, so the full generator maps a frame-diagonal
+state to a sparse matrix in O(nnz); that gives the residual every
+stationary state is checked against.  The dense states
+(``StationaryResult.rho``, ``EvolutionResult.states``) are L = 2 views
+built from the populations on request.  ``gibbs_state`` and
+``trace_distance`` are dense L = 2 oracles.  The vectorized
+superoperator (``_superoperator``) serves only the adiabatic-elimination
+probe, which eigendecomposes it on the entries of vec(rho) that its
+start reaches.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -494,8 +499,9 @@ class _FrameMatrices:
     ``ValueError`` names it.  The constructor builds only what depends on
     the rates, in O(nnz): for such a channel c†c is diagonal, so the
     absorber A = sum r c†c is a vector that adds r |v|^2 at each channel's
-    columns.  ``apply`` evaluates the generator in matrix form,
-    -i[H, rho] - {A, rho} + sum 2r c rho c†, one channel at a time.
+    columns.  :meth:`apply` evaluates the full generator on a
+    frame-diagonal state in O(nnz), and :attr:`rate_matrix` is the
+    population chain, built once per model.
     """
 
     def __init__(self, frame: StabilizerFrame, h: scipy.sparse.csr_matrix,
@@ -505,10 +511,8 @@ class _FrameMatrices:
         self.h = h
         self.channels = [(jt.rate, c) for jt, c in zip(jumps, transports)]
         absorber = np.zeros(h.shape[0])
-        self._gains = []
         for rate, c in self.channels:
             absorber[c.col] += rate * (c.data.conj() * c.data).real
-            self._gains.append((2.0 * rate, c.row, c.col, c.data))
         # K = -iH - A
         self._drift = (-1j * h - scipy.sparse.diags(absorber)).tocsr()
 
@@ -529,19 +533,37 @@ class _FrameMatrices:
             transports.append(c)
         return cls(frame, h, model.jumps, transports)
 
-    def apply(self, rho_f: np.ndarray) -> np.ndarray:
-        # K rho + rho K† with rho K† = (K rho†)†, so both products are
-        # sparse @ dense; a channel with entries v at (r, k) adds
-        # 2 rate v_a conj(v_b) rho[k_a, k_b] at (r_a, r_b), and its rows
-        # are distinct, so every (r_a, r_b) is hit once
-        n = rho_f.shape[0]
-        out = self._drift @ rho_f
-        out += (self._drift @ np.ascontiguousarray(rho_f.conj().T)).conj().T
-        rho_flat, out_flat = rho_f.reshape(-1), out.reshape(-1)
-        for rate, rows, cols, vals in self._gains:
-            gains = rate * vals[:, None] * rho_flat[cols[:, None] * n + cols]
-            out_flat[rows[:, None] * n + rows] += gains * vals.conj()
-        return out
+    def apply(self, p: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The generator applied to the frame state diag(p), as a sparse
+        matrix: -i[H, rho] - {A, rho} + sum 2r c rho c†.
+
+        With K = -iH - A the drift part is K diag(p) + (K diag(p))†.  A
+        channel's columns are distinct, so c diag(p) c† is diagonal and
+        adds 2r |v|^2 p[col] at each of its rows.
+        """
+        drift = self._drift @ scipy.sparse.diags(p)
+        gains = np.zeros(p.size)
+        for rate, c in self.channels:
+            gains[c.row] += 2.0 * rate * np.abs(c.data) ** 2 * p[c.col]
+        return (drift + drift.conj().T + scipy.sparse.diags(gains)).tocsr()
+
+    @functools.cached_property
+    def rate_matrix(self) -> np.ndarray:
+        """Population-sector generator M, built on first use; ``ValueError``
+        if H is not frame-diagonal, so that the sector does not close.
+        Every channel is a partial permutation in the frame, so none leaks
+        coherence."""
+        h_off = self.h - scipy.sparse.diags(self.h.diagonal())
+        if h_off.nnz and np.abs(h_off.data).max() > 1e-12:
+            raise ValueError("H is not diagonal in the stabilizer frame, so "
+                             "the population sector does not close")
+        n = self.frame.size
+        m = np.zeros((n, n))
+        for rate, c in self.channels:
+            flows = 2.0 * rate * np.abs(c.data) ** 2
+            np.add.at(m, (c.row, c.col), flows)
+            np.add.at(m, (c.col, c.col), -flows)
+        return m
 
 
 def _compile_generator(model: LindbladModel) -> _FrameMatrices:
@@ -578,19 +600,26 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
 
 @dataclass
 class EvolutionResult:
-    """Density-matrix trajectory with per-sample conservation monitors.
+    """Frame-population trajectory with per-sample conservation monitors.
 
-    ``populations`` holds the frame populations at each sample, with
-    states[k] = B diag(populations[k]) Bᵀ.
+    ``populations`` holds the frame populations at each sample.  The dense
+    L = 2 view ``states[k]`` = B diag(populations[k]) Bᵀ (and ``final``,
+    the last of them) is built from the populations on first access.
     """
 
     times: np.ndarray
-    states: np.ndarray              # (n_times, dim, dim)
     populations: np.ndarray         # (n_times, dim)
     trace_defects: np.ndarray
     min_eigenvalues: np.ndarray
+    frame: StabilizerFrame = field(repr=False, compare=False)
     counters: dict = field(default_factory=dict)  # sizes and evaluations
     path: str = "chain"             # the engine: the population chain
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """Dense states, shape (n_times, dim, dim)."""
+        b = self.frame.basis
+        return np.stack([(b * p) @ b.T for p in self.populations])
 
     @property
     def final(self) -> np.ndarray:
@@ -603,10 +632,12 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
     ``t_final``.
 
     The run is on the population chain: p(t) = exp(M t) p0 is exact, with
-    one ``scipy.linalg.expm`` per distinct increment between samples, and
-    rho(t) = B diag(p) Bᵀ.  A model without a lattice, a ``rho0`` with
-    off-diagonal frame weight of ``FRAME_DIAGONAL_TOL`` or more, or a model
-    whose population sector does not close raises ``ValueError``.
+    one ``scipy.linalg.expm`` per distinct increment between samples, on
+    the rate matrix M that the model caches.  A model without a lattice, a
+    ``rho0`` with off-diagonal frame weight of ``FRAME_DIAGONAL_TOL`` or
+    more, or a model whose population sector does not close raises
+    ``ValueError``.  No dense state is built; ``states`` is a view built on
+    first access.
 
     ``rho0`` must be a density matrix, and trace and positivity are
     monitored at every sample time against a budget of 1e-9 per unit time;
@@ -631,9 +662,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
     p0 = np.diag(y0).real
     if np.linalg.norm(y0 - np.diag(p0)) >= FRAME_DIAGONAL_TOL:
         raise ValueError("rho0 has coherences in the stabilizer frame")
-    pops, n_props = _propagate_chain(_classical_rate_matrix(gen), p0, times)
-    b = gen.frame.basis
-    states = np.stack([(b * p) @ b.T for p in pops])
+    pops, n_props = _propagate_chain(gen.rate_matrix, p0, times)
     trace_defects = np.abs(pops.sum(axis=1) - 1.0)
     min_eigs = pops.min(axis=1)
     for t, defect, low in zip(times, trace_defects, min_eigs):
@@ -644,9 +673,9 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
         if low < EIGENVALUE_FLOOR - 10.0 * TRACE_TOL_PER_TIME * max(t, 1.0):
             raise PositivityError(
                 f"eigenvalue {low:.3e} beyond budget at t={t}")
-    return EvolutionResult(times=times, states=states, populations=pops,
+    return EvolutionResult(times=times, populations=pops,
                            trace_defects=trace_defects,
-                           min_eigenvalues=min_eigs,
+                           min_eigenvalues=min_eigs, frame=gen.frame,
                            counters={"chain_size": p0.size,
                                      "propagator_evaluations": n_props})
 
@@ -712,11 +741,11 @@ class StationaryResult:
     thermal set the Boltzmann-weight reading -delta/ln p, equal to the
     former only as p -> 0), and ``trace_distance_to_gibbs`` stays finite
     whenever the two temperatures differ.  ``populations`` holds the
-    stationary frame populations and ``energies`` the frame diagonal of H,
-    so rho = B diag(populations) Bᵀ.
+    stationary frame populations and ``energies`` the frame diagonal of H.
+    The dense L = 2 view ``rho`` = B diag(populations) Bᵀ is built from the
+    populations on first access.
     """
 
-    rho: np.ndarray
     null_dim: int
     residual: float
     trace_distance_to_gibbs: float | None
@@ -727,29 +756,26 @@ class StationaryResult:
     method: str
     populations: np.ndarray
     energies: np.ndarray
+    frame: StabilizerFrame = field(repr=False, compare=False)
     counters: dict = field(default_factory=dict)  # engine and sizes
 
-
-def _classical_rate_matrix(gen: _FrameMatrices) -> np.ndarray:
-    """Population-sector generator; ``ValueError`` if H is not
-    frame-diagonal, so that the sector does not close.  Every channel is a
-    partial permutation in the frame (checked by ``_FrameMatrices``), so
-    none leaks coherence."""
-    h_off = gen.h - scipy.sparse.diags(gen.h.diagonal())
-    if h_off.nnz and np.abs(h_off.data).max() > 1e-12:
-        raise ValueError("H is not diagonal in the stabilizer frame, so the "
-                         "population sector does not close")
-    n = gen.frame.size
-    m = np.zeros((n, n))
-    for rate, c in gen.channels:
-        flows = 2.0 * rate * np.abs(c.data) ** 2
-        np.add.at(m, (c.row, c.col), flows)
-        np.add.at(m, (c.col, c.col), -flows)
-    return m
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """Dense stationary density matrix, Hermitian with unit trace."""
+        rho = self.frame.from_frame(np.diag(self.populations.astype(complex)))
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        return rho
 
 
 def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
-    """One stationary distribution per recurrent communicating class."""
+    """One stationary distribution per recurrent communicating class.
+
+    A closed class is irreducible, so its block has a one-dimensional null
+    space, and 1ᵀM = 0 makes its last row a combination of the others:
+    with that row replaced by ones the block is nonsingular, and the
+    solve against the last unit vector is the normalized distribution
+    (Kemeny & Snell, *Finite Markov Chains*, 1960)."""
     n = m.shape[0]
     graph = scipy.sparse.csr_matrix((m - np.diag(np.diag(m))) > 1e-300)
     n_comp, labels = scipy.sparse.csgraph.connected_components(
@@ -763,14 +789,12 @@ def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
         if leaks[comp]:
             continue
         idx = np.flatnonzero(labels == comp)
-        sub = m[np.ix_(idx, idx)]
-        if idx.size == 1:
-            pi_local = np.ones(1)
-        else:
-            _, _, vh = np.linalg.svd(sub)
-            pi_local = np.abs(vh[-1])
+        block = m[np.ix_(idx, idx)]
+        block[-1] = 1.0
+        rhs = np.zeros(idx.size)
+        rhs[-1] = 1.0
         pi = np.zeros(n)
-        pi[idx] = pi_local / pi_local.sum()
+        pi[idx] = np.linalg.solve(block, rhs)
         dists.append(pi)
     return dists
 
@@ -784,27 +808,27 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     population sector closes under the generator and the stationary state
     is the null space of the population chain's rate matrix M; no
     superoperator is built.  A model without a lattice, or one whose
-    population sector does not close, raises ``ValueError``.  The candidate
-    is verified against the full generator in matrix form (``residual``).
-    Each closed recurrent class of the chain holds one stationary
-    distribution, and the null space of a rate matrix is spanned by them,
-    so ``null_dim`` is their number; when there are several (for example at
-    p = 0) they are averaged with equal weights.  H is frame-diagonal, and
-    so is every Gibbs state: each Gibbs distance is ½‖π − w‖₁ with w the
-    Gibbs weights of the frame energies, and each Wilson loop is π @ its
-    frame diagonal.  ``counters`` names the engine (``population-chain``)
-    with the chain size and null dimension.
+    population sector does not close, raises ``ValueError``.  Each closed
+    recurrent class of the chain holds one stationary distribution, found
+    with one linear solve (:func:`_recurrent_distributions`), and the null
+    space of a rate matrix is spanned by them, so ``null_dim`` is their
+    number; when there are several (for example at p = 0) they are
+    averaged with equal weights.  The candidate π is checked against the
+    full generator, not against M: ``residual`` is the Frobenius norm of
+    the generator applied to diag(π), every off-diagonal entry of H and the
+    absorber included, computed in O(nnz) (:meth:`_FrameMatrices.apply`).
+    H is frame-diagonal, and so is every Gibbs state: each Gibbs distance
+    is ½‖π − w‖₁ with w the Gibbs weights of the frame energies, and each
+    Wilson loop is π @ its frame diagonal.  No dense state is built;
+    ``rho`` is a view built on first access.  ``counters`` names the
+    engine (``population-chain``) with the chain size and null dimension.
     """
     gen = _compile_generator(model)
-    dists = _recurrent_distributions(_classical_rate_matrix(gen))
+    dists = _recurrent_distributions(gen.rate_matrix)
     null_dim = len(dists)
     pi = np.mean(dists, axis=0)
     energies = gen.h.diagonal().real
-    rho_f = np.diag(pi.astype(complex))
-    residual = float(np.linalg.norm(gen.apply(rho_f)))
-    rho = gen.frame.from_frame(rho_f)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
+    residual = float(np.linalg.norm(gen.apply(pi).data))
 
     def gibbs_distance(temperature: float) -> float:
         return float(0.5 * np.abs(
@@ -825,7 +849,7 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
         for idx, string in enumerate(strings):
             loops[f"wilson_{name}_{idx}"] = float(
                 pi @ gen.frame.diagonal(string))
-    return StationaryResult(rho=rho, null_dim=null_dim, residual=residual,
+    return StationaryResult(null_dim=null_dim, residual=residual,
                             trace_distance_to_gibbs=distance,
                             gibbs_temperature=temperature,
                             trace_distance_to_detailed_balance=distance_db,
@@ -833,6 +857,7 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
                             loop_expectations=loops,
                             method="classical-rate-matrix",
                             populations=pi, energies=energies,
+                            frame=gen.frame,
                             counters={"engine": "population-chain",
                                       "chain_size": pi.size,
                                       "null_dim": null_dim})

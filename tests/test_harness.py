@@ -392,6 +392,31 @@ class TestScenarioRuns:
         assert len(transported) == len(set(transported)) == 69
         assert sweep.frame_transports == 69
 
+    def test_dissipation_builds_no_dense_state(self, tmp_path, monkeypatch):
+        # the scenarios read populations only: the dense L = 2 views raise
+        # if built
+        def dense_view(*args):
+            raise AssertionError("dense 256 x 256 state built")
+
+        monkeypatch.setattr(lb.StationaryResult, "rho", property(dense_view))
+        monkeypatch.setattr(lb.EvolutionResult, "states",
+                            property(dense_view))
+        monkeypatch.setattr(lb.StabilizerFrame, "from_frame", dense_view)
+        # the stationary solve and the evolution share one rate matrix
+        chains = []
+        for name in ("_recurrent_distributions", "_propagate_chain"):
+            step = getattr(lb, name)
+            monkeypatch.setattr(lb, name, lambda m, *a, step=step:
+                                chains.append(m) or step(m, *a))
+        for kind in ("thermalize", "cool-with-noise"):
+            record = hn.run(hn.ScenarioConfig(kind=kind,
+                                              outdir=str(tmp_path)))
+            assert record.ok, record.summary_lines()
+        # thermalize: one model; cool-with-noise: one model per point
+        assert len(chains) == 2 + 4
+        assert chains[0] is chains[1]
+        assert len({id(m) for m in chains}) == 1 + 4
+
     def test_cool_with_noise_sweep(self, tmp_path):
         cfg = hn.ScenarioConfig(kind="cool-with-noise", outdir=str(tmp_path))
         record = hn.run(cfg)

@@ -346,7 +346,12 @@ def test_gibbs_state_stationary_without_translations():
     gibbs = lb.gibbs_state(model.hamiltonian,
                            model.detailed_balance_temperature())
     gen = lb._compile_generator(model)
-    assert np.linalg.norm(gen.apply(gen.frame.to_frame(gibbs))) < 1e-8
+    # H is frame-diagonal, so the Gibbs state is too: its frame diagonal
+    # holds all of it
+    gibbs_f = gen.frame.to_frame(gibbs)
+    populations = np.diag(gibbs_f).real
+    assert np.linalg.norm(gibbs_f - np.diag(populations)) < 1e-12
+    assert np.linalg.norm(gen.apply(populations).toarray()) < 1e-8
 
 
 def test_stationary_requires_lattice():
@@ -369,14 +374,22 @@ def test_open_population_sector_is_refused():
 @pytest.mark.parametrize("name, classes", [
     ("thermal", 1), ("ground-pump", 4), ("cooling", 4), ("noisy-cooling", 1)])
 def test_null_dim_counts_recurrent_classes(name, classes):
-    # the oracle: the numerical rank deficiency of the rate matrix, from
-    # its singular values
+    # the oracles: the numerical rank deficiency of the rate matrix, from
+    # its singular values, and the last right-singular vector of each
+    # closed class block, normalized to unit sum
     model = {**CHAIN_MODELS, "ground-pump": lb.thermal_jump_set(
         LAT, p=0.0, lambda_star=1.0, gamma_star=0.8)}[name]
-    singulars = np.linalg.svd(lb._classical_rate_matrix(
-        lb._compile_generator(model)), compute_uv=False)
+    m = lb._compile_generator(model).rate_matrix
+    singulars = np.linalg.svd(m, compute_uv=False)
     assert np.sum(singulars < 1e-9 * max(singulars[0], 1.0)) == classes
     assert lb.stationary_state(model).null_dim == classes
+    dists = lb._recurrent_distributions(m)
+    supports = [np.flatnonzero(pi) for pi in dists]
+    assert len(np.unique(np.concatenate(supports))) == sum(map(len, supports))
+    for pi, idx in zip(dists, supports):
+        _, _, vh = np.linalg.svd(m[np.ix_(idx, idx)])
+        want = np.abs(vh[-1]) / np.abs(vh[-1]).sum()
+        np.testing.assert_allclose(pi[idx], want, rtol=0, atol=1e-13)
 
 
 # -- master-equation integration -----------------------------------------
@@ -401,12 +414,19 @@ def _random_density(dim: int, seed: int) -> np.ndarray:
 
 
 def test_frame_generator_matches_dense_oracle():
-    sigma = _random_density(DIM, seed=12)
+    # the full generator on random frame-diagonal states, every coherence
+    # it creates included
+    rng = np.random.default_rng(12)
     for model in CHAIN_MODELS.values():
-        frame = lb._compile_generator(model)
-        np.testing.assert_allclose(
-            FRAME.from_frame(frame.apply(FRAME.to_frame(sigma))),
-            _DenseGenerator(model).apply(sigma), rtol=0, atol=1e-12)
+        gen = lb._compile_generator(model)
+        dense = _DenseGenerator(model)
+        for _ in range(2):
+            p = rng.random(DIM)
+            p /= p.sum()
+            np.testing.assert_allclose(
+                FRAME.from_frame(gen.apply(p).toarray()),
+                dense.apply((FRAME.basis * p) @ FRAME.basis.T),
+                rtol=0, atol=1e-12)
 
 
 def test_frame_matrices_need_permutation_channels():
@@ -527,7 +547,8 @@ def test_rate_sweep_shares_transports_and_matches_fresh_models():
     lb.stationary_state(sweep)
     transports = sweep.frame.transports
     assert transports == 1 + 32 + 24 + 4      # H, channels, Wilson loops
-    sigma = FRAME.to_frame(_random_density(DIM, seed=5))
+    p = np.random.default_rng(5).random(DIM)
+    p /= p.sum()
     for gamma in (0.3, 0.0):
         point = jumps(gamma)
         shared = sweep.with_rates([jt.rate for jt in point])
@@ -544,8 +565,9 @@ def test_rate_sweep_shares_transports_and_matches_fresh_models():
         assert a.null_dim == b.null_dim
         assert abs(a.residual - b.residual) <= 1e-14
         np.testing.assert_allclose(
-            lb._compile_generator(shared).apply(sigma),
-            lb._compile_generator(fresh).apply(sigma), rtol=0, atol=1e-14)
+            lb._compile_generator(shared).apply(p).toarray(),
+            lb._compile_generator(fresh).apply(p).toarray(),
+            rtol=0, atol=1e-14)
     assert sweep.frame.transports == transports
 
 
