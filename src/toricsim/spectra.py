@@ -20,11 +20,13 @@ plaquette with an even number of Y letters.  Every term maps a Z-basis
 state j only to j ^ x with x in the GF(2) span W of the X-masks, so H is
 block diagonal over the cosets of W: 1024 sectors of 256 states at L = 3
 and chi = 0, 8 of 32768 at chi != 0 (2 with ``chi_pairs = "all"``).  H is
-compiled once into one CSR matrix in that gauge with its basis ordered by
-coset, one entry per row for each distinct X-mask; it serves the Z-basis
-matvec, and its diagonal blocks are the sectors the eigensolver visits,
-skipping every block whose Gershgorin floor proves it holds none of the
-lowest levels.
+compiled once in that gauge with its basis ordered by coset: the
+compiled operator keeps the order, the gauge, the terms of each X-mask and
+every sector's Gershgorin floor, and builds the CSR block of a sector, one
+entry per row for each distinct X-mask, only when asked.  The eigensolver
+builds the blocks it visits, skipping every block whose floor proves it
+holds none of the lowest levels; the Z-basis matvec applies H block by
+block.  No code path assembles all 2^n rows at once.
 
 The lattice translations permute the links, and those that leave the term
 multiset exactly invariant commute with H and permute the cosets of W.
@@ -52,6 +54,9 @@ from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum
 
 DENSE_DIM_CAP = 4096
+# rows per vectorized pass of a block build: a pass's rows x terms
+# temporaries stay in cache and add no transient memory at any block size
+BLOCK_ROWS = 2048
 
 
 class ConvergenceError(RuntimeError):
@@ -109,11 +114,10 @@ def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
 
 def _permute_bits(masks: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     """Every mask with bit q moved to bit ``perm[q]``."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    out = np.zeros_like(masks)
-    for q, target in enumerate(perm):
-        out |= (masks >> np.uint64(q) & np.uint64(1)) << np.uint64(target)
-    return out
+    masks = np.asarray(masks, dtype=np.uint64)[..., None]
+    bits = masks >> np.arange(len(perm), dtype=np.uint64) & np.uint64(1)
+    return np.bitwise_or.reduce(bits << np.array(perm, dtype=np.uint64),
+                                axis=-1)
 
 
 def _term_symmetries(terms: Sequence[tuple[float, PauliString]],
@@ -182,9 +186,24 @@ def plaquette_flips(lat: lt.TorusLattice) -> np.ndarray:
                  for p in range(lat.n_plaquettes - 1))
 
 
+def _entry_turns(rows: np.ndarray, masks: np.ndarray,
+                 turns0: np.ndarray) -> np.ndarray:
+    """k mod 4 at every row j, with i**k the phase of a term's entry at
+    (j, j ^ x) of V^H H V: k(j) = k(0) + 2 popcount(j & m).
+
+    The entry's phase is q(j ^ x) + popcount((j ^ x) & s) - popcount(j & s)
+    for the term's :meth:`~toricsim.pauli.PauliString.quarter_turns` q and
+    the gauge links s; expanding each popcount of an XOR leaves k(0)
+    (``turns0``) plus twice popcount(j & m) with m = z ^ (x & s)
+    (``masks``).  ``masks`` and ``turns0`` broadcast against ``rows``.
+    """
+    return (turns0 + 2 * np.bitwise_count(rows & masks)) & 3
+
+
 @dataclass(frozen=True)
 class SectorOperator:
-    """H compiled in sector order: H[order][:, order] = V A V^H.
+    """H in sector order, H[order][:, order] = V A V^H, kept as what builds
+    each diagonal block of A on request.
 
     ``order[p]`` is the Z-basis state at position p.  Every term maps a
     state j only to j ^ x with x in the GF(2) span W of the X-masks, so the
@@ -192,8 +211,16 @@ class SectorOperator:
     ``sector_dim`` = |W| states each, and A is block diagonal.  ``gauge``
     holds v, the :func:`real_gauge` diagonal, at each position, and A is
     real symmetric; when no real gauge exists ``gauge`` is None and A is
-    the complex H.  ``floors[s]`` is the Gershgorin floor of block s,
-    min_i(a_ii - sum_{j != i} |a_ij|), a lower bound on its spectrum.
+    the complex H.
+
+    Every row of A holds one entry per distinct X-mask, ``x_masks`` in
+    ascending order: X-mask g puts the entry of local row l of a sector at
+    local column ``l ^ shifts[g]``.  ``diagonal`` is A's diagonal at each
+    position.  The other terms, ordered by X-mask and in H's order within
+    one, are ``groups`` (the index of their X-mask) and the ``masks``,
+    ``turns0`` and ``coeffs`` of their entries' phases
+    (:func:`_entry_turns`).  ``floors[s]`` is the Gershgorin floor of block
+    s, min_i(a_ii - sum_{j != i} |a_ij|), a lower bound on its spectrum.
 
     ``symmetries`` are the candidate link permutations that leave the terms
     exactly invariant; they commute with H and permute the sectors.
@@ -203,10 +230,16 @@ class SectorOperator:
     coset onto sector s's.
     """
 
-    matrix: scipy.sparse.csr_matrix
-    gauge: np.ndarray | None
     order: np.ndarray
+    gauge: np.ndarray | None
     sector_dim: int
+    x_masks: np.ndarray
+    shifts: np.ndarray
+    diagonal: np.ndarray
+    groups: np.ndarray
+    masks: np.ndarray
+    turns0: np.ndarray
+    coeffs: np.ndarray
     floors: np.ndarray
     symmetries: tuple[tuple[int, ...], ...]
     orbit: np.ndarray
@@ -216,12 +249,53 @@ class SectorOperator:
         return slice(s * self.sector_dim, (s + 1) * self.sector_dim)
 
     def block(self, s: int) -> scipy.sparse.csr_matrix:
-        return self.matrix[self.positions(s), self.positions(s)]
+        """The CSR block of sector s, built from its own rows.
+
+        Each row lists its entries in ascending X-mask, and each entry sums
+        its X-mask's terms in order from zero.  The rows are taken
+        ``BLOCK_ROWS`` at a time.
+        """
+        n, width = self.sector_dim, self.x_masks.size
+        part = self.positions(s)
+        data = np.empty((n, width),
+                        dtype=complex if self.gauge is None else float)
+        for lo in range(0, n, BLOCK_ROWS):
+            data[lo:lo + BLOCK_ROWS] = self._entries(
+                self.order[part][lo:lo + BLOCK_ROWS])
+        if width and not self.x_masks[0]:
+            data[:, 0] = self.diagonal[part]
+        indices = np.arange(n, dtype=np.int32)[:, None] ^ self.shifts
+        indptr = np.arange(n + 1, dtype=np.int32) * width
+        return scipy.sparse.csr_matrix(
+            (data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+
+    def _entries(self, rows: np.ndarray) -> np.ndarray:
+        """The off-diagonal entries of the given rows, one column per
+        X-mask (X-mask 0's is zero); in the real gauge every entry is
+        checked real."""
+        n, width = rows.size, self.x_masks.size
+        turns = _entry_turns(rows[:, None], self.masks, self.turns0)
+        if self.gauge is not None and np.bitwise_or.reduce(turns, None) & 1:
+            x = self.x_masks[self.groups[np.any(turns & 1, axis=0)][0]]
+            raise RuntimeError(f"the gauge leaves X-mask {x:#x} complex")
+        phases = QUARTER_TURNS if self.gauge is None else QUARTER_TURNS.real
+        values = self.coeffs * phases[turns]
+        slots = (np.arange(n)[:, None] * width + self.groups).reshape(-1)
+
+        def sums(weights):  # in index order; integer if there are none
+            return np.bincount(slots, weights.reshape(-1),
+                               n * width).astype(float, copy=False)
+
+        out = sums(values.real)
+        if self.gauge is None:
+            out = out + 1j * sums(values.imag)
+        return out.reshape(n, width)
 
 
 @dataclass
 class SparseHamiltonian:
-    """Hermitian Pauli-term Hamiltonian compiled once to a CSR operator.
+    """Hermitian Pauli-term Hamiltonian, compiled once to a sector operator
+    that builds CSR blocks on request.
 
     ``symmetries`` are candidate link permutations (entry q is the link
     qubit q moves to); :meth:`compile` keeps those that leave the terms
@@ -255,17 +329,30 @@ class SparseHamiltonian:
 
         A state's position is its coset, then its bits at the pivots of
         W's reduced echelon basis, so the position of j ^ x is the position
-        of j XOR the pivot bits of x.  Every row of A holds one entry per
-        distinct X-mask, and the CSR arrays are built directly.  Each
-        coset is sent to its orbit by permuting its representative state.
+        of j XOR the pivot bits of x.  The phase parity of a term's entries
+        is the same in every row (:func:`_entry_turns`), so one check per
+        term proves the gauge real.  The Gershgorin floors take the
+        diagonal, summed in real arithmetic, and a radius: |coefficient|
+        for an X-mask with one term, and the row-wise |entry| only where
+        terms share an X-mask.  Each coset is sent to its orbit by
+        permuting its representative state.  No block is built here.
         """
         if self._compiled is not None:
             return self._compiled
         mask = real_gauge(self.terms)
-        groups: dict[int, list[tuple[float, PauliString]]] = {}
+        links = mask or 0
+        by_mask: dict[int, list[tuple[float, int, int]]] = {}
         for coeff, t in self.terms:
-            groups.setdefault(t.x_mask, []).append((coeff, t))
-        xs = sorted(groups)
+            x = t.x_mask
+            # k(0) = q(x) + popcount(x & s), the entry phase at row 0
+            turns0 = (int(t.quarter_turns(np.uint64(x)))
+                      + (x & links).bit_count())
+            if mask is not None and turns0 & 1:
+                raise RuntimeError(
+                    f"gauge {mask:#x} leaves X-mask {x:#x} complex")
+            by_mask.setdefault(x, []).append(
+                (coeff, t.z_mask ^ (x & links), turns0 % 4))
+        xs = sorted(by_mask)
         pivots = _echelon((x, 0) for x in xs)
         leads = sorted(pivots)
         # one representative per coset (zero at every pivot) XOR all of W
@@ -274,56 +361,56 @@ class SparseHamiltonian:
         order = (reps[:, None] ^ local[None, :]).reshape(-1)
         shifts = [sum(1 << i for i, b in enumerate(leads) if x >> b & 1)
                   for x in xs]
-        data = np.empty((self.dim, len(xs)),
-                        dtype=complex if mask is None else float)
-        diag = np.zeros(self.dim)
+        diagonal = np.zeros(self.dim)
         radius = np.zeros(self.dim)
-        row_turns = _popcount(order, mask or 0)
-        for g, x in enumerate(xs):
-            cols = order ^ np.uint64(x)
-            # conj(v_j) v_{j^x} = i**(popcount((j^x) & s) - popcount(j & s))
-            turns = _popcount(cols, mask or 0) - row_turns
-            w = np.zeros(self.dim, dtype=complex)
-            for coeff, t in groups[x]:
-                w += coeff * QUARTER_TURNS[(t.quarter_turns(cols) + turns) % 4]
-            if mask is None:
-                data[:, g] = w
-            elif np.any(w.imag != 0.0):
-                raise RuntimeError(
-                    f"gauge {mask:#x} leaves X-mask {x:#x} complex")
-            else:
-                data[:, g] = w.real
+        for x in xs:
+            if x and len(by_mask[x]) == 1:
+                radius += abs(by_mask[x][0][0])
+                continue
+            # a diagonal entry is real with or without the gauge
+            real = mask is not None or not x
+            w = np.zeros(self.dim, dtype=float if real else complex)
+            for coeff, m, turns0 in by_mask[x]:
+                turns = _entry_turns(order, np.uint64(m), turns0)
+                w += coeff * (1.0 - (turns & 2) if real
+                              else QUARTER_TURNS[turns])
             if x:
                 radius += np.abs(w)
             else:
-                diag = w.real
-        rows = np.arange(self.dim, dtype=np.int32)
-        indices = rows[:, None] ^ np.array(shifts, dtype=np.int32)[None, :]
-        indptr = np.arange(self.dim + 1, dtype=np.int32) * len(xs)
-        a = scipy.sparse.csr_matrix(
-            (data.reshape(-1), indices.reshape(-1), indptr),
-            shape=(self.dim, self.dim))
+                diagonal = w
         sector_dim = 1 << len(leads)
-        floors = (diag - radius).reshape(-1, sector_dim).min(axis=1)
+        floors = (diagonal - radius).reshape(-1, sector_dim).min(axis=1)
         symmetries = _term_symmetries(self.terms, self.symmetries)
         orbit, carry = _sector_orbits(self.n_qubits, symmetries, reps, order,
                                       sector_dim, floors)
+        off = [(g, *term) for g, x in enumerate(xs) if x
+               for term in by_mask[x]]
         self._compiled = SectorOperator(
-            matrix=a,
-            gauge=None if mask is None else QUARTER_TURNS[row_turns % 4],
-            order=order, sector_dim=sector_dim, floors=floors,
-            symmetries=symmetries, orbit=orbit, carry=carry)
+            order=order,
+            gauge=(None if mask is None
+                   else QUARTER_TURNS[_popcount(order, mask) % 4]),
+            sector_dim=sector_dim, x_masks=np.array(xs, dtype=np.uint64),
+            shifts=np.array(shifts, dtype=np.int32), diagonal=diagonal,
+            groups=np.array([o[0] for o in off], dtype=np.intp),
+            coeffs=np.array([o[1] for o in off], dtype=float),
+            masks=np.array([o[2] for o in off], dtype=np.uint64),
+            turns0=np.array([o[3] for o in off], dtype=np.uint8),
+            floors=floors, symmetries=symmetries, orbit=orbit, carry=carry)
         return self._compiled
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
-        """H psi in the Z basis, through the compiled operator."""
+        """H psi in the Z basis, applied block by block in sector order."""
         op = self.compile()
         u = np.asarray(psi, dtype=complex).reshape(self.dim)[op.order]
-        if op.gauge is None:
-            y = op.matrix @ u
-        else:
+        if op.gauge is not None:
             u = op.gauge.conj() * u
-            y = op.gauge * (op.matrix @ u.real + 1j * (op.matrix @ u.imag))
+        y = np.empty_like(u)
+        for s in range(op.floors.size):
+            a, part = op.block(s), u[op.positions(s)]
+            y[op.positions(s)] = (a @ part if op.gauge is None
+                                  else a @ part.real + 1j * (a @ part.imag))
+        if op.gauge is not None:
+            y *= op.gauge
         out = np.empty_like(y)
         out[op.order] = y
         return out
@@ -459,9 +546,10 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
                       residual_bound: float = RESIDUAL_BOUND) -> SpectrumResult:
     """k smallest eigenpairs, solved block by block at every size.
 
-    The blocks of the compiled real-gauge matrix A = V^H H V
+    The blocks of the real-gauge A = V^H H V
     (:meth:`SparseHamiltonian.compile`) are visited in ascending Gershgorin
-    floor.  The first block reached in a translation orbit is solved: by
+    floor, and a block is built only when it is used, at most once per
+    call.  The first block reached in a translation orbit is solved: by
     dense ``eigh`` at or below ``DENSE_DIM_CAP``, otherwise by symmetric
     Lanczos (ARPACK ``eigsh``) in real arithmetic, with a Krylov space
     (ncv >= 4k) wide enough for the 4-fold quasi-degenerate manifold to
@@ -513,14 +601,17 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
     evecs = None
     if with_vectors:
         evecs = np.zeros((h.dim, len(found)), dtype=complex)
+        members = {}  # each member block is built once for all its levels
         for col, (e, _, s, vec) in enumerate(found):
             rep = op.positions(op.orbit[s])
             evecs[_permute_bits(op.order[rep], op.carry[s]), col] = (
                 op.gauge[rep] * vec)
             if op.orbit[s] != s:
+                if s not in members:
+                    members[s] = op.block(s)
                 block = op.positions(s)
                 u = op.gauge[block].conj() * evecs[op.order[block], col]
-                residual = np.linalg.norm(op.block(s) @ u - e * u)
+                residual = np.linalg.norm(members[s] @ u - e * u)
                 _verify(np.array([residual]), residual_bound)
                 found[col] = (e, residual, s, vec)
     return SpectrumResult(

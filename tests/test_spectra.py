@@ -1,5 +1,9 @@
 """Exact diagonalization against dense oracles (L=2, 256 dimensions)."""
 
+import dataclasses
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -72,16 +76,96 @@ def test_matvec_matches_dense():
 def test_compiled_operator_is_the_real_gauge(mode, chi):
     h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
     op = h.compile()
-    a, gauge, order = op.matrix, op.gauge, op.order
-    assert a.dtype == np.float64
+    gauge, order = op.gauge, op.order
     np.testing.assert_array_equal(np.sort(order), np.arange(256))
+    np.testing.assert_array_equal(np.abs(gauge), 1.0)
     dense = h.to_dense()
     gauged = gauge.conj()[:, None] * dense[np.ix_(order, order)] * gauge[None, :]
-    assert np.max(np.abs(a.toarray() - gauged)) <= 1e-14
-    np.testing.assert_array_equal(np.abs(gauge), 1.0)
+    for s in range(len(op.floors)):
+        a, part = op.block(s), op.positions(s)
+        assert a.dtype == np.float64
+        assert np.max(np.abs(a.toarray() - gauged[part, part])) <= 1e-14
+        gauged[part, part] = 0.0
+    assert not gauged.any()  # every entry of H lies in some block
     rng = np.random.default_rng(2)
     psi = rng.normal(size=256) + 1j * rng.normal(size=256)
     np.testing.assert_allclose(h.matvec(psi), dense @ psi, atol=1e-12)
+
+
+def _loop_block(h, op, s):
+    """(data, indices) of block s, summed term by term in Python from the
+    phase rule i**(q(j ^ x) + popcount((j ^ x) & s) - popcount(j & s))."""
+    links = sp.real_gauge(h.terms)
+    position = {int(j): p for p, j in enumerate(op.order)}
+    lo = s * op.sector_dim
+    data, indices = [], []
+    for j in op.order[op.positions(s)].tolist():
+        for x in sorted({t.x_mask for _, t in h.terms}):
+            entry = 0.0
+            for coeff, t in h.terms:
+                if t.x_mask == x:
+                    turns = (int(t.quarter_turns(np.uint64(j ^ x)))
+                             + ((j ^ x) & links).bit_count()
+                             - (j & links).bit_count()) % 4
+                    assert turns % 2 == 0
+                    entry += coeff * (1 - turns)
+            data.append(entry)
+            indices.append(position[j ^ x] - lo)
+    return np.array(data), np.array(indices)
+
+
+@pytest.mark.parametrize("mode", ["sequence", "all"])
+@pytest.mark.parametrize("chi", [0.0, 0.25])
+def test_blocks_and_floors_match_term_loop_bitwise(mode, chi):
+    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    op = h.compile()
+    floors = []
+    for s in range(len(op.floors)):
+        a = op.block(s)
+        data, indices = _loop_block(h, op, s)
+        np.testing.assert_array_equal(a.data, data)
+        np.testing.assert_array_equal(a.indices, indices)
+        np.testing.assert_array_equal(
+            a.indptr, np.arange(op.sector_dim + 1) * op.x_masks.size)
+        # the floor subtracts every off-diagonal |entry| of a row in turn
+        rows = data.reshape(op.sector_dim, -1)
+        radius = np.zeros(op.sector_dim)
+        for g in range(1, rows.shape[1]):
+            radius += np.abs(rows[:, g])
+        floors.append(np.min(rows[:, 0] - radius))
+    np.testing.assert_array_equal(op.floors, floors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_permute_bits_matches_loop(data):
+    n = data.draw(st.integers(1, 20))
+    perm = data.draw(st.permutations(range(n)))
+    masks = data.draw(st.lists(st.integers(0, 2 ** n - 1), max_size=5))
+    moved = sp._permute_bits(np.array(masks, dtype=np.uint64), perm)
+    assert moved.tolist() == [sum(1 << perm[q] for q in range(n) if m >> q & 1)
+                              for m in masks]
+
+
+def test_gauge_check_covers_every_term(monkeypatch):
+    def pair(a, a_letter, b, b_letter):
+        return (PauliString.single(4, a, a_letter)
+                * PauliString.single(4, b, b_letter))
+
+    h = sp.SparseHamiltonian(4, ((-1.0, pair(0, "Z", 1, "Z")),
+                                 (0.5, pair(0, "X", 1, "X")),
+                                 (0.3, pair(2, "X", 3, "Y"))))
+    assert sp.real_gauge(h.terms) is not None
+    op = sp.build_hamiltonian(LAT, chi=0.25, h_z=0.05).compile()
+    # no S gate leaves X2.Y3, and only it, imaginary; compile builds no
+    # block, so its own per-term check must catch it
+    monkeypatch.setattr(sp, "real_gauge", lambda terms: 0)
+    with pytest.raises(RuntimeError, match="X-mask 0xc complex"):
+        h.compile()
+    # a built block checks every entry of its own
+    odd = dataclasses.replace(op, turns0=op.turns0 ^ np.uint8(1))
+    with pytest.raises(RuntimeError, match="complex"):
+        odd.block(0)
 
 
 @pytest.mark.parametrize("size", [3, 4])
@@ -186,16 +270,58 @@ def test_lanczos_path_matches_dense(monkeypatch, mode, chi):
 def test_gershgorin_stop_is_exact():
     h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
     op = h.compile()
-    n = op.sector_dim
     every_block = np.sort(np.concatenate([
-        np.linalg.eigvalsh(op.matrix[lo:lo + n, lo:lo + n].toarray())[:6]
-        for lo in range(0, h.dim, n)]))
+        np.linalg.eigvalsh(op.block(s).toarray())[:6]
+        for s in range(len(op.floors))]))
     res = sp.lowest_eigenpairs(h, k=6)
     np.testing.assert_allclose(res.eigenvalues, every_block[:6],
                                rtol=0, atol=1e-12)
     assert (res.sectors, res.sector_dim) == (32, 8)
     assert res.lanczos_blocks == 0
     assert 0 < res.dense_blocks < res.sectors  # some blocks were skipped
+
+
+def _count_blocks(monkeypatch) -> Counter:
+    """Count the block builds of every sector from now on."""
+    built = Counter()
+    block = sp.SectorOperator.block
+
+    def counted(op, s):
+        built[int(s)] += 1
+        return block(op, s)
+
+    monkeypatch.setattr(sp.SectorOperator, "block", counted)
+    return built
+
+
+def test_solver_builds_only_the_blocks_it_uses(monkeypatch):
+    h = sp.build_hamiltonian(lt.build(3), chi=0.0, h_z=0.05)
+    h.compile()
+    built = _count_blocks(monkeypatch)
+    res = sp.lowest_eigenpairs(h, k=6, seed=7, with_vectors=False)
+    assert res.dense_blocks + res.lanczos_blocks == 20
+    assert sum(built.values()) == 20 and set(built.values()) == {1}
+    # a member block is built once for the check of all its kept levels
+    h = sp.build_hamiltonian(LAT, chi=0.2, h_z=0.05)
+    built = _count_blocks(monkeypatch)
+    res = sp.lowest_eigenpairs(h, k=20, seed=3)
+    op = h.compile()
+    members = {s for s in built if op.orbit[s] != s}
+    assert members and set(built.values()) == {1}
+    assert len(built) == res.dense_blocks + res.lanczos_blocks + len(members)
+
+
+def test_compile_never_holds_the_whole_matrix():
+    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
+    tracemalloc.start()
+    try:
+        op = h.compile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^18 x 19 CSR matrix alone took 58 MiB
+    assert peak < 40 * 2 ** 20
+    assert not hasattr(op, "matrix")
 
 
 def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
@@ -329,18 +455,15 @@ def gauged_term_sets(draw):
 @given(gauged_term_sets(), st.integers(0, 2 ** 32 - 1))
 def test_sector_order_is_block_diagonal(h, seed):
     op = h.compile()
-    coo = op.matrix.tocoo()
-    # no entry crosses a sector
-    np.testing.assert_array_equal(coo.row // op.sector_dim,
-                                  coo.col // op.sector_dim)
+    # the matvec applies only the blocks, so it misses any entry of H that
+    # crosses a sector
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
     np.testing.assert_allclose(h.matvec(psi), h.to_dense() @ psi,
                                rtol=0, atol=1e-12)
     # each floor bounds its block's spectrum from below
-    n = op.sector_dim
     for s, floor in enumerate(op.floors):
-        block = op.matrix[s * n:(s + 1) * n, s * n:(s + 1) * n].toarray()
+        block = op.block(s).toarray()
         assert np.linalg.eigvalsh(block)[0] >= floor - 1e-12
 
 
