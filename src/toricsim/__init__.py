@@ -7,7 +7,7 @@ pauli      symplectic Pauli-string algebra and Pauli-basis decompositions
 lattice    torus link lattice, stabilizers, Wilson loops, translations
 sequences  gate sequences, effective Hamiltonians, perturbative order scans
 spectra    sparse stabilizer Hamiltonians, orbit-by-orbit eigensolver, ground-space fidelity
-lindblad   engineered jump operators, population-chain dissipation, ancilla pump
+lindblad   engineered jump operators, label-chain dissipation, ancilla pump
 harness    scenario configs, noise models, deterministic run records
 cli        command-line entry point (``toricsim <subcommand>``)
 """

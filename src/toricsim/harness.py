@@ -38,7 +38,7 @@ from . import lattice as lt
 from . import lindblad as lb
 from . import sequences as sq
 from . import spectra as sp
-from .pauli import PauliString
+from .pauli import PauliString, PauliSum
 
 SCHEMA_VERSION = 3
 # Fixed-point decimals of the solver columns (energies, gaps, fidelities,
@@ -562,12 +562,18 @@ def excitation_density(rho: np.ndarray, lat: lt.TorusLattice) -> float:
     return total / len(stabs)
 
 
-def excitation_weights(frame: lb.StabilizerFrame) -> np.ndarray:
-    """Mean flipped-stabilizer weight of each frame state, from the frame
-    diagonals of the stabilizers: populations @ weights is the excitation
-    density of a frame-diagonal state."""
+def excitation_weights(
+        frame: lb.StabilizerFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Mean flipped-stabilizer weight of each frame state as an orbit part
+    and a character part, w(o, t) = w_e(o) + w_m(t): the label diagonal of
+    the mean of (1 - h)/2 over the stabilizers.  A frame-diagonal state
+    with label marginals p_e and p_m has excitation density
+    p_e @ w_e + p_m @ w_m."""
     stabs = _stabilizers(frame.lattice)
-    return sum((1.0 - frame.diagonal(s)) / 2.0 for s in stabs) / len(stabs)
+    weight = 0.5 / len(stabs)
+    return frame.label_diagonal(PauliSum.from_terms(
+        [(0.5, PauliString.identity(frame.n_qubits))]
+        + [(-weight, stab) for stab in stabs], n_qubits=frame.n_qubits))
 
 
 def _fitted_temperature(density: float) -> float:
@@ -736,18 +742,23 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     model = lb.thermal_jump_set(lat, p=cfg.p, lambda_star=cfg.lambda_star,
                                 gamma_star=cfg.gamma_star)
     stat = lb.stationary_state(model)
-    dim = model.dim
+    size = model.frame.size
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
-    out = lb.evolve(model, np.eye(dim) / dim, cfg.t_final, sample_times=times)
-    # every sample is frame-diagonal: read the observables off populations
-    weights = excitation_weights(model.frame)
+    out = lb.evolve(model, np.full(size, 1.0 / size), cfg.t_final,
+                    sample_times=times)
+    # every sample is frame-diagonal: energy and excitation density are
+    # label-additive and read off the marginals, entropy and distance off
+    # the joint populations of the Kronecker-sum chain
+    w_e, w_m = excitation_weights(model.frame)
+    stationary = stat.populations
     rows = []
-    for t, pops in zip(out.times, out.populations):
+    for t, p_e, p_m, pops in zip(out.times, out.orbit_populations,
+                                 out.char_populations, out.populations):
         rows.append((float(t),
-                     float(pops @ stat.energies),
+                     float(p_e @ stat.orbit_energies + p_m @ stat.char_energies),
                      population_entropy(pops),
-                     float(pops @ weights),
-                     float(0.5 * np.abs(pops - stat.populations).sum())))
+                     float(p_e @ w_e + p_m @ w_m),
+                     float(0.5 * np.abs(pops - stationary).sum())))
     parts.metrics = _columns("thermalize", rows)
     parts.files.append(("thermalize.csv", emit_figure_data("thermalize", rows)))
     report = {
@@ -765,10 +776,9 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
                         json.dumps(report, sort_keys=True, indent=1)))
     parts.solver = {"stationary": stat.counters,
                     "evolve": {"path": out.path, **out.counters},
-                    "frame_transports": model.frame.transports,
-                    "observables": "frame-populations"}
+                    "observables": "label-populations"}
     parts.check("stationary-residual", stat.residual < 1e-8,
-                f"generator residual {stat.residual:.2e} vs < 1e-8")
+                f"label-chain residual {stat.residual:.2e} vs < 1e-8")
     expected = 1 if cfg.p > 0 else 4
     parts.check("fixed-point-multiplicity", stat.null_dim == expected,
                 f"null dimension {stat.null_dim} vs {expected}")
@@ -801,7 +811,6 @@ class CoolingSweep:
     fit_residual: float | None
     rank_correlation: float | None
     omega: float
-    frame_transports: int           # operators carried into the frame
     omega_definition: str = OMEGA_DEFINITION
 
 
@@ -816,9 +825,10 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     of the mean per-stabilizer excitation weight, and the sweep is fit to
     T = c * Delta / ln(Gamma_c / Gamma_e) with the residual reported.
 
-    H and every channel are transported into the stabilizer frame once per
-    sweep; each point only reweights them (``LindbladModel.with_rates``),
-    and its density is read off the stationary frame populations.
+    Each point reweights the label chains of one sweep model
+    (``LindbladModel.with_rates``).  Depolarizing Y moves both frame
+    labels, so only the label marginals are known; the density is
+    label-additive and read off them.
     """
     cfg.require_valid()
     lat = lt.build(cfg.lattice_l)
@@ -841,12 +851,13 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
                              hamiltonian=sp.build_hamiltonian(lat),
                              jumps=jumps(settings[0][1]), lattice=lat,
                              label="cool-with-noise")
-    weights = excitation_weights(sweep.frame)
+    w_e, w_m = excitation_weights(sweep.frame)
     points = []
     for ratio, gamma_e in settings:
         stat = lb.stationary_state(
             sweep.with_rates([jt.rate for jt in jumps(gamma_e)]))
-        density = float(stat.populations @ weights)
+        density = float(stat.orbit_populations @ w_e
+                        + stat.char_populations @ w_m)
         points.append(CoolingPoint(
             ratio=ratio, gamma_c=gamma_c, gamma_e=gamma_e,
             epg=gamma_e / cfg.omega, excitation_density=density,
@@ -867,8 +878,7 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
         rank = rank_correlation(x, t)
     return CoolingSweep(points=points, fit_constant=fit_constant,
                         fit_residual=fit_residual, rank_correlation=rank,
-                        omega=cfg.omega,
-                        frame_transports=sweep.frame.transports)
+                        omega=cfg.omega)
 
 
 def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
@@ -891,10 +901,9 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
                         json.dumps(report, sort_keys=True, indent=1)))
     parts.solver = {"points": [{"gamma_e": pt.gamma_e, **pt.solver}
                                for pt in sweep.points],
-                    "frame_transports": sweep.frame_transports,
-                    "observables": "frame-populations"}
+                    "observables": "label-populations"}
     parts.check("steady", all(pt.steady for pt in sweep.points),
-                f"max generator residual "
+                f"max label-chain residual "
                 f"{max(pt.residual for pt in sweep.points):.2e}")
     swept = [pt for pt in sweep.points if math.isfinite(pt.ratio)]
     if len(swept) >= 2:

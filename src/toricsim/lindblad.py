@@ -11,31 +11,33 @@ Generator convention throughout: with jump entries c = sqrt(rate) * op,
 
 so a jump of rate r relaxes the target population at rate 2r.
 
-Density matrices are capped at 2**n <= 256 (the L = 2 torus).  Lattice
-dissipation runs in an orthonormal eigenbasis of the stabilizer group
-(``StabilizerFrame``), where every Pauli string acts as a signed
-permutation.  The diagonal of the frame density matrix closes under the
-generator for every engineered jump set, with or without depolarizing
-noise, so lattice dissipation runs on the population chain: the classical
-rate matrix M of the frame populations.  The stationary state is the null
-space of M, and a frame-diagonal start evolves exactly as exp(M t) p0.
-H and every frame-diagonal observable (stabilizers, Wilson loops) are
-diagonal in the frame, so the results carry the populations and the Gibbs
-distances and loops are read from them without a dense eigensolve.  A
-model without a lattice, a start with frame coherences, or a model whose
+Lattice dissipation runs in an orthonormal eigenbasis of the stabilizer
+group (``StabilizerFrame``).  Its states carry two labels: an orbit o of
+the plaquette-flip group, which holds the vertex stabilizers and the
+logical Z sector, and a group character t, which holds the plaquette
+stabilizers.  Every Pauli string acts as a signed permutation there,
+o -> orbit_of[reps[o] ^ x] and t -> t ^ u, which ``StabilizerFrame.strings``
+computes by index arithmetic on the masks.  Each engineered channel moves
+one label at a rate the other label does not change, so the population
+chain splits into an orbit chain M_e and a character chain M_m
+(``_LabelChains``), built with no channel carried into the frame: the
+joint chain is M_e ⊗ 1 + 1 ⊗ M_m.  Depolarizing Y moves both labels; the
+joint chain is then no Kronecker sum, but each label's marginal is still
+an autonomous chain (strong lumpability).  The stationary marginals are
+the null spaces of M_e and M_m, and a frame-diagonal start evolves exactly
+as P(t) = exp(M_e t) P0 exp(M_m t)ᵀ, or by marginals when M is no
+Kronecker sum.  H, the excitation weights and the Z loops are
+label-additive in the frame, d(o, t) = d_e(o) + d_m(t), so they are read
+off the marginals; a chain that is no Kronecker sum carries nothing else.
+A model without a lattice, a start with frame coherences, or a model whose
 population sector does not close (for example with a transverse field)
-raises ``ValueError``.  Each operator is transported into the frame once
-per model, or once per rate sweep (``LindbladModel.with_rates``), and the
-rate matrix is built once per model.  Every channel is a partial
-permutation in the frame, so the full generator maps a frame-diagonal
-state to a sparse matrix in O(nnz); that gives the residual every
-stationary state is checked against.  The dense states
-(``StationaryResult.rho``, ``EvolutionResult.states``) are L = 2 views
-built from the populations on request.  ``gibbs_state`` and
-``trace_distance`` are dense L = 2 oracles.  The vectorized
-superoperator (``_superoperator``) serves only the adiabatic-elimination
-probe, which eigendecomposes it on the entries of vec(rho) that its
-start reaches.
+raises ``ValueError``.  The dense states (``StationaryResult.rho``,
+``EvolutionResult.states``) are L = 2 views built from the joint
+populations on request.  ``gibbs_state`` and ``trace_distance`` are dense
+L = 2 oracles, and ``StabilizerFrame.operator`` assembles the frame matrix
+of a Pauli sum for the tests.  The vectorized superoperator
+(``_superoperator``) serves only the adiabatic-elimination probe, which
+eigendecomposes it on the entries of vec(rho) that its start reaches.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum
 from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_flips
 
-DENSITY_DIM_CAP = 256        # density-matrix dimension cap (L = 2)
-FRAME_QUBIT_CAP = 12
+FRAME_QUBIT_CAP = 12         # the frame tables and dense basis (L = 2)
 TRACE_TOL_PER_TIME = 1e-9    # trace / positivity drift budget per unit time
 EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
 FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a chain start
@@ -153,8 +154,8 @@ class JumpTerm:
 class LindbladModel:
     """Hamiltonian plus a list of rate-weighted jump operators.
 
-    The compiled generator (:func:`_compile_generator`) is built on first
-    use and cached on the model.
+    The label chains (:func:`_compile_generator`) are built on first use
+    and cached on the model.
     """
 
     n_qubits: int
@@ -214,9 +215,9 @@ class LindbladModel:
         """This model with jump ``k`` at ``rates[k]``; zero-rate jumps are
         dropped.
 
-        A lattice-backed copy shares the frame, H and channel transports of
-        this model's compiled generator and rebuilds only the parts that
-        depend on the rates, so a rate sweep transports each operator once.
+        A lattice-backed copy reweights the label chains of this model
+        (:meth:`_LabelChains.reweighted`), which are linear in the rates,
+        so a rate sweep shares one frame and one pass over the strings.
         """
         if len(rates) != len(self.jumps):
             raise ValueError(f"{len(rates)} rates for {len(self.jumps)} jumps")
@@ -225,10 +226,8 @@ class LindbladModel:
         keep = [k for k, jt in enumerate(terms) if jt.rate > 0.0]
         model = dataclasses.replace(self, jumps=tuple(terms[k] for k in keep))
         if self.lattice is not None:
-            gen = _compile_generator(self)
-            object.__setattr__(model, "_generator", _FrameMatrices(
-                gen.frame, gen.h, model.jumps,
-                [gen.channels[k][1] for k in keep]))
+            object.__setattr__(model, "_generator", _compile_generator(
+                self).reweighted(keep, [jt.rate for jt in model.jumps]))
         return model
 
 
@@ -325,6 +324,34 @@ def depolarizing_jumps(n_qubits: int, gamma: float,
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class FrameStrings:
+    """The frame action of a list of Pauli strings, one row per string.
+
+    String s maps the frame state |o, t> to
+
+        i**turns[s, o] (-1)**|(t ^ flips[s]) & elements[s, o]| |dest[s, o], t ^ flips[s]>,
+
+    with dest[s, o] = orbit_of[reps[o] ^ x] and elements[s, o] =
+    element_of[reps[o] ^ x]: the orbit map and the character map t -> t ^ u
+    are index arithmetic on the masks, and no array spans both labels.
+    """
+
+    owner: np.ndarray       # (n_strings,) index of the Pauli sum of each string
+    coeffs: np.ndarray      # (n_strings,) complex coefficients
+    x: np.ndarray           # (n_strings,) X-masks
+    turns: np.ndarray       # (n_strings, n_orbits) q(reps[o]) mod 4
+    dest: np.ndarray        # (n_strings, n_orbits) orbit map
+    elements: np.ndarray    # (n_strings, n_orbits) group element reached
+    flips: np.ndarray       # (n_strings,) character flips u
+
+    @property
+    def keeps_labels(self) -> np.ndarray:
+        """Strings that keep both labels: X in the plaquette-flip group
+        (orbit 0 holds the group, as reps[0] = 0) and u = 0."""
+        return (self.dest[:, 0] == 0) & (self.flips == 0)
+
+
 class StabilizerFrame:
     """Orthonormal eigenbasis of the vertex and plaquette stabilizer group.
 
@@ -332,7 +359,8 @@ class StabilizerFrame:
     on computational bitstrings and by a group character; every Pauli string
     maps one basis state to exactly one basis state times a scalar, so
     operators built from few strings are sparse signed permutations here.
-    ``transports`` counts the calls of :meth:`operator`.
+    :meth:`strings` gives that action as index arithmetic on the two
+    labels; :meth:`operator` assembles the frame matrix of a Pauli sum.
     """
 
     def __init__(self, lat: lt.TorusLattice):
@@ -370,8 +398,6 @@ class StabilizerFrame:
         if self.size != self.dim:
             raise ValueError("frame dimension mismatch")
         self._basis: np.ndarray | None = None
-        self._diagonals: dict[PauliString, np.ndarray] = {}
-        self.transports = 0
 
     # -- basis ---------------------------------------------------------
 
@@ -400,22 +426,61 @@ class StabilizerFrame:
         b = self.basis
         return b @ rho_f @ b.T
 
-    # -- operator transport ---------------------------------------------
+    # -- Pauli strings on the two labels ----------------------------------
 
-    def diagonal(self, string: PauliString) -> np.ndarray:
-        """Real frame diagonal of a Hermitian Pauli string, transported once
-        per frame: p @ diagonal(s) is <s> for frame populations p (zero
-        where s moves the frame state)."""
-        if string not in self._diagonals:
-            self._diagonals[string] = self.operator(
-                PauliSum.from_string(string)).diagonal().real
-        return self._diagonals[string]
+    def strings(self, ops: Sequence[PauliSum]) -> FrameStrings:
+        """The action of every string of ``ops`` on the orbit and character
+        labels, computed on the orbit representatives in one vectorized
+        pass (see :class:`FrameStrings`)."""
+        if any(op.n_qubits != self.n_qubits for op in ops):
+            raise ValueError("operator register size mismatch")
+        terms = [(k, coeff, s) for k, op in enumerate(ops)
+                 for s, coeff in op.items()]
+        x = np.array([s.x_mask for *_, s in terms], dtype=np.uint64)
+        z = np.array([s.z_mask for *_, s in terms], dtype=np.uint64)
+        # bit k of u: the string anticommutes with plaquette generator k
+        gens = np.array(self.generator_masks, dtype=np.uint64)
+        anti = (np.bitwise_count(z[:, None] & gens[None, :]) & 1).astype(np.uint64)
+        targets = self.reps[None, :] ^ x[:, None]
+        return FrameStrings(
+            owner=np.array([k for k, *_ in terms], dtype=np.int64),
+            coeffs=np.array([coeff for _, coeff, _ in terms], dtype=complex),
+            x=x,
+            turns=np.array([s.quarter_turns(self.reps) for *_, s in terms],
+                           dtype=np.int64).reshape(-1, self.n_orbits) & 3,
+            dest=self.orbit_of[targets],
+            elements=self.element_of[targets],
+            flips=(anti << np.arange(gens.size, dtype=np.uint64)).sum(
+                axis=1, dtype=np.uint64))
+
+    def label_diagonal(self, op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+        """Real frame diagonal of a Hermitian Pauli sum as an orbit part and
+        a character part, d(o, t) = d_e(o) + d_m(t).
+
+        A string that moves either label has a zero diagonal.  One that
+        keeps both is diagonal with the value c i**q(reps[o]) (-1)**|t & k|,
+        X = group[k]: with k = 0 it depends on the orbit alone, and with
+        q the same on every orbit representative on the character alone.
+        A diagonal string that depends on both labels (the product of a
+        vertex and a plaquette stabilizer, say) raises ``ValueError``.
+        """
+        s = self.strings([op])
+        still = s.keeps_labels
+        k = s.elements[:, 0]
+        on_char = still & (k != 0)
+        if np.any(on_char & np.any(s.turns != s.turns[:, :1], axis=1)):
+            raise ValueError("a diagonal string depends on both frame labels")
+        values = s.coeffs[:, None] * QUARTER_TURNS[s.turns]
+        t_arr = np.arange(self.n_char, dtype=np.uint64)
+        signs = 1.0 - 2.0 * (
+            np.bitwise_count(t_arr[None, :] & k[on_char, None]) & 1)
+        return (values[still & (k == 0)].sum(axis=0).real,
+                (values[on_char, :1] * signs).sum(axis=0).real)
 
     def operator(self, op: PauliSum) -> scipy.sparse.csr_matrix:
         """Frame matrix of a Pauli sum (signed permutation per string)."""
         if op.n_qubits != self.n_qubits:
             raise ValueError("operator register size mismatch")
-        self.transports += 1
         if len(op) == 0:
             return scipy.sparse.csr_matrix((self.size, self.size), dtype=complex)
         t_arr = np.arange(self.n_char, dtype=np.uint64)
@@ -490,92 +555,147 @@ def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
     return out
 
 
-class _FrameMatrices:
-    """H and the jump channels of a lattice-backed model in the frame.
+def _rate_matrix(dest: np.ndarray, flows: np.ndarray) -> np.ndarray:
+    """Rate matrix of a chain whose channel c moves state i to dest[c, i]
+    at rate flows[c, i]: m[r, i] is the rate i -> r, and every column sums
+    to zero."""
+    n = flows.shape[1]
+    m = np.bincount((dest * n + np.arange(n)).ravel(), flows.ravel(),
+                    minlength=n * n).reshape(n, n)
+    m[np.diag_indices(n)] -= flows.sum(axis=0)
+    return m
 
-    :meth:`transport` carries H and every channel into the frame once with
-    ``StabilizerFrame.operator``.  Every channel must be a partial signed
-    permutation in the frame, with distinct rows and distinct columns, or
-    ``ValueError`` names it.  The constructor builds only what depends on
-    the rates, in O(nnz): for such a channel c†c is diagonal, so the
-    absorber A = sum r c†c is a vector that adds r |v|^2 at each channel's
-    columns.  :meth:`apply` evaluates the full generator on a
-    frame-diagonal state in O(nnz), and :attr:`rate_matrix` is the
-    population chain, built once per model.
+
+@dataclass(frozen=True, eq=False)
+class _LabelChains:
+    """The population chain of a lattice-backed model as two label chains:
+    the orbit chain M_e on ``n_orbits`` states and the character chain M_m
+    on ``n_char`` states, built by index arithmetic on the jump strings
+    (:meth:`StabilizerFrame.strings`).
+
+    The strings of a channel must share one map of the labels (the same
+    character flip u, and X-masks in one coset of the plaquette-flip
+    group), so that the channel is a partial permutation in the frame, or
+    ``ValueError`` names it.  A channel moves the orbit (X outside the
+    group), the character (u != 0), both, or neither.  Its rate on one
+    label must not depend on the other: for an orbit move its strings share
+    X, so |v(o, t)|^2 depends on o alone, and for a character move their
+    relative phases are the same on every orbit, so it depends on t alone;
+    a channel that breaks this raises ``ValueError``.  Each label's flow is
+    therefore read on one slice of the other, t = 0 and o = 0, and each
+    label's marginal is an autonomous chain (strong lumpability; Kemeny &
+    Snell, *Finite Markov Chains*, 1960).  When no channel moves both
+    labels the joint chain is the Kronecker sum M = M_e ⊗ 1 + 1 ⊗ M_m
+    (``kronecker_sum``); a depolarizing Y moves both.  H must keep both
+    labels, or the population sector does not close, and its frame
+    diagonal is E_e(o) + E_m(t).  The chains are linear in the rates, so a
+    rate sweep reweights the same unit flows (:meth:`reweighted`).
     """
 
-    def __init__(self, frame: StabilizerFrame, h: scipy.sparse.csr_matrix,
-                 jumps: Sequence[JumpTerm],
-                 transports: Sequence[scipy.sparse.coo_matrix]):
-        self.frame = frame
-        self.h = h
-        self.channels = [(jt.rate, c) for jt, c in zip(jumps, transports)]
-        absorber = np.zeros(h.shape[0])
-        for rate, c in self.channels:
-            absorber[c.col] += rate * (c.data.conj() * c.data).real
-        # K = -iH - A
-        self._drift = (-1j * h - scipy.sparse.diags(absorber)).tocsr()
+    frame: StabilizerFrame
+    energies: tuple[np.ndarray, np.ndarray]   # H's frame diagonal: E_e, E_m
+    rates: np.ndarray           # (n_channels,)
+    orbit_maps: np.ndarray      # (n_channels, n_orbits) orbit map
+    orbit_flows: np.ndarray     # (n_channels, n_orbits) 2|v(o, 0)|^2, unit rate
+    char_flips: np.ndarray      # (n_channels,) character map t -> t ^ u
+    char_flows: np.ndarray      # (n_channels, n_char) 2|v(0, t)|^2, unit rate
 
     @classmethod
-    def transport(cls, model: LindbladModel,
-                  frame: StabilizerFrame) -> "_FrameMatrices":
-        if model.dim > DENSITY_DIM_CAP:
-            raise ValueError(
-                f"dimension {model.dim} exceeds the dense cap of {DENSITY_DIM_CAP}")
-        h = frame.operator(model.hamiltonian.to_pauli_sum())
-        transports = []
-        for jt in model.jumps:
-            c = frame.operator(jt.operator).tocoo()
-            if (np.unique(c.row).size < c.nnz
-                    or np.unique(c.col).size < c.nnz):
-                raise ValueError(f"channel {jt.label!r} is not a partial "
-                                 "permutation in the stabilizer frame")
-            transports.append(c)
-        return cls(frame, h, model.jumps, transports)
-
-    def apply(self, p: np.ndarray) -> scipy.sparse.csr_matrix:
-        """The generator applied to the frame state diag(p), as a sparse
-        matrix: -i[H, rho] - {A, rho} + sum 2r c rho c†.
-
-        With K = -iH - A the drift part is K diag(p) + (K diag(p))†.  A
-        channel's columns are distinct, so c diag(p) c† is diagonal and
-        adds 2r |v|^2 p[col] at each of its rows.
-        """
-        drift = self._drift @ scipy.sparse.diags(p)
-        gains = np.zeros(p.size)
-        for rate, c in self.channels:
-            gains[c.row] += 2.0 * rate * np.abs(c.data) ** 2 * p[c.col]
-        return (drift + drift.conj().T + scipy.sparse.diags(gains)).tocsr()
-
-    @functools.cached_property
-    def rate_matrix(self) -> np.ndarray:
-        """Population-sector generator M, built on first use; ``ValueError``
-        if H is not frame-diagonal, so that the sector does not close.
-        Every channel is a partial permutation in the frame, so none leaks
-        coherence."""
-        h_off = self.h - scipy.sparse.diags(self.h.diagonal())
-        if h_off.nnz and np.abs(h_off.data).max() > 1e-12:
+    def build(cls, model: LindbladModel,
+              frame: StabilizerFrame) -> "_LabelChains":
+        h = model.hamiltonian.to_pauli_sum()
+        if not frame.strings([h]).keeps_labels.all():
             raise ValueError("H is not diagonal in the stabilizer frame, so "
                              "the population sector does not close")
-        n = self.frame.size
-        m = np.zeros((n, n))
-        for rate, c in self.channels:
-            flows = 2.0 * rate * np.abs(c.data) ** 2
-            np.add.at(m, (c.row, c.col), flows)
-            np.add.at(m, (c.col, c.col), -flows)
-        return m
+        s = frame.strings([jt.operator for jt in model.jumps])
+        lead = np.searchsorted(s.owner, s.owner)   # first string per channel
+        moves_orbit, moves_char = s.dest[:, 0] != 0, s.flips != 0
+        relative = (s.turns - s.turns[lead]) & 3
+        checks = (
+            ((frame.orbit_of[s.x ^ s.x[lead]] == 0) & (s.flips == s.flips[lead]),
+             "is not a partial permutation in the stabilizer frame"),
+            ((~moves_orbit | (s.x == s.x[lead]))
+             & (~moves_char | np.all(relative == relative[:, :1], axis=1)),
+             "has a rate that depends on both frame labels"))
+        for ok, why in checks:
+            if not ok.all():
+                bad = model.jumps[s.owner[np.argmin(ok)]].label
+                raise ValueError(f"channel {bad!r} {why}")
+        values = s.coeffs[:, None] * QUARTER_TURNS[s.turns]
+        # amplitudes up to a unit factor shared by a channel's strings: an
+        # orbit move's strings share X, so its character sign is common;
+        # a character move is read on the slice o = 0 (reps[0] = 0)
+        t_arr = np.arange(frame.n_char, dtype=np.uint64)
+        slices = (
+            (moves_orbit, values),
+            (moves_char, values[:, :1] * (1.0 - 2.0 * (np.bitwise_count(
+                (t_arr[None, :] ^ s.flips[:, None]) & s.elements[:, :1]) & 1))))
+        n = len(model.jumps)
+        flows = []
+        for moves, amplitudes in slices:
+            v = np.zeros((n, amplitudes.shape[1]), dtype=complex)
+            np.add.at(v, s.owner[moves], amplitudes[moves])
+            v[np.abs(v) < 1e-15] = 0.0
+            flows.append(2.0 * np.abs(v) ** 2)
+        orbit_maps = np.zeros((n, frame.n_orbits), dtype=np.int64)
+        orbit_maps[s.owner] = s.dest
+        char_flips = np.zeros(n, dtype=np.uint64)
+        char_flips[s.owner] = s.flips
+        return cls(frame=frame, energies=frame.label_diagonal(h),
+                   rates=np.array([jt.rate for jt in model.jumps], dtype=float),
+                   orbit_maps=orbit_maps, orbit_flows=flows[0],
+                   char_flips=char_flips, char_flows=flows[1])
+
+    def reweighted(self, keep: Sequence[int],
+                   rates: Sequence[float]) -> "_LabelChains":
+        """The chains of channels ``keep`` at ``rates``."""
+        return dataclasses.replace(
+            self, rates=np.array(rates, dtype=float),
+            orbit_maps=self.orbit_maps[keep], orbit_flows=self.orbit_flows[keep],
+            char_flips=self.char_flips[keep], char_flows=self.char_flows[keep])
+
+    @property
+    def kronecker_sum(self) -> bool:
+        """No channel moves both labels."""
+        return not np.any((self.orbit_maps[:, 0] != 0) & (self.char_flips != 0))
+
+    @functools.cached_property
+    def orbit_chain(self) -> np.ndarray:
+        """M_e, built on first use."""
+        return _rate_matrix(self.orbit_maps, self.rates[:, None] * self.orbit_flows)
+
+    @functools.cached_property
+    def char_chain(self) -> np.ndarray:
+        """M_m, built on first use."""
+        t_arr = np.arange(self.frame.n_char, dtype=np.uint64)
+        dest = (t_arr[None, :] ^ self.char_flips[:, None]).astype(np.int64)
+        return _rate_matrix(dest, self.rates[:, None] * self.char_flows)
+
+    @property
+    def counters(self) -> dict:
+        return {"orbit_states": self.frame.n_orbits,
+                "char_states": self.frame.n_char,
+                "kronecker_sum": self.kronecker_sum}
 
 
-def _compile_generator(model: LindbladModel) -> _FrameMatrices:
-    """Frame matrices of a lattice-backed model, built once per model and
+def _compile_generator(model: LindbladModel) -> _LabelChains:
+    """Label chains of a lattice-backed model, built once per model and
     cached on it."""
     if model._generator is None:
         if model.lattice is None:
             raise ValueError(f"model {model.label!r} has no lattice, so it "
                              "has no stabilizer frame to be solved in")
-        object.__setattr__(model, "_generator", _FrameMatrices.transport(
+        object.__setattr__(model, "_generator", _LabelChains.build(
             model, StabilizerFrame(model.lattice)))
     return model._generator
+
+
+# what the results of a chain that is not a Kronecker sum cannot give
+_MARGINALS_ONLY = (
+    "a channel moves both frame labels (a depolarizing Y does), so the chain "
+    "is not a Kronecker sum and carries only the two label marginals; read "
+    "label-additive observables (energy, excitation density, Z loops) off "
+    "them")
 
 
 def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
@@ -585,12 +705,38 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
         raise ValueError("density matrix must be square")
     if np.linalg.norm(rho - rho.conj().T) > trace_tol * rho.shape[0]:
         raise PositivityError("density matrix is not Hermitian")
-    defect = abs(np.trace(rho).real - 1.0)
+    _check_trace_and_floor(np.trace(rho).real,
+                           float(scipy.linalg.eigvalsh(rho)[0]),
+                           trace_tol, eig_floor)
+
+
+def _check_trace_and_floor(trace: float, low: float, trace_tol: float,
+                           eig_floor: float) -> None:
+    defect = abs(trace - 1.0)
     if defect > trace_tol:
         raise PositivityError(f"trace defect {defect:.3e} exceeds {trace_tol:.1e}")
-    low = float(scipy.linalg.eigvalsh(rho)[0])
     if low < eig_floor:
         raise PositivityError(f"eigenvalue {low:.3e} below floor {eig_floor:.1e}")
+
+
+def _start_populations(frame: StabilizerFrame, rho0: np.ndarray) -> np.ndarray:
+    """Frame populations of an evolution start: ``rho0`` itself when it is a
+    vector, checked like a density matrix's spectrum, or the frame diagonal
+    of a dense density matrix, which must have no frame coherences."""
+    rho0 = np.asarray(rho0)
+    if rho0.ndim == 1:
+        if rho0.shape != (frame.size,):
+            raise ValueError(f"{rho0.size} populations for {frame.size} "
+                             "frame states")
+        p0 = rho0.astype(float)
+        _check_trace_and_floor(p0.sum(), p0.min(), 1e-9, EIGENVALUE_FLOOR)
+        return p0
+    validate_density_matrix(rho0)
+    y0 = frame.to_frame(rho0.astype(complex))
+    p0 = np.diag(y0).real
+    if np.linalg.norm(y0 - np.diag(p0)) >= FRAME_DIAGONAL_TOL:
+        raise ValueError("rho0 has coherences in the stabilizer frame")
+    return p0
 
 
 # ---------------------------------------------------------------------------
@@ -600,20 +746,33 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
 
 @dataclass
 class EvolutionResult:
-    """Frame-population trajectory with per-sample conservation monitors.
+    """Label-chain trajectory with per-sample conservation monitors.
 
-    ``populations`` holds the frame populations at each sample.  The dense
-    L = 2 view ``states[k]`` = B diag(populations[k]) Bᵀ (and ``final``,
-    the last of them) is built from the populations on first access.
+    ``orbit_populations`` and ``char_populations`` hold the two label
+    marginals at each sample.  When the chain is a Kronecker sum, ``joint``
+    holds the frame populations as (n_times, n_orbits, n_char) and
+    ``populations`` is its (n_times, n_orbits * n_char) view, index
+    o * n_char + t; otherwise ``joint`` is None and ``populations``,
+    ``states`` and ``final`` raise ``ValueError``.  The dense L = 2 view
+    ``states[k]`` = B diag(populations[k]) Bᵀ (and ``final``, the last of
+    them) is built from the populations on first access.
     """
 
     times: np.ndarray
-    populations: np.ndarray         # (n_times, dim)
+    orbit_populations: np.ndarray       # (n_times, n_orbits)
+    char_populations: np.ndarray        # (n_times, n_char)
+    joint: np.ndarray | None = field(repr=False)
     trace_defects: np.ndarray
     min_eigenvalues: np.ndarray
     frame: StabilizerFrame = field(repr=False, compare=False)
     counters: dict = field(default_factory=dict)  # sizes and evaluations
-    path: str = "chain"             # the engine: the population chain
+    path: str = "label-chains"          # the engine: two label chains
+
+    @property
+    def populations(self) -> np.ndarray:
+        if self.joint is None:
+            raise ValueError(_MARGINALS_ONLY)
+        return self.joint.reshape(self.times.size, -1)
 
     @functools.cached_property
     def states(self) -> np.ndarray:
@@ -628,27 +787,34 @@ class EvolutionResult:
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
            sample_times: Sequence[float] | None = None) -> EvolutionResult:
-    """Evolve the frame-diagonal ``rho0`` under the master equation up to
+    """Evolve a frame-diagonal start under the master equation up to
     ``t_final``.
 
-    The run is on the population chain: p(t) = exp(M t) p0 is exact, with
-    one ``scipy.linalg.expm`` per distinct increment between samples, on
-    the rate matrix M that the model caches.  A model without a lattice, a
-    ``rho0`` with off-diagonal frame weight of ``FRAME_DIAGONAL_TOL`` or
-    more, or a model whose population sector does not close raises
+    ``rho0`` is either the frame populations, a vector of ``frame.size``
+    entries indexed o * n_char + t, or a dense L = 2 density matrix, which
+    is validated and carried into the frame once; a dense start with
+    off-diagonal frame weight of ``FRAME_DIAGONAL_TOL`` or more raises
+    ``ValueError``.  The run is on the label chains of the model
+    (:class:`_LabelChains`), with one ``scipy.linalg.expm`` of each per
+    distinct increment between samples.  When every channel moves one
+    label, M = M_e ⊗ 1 + 1 ⊗ M_m, and the populations P, reshaped to
+    (n_orbits, n_char), evolve exactly as P(t) = exp(M_e t) P0
+    exp(M_m t)ᵀ.  Otherwise each label's marginal evolves exactly by its
+    own chain, and only the marginals are kept.  A model without a
+    lattice, or whose population sector does not close, raises
     ``ValueError``.  No dense state is built; ``states`` is a view built on
     first access.
 
-    ``rho0`` must be a density matrix, and trace and positivity are
-    monitored at every sample time against a budget of 1e-9 per unit time;
-    violations raise ``PositivityError``.  The frame basis B is orthogonal,
-    so the monitors read the populations: the trace defect is |sum p - 1|
-    and the smallest eigenvalue is min p.
+    Trace and positivity are monitored at every sample time against a
+    budget of 1e-9 per unit time; violations raise ``PositivityError``.
+    The frame basis B is orthogonal, so the monitors read the populations:
+    the trace defect is |sum p - 1| and the smallest eigenvalue is min p
+    (over both marginals when only those are kept).
     """
     if t_final < 0.0:
         raise ValueError("t_final must be >= 0")
     gen = _compile_generator(model)
-    validate_density_matrix(rho0)
+    p0 = _start_populations(gen.frame, rho0)
     if sample_times is None:
         times = np.array([0.0, t_final]) if t_final > 0 else np.array([0.0])
     else:
@@ -658,13 +824,21 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
             raise ValueError("sample times must ascend within [0, t_final]")
     if t_final == 0.0 or (times.size == 1 and times[0] == 0.0):
         times = np.array([0.0])
-    y0 = gen.frame.to_frame(np.asarray(rho0, dtype=complex))
-    p0 = np.diag(y0).real
-    if np.linalg.norm(y0 - np.diag(p0)) >= FRAME_DIAGONAL_TOL:
-        raise ValueError("rho0 has coherences in the stabilizer frame")
-    pops, n_props = _propagate_chain(gen.rate_matrix, p0, times)
-    trace_defects = np.abs(pops.sum(axis=1) - 1.0)
-    min_eigs = pops.min(axis=1)
+    start = p0.reshape(gen.frame.n_orbits, gen.frame.n_char)
+    if gen.kronecker_sum:
+        joint, n_props = _propagate_chain(
+            (gen.orbit_chain, gen.char_chain), start, times)
+        orbit, char = joint.sum(axis=2), joint.sum(axis=1)
+        trace_defects = np.abs(joint.sum(axis=(1, 2)) - 1.0)
+        min_eigs = joint.min(axis=(1, 2))
+    else:
+        joint = None
+        orbit, n_props = _propagate_chain((gen.orbit_chain,),
+                                          start.sum(axis=1), times)
+        char, _ = _propagate_chain((gen.char_chain,), start.sum(axis=0), times)
+        trace_defects = np.maximum(np.abs(orbit.sum(axis=1) - 1.0),
+                                   np.abs(char.sum(axis=1) - 1.0))
+        min_eigs = np.minimum(orbit.min(axis=1), char.min(axis=1))
     for t, defect, low in zip(times, trace_defects, min_eigs):
         budget = TRACE_TOL_PER_TIME * max(t, 1.0)
         if defect > budget:
@@ -673,25 +847,30 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
         if low < EIGENVALUE_FLOOR - 10.0 * TRACE_TOL_PER_TIME * max(t, 1.0):
             raise PositivityError(
                 f"eigenvalue {low:.3e} beyond budget at t={t}")
-    return EvolutionResult(times=times, populations=pops,
+    return EvolutionResult(times=times, orbit_populations=orbit,
+                           char_populations=char, joint=joint,
                            trace_defects=trace_defects,
                            min_eigenvalues=min_eigs, frame=gen.frame,
-                           counters={"chain_size": p0.size,
+                           counters={**gen.counters,
                                      "propagator_evaluations": n_props})
 
 
-def _propagate_chain(m: np.ndarray, p0: np.ndarray,
+def _propagate_chain(chains: Sequence[np.ndarray], p0: np.ndarray,
                      times: np.ndarray) -> tuple[np.ndarray, int]:
-    """Populations exp(M t) p0 at ``times`` and the number of propagators
-    exp(M dt) built, one per distinct increment between samples."""
-    propagators: dict[float, np.ndarray] = {}
+    """Populations of ``p0`` at ``times``, and the number of distinct
+    increments between samples, each of which builds exp(M dt) once per
+    chain.  ``p0`` has one axis per chain in ``chains``, and each
+    propagator acts on its own axis: with two chains a step is
+    P -> exp(M_e dt) P exp(M_m dt)ᵀ."""
+    propagators: dict[float, list[np.ndarray]] = {}
     p, pops, t_prev = p0, [], 0.0
     for t in times:
         dt = float(t) - t_prev
         if dt > 0.0:
             if dt not in propagators:
-                propagators[dt] = scipy.linalg.expm(m * dt)
-            p = propagators[dt] @ p
+                propagators[dt] = [scipy.linalg.expm(m * dt) for m in chains]
+            for axis, u in enumerate(propagators[dt]):
+                p = np.moveaxis(np.tensordot(u, p, axes=(1, axis)), 0, axis)
         pops.append(p)
         t_prev = float(t)
     return np.array(pops), len(propagators)
@@ -740,10 +919,14 @@ class StationaryResult:
     ``gibbs_temperature`` is the model's ``temperature_target`` (for a
     thermal set the Boltzmann-weight reading -delta/ln p, equal to the
     former only as p -> 0), and ``trace_distance_to_gibbs`` stays finite
-    whenever the two temperatures differ.  ``populations`` holds the
-    stationary frame populations and ``energies`` the frame diagonal of H.
-    The dense L = 2 view ``rho`` = B diag(populations) Bᵀ is built from the
-    populations on first access.
+    whenever the two temperatures differ.  ``orbit_populations`` and
+    ``char_populations`` hold the stationary marginals π_e and π_m, and
+    ``orbit_energies`` and ``char_energies`` split the frame diagonal of H
+    as E_e(o) + E_m(t).  When the chain is a Kronecker sum the joint
+    stationary populations are π_e ⊗ π_m (``populations``), and the dense
+    L = 2 view ``rho`` = B diag(populations) Bᵀ is built from them on first
+    access; otherwise both raise ``ValueError``, and both Gibbs distances
+    are None.
     """
 
     null_dim: int
@@ -754,10 +937,26 @@ class StationaryResult:
     detailed_balance_temperature: float | None
     loop_expectations: dict[str, float]
     method: str
-    populations: np.ndarray
-    energies: np.ndarray
+    orbit_populations: np.ndarray
+    char_populations: np.ndarray
+    orbit_energies: np.ndarray
+    char_energies: np.ndarray
+    kronecker_sum: bool
     frame: StabilizerFrame = field(repr=False, compare=False)
     counters: dict = field(default_factory=dict)  # engine and sizes
+
+    @property
+    def populations(self) -> np.ndarray:
+        """Joint stationary frame populations, index o * n_char + t."""
+        if not self.kronecker_sum:
+            raise ValueError(_MARGINALS_ONLY)
+        return np.kron(self.orbit_populations, self.char_populations)
+
+    @property
+    def energies(self) -> np.ndarray:
+        """Frame diagonal of H, index o * n_char + t."""
+        return (self.orbit_energies[:, None]
+                + self.char_energies[None, :]).ravel()
 
     @functools.cached_property
     def rho(self) -> np.ndarray:
@@ -800,67 +999,69 @@ def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
 
 
 def stationary_state(model: LindbladModel) -> StationaryResult:
-    """Stationary density matrix of a lattice-backed model.
+    """Stationary state of a lattice-backed model, on its label chains.
 
-    H and the channels are transported into the stabilizer frame once per
-    model (or once per rate sweep, see :meth:`LindbladModel.with_rates`).
-    Every engineered jump is a partial signed permutation there, so the
-    population sector closes under the generator and the stationary state
-    is the null space of the population chain's rate matrix M; no
-    superoperator is built.  A model without a lattice, or one whose
-    population sector does not close, raises ``ValueError``.  Each closed
-    recurrent class of the chain holds one stationary distribution, found
-    with one linear solve (:func:`_recurrent_distributions`), and the null
-    space of a rate matrix is spanned by them, so ``null_dim`` is their
-    number; when there are several (for example at p = 0) they are
-    averaged with equal weights.  The candidate π is checked against the
-    full generator, not against M: ``residual`` is the Frobenius norm of
-    the generator applied to diag(π), every off-diagonal entry of H and the
-    absorber included, computed in O(nnz) (:meth:`_FrameMatrices.apply`).
-    H is frame-diagonal, and so is every Gibbs state: each Gibbs distance
-    is ½‖π − w‖₁ with w the Gibbs weights of the frame energies, and each
-    Wilson loop is π @ its frame diagonal.  No dense state is built;
-    ``rho`` is a view built on first access.  ``counters`` names the
-    engine (``population-chain``) with the chain size and null dimension.
+    Every engineered jump moves the orbit label, the character label or
+    both by index arithmetic, at a rate that each label sees independently
+    of the other (:class:`_LabelChains`), so the stationary marginals are
+    the null spaces of the orbit chain M_e and the character chain M_m; no
+    channel is transported into the frame and no superoperator is built.
+    A model without a lattice, or one whose population sector does not
+    close, raises ``ValueError``.  Each closed recurrent class of a chain
+    holds one stationary distribution, found with one linear solve
+    (:func:`_recurrent_distributions`), and when there are several (for
+    example at p = 0) they are averaged with equal weights.  The joint
+    recurrent classes are the pairs of label classes, so ``null_dim`` is
+    null_e × null_m, and for a Kronecker sum the joint fixed point is
+    π_e ⊗ π_m.  ``residual`` is the 2-norm of (M_e π_e, M_m π_m).  H is
+    frame-diagonal, and so is every Gibbs state: for a Kronecker sum each
+    Gibbs distance is ½‖π_e ⊗ π_m − w‖₁ with w the Gibbs weights of the
+    frame energies.  Each Wilson loop is label-additive, π_e @ d_e +
+    π_m @ d_m (:meth:`StabilizerFrame.label_diagonal`).  No dense state is
+    built; ``rho`` is a view built on first access.  ``counters`` names
+    the engine (``label-chains``) with both chain sizes and null
+    dimensions.
     """
     gen = _compile_generator(model)
-    dists = _recurrent_distributions(gen.rate_matrix)
-    null_dim = len(dists)
-    pi = np.mean(dists, axis=0)
-    energies = gen.h.diagonal().real
-    residual = float(np.linalg.norm(gen.apply(pi).data))
-
-    def gibbs_distance(temperature: float) -> float:
-        return float(0.5 * np.abs(
-            pi - _gibbs_weights(energies, temperature)).sum())
-
-    distance = None
-    temperature = model.temperature_target
-    if temperature is not None and temperature > 0.0:
-        distance = gibbs_distance(temperature)
-    distance_db = None
-    temperature_db = None
-    if model.p is not None and model.delta is not None:
-        temperature_db = model.detailed_balance_temperature()
-        distance_db = gibbs_distance(temperature_db)
+    chains = (gen.orbit_chain, gen.char_chain)
+    dists = [_recurrent_distributions(m) for m in chains]
+    pi_e, pi_m = (np.mean(d, axis=0) for d in dists)
+    null_e, null_m = (len(d) for d in dists)
     loops = {}
     for name, strings in (("z", lt.z_loops(model.lattice)),
                           ("x", lt.x_loops(model.lattice))):
         for idx, string in enumerate(strings):
-            loops[f"wilson_{name}_{idx}"] = float(
-                pi @ gen.frame.diagonal(string))
-    return StationaryResult(null_dim=null_dim, residual=residual,
-                            trace_distance_to_gibbs=distance,
-                            gibbs_temperature=temperature,
-                            trace_distance_to_detailed_balance=distance_db,
-                            detailed_balance_temperature=temperature_db,
-                            loop_expectations=loops,
-                            method="classical-rate-matrix",
-                            populations=pi, energies=energies,
-                            frame=gen.frame,
-                            counters={"engine": "population-chain",
-                                      "chain_size": pi.size,
-                                      "null_dim": null_dim})
+            d_e, d_m = gen.frame.label_diagonal(PauliSum.from_string(string))
+            loops[f"wilson_{name}_{idx}"] = float(pi_e @ d_e + pi_m @ d_m)
+    temperature_db = None
+    if model.p is not None and model.delta is not None:
+        temperature_db = model.detailed_balance_temperature()
+    res = StationaryResult(
+        null_dim=null_e * null_m,
+        residual=float(np.hypot(np.linalg.norm(chains[0] @ pi_e),
+                                np.linalg.norm(chains[1] @ pi_m))),
+        trace_distance_to_gibbs=None,
+        gibbs_temperature=model.temperature_target,
+        trace_distance_to_detailed_balance=None,
+        detailed_balance_temperature=temperature_db,
+        loop_expectations=loops, method="classical-rate-matrix",
+        orbit_populations=pi_e, char_populations=pi_m,
+        orbit_energies=gen.energies[0], char_energies=gen.energies[1],
+        kronecker_sum=gen.kronecker_sum, frame=gen.frame,
+        counters={"engine": "label-chains", **gen.counters,
+                  "orbit_null_dim": null_e, "char_null_dim": null_m,
+                  "null_dim": null_e * null_m})
+    if res.kronecker_sum:
+        def gibbs_distance(temperature: float) -> float:
+            return float(0.5 * np.abs(res.populations - _gibbs_weights(
+                res.energies, temperature)).sum())
+
+        if res.gibbs_temperature is not None and res.gibbs_temperature > 0.0:
+            res.trace_distance_to_gibbs = gibbs_distance(res.gibbs_temperature)
+        if temperature_db is not None:
+            res.trace_distance_to_detailed_balance = gibbs_distance(
+                temperature_db)
+    return res
 
 
 # ---------------------------------------------------------------------------

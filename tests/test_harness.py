@@ -295,29 +295,30 @@ class TestScenarioRuns:
             assert record.ok, record.summary_lines()
 
     def test_solver_block_in_records(self, tmp_path, monkeypatch):
-        # the dissipative scenarios run on the 256-state population chain;
-        # the 11 samples are one unit apart, so one propagator serves them
-        # H, the channels, 8 stabilizers and 4 Wilson loops are each carried
-        # into the frame once: 1 + 64 + 12 and 1 + 32 + 24 + 12 operators
-        chain = {"engine": "population-chain", "chain_size": 256,
-                 "null_dim": 1}
+        # the dissipative scenarios run on two label chains, 32 orbits and
+        # 8 characters, each with one recurrent class; the 11 samples are
+        # one unit apart, so one pair of propagators serves them.  The
+        # cooling points add depolarizing Y, which moves both labels
+        sizes = {"orbit_states": 32, "char_states": 8}
+        chain = {"engine": "label-chains", **sizes, "orbit_null_dim": 1,
+                 "char_null_dim": 1, "null_dim": 1}
         record = hn.run(hn.ScenarioConfig(kind="thermalize",
                                           outdir=str(tmp_path)))
         assert record.ok, record.summary_lines()
         assert record.solver == {
-            "stationary": chain,
-            "evolve": {"path": "chain", "chain_size": 256,
+            "stationary": {**chain, "kronecker_sum": True},
+            "evolve": {"path": "label-chains", **sizes, "kronecker_sum": True,
                        "propagator_evaluations": 1},
-            "frame_transports": 77, "observables": "frame-populations"}
+            "observables": "label-populations"}
         stored = json.loads((tmp_path / "thermalize-record.json").read_text())
         assert stored["solver"] == record.solver
         record = hn.run(hn.ScenarioConfig(kind="cool-with-noise",
                                           outdir=str(tmp_path)))
         assert record.ok, record.summary_lines()
         assert record.solver == {
-            "points": [{"gamma_e": g, **chain}
+            "points": [{"gamma_e": g, **chain, "kronecker_sum": False}
                        for g in record.metrics["gamma_e"]],
-            "frame_transports": 69, "observables": "frame-populations"}
+            "observables": "label-populations"}
         stored = json.loads(
             (tmp_path / "cool-with-noise-record.json").read_text())
         assert stored["solver"] == record.solver
@@ -352,11 +353,12 @@ class TestScenarioRuns:
         assert stored["solver"] == record.solver
 
     def test_thermalize(self, tmp_path, monkeypatch):
-        # the stationary state and the evolution share one frame build
+        # the stationary state and the evolution share one build of the
+        # label chains
         builds = []
-        build = lb._FrameMatrices.__init__
-        monkeypatch.setattr(lb._FrameMatrices, "__init__",
-                            lambda gen, *a: builds.append(1) or build(gen, *a))
+        build = lb._LabelChains.build
+        monkeypatch.setattr(lb._LabelChains, "build", lambda *a: builds.append(
+            1) or build(*a))
         cfg = hn.ScenarioConfig(kind="thermalize", outdir=str(tmp_path))
         record = hn.run(cfg)
         assert record.ok, record.summary_lines()
@@ -373,24 +375,29 @@ class TestScenarioRuns:
         assert stored["config_hash"] == cfg.config_hash()
         assert set(stored["outputs"]) == {"thermalize.csv", "thermalize.json"}
 
-    def test_cool_with_noise_transports_each_operator_once(self,
-                                                           monkeypatch):
-        # one frame for the sweep, and one transport per distinct operator:
-        # H, 32 cooling and 24 depolarizing channels, 8 stabilizers and
-        # 4 Wilson loops, although the sweep solves 4 models
-        frames, transported = [], []
-        init, operator = lb.StabilizerFrame.__init__, lb.StabilizerFrame.operator
+    def test_dissipation_makes_no_frame_transport(self, tmp_path,
+                                                  monkeypatch):
+        # the label chains are index arithmetic on the jump strings: no
+        # operator is carried into the frame, one frame serves each
+        # scenario, and the cooling sweep reweights one build of the chains
+        def transport(*args):
+            raise AssertionError("operator carried into the frame")
+
+        frames, builds = [], []
+        init, build = lb.StabilizerFrame.__init__, lb._LabelChains.build
+        monkeypatch.setattr(lb.StabilizerFrame, "operator", transport)
         monkeypatch.setattr(lb.StabilizerFrame, "__init__",
                             lambda f, lat: frames.append(1) or init(f, lat))
-        monkeypatch.setattr(
-            lb.StabilizerFrame, "operator",
-            lambda f, op: transported.append(frozenset(op.items()))
-            or operator(f, op))
+        monkeypatch.setattr(lb._LabelChains, "build",
+                            lambda *a: builds.append(1) or build(*a))
+        for kind in ("thermalize", "cool-with-noise"):
+            record = hn.run(hn.ScenarioConfig(kind=kind,
+                                              outdir=str(tmp_path)))
+            assert record.ok, record.summary_lines()
+        assert len(frames) == len(builds) == 2
         sweep = hn.cool_with_noise(hn.ScenarioConfig(kind="cool-with-noise"))
         assert len(sweep.points) == 4
-        assert len(frames) == 1
-        assert len(transported) == len(set(transported)) == 69
-        assert sweep.frame_transports == 69
+        assert len(frames) == len(builds) == 3
 
     def test_dissipation_builds_no_dense_state(self, tmp_path, monkeypatch):
         # the scenarios read populations only: the dense L = 2 views raise
@@ -402,20 +409,25 @@ class TestScenarioRuns:
         monkeypatch.setattr(lb.EvolutionResult, "states",
                             property(dense_view))
         monkeypatch.setattr(lb.StabilizerFrame, "from_frame", dense_view)
-        # the stationary solve and the evolution share one rate matrix
-        chains = []
-        for name in ("_recurrent_distributions", "_propagate_chain"):
-            step = getattr(lb, name)
-            monkeypatch.setattr(lb, name, lambda m, *a, step=step:
-                                chains.append(m) or step(m, *a))
+        # the stationary solve and the evolution share the label chains,
+        # and no chain is larger than the 32 orbits
+        solved, propagated = [], []
+        recurrent, propagate = lb._recurrent_distributions, lb._propagate_chain
+        monkeypatch.setattr(lb, "_recurrent_distributions",
+                            lambda m: solved.append(m) or recurrent(m))
+        monkeypatch.setattr(lb, "_propagate_chain",
+                            lambda ms, *a: propagated.append(ms)
+                            or propagate(ms, *a))
         for kind in ("thermalize", "cool-with-noise"):
             record = hn.run(hn.ScenarioConfig(kind=kind,
                                               outdir=str(tmp_path)))
             assert record.ok, record.summary_lines()
-        # thermalize: one model; cool-with-noise: one model per point
-        assert len(chains) == 2 + 4
-        assert chains[0] is chains[1]
-        assert len({id(m) for m in chains}) == 1 + 4
+        # thermalize: M_e and M_m of one model, solved and propagated
+        # together; cool-with-noise: both chains of each of 4 points
+        assert len(solved) == 2 + 2 * 4 and len(propagated) == 1
+        assert propagated[0][0] is solved[0] and propagated[0][1] is solved[1]
+        assert [m.shape for m in solved] == [(32, 32), (8, 8)] * 5
+        assert len({id(m) for m in solved}) == 2 + 2 * 4
 
     def test_cool_with_noise_sweep(self, tmp_path):
         cfg = hn.ScenarioConfig(kind="cool-with-noise", outdir=str(tmp_path))

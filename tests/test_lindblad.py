@@ -31,7 +31,17 @@ NOISY = lb.LindbladModel(
     lattice=LAT)
 # the three jump sets whose population sector closes
 CHAIN_MODELS = {"thermal": THERMAL, "cooling": COOL, "noisy-cooling": NOISY}
+# the jump sets whose every channel moves one frame label
+KRONECKER_MODELS = {
+    **{f"thermal-p{p}": lb.thermal_jump_set(LAT, p=p, lambda_star=1.0,
+                                            gamma_star=0.8)
+       for p in (0.0, 0.2, 0.5)},
+    "cooling": COOL}
 FRAME = lb.StabilizerFrame(LAT)
+N_ORB, N_CHAR = FRAME.n_orbits, FRAME.n_char
+# the marginals of joint frame populations, index o * n_char + t
+LUMP_E = np.kron(np.eye(N_ORB), np.ones((1, N_CHAR)))
+LUMP_M = np.kron(np.ones((1, N_ORB)), np.eye(N_CHAR))
 
 
 class _DenseGenerator:
@@ -50,6 +60,35 @@ class _DenseGenerator:
         for rate, c in self.channels:
             out += 2.0 * rate * (c @ rho @ c.conj().T)
         return out
+
+
+def _joint_chain(model: lb.LindbladModel) -> np.ndarray:
+    """The oracle: the 256-state population chain, m[r, c] the rate c -> r,
+    from H and every channel carried into the frame with
+    ``StabilizerFrame.operator``.  H is frame-diagonal and every channel a
+    partial permutation there, so the frame populations close."""
+    h = FRAME.operator(model.hamiltonian.to_pauli_sum())
+    assert np.abs((h - scipy.sparse.diags(h.diagonal())).toarray()).max() < 1e-12
+    m = np.zeros((DIM, DIM))
+    for jt in model.jumps:
+        c = FRAME.operator(jt.operator).tocoo()
+        assert np.unique(c.row).size == np.unique(c.col).size == c.nnz
+        flows = 2.0 * jt.rate * np.abs(c.data) ** 2
+        np.add.at(m, (c.row, c.col), flows)
+        np.add.at(m, (c.col, c.col), -flows)
+    return m
+
+
+def _kronecker_sum(gen) -> np.ndarray:
+    return (np.kron(gen.orbit_chain, np.eye(N_CHAR))
+            + np.kron(np.eye(N_ORB), gen.char_chain))
+
+
+def _null_vector(m: np.ndarray) -> np.ndarray:
+    """The stationary distribution of a chain with one recurrent class,
+    from its last right-singular vector."""
+    _, _, vh = np.linalg.svd(m)
+    return vh[-1] / vh[-1].sum()
 
 
 def _single_qubit_damped_rabi(rate: float = 0.15):
@@ -297,6 +336,101 @@ def test_frame_diagonalizes_hamiltonian():
                                atol=1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_string_maps_match_frame_operator(name):
+    # each string of H and of every channel: the frame state (o, t) goes to
+    # (dest[o], t ^ u) with the amplitude FrameStrings gives
+    model = CHAIN_MODELS[name]
+    ops = [model.hamiltonian.to_pauli_sum()] + [jt.operator for jt in model.jumps]
+    strings = FRAME.strings(ops)
+    terms = [(coeff, string) for op in ops for string, coeff in op.items()]
+    assert strings.x.size == len(terms)
+    o, t = np.divmod(np.arange(DIM), N_CHAR)
+    for k, (coeff, string) in enumerate(terms):
+        mat = FRAME.operator(PauliSum.from_string(string, coeff)).tocsc()
+        assert np.all(np.diff(mat.indptr) == 1)     # one image per state
+        t2 = t ^ int(strings.flips[k])
+        np.testing.assert_array_equal(mat.indices,
+                                      strings.dest[k, o] * N_CHAR + t2)
+        sign = 1.0 - 2.0 * (np.bitwise_count(
+            t2.astype(np.uint64) & strings.elements[k, o]) & 1)
+        np.testing.assert_allclose(
+            mat.data, coeff * lb.QUARTER_TURNS[strings.turns[k, o]] * sign,
+            rtol=0, atol=1e-15)
+
+
+def test_label_diagonal_matches_frame_operator():
+    stabs = [PauliSum.from_string(s) for s in hn._stabilizers(LAT)]
+    loops = [PauliSum.from_string(s) for s in lt.z_loops(LAT) + lt.x_loops(LAT)]
+    for op in [build_hamiltonian(LAT).to_pauli_sum(), *stabs, *loops,
+               lb.excitation_ops(LAT, 3, "e").create]:
+        d_e, d_m = FRAME.label_diagonal(op)
+        assert d_e.shape == (N_ORB,) and d_m.shape == (N_CHAR,)
+        np.testing.assert_allclose((d_e[:, None] + d_m[None, :]).ravel(),
+                                   FRAME.operator(op).diagonal().real,
+                                   rtol=0, atol=1e-15)
+    w_e, w_m = hn.excitation_weights(FRAME)
+    want = sum((1.0 - FRAME.operator(op).diagonal().real) / 2.0
+               for op in stabs) / len(stabs)
+    np.testing.assert_allclose((w_e[:, None] + w_m[None, :]).ravel(), want,
+                               rtol=0, atol=1e-15)
+    # a vertex times a plaquette stabilizer reads both labels at once
+    both = lt.vertex_stabilizer(LAT, 0) * lt.plaquette_stabilizer(LAT, 0)
+    with pytest.raises(ValueError, match="both frame labels"):
+        FRAME.label_diagonal(PauliSum.from_string(both))
+
+
+@pytest.mark.parametrize("name", sorted(KRONECKER_MODELS))
+def test_label_chains_are_the_joint_chain(name):
+    # every channel moves one label at a rate the other label does not
+    # change, so M = M_e (x) 1 + 1 (x) M_m
+    gen = lb._compile_generator(KRONECKER_MODELS[name])
+    assert gen.kronecker_sum
+    assert gen.orbit_chain.shape == (N_ORB, N_ORB)
+    assert gen.char_chain.shape == (N_CHAR, N_CHAR)
+    np.testing.assert_allclose(_kronecker_sum(gen),
+                               _joint_chain(KRONECKER_MODELS[name]),
+                               rtol=0, atol=1e-14)
+
+
+def test_noisy_label_chains_are_the_lumped_joint_chain():
+    # Y moves both labels, so the joint chain is no Kronecker sum, but
+    # each marginal of M p is the label chain on that marginal of p
+    gen = lb._compile_generator(NOISY)
+    joint = _joint_chain(NOISY)
+    assert not gen.kronecker_sum
+    assert np.abs(_kronecker_sum(gen) - joint).max() > 0.1
+    # each lumped entry sums 8 or 32 rates of the joint chain
+    np.testing.assert_allclose(LUMP_E @ joint, gen.orbit_chain @ LUMP_E,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(LUMP_M @ joint, gen.char_chain @ LUMP_M,
+                               rtol=0, atol=1e-12)
+
+
+def test_label_chains_at_l3(monkeypatch):
+    # the frame tables at L = 3 (18 qubits); no scenario runs there yet
+    monkeypatch.setattr(lb, "FRAME_QUBIT_CAP", 18)
+    lat = lt.build(3)
+    for model, null_dims in (
+            (lb.thermal_jump_set(lat, p=0.2, lambda_star=1.0, gamma_star=0.5),
+             (1, 1)),
+            (lb.cooling_jump_set(lat, lambda_star=1.0), (4, 1))):
+        gen = lb._compile_generator(model)
+        assert gen.kronecker_sum
+        assert gen.orbit_chain.shape == (1024, 1024)
+        assert gen.char_chain.shape == (256, 256)
+        for m in (gen.orbit_chain, gen.char_chain):
+            np.testing.assert_allclose(m.sum(axis=0), 0.0, rtol=0, atol=1e-13)
+        if model.label == "thermal":
+            # each state moves along each of the 18 links
+            assert np.count_nonzero(gen.orbit_chain) == 19456
+            assert np.count_nonzero(gen.char_chain) == 4864
+        res = lb.stationary_state(model)
+        assert (res.counters["orbit_null_dim"],
+                res.counters["char_null_dim"]) == null_dims
+        assert res.residual < 1e-12
+
+
 # -- stationary states ---------------------------------------------------
 
 
@@ -351,7 +485,11 @@ def test_gibbs_state_stationary_without_translations():
     gibbs_f = gen.frame.to_frame(gibbs)
     populations = np.diag(gibbs_f).real
     assert np.linalg.norm(gibbs_f - np.diag(populations)) < 1e-12
-    assert np.linalg.norm(gen.apply(populations).toarray()) < 1e-8
+    # the Kronecker-sum chain on P = populations as (n_orbits, n_char)
+    p = populations.reshape(N_ORB, N_CHAR)
+    assert gen.kronecker_sum
+    assert np.linalg.norm(gen.orbit_chain @ p + p @ gen.char_chain.T) < 1e-8
+    assert np.linalg.norm(_DenseGenerator(model).apply(gibbs)) < 1e-8
 
 
 def test_stationary_requires_lattice():
@@ -374,22 +512,34 @@ def test_open_population_sector_is_refused():
 @pytest.mark.parametrize("name, classes", [
     ("thermal", 1), ("ground-pump", 4), ("cooling", 4), ("noisy-cooling", 1)])
 def test_null_dim_counts_recurrent_classes(name, classes):
-    # the oracles: the numerical rank deficiency of the rate matrix, from
+    # the oracles: the numerical rank deficiency of a rate matrix, from
     # its singular values, and the last right-singular vector of each
     # closed class block, normalized to unit sum
+    def rank_deficiency(m):
+        singulars = np.linalg.svd(m, compute_uv=False)
+        return np.sum(singulars < 1e-9 * max(singulars[0], 1.0))
+
     model = {**CHAIN_MODELS, "ground-pump": lb.thermal_jump_set(
         LAT, p=0.0, lambda_star=1.0, gamma_star=0.8)}[name]
-    m = lb._compile_generator(model).rate_matrix
-    singulars = np.linalg.svd(m, compute_uv=False)
-    assert np.sum(singulars < 1e-9 * max(singulars[0], 1.0)) == classes
-    assert lb.stationary_state(model).null_dim == classes
-    dists = lb._recurrent_distributions(m)
-    supports = [np.flatnonzero(pi) for pi in dists]
-    assert len(np.unique(np.concatenate(supports))) == sum(map(len, supports))
-    for pi, idx in zip(dists, supports):
-        _, _, vh = np.linalg.svd(m[np.ix_(idx, idx)])
-        want = np.abs(vh[-1]) / np.abs(vh[-1]).sum()
-        np.testing.assert_allclose(pi[idx], want, rtol=0, atol=1e-13)
+    assert rank_deficiency(_joint_chain(model)) == classes
+    res = lb.stationary_state(model)
+    assert res.null_dim == classes
+    gen = lb._compile_generator(model)
+    label_classes = []
+    for m in (gen.orbit_chain, gen.char_chain):
+        dists = lb._recurrent_distributions(m)
+        assert rank_deficiency(m) == len(dists)
+        label_classes.append(len(dists))
+        supports = [np.flatnonzero(pi) for pi in dists]
+        assert (len(np.unique(np.concatenate(supports)))
+                == sum(map(len, supports)))
+        for pi, idx in zip(dists, supports):
+            _, _, vh = np.linalg.svd(m[np.ix_(idx, idx)])
+            want = np.abs(vh[-1]) / np.abs(vh[-1]).sum()
+            np.testing.assert_allclose(pi[idx], want, rtol=0, atol=1e-13)
+    assert label_classes[0] * label_classes[1] == classes
+    assert (res.counters["orbit_null_dim"],
+            res.counters["char_null_dim"]) == tuple(label_classes)
 
 
 # -- master-equation integration -----------------------------------------
@@ -414,19 +564,18 @@ def _random_density(dim: int, seed: int) -> np.ndarray:
 
 
 def test_frame_generator_matches_dense_oracle():
-    # the full generator on random frame-diagonal states, every coherence
-    # it creates included
+    # the dense generator on random frame-diagonal states creates no frame
+    # coherence, and its frame diagonal is the joint chain on p
     rng = np.random.default_rng(12)
     for model in CHAIN_MODELS.values():
-        gen = lb._compile_generator(model)
+        m = _joint_chain(model)
         dense = _DenseGenerator(model)
         for _ in range(2):
             p = rng.random(DIM)
             p /= p.sum()
             np.testing.assert_allclose(
-                FRAME.from_frame(gen.apply(p).toarray()),
-                dense.apply((FRAME.basis * p) @ FRAME.basis.T),
-                rtol=0, atol=1e-12)
+                FRAME.to_frame(dense.apply((FRAME.basis * p) @ FRAME.basis.T)),
+                np.diag(m @ p), rtol=0, atol=1e-12)
 
 
 def test_frame_matrices_need_permutation_channels():
@@ -435,29 +584,71 @@ def test_frame_matrices_need_permutation_channels():
     model = lb.LindbladModel(
         n_qubits=8, hamiltonian=COOL.hamiltonian, lattice=LAT,
         jumps=COOL.jumps[:2] + (lb.JumpTerm("x0+x1", 0.1, mixed),))
-    with pytest.raises(ValueError, match=r"'x0\+x1'"):
+    with pytest.raises(ValueError, match=r"'x0\+x1' is not a partial"):
         lb._compile_generator(model)
+    # Z_0 and Z_1 keep the orbit but flip different characters
+    flips = PauliSum.from_terms(((1.0, PauliString.single(8, 0, "Z")),
+                                 (1.0, PauliString.single(8, 1, "Z"))))
+    model = lb.LindbladModel(
+        n_qubits=8, hamiltonian=COOL.hamiltonian, lattice=LAT,
+        jumps=(lb.JumpTerm("z0+z1", 0.1, flips),))
+    with pytest.raises(ValueError, match=r"'z0\+z1' is not a partial"):
+        lb._compile_generator(model)
+    # X_0 (1 + B_0) / 2 moves the orbit at a rate set by the plaquette
+    # B_0, which the character reads: its label chains would not lump
+    flip = PauliString.single(8, 0, "X")
+    lopsided = PauliSum.from_terms(
+        ((0.5, flip), (0.5, flip * lt.plaquette_stabilizer(LAT, 0))))
+    model = lb.LindbladModel(
+        n_qubits=8, hamiltonian=COOL.hamiltonian, lattice=LAT,
+        jumps=(lb.JumpTerm("lopsided", 0.1, lopsided),))
+    with pytest.raises(ValueError, match="'lopsided' has a rate that depends"):
+        lb._compile_generator(model)
+
+
+# the label null dimensions of each chain model
+NULL_DIMS = {"thermal": (1, 1), "cooling": (4, 1), "noisy-cooling": (1, 1)}
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
 def test_chain_stationary_state_is_dense_fixed_point(name):
     model = CHAIN_MODELS[name]
     res = lb.stationary_state(model)
-    assert res.counters == {"engine": "population-chain", "chain_size": DIM,
-                            "null_dim": res.null_dim}
-    assert np.linalg.norm(_DenseGenerator(model).apply(res.rho)) < 1e-10
+    null_e, null_m = NULL_DIMS[name]
+    assert res.counters == {"engine": "label-chains", "orbit_states": N_ORB,
+                            "char_states": N_CHAR,
+                            "kronecker_sum": name != "noisy-cooling",
+                            "orbit_null_dim": null_e, "char_null_dim": null_m,
+                            "null_dim": null_e * null_m}
+    if res.kronecker_sum:
+        state = res.rho
+    else:
+        # only the marginals are known: they must be the lumped frame
+        # populations of the oracle chain's fixed point
+        with pytest.raises(ValueError, match="not a Kronecker sum"):
+            res.rho
+        pi = _null_vector(_joint_chain(model))
+        np.testing.assert_allclose(res.orbit_populations, LUMP_E @ pi,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.char_populations, LUMP_M @ pi,
+                                   rtol=0, atol=1e-12)
+        state = (FRAME.basis * pi) @ FRAME.basis.T
+    assert np.linalg.norm(_DenseGenerator(model).apply(state)) < 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
 def test_chain_evolution_matches_superoperator_propagator(name):
     model = CHAIN_MODELS[name]
+    kron = name != "noisy-cooling"
     rng = np.random.default_rng(21)
     p0 = rng.random(DIM)
     rho0_f = np.diag(p0 / p0.sum()).astype(complex)
     times = [0.0, 1.0, 3.0, 10.0]
     out = lb.evolve(model, FRAME.from_frame(rho0_f), 10.0, sample_times=times)
-    assert out.path == "chain"
-    assert out.counters == {"chain_size": DIM, "propagator_evaluations": 3}
+    assert out.path == "label-chains"
+    assert out.counters == {"orbit_states": N_ORB, "char_states": N_CHAR,
+                            "kronecker_sum": kron,
+                            "propagator_evaluations": 3}
     # independent propagator: the vectorized frame generator, exp(S t)
     h = FRAME.operator(model.hamiltonian.to_pauli_sum())
     channels = [(jt.rate, FRAME.operator(jt.operator)) for jt in model.jumps]
@@ -466,57 +657,117 @@ def test_chain_evolution_matches_superoperator_propagator(name):
         start=0.0, stop=10.0, num=11, endpoint=True)
     for k, t in enumerate(times):
         want = oracle[int(t)].reshape(DIM, DIM)
-        np.testing.assert_allclose(FRAME.to_frame(out.states[k]), want,
-                                   rtol=0, atol=1e-10)
+        diag = np.diag(want).real
+        if kron:
+            np.testing.assert_allclose(FRAME.to_frame(out.states[k]), want,
+                                       rtol=0, atol=1e-10)
+            low = diag.min()
+        else:
+            # the oracle stays frame-diagonal, and its lumped diagonal is
+            # what the marginal chains carry
+            assert np.abs(want - np.diag(diag)).max() < 1e-10
+            np.testing.assert_allclose(out.orbit_populations[k],
+                                       LUMP_E @ diag, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(out.char_populations[k],
+                                       LUMP_M @ diag, rtol=0, atol=1e-10)
+            low = min((LUMP_E @ diag).min(), (LUMP_M @ diag).min())
         assert out.trace_defects[k] < 1e-12
-        assert out.min_eigenvalues[k] == pytest.approx(
-            np.diag(want).real.min(), abs=1e-10)
+        assert out.min_eigenvalues[k] == pytest.approx(low, abs=1e-10)
+    if not kron:
+        with pytest.raises(ValueError, match="not a Kronecker sum"):
+            out.states
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
 def test_population_observables_match_dense_oracle(name):
-    # every chain result is B diag(p) Bᵀ; the population formulas must give
-    # what the dense functions give on that matrix
+    # every chain result is B diag(p) Bᵀ; the label formulas must give what
+    # the dense functions give on that matrix.  A noisy chain carries only
+    # the marginals: there p comes from the oracle joint chain, the
+    # marginals must be its lumped populations, and only the label-additive
+    # observables (energy, density, loops) are read
     model = CHAIN_MODELS[name]
     h = model.hamiltonian.to_dense()
-    basis = model.frame.basis
+    basis = FRAME.basis
     res = lb.stationary_state(model)
     # a random frame-diagonal start breaks the logical symmetry of I/D, so
     # the Z loops read nonzero values along the way
     p0 = np.random.default_rng(3).random(DIM)
-    out = lb.evolve(model, (basis * (p0 / p0.sum())) @ basis.T, 3.0,
-                    sample_times=[0.0, 1.0, 3.0])
-    assert out.path == "chain"
-    np.testing.assert_allclose(res.rho, (basis * res.populations) @ basis.T,
-                               rtol=0, atol=1e-14)
-    weights = hn.excitation_weights(model.frame)
+    p0 /= p0.sum()
+    out = lb.evolve(model, p0, 3.0, sample_times=[0.0, 1.0, 3.0])
+    assert out.path == "label-chains"
+    if res.kronecker_sum:
+        np.testing.assert_allclose(res.rho, (basis * res.populations) @ basis.T,
+                                   rtol=0, atol=1e-14)
+        joint = [res.populations, *out.populations]
+    else:
+        m = _joint_chain(model)
+        joint = [_null_vector(m),
+                 *(scipy.linalg.expm(m * t) @ p0 for t in out.times)]
+        for view in (lambda: res.populations, lambda: out.populations):
+            with pytest.raises(ValueError, match="not a Kronecker sum"):
+                view()
+        assert res.trace_distance_to_gibbs is None
+    w_e, w_m = hn.excitation_weights(FRAME)
     loops = lt.z_loops(LAT) + lt.x_loops(LAT)
+    diagonals = [FRAME.label_diagonal(PauliSum.from_string(loop))
+                 for loop in loops]
     gibbs = {t: (lb._gibbs_weights(res.energies, t), lb.gibbs_state(h, t))
              for t in (0.0, 2.0, math.inf)}
-    for pops in (res.populations, *out.populations):
+    marginals = [(res.orbit_populations, res.char_populations),
+                 *zip(out.orbit_populations, out.char_populations)]
+    for (p_e, p_m), pops in zip(marginals, joint):
+        np.testing.assert_allclose(p_e, LUMP_E @ pops, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_m, LUMP_M @ pops, rtol=0, atol=1e-12)
         rho = (basis * pops) @ basis.T
-        assert abs(pops @ res.energies - np.trace(h @ rho).real) < 1e-12
-        assert abs(hn.population_entropy(pops)
-                   - hn.von_neumann_entropy(rho)) < 1e-12
-        assert abs(pops @ weights - hn.excitation_density(rho, LAT)) < 1e-12
-        for populations_t, state_t in gibbs.values():
-            assert abs(0.5 * np.abs(pops - populations_t).sum()
-                       - lb.trace_distance(rho, state_t)) < 1e-12
-        for loop in loops:
-            assert abs(pops @ model.frame.diagonal(loop)
+        assert abs(p_e @ res.orbit_energies + p_m @ res.char_energies
+                   - np.trace(h @ rho).real) < 1e-12
+        assert abs(p_e @ w_e + p_m @ w_m
+                   - hn.excitation_density(rho, LAT)) < 1e-12
+        for loop, (d_e, d_m) in zip(loops, diagonals):
+            assert abs(p_e @ d_e + p_m @ d_m
                        - loop.expectation(rho).real) < 1e-12
+        if res.kronecker_sum:
+            assert abs(hn.population_entropy(pops)
+                       - hn.von_neumann_entropy(rho)) < 1e-12
+            for populations_t, state_t in gibbs.values():
+                assert abs(0.5 * np.abs(pops - populations_t).sum()
+                           - lb.trace_distance(rho, state_t)) < 1e-12
     # what stationary_state reports
+    rho = (basis * joint[0]) @ basis.T
     for distance, temperature in (
             (res.trace_distance_to_gibbs, res.gibbs_temperature),
             (res.trace_distance_to_detailed_balance,
              res.detailed_balance_temperature)):
         if distance is not None:
             assert abs(distance - lb.trace_distance(
-                res.rho, lb.gibbs_state(h, temperature))) < 1e-12
+                rho, lb.gibbs_state(h, temperature))) < 1e-12
     for label, loop in zip(("wilson_z_0", "wilson_z_1", "wilson_x_0",
                             "wilson_x_1"), loops):
         assert abs(res.loop_expectations[label]
-                   - loop.expectation(res.rho).real) < 1e-12
+                   - loop.expectation(rho).real) < 1e-12
+
+
+def test_chain_without_kronecker_sum_keeps_marginals_only():
+    # a thermal bath with depolarizing noise: both marginals are solved,
+    # but no joint state and no Gibbs distance can be read
+    model = lb.LindbladModel(
+        n_qubits=LAT.n_links, hamiltonian=THERMAL.hamiltonian,
+        jumps=THERMAL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=0.1),
+        temperature_target=THERMAL.temperature_target, delta=THERMAL.delta,
+        p=THERMAL.p, lattice=LAT)
+    res = lb.stationary_state(model)
+    assert not res.kronecker_sum and res.null_dim == 1
+    assert res.trace_distance_to_gibbs is None
+    assert res.trace_distance_to_detailed_balance is None
+    assert res.detailed_balance_temperature == THERMAL.detailed_balance_temperature()
+    assert res.orbit_populations.sum() == pytest.approx(1.0, abs=1e-14)
+    assert res.char_populations.sum() == pytest.approx(1.0, abs=1e-14)
+    out = lb.evolve(model, np.full(DIM, 1.0 / DIM), 1.0)
+    assert out.joint is None and out.counters["kronecker_sum"] is False
+    for view in (lambda: res.populations, lambda: res.rho,
+                 lambda: out.populations, lambda: out.final):
+        with pytest.raises(ValueError, match="only the two label marginals"):
+            view()
 
 
 def test_stationary_loops_read_the_logical_sector(monkeypatch):
@@ -537,18 +788,14 @@ def test_stationary_loops_read_the_logical_sector(monkeypatch):
                    - label.startswith("wilson_z")) < 1e-12
 
 
-def test_rate_sweep_shares_transports_and_matches_fresh_models():
+def test_rate_sweep_reweights_and_matches_fresh_models():
     def jumps(gamma):
         return COOL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=gamma)
 
     sweep = lb.LindbladModel(n_qubits=LAT.n_links,
                              hamiltonian=COOL.hamiltonian,
                              jumps=jumps(0.1), lattice=LAT)
-    lb.stationary_state(sweep)
-    transports = sweep.frame.transports
-    assert transports == 1 + 32 + 24 + 4      # H, channels, Wilson loops
-    p = np.random.default_rng(5).random(DIM)
-    p /= p.sum()
+    built = lb._compile_generator(sweep)
     for gamma in (0.3, 0.0):
         point = jumps(gamma)
         shared = sweep.with_rates([jt.rate for jt in point])
@@ -559,16 +806,15 @@ def test_rate_sweep_shares_transports_and_matches_fresh_models():
         assert ([(jt.label, jt.rate) for jt in shared.jumps]
                 == [(jt.label, jt.rate) for jt in fresh.jumps])
         assert shared.frame is sweep.frame
-        a, b = lb.stationary_state(shared), lb.stationary_state(fresh)
-        np.testing.assert_allclose(a.populations, b.populations,
-                                   rtol=0, atol=1e-14)
-        assert a.null_dim == b.null_dim
-        assert abs(a.residual - b.residual) <= 1e-14
-        np.testing.assert_allclose(
-            lb._compile_generator(shared).apply(p).toarray(),
-            lb._compile_generator(fresh).apply(p).toarray(),
-            rtol=0, atol=1e-14)
-    assert sweep.frame.transports == transports
+        a, b = lb._compile_generator(shared), lb._compile_generator(fresh)
+        assert a.kronecker_sum == b.kronecker_sum == (gamma == 0.0)
+        np.testing.assert_array_equal(a.orbit_chain, b.orbit_chain)
+        np.testing.assert_array_equal(a.char_chain, b.char_chain)
+        x, y = lb.stationary_state(shared), lb.stationary_state(fresh)
+        np.testing.assert_array_equal(x.orbit_populations, y.orbit_populations)
+        np.testing.assert_array_equal(x.char_populations, y.char_populations)
+        assert x.null_dim == y.null_dim and x.residual == y.residual
+    assert lb._compile_generator(sweep) is built
 
 
 def test_with_rates_validation():
@@ -610,9 +856,34 @@ def test_evolve_validation_and_errors():
     coherent[0, 0] = 1.0
     with pytest.raises(ValueError, match="coherences"):
         lb.evolve(THERMAL, coherent, 0.5)
-    assert lb.evolve(THERMAL, rho0, 0.5).path == "chain"
+    assert lb.evolve(THERMAL, rho0, 0.5).path == "label-chains"
     with pytest.raises(ValueError, match="stabilizer frame"):
         lb.evolve(_single_qubit_damped_rabi(), np.eye(2) / 2.0, 0.5)
+    # frame populations are checked like the spectrum of a density matrix
+    with pytest.raises(ValueError, match="populations for 256"):
+        lb.evolve(THERMAL, np.full(DIM // 2, 2.0 / DIM), 0.5)
+    with pytest.raises(lb.PositivityError, match="trace defect"):
+        lb.evolve(THERMAL, np.full(DIM, 2.0 / DIM), 0.5)
+    # below the floor of a dense start, though within the budget of the
+    # monitor at t = 0
+    uneven = np.full(DIM, 1.0 / DIM)
+    uneven[:2] += (-1.0 / DIM - 5e-9, 1.0 / DIM + 5e-9)
+    with pytest.raises(lb.PositivityError, match="below floor"):
+        lb.evolve(THERMAL, uneven, 0.5)
+
+
+def test_population_start_matches_dense_start():
+    # the dense start is carried into the frame once; its populations
+    # start the same run
+    p0 = np.random.default_rng(8).random(DIM)
+    p0 /= p0.sum()
+    times = [0.0, 0.5, 2.0]
+    dense = lb.evolve(THERMAL, (FRAME.basis * p0) @ FRAME.basis.T, 2.0,
+                      sample_times=times)
+    direct = lb.evolve(THERMAL, p0, 2.0, sample_times=times)
+    np.testing.assert_allclose(direct.populations, dense.populations,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(direct.times, dense.times)
 
 
 # -- ancilla pumping -------------------------------------------------------
