@@ -15,13 +15,14 @@ Lattice dissipation runs in an orthonormal eigenbasis of the stabilizer
 group (``StabilizerFrame``).  Its states carry two labels: an orbit o of
 the plaquette-flip group, which holds the vertex stabilizers and the
 logical Z sector, and a group character t, which holds the plaquette
-stabilizers.  Every Pauli string acts as a signed permutation there,
-o -> orbit_of[reps[o] ^ x] and t -> t ^ u, which ``StabilizerFrame.strings``
-computes by index arithmetic on the masks.  Each engineered channel moves
-one label at a rate the other label does not change, so the population
-chain splits into an orbit chain M_e and a character chain M_m
-(``_LabelChains``), built with no channel carried into the frame: the
-joint chain is M_e ⊗ 1 + 1 ⊗ M_m.  Depolarizing Y moves both labels; the
+stabilizers.  The labels of a bitstring come from one GF(2) elimination of
+the plaquette generators (``StabilizerFrame.labels``) and are linear, so
+every Pauli string acts as a signed permutation there by an XOR on each
+label, o -> o ^ a and t -> t ^ u, which ``StabilizerFrame.strings`` reads
+off the masks.  Each engineered channel moves one label at a rate the
+other label does not change, so the population chain splits into an orbit
+chain M_e and a character chain M_m (``_LabelChains``), built with no
+channel carried into the frame: the joint chain is M_e ⊗ 1 + 1 ⊗ M_m.  Depolarizing Y moves both labels; the
 joint chain is then no Kronecker sum, but each label's marginal is still
 an autonomous chain (strong lumpability).  The stationary marginals are
 the null spaces of M_e and M_m, and a frame-diagonal start evolves exactly
@@ -56,9 +57,9 @@ import scipy.sparse.csgraph
 
 from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum
-from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_flips
+from .spectra import SparseHamiltonian, _echelon, _span, build_hamiltonian
 
-FRAME_QUBIT_CAP = 12         # the frame tables and dense basis (L = 2)
+FRAME_QUBIT_CAP = 12         # the dense basis and label chains (L = 2)
 TRACE_TOL_PER_TIME = 1e-9    # trace / positivity drift budget per unit time
 EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
 FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a chain start
@@ -324,43 +325,63 @@ def depolarizing_jumps(n_qubits: int, gamma: float,
 # ---------------------------------------------------------------------------
 
 
+def _char_sign(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(-1)**|t & e|, the value of character t on group element e."""
+    return 1.0 - 2.0 * (np.bitwise_count(t & e) & 1)
+
+
 @dataclass(frozen=True, eq=False)
 class FrameStrings:
-    """The frame action of a list of Pauli strings, one row per string.
+    """The frame action of a list of Pauli strings, one entry per string.
 
     String s maps the frame state |o, t> to
 
-        i**turns[s, o] (-1)**|(t ^ flips[s]) & elements[s, o]| |dest[s, o], t ^ flips[s]>,
+        amplitude(s, o, t) |o ^ shift[s], t ^ flips[s]>,
+        amplitude(s, o, t) = c i**turns[s, o] (-1)**|(t ^ flips[s]) & element[s]|,
 
-    with dest[s, o] = orbit_of[reps[o] ^ x] and elements[s, o] =
-    element_of[reps[o] ^ x]: the orbit map and the character map t -> t ^ u
-    are index arithmetic on the masks, and no array spans both labels.
+    where x = reps[shift[s]] ^ group_masks[element[s]] labels the X-mask
+    (:meth:`StabilizerFrame.labels`).  The labels are GF(2)-linear, so
+    reps[o] ^ x carries the labels (o ^ shift[s], element[s]) on every
+    orbit: both label maps are XORs, and no array spans both labels.
     """
 
     owner: np.ndarray       # (n_strings,) index of the Pauli sum of each string
     coeffs: np.ndarray      # (n_strings,) complex coefficients
     x: np.ndarray           # (n_strings,) X-masks
     turns: np.ndarray       # (n_strings, n_orbits) q(reps[o]) mod 4
-    dest: np.ndarray        # (n_strings, n_orbits) orbit map
-    elements: np.ndarray    # (n_strings, n_orbits) group element reached
-    flips: np.ndarray       # (n_strings,) character flips u
+    shift: np.ndarray       # (n_strings,) orbit map o -> o ^ shift
+    element: np.ndarray     # (n_strings,) group element reached
+    flips: np.ndarray       # (n_strings,) character map t -> t ^ u
 
     @property
     def keeps_labels(self) -> np.ndarray:
-        """Strings that keep both labels: X in the plaquette-flip group
-        (orbit 0 holds the group, as reps[0] = 0) and u = 0."""
-        return (self.dest[:, 0] == 0) & (self.flips == 0)
+        """Strings that keep both labels: X in the plaquette-flip group and
+        u = 0."""
+        return (self.shift == 0) & (self.flips == 0)
+
+    def amplitudes(self, orbits: slice, chars: np.ndarray) -> np.ndarray:
+        """amplitude(s, o, t) of every string on the orbits ``orbits`` and
+        the characters ``chars``, shape (n_strings, n_o, n_t)."""
+        values = self.coeffs[:, None] * QUARTER_TURNS[self.turns[:, orbits]]
+        signs = _char_sign(chars[None, :] ^ self.flips[:, None],
+                           self.element[:, None])
+        return values[:, :, None] * signs[:, None, :]
 
 
 class StabilizerFrame:
     """Orthonormal eigenbasis of the vertex and plaquette stabilizer group.
 
     Basis states are labeled by an orbit of the plaquette-flip group acting
-    on computational bitstrings and by a group character; every Pauli string
-    maps one basis state to exactly one basis state times a scalar, so
-    operators built from few strings are sparse signed permutations here.
-    :meth:`strings` gives that action as index arithmetic on the two
-    labels; :meth:`operator` assembles the frame matrix of a Pauli sum.
+    on computational bitstrings and by a group character.  The plaquette
+    generators are reduced once to GF(2) echelon form, each row carrying
+    the generators it combines: clearing the pivot bits of a bitstring
+    leaves its orbit representative, the coset minimum, and sums the group
+    element between them (:meth:`labels`).  Every Pauli string maps one
+    basis state to exactly one basis state times a scalar, by an XOR on
+    each label (:meth:`strings`), so operators built from few strings are
+    sparse signed permutations here; :meth:`operator` assembles the frame
+    matrix of a Pauli sum.  Only the dense :attr:`basis` spans the 2^n
+    bitstrings.
     """
 
     def __init__(self, lat: lt.TorusLattice):
@@ -374,48 +395,45 @@ class StabilizerFrame:
         self.generator_masks = tuple(
             lt.plaquette_stabilizer(lat, k).x_mask
             for k in range(lat.n_plaquettes - 1))
-        group = plaquette_flips(lat)
-        self.n_char = group.size
-        if np.unique(group).size != self.n_char:
+        # a dependent generator reduces to zero with a nonzero right side
+        pivots = _echelon((m, 1 << k) for k, m in enumerate(self.generator_masks))
+        if pivots is None:
             raise ValueError("stabilizer generators are not independent")
-        self.group_masks = group
-
-        # state b is reps[orbit_of[b]] ^ group[element_of[b]]
-        orbit_of = np.full(self.dim, -1, dtype=np.int64)
-        element_of = np.zeros(self.dim, dtype=np.uint64)
-        reps = []
-        for b in range(self.dim):
-            if orbit_of[b] < 0:
-                members = np.uint64(b) ^ group
-                orbit_of[members] = len(reps)
-                element_of[members] = np.arange(self.n_char, dtype=np.uint64)
-                reps.append(b)
-        self.orbit_of = orbit_of
-        self.element_of = element_of
-        self.reps = np.array(reps, dtype=np.uint64)
-        self.n_orbits = len(reps)
+        self._rows = [(np.uint64(lead), np.uint64(row), np.uint64(rhs))
+                      for lead, (row, rhs) in sorted(pivots.items())]
+        self.group_masks = _span(self.generator_masks)
+        self.n_char = self.group_masks.size
+        # the states zero at every pivot: the coset minima, ascending
+        self.reps = _span(1 << b for b in range(n) if b not in pivots)
+        self.n_orbits = self.reps.size
         self.size = self.n_orbits * self.n_char
-        if self.size != self.dim:
-            raise ValueError("frame dimension mismatch")
         self._basis: np.ndarray | None = None
+
+    def labels(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(orbit, element) of each bitstring b, b = reps[orbit] ^
+        group_masks[element]: each pivot bit of b is cleared by its row,
+        which adds the generators it combines to the element."""
+        rest = np.array(states, dtype=np.uint64)
+        element = np.zeros_like(rest)
+        for lead, row, rhs in self._rows:
+            hit = rest >> lead & np.uint64(1)
+            rest ^= hit * row
+            element ^= hit * rhs
+        return np.searchsorted(self.reps, rest), element
 
     # -- basis ---------------------------------------------------------
 
     @property
     def basis(self) -> np.ndarray:
-        """Real orthogonal matrix whose columns are the frame states."""
+        """Real orthogonal matrix whose columns are the frame states, |o, t>
+        = sum_e (-1)**|t & e| |reps[o] ^ group_masks[e]> / sqrt(n_char)."""
         if self._basis is None:
-            b = np.zeros((self.dim, self.size))
-            t_arr = np.arange(self.n_char, dtype=np.uint64)
             norm = 1.0 / math.sqrt(self.n_char)
-            for o, rep in enumerate(self.reps):
-                cols = o * self.n_char + np.arange(self.n_char)
-                for j, g in enumerate(self.group_masks):
-                    signs = 1.0 - 2.0 * (
-                        np.bitwise_count(t_arr & np.uint64(j)) & np.uint64(1)
-                    ).astype(np.float64)
-                    b[int(rep ^ g), cols] = norm * signs
-            self._basis = b
+            chars = np.arange(self.n_char, dtype=np.uint64)
+            rows = self.reps[:, None, None] ^ self.group_masks[:, None]
+            cols = np.arange(self.size).reshape(self.n_orbits, 1, self.n_char)
+            self._basis = np.zeros((self.dim, self.size))
+            self._basis[rows, cols] = norm * _char_sign(chars[:, None], chars)
         return self._basis
 
     def to_frame(self, rho: np.ndarray) -> np.ndarray:
@@ -430,8 +448,9 @@ class StabilizerFrame:
 
     def strings(self, ops: Sequence[PauliSum]) -> FrameStrings:
         """The action of every string of ``ops`` on the orbit and character
-        labels, computed on the orbit representatives in one vectorized
-        pass (see :class:`FrameStrings`)."""
+        labels: each X-mask is labeled once, and the phases are read on the
+        orbit representatives in one vectorized pass (see
+        :class:`FrameStrings`)."""
         if any(op.n_qubits != self.n_qubits for op in ops):
             raise ValueError("operator register size mismatch")
         terms = [(k, coeff, s) for k, op in enumerate(ops)
@@ -441,15 +460,14 @@ class StabilizerFrame:
         # bit k of u: the string anticommutes with plaquette generator k
         gens = np.array(self.generator_masks, dtype=np.uint64)
         anti = (np.bitwise_count(z[:, None] & gens[None, :]) & 1).astype(np.uint64)
-        targets = self.reps[None, :] ^ x[:, None]
+        shift, element = self.labels(x)
         return FrameStrings(
             owner=np.array([k for k, *_ in terms], dtype=np.int64),
             coeffs=np.array([coeff for _, coeff, _ in terms], dtype=complex),
             x=x,
             turns=np.array([s.quarter_turns(self.reps) for *_, s in terms],
                            dtype=np.int64).reshape(-1, self.n_orbits) & 3,
-            dest=self.orbit_of[targets],
-            elements=self.element_of[targets],
+            shift=shift, element=element,
             flips=(anti << np.arange(gens.size, dtype=np.uint64)).sum(
                 axis=1, dtype=np.uint64))
 
@@ -458,58 +476,35 @@ class StabilizerFrame:
         a character part, d(o, t) = d_e(o) + d_m(t).
 
         A string that moves either label has a zero diagonal.  One that
-        keeps both is diagonal with the value c i**q(reps[o]) (-1)**|t & k|,
-        X = group[k]: with k = 0 it depends on the orbit alone, and with
-        q the same on every orbit representative on the character alone.
-        A diagonal string that depends on both labels (the product of a
-        vertex and a plaquette stabilizer, say) raises ``ValueError``.
+        keeps both is diagonal with the value c i**q(reps[o]) (-1)**|t & e|:
+        with e = 0 it depends on the orbit alone, and with q the same on
+        every orbit representative on the character alone.  A diagonal
+        string that depends on both labels (the product of a vertex and a
+        plaquette stabilizer, say) raises ``ValueError``.
         """
         s = self.strings([op])
         still = s.keeps_labels
-        k = s.elements[:, 0]
-        on_char = still & (k != 0)
+        on_char = still & (s.element != 0)
         if np.any(on_char & np.any(s.turns != s.turns[:, :1], axis=1)):
             raise ValueError("a diagonal string depends on both frame labels")
-        values = s.coeffs[:, None] * QUARTER_TURNS[s.turns]
-        t_arr = np.arange(self.n_char, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (
-            np.bitwise_count(t_arr[None, :] & k[on_char, None]) & 1)
-        return (values[still & (k == 0)].sum(axis=0).real,
-                (values[on_char, :1] * signs).sum(axis=0).real)
+        chars = np.arange(self.n_char, dtype=np.uint64)
+        on_orbit = s.amplitudes(slice(None), chars[:1])[:, :, 0]
+        on_t = s.amplitudes(slice(0, 1), chars)[:, 0]
+        return (on_orbit[still & (s.element == 0)].sum(axis=0).real,
+                on_t[on_char].sum(axis=0).real)
 
     def operator(self, op: PauliSum) -> scipy.sparse.csr_matrix:
-        """Frame matrix of a Pauli sum (signed permutation per string)."""
-        if op.n_qubits != self.n_qubits:
-            raise ValueError("operator register size mismatch")
-        if len(op) == 0:
-            return scipy.sparse.csr_matrix((self.size, self.size), dtype=complex)
-        t_arr = np.arange(self.n_char, dtype=np.uint64)
-        cols = (np.arange(self.n_orbits, dtype=np.int64)[:, None] * self.n_char
-                + t_arr[None, :].astype(np.int64))
-        rows_all, cols_all, vals_all = [], [], []
-        for string, coeff in op.items():
-            z = string.z_mask
-            # |o, t> -> i**q(rep_o) (-1)**|t2 & j0| |oo, t2>, where
-            # rep_o ^ x = reps[oo] ^ group[j0] and t2 = t ^ u flips the
-            # character of every generator that anticommutes with the string
-            u = sum(((m & z).bit_count() & 1) << k
-                    for k, m in enumerate(self.generator_masks))
-            targets = self.reps ^ np.uint64(string.x_mask)
-            dest = self.orbit_of[targets]
-            j0 = self.element_of[targets]
-            t2 = t_arr ^ np.uint64(u)
-            sign_t = 1.0 - 2.0 * (
-                np.bitwise_count(t2[None, :] & j0[:, None]) & np.uint64(1)
-            ).astype(np.float64)
-            rows = dest[:, None] * self.n_char + t2[None, :].astype(np.int64)
-            turns = QUARTER_TURNS[string.quarter_turns(self.reps) % 4]
-            vals = complex(coeff) * turns[:, None] * sign_t
-            rows_all.append(rows.ravel())
-            cols_all.append(np.broadcast_to(cols, rows.shape).ravel())
-            vals_all.append(vals.ravel())
+        """Frame matrix of a Pauli sum, assembled from :meth:`strings`:
+        string s puts amplitude(s, o, t) at (o ^ shift, t ^ u), (o, t)."""
+        s = self.strings([op])
+        orbits = np.arange(self.n_orbits)
+        chars = np.arange(self.n_char, dtype=np.uint64)
+        rows = (((orbits ^ s.shift[:, None]) * self.n_char)[:, :, None]
+                + (chars ^ s.flips[:, None]).astype(np.int64)[:, None, :])
+        cols = np.arange(self.size).reshape(self.n_orbits, self.n_char)
         mat = scipy.sparse.coo_matrix(
-            (np.concatenate(vals_all),
-             (np.concatenate(rows_all), np.concatenate(cols_all))),
+            (s.amplitudes(slice(None), chars).ravel(),
+             (rows.ravel(), np.broadcast_to(cols, rows.shape).ravel())),
             shape=(self.size, self.size)).tocsr()
         mat.data[np.abs(mat.data) < 1e-15] = 0.0
         mat.eliminate_zeros()
@@ -555,12 +550,14 @@ def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
     return out
 
 
-def _rate_matrix(dest: np.ndarray, flows: np.ndarray) -> np.ndarray:
-    """Rate matrix of a chain whose channel c moves state i to dest[c, i]
+def _rate_matrix(shifts: np.ndarray, flows: np.ndarray) -> np.ndarray:
+    """Rate matrix of a chain whose channel c moves state i to i ^ shifts[c]
     at rate flows[c, i]: m[r, i] is the rate i -> r, and every column sums
     to zero."""
     n = flows.shape[1]
-    m = np.bincount((dest * n + np.arange(n)).ravel(), flows.ravel(),
+    states = np.arange(n)
+    dest = states ^ shifts.astype(np.int64)[:, None]
+    m = np.bincount((dest * n + states).ravel(), flows.ravel(),
                     minlength=n * n).reshape(n, n)
     m[np.diag_indices(n)] -= flows.sum(axis=0)
     return m
@@ -595,7 +592,7 @@ class _LabelChains:
     frame: StabilizerFrame
     energies: tuple[np.ndarray, np.ndarray]   # H's frame diagonal: E_e, E_m
     rates: np.ndarray           # (n_channels,)
-    orbit_maps: np.ndarray      # (n_channels, n_orbits) orbit map
+    orbit_shifts: np.ndarray    # (n_channels,) orbit map o -> o ^ a
     orbit_flows: np.ndarray     # (n_channels, n_orbits) 2|v(o, 0)|^2, unit rate
     char_flips: np.ndarray      # (n_channels,) character map t -> t ^ u
     char_flows: np.ndarray      # (n_channels, n_char) 2|v(0, t)|^2, unit rate
@@ -609,10 +606,10 @@ class _LabelChains:
                              "the population sector does not close")
         s = frame.strings([jt.operator for jt in model.jumps])
         lead = np.searchsorted(s.owner, s.owner)   # first string per channel
-        moves_orbit, moves_char = s.dest[:, 0] != 0, s.flips != 0
+        moves_orbit, moves_char = s.shift != 0, s.flips != 0
         relative = (s.turns - s.turns[lead]) & 3
         checks = (
-            ((frame.orbit_of[s.x ^ s.x[lead]] == 0) & (s.flips == s.flips[lead]),
+            ((s.shift == s.shift[lead]) & (s.flips == s.flips[lead]),
              "is not a partial permutation in the stabilizer frame"),
             ((~moves_orbit | (s.x == s.x[lead]))
              & (~moves_char | np.all(relative == relative[:, :1], axis=1)),
@@ -621,15 +618,10 @@ class _LabelChains:
             if not ok.all():
                 bad = model.jumps[s.owner[np.argmin(ok)]].label
                 raise ValueError(f"channel {bad!r} {why}")
-        values = s.coeffs[:, None] * QUARTER_TURNS[s.turns]
-        # amplitudes up to a unit factor shared by a channel's strings: an
-        # orbit move's strings share X, so its character sign is common;
-        # a character move is read on the slice o = 0 (reps[0] = 0)
-        t_arr = np.arange(frame.n_char, dtype=np.uint64)
-        slices = (
-            (moves_orbit, values),
-            (moves_char, values[:, :1] * (1.0 - 2.0 * (np.bitwise_count(
-                (t_arr[None, :] ^ s.flips[:, None]) & s.elements[:, :1]) & 1))))
+        # an orbit move is read on the slice t = 0, a character move on o = 0
+        chars = np.arange(frame.n_char, dtype=np.uint64)
+        slices = ((moves_orbit, s.amplitudes(slice(None), chars[:1])[:, :, 0]),
+                  (moves_char, s.amplitudes(slice(0, 1), chars)[:, 0]))
         n = len(model.jumps)
         flows = []
         for moves, amplitudes in slices:
@@ -637,13 +629,13 @@ class _LabelChains:
             np.add.at(v, s.owner[moves], amplitudes[moves])
             v[np.abs(v) < 1e-15] = 0.0
             flows.append(2.0 * np.abs(v) ** 2)
-        orbit_maps = np.zeros((n, frame.n_orbits), dtype=np.int64)
-        orbit_maps[s.owner] = s.dest
+        orbit_shifts = np.zeros(n, dtype=np.int64)
+        orbit_shifts[s.owner] = s.shift
         char_flips = np.zeros(n, dtype=np.uint64)
         char_flips[s.owner] = s.flips
         return cls(frame=frame, energies=frame.label_diagonal(h),
                    rates=np.array([jt.rate for jt in model.jumps], dtype=float),
-                   orbit_maps=orbit_maps, orbit_flows=flows[0],
+                   orbit_shifts=orbit_shifts, orbit_flows=flows[0],
                    char_flips=char_flips, char_flows=flows[1])
 
     def reweighted(self, keep: Sequence[int],
@@ -651,25 +643,23 @@ class _LabelChains:
         """The chains of channels ``keep`` at ``rates``."""
         return dataclasses.replace(
             self, rates=np.array(rates, dtype=float),
-            orbit_maps=self.orbit_maps[keep], orbit_flows=self.orbit_flows[keep],
+            orbit_shifts=self.orbit_shifts[keep], orbit_flows=self.orbit_flows[keep],
             char_flips=self.char_flips[keep], char_flows=self.char_flows[keep])
 
     @property
     def kronecker_sum(self) -> bool:
         """No channel moves both labels."""
-        return not np.any((self.orbit_maps[:, 0] != 0) & (self.char_flips != 0))
+        return not np.any((self.orbit_shifts != 0) & (self.char_flips != 0))
 
     @functools.cached_property
     def orbit_chain(self) -> np.ndarray:
         """M_e, built on first use."""
-        return _rate_matrix(self.orbit_maps, self.rates[:, None] * self.orbit_flows)
+        return _rate_matrix(self.orbit_shifts, self.rates[:, None] * self.orbit_flows)
 
     @functools.cached_property
     def char_chain(self) -> np.ndarray:
         """M_m, built on first use."""
-        t_arr = np.arange(self.frame.n_char, dtype=np.uint64)
-        dest = (t_arr[None, :] ^ self.char_flips[:, None]).astype(np.int64)
-        return _rate_matrix(dest, self.rates[:, None] * self.char_flows)
+        return _rate_matrix(self.char_flips, self.rates[:, None] * self.char_flows)
 
     @property
     def counters(self) -> dict:
@@ -703,33 +693,40 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if np.linalg.norm(rho - rho.conj().T) > trace_tol * rho.shape[0]:
+    if not np.linalg.norm(rho - rho.conj().T) <= trace_tol * rho.shape[0]:
         raise PositivityError("density matrix is not Hermitian")
-    _check_trace_and_floor(np.trace(rho).real,
+    _check_trace_and_floor(abs(np.trace(rho).real - 1.0),
                            float(scipy.linalg.eigvalsh(rho)[0]),
                            trace_tol, eig_floor)
 
 
-def _check_trace_and_floor(trace: float, low: float, trace_tol: float,
-                           eig_floor: float) -> None:
-    defect = abs(trace - 1.0)
-    if defect > trace_tol:
-        raise PositivityError(f"trace defect {defect:.3e} exceeds {trace_tol:.1e}")
-    if low < eig_floor:
-        raise PositivityError(f"eigenvalue {low:.3e} below floor {eig_floor:.1e}")
+def _check_trace_and_floor(defect: float, low: float, trace_tol: float,
+                           eig_floor: float, where: str = "") -> None:
+    """Raise ``PositivityError`` unless defect <= trace_tol and low >=
+    eig_floor; a NaN meets neither bound."""
+    if not defect <= trace_tol:
+        raise PositivityError(
+            f"trace defect {defect:.3e} exceeds {trace_tol:.1e}{where}")
+    if not low >= eig_floor:
+        raise PositivityError(
+            f"eigenvalue {low:.3e} below floor {eig_floor:.1e}{where}")
 
 
 def _start_populations(frame: StabilizerFrame, rho0: np.ndarray) -> np.ndarray:
     """Frame populations of an evolution start: ``rho0`` itself when it is a
-    vector, checked like a density matrix's spectrum, or the frame diagonal
-    of a dense density matrix, which must have no frame coherences."""
+    real vector, checked like a density matrix's spectrum, or the frame
+    diagonal of a dense density matrix, which must have no frame
+    coherences."""
     rho0 = np.asarray(rho0)
     if rho0.ndim == 1:
         if rho0.shape != (frame.size,):
             raise ValueError(f"{rho0.size} populations for {frame.size} "
                              "frame states")
-        p0 = rho0.astype(float)
-        _check_trace_and_floor(p0.sum(), p0.min(), 1e-9, EIGENVALUE_FLOOR)
+        if np.any(np.imag(rho0) != 0.0):
+            raise ValueError("frame populations must be real")
+        p0 = np.real(rho0).astype(float)
+        _check_trace_and_floor(abs(p0.sum() - 1.0), p0.min(), 1e-9,
+                               EIGENVALUE_FLOOR)
         return p0
     validate_density_matrix(rho0)
     y0 = frame.to_frame(rho0.astype(complex))
@@ -806,7 +803,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
     first access.
 
     Trace and positivity are monitored at every sample time against a
-    budget of 1e-9 per unit time; violations raise ``PositivityError``.
+    budget of 1e-9 per unit time; violations, NaN included, raise
+    ``PositivityError``.
     The frame basis B is orthogonal, so the monitors read the populations:
     the trace defect is |sum p - 1| and the smallest eigenvalue is min p
     (over both marginals when only those are kept).
@@ -841,12 +839,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
         min_eigs = np.minimum(orbit.min(axis=1), char.min(axis=1))
     for t, defect, low in zip(times, trace_defects, min_eigs):
         budget = TRACE_TOL_PER_TIME * max(t, 1.0)
-        if defect > budget:
-            raise PositivityError(
-                f"trace defect {defect:.3e} beyond budget {budget:.1e} at t={t}")
-        if low < EIGENVALUE_FLOOR - 10.0 * TRACE_TOL_PER_TIME * max(t, 1.0):
-            raise PositivityError(
-                f"eigenvalue {low:.3e} beyond budget at t={t}")
+        _check_trace_and_floor(defect, low, budget,
+                               EIGENVALUE_FLOOR - 10.0 * budget, f" at t={t}")
     return EvolutionResult(times=times, orbit_populations=orbit,
                            char_populations=char, joint=joint,
                            trace_defects=trace_defects,
@@ -1281,18 +1275,21 @@ _PROBE_START = (0b0011, 0b1011)
 _PROBE_PAIR = (0b0011, 0b1011, 0b0111, 0b1111)
 
 
-def _reachable(gen: scipy.sparse.csr_matrix, seeds: Iterable[int]) -> np.ndarray:
+def _reachable(gen: scipy.sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
     """Sorted indices that ``seeds`` reach under ``gen``: the smallest set
     of coordinates holding the seeds whose span ``gen`` maps into itself.
 
-    Entry j feeds entry i when gen[i, j] != 0, so the search follows the
-    transposed nonzero pattern, given to csgraph as real ones.
+    Entry j feeds entry i when gen[i, j] is stored, so the set grows by the
+    stored pattern of ``gen``, as real ones, until it stops changing.
     """
     pattern = scipy.sparse.csr_matrix(
-        (np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape).T
-    return np.unique(np.concatenate([
-        scipy.sparse.csgraph.breadth_first_order(
-            pattern, seed, return_predecessors=False) for seed in seeds]))
+        (np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
+    reached = np.isin(np.arange(gen.shape[0]), seeds)
+    while True:
+        grown = reached | (pattern @ reached > 0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
 
 
 def _pair_populations(model: LindbladModel, times: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Engineered-dissipation checks against dense oracles (L=2, 256 dimensions)."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -336,27 +337,62 @@ def test_frame_diagonalizes_hamiltonian():
                                atol=1e-10)
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
-def test_string_maps_match_frame_operator(name):
-    # each string of H and of every channel: the frame state (o, t) goes to
-    # (dest[o], t ^ u) with the amplitude FrameStrings gives
-    model = CHAIN_MODELS[name]
-    ops = [model.hamiltonian.to_pauli_sum()] + [jt.operator for jt in model.jumps]
-    strings = FRAME.strings(ops)
-    terms = [(coeff, string) for op in ops for string, coeff in op.items()]
-    assert strings.x.size == len(terms)
-    o, t = np.divmod(np.arange(DIM), N_CHAR)
-    for k, (coeff, string) in enumerate(terms):
-        mat = FRAME.operator(PauliSum.from_string(string, coeff)).tocsc()
-        assert np.all(np.diff(mat.indptr) == 1)     # one image per state
-        t2 = t ^ int(strings.flips[k])
-        np.testing.assert_array_equal(mat.indices,
-                                      strings.dest[k, o] * N_CHAR + t2)
-        sign = 1.0 - 2.0 * (np.bitwise_count(
-            t2.astype(np.uint64) & strings.elements[k, o]) & 1)
-        np.testing.assert_allclose(
-            mat.data, coeff * lb.QUARTER_TURNS[strings.turns[k, o]] * sign,
-            rtol=0, atol=1e-15)
+def _coset_tables(frame):
+    """The oracle: reps, and the orbit and element of every bitstring, from
+    a scan in ascending order that opens an orbit at each state not yet
+    labeled and labels its whole coset."""
+    group = frame.group_masks
+    orbit_of = np.full(frame.dim, -1, dtype=np.int64)
+    element_of = np.zeros(frame.dim, dtype=np.uint64)
+    reps = []
+    for b in range(frame.dim):
+        if orbit_of[b] < 0:
+            members = np.uint64(b) ^ group
+            orbit_of[members] = len(reps)
+            element_of[members] = np.arange(group.size, dtype=np.uint64)
+            reps.append(b)
+    return np.array(reps, dtype=np.uint64), orbit_of, element_of
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_frame_labels_match_their_definition(size, monkeypatch):
+    monkeypatch.setattr(lb, "FRAME_QUBIT_CAP", 18)
+    frame = lb.StabilizerFrame(lt.build(size))
+    states = np.arange(frame.dim, dtype=np.uint64)
+    orbit, element = frame.labels(states)
+    np.testing.assert_array_equal(
+        frame.reps[orbit] ^ frame.group_masks[element], states)
+    reps, orbit_of, element_of = _coset_tables(frame)
+    # the representatives are the coset minima, ascending
+    np.testing.assert_array_equal(frame.reps, reps)
+    np.testing.assert_array_equal(
+        frame.reps, (frame.reps[:, None] ^ frame.group_masks).min(axis=1))
+    np.testing.assert_array_equal(orbit, orbit_of)
+    np.testing.assert_array_equal(element, element_of)
+    # the labels are linear: an X-mask moves every orbit by one XOR and
+    # reaches the same group element from each
+    x = np.random.default_rng(size).integers(0, frame.dim, 64,
+                                             dtype=np.uint64)
+    shift, reached = frame.labels(x)
+    moved, elements = frame.labels(frame.reps ^ x[:, None])
+    np.testing.assert_array_equal(moved,
+                                  np.arange(frame.n_orbits) ^ shift[:, None])
+    np.testing.assert_array_equal(
+        elements, np.broadcast_to(reached[:, None], elements.shape))
+
+
+def test_frame_build_holds_no_table_over_the_states(monkeypatch):
+    monkeypatch.setattr(lb, "FRAME_QUBIT_CAP", 18)
+    lat = lt.build(3)
+    tracemalloc.start()
+    try:
+        frame = lb.StabilizerFrame(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two label tables over the 2^18 states took 4 MiB
+    assert peak < 2 ** 20
+    assert not hasattr(frame, "orbit_of") and not hasattr(frame, "element_of")
 
 
 def test_label_diagonal_matches_frame_operator():
@@ -408,7 +444,7 @@ def test_noisy_label_chains_are_the_lumped_joint_chain():
 
 
 def test_label_chains_at_l3(monkeypatch):
-    # the frame tables at L = 3 (18 qubits); no scenario runs there yet
+    # the label chains at L = 3 (18 qubits); no scenario runs there yet
     monkeypatch.setattr(lb, "FRAME_QUBIT_CAP", 18)
     lat = lt.build(3)
     for model, null_dims in (
@@ -649,14 +685,18 @@ def test_chain_evolution_matches_superoperator_propagator(name):
     assert out.counters == {"orbit_states": N_ORB, "char_states": N_CHAR,
                             "kronecker_sum": kron,
                             "propagator_evaluations": 3}
-    # independent propagator: the vectorized frame generator, exp(S t)
+    # independent propagator: the vectorized frame generator, exp(S t), on
+    # the entries the start reaches, exactly the frame diagonal
     h = FRAME.operator(model.hamiltonian.to_pauli_sum())
     channels = [(jt.rate, FRAME.operator(jt.operator)) for jt in model.jumps]
-    oracle = scipy.sparse.linalg.expm_multiply(
-        lb._superoperator(h, channels), rho0_f.ravel(),
-        start=0.0, stop=10.0, num=11, endpoint=True)
+    gen = lb._superoperator(h, channels)
+    idx = lb._reachable(gen, np.flatnonzero(rho0_f))
+    np.testing.assert_array_equal(idx, np.arange(DIM) * (DIM + 1))
+    block = gen[idx][:, idx].toarray()
     for k, t in enumerate(times):
-        want = oracle[int(t)].reshape(DIM, DIM)
+        want = np.zeros(DIM * DIM, dtype=complex)
+        want[idx] = scipy.linalg.expm(block * t) @ rho0_f.ravel()[idx]
+        want = want.reshape(DIM, DIM)
         diag = np.diag(want).real
         if kron:
             np.testing.assert_allclose(FRAME.to_frame(out.states[k]), want,
@@ -870,6 +910,35 @@ def test_evolve_validation_and_errors():
     uneven[:2] += (-1.0 / DIM - 5e-9, 1.0 / DIM + 5e-9)
     with pytest.raises(lb.PositivityError, match="below floor"):
         lb.evolve(THERMAL, uneven, 0.5)
+
+
+def test_nan_never_passes_a_population_monitor(monkeypatch):
+    for defect, low in ((np.nan, 0.0), (0.0, np.nan)):
+        with pytest.raises(lb.PositivityError):
+            lb._check_trace_and_floor(defect, low, 1e-9, lb.EIGENVALUE_FLOOR)
+    with pytest.raises(lb.PositivityError, match="trace defect nan"):
+        lb.evolve(THERMAL, np.full(DIM, np.nan), 1.0)
+    rho0 = np.eye(DIM) / DIM
+    rho0[3, 3] = np.nan
+    with pytest.raises(lb.PositivityError):
+        lb.evolve(THERMAL, rho0, 1.0)
+    # a propagation that loses the populations fails its sample monitor
+    monkeypatch.setattr(lb, "_propagate_chain", lambda chains, p0, times: (
+        np.full((times.size, *p0.shape), np.nan), 1))
+    with pytest.raises(lb.PositivityError, match="trace defect nan"):
+        lb.evolve(THERMAL, np.full(DIM, 1.0 / DIM), 1.0)
+
+
+def test_complex_populations_are_rejected():
+    p0 = np.full(DIM, 1.0 / DIM, dtype=complex)
+    p0[5] += 1e-3j
+    with pytest.raises(ValueError, match="must be real"):
+        lb.evolve(THERMAL, p0, 1.0)
+    # a complex vector with no imaginary part is a real start
+    real = lb.evolve(THERMAL, np.full(DIM, 1.0 / DIM), 1.0)
+    np.testing.assert_array_equal(
+        lb.evolve(THERMAL, p0.real.astype(complex), 1.0).populations,
+        real.populations)
 
 
 def test_population_start_matches_dense_start():
