@@ -22,21 +22,22 @@ label, o -> o ^ a and t -> t ^ u, which ``StabilizerFrame.strings`` reads
 off the masks.  Each engineered channel moves one label at a rate the
 other label does not change, so the population chain splits into an orbit
 chain M_e and a character chain M_m (``_LabelChains``), built with no
-channel carried into the frame: the joint chain is M_e ⊗ 1 + 1 ⊗ M_m.  Depolarizing Y moves both labels; the
-joint chain is then no Kronecker sum, but each label's marginal is still
-an autonomous chain (strong lumpability).  The stationary marginals are
-the null spaces of M_e and M_m, and a frame-diagonal start evolves exactly
-as P(t) = exp(M_e t) P0 exp(M_m t)ᵀ, or by marginals when M is no
-Kronecker sum.  H, the excitation weights and the Z loops are
-label-additive in the frame, d(o, t) = d_e(o) + d_m(t), so they are read
-off the marginals; a chain that is no Kronecker sum carries nothing else.
-A model without a lattice, a start with frame coherences, or a model whose
-population sector does not close (for example with a transverse field)
-raises ``ValueError``.  The dense states (``StationaryResult.rho``,
-``EvolutionResult.states``) are L = 2 views built from the joint
-populations on request.  ``gibbs_state`` and ``trace_distance`` are dense
-L = 2 oracles, and ``StabilizerFrame.operator`` assembles the frame matrix
-of a Pauli sum for the tests.  The vectorized superoperator
+channel carried into the frame: the joint chain is M_e ⊗ 1 + 1 ⊗ M_m.
+Depolarizing Y moves both labels; the joint chain is then no Kronecker
+sum, but each label's marginal is still an autonomous chain (strong
+lumpability).  The stationary marginals are the null spaces of M_e and
+M_m, and a frame-diagonal start evolves exactly as P(t) = exp(M_e t) P0
+exp(M_m t)ᵀ, or by marginals when M is no Kronecker sum.  H, the
+excitation weights and the Z loops are label-additive in the frame,
+d(o, t) = d_e(o) + d_m(t), so they are read off the marginals; a chain
+that is no Kronecker sum carries nothing else.
+
+Lattice dissipation takes and returns frame populations only, and builds
+no 2^n x 2^n state.  A model without a lattice, a start that is not a
+population vector, or a model whose population sector does not close (for
+example with a transverse field) raises ``ValueError``.  ``gibbs_state``,
+``trace_distance`` and ``StabilizerFrame.operator`` are dense L = 2 test
+oracles that no scenario calls.  The vectorized superoperator
 (``_superoperator``) serves only the adiabatic-elimination probe, which
 eigendecomposes it on the entries of vec(rho) that its start reaches.
 """
@@ -59,10 +60,11 @@ from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum
 from .spectra import SparseHamiltonian, _echelon, _span, build_hamiltonian
 
-FRAME_QUBIT_CAP = 12         # the dense basis and label chains (L = 2)
+# the dense label chains: 1024 x 1024 at L = 3 (18 qubits), but 2^17 x 2^17
+# (128 GiB) at L = 4
+FRAME_QUBIT_CAP = 18
 TRACE_TOL_PER_TIME = 1e-9    # trace / positivity drift budget per unit time
 EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
-FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a chain start
 
 
 class PositivityError(RuntimeError):
@@ -380,8 +382,7 @@ class StabilizerFrame:
     basis state to exactly one basis state times a scalar, by an XOR on
     each label (:meth:`strings`), so operators built from few strings are
     sparse signed permutations here; :meth:`operator` assembles the frame
-    matrix of a Pauli sum.  Only the dense :attr:`basis` spans the 2^n
-    bitstrings.
+    matrix of a Pauli sum.  No table here spans the 2^n bitstrings.
     """
 
     def __init__(self, lat: lt.TorusLattice):
@@ -407,7 +408,6 @@ class StabilizerFrame:
         self.reps = _span(1 << b for b in range(n) if b not in pivots)
         self.n_orbits = self.reps.size
         self.size = self.n_orbits * self.n_char
-        self._basis: np.ndarray | None = None
 
     def labels(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(orbit, element) of each bitstring b, b = reps[orbit] ^
@@ -420,29 +420,6 @@ class StabilizerFrame:
             rest ^= hit * row
             element ^= hit * rhs
         return np.searchsorted(self.reps, rest), element
-
-    # -- basis ---------------------------------------------------------
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Real orthogonal matrix whose columns are the frame states, |o, t>
-        = sum_e (-1)**|t & e| |reps[o] ^ group_masks[e]> / sqrt(n_char)."""
-        if self._basis is None:
-            norm = 1.0 / math.sqrt(self.n_char)
-            chars = np.arange(self.n_char, dtype=np.uint64)
-            rows = self.reps[:, None, None] ^ self.group_masks[:, None]
-            cols = np.arange(self.size).reshape(self.n_orbits, 1, self.n_char)
-            self._basis = np.zeros((self.dim, self.size))
-            self._basis[rows, cols] = norm * _char_sign(chars[:, None], chars)
-        return self._basis
-
-    def to_frame(self, rho: np.ndarray) -> np.ndarray:
-        b = self.basis
-        return b.T @ rho @ b
-
-    def from_frame(self, rho_f: np.ndarray) -> np.ndarray:
-        b = self.basis
-        return b @ rho_f @ b.T
 
     # -- Pauli strings on the two labels ----------------------------------
 
@@ -493,6 +470,7 @@ class StabilizerFrame:
         return (on_orbit[still & (s.element == 0)].sum(axis=0).real,
                 on_t[on_char].sum(axis=0).real)
 
+    # a test oracle, kept here because perfbench/spans.py wraps it by name
     def operator(self, op: PauliSum) -> scipy.sparse.csr_matrix:
         """Frame matrix of a Pauli sum, assembled from :meth:`strings`:
         string s puts amplitude(s, o, t) at (o ^ shift, t ^ u), (o, t)."""
@@ -688,18 +666,6 @@ _MARGINALS_ONLY = (
     "them")
 
 
-def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
-                            eig_floor: float = EIGENVALUE_FLOOR) -> None:
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if not np.linalg.norm(rho - rho.conj().T) <= trace_tol * rho.shape[0]:
-        raise PositivityError("density matrix is not Hermitian")
-    _check_trace_and_floor(abs(np.trace(rho).real - 1.0),
-                           float(scipy.linalg.eigvalsh(rho)[0]),
-                           trace_tol, eig_floor)
-
-
 def _check_trace_and_floor(defect: float, low: float, trace_tol: float,
                            eig_floor: float, where: str = "") -> None:
     """Raise ``PositivityError`` unless defect <= trace_tol and low >=
@@ -712,27 +678,21 @@ def _check_trace_and_floor(defect: float, low: float, trace_tol: float,
             f"eigenvalue {low:.3e} below floor {eig_floor:.1e}{where}")
 
 
-def _start_populations(frame: StabilizerFrame, rho0: np.ndarray) -> np.ndarray:
-    """Frame populations of an evolution start: ``rho0`` itself when it is a
-    real vector, checked like a density matrix's spectrum, or the frame
-    diagonal of a dense density matrix, which must have no frame
-    coherences."""
-    rho0 = np.asarray(rho0)
-    if rho0.ndim == 1:
-        if rho0.shape != (frame.size,):
-            raise ValueError(f"{rho0.size} populations for {frame.size} "
-                             "frame states")
-        if np.any(np.imag(rho0) != 0.0):
-            raise ValueError("frame populations must be real")
-        p0 = np.real(rho0).astype(float)
-        _check_trace_and_floor(abs(p0.sum() - 1.0), p0.min(), 1e-9,
-                               EIGENVALUE_FLOOR)
-        return p0
-    validate_density_matrix(rho0)
-    y0 = frame.to_frame(rho0.astype(complex))
-    p0 = np.diag(y0).real
-    if np.linalg.norm(y0 - np.diag(p0)) >= FRAME_DIAGONAL_TOL:
-        raise ValueError("rho0 has coherences in the stabilizer frame")
+def _start_populations(frame: StabilizerFrame, p0: np.ndarray) -> np.ndarray:
+    """The frame populations ``p0``, a real vector checked like a density
+    matrix's spectrum."""
+    p0 = np.asarray(p0)
+    if p0.ndim != 1:
+        raise ValueError(f"the start must be the {frame.size} frame "
+                         f"populations, not an array of shape {p0.shape}")
+    if p0.shape != (frame.size,):
+        raise ValueError(f"{p0.size} populations for {frame.size} "
+                         "frame states")
+    if np.any(np.imag(p0) != 0.0):
+        raise ValueError("frame populations must be real")
+    p0 = np.real(p0).astype(float)
+    _check_trace_and_floor(abs(p0.sum() - 1.0), p0.min(), 1e-9,
+                           EIGENVALUE_FLOOR)
     return p0
 
 
@@ -749,10 +709,8 @@ class EvolutionResult:
     marginals at each sample.  When the chain is a Kronecker sum, ``joint``
     holds the frame populations as (n_times, n_orbits, n_char) and
     ``populations`` is its (n_times, n_orbits * n_char) view, index
-    o * n_char + t; otherwise ``joint`` is None and ``populations``,
-    ``states`` and ``final`` raise ``ValueError``.  The dense L = 2 view
-    ``states[k]`` = B diag(populations[k]) Bᵀ (and ``final``, the last of
-    them) is built from the populations on first access.
+    o * n_char + t; otherwise ``joint`` is None and ``populations`` raises
+    ``ValueError``.
     """
 
     times: np.ndarray
@@ -771,48 +729,35 @@ class EvolutionResult:
             raise ValueError(_MARGINALS_ONLY)
         return self.joint.reshape(self.times.size, -1)
 
-    @functools.cached_property
-    def states(self) -> np.ndarray:
-        """Dense states, shape (n_times, dim, dim)."""
-        b = self.frame.basis
-        return np.stack([(b * p) @ b.T for p in self.populations])
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def evolve(model: LindbladModel, rho0: np.ndarray, t_final: float,
+def evolve(model: LindbladModel, p0: np.ndarray, t_final: float,
            sample_times: Sequence[float] | None = None) -> EvolutionResult:
     """Evolve a frame-diagonal start under the master equation up to
     ``t_final``.
 
-    ``rho0`` is either the frame populations, a vector of ``frame.size``
-    entries indexed o * n_char + t, or a dense L = 2 density matrix, which
-    is validated and carried into the frame once; a dense start with
-    off-diagonal frame weight of ``FRAME_DIAGONAL_TOL`` or more raises
-    ``ValueError``.  The run is on the label chains of the model
-    (:class:`_LabelChains`), with one ``scipy.linalg.expm`` of each per
-    distinct increment between samples.  When every channel moves one
+    ``p0`` is the frame populations, a real vector of ``frame.size``
+    entries indexed o * n_char + t; any other shape, a dense density
+    matrix included, raises ``ValueError``.  The run is on the label chains
+    of the model (:class:`_LabelChains`), with one ``scipy.linalg.expm`` of
+    each per distinct increment between samples.  When every channel moves one
     label, M = M_e ⊗ 1 + 1 ⊗ M_m, and the populations P, reshaped to
     (n_orbits, n_char), evolve exactly as P(t) = exp(M_e t) P0
     exp(M_m t)ᵀ.  Otherwise each label's marginal evolves exactly by its
     own chain, and only the marginals are kept.  A model without a
     lattice, or whose population sector does not close, raises
-    ``ValueError``.  No dense state is built; ``states`` is a view built on
-    first access.
+    ``ValueError``.  No dense state is built.
 
     Trace and positivity are monitored at every sample time against a
     budget of 1e-9 per unit time; violations, NaN included, raise
     ``PositivityError``.
-    The frame basis B is orthogonal, so the monitors read the populations:
+    The frame basis is orthonormal, so the monitors read the populations:
     the trace defect is |sum p - 1| and the smallest eigenvalue is min p
     (over both marginals when only those are kept).
     """
     if t_final < 0.0:
         raise ValueError("t_final must be >= 0")
     gen = _compile_generator(model)
-    p0 = _start_populations(gen.frame, rho0)
+    p0 = _start_populations(gen.frame, p0)
     if sample_times is None:
         times = np.array([0.0, t_final]) if t_final > 0 else np.array([0.0])
     else:
@@ -870,6 +815,7 @@ def _propagate_chain(chains: Sequence[np.ndarray], p0: np.ndarray,
     return np.array(pops), len(propagators)
 
 
+# a test oracle, kept here because perfbench/spans.py wraps it by name
 def gibbs_state(hamiltonian: SparseHamiltonian | np.ndarray,
                 temperature: float) -> np.ndarray:
     """exp(-H/T)/Z; at T = 0 the uniform mixture over the ground multiplet."""
@@ -893,6 +839,7 @@ def _gibbs_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+# a test oracle, kept here because perfbench/spans.py wraps it by name
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(scipy.linalg.eigvalsh(a - b)).sum())
 
@@ -917,10 +864,9 @@ class StationaryResult:
     ``char_populations`` hold the stationary marginals π_e and π_m, and
     ``orbit_energies`` and ``char_energies`` split the frame diagonal of H
     as E_e(o) + E_m(t).  When the chain is a Kronecker sum the joint
-    stationary populations are π_e ⊗ π_m (``populations``), and the dense
-    L = 2 view ``rho`` = B diag(populations) Bᵀ is built from them on first
-    access; otherwise both raise ``ValueError``, and both Gibbs distances
-    are None.
+    stationary populations are π_e ⊗ π_m (``populations``); otherwise
+    ``populations`` raises ``ValueError``, and both Gibbs distances are
+    None.
     """
 
     null_dim: int
@@ -951,14 +897,6 @@ class StationaryResult:
         """Frame diagonal of H, index o * n_char + t."""
         return (self.orbit_energies[:, None]
                 + self.char_energies[None, :]).ravel()
-
-    @functools.cached_property
-    def rho(self) -> np.ndarray:
-        """Dense stationary density matrix, Hermitian with unit trace."""
-        rho = self.frame.from_frame(np.diag(self.populations.astype(complex)))
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        return rho
 
 
 def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
@@ -1012,9 +950,8 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     Gibbs distance is ½‖π_e ⊗ π_m − w‖₁ with w the Gibbs weights of the
     frame energies.  Each Wilson loop is label-additive, π_e @ d_e +
     π_m @ d_m (:meth:`StabilizerFrame.label_diagonal`).  No dense state is
-    built; ``rho`` is a view built on first access.  ``counters`` names
-    the engine (``label-chains``) with both chain sizes and null
-    dimensions.
+    built.  ``counters`` names the engine (``label-chains``) with both
+    chain sizes and null dimensions.
     """
     gen = _compile_generator(model)
     chains = (gen.orbit_chain, gen.char_chain)

@@ -11,6 +11,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracles as oracles
 from toricsim import harness as hn
 from toricsim import lattice as lt
 from toricsim import lindblad as lb
@@ -256,9 +257,10 @@ def test_cooling_matches_thermal_ground_pump_limit():
     cold = lb.stationary_state(
         lb.thermal_jump_set(LAT, p=0.0, lambda_star=1.0, gamma_star=0.8))
     assert cool.null_dim == 4 and cold.null_dim == 4
-    assert lb.trace_distance(cool.rho, cold.rho) < 1e-12
+    cool_rho = oracles.stationary_rho(cool)
+    assert lb.trace_distance(cool_rho, oracles.stationary_rho(cold)) < 1e-12
     mixture = lb.gibbs_state(H_DENSE, 0.0)
-    assert lb.trace_distance(cool.rho, mixture) < 1e-10
+    assert lb.trace_distance(cool_rho, mixture) < 1e-10
 
 
 def test_depolarizing_bloch_decay():
@@ -286,13 +288,13 @@ def test_depolarizing_bloch_decay():
 def test_frame_basis_is_orthogonal_and_complete():
     frame = lb.StabilizerFrame(LAT)
     assert frame.n_orbits * frame.n_char == DIM
-    basis = frame.basis
+    basis = oracles.basis(frame)
     np.testing.assert_allclose(basis.T @ basis, np.eye(DIM), atol=1e-12)
 
 
 def test_frame_operator_matches_dense_conjugation():
     frame = lb.StabilizerFrame(LAT)
-    basis = frame.basis
+    basis = oracles.basis(frame)
     rng_sum = PauliSum.from_labels(8, {"XYIZIIXZ": 0.3 + 0.2j,
                                        "ZZIIYYII": -1.1,
                                        "IIIIIIIX": 0.5j})
@@ -322,7 +324,7 @@ def pauli_sums(draw):
 @settings(max_examples=60, deadline=None)
 @given(pauli_sums())
 def test_frame_operator_is_dense_conjugation(op):
-    basis = FRAME.basis
+    basis = oracles.basis(FRAME)
     np.testing.assert_allclose(FRAME.operator(op).toarray(),
                                basis.T @ op.to_dense() @ basis,
                                rtol=0, atol=1e-12)
@@ -355,8 +357,7 @@ def _coset_tables(frame):
 
 
 @pytest.mark.parametrize("size", [2, 3])
-def test_frame_labels_match_their_definition(size, monkeypatch):
-    monkeypatch.setattr(lb, "FRAME_QUBIT_CAP", 18)
+def test_frame_labels_match_their_definition(size):
     frame = lb.StabilizerFrame(lt.build(size))
     states = np.arange(frame.dim, dtype=np.uint64)
     orbit, element = frame.labels(states)
@@ -381,8 +382,7 @@ def test_frame_labels_match_their_definition(size, monkeypatch):
         elements, np.broadcast_to(reached[:, None], elements.shape))
 
 
-def test_frame_build_holds_no_table_over_the_states(monkeypatch):
-    monkeypatch.setattr(lb, "FRAME_QUBIT_CAP", 18)
+def test_frame_build_holds_no_table_over_the_states():
     lat = lt.build(3)
     tracemalloc.start()
     try:
@@ -393,6 +393,13 @@ def test_frame_build_holds_no_table_over_the_states(monkeypatch):
     # two label tables over the 2^18 states took 4 MiB
     assert peak < 2 ** 20
     assert not hasattr(frame, "orbit_of") and not hasattr(frame, "element_of")
+
+
+def test_frame_cap_refuses_l4():
+    # L = 3 has 18 qubits; the dense label chains of L = 4 (32 qubits)
+    # would be 2^17 x 2^17
+    with pytest.raises(ValueError, match="frame cap of 18"):
+        lb.StabilizerFrame(lt.build(4))
 
 
 def test_label_diagonal_matches_frame_operator():
@@ -443,9 +450,8 @@ def test_noisy_label_chains_are_the_lumped_joint_chain():
                                rtol=0, atol=1e-12)
 
 
-def test_label_chains_at_l3(monkeypatch):
+def test_label_chains_at_l3():
     # the label chains at L = 3 (18 qubits); no scenario runs there yet
-    monkeypatch.setattr(lb, "FRAME_QUBIT_CAP", 18)
     lat = lt.build(3)
     for model, null_dims in (
             (lb.thermal_jump_set(lat, p=0.2, lambda_star=1.0, gamma_star=0.5),
@@ -461,10 +467,23 @@ def test_label_chains_at_l3(monkeypatch):
             # each state moves along each of the 18 links
             assert np.count_nonzero(gen.orbit_chain) == 19456
             assert np.count_nonzero(gen.char_chain) == 4864
-        res = lb.stationary_state(model)
+        # no path builds a dense state: the frame basis alone would be
+        # 2^18 x 2^18 floats (512 GiB)
+        size = model.frame.size
+        tracemalloc.start()
+        try:
+            res = lb.stationary_state(model)
+            out = lb.evolve(model, np.full(size, 1.0 / size), 10.0,
+                            sample_times=np.linspace(0.0, 10.0, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20
         assert (res.counters["orbit_null_dim"],
                 res.counters["char_null_dim"]) == null_dims
         assert res.residual < 1e-12
+        assert out.populations.shape == (11, size)
+        assert out.trace_defects.max() < 1e-9
 
 
 # -- stationary states ---------------------------------------------------
@@ -485,7 +504,8 @@ def test_stationary_thermal_obeys_detailed_balance():
         lb.thermal_jump_set(LAT, p=0.5, lambda_star=1.0, gamma_star=0.8))
     assert half.null_dim == 1
     assert half.trace_distance_to_detailed_balance < 1e-6
-    assert lb.trace_distance(half.rho, np.eye(DIM) / DIM) < 1e-6
+    assert lb.trace_distance(oracles.stationary_rho(half),
+                             np.eye(DIM) / DIM) < 1e-6
 
 
 def test_recurrent_distributions_skip_leaking_classes():
@@ -508,7 +528,8 @@ def test_stationary_ground_pump_has_four_sectors():
         lb.thermal_jump_set(LAT, p=0.0, lambda_star=1.0, gamma_star=0.8))
     assert res.null_dim == 4
     assert res.residual < 1e-10
-    assert lb.trace_distance(res.rho, lb.gibbs_state(H_DENSE, 0.0)) < 1e-6
+    assert lb.trace_distance(oracles.stationary_rho(res),
+                             lb.gibbs_state(H_DENSE, 0.0)) < 1e-6
 
 
 def test_gibbs_state_stationary_without_translations():
@@ -518,7 +539,7 @@ def test_gibbs_state_stationary_without_translations():
     gen = lb._compile_generator(model)
     # H is frame-diagonal, so the Gibbs state is too: its frame diagonal
     # holds all of it
-    gibbs_f = gen.frame.to_frame(gibbs)
+    gibbs_f = oracles.to_frame(gen.frame, gibbs)
     populations = np.diag(gibbs_f).real
     assert np.linalg.norm(gibbs_f - np.diag(populations)) < 1e-12
     # the Kronecker-sum chain on P = populations as (n_orbits, n_char)
@@ -542,7 +563,7 @@ def test_open_population_sector_is_refused():
     with pytest.raises(ValueError, match="does not close"):
         lb.stationary_state(model)
     with pytest.raises(ValueError, match="does not close"):
-        lb.evolve(model, np.eye(DIM) / DIM, 1.0)
+        lb.evolve(model, np.full(DIM, 1.0 / DIM), 1.0)
 
 
 @pytest.mark.parametrize("name, classes", [
@@ -582,10 +603,11 @@ def test_null_dim_counts_recurrent_classes(name, classes):
 
 
 def test_evolve_relaxes_toward_stationary_state():
-    stat = lb.stationary_state(THERMAL).rho
-    out = lb.evolve(THERMAL, np.eye(DIM) / DIM, 12.0,
-                    sample_times=[0.0, 3.0, 6.0, 12.0])
-    distances = [lb.trace_distance(s, stat) for s in out.states]
+    stat = oracles.stationary_rho(lb.stationary_state(THERMAL))
+    out = lb.evolve(THERMAL, oracles.start_populations(FRAME, np.eye(DIM) / DIM),
+                    12.0, sample_times=[0.0, 3.0, 6.0, 12.0])
+    distances = [lb.trace_distance(s, stat)
+                 for s in oracles.evolution_states(out)]
     assert all(a > b for a, b in zip(distances, distances[1:]))
     assert distances[-1] < 1e-6
     assert out.trace_defects.max() < 1e-8
@@ -603,6 +625,7 @@ def test_frame_generator_matches_dense_oracle():
     # the dense generator on random frame-diagonal states creates no frame
     # coherence, and its frame diagonal is the joint chain on p
     rng = np.random.default_rng(12)
+    basis = oracles.basis(FRAME)
     for model in CHAIN_MODELS.values():
         m = _joint_chain(model)
         dense = _DenseGenerator(model)
@@ -610,7 +633,7 @@ def test_frame_generator_matches_dense_oracle():
             p = rng.random(DIM)
             p /= p.sum()
             np.testing.assert_allclose(
-                FRAME.to_frame(dense.apply((FRAME.basis * p) @ FRAME.basis.T)),
+                oracles.to_frame(FRAME, dense.apply((basis * p) @ basis.T)),
                 np.diag(m @ p), rtol=0, atol=1e-12)
 
 
@@ -657,18 +680,19 @@ def test_chain_stationary_state_is_dense_fixed_point(name):
                             "orbit_null_dim": null_e, "char_null_dim": null_m,
                             "null_dim": null_e * null_m}
     if res.kronecker_sum:
-        state = res.rho
+        state = oracles.stationary_rho(res)
     else:
         # only the marginals are known: they must be the lumped frame
         # populations of the oracle chain's fixed point
         with pytest.raises(ValueError, match="not a Kronecker sum"):
-            res.rho
+            oracles.stationary_rho(res)
         pi = _null_vector(_joint_chain(model))
         np.testing.assert_allclose(res.orbit_populations, LUMP_E @ pi,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(res.char_populations, LUMP_M @ pi,
                                    rtol=0, atol=1e-12)
-        state = (FRAME.basis * pi) @ FRAME.basis.T
+        basis = oracles.basis(FRAME)
+        state = (basis * pi) @ basis.T
     assert np.linalg.norm(_DenseGenerator(model).apply(state)) < 1e-10
 
 
@@ -680,7 +704,8 @@ def test_chain_evolution_matches_superoperator_propagator(name):
     p0 = rng.random(DIM)
     rho0_f = np.diag(p0 / p0.sum()).astype(complex)
     times = [0.0, 1.0, 3.0, 10.0]
-    out = lb.evolve(model, FRAME.from_frame(rho0_f), 10.0, sample_times=times)
+    out = lb.evolve(model, oracles.start_populations(
+        FRAME, oracles.from_frame(FRAME, rho0_f)), 10.0, sample_times=times)
     assert out.path == "label-chains"
     assert out.counters == {"orbit_states": N_ORB, "char_states": N_CHAR,
                             "kronecker_sum": kron,
@@ -699,8 +724,9 @@ def test_chain_evolution_matches_superoperator_propagator(name):
         want = want.reshape(DIM, DIM)
         diag = np.diag(want).real
         if kron:
-            np.testing.assert_allclose(FRAME.to_frame(out.states[k]), want,
-                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                oracles.to_frame(FRAME, oracles.evolution_states(out)[k]),
+                want, rtol=0, atol=1e-10)
             low = diag.min()
         else:
             # the oracle stays frame-diagonal, and its lumped diagonal is
@@ -715,7 +741,7 @@ def test_chain_evolution_matches_superoperator_propagator(name):
         assert out.min_eigenvalues[k] == pytest.approx(low, abs=1e-10)
     if not kron:
         with pytest.raises(ValueError, match="not a Kronecker sum"):
-            out.states
+            oracles.evolution_states(out)
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
@@ -727,7 +753,7 @@ def test_population_observables_match_dense_oracle(name):
     # observables (energy, density, loops) are read
     model = CHAIN_MODELS[name]
     h = model.hamiltonian.to_dense()
-    basis = FRAME.basis
+    basis = oracles.basis(FRAME)
     res = lb.stationary_state(model)
     # a random frame-diagonal start breaks the logical symmetry of I/D, so
     # the Z loops read nonzero values along the way
@@ -736,7 +762,8 @@ def test_population_observables_match_dense_oracle(name):
     out = lb.evolve(model, p0, 3.0, sample_times=[0.0, 1.0, 3.0])
     assert out.path == "label-chains"
     if res.kronecker_sum:
-        np.testing.assert_allclose(res.rho, (basis * res.populations) @ basis.T,
+        np.testing.assert_allclose(oracles.stationary_rho(res),
+                                   (basis * res.populations) @ basis.T,
                                    rtol=0, atol=1e-14)
         joint = [res.populations, *out.populations]
     else:
@@ -804,8 +831,7 @@ def test_chain_without_kronecker_sum_keeps_marginals_only():
     assert res.char_populations.sum() == pytest.approx(1.0, abs=1e-14)
     out = lb.evolve(model, np.full(DIM, 1.0 / DIM), 1.0)
     assert out.joint is None and out.counters["kronecker_sum"] is False
-    for view in (lambda: res.populations, lambda: res.rho,
-                 lambda: out.populations, lambda: out.final):
+    for view in (lambda: res.populations, lambda: out.populations):
         with pytest.raises(ValueError, match="only the two label marginals"):
             view()
 
@@ -821,9 +847,10 @@ def test_stationary_loops_read_the_logical_sector(monkeypatch):
              for name, group in (("z", lt.z_loops(LAT)), ("x", lt.x_loops(LAT)))
              for k, loop in enumerate(group)}
     assert set(res.loop_expectations) == set(loops)
+    rho = oracles.stationary_rho(res)
     for label, loop in loops.items():
         assert abs(res.loop_expectations[label]
-                   - loop.expectation(res.rho).real) < 1e-12
+                   - loop.expectation(rho).real) < 1e-12
         assert abs(abs(res.loop_expectations[label])
                    - label.startswith("wilson_z")) < 1e-12
 
@@ -879,26 +906,31 @@ def test_superoperator_matches_dense_generator_on_probe():
 
 
 def test_evolve_validation_and_errors():
-    rho0 = np.eye(DIM) / DIM
+    p0 = np.full(DIM, 1.0 / DIM)
     with pytest.raises(ValueError):
-        lb.evolve(THERMAL, rho0, 1.0, sample_times=[0.5, 0.2])
+        lb.evolve(THERMAL, p0, 1.0, sample_times=[0.5, 0.2])
     with pytest.raises(ValueError):
-        lb.evolve(THERMAL, rho0, 1.0, sample_times=[0.0, 2.0])
+        lb.evolve(THERMAL, p0, 1.0, sample_times=[0.0, 2.0])
+    # evolve takes frame populations only: a dense state is refused
+    with pytest.raises(ValueError, match="the 256 frame populations"):
+        lb.evolve(THERMAL, np.eye(DIM) / DIM, 0.5)
+    # the dense oracle carries a dense start into the frame once
     with pytest.raises(lb.PositivityError):
-        lb.evolve(THERMAL, np.eye(DIM) / 128, 0.5)
+        oracles.start_populations(FRAME, np.eye(DIM) / 128)
     with pytest.raises(lb.PositivityError):
         bad = np.eye(DIM, dtype=complex) / DIM
         bad[0, 1] = 0.5  # non-Hermitian
-        lb.evolve(THERMAL, bad, 0.5)
+        oracles.start_populations(FRAME, bad)
     # a computational basis state is coherent in the frame; the
     # frame-diagonal I/D runs on the chain
     coherent = np.zeros((DIM, DIM))
     coherent[0, 0] = 1.0
     with pytest.raises(ValueError, match="coherences"):
-        lb.evolve(THERMAL, coherent, 0.5)
-    assert lb.evolve(THERMAL, rho0, 0.5).path == "label-chains"
+        oracles.start_populations(FRAME, coherent)
+    assert lb.evolve(THERMAL, oracles.start_populations(
+        FRAME, np.eye(DIM) / DIM), 0.5).path == "label-chains"
     with pytest.raises(ValueError, match="stabilizer frame"):
-        lb.evolve(_single_qubit_damped_rabi(), np.eye(2) / 2.0, 0.5)
+        lb.evolve(_single_qubit_damped_rabi(), np.full(2, 0.5), 0.5)
     # frame populations are checked like the spectrum of a density matrix
     with pytest.raises(ValueError, match="populations for 256"):
         lb.evolve(THERMAL, np.full(DIM // 2, 2.0 / DIM), 0.5)
@@ -921,7 +953,7 @@ def test_nan_never_passes_a_population_monitor(monkeypatch):
     rho0 = np.eye(DIM) / DIM
     rho0[3, 3] = np.nan
     with pytest.raises(lb.PositivityError):
-        lb.evolve(THERMAL, rho0, 1.0)
+        oracles.start_populations(FRAME, rho0)
     # a propagation that loses the populations fails its sample monitor
     monkeypatch.setattr(lb, "_propagate_chain", lambda chains, p0, times: (
         np.full((times.size, *p0.shape), np.nan), 1))
@@ -939,20 +971,6 @@ def test_complex_populations_are_rejected():
     np.testing.assert_array_equal(
         lb.evolve(THERMAL, p0.real.astype(complex), 1.0).populations,
         real.populations)
-
-
-def test_population_start_matches_dense_start():
-    # the dense start is carried into the frame once; its populations
-    # start the same run
-    p0 = np.random.default_rng(8).random(DIM)
-    p0 /= p0.sum()
-    times = [0.0, 0.5, 2.0]
-    dense = lb.evolve(THERMAL, (FRAME.basis * p0) @ FRAME.basis.T, 2.0,
-                      sample_times=times)
-    direct = lb.evolve(THERMAL, p0, 2.0, sample_times=times)
-    np.testing.assert_allclose(direct.populations, dense.populations,
-                               rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(direct.times, dense.times)
 
 
 # -- ancilla pumping -------------------------------------------------------
@@ -1129,8 +1147,8 @@ def test_gibbs_and_trace_distance_helpers():
 
 
 def test_validate_density_matrix():
-    lb.validate_density_matrix(np.eye(2) / 2.0)
+    oracles.validate_density_matrix(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
-        lb.validate_density_matrix(np.ones((2, 3)))
+        oracles.validate_density_matrix(np.ones((2, 3)))
     with pytest.raises(lb.PositivityError):
-        lb.validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+        oracles.validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
