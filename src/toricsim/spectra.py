@@ -21,29 +21,30 @@ state j only to j ^ x with x in the GF(2) span W of the X-masks, so H is
 block diagonal over the cosets of W: 1024 sectors of 256 states at L = 3
 and chi = 0, 8 of 32768 at chi != 0 (2 with ``chi_pairs = "all"``).  H is
 compiled once in that gauge with its basis ordered by coset: the
-compiled operator keeps the order, the gauge, the terms of each X-mask and
-every sector's Gershgorin floor, and builds the CSR block of a sector, one
-entry per row for each distinct X-mask, only when asked.  The eigensolver
-builds the blocks it visits, skipping every block whose floor proves it
-holds none of the lowest levels; the Z-basis matvec applies H block by
-block.  No code path assembles all 2^n rows at once.
+compiled operator keeps the order, the gauge links, W's pivots (which
+locate any state), the terms of each X-mask and every sector's Gershgorin
+floor, and builds the CSR block of a sector, one entry per row for each
+distinct X-mask, only when asked.  The eigensolver builds the blocks it
+visits, skipping every block whose floor proves it holds none of the
+lowest levels; the Z-basis matvec applies H block by block.  No code path
+assembles all 2^n rows at once.
 
 The lattice translations permute the links, and those that leave the term
 multiset exactly invariant commute with H and permute the cosets of W.
 Blocks in one translation orbit are permutation-similar, so the solver
 diagonalizes one block per orbit and reuses its levels for the others:
 128 orbits of the 1024 sectors at L = 3 and chi = 0, 4 of the 8 at
-chi != 0 (2 of 2 with ``chi_pairs = "all"``).  A member's vectors are the
-representative's, carried across by the qubit permutation in the Z basis
-and verified on the member's block.  This is the one solver path at every
-lattice size; the dense construction, and dense ``eigh`` of the whole H,
-are the oracle it is tested against.
+chi != 0 (2 of 2 with ``chi_pairs = "all"``).  A kept vector stays in its
+sector: a member's is the representative's, carried over by the qubit
+permutation and verified on the member's block.  This is the one solver
+path at every lattice size; the dense construction, and dense ``eigh`` of
+the whole H, are the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,8 +64,12 @@ class ConvergenceError(RuntimeError):
     """Eigensolver finished without meeting the residual bound."""
 
 
-def _popcount(a: np.ndarray, mask: int) -> np.ndarray:
-    return np.bitwise_count(a & np.uint64(mask)).astype(np.int64)
+def _gather_bits(states: np.ndarray, bits: Iterable[int]) -> np.ndarray:
+    """Bit i of each result is bit ``bits[i]`` of the state."""
+    out = np.zeros(states.shape, dtype=np.int64)
+    for i, b in enumerate(bits):
+        out |= (states >> np.uint64(b) & np.uint64(1)).astype(np.int64) << i
+    return out
 
 
 def _echelon(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
@@ -138,31 +143,25 @@ def _term_symmetries(terms: Sequence[tuple[float, PauliString]],
                  if multiset(_permute_bits(xs, p), _permute_bits(zs, p)) == own)
 
 
-def _sector_orbits(n_qubits: int, symmetries: Sequence[tuple[int, ...]],
-                   reps: np.ndarray, order: np.ndarray, sector_dim: int,
-                   floors: np.ndarray
+def _sector_orbits(op: SectorOperator
                    ) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """(orbit, carry) of every sector under the link permutations.
-
-    A symmetry maps the coset of ``reps[s]`` onto the coset holding the
-    permuted state.  Sectors are taken in ascending floor (stable sort); the
-    first of each orbit is its representative, ``orbit[s]`` names it, and
-    ``carry[s]`` is a link permutation taking its coset onto sector s.
-    """
-    position = np.empty(order.size, dtype=np.int64)
-    position[order] = np.arange(order.size)
-    images = [position[_permute_bits(reps, p)] // sector_dim
-              for p in symmetries]
+    """(orbit, carry) of every sector under the operator's symmetries, each
+    mapping a sector onto the one its permuted first state lies in.  The
+    first sector of an orbit in ascending floor is its representative,
+    ``orbit[s]``; ``carry[s]`` takes that coset onto sector s's."""
+    reps = op.order[::op.sector_dim]
+    moved = [_permute_bits(reps, p) for p in op.symmetries]
+    images = op.locate(np.reshape(moved, (len(moved), reps.size)))[0]
     orbit = np.full(reps.size, -1, dtype=np.int64)
     carry: list = [None] * reps.size
-    identity = tuple(range(n_qubits))
-    for first in np.argsort(floors, kind="stable"):
+    identity = tuple(range(op.order.size.bit_length() - 1))
+    for first in np.argsort(op.floors, kind="stable"):
         if orbit[first] >= 0:
             continue
         orbit[first], carry[first] = first, identity
         reached = [first]
         for s in reached:
-            for perm, image in zip(symmetries, images):
+            for perm, image in zip(op.symmetries, images):
                 t = image[s]
                 if orbit[t] < 0:
                     orbit[t] = first
@@ -208,10 +207,11 @@ class SectorOperator:
     ``order[p]`` is the Z-basis state at position p.  Every term maps a
     state j only to j ^ x with x in the GF(2) span W of the X-masks, so the
     cosets of W are invariant: positions run coset by coset,
-    ``sector_dim`` = |W| states each, and A is block diagonal.  ``gauge``
-    holds v, the :func:`real_gauge` diagonal, at each position, and A is
-    real symmetric; when no real gauge exists ``gauge`` is None and A is
-    the complex H.
+    ``sector_dim`` = |W| states each, and A is block diagonal.  ``pivots``
+    are W's reduced echelon rows in ascending leading bit.  ``gauge`` is
+    the :func:`real_gauge` link mask, v at the states asked for is
+    :meth:`phases`, and A is real symmetric; when no real gauge exists
+    ``gauge`` is None and A is the complex H.
 
     Every row of A holds one entry per distinct X-mask, ``x_masks`` in
     ascending order: X-mask g puts the entry of local row l of a sector at
@@ -231,7 +231,8 @@ class SectorOperator:
     """
 
     order: np.ndarray
-    gauge: np.ndarray | None
+    gauge: int | None
+    pivots: tuple[int, ...]
     sector_dim: int
     x_masks: np.ndarray
     shifts: np.ndarray
@@ -247,6 +248,22 @@ class SectorOperator:
 
     def positions(self, s: int) -> slice:
         return slice(s * self.sector_dim, (s + 1) * self.sector_dim)
+
+    def locate(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sector, local) of Z-basis states, with ``order[sector *
+        sector_dim + local]`` the state.  ``local`` is its bits at the
+        pivots, ``sector`` its other bits once XOR with ``order[local]``
+        clears the pivots."""
+        states = np.asarray(states, dtype=np.uint64)
+        leads = [row.bit_length() - 1 for row in self.pivots]
+        local = _gather_bits(states, leads)
+        free = [b for b in range(self.order.size.bit_length() - 1)
+                if b not in leads]
+        return _gather_bits(states ^ self.order[local], free), local
+
+    def phases(self, states: np.ndarray) -> np.ndarray:
+        """The real gauge v_j = i**popcount(j & s) at the given states."""
+        return QUARTER_TURNS[np.bitwise_count(states & np.uint64(self.gauge)) % 4]
 
     def block(self, s: int) -> scipy.sparse.csr_matrix:
         """The CSR block of sector s, built from its own rows.
@@ -335,7 +352,7 @@ class SparseHamiltonian:
         diagonal, summed in real arithmetic, and a radius: |coefficient|
         for an X-mask with one term, and the row-wise |entry| only where
         terms share an X-mask.  Each coset is sent to its orbit by
-        permuting its representative state.  No block is built here.
+        locating its permuted first state.  No block is built here.
         """
         if self._compiled is not None:
             return self._compiled
@@ -359,8 +376,6 @@ class SparseHamiltonian:
         reps = _span(1 << b for b in range(self.n_qubits) if b not in pivots)
         local = _span(pivots[b][0] for b in leads)
         order = (reps[:, None] ^ local[None, :]).reshape(-1)
-        shifts = [sum(1 << i for i, b in enumerate(leads) if x >> b & 1)
-                  for x in xs]
         diagonal = np.zeros(self.dim)
         radius = np.zeros(self.dim)
         for x in xs:
@@ -380,39 +395,35 @@ class SparseHamiltonian:
                 diagonal = w
         sector_dim = 1 << len(leads)
         floors = (diagonal - radius).reshape(-1, sector_dim).min(axis=1)
-        symmetries = _term_symmetries(self.terms, self.symmetries)
-        orbit, carry = _sector_orbits(self.n_qubits, symmetries, reps, order,
-                                      sector_dim, floors)
         off = [(g, *term) for g, x in enumerate(xs) if x
                for term in by_mask[x]]
-        self._compiled = SectorOperator(
-            order=order,
-            gauge=(None if mask is None
-                   else QUARTER_TURNS[_popcount(order, mask) % 4]),
-            sector_dim=sector_dim, x_masks=np.array(xs, dtype=np.uint64),
-            shifts=np.array(shifts, dtype=np.int32), diagonal=diagonal,
+        x_masks = np.array(xs, dtype=np.uint64)
+        op = SectorOperator(
+            order=order, gauge=mask, pivots=tuple(pivots[b][0] for b in leads),
+            sector_dim=sector_dim, x_masks=x_masks, diagonal=diagonal,
+            shifts=_gather_bits(x_masks, leads).astype(np.int32),
             groups=np.array([o[0] for o in off], dtype=np.intp),
             coeffs=np.array([o[1] for o in off], dtype=float),
             masks=np.array([o[2] for o in off], dtype=np.uint64),
             turns0=np.array([o[3] for o in off], dtype=np.uint8),
-            floors=floors, symmetries=symmetries, orbit=orbit, carry=carry)
+            floors=floors, orbit=None, carry=None,
+            symmetries=_term_symmetries(self.terms, self.symmetries))
+        orbit, carry = _sector_orbits(op)
+        self._compiled = replace(op, orbit=orbit, carry=carry)
         return self._compiled
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """H psi in the Z basis, applied block by block in sector order."""
         op = self.compile()
-        u = np.asarray(psi, dtype=complex).reshape(self.dim)[op.order]
-        if op.gauge is not None:
-            u = op.gauge.conj() * u
-        y = np.empty_like(u)
+        psi = np.asarray(psi, dtype=complex).reshape(self.dim)
+        out = np.empty_like(psi)
         for s in range(op.floors.size):
-            a, part = op.block(s), u[op.positions(s)]
-            y[op.positions(s)] = (a @ part if op.gauge is None
-                                  else a @ part.real + 1j * (a @ part.imag))
-        if op.gauge is not None:
-            y *= op.gauge
-        out = np.empty_like(y)
-        out[op.order] = y
+            a, rows = op.block(s), op.order[op.positions(s)]
+            if op.gauge is None:
+                out[rows] = a @ psi[rows]
+            else:
+                u = op.phases(rows).conj() * psi[rows]
+                out[rows] = op.phases(rows) * (a @ u.real + 1j * (a @ u.imag))
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -475,6 +486,10 @@ class SpectrumResult:
     fall into, and how many blocks it solved with dense ``eigh`` and with
     Lanczos, at most one per orbit; the other members of a solved orbit
     reuse its levels, and the remaining orbits were skipped.
+
+    Level c lies in sector ``level_sectors[c]``; column c of
+    ``local_vectors`` (None if solved without vectors) holds its Z-basis
+    amplitudes there, in local order, and it is zero on every other sector.
     """
 
     eigenvalues: np.ndarray
@@ -485,7 +500,8 @@ class SpectrumResult:
     orbits: int
     dense_blocks: int
     lanczos_blocks: int
-    eigenvectors: np.ndarray | None = None
+    level_sectors: np.ndarray
+    local_vectors: np.ndarray | None = None
 
     @property
     def counters(self) -> dict[str, int]:
@@ -561,11 +577,11 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
     ``ORTHONORMALITY_BOUND``, also across exactly degenerate levels, and
     every pair is verified against ``residual_bound`` or
     :class:`ConvergenceError` is raised.  The k lowest levels are merged
-    and their vectors mapped back to the Z basis with V.  A level kept from
-    another member of an orbit takes the representative's Z-basis vector
-    through the qubit permutation that carries one coset onto the other,
-    which commutes with H, and that vector is verified against
-    ``residual_bound`` on the member's own block.
+    and their vectors mapped back to Z-basis amplitudes with V, each in its
+    sector's local order.  A level kept from another member of an orbit
+    takes the representative's amplitudes through the qubit permutation
+    that carries one coset onto the other, which commutes with H, and that
+    vector is verified against ``residual_bound`` on the member's block.
 
     When the whole space fits under ``DENSE_DIM_CAP`` every block is
     solved by the backward-stable dense path, so the bound tightens to
@@ -598,54 +614,49 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
         found = sorted(found + [(e, r, s, vecs[:, j]) for j, (e, r)
                                 in enumerate(zip(evals, residuals))],
                        key=lambda f: f[0])[:k]
-    evecs = None
-    if with_vectors:
-        evecs = np.zeros((h.dim, len(found)), dtype=complex)
-        members = {}  # each member block is built once for all its levels
-        for col, (e, _, s, vec) in enumerate(found):
-            rep = op.positions(op.orbit[s])
-            evecs[_permute_bits(op.order[rep], op.carry[s]), col] = (
-                op.gauge[rep] * vec)
-            if op.orbit[s] != s:
-                if s not in members:
-                    members[s] = op.block(s)
-                block = op.positions(s)
-                u = op.gauge[block].conj() * evecs[op.order[block], col]
-                residual = np.linalg.norm(members[s] @ u - e * u)
-                _verify(np.array([residual]), residual_bound)
-                found[col] = (e, residual, s, vec)
+    levels, residuals, sectors = (np.array([f[i] for f in found])
+                                  for i in range(3))
+    vectors = (np.zeros((op.sector_dim, len(found)), dtype=complex)
+               if with_vectors else None)
+    for s in np.unique(sectors) if with_vectors else ():
+        cols = np.flatnonzero(sectors == s)
+        rep = op.order[op.positions(op.orbit[s])]
+        vectors[:, cols] = op.phases(rep)[:, None] * np.stack(
+            [found[c][3] for c in cols], axis=1)
+        if op.orbit[s] != s:  # each member block is built once
+            _, local = op.locate(_permute_bits(rep, op.carry[s]))
+            vectors[local[:, None], cols] = vectors[:, cols]
+            u = (op.phases(op.order[op.positions(s)]).conj()[:, None]
+                 * vectors[:, cols])
+            residuals[cols] = np.linalg.norm(
+                op.block(s) @ u - u * levels[cols], axis=0)
+            _verify(residuals[cols], residual_bound)
     return SpectrumResult(
-        eigenvalues=np.array([f[0] for f in found]),
-        residuals=np.array([f[1] for f in found]),
-        residual_bound=float(residual_bound), eigenvectors=evecs,
+        eigenvalues=levels, residuals=residuals, level_sectors=sectors,
+        residual_bound=float(residual_bound), local_vectors=vectors,
         sectors=len(op.floors), sector_dim=op.sector_dim,
         orbits=int(np.unique(op.orbit).size),
         dense_blocks=len(solved) - lanczos_blocks,
         lanczos_blocks=lanczos_blocks)
 
 
-def ground_space_reference(lat: lt.TorusLattice) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The four exact unperturbed ground states, one per loop sector.
+def ground_space_reference(lat: lt.TorusLattice
+                           ) -> tuple[np.ndarray, float, list[tuple[int, int]]]:
+    """(support, amp, sectors) of the four exact unperturbed ground states.
 
-    Each state is the equal-amplitude superposition of one homology class
-    of closed Z-basis loop configurations: a sector representative XORed
-    with every element of the plaquette-flip group.  Column ``s`` of the
-    returned array carries the dual-loop eigenvalues in ``sectors[s]``
-    ((+1, +1), (-1, +1), (+1, -1), (-1, -1) for the two Z-loops).
+    State c is ``amp`` = 1/sqrt(|G|) on each ``support[c]`` state, one
+    homology class of closed Z-basis loop configurations: a representative
+    XORed with every element of the plaquette-flip group G.  ``sectors[c]``
+    holds its Z-loop eigenvalues, (+1, +1), (-1, +1), (+1, -1), (-1, -1).
     """
-    n = lat.n_links
     group = plaquette_flips(lat)
     x1, x2 = (loop.x_mask for loop in lt.x_loops(lat))
     reps = [0, x1, x2, x1 ^ x2]
     z1, z2 = (loop.z_mask for loop in lt.z_loops(lat))
-    states = np.zeros((2 ** n, 4), dtype=complex)
-    sectors = []
-    amp = 1.0 / np.sqrt(len(group))
-    for col, rep in enumerate(reps):
-        states[np.uint64(rep) ^ group, col] = amp
-        sectors.append((1 - 2 * ((rep & z1).bit_count() & 1),
-                        1 - 2 * ((rep & z2).bit_count() & 1)))
-    return states, sectors
+    sectors = [(1 - 2 * ((rep & z1).bit_count() & 1),
+                1 - 2 * ((rep & z2).bit_count() & 1)) for rep in reps]
+    support = np.array([np.uint64(rep) ^ group for rep in reps])
+    return support, 1.0 / np.sqrt(len(group)), sectors
 
 
 @dataclass
@@ -663,16 +674,25 @@ class FidelityResult:
     sector_weights: np.ndarray
     subspace: float
 
+    @classmethod
+    def from_overlap(cls, m: np.ndarray) -> FidelityResult:
+        svals = np.linalg.svd(m, compute_uv=False)
+        return cls(overlap=m, sector_weights=np.linalg.norm(m, axis=1),
+                   subspace=float(np.mean(np.clip(svals, 0.0, 1.0))))
 
-def ground_fidelity(reference: np.ndarray, perturbed: np.ndarray) -> FidelityResult:
-    if reference.shape[1] != 4 or perturbed.shape[1] != 4:
-        raise ValueError("both manifolds must hold exactly 4 states")
-    m = reference.conj().T @ perturbed
-    svals = np.linalg.svd(m, compute_uv=False)
-    subspace = float(np.mean(np.clip(svals, 0.0, 1.0)))
-    return FidelityResult(overlap=m,
-                          sector_weights=np.linalg.norm(m, axis=1),
-                          subspace=subspace)
+
+def ground_fidelity(reference: tuple, h: SparseHamiltonian,
+                    res: SpectrumResult) -> FidelityResult:
+    """Fidelity of the four lowest levels of ``res`` (solved with vectors)
+    to :func:`ground_space_reference`: overlap[c, l] is amp times the sum of
+    level l's amplitudes over ``support[c]``, zero in any other sector."""
+    support, amp, _ = reference
+    if res.local_vectors is None or len(res.eigenvalues) < 4:
+        raise ValueError("the perturbed manifold needs 4 levels with vectors")
+    sector, local = h.compile().locate(support)
+    amps = np.where(sector[..., None] == res.level_sectors[:4],
+                    res.local_vectors[local, :4], 0.0)
+    return FidelityResult.from_overlap(amp * amps.sum(axis=1))
 
 
 @dataclass
@@ -709,7 +729,7 @@ def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
     Solver failures are recorded per grid point instead of aborting the
     scan.
     """
-    reference, _ = ground_space_reference(lat)
+    reference = ground_space_reference(lat)
     points = []
     for chi in chi_values:
         h = build_hamiltonian(lat, chi=chi, h_z=h_z, chi_pairs=chi_pairs)
@@ -721,7 +741,7 @@ def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
                 sector_weights=None, manifold_spread=None, gap=None,
                 error=str(exc)))
             continue
-        fid = ground_fidelity(reference, res.eigenvectors[:, :4])
+        fid = ground_fidelity(reference, h, res)
         evals = res.eigenvalues
         points.append(FidelityScanPoint(
             chi=chi, eigenvalues=evals, subspace_fidelity=fid.subspace,

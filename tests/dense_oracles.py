@@ -1,4 +1,4 @@
-"""Dense views of the stabilizer frame, kept as L = 2 test oracles.
+"""Dense L = 2 views, kept as test oracles.
 
 Lattice dissipation in ``toricsim.lindblad`` takes and returns frame
 populations only.  This module holds the dense forms the tests check it
@@ -7,6 +7,11 @@ of frame and back, a density-matrix check, the carry-in of a dense
 frame-diagonal start to its populations, and the dense states
 B diag(p) Bᵀ of a result's populations.  Each is a 2^n x 2^n array, so it
 is meant for the 256 states of L = 2 only.
+
+``toricsim.spectra`` keeps eigenvectors sector-local and the reference
+ground states as their support states.  Their 2^n-row Z-basis forms,
+``eigenvectors`` and ``reference_states``, are built here from those
+compact forms.
 """
 
 import functools
@@ -16,6 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from toricsim import lindblad as lb
+from toricsim import spectra as sp
 
 FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a dense start
 
@@ -80,3 +86,24 @@ def evolution_states(out: lb.EvolutionResult) -> np.ndarray:
     """Dense states, shape (n_times, dim, dim)."""
     b = basis(out.frame)
     return np.stack([(b * p) @ b.T for p in out.populations])
+
+
+def eigenvectors(h: sp.SparseHamiltonian, res: sp.SpectrumResult) -> np.ndarray:
+    """Z-basis eigenvectors, shape (2^n, k): each level's sector-local
+    vector placed at its sector's states."""
+    op = h.compile()
+    out = np.zeros((h.dim, len(res.eigenvalues)), dtype=complex)
+    for col, s in enumerate(res.level_sectors):
+        out[op.order[op.positions(s)], col] = res.local_vectors[:, col]
+    return out
+
+
+def reference_states(lat, reference=None) -> np.ndarray:
+    """Z-basis reference states, shape (2^n, 4): ``amp`` on each column's
+    support states, from ``reference`` = (support, amp, sectors), the
+    lattice's :func:`~toricsim.spectra.ground_space_reference` by default."""
+    support, amp, _ = reference or sp.ground_space_reference(lat)
+    states = np.zeros((2 ** lat.n_links, len(support)), dtype=complex)
+    for col, rows in enumerate(support):
+        states[rows, col] = amp
+    return states

@@ -177,7 +177,7 @@ def test_criterion_08_rate_ratios_bitwise():
 def test_criterion_09_dark_state_cooling():
     lat = lt.build(2)
     model = lb.thermal_jump_set(lat, p=0.0, lambda_star=1.0, gamma_star=0.5)
-    ground, _ = sp.ground_space_reference(lat)
+    ground = oracles.reference_states(lat)
     worst = max(np.linalg.norm(term.operator.apply(ground[:, s]))
                 for term in model.jumps for s in range(4))
     psi = lb.excitation_ops(lat, 0, "e").create.apply(ground[:, 0])

@@ -18,6 +18,7 @@ import pytest
 import scipy.sparse
 import scipy.stats
 
+import dense_oracles as oracles
 from toricsim import cli
 from toricsim import harness as hn
 from toricsim import lattice as lt
@@ -207,8 +208,7 @@ class TestDiagnostics:
 
     def test_excitation_density_counts_flipped_stabilizers(self):
         lat = lt.build(2)
-        from toricsim.spectra import ground_space_reference
-        basis, _ = ground_space_reference(lat)
+        basis = oracles.reference_states(lat)
         rho = _density(basis[:, 0])
         assert hn.excitation_density(rho, lat) < 1e-12
         flip = PauliString.from_label("I" * (lat.n_links - 1) + "X").to_dense()

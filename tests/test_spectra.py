@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_oracles as oracles
 from toricsim import lattice as lt
 from toricsim import spectra as sp
 from toricsim.pauli import PauliString
@@ -76,7 +77,8 @@ def test_matvec_matches_dense():
 def test_compiled_operator_is_the_real_gauge(mode, chi):
     h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
     op = h.compile()
-    gauge, order = op.gauge, op.order
+    order = op.order
+    gauge = op.phases(order)
     np.testing.assert_array_equal(np.sort(order), np.arange(256))
     np.testing.assert_array_equal(np.abs(gauge), 1.0)
     dense = h.to_dense()
@@ -213,8 +215,10 @@ def test_h_z_only_free_spins():
 
 
 def test_ground_space_reference_exact():
-    states, sectors = sp.ground_space_reference(LAT)
+    support, amp, sectors = sp.ground_space_reference(LAT)
+    assert support.shape == (4, 8) and amp == 1 / np.sqrt(8)
     assert sectors == [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+    states = oracles.reference_states(LAT)
     np.testing.assert_allclose(states.conj().T @ states, np.eye(4), atol=1e-12)
     h = sp.build_hamiltonian(LAT)
     zl = lt.z_loops(LAT)
@@ -331,16 +335,18 @@ def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
     # and span the dense solve's manifold.  k = 5 is the largest k that
     # leaves ARPACK room to restart in an 8-state block (ncv = 7 > k + 1)
     h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
-    reference, _ = sp.ground_space_reference(LAT)
+    reference = oracles.reference_states(LAT)
     _, dense_vecs = dense_lowest(h, 5)
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
     res = sp.lowest_eigenpairs(h, k=5, seed=7)
     assert res.lanczos_blocks > 0
-    vecs = res.eigenvectors
+    vecs = oracles.eigenvectors(h, res)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) <= 1e-10
     np.testing.assert_allclose(
-        sp.ground_fidelity(reference, vecs[:, :4]).sector_weights,
-        sp.ground_fidelity(reference, dense_vecs[:, :4]).sector_weights,
+        sp.ground_fidelity(sp.ground_space_reference(LAT), h,
+                           res).sector_weights,
+        sp.FidelityResult.from_overlap(
+            reference.conj().T @ dense_vecs[:, :4]).sector_weights,
         rtol=0, atol=1e-9)
 
 
@@ -392,19 +398,28 @@ def test_eigenvalues_invariant_under_relabeling():
 
 
 def test_ground_fidelity_aggregates():
-    states, _ = sp.ground_space_reference(LAT)
-    fid = sp.ground_fidelity(states, states)
+    states = oracles.reference_states(LAT)
+
+    def fidelity(perturbed):
+        return sp.FidelityResult.from_overlap(states.conj().T @ perturbed)
+
+    fid = fidelity(states)
     assert fid.subspace == pytest.approx(1.0)
     q, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
-    fid2 = sp.ground_fidelity(states, states @ q)
+    fid2 = fidelity(states @ q)
     assert fid2.subspace == pytest.approx(1.0, abs=1e-10)
     # sector weights do not see a basis change inside the manifold
     np.testing.assert_allclose(fid2.sector_weights, 1.0, atol=1e-12)
     # global phases never matter
-    fid3 = sp.ground_fidelity(states, states * np.exp(0.7j))
+    fid3 = fidelity(states * np.exp(0.7j))
     assert fid3.subspace == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        sp.ground_fidelity(states[:, :3], states)
+    # the perturbed manifold needs four levels, solved with vectors
+    reference = sp.ground_space_reference(LAT)
+    h = sp.build_hamiltonian(LAT, h_z=0.05)
+    for res in (sp.lowest_eigenpairs(h, k=3),
+                sp.lowest_eigenpairs(h, k=6, with_vectors=False)):
+        with pytest.raises(ValueError):
+            sp.ground_fidelity(reference, h, res)
 
 
 def test_fidelity_scan_structure():
@@ -502,13 +517,93 @@ def test_orbit_solve_matches_every_block(monkeypatch, mode, chi, k, from_member)
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(res.eigenvalues, levels[:k], rtol=0, atol=1e-8)
     assert np.all(res.residuals <= res.residual_bound)
-    v, w = res.eigenvectors, ref.eigenvectors
+    v, w = oracles.eigenvectors(h, res), oracles.eigenvectors(every, ref)
     assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-10
     np.testing.assert_allclose(v @ v.conj().T, w @ w.conj().T,
                                rtol=0, atol=1e-8)
+    assert _source_blocks(op, v) == res.level_sectors.tolist()
     # a kept level from a non-representative member runs the vector mapping
     members = [b for b in _source_blocks(op, v) if op.orbit[b] != b]
     assert bool(members) == (from_member and res.orbits < res.sectors)
+
+
+def _check_locate(op, states):
+    sector, local = op.locate(states)
+    assert sector.dtype == local.dtype == np.int64
+    assert np.all((0 <= local) & (local < op.sector_dim))
+    np.testing.assert_array_equal(op.order[sector * op.sector_dim + local],
+                                  states)
+
+
+@pytest.mark.parametrize("chi, mode", sorted(ORBITS_AT_L2))
+def test_locate_inverts_the_order_at_l2(chi, mode):
+    op = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05,
+                              chi_pairs=mode).compile()
+    _check_locate(op, np.arange(256, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.2])
+def test_locate_inverts_the_order_at_l3(chi):
+    op = sp.build_hamiltonian(lt.build(3), chi=chi, h_z=0.05).compile()
+    states = np.random.default_rng(5).integers(0, 2 ** 18, 4096,
+                                               dtype=np.uint64)
+    _check_locate(op, states)
+
+
+# the chi grid of the benchmark's L = 2 spectrum and fidelity scans
+DEFAULT_CHI_GRID = tuple(round(-0.5 + 0.1 * k, 10) for k in range(11))
+
+
+@pytest.mark.parametrize("mode", ["sequence", "all"])
+def test_sector_local_overlap_is_the_dense_product(mode):
+    reference = sp.ground_space_reference(LAT)
+    dense_reference = oracles.reference_states(LAT)
+    for chi in DEFAULT_CHI_GRID:
+        h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+        res = sp.lowest_eigenpairs(h, k=6, seed=7)
+        assert all(v.shape[0] < h.dim for v in vars(res).values()
+                   if isinstance(v, np.ndarray))
+        np.testing.assert_allclose(
+            sp.ground_fidelity(reference, h, res).overlap,
+            dense_reference.conj().T @ oracles.eigenvectors(h, res)[:, :4],
+            rtol=0, atol=1e-12)
+
+
+def test_overlap_of_levels_carried_from_a_member():
+    h = sp.build_hamiltonian(LAT, chi=0.2, h_z=0.05)
+    op = h.compile()
+    res = sp.lowest_eigenpairs(h, k=20, seed=3)
+    members = [c for c, s in enumerate(res.level_sectors)
+               if op.orbit[s] != s]
+    assert len(members) >= 2
+    # two carried levels and two solved ones lead; four supports of 32
+    # states drawn from every sector stand in for the reference
+    cols = members[:2] + [0, 1] + [c for c in range(20)
+                                   if c not in members[:2] + [0, 1]]
+    moved = dataclasses.replace(res, eigenvalues=res.eigenvalues[cols],
+                                level_sectors=res.level_sectors[cols],
+                                local_vectors=res.local_vectors[:, cols])
+    support = np.random.default_rng(9).permutation(256).astype(
+        np.uint64)[:128].reshape(4, 32)
+    reference = (support, 1 / np.sqrt(32), None)
+    overlap = sp.ground_fidelity(reference, h, moved).overlap
+    dense = (oracles.reference_states(LAT, reference).conj().T
+             @ oracles.eigenvectors(h, res)[:, cols[:4]])
+    assert np.abs(dense[:, :2]).max() > 0.05
+    np.testing.assert_allclose(overlap, dense, rtol=0, atol=1e-12)
+
+
+def test_fidelity_scan_at_l3_holds_no_full_space_array():
+    lat = lt.build(3)
+    tracemalloc.start()
+    try:
+        scan = sp.fidelity_scan(lat, (0.0,), h_z=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^18 x 6 complex eigenvectors alone took 24 MiB
+    assert peak < 24 * 2 ** 20
+    assert scan.points[0].subspace_fidelity > 0.99
 
 
 @st.composite
