@@ -505,8 +505,9 @@ def emit_figure_data(kind: str, rows: Sequence[Sequence],
                      path: str | Path | None = None) -> str:
     """Render (and optionally write) the CSV for one figure kind.
 
-    Re-emitting onto an existing file whose schema header differs raises
-    :class:`SchemaMismatchError` instead of silently changing the format.
+    Re-emitting onto an existing file whose schema header differs, or
+    that has none (an empty file), raises :class:`SchemaMismatchError`
+    instead of silently changing the format.
     """
     if kind not in _FIGURE_SCHEMAS:
         raise ValueError(f"unknown figure kind {kind!r}; "
@@ -516,7 +517,7 @@ def emit_figure_data(kind: str, rows: Sequence[Sequence],
     if path is not None:
         path = Path(path)
         if path.exists():
-            old_header = path.read_text().splitlines()[0]
+            old_header = (path.read_text().splitlines() or [None])[0]
             new_header = text.splitlines()[0]
             if old_header != new_header:
                 raise SchemaMismatchError(

@@ -15,14 +15,15 @@ Lattice dissipation runs in an orthonormal eigenbasis of the stabilizer
 group (``StabilizerFrame``).  Its states carry two labels: an orbit o of
 the plaquette-flip group, which holds the vertex stabilizers and the
 logical Z sector, and a group character t, which holds the plaquette
-stabilizers.  The labels of a bitstring come from one GF(2) elimination of
-the plaquette generators (``StabilizerFrame.labels``) and are linear, so
-every Pauli string acts as a signed permutation there by an XOR on each
-label, o -> o ^ a and t -> t ^ u, which ``StabilizerFrame.strings`` reads
-off the masks.  Each engineered channel moves one label at a rate the
-other label does not change, so the population chain splits into an orbit
-chain M_e and a character chain M_m (``_LabelChains``), built with no
-channel carried into the frame: the joint chain is M_e ⊗ 1 + 1 ⊗ M_m.
+stabilizers.  The labels of a bitstring are its coset and its place in
+it under the plaquette-flip group, the same ``spectra.Cosets`` that
+labels the sectors of H (``spectra.plaquette_cosets``); they are linear,
+so every Pauli string acts as a signed permutation there by an XOR on
+each label, o -> o ^ a and t -> t ^ u, which ``StabilizerFrame.strings``
+reads off the masks.  Each engineered channel moves one label at a rate
+the other label does not change, so the population chain splits into an
+orbit chain M_e and a character chain M_m (``_LabelChains``), built with
+no channel carried into the frame: the joint chain is M_e ⊗ 1 + 1 ⊗ M_m.
 Depolarizing Y moves both labels; the joint chain is then no Kronecker
 sum, but each label's marginal is still an autonomous chain (strong
 lumpability).  The stationary marginals are the null spaces of M_e and
@@ -58,7 +59,7 @@ import scipy.sparse.csgraph
 
 from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum
-from .spectra import SparseHamiltonian, _echelon, _span, build_hamiltonian
+from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_cosets
 
 # the dense label chains: 1024 x 1024 at L = 3 (18 qubits), but 2^17 x 2^17
 # (128 GiB) at L = 4
@@ -341,10 +342,11 @@ class FrameStrings:
         amplitude(s, o, t) |o ^ shift[s], t ^ flips[s]>,
         amplitude(s, o, t) = c i**turns[s, o] (-1)**|(t ^ flips[s]) & element[s]|,
 
-    where x = reps[shift[s]] ^ group_masks[element[s]] labels the X-mask
-    (:meth:`StabilizerFrame.labels`).  The labels are GF(2)-linear, so
+    where x = reps[shift[s]] ^ elements[element[s]] labels the X-mask
+    (``cosets.locate``), and bit i of ``flips[s]`` is set when the string
+    anticommutes with the group's row i.  The labels are GF(2)-linear, so
     reps[o] ^ x carries the labels (o ^ shift[s], element[s]) on every
-    orbit: both label maps are XORs, and no array spans both labels.
+    orbit: both label maps are int64 XORs, and no array spans both labels.
     """
 
     owner: np.ndarray       # (n_strings,) index of the Pauli sum of each string
@@ -373,16 +375,16 @@ class FrameStrings:
 class StabilizerFrame:
     """Orthonormal eigenbasis of the vertex and plaquette stabilizer group.
 
-    Basis states are labeled by an orbit of the plaquette-flip group acting
-    on computational bitstrings and by a group character.  The plaquette
-    generators are reduced once to GF(2) echelon form, each row carrying
-    the generators it combines: clearing the pivot bits of a bitstring
-    leaves its orbit representative, the coset minimum, and sums the group
-    element between them (:meth:`labels`).  Every Pauli string maps one
-    basis state to exactly one basis state times a scalar, by an XOR on
-    each label (:meth:`strings`), so operators built from few strings are
-    sparse signed permutations here; :meth:`operator` assembles the frame
-    matrix of a Pauli sum.  No table here spans the 2^n bitstrings.
+    Basis states are labeled by an orbit o of the plaquette-flip group
+    acting on computational bitstrings and by a group character t, |o, t>
+    = sum_e (-1)**|t & e| |reps[o] ^ elements[e]> / sqrt(n_char), from the
+    group's ``cosets`` (:func:`~toricsim.spectra.plaquette_cosets`): bit i
+    of t is its sign on the group's reduced row i.  Every Pauli string
+    maps one basis state to exactly one basis state times a scalar, by an
+    XOR on each label (:meth:`strings`), so operators built from few
+    strings are sparse signed permutations here; :meth:`operator`
+    assembles the frame matrix of a Pauli sum.  No table here spans the
+    2^n bitstrings.
     """
 
     def __init__(self, lat: lt.TorusLattice):
@@ -392,34 +394,10 @@ class StabilizerFrame:
         self.lattice = lat
         self.n_qubits = n
         self.dim = 1 << n
-        # independent generators of the plaquette-flip group (all but one)
-        self.generator_masks = tuple(
-            lt.plaquette_stabilizer(lat, k).x_mask
-            for k in range(lat.n_plaquettes - 1))
-        # a dependent generator reduces to zero with a nonzero right side
-        pivots = _echelon((m, 1 << k) for k, m in enumerate(self.generator_masks))
-        if pivots is None:
-            raise ValueError("stabilizer generators are not independent")
-        self._rows = [(np.uint64(lead), np.uint64(row), np.uint64(rhs))
-                      for lead, (row, rhs) in sorted(pivots.items())]
-        self.group_masks = _span(self.generator_masks)
-        self.n_char = self.group_masks.size
-        # the states zero at every pivot: the coset minima, ascending
-        self.reps = _span(1 << b for b in range(n) if b not in pivots)
-        self.n_orbits = self.reps.size
+        self.cosets = plaquette_cosets(lat)
+        self.n_orbits = self.cosets.reps.size
+        self.n_char = self.cosets.elements.size
         self.size = self.n_orbits * self.n_char
-
-    def labels(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(orbit, element) of each bitstring b, b = reps[orbit] ^
-        group_masks[element]: each pivot bit of b is cleared by its row,
-        which adds the generators it combines to the element."""
-        rest = np.array(states, dtype=np.uint64)
-        element = np.zeros_like(rest)
-        for lead, row, rhs in self._rows:
-            hit = rest >> lead & np.uint64(1)
-            rest ^= hit * row
-            element ^= hit * rhs
-        return np.searchsorted(self.reps, rest), element
 
     # -- Pauli strings on the two labels ----------------------------------
 
@@ -434,19 +412,19 @@ class StabilizerFrame:
                  for s, coeff in op.items()]
         x = np.array([s.x_mask for *_, s in terms], dtype=np.uint64)
         z = np.array([s.z_mask for *_, s in terms], dtype=np.uint64)
-        # bit k of u: the string anticommutes with plaquette generator k
-        gens = np.array(self.generator_masks, dtype=np.uint64)
-        anti = (np.bitwise_count(z[:, None] & gens[None, :]) & 1).astype(np.uint64)
-        shift, element = self.labels(x)
+        # bit i of u: the string anticommutes with the group's row i
+        rows = np.array(self.cosets.rows, dtype=np.uint64)
+        anti = (np.bitwise_count(z[:, None] & rows) & 1).astype(np.int64)
+        shift, element = self.cosets.locate(x)
         return FrameStrings(
             owner=np.array([k for k, *_ in terms], dtype=np.int64),
             coeffs=np.array([coeff for _, coeff, _ in terms], dtype=complex),
             x=x,
-            turns=np.array([s.quarter_turns(self.reps) for *_, s in terms],
+            turns=np.array([s.quarter_turns(self.cosets.reps)
+                            for *_, s in terms],
                            dtype=np.int64).reshape(-1, self.n_orbits) & 3,
             shift=shift, element=element,
-            flips=(anti << np.arange(gens.size, dtype=np.uint64)).sum(
-                axis=1, dtype=np.uint64))
+            flips=(anti << np.arange(rows.size)).sum(axis=1))
 
     def label_diagonal(self, op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
         """Real frame diagonal of a Hermitian Pauli sum as an orbit part and
@@ -464,7 +442,7 @@ class StabilizerFrame:
         on_char = still & (s.element != 0)
         if np.any(on_char & np.any(s.turns != s.turns[:, :1], axis=1)):
             raise ValueError("a diagonal string depends on both frame labels")
-        chars = np.arange(self.n_char, dtype=np.uint64)
+        chars = np.arange(self.n_char)
         on_orbit = s.amplitudes(slice(None), chars[:1])[:, :, 0]
         on_t = s.amplitudes(slice(0, 1), chars)[:, 0]
         return (on_orbit[still & (s.element == 0)].sum(axis=0).real,
@@ -476,9 +454,9 @@ class StabilizerFrame:
         string s puts amplitude(s, o, t) at (o ^ shift, t ^ u), (o, t)."""
         s = self.strings([op])
         orbits = np.arange(self.n_orbits)
-        chars = np.arange(self.n_char, dtype=np.uint64)
+        chars = np.arange(self.n_char)
         rows = (((orbits ^ s.shift[:, None]) * self.n_char)[:, :, None]
-                + (chars ^ s.flips[:, None]).astype(np.int64)[:, None, :])
+                + (chars ^ s.flips[:, None])[:, None, :])
         cols = np.arange(self.size).reshape(self.n_orbits, self.n_char)
         mat = scipy.sparse.coo_matrix(
             (s.amplitudes(slice(None), chars).ravel(),
@@ -534,7 +512,7 @@ def _rate_matrix(shifts: np.ndarray, flows: np.ndarray) -> np.ndarray:
     to zero."""
     n = flows.shape[1]
     states = np.arange(n)
-    dest = states ^ shifts.astype(np.int64)[:, None]
+    dest = states ^ shifts[:, None]
     m = np.bincount((dest * n + states).ravel(), flows.ravel(),
                     minlength=n * n).reshape(n, n)
     m[np.diag_indices(n)] -= flows.sum(axis=0)
@@ -597,7 +575,7 @@ class _LabelChains:
                 bad = model.jumps[s.owner[np.argmin(ok)]].label
                 raise ValueError(f"channel {bad!r} {why}")
         # an orbit move is read on the slice t = 0, a character move on o = 0
-        chars = np.arange(frame.n_char, dtype=np.uint64)
+        chars = np.arange(frame.n_char)
         slices = ((moves_orbit, s.amplitudes(slice(None), chars[:1])[:, :, 0]),
                   (moves_char, s.amplitudes(slice(0, 1), chars)[:, 0]))
         n = len(model.jumps)
@@ -609,7 +587,7 @@ class _LabelChains:
             flows.append(2.0 * np.abs(v) ** 2)
         orbit_shifts = np.zeros(n, dtype=np.int64)
         orbit_shifts[s.owner] = s.shift
-        char_flips = np.zeros(n, dtype=np.uint64)
+        char_flips = np.zeros(n, dtype=np.int64)
         char_flips[s.owner] = s.flips
         return cls(frame=frame, energies=frame.label_diagonal(h),
                    rates=np.array([jt.rate for jt in model.jumps], dtype=float),

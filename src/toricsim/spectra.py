@@ -19,15 +19,17 @@ vertical links) turn each X.Y pair into a real product and leave every
 plaquette with an even number of Y letters.  Every term maps a Z-basis
 state j only to j ^ x with x in the GF(2) span W of the X-masks, so H is
 block diagonal over the cosets of W: 1024 sectors of 256 states at L = 3
-and chi = 0, 8 of 32768 at chi != 0 (2 with ``chi_pairs = "all"``).  H is
-compiled once in that gauge with its basis ordered by coset: the
-compiled operator keeps the order, the gauge links, W's pivots (which
-locate any state), the terms of each X-mask and every sector's Gershgorin
-floor, and builds the CSR block of a sector, one entry per row for each
-distinct X-mask, only when asked.  The eigensolver builds the blocks it
-visits, skipping every block whose floor proves it holds none of the
-lowest levels; the Z-basis matvec applies H block by block.  No code path
-assembles all 2^n rows at once.
+and chi = 0, 8 of 32768 at chi != 0 (2 with ``chi_pairs = "all"``),
+each its minimum XOR all of W (:class:`Cosets`, which also labels the
+stabilizer frame's orbits in ``toricsim.lindblad``: at chi = 0, W is the
+plaquette-flip group).  H is compiled once in that gauge: the compiled
+operator keeps W's cosets, the gauge links, the terms of each X-mask,
+the diagonal and every sector's Gershgorin floor, and builds the CSR
+block of a sector, one entry per row for each distinct X-mask, only
+when asked.  The eigensolver builds the blocks it visits, skipping every
+block whose floor proves it holds none of the lowest levels; the Z-basis
+matvec applies H block by block.  No code path assembles all 2^n rows at
+once.
 
 The lattice translations permute the links, and those that leave the term
 multiset exactly invariant commute with H and permute the cosets of W.
@@ -98,6 +100,61 @@ def _echelon(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | No
     return pivots
 
 
+def _span(vectors: Iterable[int]) -> np.ndarray:
+    """Every XOR combination of ``vectors``; bit i of the index picks vector i."""
+    out = np.zeros(1, dtype=np.uint64)
+    for v in vectors:
+        out = np.concatenate([out, out ^ np.uint64(v)])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Cosets:
+    """The cosets of the GF(2) span W of some ``n_bits``-bit masks.
+
+    ``rows`` are W's reduced echelon rows in ascending leading bit, the
+    pivot, where every other row is zero; bit i of an index into
+    ``elements`` picks row i.  ``reps`` are the coset minima, the states
+    zero at every pivot, ascending, and coset c is ``reps[c] ^ elements``
+    (:meth:`members`).  The reduced form of a span is unique: masks with
+    one span give the same rows, ``reps`` and ``elements``.
+    """
+
+    n_bits: int
+    rows: tuple[int, ...]
+    reps: np.ndarray
+    elements: np.ndarray
+
+    @classmethod
+    def of(cls, masks: Iterable[int], n_bits: int) -> Cosets:
+        pivots = _echelon((m, 0) for m in masks)
+        rows = tuple(pivots[b][0] for b in sorted(pivots))
+        return cls(n_bits=n_bits, rows=rows, elements=_span(rows),
+                   reps=_span(1 << b for b in range(n_bits)
+                              if b not in pivots))
+
+    def members(self, c: int) -> np.ndarray:
+        return self.reps[c] ^ self.elements
+
+    def locate(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(coset, local) of each state, with ``reps[coset] ^
+        elements[local]`` the state: ``local`` is its bits at the pivots,
+        ``coset`` its other bits once XOR with ``elements[local]`` clears
+        the pivots.  Both are int64, and both maps are linear."""
+        states = np.asarray(states, dtype=np.uint64)
+        leads = [row.bit_length() - 1 for row in self.rows]
+        local = _gather_bits(states, leads)
+        free = [b for b in range(self.n_bits) if b not in leads]
+        return _gather_bits(states ^ self.elements[local], free), local
+
+
+def plaquette_cosets(lat: lt.TorusLattice) -> Cosets:
+    """The cosets of the plaquette-flip group, the span of the plaquette
+    X-masks; the last plaquette is the product of the others."""
+    return Cosets.of((lt.plaquette_stabilizer(lat, p).x_mask
+                      for p in range(lat.n_plaquettes)), lat.n_links)
+
+
 def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:
     """Link mask ``s`` of an S-gate gauge that makes every term real, or None.
 
@@ -146,15 +203,15 @@ def _term_symmetries(terms: Sequence[tuple[float, PauliString]],
 def _sector_orbits(op: SectorOperator
                    ) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """(orbit, carry) of every sector under the operator's symmetries, each
-    mapping a sector onto the one its permuted first state lies in.  The
+    mapping a sector onto the one its permuted coset minimum lies in.  The
     first sector of an orbit in ascending floor is its representative,
     ``orbit[s]``; ``carry[s]`` takes that coset onto sector s's."""
-    reps = op.order[::op.sector_dim]
+    reps = op.cosets.reps
     moved = [_permute_bits(reps, p) for p in op.symmetries]
-    images = op.locate(np.reshape(moved, (len(moved), reps.size)))[0]
+    images = op.cosets.locate(np.reshape(moved, (len(moved), reps.size)))[0]
     orbit = np.full(reps.size, -1, dtype=np.int64)
     carry: list = [None] * reps.size
-    identity = tuple(range(op.order.size.bit_length() - 1))
+    identity = tuple(range(op.cosets.n_bits))
     for first in np.argsort(op.floors, kind="stable"):
         if orbit[first] >= 0:
             continue
@@ -168,21 +225,6 @@ def _sector_orbits(op: SectorOperator
                     carry[t] = tuple(perm[q] for q in carry[s])
                     reached.append(t)
     return orbit, tuple(carry)
-
-
-def _span(vectors: Iterable[int]) -> np.ndarray:
-    """Every XOR combination of ``vectors``; bit i of the index picks vector i."""
-    out = np.zeros(1, dtype=np.uint64)
-    for v in vectors:
-        out = np.concatenate([out, out ^ np.uint64(v)])
-    return out
-
-
-def plaquette_flips(lat: lt.TorusLattice) -> np.ndarray:
-    """The plaquette-flip group as X-masks; bit k of the index picks
-    plaquette k.  The last plaquette is the product of the others."""
-    return _span(lt.plaquette_stabilizer(lat, p).x_mask
-                 for p in range(lat.n_plaquettes - 1))
 
 
 def _entry_turns(rows: np.ndarray, masks: np.ndarray,
@@ -201,26 +243,25 @@ def _entry_turns(rows: np.ndarray, masks: np.ndarray,
 
 @dataclass(frozen=True)
 class SectorOperator:
-    """H in sector order, H[order][:, order] = V A V^H, kept as what builds
-    each diagonal block of A on request.
+    """H in sector order, V A V^H, kept as what builds each diagonal block
+    of A on request.
 
-    ``order[p]`` is the Z-basis state at position p.  Every term maps a
-    state j only to j ^ x with x in the GF(2) span W of the X-masks, so the
-    cosets of W are invariant: positions run coset by coset,
-    ``sector_dim`` = |W| states each, and A is block diagonal.  ``pivots``
-    are W's reduced echelon rows in ascending leading bit.  ``gauge`` is
+    Every term maps a state j only to j ^ x with x in the GF(2) span W of
+    the X-masks, so A is block diagonal over W's ``cosets``: local row l
+    of sector s is ``cosets.reps[s] ^ cosets.elements[l]``.  ``gauge`` is
     the :func:`real_gauge` link mask, v at the states asked for is
     :meth:`phases`, and A is real symmetric; when no real gauge exists
     ``gauge`` is None and A is the complex H.
 
     Every row of A holds one entry per distinct X-mask, ``x_masks`` in
     ascending order: X-mask g puts the entry of local row l of a sector at
-    local column ``l ^ shifts[g]``.  ``diagonal`` is A's diagonal at each
-    position.  The other terms, ordered by X-mask and in H's order within
-    one, are ``groups`` (the index of their X-mask) and the ``masks``,
-    ``turns0`` and ``coeffs`` of their entries' phases
-    (:func:`_entry_turns`).  ``floors[s]`` is the Gershgorin floor of block
-    s, min_i(a_ii - sum_{j != i} |a_ij|), a lower bound on its spectrum.
+    local column ``l ^ shifts[g]``.  ``diagonal``, A's diagonal sector by
+    sector, is the only array here with an entry per state.  The other
+    terms, ordered by X-mask and in H's order within one, are ``groups``
+    (the index of their X-mask) and the ``masks``, ``turns0`` and
+    ``coeffs`` of their entries' phases (:func:`_entry_turns`).
+    ``floors[s]`` is the Gershgorin floor of block s, min_i(a_ii -
+    sum_{j != i} |a_ij|), a lower bound on its spectrum.
 
     ``symmetries`` are the candidate link permutations that leave the terms
     exactly invariant; they commute with H and permute the sectors.
@@ -230,10 +271,8 @@ class SectorOperator:
     coset onto sector s's.
     """
 
-    order: np.ndarray
+    cosets: Cosets
     gauge: int | None
-    pivots: tuple[int, ...]
-    sector_dim: int
     x_masks: np.ndarray
     shifts: np.ndarray
     diagonal: np.ndarray
@@ -246,21 +285,6 @@ class SectorOperator:
     orbit: np.ndarray
     carry: tuple[tuple[int, ...], ...]
 
-    def positions(self, s: int) -> slice:
-        return slice(s * self.sector_dim, (s + 1) * self.sector_dim)
-
-    def locate(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sector, local) of Z-basis states, with ``order[sector *
-        sector_dim + local]`` the state.  ``local`` is its bits at the
-        pivots, ``sector`` its other bits once XOR with ``order[local]``
-        clears the pivots."""
-        states = np.asarray(states, dtype=np.uint64)
-        leads = [row.bit_length() - 1 for row in self.pivots]
-        local = _gather_bits(states, leads)
-        free = [b for b in range(self.order.size.bit_length() - 1)
-                if b not in leads]
-        return _gather_bits(states ^ self.order[local], free), local
-
     def phases(self, states: np.ndarray) -> np.ndarray:
         """The real gauge v_j = i**popcount(j & s) at the given states."""
         return QUARTER_TURNS[np.bitwise_count(states & np.uint64(self.gauge)) % 4]
@@ -272,15 +296,14 @@ class SectorOperator:
         its X-mask's terms in order from zero.  The rows are taken
         ``BLOCK_ROWS`` at a time.
         """
-        n, width = self.sector_dim, self.x_masks.size
-        part = self.positions(s)
+        n, width = self.cosets.elements.size, self.x_masks.size
+        rows = self.cosets.members(s)
         data = np.empty((n, width),
                         dtype=complex if self.gauge is None else float)
         for lo in range(0, n, BLOCK_ROWS):
-            data[lo:lo + BLOCK_ROWS] = self._entries(
-                self.order[part][lo:lo + BLOCK_ROWS])
+            data[lo:lo + BLOCK_ROWS] = self._entries(rows[lo:lo + BLOCK_ROWS])
         if width and not self.x_masks[0]:
-            data[:, 0] = self.diagonal[part]
+            data[:, 0] = self.diagonal[s * n:(s + 1) * n]
         indices = np.arange(n, dtype=np.int32)[:, None] ^ self.shifts
         indptr = np.arange(n + 1, dtype=np.int32) * width
         return scipy.sparse.csr_matrix(
@@ -344,15 +367,16 @@ class SparseHamiltonian:
     def compile(self) -> SectorOperator:
         """The sector-ordered operator, built once and cached.
 
-        A state's position is its coset, then its bits at the pivots of
-        W's reduced echelon basis, so the position of j ^ x is the position
-        of j XOR the pivot bits of x.  The phase parity of a term's entries
-        is the same in every row (:func:`_entry_turns`), so one check per
-        term proves the gauge real.  The Gershgorin floors take the
-        diagonal, summed in real arithmetic, and a radius: |coefficient|
-        for an X-mask with one term, and the row-wise |entry| only where
-        terms share an X-mask.  Each coset is sent to its orbit by
-        locating its permuted first state.  No block is built here.
+        A state's place in its sector is its bits at the pivots of W's
+        reduced echelon basis (:class:`Cosets`), so the place of j ^ x is
+        the place of j XOR the pivot bits of x.  The phase parity of a
+        term's entries is the same in every row (:func:`_entry_turns`), so
+        one check per term proves the gauge real.  The Gershgorin floors
+        take the diagonal, summed in real arithmetic, and a radius:
+        |coefficient| for an X-mask with one term, and the row-wise |entry|
+        only where terms share an X-mask, on the states in sector order,
+        which are not kept.  Each coset is sent to its orbit by locating
+        its permuted minimum.  No block is built here.
         """
         if self._compiled is not None:
             return self._compiled
@@ -370,12 +394,8 @@ class SparseHamiltonian:
             by_mask.setdefault(x, []).append(
                 (coeff, t.z_mask ^ (x & links), turns0 % 4))
         xs = sorted(by_mask)
-        pivots = _echelon((x, 0) for x in xs)
-        leads = sorted(pivots)
-        # one representative per coset (zero at every pivot) XOR all of W
-        reps = _span(1 << b for b in range(self.n_qubits) if b not in pivots)
-        local = _span(pivots[b][0] for b in leads)
-        order = (reps[:, None] ^ local[None, :]).reshape(-1)
+        cosets = Cosets.of(xs, self.n_qubits)
+        order = (cosets.reps[:, None] ^ cosets.elements).reshape(-1)
         diagonal = np.zeros(self.dim)
         radius = np.zeros(self.dim)
         for x in xs:
@@ -393,15 +413,14 @@ class SparseHamiltonian:
                 radius += np.abs(w)
             else:
                 diagonal = w
-        sector_dim = 1 << len(leads)
-        floors = (diagonal - radius).reshape(-1, sector_dim).min(axis=1)
+        floors = (diagonal - radius).reshape(
+            -1, cosets.elements.size).min(axis=1)
         off = [(g, *term) for g, x in enumerate(xs) if x
                for term in by_mask[x]]
         x_masks = np.array(xs, dtype=np.uint64)
         op = SectorOperator(
-            order=order, gauge=mask, pivots=tuple(pivots[b][0] for b in leads),
-            sector_dim=sector_dim, x_masks=x_masks, diagonal=diagonal,
-            shifts=_gather_bits(x_masks, leads).astype(np.int32),
+            cosets=cosets, gauge=mask, x_masks=x_masks, diagonal=diagonal,
+            shifts=cosets.locate(x_masks)[1].astype(np.int32),
             groups=np.array([o[0] for o in off], dtype=np.intp),
             coeffs=np.array([o[1] for o in off], dtype=float),
             masks=np.array([o[2] for o in off], dtype=np.uint64),
@@ -418,7 +437,7 @@ class SparseHamiltonian:
         psi = np.asarray(psi, dtype=complex).reshape(self.dim)
         out = np.empty_like(psi)
         for s in range(op.floors.size):
-            a, rows = op.block(s), op.order[op.positions(s)]
+            a, rows = op.block(s), op.cosets.members(s)
             if op.gauge is None:
                 out[rows] = a @ psi[rows]
             else:
@@ -616,17 +635,17 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
                        key=lambda f: f[0])[:k]
     levels, residuals, sectors = (np.array([f[i] for f in found])
                                   for i in range(3))
-    vectors = (np.zeros((op.sector_dim, len(found)), dtype=complex)
+    vectors = (np.zeros((op.cosets.elements.size, len(found)), dtype=complex)
                if with_vectors else None)
     for s in np.unique(sectors) if with_vectors else ():
         cols = np.flatnonzero(sectors == s)
-        rep = op.order[op.positions(op.orbit[s])]
+        rep = op.cosets.members(op.orbit[s])
         vectors[:, cols] = op.phases(rep)[:, None] * np.stack(
             [found[c][3] for c in cols], axis=1)
         if op.orbit[s] != s:  # each member block is built once
-            _, local = op.locate(_permute_bits(rep, op.carry[s]))
+            _, local = op.cosets.locate(_permute_bits(rep, op.carry[s]))
             vectors[local[:, None], cols] = vectors[:, cols]
-            u = (op.phases(op.order[op.positions(s)]).conj()[:, None]
+            u = (op.phases(op.cosets.members(s)).conj()[:, None]
                  * vectors[:, cols])
             residuals[cols] = np.linalg.norm(
                 op.block(s) @ u - u * levels[cols], axis=0)
@@ -634,7 +653,7 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
     return SpectrumResult(
         eigenvalues=levels, residuals=residuals, level_sectors=sectors,
         residual_bound=float(residual_bound), local_vectors=vectors,
-        sectors=len(op.floors), sector_dim=op.sector_dim,
+        sectors=len(op.floors), sector_dim=op.cosets.elements.size,
         orbits=int(np.unique(op.orbit).size),
         dense_blocks=len(solved) - lanczos_blocks,
         lanczos_blocks=lanczos_blocks)
@@ -649,7 +668,7 @@ def ground_space_reference(lat: lt.TorusLattice
     XORed with every element of the plaquette-flip group G.  ``sectors[c]``
     holds its Z-loop eigenvalues, (+1, +1), (-1, +1), (+1, -1), (-1, -1).
     """
-    group = plaquette_flips(lat)
+    group = plaquette_cosets(lat).elements
     x1, x2 = (loop.x_mask for loop in lt.x_loops(lat))
     reps = [0, x1, x2, x1 ^ x2]
     z1, z2 = (loop.z_mask for loop in lt.z_loops(lat))
@@ -689,7 +708,7 @@ def ground_fidelity(reference: tuple, h: SparseHamiltonian,
     support, amp, _ = reference
     if res.local_vectors is None or len(res.eigenvalues) < 4:
         raise ValueError("the perturbed manifold needs 4 levels with vectors")
-    sector, local = h.compile().locate(support)
+    sector, local = h.compile().cosets.locate(support)
     amps = np.where(sector[..., None] == res.level_sectors[:4],
                     res.local_vectors[local, :4], 0.0)
     return FidelityResult.from_overlap(amp * amps.sum(axis=1))

@@ -29,10 +29,10 @@ FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a dense start
 @functools.cache
 def basis(frame: lb.StabilizerFrame) -> np.ndarray:
     """Real orthogonal matrix whose columns are the frame states, |o, t>
-    = sum_e (-1)**|t & e| |reps[o] ^ group_masks[e]> / sqrt(n_char)."""
+    = sum_e (-1)**|t & e| |reps[o] ^ elements[e]> / sqrt(n_char)."""
     norm = 1.0 / math.sqrt(frame.n_char)
-    chars = np.arange(frame.n_char, dtype=np.uint64)
-    rows = frame.reps[:, None, None] ^ frame.group_masks[:, None]
+    chars = np.arange(frame.n_char)
+    rows = frame.cosets.reps[:, None, None] ^ frame.cosets.elements[:, None]
     cols = np.arange(frame.size).reshape(frame.n_orbits, 1, frame.n_char)
     out = np.zeros((frame.dim, frame.size))
     out[rows, cols] = norm * lb._char_sign(chars[:, None], chars)
@@ -91,10 +91,10 @@ def evolution_states(out: lb.EvolutionResult) -> np.ndarray:
 def eigenvectors(h: sp.SparseHamiltonian, res: sp.SpectrumResult) -> np.ndarray:
     """Z-basis eigenvectors, shape (2^n, k): each level's sector-local
     vector placed at its sector's states."""
-    op = h.compile()
+    cosets = h.compile().cosets
     out = np.zeros((h.dim, len(res.eigenvalues)), dtype=complex)
     for col, s in enumerate(res.level_sectors):
-        out[op.order[op.positions(s)], col] = res.local_vectors[:, col]
+        out[cosets.members(s), col] = res.local_vectors[:, col]
     return out
 
 

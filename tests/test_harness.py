@@ -192,6 +192,13 @@ class TestEmitFigureData:
         rewritten = hn.emit_figure_data(
             "eliminate", [(0.03, 0.6, 0.002, 1e-3)], target)
         assert target.read_text() == rewritten
+        # an empty file has no header, so it differs from every schema
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(hn.SchemaMismatchError, match="schema None"):
+            hn.emit_figure_data(
+                "eliminate", [(0.02, 0.6, 0.001, 1e-3)], empty)
+        assert empty.read_text() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -339,47 +339,19 @@ def test_frame_diagonalizes_hamiltonian():
                                atol=1e-10)
 
 
-def _coset_tables(frame):
-    """The oracle: reps, and the orbit and element of every bitstring, from
-    a scan in ascending order that opens an orbit at each state not yet
-    labeled and labels its whole coset."""
-    group = frame.group_masks
-    orbit_of = np.full(frame.dim, -1, dtype=np.int64)
-    element_of = np.zeros(frame.dim, dtype=np.uint64)
-    reps = []
-    for b in range(frame.dim):
-        if orbit_of[b] < 0:
-            members = np.uint64(b) ^ group
-            orbit_of[members] = len(reps)
-            element_of[members] = np.arange(group.size, dtype=np.uint64)
-            reps.append(b)
-    return np.array(reps, dtype=np.uint64), orbit_of, element_of
-
-
-@pytest.mark.parametrize("size", [2, 3])
-def test_frame_labels_match_their_definition(size):
-    frame = lb.StabilizerFrame(lt.build(size))
-    states = np.arange(frame.dim, dtype=np.uint64)
-    orbit, element = frame.labels(states)
-    np.testing.assert_array_equal(
-        frame.reps[orbit] ^ frame.group_masks[element], states)
-    reps, orbit_of, element_of = _coset_tables(frame)
-    # the representatives are the coset minima, ascending
-    np.testing.assert_array_equal(frame.reps, reps)
-    np.testing.assert_array_equal(
-        frame.reps, (frame.reps[:, None] ^ frame.group_masks).min(axis=1))
-    np.testing.assert_array_equal(orbit, orbit_of)
-    np.testing.assert_array_equal(element, element_of)
-    # the labels are linear: an X-mask moves every orbit by one XOR and
-    # reaches the same group element from each
-    x = np.random.default_rng(size).integers(0, frame.dim, 64,
-                                             dtype=np.uint64)
-    shift, reached = frame.labels(x)
-    moved, elements = frame.labels(frame.reps ^ x[:, None])
-    np.testing.assert_array_equal(moved,
-                                  np.arange(frame.n_orbits) ^ shift[:, None])
-    np.testing.assert_array_equal(
-        elements, np.broadcast_to(reached[:, None], elements.shape))
+@pytest.mark.parametrize("h_z", [0.0, 0.05])
+@pytest.mark.parametrize("size, shape", [(2, (32, 8)), (3, (1024, 256))],
+                         ids=["l2", "l3"])
+def test_unperturbed_sectors_are_the_frame_orbits(size, shape, h_z):
+    # at chi = 0 the X-masks of H span the plaquette-flip group, and the
+    # reduced echelon form of a span is unique
+    lat = lt.build(size)
+    sectors = build_hamiltonian(lat, h_z=h_z).compile().cosets
+    orbits = lb.StabilizerFrame(lat).cosets
+    assert sectors.rows == orbits.rows
+    np.testing.assert_array_equal(sectors.reps, orbits.reps)
+    np.testing.assert_array_equal(sectors.elements, orbits.elements)
+    assert (orbits.reps.size, orbits.elements.size) == shape
 
 
 def test_frame_build_holds_no_table_over_the_states():

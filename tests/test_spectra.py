@@ -1,6 +1,7 @@
 """Exact diagonalization against dense oracles (L=2, 256 dimensions)."""
 
 import dataclasses
+import functools
 import tracemalloc
 from collections import Counter
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import dense_oracles as oracles
 from toricsim import lattice as lt
+from toricsim import lindblad as lb
 from toricsim import spectra as sp
 from toricsim.pauli import PauliString
 
@@ -72,19 +74,25 @@ def test_matvec_matches_dense():
     assert not sp.SparseHamiltonian(8, ()).matvec(v).any()
 
 
+def _order(op):
+    """Every state in sector order: local row l of sector s at s * |W| + l,
+    the order of ``op.diagonal``."""
+    return (op.cosets.reps[:, None] ^ op.cosets.elements).reshape(-1)
+
+
 @pytest.mark.parametrize("mode", ["sequence", "all"])
 @pytest.mark.parametrize("chi", [0.0, 0.25])
 def test_compiled_operator_is_the_real_gauge(mode, chi):
     h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
     op = h.compile()
-    order = op.order
+    order, n = _order(op), op.cosets.elements.size
     gauge = op.phases(order)
     np.testing.assert_array_equal(np.sort(order), np.arange(256))
     np.testing.assert_array_equal(np.abs(gauge), 1.0)
     dense = h.to_dense()
     gauged = gauge.conj()[:, None] * dense[np.ix_(order, order)] * gauge[None, :]
     for s in range(len(op.floors)):
-        a, part = op.block(s), op.positions(s)
+        a, part = op.block(s), slice(s * n, (s + 1) * n)
         assert a.dtype == np.float64
         assert np.max(np.abs(a.toarray() - gauged[part, part])) <= 1e-14
         gauged[part, part] = 0.0
@@ -98,10 +106,10 @@ def _loop_block(h, op, s):
     """(data, indices) of block s, summed term by term in Python from the
     phase rule i**(q(j ^ x) + popcount((j ^ x) & s) - popcount(j & s))."""
     links = sp.real_gauge(h.terms)
-    position = {int(j): p for p, j in enumerate(op.order)}
-    lo = s * op.sector_dim
+    position = {int(j): p for p, j in enumerate(_order(op))}
+    lo = s * op.cosets.elements.size
     data, indices = [], []
-    for j in op.order[op.positions(s)].tolist():
+    for j in op.cosets.members(s).tolist():
         for x in sorted({t.x_mask for _, t in h.terms}):
             entry = 0.0
             for coeff, t in h.terms:
@@ -121,6 +129,7 @@ def _loop_block(h, op, s):
 def test_blocks_and_floors_match_term_loop_bitwise(mode, chi):
     h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
     op = h.compile()
+    n = op.cosets.elements.size
     floors = []
     for s in range(len(op.floors)):
         a = op.block(s)
@@ -128,10 +137,10 @@ def test_blocks_and_floors_match_term_loop_bitwise(mode, chi):
         np.testing.assert_array_equal(a.data, data)
         np.testing.assert_array_equal(a.indices, indices)
         np.testing.assert_array_equal(
-            a.indptr, np.arange(op.sector_dim + 1) * op.x_masks.size)
+            a.indptr, np.arange(n + 1) * op.x_masks.size)
         # the floor subtracts every off-diagonal |entry| of a row in turn
-        rows = data.reshape(op.sector_dim, -1)
-        radius = np.zeros(op.sector_dim)
+        rows = data.reshape(n, -1)
+        radius = np.zeros(n)
         for g in range(1, rows.shape[1]):
             radius += np.abs(rows[:, g])
         floors.append(np.min(rows[:, 0] - radius))
@@ -328,6 +337,14 @@ def test_compile_never_holds_the_whole_matrix():
     assert not hasattr(op, "matrix")
 
 
+def test_compile_holds_no_other_full_space_array():
+    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
+    op = h.compile()
+    full = [name for obj in (op, op.cosets) for name, v in vars(obj).items()
+            if isinstance(v, np.ndarray) and v.size >= h.dim]
+    assert full == ["diagonal"]
+
+
 def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
     # at chi = 0 the 2nd and 3rd levels are exactly degenerate, and so are
     # levels inside the 8-state blocks; with the cap below the block size
@@ -484,10 +501,11 @@ def test_sector_order_is_block_diagonal(h, seed):
 
 def _source_blocks(op, vectors):
     """The sector holding the support of each column."""
-    position = np.empty(op.order.size, dtype=np.int64)
-    position[op.order] = np.arange(op.order.size)
-    return [int(position[np.flatnonzero(np.abs(v) > 1e-12)[0]]) // op.sector_dim
-            for v in vectors.T]
+    order = _order(op)
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    return [int(position[np.flatnonzero(np.abs(v) > 1e-12)[0]])
+            // op.cosets.elements.size for v in vectors.T]
 
 
 # (sectors, translation orbits) of the L = 2 Hamiltonian
@@ -527,27 +545,73 @@ def test_orbit_solve_matches_every_block(monkeypatch, mode, chi, k, from_member)
     assert bool(members) == (from_member and res.orbits < res.sectors)
 
 
-def _check_locate(op, states):
-    sector, local = op.locate(states)
-    assert sector.dtype == local.dtype == np.int64
-    assert np.all((0 <= local) & (local < op.sector_dim))
-    np.testing.assert_array_equal(op.order[sector * op.sector_dim + local],
-                                  states)
+def _sectors(size, chi, mode="sequence"):
+    return sp.build_hamiltonian(lt.build(size), chi=chi, h_z=0.05,
+                                chi_pairs=mode).compile().cosets
 
 
-@pytest.mark.parametrize("chi, mode", sorted(ORBITS_AT_L2))
-def test_locate_inverts_the_order_at_l2(chi, mode):
-    op = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05,
-                              chi_pairs=mode).compile()
-    _check_locate(op, np.arange(256, dtype=np.uint64))
+def _frame_orbits(size):
+    return lb.StabilizerFrame(lt.build(size)).cosets
 
 
-@pytest.mark.parametrize("chi", [0.0, 0.2])
-def test_locate_inverts_the_order_at_l3(chi):
-    op = sp.build_hamiltonian(lt.build(3), chi=chi, h_z=0.05).compile()
-    states = np.random.default_rng(5).integers(0, 2 ** 18, 4096,
+# the two users of Cosets: the sectors of H and the stabilizer frame
+COSET_USERS = [
+    *(pytest.param(functools.partial(_sectors, 2, chi, mode),
+                   id=f"sectors-l2-{chi}-{mode}")
+      for chi, mode in sorted(ORBITS_AT_L2)),
+    *(pytest.param(functools.partial(_sectors, 3, chi), id=f"sectors-l3-{chi}")
+      for chi in (0.0, 0.2)),
+    *(pytest.param(functools.partial(_frame_orbits, size), id=f"frame-l{size}")
+      for size in (2, 3)),
+]
+
+
+def _coset_table(cosets):
+    """The oracle: the coset minima, and the coset and local index of every
+    state, from a scan in ascending order that opens a coset at each state
+    not yet labeled and labels all of it, ``elements`` in order."""
+    dim = cosets.reps.size * cosets.elements.size
+    coset_of = np.full(dim, -1, dtype=np.int64)
+    local_of = np.full(dim, -1, dtype=np.int64)
+    reps = []
+    for b in range(dim):
+        if coset_of[b] < 0:
+            members = np.uint64(b) ^ cosets.elements
+            coset_of[members] = len(reps)
+            local_of[members] = np.arange(cosets.elements.size)
+            reps.append(b)
+    return np.array(reps, dtype=np.uint64), coset_of, local_of
+
+
+@pytest.mark.parametrize("build", COSET_USERS)
+def test_cosets_locate_matches_the_coset_table(build):
+    cosets = build()
+    every = np.arange(2 ** cosets.n_bits, dtype=np.uint64)
+    seeded = np.random.default_rng(5).integers(0, every.size, 4096,
                                                dtype=np.uint64)
-    _check_locate(op, states)
+    for states in (seeded, every):  # the labels of every state are kept
+        coset, local = cosets.locate(states)
+        assert coset.dtype == local.dtype == np.int64
+        assert np.all((0 <= local) & (local < cosets.elements.size))
+        np.testing.assert_array_equal(
+            cosets.reps[coset] ^ cosets.elements[local], states)
+    reps, coset_of, local_of = _coset_table(cosets)
+    # the representatives are the coset minima, ascending
+    np.testing.assert_array_equal(cosets.reps, reps)
+    np.testing.assert_array_equal(
+        cosets.reps, (cosets.reps[:, None] ^ cosets.elements).min(axis=1))
+    np.testing.assert_array_equal(coset, coset_of)
+    np.testing.assert_array_equal(local, local_of)
+    # the labels are linear: a mask moves every coset by one XOR and
+    # reaches the same element from each
+    x = np.random.default_rng(cosets.n_bits).integers(0, every.size, 64,
+                                                      dtype=np.uint64)
+    shift, reached = cosets.locate(x)
+    moved, elements = cosets.locate(cosets.reps ^ x[:, None])
+    np.testing.assert_array_equal(
+        moved, np.arange(cosets.reps.size) ^ shift[:, None])
+    np.testing.assert_array_equal(
+        elements, np.broadcast_to(reached[:, None], elements.shape))
 
 
 # the chi grid of the benchmark's L = 2 spectrum and fidelity scans
@@ -639,10 +703,10 @@ def test_symmetry_maps_blocks_to_isospectral_blocks(h):
     perm = h.symmetries[0]
     op = h.compile()
     assert op.symmetries == (perm,)
-    n = op.sector_dim
-    position = {int(j): p for p, j in enumerate(op.order)}
+    n = op.cosets.elements.size
+    position = {int(j): p for p, j in enumerate(_order(op))}
     for s in range(len(op.floors)):
-        j = int(op.order[s * n])
+        j = int(op.cosets.reps[s])
         image = sum(1 << perm[q] for q in range(h.n_qubits) if j >> q & 1)
         t = position[image] // n
         assert op.orbit[t] == op.orbit[s]
