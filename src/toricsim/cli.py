@@ -41,7 +41,7 @@ _COMMAND_HELP = {
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for name, (_, _, help_text) in harness._FIELD_SPEC.items():
+    for name, (_, _, help_text) in harness.FIELD_SPEC.items():
         if name == "kind":
             continue
         parser.add_argument("--" + name.replace("_", "-"), dest=name,
@@ -70,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _overrides(args: argparse.Namespace) -> dict:
     out = {}
     problems = []
-    for name, (_, kind, _) in harness._FIELD_SPEC.items():
+    for name, (_, kind, _) in harness.FIELD_SPEC.items():
         raw = getattr(args, name, None)
         if raw is None:
             continue
         try:
-            out[name] = harness._parse_value(kind, raw)
+            out[name] = harness.parse_value(kind, raw)
         except ValueError:
             problems.append(f"flag --{name.replace('_', '-')}: "
                             f"cannot parse {raw!r}")

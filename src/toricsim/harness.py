@@ -52,7 +52,6 @@ OMEGA_DEFINITION = ("omega = elementary gates per unit time of the "
 KINDS = ("sequence-order-scan", "spectrum", "fidelity-scan", "thermalize",
          "cool-with-noise", "pump", "eliminate")
 OUTDIR_ENV = "TORICSIM_OUTDIR"
-PAIR_GAP = 4.0                      # j = 1 throughout the scenarios
 STABILIZER_GAP = 2.0                # single-stabilizer flip cost at j = 1
 
 
@@ -107,7 +106,7 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 
 # field name -> (ini section, parser kind, help text)
-_FIELD_SPEC: dict[str, tuple[str, str, str]] = {
+FIELD_SPEC: dict[str, tuple[str, str, str]] = {
     "kind": ("scenario", "str", "one of " + " | ".join(KINDS)),
     "lattice_l": ("scenario", "int", "torus linear size (2 or 3)"),
     "seed": ("scenario", "int", "seed fixing every random draw"),
@@ -147,7 +146,8 @@ _FIELD_SPEC: dict[str, tuple[str, str, str]] = {
 }
 
 
-def _parse_value(kind: str, raw: str):
+def parse_value(kind: str, raw: str):
+    """A field's value from its INI or flag text, by its ``FIELD_SPEC`` kind."""
     raw = raw.strip()
     if kind == "int":
         return int(raw)
@@ -335,12 +335,12 @@ class ScenarioConfig:
         values: dict = {}
         for section in parser.sections():
             for key, raw in parser.items(section):
-                spec = _FIELD_SPEC.get(key)
+                spec = FIELD_SPEC.get(key)
                 if spec is None or spec[0] != section:
                     problems.append(f"unknown key [{section}] {key}")
                     continue
                 try:
-                    values[key] = _parse_value(spec[1], raw)
+                    values[key] = parse_value(spec[1], raw)
                 except ValueError:
                     problems.append(f"[{section}] {key}: cannot parse {raw!r}")
         if problems:
@@ -357,13 +357,13 @@ class ScenarioConfig:
 
 def describe_defaults() -> str:
     """Commented INI listing every field, its default, and what it does,
-    values written as :func:`_parse_value` reads them back."""
+    values written as :func:`parse_value` reads them back."""
     defaults = ScenarioConfig(kind=KINDS[0])
     lines = ["# toricsim scenario configuration (key = value sections)",
              f"# schema v{SCHEMA_VERSION}; {OMEGA_DEFINITION}", ""]
-    for section in dict.fromkeys(s for s, _, _ in _FIELD_SPEC.values()):
+    for section in dict.fromkeys(s for s, _, _ in FIELD_SPEC.values()):
         lines.append(f"[{section}]")
-        for name, (sec, kind, help_text) in _FIELD_SPEC.items():
+        for name, (sec, kind, help_text) in FIELD_SPEC.items():
             if sec != section:
                 continue
             value = getattr(defaults, name)
@@ -844,8 +844,7 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
 
     # a ratio grid makes every point noisy, so all points share the
     # channel list of the first
-    sweep = lb.LindbladModel(n_qubits=lat.n_links,
-                             hamiltonian=sp.build_hamiltonian(lat),
+    sweep = lb.LindbladModel(hamiltonian=sp.build_hamiltonian(lat),
                              jumps=jumps(settings[0][1]), lattice=lat,
                              label="cool-with-noise")
     w_e, w_m = excitation_weights(sweep.frame)
@@ -867,7 +866,7 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
               and math.isfinite(pt.fitted_temperature)
               and pt.fitted_temperature > 0.0]
     if len(usable) >= 2:
-        x = np.array([PAIR_GAP / math.log(pt.ratio) for pt in usable])
+        x = np.array([lb.PAIR_GAP / math.log(pt.ratio) for pt in usable])
         t = np.array([pt.fitted_temperature for pt in usable])
         fit_constant = float(x @ t / (x @ x))
         fit_residual = float(np.sqrt(np.mean((t - fit_constant * x) ** 2))
@@ -892,7 +891,7 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
         "rank_correlation": sweep.rank_correlation,
         "omega": sweep.omega,
         "omega_definition": sweep.omega_definition,
-        "pair_gap": PAIR_GAP,
+        "pair_gap": lb.PAIR_GAP,
     }
     parts.files.append(("cool-with-noise.json",
                         json.dumps(report, sort_keys=True, indent=1)))
@@ -927,7 +926,7 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
 def _run_pump(cfg: ScenarioConfig) -> _Parts:
     parts = _Parts()
     protocol = lb.PumpProtocol(theta=cfg.theta, gamma20=cfg.gamma20,
-                               delta=PAIR_GAP, rabi_rate=cfg.rabi_rate)
+                               rabi_rate=cfg.rabi_rate)
     res = lb.pump_ancilla(protocol)
     populations = np.real(np.diag(res.rho_pseudospin))
     closed = (math.sin(cfg.theta) ** 2, math.cos(cfg.theta) ** 2)

@@ -50,7 +50,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -66,6 +66,7 @@ from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_cosets
 FRAME_QUBIT_CAP = 18
 TRACE_TOL_PER_TIME = 1e-9    # trace / positivity drift budget per unit time
 EIGENVALUE_FLOOR = -1e-10    # smallest admissible density eigenvalue at t = 0
+PAIR_GAP = 4.0               # a pair flips two stabilizers of J = 1: 4J
 
 
 class PositivityError(RuntimeError):
@@ -162,7 +163,6 @@ class LindbladModel:
     and cached on the model.
     """
 
-    n_qubits: int
     hamiltonian: SparseHamiltonian
     jumps: tuple[JumpTerm, ...]
     temperature_target: float | None = None
@@ -172,12 +172,14 @@ class LindbladModel:
     label: str = ""
 
     def __post_init__(self):
-        if self.hamiltonian.n_qubits != self.n_qubits:
-            raise ValueError("hamiltonian register size mismatch")
         for jt in self.jumps:
             if jt.operator.n_qubits != self.n_qubits:
                 raise ValueError(f"jump {jt.label!r} acts outside the register")
         object.__setattr__(self, "_generator", None)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.hamiltonian.n_qubits
 
     @property
     def dim(self) -> int:
@@ -240,26 +242,25 @@ def _pair_sites(lat: lt.TorusLattice) -> list[tuple[int, str]]:
 
 
 def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
-                     gamma_star: float, j: float = 1.0) -> LindbladModel:
+                     gamma_star: float) -> LindbladModel:
     """Jump set driving the code toward a thermal bath of weight ``p``.
 
     Per link and flavor: annihilation at rate (1-p) lambda*/2, creation at
     rate p lambda*/2, translation and its adjoint at rate gamma*/4 each.
     Zero-rate channels are dropped.  Creation and annihilation stand in the
-    ratio p/(1-p) and a pair costs delta, so the rates drive the code to the
-    Gibbs state at T = delta/ln((1-p)/p) (see
+    ratio p/(1-p) and a pair costs delta = ``PAIR_GAP``, so the rates
+    drive the code to the Gibbs state at T = delta/ln((1-p)/p) (see
     :meth:`LindbladModel.detailed_balance_temperature`).
     ``temperature_target`` records the Boltzmann-weight reading -delta/ln p
     of the bath parameter (0 when p = 0), which agrees with that
-    temperature only as p -> 0.  Both stabilizer couplings share the
-    strength ``j`` so the pair gap delta = 4j is uniform.
+    temperature only as p -> 0.  Both stabilizer couplings are J = 1, so
+    the pair gap is uniform.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     if lambda_star < 0.0 or gamma_star < 0.0:
         raise ValueError("rates must be >= 0")
-    delta = 4.0 * j
-    temperature = -delta / math.log(p) if p > 0.0 else 0.0
+    temperature = -PAIR_GAP / math.log(p) if p > 0.0 else 0.0
     jumps: list[JumpTerm] = []
     for link, kind in _pair_sites(lat):
         ops = excitation_ops(lat, link, kind)
@@ -272,20 +273,18 @@ def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
         jumps.extend(JumpTerm(label, rate, op)
                      for label, rate, op in channels if rate > 0.0)
     return LindbladModel(
-        n_qubits=lat.n_links,
-        hamiltonian=build_hamiltonian(lat, j_e=j, j_m=j),
-        jumps=tuple(jumps), temperature_target=temperature,
-        delta=delta, p=p, lattice=lat, label="thermal")
+        hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
+        temperature_target=temperature, delta=PAIR_GAP, p=p, lattice=lat,
+        label="thermal")
 
 
-def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float,
-                     j: float = 1.0) -> LindbladModel:
+def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
     """Zero-temperature reduction: two channels per link and flavor.
 
     The combinations annihilate + translate and annihilate +
     translate_adjoint collapse to (flip)(1 - h)/2 on each adjacent
     neighborhood; they contain no creation component, so every ground state
-    is dark.
+    is dark.  The couplings are J = 1, so a pair costs ``PAIR_GAP``.
     """
     if not lambda_star > 0.0:
         raise ValueError("lambda_star must be > 0")
@@ -297,25 +296,22 @@ def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float,
         jumps.append(JumpTerm(f"absorb_b[{kind},{link}]", lambda_star,
                               ops.annihilate + ops.translate_adjoint))
     return LindbladModel(
-        n_qubits=lat.n_links,
-        hamiltonian=build_hamiltonian(lat, j_e=j, j_m=j),
-        jumps=tuple(jumps), temperature_target=0.0,
-        delta=4.0 * j, p=0.0, lattice=lat, label="cooling")
+        hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
+        temperature_target=0.0, delta=PAIR_GAP, p=0.0, lattice=lat,
+        label="cooling")
 
 
-def depolarizing_jumps(n_qubits: int, gamma: float,
-                       qubits: Iterable[int] | None = None) -> tuple[JumpTerm, ...]:
+def depolarizing_jumps(n_qubits: int, gamma: float) -> tuple[JumpTerm, ...]:
     """Single-qubit depolarizing channels: Bloch vector decays at rate gamma.
 
-    Each listed qubit gets X, Y and Z jumps at rate gamma/8; under the
+    Every qubit gets X, Y and Z jumps at rate gamma/8; under the
     2 c rho c† convention this relaxes every Bloch component at exactly
     gamma.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    targets = range(n_qubits) if qubits is None else qubits
     jumps = []
-    for q in targets:
+    for q in range(n_qubits):
         for letter in "XYZ":
             jumps.append(JumpTerm(
                 f"depolarize[{letter},{q}]", gamma / 8.0,
@@ -977,6 +973,8 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
 # three-level ancilla pumping
 # ---------------------------------------------------------------------------
 
+WAIT_FACTOR = 20.0     # level-2 lifetimes per wait: residual 2e-9 < 1e-8
+
 
 @dataclass(frozen=True)
 class PumpProtocol:
@@ -987,15 +985,14 @@ class PumpProtocol:
     rotations (transfer probability sin^2 of the listed angle; the full
     swaps correspond to pulse area pi), and each wait evolves the
     spontaneous-decay channel from level 2 to level 0 for
-    ``wait_factor / gamma20`` time units, leaving a residual level-2
-    population of about exp(-wait_factor).
+    ``WAIT_FACTOR / gamma20`` time units, leaving a residual level-2
+    population of about exp(-WAIT_FACTOR).  The effective temperature is
+    read at the pair gap ``PAIR_GAP``.
     """
 
     theta: float
     gamma20: float
-    delta: float = 4.0
     rabi_rate: float | None = None
-    wait_factor: float = 20.0
     ground_state_only: bool = False
 
     def __post_init__(self):
@@ -1003,12 +1000,10 @@ class PumpProtocol:
             raise ValueError("theta must lie in [0, pi/2]")
         if self.gamma20 <= 0.0:
             raise ValueError("gamma20 must be > 0")
-        if self.wait_factor < 18.0:
-            raise ValueError("wait_factor below 18 leaves residual > 1e-8")
 
     @property
     def steps(self) -> tuple[tuple, ...]:
-        wait = ("wait", self.wait_factor / self.gamma20)
+        wait = ("wait", WAIT_FACTOR / self.gamma20)
         schedule = [("pulse", 1, 2, math.pi / 2), wait]
         if not self.ground_state_only:
             schedule += [("pulse", 0, 1, math.pi / 2),
@@ -1096,7 +1091,7 @@ def pump_ancilla(protocol: PumpProtocol,
     if protocol.ground_state_only:
         temperature = 0.0
     else:
-        temperature = pump_temperature(protocol.theta, protocol.delta)
+        temperature = pump_temperature(protocol.theta, PAIR_GAP)
     return PumpResult(
         rho_pseudospin=rho[:2, :2].copy(),
         effective_temperature=temperature,
@@ -1134,8 +1129,7 @@ def _lowering(n: int, qubit: int) -> PauliSum:
          (0.5j, PauliString.single(n, qubit, "Y"))), n_qubits=n)
 
 
-def probe_model(coupling: float, relaxation: float,
-                mixing: float | None = None) -> LindbladModel:
+def probe_model(coupling: float, relaxation: float) -> LindbladModel:
     """Four-qubit toy: one stabilizer pair exchanging excitations with a
     damped ancilla (qubit 2) and a translation ancilla (qubit 3).
 
@@ -1143,14 +1137,11 @@ def probe_model(coupling: float, relaxation: float,
     "stabilizers" and the joint flip X0 X1, so the pair operators act
     exactly like one adjacent vertex pair of the code.  The interaction
     swaps a system pair with one ancilla excitation at strength
-    ``coupling``; the ancilla damps at total rate ``relaxation`` and the
-    translation ancilla is held maximally mixed at rate ``mixing``
-    (default: equal to ``relaxation``).
+    ``coupling``; the ancilla damps at total rate ``relaxation``, and the
+    translation ancilla is held maximally mixed at that same rate.
     """
     if coupling < 0.0 or relaxation <= 0.0:
         raise ValueError("coupling must be >= 0 and relaxation > 0")
-    if mixing is None:
-        mixing = relaxation
     n = 4
     z0 = PauliSum.from_string(PauliString.single(n, 0, "Z"))
     z1 = PauliSum.from_string(PauliString.single(n, 1, "Z"))
@@ -1176,12 +1167,16 @@ def probe_model(coupling: float, relaxation: float,
     ham = SparseHamiltonian(n_qubits=n, terms=tuple(terms))
     jumps = (
         JumpTerm("ancilla-damp", relaxation / 2.0, lower_t),
-        JumpTerm("mix-up", mixing / 4.0, raise_m),
-        JumpTerm("mix-down", mixing / 4.0, lower_m),
+        JumpTerm("mix-up", relaxation / 4.0, raise_m),
+        JumpTerm("mix-down", relaxation / 4.0, lower_m),
     )
-    return LindbladModel(n_qubits=n, hamiltonian=ham, jumps=jumps,
-                         p=0.0, label="elimination-probe")
+    return LindbladModel(hamiltonian=ham, jumps=jumps, p=0.0,
+                         label="elimination-probe")
 
+
+BURN_IN = 8.0               # ancilla lifetimes before the rate fit
+DECAY_WINDOW = 2.0          # predicted pair lifetimes the fit spans
+FIT_RESIDUAL_TOL = 0.02     # largest log-residual of a Markovian fit
 
 # the probe starts with the pair excited (qubits 0 and 1 set), the damped
 # ancilla empty and the translation ancilla maximally mixed; the pair is
@@ -1228,19 +1223,18 @@ def _pair_populations(model: LindbladModel, times: np.ndarray) -> np.ndarray:
 
 
 def adiabatic_elimination_probe(coupling_values: Sequence[float],
-                                relaxation_values: Sequence[float],
-                                fit_residual_tol: float = 0.02,
-                                burn_in_factor: float = 8.0,
-                                decay_window: float = 2.0) -> EliminationReport:
+                                relaxation_values: Sequence[float]
+                                ) -> EliminationReport:
     """Measure the effective pair-relaxation rate of the reduced dynamics.
 
     For each grid point the four-qubit master equation of
     :func:`probe_model`, started from the excited pair, is solved exactly
     (:func:`_pair_populations`): the start reaches 10 of the 256 entries of
     the vectorized density matrix, and the generator is eigendecomposed on
-    those alone.  After a burn-in of ``burn_in_factor`` ancilla lifetimes
-    the pair population is fit to a single exponential.  A fit whose
-    log-residual exceeds ``fit_residual_tol`` marks the reduced dynamics as
+    those alone.  After a burn-in of ``BURN_IN`` ancilla lifetimes the pair
+    population is fit to a single exponential over ``DECAY_WINDOW``
+    predicted pair lifetimes.  A fit whose log-residual exceeds
+    ``FIT_RESIDUAL_TOL`` marks the reduced dynamics as
     insufficiently Markovian and raises ``FitRejectedError``.  The log-log
     exponents of the rate in coupling and relaxation are reported together
     with a comparison of the rate ∝ g²/λ and rate ∝ g²λ hypotheses.
@@ -1256,8 +1250,8 @@ def adiabatic_elimination_probe(coupling_values: Sequence[float],
                 points.append(EliminationPoint(g, lam, 0.0, 0.0))
                 continue
             predicted = 4.0 * g * g / lam
-            burn = burn_in_factor / lam
-            horizon = burn + decay_window / predicted
+            burn = BURN_IN / lam
+            horizon = burn + DECAY_WINDOW / predicted
             t_grid = np.linspace(burn, horizon, 40)
             pops = _pair_populations(model, t_grid)
             if np.any(pops <= 0.0):
@@ -1266,10 +1260,10 @@ def adiabatic_elimination_probe(coupling_values: Sequence[float],
             sol, *_ = np.linalg.lstsq(design, np.log(pops), rcond=None)
             fit_residual = float(np.max(np.abs(
                 np.log(pops) - design @ sol)))
-            if fit_residual > fit_residual_tol:
+            if fit_residual > FIT_RESIDUAL_TOL:
                 raise FitRejectedError(
                     f"log-linear fit residual {fit_residual:.3e} exceeds "
-                    f"{fit_residual_tol:.1e} at g={g}, relaxation={lam}")
+                    f"{FIT_RESIDUAL_TOL:.1e} at g={g}, relaxation={lam}")
             points.append(EliminationPoint(g, lam, float(-sol[0]), fit_residual))
 
     fitted = [pt for pt in points if pt.coupling > 0.0 and pt.rate > 0.0]

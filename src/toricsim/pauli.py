@@ -252,14 +252,13 @@ class PauliSum:
     """Complex-linear combination of phase-free Pauli strings.
 
     Keys are canonical (phase 0, Hermitian) strings; all quarter-phases are
-    folded into the complex coefficients.  Terms below ``PRUNE_TOL`` in
-    magnitude are dropped on construction and after arithmetic.
+    folded into the complex coefficients.  Terms of magnitude at most
+    ``PRUNE_TOL`` are dropped on construction, so after all arithmetic.
     """
 
     __slots__ = ("n_qubits", "_terms")
 
-    def __init__(self, terms: Mapping[PauliString, complex], n_qubits: int | None = None,
-                 prune_tol: float = PRUNE_TOL):
+    def __init__(self, terms: Mapping[PauliString, complex], n_qubits: int | None = None):
         folded: dict[PauliString, complex] = {}
         for string, coeff in terms.items():
             base, scalar = string.canonical()
@@ -271,7 +270,7 @@ class PauliSum:
                 raise ValueError("mixed qubit counts in one sum")
         if n_qubits is None:
             raise ValueError("empty sum needs an explicit n_qubits")
-        self._terms = {s: c for s, c in folded.items() if abs(c) > prune_tol}
+        self._terms = {s: c for s, c in folded.items() if abs(c) > PRUNE_TOL}
         self.n_qubits = n_qubits
 
     @classmethod
@@ -289,8 +288,8 @@ class PauliSum:
         return cls(acc, n_qubits=n_qubits)
 
     @classmethod
-    def from_string(cls, string: PauliString, coeff: complex = 1.0) -> "PauliSum":
-        return cls({string: coeff})
+    def from_string(cls, string: PauliString) -> "PauliSum":
+        return cls({string: 1.0})
 
     @classmethod
     def from_labels(cls, n_qubits: int, labels: Mapping[str, complex]) -> "PauliSum":
@@ -360,12 +359,8 @@ class PauliSum:
         return PauliSum({s: np.conj(c) for s, c in self._terms.items()},
                         n_qubits=self.n_qubits)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
-
-    def prune(self, tol: float) -> "PauliSum":
-        return PauliSum({s: c for s, c in self._terms.items() if abs(c) > tol},
-                        n_qubits=self.n_qubits)
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= 1e-10 for c in self._terms.values())
 
     def l2_norm(self) -> float:
         """Normalized Frobenius norm sqrt(tr(A†A)/2^n) = sqrt(sum |c|^2)."""
@@ -391,7 +386,7 @@ class PauliSum:
         return out
 
 
-def decompose(matrix: np.ndarray, prune_tol: float = PRUNE_TOL) -> PauliSum:
+def decompose(matrix: np.ndarray) -> PauliSum:
     """Expand a 2**n x 2**n matrix in the Pauli basis.
 
     Coefficients are c_P = tr(P† M) / 2**n, computed by recursive 2x2 block
@@ -410,7 +405,7 @@ def decompose(matrix: np.ndarray, prune_tol: float = PRUNE_TOL) -> PauliSum:
     def recurse(block: np.ndarray, qubits_left: int, x: int, z: int):
         if qubits_left == 0:
             coeff = complex(block[0, 0])
-            if abs(coeff) > prune_tol:
+            if abs(coeff) > PRUNE_TOL:
                 terms[PauliString(n, x, z, 0)] = coeff
             return
         half = block.shape[0] // 2

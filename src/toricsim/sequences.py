@@ -153,8 +153,8 @@ class EffectiveHamiltonianReport:
 
 
 def effective_hamiltonian(seq: GateSequence,
-                          targets: Mapping[str, complex] | None = None,
-                          prune_tol: float = PRUNE_TOL) -> EffectiveHamiltonianReport:
+                          targets: Mapping[str, complex] | None = None
+                          ) -> EffectiveHamiltonianReport:
     """Extract ``H_eff = (i/T) log U`` from the composed unitary.
 
     The principal logarithm is taken on the unitary eigenbasis (Schur form
@@ -176,7 +176,7 @@ def effective_hamiltonian(seq: GateSequence,
     h = q @ np.diag(-phases / total_time) @ q.conj().T
     defect = float(np.max(np.abs(h - h.conj().T)))
     h = 0.5 * (h + h.conj().T)
-    h_eff = decompose(h, prune_tol=prune_tol)
+    h_eff = decompose(h)
     targets = dict(targets or {})
     measured = {label: h_eff.coefficient(label) for label in targets}
     keep = {s: c for s, c in h_eff.items()
@@ -210,7 +210,7 @@ def bch_second_order(seq: GateSequence) -> PauliSum:
             c = commutator(gates[j].generator, gates[k].generator)
             if len(c):
                 out = out + (0.5j * gates[j].angle * gates[k].angle / total_time) * c
-    return out.prune(PRUNE_TOL)
+    return out
 
 
 @dataclass
@@ -237,11 +237,10 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 def order_scan(sequence_factory: Callable[[float], GateSequence],
                phi_values: Iterable[float],
-               target_terms: Iterable[str] = (),
-               prune_tol: float = PRUNE_TOL) -> OrderScanReport:
+               target_terms: Iterable[str] = ()) -> OrderScanReport:
     """Fit the power-law order of every non-target coefficient in phi.
 
-    Points whose coefficient sits below ``10 * prune_tol`` are dropped from
+    Points whose coefficient sits below ``10 * PRUNE_TOL`` are dropped from
     that term's fit (they are pruning-floor noise); terms left with fewer
     than two usable points are flagged degenerate instead of fitted.
     """
@@ -253,15 +252,14 @@ def order_scan(sequence_factory: Callable[[float], GateSequence],
     residual_norms = []
     for phi in phis:
         rep = effective_hamiltonian(sequence_factory(phi),
-                                    targets={l: 0.0 for l in targets},
-                                    prune_tol=prune_tol)
+                                    targets={l: 0.0 for l in targets})
         residual_norms.append(rep.residual.l2_norm())
         for s, c in rep.h_eff.items():
             label = s.label(with_phase=False)
             if label not in targets:
                 tables.setdefault(label, {})[phi] = abs(c)
 
-    floor = 10.0 * prune_tol
+    floor = 10.0 * PRUNE_TOL
     slopes: dict[str, float] = {}
     points: dict[str, int] = {}
     degenerate = []
@@ -294,12 +292,10 @@ def cycled(p: PauliString) -> PauliString:
     return PauliString(p.n_qubits, p.x_mask ^ p.z_mask, p.x_mask, p.phase_quarter)
 
 
-def plaquette_generators(
-        generators: Sequence[PauliString] = DEFAULT_VERTEX_GENERATORS,
-) -> tuple[PauliString, ...]:
+def plaquette_generators() -> tuple[PauliString, ...]:
     """Generators for the X-type 4-body term: one cyclic permutation applied
-    to the Z-type set, e.g. ZYII -> XZII."""
-    return tuple(cycled(g) for g in generators)
+    to the default Z-type set, e.g. ZYII -> XZII."""
+    return tuple(cycled(g) for g in DEFAULT_VERTEX_GENERATORS)
 
 
 @dataclass

@@ -16,20 +16,21 @@ ambiguity.
 Every such H is real up to a diagonal phase gauge: S gates on the links
 of a mask found by a GF(2) solve over the terms (:func:`real_gauge`; the
 vertical links) turn each X.Y pair into a real product and leave every
-plaquette with an even number of Y letters.  Every term maps a Z-basis
-state j only to j ^ x with x in the GF(2) span W of the X-masks, so H is
-block diagonal over the cosets of W: 1024 sectors of 256 states at L = 3
-and chi = 0, 8 of 32768 at chi != 0 (2 with ``chi_pairs = "all"``),
-each its minimum XOR all of W (:class:`Cosets`, which also labels the
-stabilizer frame's orbits in ``toricsim.lindblad``: at chi = 0, W is the
-plaquette-flip group).  H is compiled once in that gauge: the compiled
-operator keeps W's cosets, the gauge links, the terms of each X-mask,
-the diagonal and every sector's Gershgorin floor, and builds the CSR
-block of a sector, one entry per row for each distinct X-mask, only
-when asked.  The eigensolver builds the blocks it visits, skipping every
-block whose floor proves it holds none of the lowest levels; the Z-basis
-matvec applies H block by block.  No code path assembles all 2^n rows at
-once.
+plaquette with an even number of Y letters.  All arithmetic below is real
+in that gauge, and terms that have none are refused.  Every term maps a
+Z-basis state j only to j ^ x with x in the GF(2) span W of the X-masks,
+so H is block diagonal over the cosets of W: 1024 sectors of 256 states
+at L = 3 and chi = 0, 8 of 32768 at chi != 0 (2 with
+``chi_pairs = "all"``), each its minimum XOR all of W (:class:`Cosets`,
+which also labels the stabilizer frame's orbits in ``toricsim.lindblad``:
+at chi = 0, W is the plaquette-flip group).  H is compiled once in that
+gauge: the compiled operator keeps W's cosets, the gauge links, the terms
+of each X-mask, the diagonal and every sector's Gershgorin floor, and
+builds the CSR block of a sector, one entry per row for each distinct
+X-mask, only when asked.  The eigensolver builds the blocks it visits,
+skipping every block whose floor proves it holds none of the lowest
+levels; the Z-basis matvec applies H block by block.  No code path
+assembles all 2^n rows at once.
 
 The lattice translations permute the links, and those that leave the term
 multiset exactly invariant commute with H and permute the cosets of W.
@@ -250,8 +251,7 @@ class SectorOperator:
     the X-masks, so A is block diagonal over W's ``cosets``: local row l
     of sector s is ``cosets.reps[s] ^ cosets.elements[l]``.  ``gauge`` is
     the :func:`real_gauge` link mask, v at the states asked for is
-    :meth:`phases`, and A is real symmetric; when no real gauge exists
-    ``gauge`` is None and A is the complex H.
+    :meth:`phases`, and A is real symmetric.
 
     Every row of A holds one entry per distinct X-mask, ``x_masks`` in
     ascending order: X-mask g puts the entry of local row l of a sector at
@@ -272,7 +272,7 @@ class SectorOperator:
     """
 
     cosets: Cosets
-    gauge: int | None
+    gauge: int
     x_masks: np.ndarray
     shifts: np.ndarray
     diagonal: np.ndarray
@@ -298,8 +298,7 @@ class SectorOperator:
         """
         n, width = self.cosets.elements.size, self.x_masks.size
         rows = self.cosets.members(s)
-        data = np.empty((n, width),
-                        dtype=complex if self.gauge is None else float)
+        data = np.empty((n, width))
         for lo in range(0, n, BLOCK_ROWS):
             data[lo:lo + BLOCK_ROWS] = self._entries(rows[lo:lo + BLOCK_ROWS])
         if width and not self.x_masks[0]:
@@ -311,25 +310,17 @@ class SectorOperator:
 
     def _entries(self, rows: np.ndarray) -> np.ndarray:
         """The off-diagonal entries of the given rows, one column per
-        X-mask (X-mask 0's is zero); in the real gauge every entry is
-        checked real."""
+        X-mask (X-mask 0's is zero), each checked real."""
         n, width = rows.size, self.x_masks.size
         turns = _entry_turns(rows[:, None], self.masks, self.turns0)
-        if self.gauge is not None and np.bitwise_or.reduce(turns, None) & 1:
+        if np.bitwise_or.reduce(turns, None) & 1:
             x = self.x_masks[self.groups[np.any(turns & 1, axis=0)][0]]
             raise RuntimeError(f"the gauge leaves X-mask {x:#x} complex")
-        phases = QUARTER_TURNS if self.gauge is None else QUARTER_TURNS.real
-        values = self.coeffs * phases[turns]
+        values = self.coeffs * QUARTER_TURNS.real[turns]
         slots = (np.arange(n)[:, None] * width + self.groups).reshape(-1)
-
-        def sums(weights):  # in index order; integer if there are none
-            return np.bincount(slots, weights.reshape(-1),
-                               n * width).astype(float, copy=False)
-
-        out = sums(values.real)
-        if self.gauge is None:
-            out = out + 1j * sums(values.imag)
-        return out.reshape(n, width)
+        # summed in index order; bincount is integer if there are no terms
+        return np.bincount(slots, values.reshape(-1), n * width).astype(
+            float, copy=False).reshape(n, width)
 
 
 @dataclass
@@ -365,7 +356,8 @@ class SparseHamiltonian:
         return 2 ** self.n_qubits
 
     def compile(self) -> SectorOperator:
-        """The sector-ordered operator, built once and cached.
+        """The sector-ordered operator, built once and cached; terms with
+        no :func:`real_gauge` raise ``ValueError``.
 
         A state's place in its sector is its bits at the pivots of W's
         reduced echelon basis (:class:`Cosets`), so the place of j ^ x is
@@ -380,17 +372,19 @@ class SparseHamiltonian:
         """
         if self._compiled is not None:
             return self._compiled
-        mask = real_gauge(self.terms)
-        links = mask or 0
+        links = real_gauge(self.terms)
+        if links is None:
+            raise ValueError("no real gauge exists for these terms; "
+                             "the sector operator needs one")
         by_mask: dict[int, list[tuple[float, int, int]]] = {}
         for coeff, t in self.terms:
             x = t.x_mask
             # k(0) = q(x) + popcount(x & s), the entry phase at row 0
             turns0 = (int(t.quarter_turns(np.uint64(x)))
                       + (x & links).bit_count())
-            if mask is not None and turns0 & 1:
+            if turns0 & 1:
                 raise RuntimeError(
-                    f"gauge {mask:#x} leaves X-mask {x:#x} complex")
+                    f"gauge {links:#x} leaves X-mask {x:#x} complex")
             by_mask.setdefault(x, []).append(
                 (coeff, t.z_mask ^ (x & links), turns0 % 4))
         xs = sorted(by_mask)
@@ -402,13 +396,10 @@ class SparseHamiltonian:
             if x and len(by_mask[x]) == 1:
                 radius += abs(by_mask[x][0][0])
                 continue
-            # a diagonal entry is real with or without the gauge
-            real = mask is not None or not x
-            w = np.zeros(self.dim, dtype=float if real else complex)
+            w = np.zeros(self.dim)
             for coeff, m, turns0 in by_mask[x]:
                 turns = _entry_turns(order, np.uint64(m), turns0)
-                w += coeff * (1.0 - (turns & 2) if real
-                              else QUARTER_TURNS[turns])
+                w += coeff * (1.0 - (turns & 2))
             if x:
                 radius += np.abs(w)
             else:
@@ -419,7 +410,7 @@ class SparseHamiltonian:
                for term in by_mask[x]]
         x_masks = np.array(xs, dtype=np.uint64)
         op = SectorOperator(
-            cosets=cosets, gauge=mask, x_masks=x_masks, diagonal=diagonal,
+            cosets=cosets, gauge=links, x_masks=x_masks, diagonal=diagonal,
             shifts=cosets.locate(x_masks)[1].astype(np.int32),
             groups=np.array([o[0] for o in off], dtype=np.intp),
             coeffs=np.array([o[1] for o in off], dtype=float),
@@ -438,11 +429,8 @@ class SparseHamiltonian:
         out = np.empty_like(psi)
         for s in range(op.floors.size):
             a, rows = op.block(s), op.cosets.members(s)
-            if op.gauge is None:
-                out[rows] = a @ psi[rows]
-            else:
-                u = op.phases(rows).conj() * psi[rows]
-                out[rows] = op.phases(rows) * (a @ u.real + 1j * (a @ u.imag))
+            u = op.phases(rows).conj() * psi[rows]
+            out[rows] = op.phases(rows) * (a @ u.real + 1j * (a @ u.imag))
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -577,8 +565,7 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
 
 
 def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
-                      with_vectors: bool = True,
-                      residual_bound: float = RESIDUAL_BOUND) -> SpectrumResult:
+                      with_vectors: bool = True) -> SpectrumResult:
     """k smallest eigenpairs, solved block by block at every size.
 
     The blocks of the real-gauge A = V^H H V
@@ -591,29 +578,27 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
     converge as a block and a seeded start vector.  The other blocks of the
     orbit are permutation-similar to it and reuse its levels.  The visit
     stops once the next floor lies above the k-th lowest level found plus
-    ``residual_bound``: no skipped block can hold a lower level.  In every
+    the residual bound: no skipped block can hold a lower level.  In every
     solved block the vectors are checked orthonormal to
     ``ORTHONORMALITY_BOUND``, also across exactly degenerate levels, and
-    every pair is verified against ``residual_bound`` or
-    :class:`ConvergenceError` is raised.  The k lowest levels are merged
+    every pair is verified against the residual bound, ``RESIDUAL_BOUND``,
+    or :class:`ConvergenceError` is raised.  The k lowest levels are merged
     and their vectors mapped back to Z-basis amplitudes with V, each in its
     sector's local order.  A level kept from another member of an orbit
     takes the representative's amplitudes through the qubit permutation
     that carries one coset onto the other, which commutes with H, and that
-    vector is verified against ``residual_bound`` on the member's block.
+    vector is verified against the residual bound on the member's block.
 
     When the whole space fits under ``DENSE_DIM_CAP`` every block is
     solved by the backward-stable dense path, so the bound tightens to
     ``dim * eps * ||H||``, with ||H|| <= sum |coefficient| since every
     Pauli string has norm 1.  Terms without a real gauge raise
-    ``ValueError``.
+    ``ValueError`` in :meth:`SparseHamiltonian.compile`.
     """
     if k < 1:
         raise ValueError("k must be positive")
     op = h.compile()
-    if op.gauge is None:
-        raise ValueError("no real gauge exists for these terms; "
-                         "the sector solver needs one")
+    residual_bound = RESIDUAL_BOUND
     if h.dim <= DENSE_DIM_CAP:
         norm = sum(abs(coeff) for coeff, _ in h.terms)
         residual_bound = min(residual_bound,

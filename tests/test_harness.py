@@ -111,7 +111,7 @@ class TestScenarioConfig:
     def test_field_spec_lists_every_field_in_order(self):
         # a field removed from the config cannot linger as an INI key or
         # as a CLI flag
-        assert list(hn._FIELD_SPEC) == [
+        assert list(hn.FIELD_SPEC) == [
             f.name for f in dataclasses.fields(hn.ScenarioConfig)]
 
     def test_ini_overrides_win(self):
@@ -453,7 +453,7 @@ class TestScenarioRuns:
         # noise 10x stronger than cooling: hotter than the pair gap
         cfg = hn.ScenarioConfig(kind="cool-with-noise", ratio_grid=(0.1,))
         sweep = hn.cool_with_noise(cfg)
-        assert sweep.points[0].fitted_temperature > hn.PAIR_GAP
+        assert sweep.points[0].fitted_temperature > lb.PAIR_GAP
 
     def test_pump(self, tmp_path):
         cfg = hn.ScenarioConfig(kind="pump", outdir=str(tmp_path))
@@ -461,7 +461,7 @@ class TestScenarioRuns:
         assert record.ok, record.summary_lines()
         report = json.loads((tmp_path / "pump.json").read_text())
         assert abs(report["populations"][0] - 0.25) < 1e-4
-        expected_t = hn.PAIR_GAP / (2 * math.log(1 / math.tan(math.pi / 6)))
+        expected_t = lb.PAIR_GAP / (2 * math.log(1 / math.tan(math.pi / 6)))
         assert abs(report["effective_temperature"] - expected_t) < 1e-6
 
     def test_eliminate(self, tmp_path):
