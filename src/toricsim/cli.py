@@ -40,30 +40,28 @@ _COMMAND_HELP = {
 }
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for name, (_, _, help_text) in harness.FIELD_SPEC.items():
-        if name == "kind":
-            continue
-        parser.add_argument("--" + name.replace("_", "-"), dest=name,
-                            default=None, metavar="VALUE", help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the config flags, added once and shared by the subcommands that take them
+    flags = argparse.ArgumentParser(add_help=False)
+    for name, (_, _, help_text) in harness.FIELD_SPEC.items():
+        if name != "kind":
+            flags.add_argument("--" + name.replace("_", "-"), dest=name,
+                               default=None, metavar="VALUE", help=help_text)
     parser = argparse.ArgumentParser(
         prog="toricsim",
         description="Stroboscopic-synthesis and engineered-dissipation "
                     "scenarios for the stabilizer code on a torus.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMAND_KINDS:
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        p = sub.add_parser(command, help=_COMMAND_HELP[command],
+                           parents=[flags])
         p.add_argument("--config", default=None, metavar="FILE",
                        help="INI configuration file (flags override it)")
-        _add_config_flags(p)
     sub.add_parser("describe", help=_COMMAND_HELP["describe"])
-    v = sub.add_parser("validate", help=_COMMAND_HELP["validate"])
+    v = sub.add_parser("validate", help=_COMMAND_HELP["validate"],
+                       parents=[flags])
     v.add_argument("--config", required=True, metavar="FILE",
                    help="INI configuration file to check")
-    _add_config_flags(v)
     return parser
 
 

@@ -835,23 +835,20 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     else:
         gamma_e = cfg.epg * cfg.omega
         settings = [(math.inf if gamma_e == 0 else gamma_c / gamma_e, gamma_e)]
-    cooling = lb.cooling_jump_set(lat, lambda_star=gamma_c).jumps
-
-    def jumps(gamma_e: float) -> tuple[lb.JumpTerm, ...]:
-        if gamma_e == 0:
-            return cooling
-        return cooling + lb.depolarizing_jumps(lat.n_links, gamma=gamma_e)
-
+    cooling = lb.cooling_jump_set(lat, lambda_star=gamma_c)
     # a ratio grid makes every point noisy, so all points share the
-    # channel list of the first
-    sweep = lb.LindbladModel(hamiltonian=sp.build_hamiltonian(lat),
-                             jumps=jumps(settings[0][1]), lattice=lat,
+    # channel list of the first; the noise is built once at unit rate
+    noise = (lb.depolarizing_jumps(lat.n_links, gamma=1.0)
+             if settings[0][1] != 0 else ())
+    sweep = lb.LindbladModel(hamiltonian=cooling.hamiltonian,
+                             jumps=cooling.jumps + noise, lattice=lat,
                              label="cool-with-noise")
     w_e, w_m = excitation_weights(sweep.frame)
     points = []
     for ratio, gamma_e in settings:
-        stat = lb.stationary_state(
-            sweep.with_rates([jt.rate for jt in jumps(gamma_e)]))
+        stat = lb.stationary_state(sweep.with_rates(
+            [jt.rate for jt in cooling.jumps]
+            + [gamma_e * jt.rate for jt in noise]))
         density = float(stat.orbit_populations @ w_e
                         + stat.char_populations @ w_m)
         points.append(CoolingPoint(

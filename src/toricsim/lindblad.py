@@ -58,7 +58,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from . import lattice as lt
-from .pauli import QUARTER_TURNS, PauliString, PauliSum
+from .pauli import QUARTER_TURNS, PauliString, PauliSum, quarter_turns
 from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_cosets
 
 # the dense label chains: 1024 x 1024 at L = 3 (18 qubits), but 2^17 x 2^17
@@ -100,6 +100,17 @@ class ExcitationOps:
     translate_adjoint: PauliSum
 
 
+def _pair_ops(flip: PauliString, h_a: PauliString,
+              h_b: PauliString) -> tuple[PauliSum, PauliSum]:
+    """flip (1 + h_a)(1 + h_b) / 4 and flip (1 - h_a)(1 + h_b) / 4, each a
+    ±1/4-weighted sum of the four strings flip, flip h_b, flip h_a and
+    flip h_a h_b."""
+    flip_a = flip * h_a
+    strings = (flip, flip * h_b, flip_a, flip_a * h_b)
+    return (PauliSum.from_terms(zip((0.25, 0.25, 0.25, 0.25), strings)),
+            PauliSum.from_terms(zip((0.25, 0.25, -0.25, -0.25), strings)))
+
+
 def excitation_ops(lat: lt.TorusLattice, link: int, kind: str) -> ExcitationOps:
     """Build the four excitation operators for ``link`` and flavor ``kind``.
 
@@ -111,26 +122,13 @@ def excitation_ops(lat: lt.TorusLattice, link: int, kind: str) -> ExcitationOps:
     if not 0 <= link < n:
         raise ValueError(f"link {link} outside 0..{n - 1}")
     if kind == "e":
-        flip = PauliString.single(n, link, "X")
-        a, b = lat.link_vertices(link)
-        h_a = lt.vertex_stabilizer(lat, a)
-        h_b = lt.vertex_stabilizer(lat, b)
+        letter, ends, stabilizer = "X", lat.link_vertices(link), lt.vertex_stabilizer
     elif kind == "m":
-        flip = PauliString.single(n, link, "Z")
-        a, b = lat.link_plaquettes(link)
-        h_a = lt.plaquette_stabilizer(lat, a)
-        h_b = lt.plaquette_stabilizer(lat, b)
+        letter, ends, stabilizer = "Z", lat.link_plaquettes(link), lt.plaquette_stabilizer
     else:
         raise ValueError(f"flavor must be 'e' or 'm', got {kind!r}")
-
-    one = PauliSum.from_string(PauliString.identity(n))
-    plus_a = one + PauliSum.from_string(h_a)
-    plus_b = one + PauliSum.from_string(h_b)
-    minus_a = one - PauliSum.from_string(h_a)
-    flip_sum = PauliSum.from_string(flip)
-
-    create = flip_sum.product(plus_a).product(plus_b) * 0.25
-    translate = flip_sum.product(minus_a).product(plus_b) * 0.25
+    create, translate = _pair_ops(PauliString.single(n, link, letter),
+                                  *(stabilizer(lat, end) for end in ends))
     return ExcitationOps(
         link=link, kind=kind,
         create=create, annihilate=create.adjoint(),
@@ -166,7 +164,6 @@ class LindbladModel:
     hamiltonian: SparseHamiltonian
     jumps: tuple[JumpTerm, ...]
     temperature_target: float | None = None
-    delta: float | None = None       # pair-creation energy cost 4J
     p: float | None = None           # excitation weight of the bath
     lattice: lt.TorusLattice | None = None
     label: str = ""
@@ -200,16 +197,16 @@ class LindbladModel:
         """Temperature whose Gibbs weights satisfy the up/down rate ratio.
 
         Creation and annihilation rates differ by p/(1 - p) while a pair
-        costs energy delta, so exp(-delta/T) = p/(1 - p), that is
-        T = delta / ln((1 - p)/p); zero at p = 0 and infinite at p = 1/2.
+        costs energy delta = ``PAIR_GAP``, so exp(-delta/T) = p/(1 - p), that
+        is T = delta / ln((1 - p)/p); zero at p = 0 and infinite at p = 1/2.
         """
-        if self.p is None or self.delta is None:
-            raise ValueError("model has no bath parameters (p, delta)")
+        if self.p is None:
+            raise ValueError("model has no bath parameter p")
         if self.p == 0.0:
             return 0.0
         if self.p == 0.5:
             return math.inf
-        return self.delta / math.log((1.0 - self.p) / self.p)
+        return PAIR_GAP / math.log((1.0 - self.p) / self.p)
 
     @property
     def frame(self) -> StabilizerFrame:
@@ -274,8 +271,7 @@ def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
                      for label, rate, op in channels if rate > 0.0)
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        temperature_target=temperature, delta=PAIR_GAP, p=p, lattice=lat,
-        label="thermal")
+        temperature_target=temperature, p=p, lattice=lat, label="thermal")
 
 
 def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
@@ -297,8 +293,7 @@ def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
                               ops.annihilate + ops.translate_adjoint))
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        temperature_target=0.0, delta=PAIR_GAP, p=0.0, lattice=lat,
-        label="cooling")
+        temperature_target=0.0, p=0.0, lattice=lat, label="cooling")
 
 
 def depolarizing_jumps(n_qubits: int, gamma: float) -> tuple[JumpTerm, ...]:
@@ -399,9 +394,9 @@ class StabilizerFrame:
 
     def strings(self, ops: Sequence[PauliSum]) -> FrameStrings:
         """The action of every string of ``ops`` on the orbit and character
-        labels: each X-mask is labeled once, and the phases are read on the
-        orbit representatives in one vectorized pass (see
-        :class:`FrameStrings`)."""
+        labels: each X-mask is labeled once, and the phases of all strings
+        on all orbit representatives are read in one broadcast call of
+        :func:`~toricsim.pauli.quarter_turns` (see :class:`FrameStrings`)."""
         if any(op.n_qubits != self.n_qubits for op in ops):
             raise ValueError("operator register size mismatch")
         terms = [(k, coeff, s) for k, op in enumerate(ops)
@@ -416,9 +411,8 @@ class StabilizerFrame:
             owner=np.array([k for k, *_ in terms], dtype=np.int64),
             coeffs=np.array([coeff for _, coeff, _ in terms], dtype=complex),
             x=x,
-            turns=np.array([s.quarter_turns(self.cosets.reps)
-                            for *_, s in terms],
-                           dtype=np.int64).reshape(-1, self.n_orbits) & 3,
+            # the keys of a PauliSum carry no phase
+            turns=quarter_turns(0, x[:, None], z[:, None], self.cosets.reps) & 3,
             shift=shift, element=element,
             flips=(anti << np.arange(rows.size)).sum(axis=1))
 
@@ -443,6 +437,14 @@ class StabilizerFrame:
         on_t = s.amplitudes(slice(0, 1), chars)[:, 0]
         return (on_orbit[still & (s.element == 0)].sum(axis=0).real,
                 on_t[on_char].sum(axis=0).real)
+
+    @functools.cached_property
+    def wilson_diagonals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """:meth:`label_diagonal` of each Z and X Wilson loop, keyed
+        ``wilson_z_<i>`` and ``wilson_x_<i>``, built on first use."""
+        loops = {"z": lt.z_loops(self.lattice), "x": lt.x_loops(self.lattice)}
+        return {f"wilson_{name}_{idx}": self.label_diagonal(PauliSum.from_string(s))
+                for name, strings in loops.items() for idx, s in enumerate(strings)}
 
     # a test oracle, kept here because perfbench/spans.py wraps it by name
     def operator(self, op: PauliSum) -> scipy.sparse.csr_matrix:
@@ -923,7 +925,7 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     frame-diagonal, and so is every Gibbs state: for a Kronecker sum each
     Gibbs distance is ½‖π_e ⊗ π_m − w‖₁ with w the Gibbs weights of the
     frame energies.  Each Wilson loop is label-additive, π_e @ d_e +
-    π_m @ d_m (:meth:`StabilizerFrame.label_diagonal`).  No dense state is
+    π_m @ d_m (:attr:`StabilizerFrame.wilson_diagonals`).  No dense state is
     built.  ``counters`` names the engine (``label-chains``) with both
     chain sizes and null dimensions.
     """
@@ -932,15 +934,10 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     dists = [_recurrent_distributions(m) for m in chains]
     pi_e, pi_m = (np.mean(d, axis=0) for d in dists)
     null_e, null_m = (len(d) for d in dists)
-    loops = {}
-    for name, strings in (("z", lt.z_loops(model.lattice)),
-                          ("x", lt.x_loops(model.lattice))):
-        for idx, string in enumerate(strings):
-            d_e, d_m = gen.frame.label_diagonal(PauliSum.from_string(string))
-            loops[f"wilson_{name}_{idx}"] = float(pi_e @ d_e + pi_m @ d_m)
-    temperature_db = None
-    if model.p is not None and model.delta is not None:
-        temperature_db = model.detailed_balance_temperature()
+    loops = {name: float(pi_e @ d_e + pi_m @ d_m)
+             for name, (d_e, d_m) in gen.frame.wilson_diagonals.items()}
+    temperature_db = (None if model.p is None
+                      else model.detailed_balance_temperature())
     res = StationaryResult(
         null_dim=null_e * null_m,
         residual=float(np.hypot(np.linalg.norm(chains[0] @ pi_e),
@@ -1041,8 +1038,9 @@ def _decay_wait(rho: np.ndarray, gamma: float, duration: float) -> np.ndarray:
     return out
 
 
-def pump_temperature(theta: float, delta: float) -> float:
-    """delta / (2 ln cot theta); 0 at either transfer extreme, inf at pi/4."""
+def pump_temperature(theta: float) -> float:
+    """``PAIR_GAP`` / (2 ln cot theta); 0 at either transfer extreme, inf at
+    pi/4."""
     if abs(math.sin(theta)) < 1e-12:
         return 0.0
     cot = math.cos(theta) / math.sin(theta)
@@ -1051,7 +1049,7 @@ def pump_temperature(theta: float, delta: float) -> float:
     log = math.log(cot)
     if abs(log) < 1e-15:
         return math.inf
-    return delta / (2.0 * log)
+    return PAIR_GAP / (2.0 * log)
 
 
 def pump_ancilla(protocol: PumpProtocol,
@@ -1091,7 +1089,7 @@ def pump_ancilla(protocol: PumpProtocol,
     if protocol.ground_state_only:
         temperature = 0.0
     else:
-        temperature = pump_temperature(protocol.theta, PAIR_GAP)
+        temperature = pump_temperature(protocol.theta)
     return PumpResult(
         rho_pseudospin=rho[:2, :2].copy(),
         effective_temperature=temperature,
@@ -1143,13 +1141,9 @@ def probe_model(coupling: float, relaxation: float) -> LindbladModel:
     if coupling < 0.0 or relaxation <= 0.0:
         raise ValueError("coupling must be >= 0 and relaxation > 0")
     n = 4
-    z0 = PauliSum.from_string(PauliString.single(n, 0, "Z"))
-    z1 = PauliSum.from_string(PauliString.single(n, 1, "Z"))
-    one = PauliSum.from_string(PauliString.identity(n))
-    flip = PauliSum.from_string(
-        PauliString.single(n, 0, "X") * PauliString.single(n, 1, "X"))
-    create = flip.product(one + z0).product(one + z1) * 0.25
-    translate = flip.product(one - z0).product(one + z1) * 0.25
+    create, translate = _pair_ops(
+        PauliString.single(n, 0, "X") * PauliString.single(n, 1, "X"),
+        PauliString.single(n, 0, "Z"), PauliString.single(n, 1, "Z"))
     lower_t = _lowering(n, 2)
     lower_m = _lowering(n, 3)
     raise_t = lower_t.adjoint()

@@ -33,7 +33,7 @@ On a basis state a string acts as a signed permutation,
     P|j> = i**q(j) |j ^ x>,    q(j) = phase + |x & z| + 2*|j & z|
 
 (Aaronson & Gottesman, PRA 70, 052328 (2004)).
-:meth:`PauliString.quarter_turns` is the one place that rule is written;
+:func:`quarter_turns` is the one place that rule is written, on arrays;
 every dense, state, trace, sparse and stabilizer-frame action reduces its q
 mod 4 in ``QUARTER_TURNS``.
 """
@@ -56,6 +56,16 @@ _PHASE_PREFIX = {0: "+", 1: "+i·", 2: "-", 3: "-i·"}
 
 # i**q for the quarter turns q = 0..3
 QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def quarter_turns(phase, x, z, index) -> np.ndarray:
+    """q(j) = phase + |x & z| + 2 |j & z| of the strings (phase, x, z) at the
+    basis indices j, broadcast as NumPy arrays: the Z-letters sign the source
+    state, each Y adds a quarter turn (Y = i X Z), the X-letters flip bits."""
+    z = np.asarray(z, dtype=np.uint64)
+    y_count = np.bitwise_count(np.asarray(x, dtype=np.uint64) & z)
+    z_hits = np.bitwise_count(np.asarray(index, dtype=np.uint64) & z)
+    return np.asarray(phase, dtype=np.int64) + y_count + 2 * z_hits.astype(np.int64)
 
 
 class PauliString:
@@ -188,13 +198,9 @@ class PauliString:
     # -- dense / state action -----------------------------------------
 
     def quarter_turns(self, index: np.ndarray) -> np.ndarray:
-        """q(j) at every basis index j, so that P|j> = i**q(j) |j ^ x>.
-
-        The Z-letters sign the source state, each Y adds a quarter turn
-        (Y = i X Z), and the X-letters flip its bits.
-        """
-        z_hits = np.bitwise_count(index & np.uint64(self.z_mask)).astype(np.int64)
-        return self.phase_quarter + (self.x_mask & self.z_mask).bit_count() + 2 * z_hits
+        """q(j) at every basis index j, so that P|j> = i**q(j) |j ^ x>
+        (:func:`quarter_turns`)."""
+        return quarter_turns(self.phase_quarter, self.x_mask, self.z_mask, index)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Apply to a state vector of length 2**n (qubit 0 = LSB of the index)."""

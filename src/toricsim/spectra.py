@@ -588,6 +588,9 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
     takes the representative's amplitudes through the qubit permutation
     that carries one coset onto the other, which commutes with H, and that
     vector is verified against the residual bound on the member's block.
+    Caveat: a Lanczos block solve can return one copy only of an exactly
+    degenerate (momentum ±k) pair, so the merged k levels are right only
+    while no such pair lies among the k lowest.
 
     When the whole space fits under ``DENSE_DIM_CAP`` every block is
     solved by the backward-stable dense path, so the bound tightens to

@@ -201,7 +201,7 @@ def test_criterion_10_pump_populations_and_temperature():
         pops = np.real(np.diag(res.rho_pseudospin))
         err = max(abs(pops[0] - math.sin(theta) ** 2),
                   abs(pops[1] - math.cos(theta) ** 2))
-        expected_t = lb.pump_temperature(theta, DELTA)
+        expected_t = lb.pump_temperature(theta)
         t_ok = (res.effective_temperature == expected_t
                 if math.isinf(expected_t)
                 else abs(res.effective_temperature - expected_t) < 1e-10)

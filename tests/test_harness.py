@@ -680,6 +680,29 @@ class TestCli:
         assert code == 1
         assert "[FAIL] converged" in capsys.readouterr().out
 
+    def test_every_subcommand_parses_the_config_flags(self):
+        parser = cli.build_parser()
+        fields = [name for name in hn.FIELD_SPEC if name != "kind"]
+        values = {name: f"value-of-{name}" for name in fields}
+        flags = [arg for name in fields
+                 for arg in ("--" + name.replace("_", "-"), values[name])]
+        for command in [*cli.COMMAND_KINDS, "validate"]:
+            args = parser.parse_args([command, "--config", "c.ini", *flags])
+            assert {name: getattr(args, name) for name in fields} == values
+            assert args.config == "c.ini"
+        # --config is optional on the scenarios and required on validate
+        for command in cli.COMMAND_KINDS:
+            args = parser.parse_args([command])
+            assert args.config is None
+            assert all(getattr(args, name) is None for name in fields)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["validate"])
+        # describe takes no flags
+        assert vars(parser.parse_args(["describe"])) == {"command": "describe"}
+        for arg in ("--seed", "--config"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["describe", arg, "1"])
+
     def test_config_errors_exit_two(self, tmp_path, capsys):
         code = cli.main(["pump", "--theta", "2.5",
                          "--outdir", str(tmp_path)])

@@ -199,7 +199,7 @@ def test_wilson_loop_commutation_pairing():
 
 def test_thermal_jump_set_counts_rates_and_temperature():
     assert len(THERMAL.jumps) == 4 * 2 * LAT.n_links
-    assert THERMAL.delta == 4.0
+    assert lb.PAIR_GAP == GAP
     assert THERMAL.temperature_target == pytest.approx(-4.0 / math.log(0.2))
     half = lb.thermal_jump_set(LAT, p=0.5, lambda_star=1.0, gamma_star=1.0)
     assert half.temperature_target == pytest.approx(4.0 / math.log(2.0))
@@ -392,6 +392,39 @@ def test_label_diagonal_matches_frame_operator():
     both = lt.vertex_stabilizer(LAT, 0) * lt.plaquette_stabilizer(LAT, 0)
     with pytest.raises(ValueError, match="both frame labels"):
         FRAME.label_diagonal(PauliSum.from_string(both))
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_broadcast_phases_match_the_per_string_rule(size):
+    # FrameStrings.turns comes from one broadcast call of the phase rule;
+    # the reference is one PauliString.quarter_turns call per string and,
+    # at L = 2, the rule in Python integers
+    lat = lt.build(size)
+    frame = lb.StabilizerFrame(lat)
+    reps = frame.cosets.reps
+    ops = [jt.operator for model in (
+               lb.thermal_jump_set(lat, p=0.2, lambda_star=1.0, gamma_star=0.8),
+               lb.cooling_jump_set(lat, lambda_star=1.0))
+           for jt in model.jumps]
+    ops += [jt.operator for jt in lb.depolarizing_jumps(lat.n_links, gamma=0.1)]
+    turns = frame.strings(ops).turns
+    strings = [string for op in ops for string in op]
+    assert turns.shape == (len(strings), frame.n_orbits)
+    for string, row in zip(strings, turns):
+        assert np.array_equal(row, string.quarter_turns(reps) & 3)
+        if size == 2:
+            assert row.tolist() == [
+                ((string.x_mask & string.z_mask).bit_count()
+                 + 2 * (int(r) & string.z_mask).bit_count()) % 4 for r in reps]
+    # the Wilson-loop diagonals are built once per frame
+    loops = {**{f"wilson_z_{i}": s for i, s in enumerate(lt.z_loops(lat))},
+             **{f"wilson_x_{i}": s for i, s in enumerate(lt.x_loops(lat))}}
+    cached = frame.wilson_diagonals
+    assert list(cached) == list(loops) and frame.wilson_diagonals is cached
+    for name, string in loops.items():
+        d_e, d_m = frame.label_diagonal(PauliSum.from_string(string))
+        assert np.array_equal(cached[name][0], d_e)
+        assert np.array_equal(cached[name][1], d_m)
 
 
 @pytest.mark.parametrize("name", sorted(KRONECKER_MODELS))
@@ -791,8 +824,8 @@ def test_chain_without_kronecker_sum_keeps_marginals_only():
     model = lb.LindbladModel(
         hamiltonian=THERMAL.hamiltonian,
         jumps=THERMAL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=0.1),
-        temperature_target=THERMAL.temperature_target, delta=THERMAL.delta,
-        p=THERMAL.p, lattice=LAT)
+        temperature_target=THERMAL.temperature_target, p=THERMAL.p,
+        lattice=LAT)
     res = lb.stationary_state(model)
     assert not res.kronecker_sum and res.null_dim == 1
     assert res.trace_distance_to_gibbs is None
