@@ -29,8 +29,10 @@ of each X-mask, the diagonal and every sector's Gershgorin floor, and
 builds the CSR block of a sector, one entry per row for each distinct
 X-mask, only when asked.  The eigensolver builds the blocks it visits,
 skipping every block whose floor proves it holds none of the lowest
-levels; the Z-basis matvec applies H block by block.  No code path
-assembles all 2^n rows at once.
+levels, and rules out a Lanczos-sized block whose lowest level a loose
+one-level Lanczos probe places above the k-th level found; the Z-basis
+matvec applies H block by block.  No code path assembles all 2^n rows at
+once.
 
 The lattice translations permute the links, and those that leave the term
 multiset exactly invariant commute with H and permute the cosets of W.
@@ -490,9 +492,11 @@ class SpectrumResult:
     was verified against, fixed by the Hamiltonian and the solver path.
     The counters say what the solver did: the number and dimension of the
     sectors it split the space into, the number of translation orbits they
-    fall into, and how many blocks it solved with dense ``eigh`` and with
-    Lanczos, at most one per orbit; the other members of a solved orbit
-    reuse its levels, and the remaining orbits were skipped.
+    fall into, how many blocks it solved with dense ``eigh`` and with
+    Lanczos, at most one per orbit, and how many orbit representatives
+    the one-level probe ruled out (``probed_blocks``); the other members
+    of a solved orbit reuse its levels, and the remaining orbits were
+    skipped by their Gershgorin floors.
 
     Level c lies in sector ``level_sectors[c]``; column c of
     ``local_vectors`` (None if solved without vectors) holds its Z-basis
@@ -507,6 +511,7 @@ class SpectrumResult:
     orbits: int
     dense_blocks: int
     lanczos_blocks: int
+    probed_blocks: int
     level_sectors: np.ndarray
     local_vectors: np.ndarray | None = None
 
@@ -514,7 +519,8 @@ class SpectrumResult:
     def counters(self) -> dict[str, int]:
         return {"sectors": self.sectors, "sector_dim": self.sector_dim,
                 "orbits": self.orbits, "dense_blocks": self.dense_blocks,
-                "lanczos_blocks": self.lanczos_blocks}
+                "lanczos_blocks": self.lanczos_blocks,
+                "probed_blocks": self.probed_blocks}
 
     def report_rows(self, chi: float, h_z: float) -> list[tuple]:
         """(chi, h_z, index, energy, residual_bound) per eigenpair."""
@@ -524,6 +530,10 @@ class SpectrumResult:
 
 RESIDUAL_BOUND = 1e-8
 ORTHONORMALITY_BOUND = 1e-10
+# the probe's measured residual covers its looseness: at L = 3 the blocks
+# it rules out bottom out about 0.4 above the k-th level
+PROBE_TOL = 1e-4
+PROBE_NCV = 20
 
 
 def _verify(residuals: np.ndarray, residual_bound: float) -> None:
@@ -532,25 +542,50 @@ def _verify(residuals: np.ndarray, residual_bound: float) -> None:
             f"residuals {residuals} exceed the bound {residual_bound}")
 
 
+def _by_lanczos(dim: int, k: int) -> bool:
+    """Whether a block of dim states is solved for k levels by Lanczos.
+    ARPACK needs ncv = dim - 1 >= k + 2 to restart; smaller blocks go
+    dense."""
+    return dim > max(DENSE_DIM_CAP, k + 2)
+
+
+def _start_vector(dim: int, seed: int) -> np.ndarray:
+    v0 = np.random.default_rng(seed).normal(size=dim)
+    return v0 / np.linalg.norm(v0)
+
+
+def _probe_floor(a: scipy.sparse.csr_matrix, seed: int) -> float:
+    """theta - ||a y - theta y|| of a loose one-level Lanczos solve of a
+    block (``PROBE_TOL``, ``PROBE_NCV``), from the seeded start vector of
+    its k-level solve.  Some eigenvalue of the block lies within the
+    measured residual of theta, and Lanczos converges to the lowest; -inf
+    if ARPACK fails, so the caller solves the block in full."""
+    dim = a.shape[0]
+    try:
+        theta, y = scipy.sparse.linalg.eigsh(
+            a, k=1, which="SA", v0=_start_vector(dim, seed),
+            ncv=min(dim - 1, PROBE_NCV), tol=PROBE_TOL)
+    except scipy.sparse.linalg.ArpackError:
+        return -np.inf
+    return float(theta[0] - np.linalg.norm(a @ y[:, 0] - theta[0] * y[:, 0]))
+
+
 def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
                  residual_bound: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """(eigenvalues, vectors, residuals, by_lanczos) of the k lowest pairs
     of a real symmetric block, every pair verified."""
     dim = a.shape[0]
-    # ARPACK needs ncv = dim - 1 >= k + 2 to restart; smaller blocks go dense
-    lanczos = dim > max(DENSE_DIM_CAP, k + 2)
+    lanczos = _by_lanczos(dim, k)
     if not lanczos:
         evals, vecs = scipy.linalg.eigh(
             a.toarray(), subset_by_index=[0, min(k, dim) - 1])
     else:
-        v0 = np.random.default_rng(seed).normal(size=dim)
-        v0 /= np.linalg.norm(v0)
         ncv = min(dim - 1, max(4 * k + 1, 40))
         try:
             evals, vecs = scipy.sparse.linalg.eigsh(
-                a, k=k, which="SA", v0=v0, ncv=ncv, tol=1e-10,
-                maxiter=max(2000, 40 * k))
+                a, k=k, which="SA", v0=_start_vector(dim, seed), ncv=ncv,
+                tol=1e-10, maxiter=max(2000, 40 * k))
         except scipy.sparse.linalg.ArpackError as exc:
             raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
         order = np.argsort(evals)
@@ -578,7 +613,17 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
     converge as a block and a seeded start vector.  The other blocks of the
     orbit are permutation-similar to it and reuse its levels.  The visit
     stops once the next floor lies above the k-th lowest level found plus
-    the residual bound: no skipped block can hold a lower level.  In every
+    the residual bound: no skipped block can hold a lower level.  Once k
+    levels are found, a Lanczos-sized representative is first probed: one
+    loose Lanczos level theta with its measured residual ||r|| (an
+    eigenvalue lies within ||r|| of theta), from the same start vector.
+    The whole orbit is ruled out if theta - ||r|| lies above the k-th
+    level plus the residual bound; otherwise the block, built once, is
+    solved for k levels.  The probe relies on Lanczos converging to the
+    bottom of a block exactly as much as the k-level solve does.  A
+    borderline decision can go either way with the BLAS build, and that
+    changes the counters only, never a level: a block whose bottom lies
+    that close to the k-th level holds none below it.  In every
     solved block the vectors are checked orthonormal to
     ``ORTHONORMALITY_BOUND``, also across exactly degenerate levels, and
     every pair is verified against the residual bound, ``RESIDUAL_BOUND``,
@@ -608,15 +653,25 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
                              h.dim * np.finfo(float).eps * norm)
     found = []  # the k lowest (level, residual, sector, representative's vector)
     solved = {}  # orbit representative -> its verified (levels, vectors, residuals)
+    probed = set()  # orbit representatives the probe ruled out
     lanczos_blocks = 0
     for s in np.argsort(op.floors, kind="stable"):
-        if len(found) >= k and op.floors[s] > found[k - 1][0] + residual_bound:
+        top = found[k - 1][0] + residual_bound if len(found) >= k else np.inf
+        if op.floors[s] > top:
             break
         if op.orbit[s] == s:
-            evals, vecs, residuals, lanczos = _solve_block(
-                op.block(s), k, seed, residual_bound)
-            solved[s] = evals, vecs, residuals
-            lanczos_blocks += lanczos
+            a = op.block(s)
+            if (top < np.inf and _by_lanczos(a.shape[0], k)
+                    and _probe_floor(a, seed) > top):
+                probed.add(s)
+            else:
+                evals, vecs, residuals, lanczos = _solve_block(
+                    a, k, seed, residual_bound)
+                solved[s] = evals, vecs, residuals
+                lanczos_blocks += lanczos
+            del a  # the next block is built without this one alive
+        if op.orbit[s] in probed:
+            continue
         evals, vecs, residuals = solved[op.orbit[s]]
         found = sorted(found + [(e, r, s, vecs[:, j]) for j, (e, r)
                                 in enumerate(zip(evals, residuals))],
@@ -644,7 +699,7 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
         sectors=len(op.floors), sector_dim=op.cosets.elements.size,
         orbits=int(np.unique(op.orbit).size),
         dense_blocks=len(solved) - lanczos_blocks,
-        lanczos_blocks=lanczos_blocks)
+        lanczos_blocks=lanczos_blocks, probed_blocks=len(probed))
 
 
 def ground_space_reference(lat: lt.TorusLattice

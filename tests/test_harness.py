@@ -330,9 +330,9 @@ class TestScenarioRuns:
         # L = 2 is solved by sector: 32 of 8 states in 14 orbits at chi = 0,
         # 4 of 64 in 3 orbits at chi != 0, every solved block by dense eigh
         at_zero = {"sectors": 32, "sector_dim": 8, "orbits": 14,
-                   "dense_blocks": 8, "lanczos_blocks": 0}
+                   "dense_blocks": 8, "lanczos_blocks": 0, "probed_blocks": 0}
         at_chi = {"sectors": 4, "sector_dim": 64, "orbits": 3,
-                  "dense_blocks": 3, "lanczos_blocks": 0}
+                  "dense_blocks": 3, "lanczos_blocks": 0, "probed_blocks": 0}
         for kind, record_name in (("spectrum", "spectrum-record.json"),
                                   ("fidelity-scan",
                                    "fidelity-scan-record.json")):

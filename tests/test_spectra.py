@@ -326,6 +326,52 @@ def test_solver_builds_only_the_blocks_it_uses(monkeypatch):
     assert len(built) == res.dense_blocks + res.lanczos_blocks + len(members)
 
 
+# (chi_pairs, chi, k, Lanczos solves, orbits the probe rules out) at L = 2
+# with the 64- and 128-state blocks on Lanczos; where none is ruled out a
+# later orbit holds a kept level, so a probe that rules out all fails there
+PROBED_AT_L2 = [("sequence", 0.25, 1, 1, 1), ("sequence", 0.25, 2, 2, 0),
+                ("all", -0.5, 4, 1, 1), ("all", -0.5, 6, 2, 0)]
+
+
+@pytest.mark.parametrize("mode, chi, k, lanczos, probed", PROBED_AT_L2)
+def test_probed_orbits_hold_no_kept_level(monkeypatch, mode, chi, k,
+                                          lanczos, probed):
+    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    dense_evals, _ = dense_lowest(h, k)
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
+    res = sp.lowest_eigenpairs(h, k=k, seed=3)
+    np.testing.assert_allclose(res.eigenvalues, dense_evals,
+                               rtol=0, atol=res.residual_bound)
+    assert (res.lanczos_blocks, res.probed_blocks) == (lanczos, probed)
+
+
+def test_probe_rules_out_the_size_3_orbits_at_l3(monkeypatch):
+    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
+    op = h.compile()
+    built = _count_blocks(monkeypatch)
+    solves = Counter()
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(a, k=6, **kwargs):
+        solves[k] += 1
+        return eigsh(a, k=k, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    res = sp.lowest_eigenpairs(h, k=6, seed=7, with_vectors=False)
+    assert (res.orbits, res.lanczos_blocks, res.probed_blocks) == (4, 2, 2)
+    reps = set(np.unique(op.orbit).tolist())
+    probed = reps - set(op.orbit[res.level_sectors].tolist())
+    # one build per representative: the second solved one is probed first
+    # and solved on the same build, and no member of a probed orbit is built
+    assert dict(built) == dict.fromkeys(reps, 1)
+    assert dict(solves) == {6: 2, 1: 3}
+    for s in probed:
+        assert np.sum(op.orbit == s) == 3
+        tight = eigsh(op.block(s), k=1, which="SA", tol=1e-10,
+                      v0=np.ones(op.cosets.elements.size))[0][0]
+        assert tight > res.eigenvalues[-1] + res.residual_bound
+
+
 def test_compile_never_holds_the_whole_matrix():
     h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
     tracemalloc.start()
