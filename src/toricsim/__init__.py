@@ -8,7 +8,7 @@ lattice    torus link lattice, stabilizers, Wilson loops, translations
 sequences  gate sequences, effective Hamiltonians, perturbative order scans
 spectra    sparse stabilizer Hamiltonians, orbit-by-orbit eigensolver, ground-space fidelity
 lindblad   engineered jump operators, label-chain dissipation, ancilla pump
-harness    scenario configs, noise models, deterministic run records
+harness    scenario configs, deterministic run records, figure data
 cli        command-line entry point (``toricsim <subcommand>``)
 """
 

@@ -52,14 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stroboscopic-synthesis and engineered-dissipation "
                     "scenarios for the stabilizer code on a torus.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a removed flag must not resolve to a longer one
+    # (--phi to --phi-grid)
     for command in COMMAND_KINDS:
         p = sub.add_parser(command, help=_COMMAND_HELP[command],
-                           parents=[flags])
+                           parents=[flags], allow_abbrev=False)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="INI configuration file (flags override it)")
     sub.add_parser("describe", help=_COMMAND_HELP["describe"])
     v = sub.add_parser("validate", help=_COMMAND_HELP["validate"],
-                       parents=[flags])
+                       parents=[flags], allow_abbrev=False)
     v.add_argument("--config", required=True, metavar="FILE",
                    help="INI configuration file to check")
     return parser

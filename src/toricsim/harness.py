@@ -1,4 +1,4 @@
-"""Scenario runner: validated configs, noise injection, and figure data.
+"""Scenario runner: validated configs, run records, and figure data.
 
 A :class:`ScenarioConfig` collects every knob of the seven supported
 scenarios, validates all of them against the preconditions of the
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -68,40 +67,6 @@ class SchemaMismatchError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# noise model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Depolarizing event of probability ``epg`` on a gate's support."""
-
-    epg: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epg < 0.5:
-            raise ValueError(f"epg must lie in [0, 0.5), got {self.epg}")
-
-    def apply(self, rho: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-        """(1 - epg) rho + epg * (maximally mixed on ``qubits``).
-
-        The partial depolarization is realized as the uniform Pauli twirl
-        over the support, which is manifestly trace preserving.
-        """
-        if self.epg == 0.0 or not qubits:
-            return rho
-        n = round(math.log2(rho.shape[0]))
-        twirl = np.zeros_like(rho)
-        for combo in itertools.product("IXYZ", repeat=len(qubits)):
-            label = ["I"] * n
-            for q, letter in zip(qubits, combo):
-                label[q] = letter
-            pauli = PauliString.from_label("".join(label)).to_dense()
-            twirl += pauli @ rho @ pauli.conj().T
-        return (1.0 - self.epg) * rho + (self.epg / 4 ** len(qubits)) * twirl
-
-
-# ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
 
@@ -112,7 +77,6 @@ FIELD_SPEC: dict[str, tuple[str, str, str]] = {
     "seed": ("scenario", "int", "seed fixing every random draw"),
     "outdir": ("scenario", "str",
                f"output directory; empty defers to ${OUTDIR_ENV} then '.'"),
-    "phi": ("sequence", "float", "common pulse angle alpha = beta = gamma"),
     "alpha": ("sequence", "optfloat", "explicit first pulse angle (optional)"),
     "beta": ("sequence", "optfloat", "explicit second pulse angle (optional)"),
     "gamma_angle": ("sequence", "optfloat",
@@ -134,7 +98,6 @@ FIELD_SPEC: dict[str, tuple[str, str, str]] = {
     "omega": ("noise", "float", OMEGA_DEFINITION),
     "ratio_grid": ("noise", "floats",
                    "cooling-to-noise rate ratios swept by cool-with-noise"),
-    "epg_grid": ("noise", "floats", "per-gate error grid for entropy fits"),
     "theta": ("pump", "float", "partial-transfer pulse angle, in [0, pi/2]"),
     "gamma20": ("pump", "float", "ancilla level-2 decay rate"),
     "rabi_rate": ("pump", "optfloat",
@@ -170,7 +133,6 @@ class ScenarioConfig:
     lattice_l: int = 2
     seed: int = 7
     outdir: str = ""
-    phi: float = 0.05
     alpha: float | None = None
     beta: float | None = None
     gamma_angle: float | None = None
@@ -189,7 +151,6 @@ class ScenarioConfig:
     epg: float = 0.0
     omega: float = 1.0
     ratio_grid: tuple[float, ...] = (10.0, 30.0, 100.0, 300.0)
-    epg_grid: tuple[float, ...] = (1e-4, 3e-4, 1e-3)
     theta: float = math.pi / 6
     gamma20: float = 50.0
     rabi_rate: float | None = None
@@ -532,6 +493,7 @@ def emit_figure_data(kind: str, rows: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 
 
+# a test oracle, kept here because perfbench/spans.py wraps it by name
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr rho ln rho in nats, clipped at the numerical floor."""
     return population_entropy(np.linalg.eigvalsh(rho))
@@ -1016,67 +978,3 @@ def run(cfg: ScenarioConfig) -> RunRecord:
     _atomic_write(record_path, record.to_json(include_wall_time=False) + "\n")
     record.outputs = record.outputs + (str(record_path),)
     return record
-
-
-# ---------------------------------------------------------------------------
-# entropy per gate
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EntropyReport:
-    epg_values: tuple[float, ...]
-    entropies: tuple[float, ...]
-    exponent: float
-    n_gates: int
-    omega: float
-    omega_definition: str = OMEGA_DEFINITION
-
-
-def entropy_per_gate(cfg: ScenarioConfig) -> EntropyReport:
-    """Von Neumann entropy injected by one noisy stroboscopic cycle.
-
-    One cycle is the echoed sequence for a vertex neighborhood followed by
-    the echoed sequence for a plaquette neighborhood (40 pulses on a
-    four-qubit register).  After every gate the depolarizing event of
-    probability EPG acts on the gate's support; the initial state is pure,
-    so the final entropy is the entropy produced.  The log-log slope over
-    ``epg_grid`` is reported.
-    """
-    problems = []
-    if not 0.0 < cfg.phi <= 0.3:
-        problems.append("phi must lie in (0, 0.3]")
-    if cfg.tau <= 0:
-        problems.append("tau must be > 0")
-    if len(cfg.epg_grid) < 2:
-        problems.append("epg_grid needs at least 2 values")
-    if any(not 0.0 < e < 0.5 for e in cfg.epg_grid):
-        problems.append("epg_grid entries must lie in (0, 0.5)")
-    if problems:
-        raise ConfigError(problems)
-    vertex = sq.echoed_u123(cfg.phi, cfg.phi, cfg.phi, tau=cfg.tau)
-    plaquette = sq.echoed_u123(cfg.phi, cfg.phi, cfg.phi,
-                               generators=sq.plaquette_generators(),
-                               tau=cfg.tau)
-    cycle = vertex.then(plaquette, label="noisy-cycle")
-    n = cycle.n_qubits
-    dim = 2 ** n
-    unitaries = [gate.unitary() for gate in cycle.gates]
-    supports = [tuple(q for q in range(n)
-                      if ((int(gate.generator.x_mask)
-                           | int(gate.generator.z_mask)) >> q) & 1)
-                for gate in cycle.gates]
-    entropies = []
-    for epg in cfg.epg_grid:
-        noise = NoiseModel(epg=epg)
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        for u, support in zip(unitaries, supports):
-            rho = u @ rho @ u.conj().T
-            rho = noise.apply(rho, support)
-        entropies.append(von_neumann_entropy(rho))
-    slope = float(np.polyfit(np.log(cfg.epg_grid), np.log(entropies), 1)[0])
-    return EntropyReport(
-        epg_values=tuple(cfg.epg_grid), entropies=tuple(entropies),
-        exponent=slope, n_gates=len(cycle.gates),
-        omega=len(cycle.gates) / cycle.total_duration)

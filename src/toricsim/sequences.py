@@ -146,11 +146,6 @@ class EffectiveHamiltonianReport:
     residual: PauliSum
     target_coefficients: dict[str, tuple[complex, complex]] = field(default_factory=dict)
 
-    def report_rows(self) -> list[tuple[str, float, float]]:
-        """(term, measured, predicted) rows for CSV export."""
-        return [(label, float(np.real(meas)), float(np.real(pred)))
-                for label, (meas, pred) in sorted(self.target_coefficients.items())]
-
 
 def effective_hamiltonian(seq: GateSequence,
                           targets: Mapping[str, complex] | None = None
@@ -217,17 +212,8 @@ def bch_second_order(seq: GateSequence) -> PauliSum:
 class OrderScanReport:
     """Log-log scaling fits of effective-Hamiltonian coefficients."""
 
-    phi_values: tuple[float, ...]
     term_slopes: dict[str, float]
-    term_points: dict[str, int]
-    degenerate_terms: tuple[str, ...]
     residual_slope: float
-    residual_norms: tuple[float, ...]
-    coefficient_table: dict[str, tuple[float, ...]]
-
-    def report_rows(self) -> list[tuple[str, float, int]]:
-        return [(label, slope, self.term_points[label])
-                for label, slope in sorted(self.term_slopes.items())]
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -238,11 +224,12 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 def order_scan(sequence_factory: Callable[[float], GateSequence],
                phi_values: Iterable[float],
                target_terms: Iterable[str] = ()) -> OrderScanReport:
-    """Fit the power-law order of every non-target coefficient in phi.
+    """Fit the power-law order in phi of every non-target coefficient, and
+    of the l2 norm of all of them together.
 
     Points whose coefficient sits below ``10 * PRUNE_TOL`` are dropped from
-    that term's fit (they are pruning-floor noise); terms left with fewer
-    than two usable points are flagged degenerate instead of fitted.
+    that term's fit (they are pruning-floor noise); a term left with fewer
+    than two usable points gets no slope.
     """
     phis = tuple(sorted(float(p) for p in phi_values))
     if len(phis) < 4:
@@ -261,27 +248,16 @@ def order_scan(sequence_factory: Callable[[float], GateSequence],
 
     floor = 10.0 * PRUNE_TOL
     slopes: dict[str, float] = {}
-    points: dict[str, int] = {}
-    degenerate = []
     for label, by_phi in tables.items():
         xs = np.array([p for p in phis if by_phi.get(p, 0.0) >= floor])
-        ys = np.array([by_phi[p] for p in xs])
-        if len(xs) < 2:
-            degenerate.append(label)
-            continue
-        slopes[label] = _loglog_slope(xs, ys)
-        points[label] = len(xs)
+        if len(xs) >= 2:
+            slopes[label] = _loglog_slope(xs, np.array([by_phi[p] for p in xs]))
 
     res = np.array(residual_norms)
     usable = res >= floor
     residual_slope = (_loglog_slope(np.array(phis)[usable], res[usable])
                       if usable.sum() >= 2 else float("nan"))
-    table = {label: tuple(by_phi.get(p, 0.0) for p in phis)
-             for label, by_phi in tables.items()}
-    return OrderScanReport(
-        phi_values=phis, term_slopes=slopes, term_points=points,
-        degenerate_terms=tuple(sorted(degenerate)), residual_slope=residual_slope,
-        residual_norms=tuple(residual_norms), coefficient_table=table)
+    return OrderScanReport(term_slopes=slopes, residual_slope=residual_slope)
 
 
 def cycled(p: PauliString) -> PauliString:
@@ -296,33 +272,6 @@ def plaquette_generators() -> tuple[PauliString, ...]:
     """Generators for the X-type 4-body term: one cyclic permutation applied
     to the default Z-type set, e.g. ZYII -> XZII."""
     return tuple(cycled(g) for g in DEFAULT_VERTEX_GENERATORS)
-
-
-@dataclass
-class TrotterReport:
-    """Serial-composition error: H_eff of the concatenation vs the
-    duration-weighted sum of the parts' H_eff."""
-
-    combined: PauliSum
-    parts_sum: PauliSum
-    error_norm: float
-    total_time: float
-
-
-def serial_compose(first: GateSequence, second: GateSequence
-                   ) -> tuple[GateSequence, TrotterReport]:
-    """Concatenate two sequences and quantify the Trotter defect."""
-    combined_seq = first.then(second, label="serial")
-    rep_a = effective_hamiltonian(first)
-    rep_b = effective_hamiltonian(second)
-    rep_ab = effective_hamiltonian(combined_seq)
-    total = combined_seq.total_duration
-    parts = (first.total_duration / total) * rep_a.h_eff + \
-            (second.total_duration / total) * rep_b.h_eff
-    diff = rep_ab.h_eff - parts
-    report = TrotterReport(combined=rep_ab.h_eff, parts_sum=parts,
-                           error_norm=diff.l2_norm(), total_time=total)
-    return combined_seq, report
 
 
 def residual_scale(phi: float, tau: float = 1.0) -> float:
@@ -366,22 +315,3 @@ def eq3_targets(phi: float, tau: float = 1.0, echoed: bool = True,
         targets["ZZYI"] = chi / phi
         targets["IIXZ"] = -2.0 * chi
     return targets
-
-
-def estimate_cycle_time(lat, tau_seconds: float, gates_per_u: int = 4,
-                        parallel_factor: float = 1.0) -> float:
-    """Wall-clock time for one full stroboscopic cycle over the lattice.
-
-    Every vertex and every plaquette runs one 20-pulse echoed sequence;
-    each pulse costs ``gates_per_u`` elementary hardware gates of length
-    ``tau_seconds``.  The quoted serial figure of 720 us for L = 3 at
-    tau = 500 ns corresponds to ``gates_per_u = 4``; counting one CPHASE
-    plus four single-spin rotations per two-body pulse would give 5.
-    ``parallel_factor`` divides the serial total.
-    """
-    if gates_per_u < 1:
-        raise ValueError("gates_per_u must be at least 1")
-    if parallel_factor <= 0:
-        raise ValueError("parallel_factor must be positive")
-    neighborhoods = lat.n_vertices + lat.n_plaquettes
-    return neighborhoods * 20 * gates_per_u * tau_seconds / parallel_factor

@@ -12,6 +12,9 @@ is meant for the 256 states of L = 2 only.
 ground states as their support states.  Their 2^n-row Z-basis forms,
 ``eigenvectors`` and ``reference_states``, are built here from those
 compact forms.
+
+``trotter_error`` measures the serial composition of two pulse sequences
+with three matrix logarithms of their dense unitaries.
 """
 
 import functools
@@ -21,6 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from toricsim import lindblad as lb
+from toricsim import sequences as sq
 from toricsim import spectra as sp
 
 FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a dense start
@@ -107,3 +111,15 @@ def reference_states(lat, reference=None) -> np.ndarray:
     for col, rows in enumerate(support):
         states[rows, col] = amp
     return states
+
+
+def trotter_error(first: sq.GateSequence, second: sq.GateSequence) -> float:
+    """l2 norm of H_eff of ``first`` then ``second`` minus the
+    duration-weighted sum of their own H_eff."""
+    both = first.then(second)
+    total = both.total_duration
+    parts = ((first.total_duration / total)
+             * sq.effective_hamiltonian(first).h_eff
+             + (second.total_duration / total)
+             * sq.effective_hamiltonian(second).h_eff)
+    return (sq.effective_hamiltonian(both).h_eff - parts).l2_norm()

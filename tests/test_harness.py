@@ -37,42 +37,6 @@ def _density(vec):
 
 
 # ---------------------------------------------------------------------------
-# noise model
-# ---------------------------------------------------------------------------
-
-
-class TestNoiseModel:
-    def test_epg_bounds(self):
-        with pytest.raises(ValueError):
-            hn.NoiseModel(epg=0.5)
-        with pytest.raises(ValueError):
-            hn.NoiseModel(epg=-1e-3)
-
-    def test_zero_epg_is_identity(self):
-        rho = _density([1.0, 2.0, 0.5, -0.25])
-        model = hn.NoiseModel(epg=0.0)
-        assert model.apply(rho, (0, 1)) is rho
-
-    def test_single_qubit_event_mixes_the_support(self):
-        # depolarizing event on qubit 0 of |00>: the support goes to I/2
-        rho = _density([1.0, 0.0, 0.0, 0.0])
-        epg = 0.12
-        out = hn.NoiseModel(epg=epg).apply(rho, (0,))
-        mixed = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
-        expected = (1 - epg) * rho + epg * mixed
-        np.testing.assert_allclose(out, expected, atol=1e-14)
-        assert abs(np.trace(out) - 1.0) < 1e-14
-
-    def test_two_qubit_event_mixes_fully(self):
-        rng = np.random.default_rng(3)
-        rho = _density(rng.normal(size=4) + 1j * rng.normal(size=4))
-        epg = 0.3
-        out = hn.NoiseModel(epg=epg).apply(rho, (0, 1))
-        expected = (1 - epg) * rho + epg * np.eye(4) / 4
-        np.testing.assert_allclose(out, expected, atol=1e-13)
-
-
-# ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
 
@@ -113,6 +77,28 @@ class TestScenarioConfig:
         # as a CLI flag
         assert list(hn.FIELD_SPEC) == [
             f.name for f in dataclasses.fields(hn.ScenarioConfig)]
+
+    def test_every_field_is_read_by_a_scenario(self, tmp_path):
+        # a field that no scenario reads is a flag and an INI key that
+        # change nothing but the config hash
+        read = set()
+
+        class Recording(hn.ScenarioConfig):
+            def __getattribute__(self, name):
+                if name in hn.FIELD_SPEC:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+            def canonical(self):
+                # hashing reads every field
+                before = set(read)
+                out = super().canonical()
+                read.intersection_update(before)
+                return out
+
+        for kind in hn.KINDS:
+            assert hn.run(Recording(kind=kind, outdir=str(tmp_path))).ok
+        assert set(hn.FIELD_SPEC) - read == set()
 
     def test_ini_overrides_win(self):
         base = ("[scenario]\nkind = pump\nlattice_l = 2\n"
@@ -587,33 +573,6 @@ class TestScenarioRuns:
 
 
 # ---------------------------------------------------------------------------
-# entropy per gate
-# ---------------------------------------------------------------------------
-
-
-class TestEntropyPerGate:
-    def test_near_linear_scaling_in_epg(self):
-        report = hn.entropy_per_gate(hn.ScenarioConfig(kind="thermalize"))
-        assert report.n_gates == 40
-        assert report.omega == 1.0
-        # measured exponent 0.861 at the default grid
-        assert 0.80 < report.exponent < 1.15
-        assert all(b > a for a, b in zip(report.entropies,
-                                         report.entropies[1:]))
-
-    def test_noiseless_limit_injects_no_entropy(self):
-        cfg = hn.ScenarioConfig(kind="thermalize", epg_grid=(1e-12, 1e-11))
-        report = hn.entropy_per_gate(cfg)
-        assert report.entropies[0] < 1e-9
-
-    def test_validation(self):
-        with pytest.raises(hn.ConfigError) as err:
-            hn.entropy_per_gate(hn.ScenarioConfig(kind="thermalize",
-                                                  epg_grid=(0.6,), phi=0.0))
-        assert len(err.value.problems) >= 3
-
-
-# ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
 
@@ -697,6 +656,9 @@ class TestCli:
             assert all(getattr(args, name) is None for name in fields)
         with pytest.raises(SystemExit):
             parser.parse_args(["validate"])
+        # no prefix matching: --phi is no abbreviation of --phi-grid
+        with pytest.raises(SystemExit):
+            parser.parse_args(["sequence-scan", "--phi", "0.1"])
         # describe takes no flags
         assert vars(parser.parse_args(["describe"])) == {"command": "describe"}
         for arg in ("--seed", "--config"):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import dense_oracles as oracles
 from toricsim import sequences as sq
 from toricsim.pauli import PauliString
 from toricsim.sequences import (BranchCutError, Gate, GateSequence,
                                 bch_second_order, cycled, echoed_u123,
                                 effective_hamiltonian, eq3_targets,
-                                estimate_cycle_time, order_scan,
-                                plaquette_generators, serial_compose, u123)
+                                order_scan, plaquette_generators, u123)
 
 PHIS = (0.05, 0.08, 0.12, 0.2)
 
@@ -259,8 +259,7 @@ def test_serial_compose_disjoint_supports():
     x = echoed_u123(0.15, 0.15, 0.15, generators=[
         PauliString.from_label("IIII" + g.label(with_phase=False))
         for g in plaquette_generators()])
-    _, rep = serial_compose(v, x)
-    assert rep.error_norm == pytest.approx(0.0, abs=1e-13)
+    assert oracles.trotter_error(v, x) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_serial_compose_shared_support_slope():
@@ -268,29 +267,7 @@ def test_serial_compose_shared_support_slope():
     for p in PHIS:
         v = echoed_u123(p, p, p)
         x = echoed_u123(p, p, p, generators=plaquette_generators())
-        _, rep = serial_compose(v, x)
-        errs.append(rep.error_norm)
+        errs.append(oracles.trotter_error(v, x))
     slope = np.polyfit(np.log(PHIS), np.log(errs), 1)[0]
     assert slope >= 6.5
 
-
-def test_cycle_time_estimate():
-    from toricsim import lattice as lt
-    lat = lt.build(3)
-    assert estimate_cycle_time(lat, 500e-9) == pytest.approx(720e-6)
-    assert estimate_cycle_time(lat, 0.0) == 0.0
-    serial = estimate_cycle_time(lat, 500e-9)
-    assert estimate_cycle_time(lat, 500e-9, parallel_factor=2.0) == pytest.approx(
-        serial / 2)
-    with pytest.raises(ValueError):
-        estimate_cycle_time(lat, 1e-6, gates_per_u=0)
-
-
-def test_report_rows_export():
-    phi = 0.1
-    rep = effective_hamiltonian(echoed_u123(phi, phi, phi),
-                                targets=eq3_targets(phi))
-    rows = rep.report_rows()
-    assert [r[0] for r in rows] == ["IXYI", "ZZZZ"]
-    scan = order_scan(lambda p: u123(p, p, p), PHIS, target_terms=("ZZZZ",))
-    assert all(len(r) == 3 for r in scan.report_rows())
