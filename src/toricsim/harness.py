@@ -77,10 +77,6 @@ FIELD_SPEC: dict[str, tuple[str, str, str]] = {
     "seed": ("scenario", "int", "seed fixing every random draw"),
     "outdir": ("scenario", "str",
                f"output directory; empty defers to ${OUTDIR_ENV} then '.'"),
-    "alpha": ("sequence", "optfloat", "explicit first pulse angle (optional)"),
-    "beta": ("sequence", "optfloat", "explicit second pulse angle (optional)"),
-    "gamma_angle": ("sequence", "optfloat",
-                    "explicit third pulse angle (optional)"),
     "tau": ("sequence", "float", "single-pulse duration"),
     "phi_grid": ("sequence", "floats", "angles scanned for order fits"),
     "h_z": ("spectrum", "float", "uniform longitudinal field"),
@@ -94,7 +90,6 @@ FIELD_SPEC: dict[str, tuple[str, str, str]] = {
     "gamma_star": ("dissipation", "float", "pair translation rate scale"),
     "t_final": ("dissipation", "float", "master-equation horizon"),
     "n_times": ("dissipation", "int", "sample count along the evolution"),
-    "epg": ("noise", "float", "error probability per elementary gate"),
     "omega": ("noise", "float", OMEGA_DEFINITION),
     "ratio_grid": ("noise", "floats",
                    "cooling-to-noise rate ratios swept by cool-with-noise"),
@@ -133,9 +128,6 @@ class ScenarioConfig:
     lattice_l: int = 2
     seed: int = 7
     outdir: str = ""
-    alpha: float | None = None
-    beta: float | None = None
-    gamma_angle: float | None = None
     tau: float = 1.0
     phi_grid: tuple[float, ...] = (0.05, 0.0707, 0.1, 0.1414, 0.2)
     h_z: float = 0.05
@@ -148,7 +140,6 @@ class ScenarioConfig:
     gamma_star: float = 0.5
     t_final: float = 10.0
     n_times: int = 11
-    epg: float = 0.0
     omega: float = 1.0
     ratio_grid: tuple[float, ...] = (10.0, 30.0, 100.0, 300.0)
     theta: float = math.pi / 6
@@ -171,9 +162,6 @@ class ScenarioConfig:
             bad.append("seed must be >= 0")
         if self.tau <= 0:
             bad.append("tau must be > 0")
-        angles = (self.alpha, self.beta, self.gamma_angle)
-        if any(a is not None for a in angles) and None in angles:
-            bad.append("alpha, beta and gamma_angle must be given together")
         check = getattr(self, "_validate_" + self.kind.replace("-", "_"))
         check(bad)
         return bad
@@ -185,10 +173,6 @@ class ScenarioConfig:
             bad.append("phi_grid angles must lie in (0, 0.3]")
         if list(self.phi_grid) != sorted(set(self.phi_grid)):
             bad.append("phi_grid must be strictly increasing")
-        for name, value in (("alpha", self.alpha), ("beta", self.beta),
-                            ("gamma_angle", self.gamma_angle)):
-            if value is not None and not 0.0 < abs(value) <= 0.3:
-                bad.append(f"{name} magnitude must lie in (0, 0.3]")
 
     def _validate_spectrum(self, bad: list[str]) -> None:
         if not self.chi_grid:
@@ -224,10 +208,10 @@ class ScenarioConfig:
                        "outputs yet)")
         if self.lambda_star <= 0:
             bad.append("lambda_star (the cooling rate) must be > 0")
-        if not 0.0 <= self.epg < 0.5:
-            bad.append(f"epg must lie in [0, 0.5), got {self.epg}")
         if self.omega <= 0:
             bad.append("omega must be > 0")
+        if not self.ratio_grid:
+            bad.append("ratio_grid must not be empty")
         if any(r <= 0 for r in self.ratio_grid):
             bad.append("ratio_grid entries must be > 0")
         if len(set(self.ratio_grid)) != len(self.ratio_grid):
@@ -606,21 +590,6 @@ def _run_sequence_order_scan(cfg: ScenarioConfig) -> _Parts:
              "single_residual_slope": single.residual_slope,
              "echoed_residual_slope": echoed.residual_slope,
              "phi_grid": list(cfg.phi_grid)}
-    if cfg.alpha is not None:
-        a, b, g = cfg.alpha, cfg.beta, cfg.gamma_angle
-        chi = (2.0 / (5.0 * cfg.tau)) * a * a * b * g * g
-        triple_targets = {
-            "ZZZZ": -(2.0 / (5.0 * cfg.tau)) * a * b * g
-            * (1.0 - (2.0 / 3.0) * (a * a + b * b + g * g)),
-            "IXYI": chi,
-        }
-        rep = sq.effective_hamiltonian(
-            sq.echoed_u123(a, b, g, tau=cfg.tau), targets=triple_targets)
-        extra["triple"] = {
-            "angles": [a, b, g],
-            "coefficients": {label: [float(np.real(m)), float(np.real(p))]
-                             for label, (m, p) in rep.target_coefficients.items()},
-        }
     parts.files.append(("sequence-order-scan.json",
                         json.dumps(extra, sort_keys=True, indent=1)))
     parts.files.append(("sequence-order-scan.csv",
@@ -636,53 +605,45 @@ def _run_sequence_order_scan(cfg: ScenarioConfig) -> _Parts:
     return parts
 
 
+def _chi_scan(cfg: ScenarioConfig,
+              parts: _Parts) -> list[sp.FidelityScanPoint]:
+    """The solved points of the configured chi scan.  Their solver counters
+    go into the record, and any failed point fails ``solver-converged``."""
+    scan = sp.fidelity_scan(lt.build(cfg.lattice_l), cfg.chi_grid,
+                            h_z=cfg.h_z, k=cfg.n_eigenvalues,
+                            chi_pairs=cfg.chi_pairs, seed=cfg.seed)
+    solved = [p for p in scan.points if p.error is None]
+    parts.solver = {"points": [{"chi": p.chi, **p.counters} for p in solved]}
+    failures = [p.chi for p in scan.points if p.error is not None]
+    parts.check("solver-converged", not failures,
+                f"failed chi points: {failures or 'none'}")
+    return solved
+
+
 def _run_spectrum(cfg: ScenarioConfig) -> _Parts:
     parts = _Parts()
-    lat = lt.build(cfg.lattice_l)
-    rows = []
-    quasi = []
-    solver = []
-    for chi in cfg.chi_grid:
-        h = sp.build_hamiltonian(lat, chi=chi, h_z=cfg.h_z,
-                                 chi_pairs=cfg.chi_pairs)
-        res = sp.lowest_eigenpairs(h, k=cfg.n_eigenvalues, seed=cfg.seed,
-                                   with_vectors=False)
-        rows.extend(res.report_rows(chi, cfg.h_z))
-        solver.append({"chi": chi, **res.counters})
-        evals = res.eigenvalues
-        quasi.append({"chi": chi,
-                      "manifold_spread": _solver_value(evals[3] - evals[0]),
-                      "gap": _solver_value(evals[4] - evals[3])})
+    points = _chi_scan(cfg, parts)
+    rows = [(p.chi, cfg.h_z, i, float(e), p.residual_bound)
+            for p in points for i, e in enumerate(p.eigenvalues)]
+    quasi = [{"chi": p.chi, "manifold_spread": _solver_value(p.manifold_spread),
+              "gap": _solver_value(p.gap)} for p in points]
     parts.metrics = _columns("spectrum", rows)
-    parts.solver = {"points": solver}
     parts.files.append(("spectrum.csv", emit_figure_data("spectrum", rows)))
     parts.files.append(("spectrum.json",
                         json.dumps({"points": quasi}, sort_keys=True, indent=1)))
-    worst = max(row[4] for row in rows)
-    parts.check("eigenpair-residuals", worst <= sp.RESIDUAL_BOUND,
-                f"every residual verified <= {worst:.2e} "
-                f"(cap {sp.RESIDUAL_BOUND:.0e})")
     window = [q for q in quasi if abs(q["chi"]) <= 0.2]
     degen = all(q["manifold_spread"] < q["gap"] / 5.0 for q in window)
-    parts.check("fourfold-quasi-degeneracy", degen,
+    parts.check("fourfold-quasi-degeneracy", degen and bool(window),
                 f"spread < gap/5 at all |chi| <= 0.2 ({len(window)} points)")
     return parts
 
 
 def _run_fidelity_scan(cfg: ScenarioConfig) -> _Parts:
     parts = _Parts()
-    lat = lt.build(cfg.lattice_l)
-    scan = sp.fidelity_scan(lat, cfg.chi_grid, h_z=cfg.h_z,
-                            k=cfg.n_eigenvalues, chi_pairs=cfg.chi_pairs,
-                            seed=cfg.seed)
-    rows = scan.report_rows()
+    rows = [(p.chi, p.subspace_fidelity, *map(float, p.sector_weights),
+             p.manifold_spread, p.gap) for p in _chi_scan(cfg, parts)]
     parts.metrics = _columns("fidelity", rows)
-    parts.solver = {"points": [{"chi": p.chi, **p.counters}
-                               for p in scan.points if p.error is None]}
     parts.files.append(("fidelity.csv", emit_figure_data("fidelity", rows)))
-    failures = [p.chi for p in scan.points if p.error is not None]
-    parts.check("solver-converged", not failures,
-                f"failed chi points: {failures or 'none'}")
     window = [(chi, fid) for chi, fid, *_ in rows if abs(chi) <= 0.4]
     protected = all(fid >= 0.8 for _, fid in window)
     parts.check("protected-window", protected and bool(window),
@@ -701,14 +662,15 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     model = lb.thermal_jump_set(lat, p=cfg.p, lambda_star=cfg.lambda_star,
                                 gamma_star=cfg.gamma_star)
     stat = lb.stationary_state(model)
-    size = model.frame.size
+    frame = model.frame
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
-    out = lb.evolve(model, np.full(size, 1.0 / size), cfg.t_final,
-                    sample_times=times)
+    out = lb.evolve(model, (np.full(frame.n_orbits, 1.0 / frame.n_orbits),
+                            np.full(frame.n_char, 1.0 / frame.n_char)),
+                    cfg.t_final, sample_times=times)
     # every sample is frame-diagonal: energy and excitation density are
     # label-additive and read off the marginals, entropy and distance off
-    # the joint populations of the Kronecker-sum chain
-    w_e, w_m = excitation_weights(model.frame)
+    # the product populations of the Kronecker-sum chain
+    w_e, w_m = excitation_weights(frame)
     stationary = stat.populations
     rows = []
     for t, p_e, p_m, pops in zip(out.times, out.orbit_populations,
@@ -777,12 +739,12 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     """Steady states of engineered cooling against depolarizing noise.
 
     The cooling rate is Gamma_c = lambda_star per link; the noise rate is
-    Gamma_e = EPG * omega per link (depolarizing on every link).  When
-    ``ratio_grid`` is set, the sweep fixes Gamma_e = Gamma_c / ratio and
-    reports the per-ratio EPG; an empty grid runs the single configured
-    EPG point.  The fitted temperature comes from the Boltzmann inversion
-    of the mean per-stabilizer excitation weight, and the sweep is fit to
-    T = c * Delta / ln(Gamma_c / Gamma_e) with the residual reported.
+    Gamma_e = EPG * omega per link (depolarizing on every link).  Each
+    ratio of ``ratio_grid`` fixes Gamma_e = Gamma_c / ratio, and the sweep
+    reports the per-ratio EPG.  The fitted temperature comes from the
+    Boltzmann inversion of the mean per-stabilizer excitation weight, and
+    the sweep is fit to T = c * Delta / ln(Gamma_c / Gamma_e) with the
+    residual reported.
 
     Each point reweights the label chains of one sweep model
     (``LindbladModel.with_rates``).  Depolarizing Y moves both frame
@@ -792,22 +754,16 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     cfg.require_valid()
     lat = lt.build(cfg.lattice_l)
     gamma_c = cfg.lambda_star
-    if cfg.ratio_grid:
-        settings = [(r, gamma_c / r) for r in cfg.ratio_grid]
-    else:
-        gamma_e = cfg.epg * cfg.omega
-        settings = [(math.inf if gamma_e == 0 else gamma_c / gamma_e, gamma_e)]
     cooling = lb.cooling_jump_set(lat, lambda_star=gamma_c)
-    # a ratio grid makes every point noisy, so all points share the
-    # channel list of the first; the noise is built once at unit rate
-    noise = (lb.depolarizing_jumps(lat.n_links, gamma=1.0)
-             if settings[0][1] != 0 else ())
+    # every point is noisy: the noise is built once at unit rate
+    noise = lb.depolarizing_jumps(lat.n_links, gamma=1.0)
     sweep = lb.LindbladModel(hamiltonian=cooling.hamiltonian,
                              jumps=cooling.jumps + noise, lattice=lat,
                              label="cool-with-noise")
     w_e, w_m = excitation_weights(sweep.frame)
     points = []
-    for ratio, gamma_e in settings:
+    for ratio in cfg.ratio_grid:
+        gamma_e = gamma_c / ratio
         stat = lb.stationary_state(sweep.with_rates(
             [jt.rate for jt in cooling.jumps]
             + [gamma_e * jt.rate for jt in noise]))
@@ -821,8 +777,7 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
             solver=stat.counters))
     fit_constant = fit_residual = rank = None
     usable = [pt for pt in points
-              if math.isfinite(pt.ratio) and pt.ratio > 1.0
-              and math.isfinite(pt.fitted_temperature)
+              if pt.ratio > 1.0 and math.isfinite(pt.fitted_temperature)
               and pt.fitted_temperature > 0.0]
     if len(usable) >= 2:
         x = np.array([lb.PAIR_GAP / math.log(pt.ratio) for pt in usable])
@@ -860,9 +815,8 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
     parts.check("steady", all(pt.steady for pt in sweep.points),
                 f"max label-chain residual "
                 f"{max(pt.residual for pt in sweep.points):.2e}")
-    swept = [pt for pt in sweep.points if math.isfinite(pt.ratio)]
-    if len(swept) >= 2:
-        ordered = sorted(swept, key=lambda pt: pt.ratio)
+    if len(sweep.points) >= 2:
+        ordered = sorted(sweep.points, key=lambda pt: pt.ratio)
         temps = [pt.fitted_temperature for pt in ordered]
         parts.check("monotone-cooling",
                     all(a > b for a, b in zip(temps, temps[1:])),
@@ -872,13 +826,6 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
                         f"rank correlation {sweep.rank_correlation} vs 1.0; "
                         f"form-fit residual {sweep.fit_residual:.3f} "
                         f"(reported)")
-    else:
-        only = sweep.points[0]
-        if only.gamma_e == 0.0:
-            parts.check("dark-steady-state",
-                        only.excitation_density < 1e-6,
-                        f"excitation density {only.excitation_density:.2e} "
-                        f"vs < 1e-6 at EPG = 0")
     return parts
 
 

@@ -27,18 +27,18 @@ no channel carried into the frame: the joint chain is M_e ⊗ 1 + 1 ⊗ M_m.
 Depolarizing Y moves both labels; the joint chain is then no Kronecker
 sum, but each label's marginal is still an autonomous chain (strong
 lumpability).  The stationary marginals are the null spaces of M_e and
-M_m, and a frame-diagonal start evolves exactly as P(t) = exp(M_e t) P0
-exp(M_m t)ᵀ, or by marginals when M is no Kronecker sum.  H, the
-excitation weights and the Z loops are label-additive in the frame,
-d(o, t) = d_e(o) + d_m(t), so they are read off the marginals; a chain
-that is no Kronecker sum carries nothing else.
+M_m, and the marginals of a frame-diagonal start evolve exactly by
+exp(M_e t) and exp(M_m t).  For a Kronecker sum a product start stays a
+product, p_e(t) ⊗ p_m(t).  H, the excitation weights and the Z loops are
+label-additive in the frame, d(o, t) = d_e(o) + d_m(t), so they are read
+off the marginals; a chain that is no Kronecker sum carries nothing else.
 
-Lattice dissipation takes and returns frame populations only, and builds
-no 2^n x 2^n state.  A model without a lattice, a start that is not a
-population vector, or a model whose population sector does not close (for
-example with a transverse field) raises ``ValueError``.  ``gibbs_state``,
-``trace_distance`` and ``StabilizerFrame.operator`` are dense L = 2 test
-oracles that no scenario calls.  The vectorized superoperator
+Lattice dissipation takes and returns label populations only, and builds
+no 2^n x 2^n state.  A model without a lattice, a start that is not the
+two label marginals, or a model whose population sector does not close
+(for example with a transverse field) raises ``ValueError``.
+``gibbs_state``, ``trace_distance`` and ``StabilizerFrame.operator`` are
+dense L = 2 test oracles that no scenario calls.  The vectorized superoperator
 (``_superoperator``) serves only the adiabatic-elimination probe, which
 eigendecomposes it on the entries of vec(rho) that its start reaches.
 """
@@ -654,22 +654,27 @@ def _check_trace_and_floor(defect: float, low: float, trace_tol: float,
             f"eigenvalue {low:.3e} below floor {eig_floor:.1e}{where}")
 
 
-def _start_populations(frame: StabilizerFrame, p0: np.ndarray) -> np.ndarray:
-    """The frame populations ``p0``, a real vector checked like a density
-    matrix's spectrum."""
-    p0 = np.asarray(p0)
-    if p0.ndim != 1:
-        raise ValueError(f"the start must be the {frame.size} frame "
-                         f"populations, not an array of shape {p0.shape}")
-    if p0.shape != (frame.size,):
-        raise ValueError(f"{p0.size} populations for {frame.size} "
-                         "frame states")
-    if np.any(np.imag(p0) != 0.0):
-        raise ValueError("frame populations must be real")
-    p0 = np.real(p0).astype(float)
-    _check_trace_and_floor(abs(p0.sum() - 1.0), p0.min(), 1e-9,
-                           EIGENVALUE_FLOOR)
-    return p0
+def _start_marginals(frame: StabilizerFrame, start) -> list[np.ndarray]:
+    """The label marginals ``start`` = (p_e, p_m), two real vectors each
+    checked like a density matrix's spectrum."""
+    if isinstance(start, np.ndarray) or len(start) != 2:
+        raise ValueError(
+            f"the start must be the two label marginals (p_e, p_m), of "
+            f"{frame.n_orbits} orbit and {frame.n_char} character populations")
+    out = []
+    for name, p, n in zip(("p_e", "p_m"), start,
+                          (frame.n_orbits, frame.n_char)):
+        p = np.asarray(p)
+        if p.shape != (n,):
+            raise ValueError(f"{name} must hold {n} populations, not an "
+                             f"array of shape {p.shape}")
+        if np.any(np.imag(p) != 0.0):
+            raise ValueError("label populations must be real")
+        p = np.real(p).astype(float)
+        _check_trace_and_floor(abs(p.sum() - 1.0), p.min(), 1e-9,
+                               EIGENVALUE_FLOOR, f" in {name}")
+        out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -682,58 +687,56 @@ class EvolutionResult:
     """Label-chain trajectory with per-sample conservation monitors.
 
     ``orbit_populations`` and ``char_populations`` hold the two label
-    marginals at each sample.  When the chain is a Kronecker sum, ``joint``
-    holds the frame populations as (n_times, n_orbits, n_char) and
-    ``populations`` is its (n_times, n_orbits * n_char) view, index
-    o * n_char + t; otherwise ``joint`` is None and ``populations`` raises
-    ``ValueError``.
+    marginals at each sample.  When the chain is a Kronecker sum the frame
+    populations are p_e(t) ⊗ p_m(t) (``populations``, shape (n_times,
+    n_orbits * n_char), index o * n_char + t); otherwise ``populations``
+    raises ``ValueError``.
     """
 
     times: np.ndarray
     orbit_populations: np.ndarray       # (n_times, n_orbits)
     char_populations: np.ndarray        # (n_times, n_char)
-    joint: np.ndarray | None = field(repr=False)
     trace_defects: np.ndarray
     min_eigenvalues: np.ndarray
+    kronecker_sum: bool
     frame: StabilizerFrame = field(repr=False, compare=False)
     counters: dict = field(default_factory=dict)  # sizes and evaluations
     path: str = "label-chains"          # the engine: two label chains
 
     @property
     def populations(self) -> np.ndarray:
-        if self.joint is None:
+        if not self.kronecker_sum:
             raise ValueError(_MARGINALS_ONLY)
-        return self.joint.reshape(self.times.size, -1)
+        return np.array([np.kron(p_e, p_m) for p_e, p_m
+                         in zip(self.orbit_populations, self.char_populations)])
 
 
-def evolve(model: LindbladModel, p0: np.ndarray, t_final: float,
+def evolve(model: LindbladModel, start: Sequence[np.ndarray], t_final: float,
            sample_times: Sequence[float] | None = None) -> EvolutionResult:
     """Evolve a frame-diagonal start under the master equation up to
     ``t_final``.
 
-    ``p0`` is the frame populations, a real vector of ``frame.size``
-    entries indexed o * n_char + t; any other shape, a dense density
-    matrix included, raises ``ValueError``.  The run is on the label chains
-    of the model (:class:`_LabelChains`), with one ``scipy.linalg.expm`` of
-    each per distinct increment between samples.  When every channel moves one
-    label, M = M_e ⊗ 1 + 1 ⊗ M_m, and the populations P, reshaped to
-    (n_orbits, n_char), evolve exactly as P(t) = exp(M_e t) P0
-    exp(M_m t)ᵀ.  Otherwise each label's marginal evolves exactly by its
-    own chain, and only the marginals are kept.  A model without a
-    lattice, or whose population sector does not close, raises
+    ``start`` is the two label marginals (p_e, p_m), real vectors of
+    ``frame.n_orbits`` and ``frame.n_char`` entries; any other input, frame
+    populations or a dense density matrix included, raises ``ValueError``.
+    Each marginal evolves exactly by its own label chain
+    (:class:`_LabelChains`, strong lumpability), with one
+    ``scipy.linalg.expm`` of each per distinct increment between samples.
+    When every channel moves one label, M = M_e ⊗ 1 + 1 ⊗ M_m, so the
+    product start p_e ⊗ p_m evolves to p_e(t) ⊗ p_m(t).  A model without
+    a lattice, or whose population sector does not close, raises
     ``ValueError``.  No dense state is built.
 
     Trace and positivity are monitored at every sample time against a
     budget of 1e-9 per unit time; violations, NaN included, raise
-    ``PositivityError``.
-    The frame basis is orthonormal, so the monitors read the populations:
-    the trace defect is |sum p - 1| and the smallest eigenvalue is min p
-    (over both marginals when only those are kept).
+    ``PositivityError``.  The frame basis is orthonormal, so the monitors
+    read the marginals: the trace defect is the larger |sum p - 1| and the
+    smallest eigenvalue is the smallest marginal population.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be >= 0")
     gen = _compile_generator(model)
-    p0 = _start_populations(gen.frame, p0)
+    p_e, p_m = _start_marginals(gen.frame, start)
     if sample_times is None:
         times = np.array([0.0, t_final]) if t_final > 0 else np.array([0.0])
     else:
@@ -743,49 +746,37 @@ def evolve(model: LindbladModel, p0: np.ndarray, t_final: float,
             raise ValueError("sample times must ascend within [0, t_final]")
     if t_final == 0.0 or (times.size == 1 and times[0] == 0.0):
         times = np.array([0.0])
-    start = p0.reshape(gen.frame.n_orbits, gen.frame.n_char)
-    if gen.kronecker_sum:
-        joint, n_props = _propagate_chain(
-            (gen.orbit_chain, gen.char_chain), start, times)
-        orbit, char = joint.sum(axis=2), joint.sum(axis=1)
-        trace_defects = np.abs(joint.sum(axis=(1, 2)) - 1.0)
-        min_eigs = joint.min(axis=(1, 2))
-    else:
-        joint = None
-        orbit, n_props = _propagate_chain((gen.orbit_chain,),
-                                          start.sum(axis=1), times)
-        char, _ = _propagate_chain((gen.char_chain,), start.sum(axis=0), times)
-        trace_defects = np.maximum(np.abs(orbit.sum(axis=1) - 1.0),
-                                   np.abs(char.sum(axis=1) - 1.0))
-        min_eigs = np.minimum(orbit.min(axis=1), char.min(axis=1))
+    orbit, n_props = _propagate_chain(gen.orbit_chain, p_e, times)
+    char, _ = _propagate_chain(gen.char_chain, p_m, times)
+    trace_defects = np.maximum(np.abs(orbit.sum(axis=1) - 1.0),
+                               np.abs(char.sum(axis=1) - 1.0))
+    min_eigs = np.minimum(orbit.min(axis=1), char.min(axis=1))
     for t, defect, low in zip(times, trace_defects, min_eigs):
         budget = TRACE_TOL_PER_TIME * max(t, 1.0)
         _check_trace_and_floor(defect, low, budget,
                                EIGENVALUE_FLOOR - 10.0 * budget, f" at t={t}")
     return EvolutionResult(times=times, orbit_populations=orbit,
-                           char_populations=char, joint=joint,
+                           char_populations=char,
                            trace_defects=trace_defects,
-                           min_eigenvalues=min_eigs, frame=gen.frame,
+                           min_eigenvalues=min_eigs,
+                           kronecker_sum=gen.kronecker_sum, frame=gen.frame,
                            counters={**gen.counters,
                                      "propagator_evaluations": n_props})
 
 
-def _propagate_chain(chains: Sequence[np.ndarray], p0: np.ndarray,
+def _propagate_chain(chain: np.ndarray, p0: np.ndarray,
                      times: np.ndarray) -> tuple[np.ndarray, int]:
-    """Populations of ``p0`` at ``times``, and the number of distinct
-    increments between samples, each of which builds exp(M dt) once per
-    chain.  ``p0`` has one axis per chain in ``chains``, and each
-    propagator acts on its own axis: with two chains a step is
-    P -> exp(M_e dt) P exp(M_m dt)ᵀ."""
-    propagators: dict[float, list[np.ndarray]] = {}
+    """Populations of ``p0`` under the rate matrix ``chain`` at ``times``,
+    and the number of distinct increments between samples, each of which
+    builds exp(M dt) once."""
+    propagators: dict[float, np.ndarray] = {}
     p, pops, t_prev = p0, [], 0.0
     for t in times:
         dt = float(t) - t_prev
         if dt > 0.0:
             if dt not in propagators:
-                propagators[dt] = [scipy.linalg.expm(m * dt) for m in chains]
-            for axis, u in enumerate(propagators[dt]):
-                p = np.moveaxis(np.tensordot(u, p, axes=(1, axis)), 0, axis)
+                propagators[dt] = scipy.linalg.expm(chain * dt)
+            p = propagators[dt] @ p
         pops.append(p)
         t_prev = float(t)
     return np.array(pops), len(propagators)

@@ -499,8 +499,8 @@ class SpectrumResult:
     skipped by their Gershgorin floors.
 
     Level c lies in sector ``level_sectors[c]``; column c of
-    ``local_vectors`` (None if solved without vectors) holds its Z-basis
-    amplitudes there, in local order, and it is zero on every other sector.
+    ``local_vectors`` holds its Z-basis amplitudes there, in local order,
+    and it is zero on every other sector.
     """
 
     eigenvalues: np.ndarray
@@ -513,7 +513,7 @@ class SpectrumResult:
     lanczos_blocks: int
     probed_blocks: int
     level_sectors: np.ndarray
-    local_vectors: np.ndarray | None = None
+    local_vectors: np.ndarray
 
     @property
     def counters(self) -> dict[str, int]:
@@ -521,11 +521,6 @@ class SpectrumResult:
                 "orbits": self.orbits, "dense_blocks": self.dense_blocks,
                 "lanczos_blocks": self.lanczos_blocks,
                 "probed_blocks": self.probed_blocks}
-
-    def report_rows(self, chi: float, h_z: float) -> list[tuple]:
-        """(chi, h_z, index, energy, residual_bound) per eigenpair."""
-        return [(chi, h_z, i, float(e), self.residual_bound)
-                for i, e in enumerate(self.eigenvalues)]
 
 
 RESIDUAL_BOUND = 1e-8
@@ -599,8 +594,8 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
     return evals, vecs, residuals, lanczos
 
 
-def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
-                      with_vectors: bool = True) -> SpectrumResult:
+def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
+                      seed: int = 7) -> SpectrumResult:
     """k smallest eigenpairs, solved block by block at every size.
 
     The blocks of the real-gauge A = V^H H V
@@ -678,9 +673,8 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6, seed: int = 7,
                        key=lambda f: f[0])[:k]
     levels, residuals, sectors = (np.array([f[i] for f in found])
                                   for i in range(3))
-    vectors = (np.zeros((op.cosets.elements.size, len(found)), dtype=complex)
-               if with_vectors else None)
-    for s in np.unique(sectors) if with_vectors else ():
+    vectors = np.zeros((op.cosets.elements.size, len(found)), dtype=complex)
+    for s in np.unique(sectors):
         cols = np.flatnonzero(sectors == s)
         rep = op.cosets.members(op.orbit[s])
         vectors[:, cols] = op.phases(rep)[:, None] * np.stack(
@@ -745,12 +739,12 @@ class FidelityResult:
 
 def ground_fidelity(reference: tuple, h: SparseHamiltonian,
                     res: SpectrumResult) -> FidelityResult:
-    """Fidelity of the four lowest levels of ``res`` (solved with vectors)
-    to :func:`ground_space_reference`: overlap[c, l] is amp times the sum of
+    """Fidelity of the four lowest levels of ``res`` to
+    :func:`ground_space_reference`: overlap[c, l] is amp times the sum of
     level l's amplitudes over ``support[c]``, zero in any other sector."""
     support, amp, _ = reference
-    if res.local_vectors is None or len(res.eigenvalues) < 4:
-        raise ValueError("the perturbed manifold needs 4 levels with vectors")
+    if len(res.eigenvalues) < 4:
+        raise ValueError("the perturbed manifold needs 4 levels")
     sector, local = h.compile().cosets.locate(support)
     amps = np.where(sector[..., None] == res.level_sectors[:4],
                     res.local_vectors[local, :4], 0.0)
@@ -759,12 +753,16 @@ def ground_fidelity(reference: tuple, h: SparseHamiltonian,
 
 @dataclass
 class FidelityScanPoint:
+    """One chi point of a scan; a failed solve leaves every field but
+    ``chi`` and ``error`` None."""
+
     chi: float
-    eigenvalues: np.ndarray | None
-    subspace_fidelity: float | None
-    sector_weights: np.ndarray | None
-    manifold_spread: float | None
-    gap: float | None
+    eigenvalues: np.ndarray | None = None
+    residual_bound: float | None = None
+    subspace_fidelity: float | None = None
+    sector_weights: np.ndarray | None = None
+    manifold_spread: float | None = None
+    gap: float | None = None
     error: str | None = None
     counters: dict[str, int] | None = None
 
@@ -774,13 +772,6 @@ class FidelityScan:
     h_z: float
     chi_pairs: str
     points: list[FidelityScanPoint]
-
-    def report_rows(self) -> list[tuple]:
-        """(chi, subspace_fidelity, sector_0..3, manifold_spread, gap) per
-        solved point; failed points are left out."""
-        return [(p.chi, p.subspace_fidelity, *map(float, p.sector_weights),
-                 p.manifold_spread, p.gap)
-                for p in self.points if p.error is None]
 
 
 def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
@@ -798,15 +789,13 @@ def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
         try:
             res = lowest_eigenpairs(h, k=k, seed=seed)
         except ConvergenceError as exc:
-            points.append(FidelityScanPoint(
-                chi=chi, eigenvalues=None, subspace_fidelity=None,
-                sector_weights=None, manifold_spread=None, gap=None,
-                error=str(exc)))
+            points.append(FidelityScanPoint(chi=chi, error=str(exc)))
             continue
         fid = ground_fidelity(reference, h, res)
         evals = res.eigenvalues
         points.append(FidelityScanPoint(
-            chi=chi, eigenvalues=evals, subspace_fidelity=fid.subspace,
+            chi=chi, eigenvalues=evals, residual_bound=res.residual_bound,
+            subspace_fidelity=fid.subspace,
             sector_weights=fid.sector_weights,
             manifold_spread=float(evals[3] - evals[0]),
             gap=float(evals[4] - evals[3]) if len(evals) > 4 else None,

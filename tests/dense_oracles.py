@@ -1,10 +1,10 @@
 """Dense L = 2 views, kept as test oracles.
 
-Lattice dissipation in ``toricsim.lindblad`` takes and returns frame
+Lattice dissipation in ``toricsim.lindblad`` takes and returns label
 populations only.  This module holds the dense forms the tests check it
 against: the frame basis B, whose columns are the frame states, the change
 of frame and back, a density-matrix check, the carry-in of a dense
-frame-diagonal start to its populations, and the dense states
+frame-diagonal product start to its label marginals, and the dense states
 B diag(p) Bᵀ of a result's populations.  Each is a 2^n x 2^n array, so it
 is meant for the 256 states of L = 2 only.
 
@@ -66,16 +66,21 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
 
 
 def start_populations(frame: lb.StabilizerFrame,
-                      rho0: np.ndarray) -> np.ndarray:
-    """Frame populations of a dense start, the frame diagonal of a
-    validated density matrix, which must have no frame coherences."""
+                      rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label marginals (p_e, p_m) of a dense start.  Its frame diagonal is
+    that of a validated density matrix, which must have no frame
+    coherences and must factor as p_e ⊗ p_m."""
     rho0 = np.asarray(rho0)
     validate_density_matrix(rho0)
     y0 = to_frame(frame, rho0.astype(complex))
     p0 = np.diag(y0).real
     if np.linalg.norm(y0 - np.diag(p0)) >= FRAME_DIAGONAL_TOL:
         raise ValueError("rho0 has coherences in the stabilizer frame")
-    return p0
+    joint = p0.reshape(frame.n_orbits, frame.n_char)
+    p_e, p_m = joint.sum(axis=1), joint.sum(axis=0)
+    if np.abs(joint - np.outer(p_e, p_m)).max() >= FRAME_DIAGONAL_TOL:
+        raise ValueError("rho0 is no product of its label marginals")
+    return p_e, p_m
 
 
 def stationary_rho(res: lb.StationaryResult) -> np.ndarray:

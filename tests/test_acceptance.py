@@ -124,8 +124,7 @@ def test_criterion_06_l3_quasi_degeneracy_and_fidelity_window():
     ok = ok and all(pt.error is None for pt in scan.points)
     # the scan's chi = 0.2 solve has the same solver, seed and k
     h = sp.build_hamiltonian(lat, h_z=0.05, chi=0.0)
-    levels = {0.0: sp.lowest_eigenpairs(h, k=6, seed=7,
-                                        with_vectors=False).eigenvalues,
+    levels = {0.0: sp.lowest_eigenpairs(h, k=6, seed=7).eigenvalues,
               0.2: scan.points[0].eigenvalues}
     for chi, evals in levels.items():
         spread = float(evals[3] - evals[0])

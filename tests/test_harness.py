@@ -60,9 +60,10 @@ class TestScenarioConfig:
         for fragment in ("p must", "lambda_star", "t_final", "n_times"):
             assert fragment in text
 
-    def test_partial_explicit_angles_rejected(self):
-        cfg = hn.ScenarioConfig(kind="sequence-order-scan", alpha=0.1)
-        assert any("together" in p for p in cfg.validate())
+    def test_cool_with_noise_needs_a_ratio(self):
+        cfg = hn.ScenarioConfig(kind="cool-with-noise", ratio_grid=())
+        with pytest.raises(hn.ConfigError, match="ratio_grid must not be empty"):
+            cfg.require_valid()
 
     def test_probe_separation_guards(self):
         cfg = hn.ScenarioConfig(kind="eliminate", coupling_grid=(0.2,),
@@ -83,18 +84,25 @@ class TestScenarioConfig:
         # change nothing but the config hash
         read = set()
 
+        def unrecorded(call):
+            before = set(read)
+            out = call()
+            read.intersection_update(before)
+            return out
+
         class Recording(hn.ScenarioConfig):
             def __getattribute__(self, name):
                 if name in hn.FIELD_SPEC:
                     read.add(name)
                 return super().__getattribute__(name)
 
+            # hashing reads every field, and validation every field it
+            # checks; neither is a scenario reading it
             def canonical(self):
-                # hashing reads every field
-                before = set(read)
-                out = super().canonical()
-                read.intersection_update(before)
-                return out
+                return unrecorded(super().canonical)
+
+            def validate(self):
+                return unrecorded(super().validate)
 
         for kind in hn.KINDS:
             assert hn.run(Recording(kind=kind, outdir=str(tmp_path))).ok
@@ -264,6 +272,33 @@ class TestScenarioRuns:
         assert len(rows) == 3 * cfg.n_eigenvalues
         assert max(float(r.split(",")[4]) for r in rows) < 1e-8
 
+    def test_spectrum_quasi_degeneracy_needs_a_window_point(self, tmp_path):
+        # no grid point at |chi| <= 0.2 is no evidence of the manifold
+        record = hn.run(hn.ScenarioConfig(kind="spectrum", chi_grid=(0.5,),
+                                          outdir=str(tmp_path)))
+        check = {a.name: a for a in record.assertions}[
+            "fourfold-quasi-degeneracy"]
+        assert not check.passed and "(0 points)" in check.detail
+
+    @pytest.mark.parametrize("kind", ["spectrum", "fidelity-scan"])
+    def test_failed_chi_point_is_recorded(self, tmp_path, monkeypatch, kind):
+        # both scenarios run one chi scan: a point whose solve fails is
+        # left out of every file and fails solver-converged
+        solve = sp.lowest_eigenpairs
+
+        def fail_at_chi(h, **kwargs):
+            if any(coeff == 0.2 for coeff, _ in h.terms):
+                raise sp.ConvergenceError("forced")
+            return solve(h, **kwargs)
+
+        monkeypatch.setattr(sp, "lowest_eigenpairs", fail_at_chi)
+        record = hn.run(hn.ScenarioConfig(kind=kind, chi_grid=(0.0, 0.2),
+                                          outdir=str(tmp_path)))
+        check = {a.name: a for a in record.assertions}["solver-converged"]
+        assert not check.passed and check.detail == "failed chi points: [0.2]"
+        assert record.metrics["chi"] == (0.0,) * len(record.metrics["chi"])
+        assert [p["chi"] for p in record.solver["points"]] == [0.0]
+
     def test_fidelity_scan(self, tmp_path):
         cfg = hn.ScenarioConfig(kind="fidelity-scan", chi_grid=(0.0, 0.3),
                                 outdir=str(tmp_path))
@@ -399,16 +434,17 @@ class TestScenarioRuns:
         monkeypatch.setattr(lb, "_recurrent_distributions",
                             lambda m: solved.append(m) or recurrent(m))
         monkeypatch.setattr(lb, "_propagate_chain",
-                            lambda ms, *a: propagated.append(ms)
-                            or propagate(ms, *a))
+                            lambda m, *a: propagated.append(m)
+                            or propagate(m, *a))
         for kind in ("thermalize", "cool-with-noise"):
             record = hn.run(hn.ScenarioConfig(kind=kind,
                                               outdir=str(tmp_path)))
             assert record.ok, record.summary_lines()
-        # thermalize: M_e and M_m of one model, solved and propagated
-        # together; cool-with-noise: both chains of each of 4 points
-        assert len(solved) == 2 + 2 * 4 and len(propagated) == 1
-        assert propagated[0][0] is solved[0] and propagated[0][1] is solved[1]
+        # thermalize: M_e and M_m of one model, each solved and then
+        # propagated on its own; cool-with-noise: both chains of each of
+        # 4 points
+        assert len(solved) == 2 + 2 * 4 and len(propagated) == 2
+        assert propagated[0] is solved[0] and propagated[1] is solved[1]
         assert [m.shape for m in solved] == [(32, 32), (8, 8)] * 5
         assert len({id(m) for m in solved}) == 2 + 2 * 4
 
@@ -422,18 +458,6 @@ class TestScenarioRuns:
         assert report["rank_correlation"] == 1.0
         # measured form-fit residual 0.083: reported, not asserted small
         assert 0.0 < report["fit_residual"] < 0.5
-
-    def test_cool_with_noise_noiseless_point_is_dark(self):
-        cfg = hn.ScenarioConfig(kind="cool-with-noise", ratio_grid=(),
-                                epg=0.0)
-        sweep = hn.cool_with_noise(cfg)
-        assert len(sweep.points) == 1
-        point = sweep.points[0]
-        assert point.gamma_e == 0.0 and point.ratio == math.inf
-        # the four ground states absorb every population: density 0
-        assert point.excitation_density == 0.0
-        assert point.fitted_temperature == 0.0
-        assert sweep.fit_constant is None
 
     def test_cool_with_noise_heating_endpoint(self):
         # noise 10x stronger than cooling: hotter than the pair gap
@@ -670,3 +694,14 @@ class TestCli:
                          "--outdir", str(tmp_path)])
         assert code == 2
         assert "theta" in capsys.readouterr().err
+        code = cli.main(["cool", "--ratio-grid", "", "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "ratio_grid" in capsys.readouterr().err
+
+    def test_deleted_flags_exit_two(self):
+        # the explicit angle triple and the single-EPG point are gone
+        for argv in (["sequence-scan", "--alpha", "0.1"],
+                     ["cool", "--epg", "0.01"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2

@@ -46,6 +46,15 @@ LUMP_E = np.kron(np.eye(N_ORB), np.ones((1, N_CHAR)))
 LUMP_M = np.kron(np.ones((1, N_ORB)), np.eye(N_CHAR))
 
 
+def _uniform(frame: lb.StabilizerFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The label marginals of I/D."""
+    return (np.full(frame.n_orbits, 1.0 / frame.n_orbits),
+            np.full(frame.n_char, 1.0 / frame.n_char))
+
+
+UNIFORM = _uniform(FRAME)
+
+
 class _DenseGenerator:
     """The oracle: dense H and channels of a model, and the generator
     -i[H, rho] - {A, rho} + sum 2r c rho c† with A = sum r c†c."""
@@ -477,7 +486,7 @@ def test_label_chains_at_l3():
         tracemalloc.start()
         try:
             res = lb.stationary_state(model)
-            out = lb.evolve(model, np.full(size, 1.0 / size), 10.0,
+            out = lb.evolve(model, _uniform(model.frame), 10.0,
                             sample_times=np.linspace(0.0, 10.0, 11))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -567,7 +576,7 @@ def test_open_population_sector_is_refused():
     with pytest.raises(ValueError, match="does not close"):
         lb.stationary_state(model)
     with pytest.raises(ValueError, match="does not close"):
-        lb.evolve(model, np.full(DIM, 1.0 / DIM), 1.0)
+        lb.evolve(model, UNIFORM, 1.0)
 
 
 @pytest.mark.parametrize("name, classes", [
@@ -705,8 +714,8 @@ def test_chain_evolution_matches_superoperator_propagator(name):
     model = CHAIN_MODELS[name]
     kron = name != "noisy-cooling"
     rng = np.random.default_rng(21)
-    p0 = rng.random(DIM)
-    rho0_f = np.diag(p0 / p0.sum()).astype(complex)
+    p_e, p_m = (p / p.sum() for p in (rng.random(N_ORB), rng.random(N_CHAR)))
+    rho0_f = np.diag(np.kron(p_e, p_m)).astype(complex)
     times = [0.0, 1.0, 3.0, 10.0]
     out = lb.evolve(model, oracles.start_populations(
         FRAME, oracles.from_frame(FRAME, rho0_f)), 10.0, sample_times=times)
@@ -727,20 +736,18 @@ def test_chain_evolution_matches_superoperator_propagator(name):
         want[idx] = scipy.linalg.expm(block * t) @ rho0_f.ravel()[idx]
         want = want.reshape(DIM, DIM)
         diag = np.diag(want).real
+        # the oracle stays frame-diagonal, and its lumped diagonal is what
+        # the marginal chains carry; a Kronecker chain keeps the product
+        assert np.abs(want - np.diag(diag)).max() < 1e-10
+        np.testing.assert_allclose(out.orbit_populations[k],
+                                   LUMP_E @ diag, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out.char_populations[k],
+                                   LUMP_M @ diag, rtol=0, atol=1e-10)
         if kron:
             np.testing.assert_allclose(
                 oracles.to_frame(FRAME, oracles.evolution_states(out)[k]),
                 want, rtol=0, atol=1e-10)
-            low = diag.min()
-        else:
-            # the oracle stays frame-diagonal, and its lumped diagonal is
-            # what the marginal chains carry
-            assert np.abs(want - np.diag(diag)).max() < 1e-10
-            np.testing.assert_allclose(out.orbit_populations[k],
-                                       LUMP_E @ diag, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(out.char_populations[k],
-                                       LUMP_M @ diag, rtol=0, atol=1e-10)
-            low = min((LUMP_E @ diag).min(), (LUMP_M @ diag).min())
+        low = min((LUMP_E @ diag).min(), (LUMP_M @ diag).min())
         assert out.trace_defects[k] < 1e-12
         assert out.min_eigenvalues[k] == pytest.approx(low, abs=1e-10)
     if not kron:
@@ -759,11 +766,12 @@ def test_population_observables_match_dense_oracle(name):
     h = model.hamiltonian.to_dense()
     basis = oracles.basis(FRAME)
     res = lb.stationary_state(model)
-    # a random frame-diagonal start breaks the logical symmetry of I/D, so
-    # the Z loops read nonzero values along the way
-    p0 = np.random.default_rng(3).random(DIM)
-    p0 /= p0.sum()
-    out = lb.evolve(model, p0, 3.0, sample_times=[0.0, 1.0, 3.0])
+    # a random frame-diagonal product start breaks the logical symmetry of
+    # I/D, so the Z loops read nonzero values along the way
+    rng = np.random.default_rng(3)
+    start = [p / p.sum() for p in (rng.random(N_ORB), rng.random(N_CHAR))]
+    p0 = np.kron(*start)
+    out = lb.evolve(model, start, 3.0, sample_times=[0.0, 1.0, 3.0])
     assert out.path == "label-chains"
     if res.kronecker_sum:
         np.testing.assert_allclose(oracles.stationary_rho(res),
@@ -833,8 +841,8 @@ def test_chain_without_kronecker_sum_keeps_marginals_only():
     assert res.detailed_balance_temperature == THERMAL.detailed_balance_temperature()
     assert res.orbit_populations.sum() == pytest.approx(1.0, abs=1e-14)
     assert res.char_populations.sum() == pytest.approx(1.0, abs=1e-14)
-    out = lb.evolve(model, np.full(DIM, 1.0 / DIM), 1.0)
-    assert out.joint is None and out.counters["kronecker_sum"] is False
+    out = lb.evolve(model, UNIFORM, 1.0)
+    assert not out.kronecker_sum and out.counters["kronecker_sum"] is False
     for view in (lambda: res.populations, lambda: out.populations):
         with pytest.raises(ValueError, match="only the two label marginals"):
             view()
@@ -908,14 +916,15 @@ def test_superoperator_matches_dense_generator_on_probe():
 
 
 def test_evolve_validation_and_errors():
-    p0 = np.full(DIM, 1.0 / DIM)
     with pytest.raises(ValueError):
-        lb.evolve(THERMAL, p0, 1.0, sample_times=[0.5, 0.2])
+        lb.evolve(THERMAL, UNIFORM, 1.0, sample_times=[0.5, 0.2])
     with pytest.raises(ValueError):
-        lb.evolve(THERMAL, p0, 1.0, sample_times=[0.0, 2.0])
-    # evolve takes frame populations only: a dense state is refused
-    with pytest.raises(ValueError, match="the 256 frame populations"):
-        lb.evolve(THERMAL, np.eye(DIM) / DIM, 0.5)
+        lb.evolve(THERMAL, UNIFORM, 1.0, sample_times=[0.0, 2.0])
+    # evolve takes the two label marginals only: frame populations and a
+    # dense state are refused
+    for start in (np.full(DIM, 1.0 / DIM), np.eye(DIM) / DIM):
+        with pytest.raises(ValueError, match=r"two label marginals \(p_e, p_m\)"):
+            lb.evolve(THERMAL, start, 0.5)
     # the dense oracle carries a dense start into the frame once
     with pytest.raises(lb.PositivityError):
         oracles.start_populations(FRAME, np.eye(DIM) / 128)
@@ -933,17 +942,24 @@ def test_evolve_validation_and_errors():
         FRAME, np.eye(DIM) / DIM), 0.5).path == "label-chains"
     with pytest.raises(ValueError, match="stabilizer frame"):
         lb.evolve(_single_qubit_damped_rabi(), np.full(2, 0.5), 0.5)
-    # frame populations are checked like the spectrum of a density matrix
-    with pytest.raises(ValueError, match="populations for 256"):
-        lb.evolve(THERMAL, np.full(DIM // 2, 2.0 / DIM), 0.5)
-    with pytest.raises(lb.PositivityError, match="trace defect"):
-        lb.evolve(THERMAL, np.full(DIM, 2.0 / DIM), 0.5)
+    # a dense product start carries in as its two marginals, and a
+    # correlated one is refused
+    correlated = np.zeros(DIM)
+    correlated[[0, N_CHAR + 1]] = 0.5
+    with pytest.raises(ValueError, match="no product"):
+        oracles.start_populations(
+            FRAME, oracles.from_frame(FRAME, np.diag(correlated)))
+    # each marginal is checked like the spectrum of a density matrix
+    with pytest.raises(ValueError, match="p_m must hold 8 populations"):
+        lb.evolve(THERMAL, (UNIFORM[0], UNIFORM[0]), 0.5)
+    with pytest.raises(lb.PositivityError, match="trace defect .* in p_e"):
+        lb.evolve(THERMAL, (2.0 * UNIFORM[0], UNIFORM[1]), 0.5)
     # below the floor of a dense start, though within the budget of the
     # monitor at t = 0
-    uneven = np.full(DIM, 1.0 / DIM)
-    uneven[:2] += (-1.0 / DIM - 5e-9, 1.0 / DIM + 5e-9)
+    uneven = UNIFORM[1].copy()
+    uneven[:2] += (-1.0 / N_CHAR - 5e-9, 1.0 / N_CHAR + 5e-9)
     with pytest.raises(lb.PositivityError, match="below floor"):
-        lb.evolve(THERMAL, uneven, 0.5)
+        lb.evolve(THERMAL, (UNIFORM[0], uneven), 0.5)
 
 
 def test_nan_never_passes_a_population_monitor(monkeypatch):
@@ -951,27 +967,28 @@ def test_nan_never_passes_a_population_monitor(monkeypatch):
         with pytest.raises(lb.PositivityError):
             lb._check_trace_and_floor(defect, low, 1e-9, lb.EIGENVALUE_FLOOR)
     with pytest.raises(lb.PositivityError, match="trace defect nan"):
-        lb.evolve(THERMAL, np.full(DIM, np.nan), 1.0)
+        lb.evolve(THERMAL, (np.full(N_ORB, np.nan), UNIFORM[1]), 1.0)
     rho0 = np.eye(DIM) / DIM
     rho0[3, 3] = np.nan
     with pytest.raises(lb.PositivityError):
         oracles.start_populations(FRAME, rho0)
     # a propagation that loses the populations fails its sample monitor
-    monkeypatch.setattr(lb, "_propagate_chain", lambda chains, p0, times: (
+    monkeypatch.setattr(lb, "_propagate_chain", lambda chain, p0, times: (
         np.full((times.size, *p0.shape), np.nan), 1))
     with pytest.raises(lb.PositivityError, match="trace defect nan"):
-        lb.evolve(THERMAL, np.full(DIM, 1.0 / DIM), 1.0)
+        lb.evolve(THERMAL, UNIFORM, 1.0)
 
 
 def test_complex_populations_are_rejected():
-    p0 = np.full(DIM, 1.0 / DIM, dtype=complex)
-    p0[5] += 1e-3j
+    p_e = UNIFORM[0].astype(complex)
+    p_e[5] += 1e-3j
     with pytest.raises(ValueError, match="must be real"):
-        lb.evolve(THERMAL, p0, 1.0)
+        lb.evolve(THERMAL, (p_e, UNIFORM[1]), 1.0)
     # a complex vector with no imaginary part is a real start
-    real = lb.evolve(THERMAL, np.full(DIM, 1.0 / DIM), 1.0)
+    real = lb.evolve(THERMAL, UNIFORM, 1.0)
     np.testing.assert_array_equal(
-        lb.evolve(THERMAL, p0.real.astype(complex), 1.0).populations,
+        lb.evolve(THERMAL, (p_e.real.astype(complex), UNIFORM[1]),
+                  1.0).populations,
         real.populations)
 
 

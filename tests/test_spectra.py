@@ -313,9 +313,10 @@ def test_solver_builds_only_the_blocks_it_uses(monkeypatch):
     h = sp.build_hamiltonian(lt.build(3), chi=0.0, h_z=0.05)
     h.compile()
     built = _count_blocks(monkeypatch)
-    res = sp.lowest_eigenpairs(h, k=6, seed=7, with_vectors=False)
+    res = sp.lowest_eigenpairs(h, k=6, seed=7)
     assert res.dense_blocks + res.lanczos_blocks == 20
-    assert sum(built.values()) == 20 and set(built.values()) == {1}
+    members = {s for s in built if h.compile().orbit[s] != s}
+    assert len(built) == 20 + len(members) and set(built.values()) == {1}
     # a member block is built once for the check of all its kept levels
     h = sp.build_hamiltonian(LAT, chi=0.2, h_z=0.05)
     built = _count_blocks(monkeypatch)
@@ -357,7 +358,7 @@ def test_probe_rules_out_the_size_3_orbits_at_l3(monkeypatch):
         return eigsh(a, k=k, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-    res = sp.lowest_eigenpairs(h, k=6, seed=7, with_vectors=False)
+    res = sp.lowest_eigenpairs(h, k=6, seed=7)
     assert (res.orbits, res.lanczos_blocks, res.probed_blocks) == (4, 2, 2)
     reps = set(np.unique(op.orbit).tolist())
     probed = reps - set(op.orbit[res.level_sectors].tolist())
@@ -478,13 +479,11 @@ def test_ground_fidelity_aggregates():
     # global phases never matter
     fid3 = fidelity(states * np.exp(0.7j))
     assert fid3.subspace == pytest.approx(1.0, abs=1e-12)
-    # the perturbed manifold needs four levels, solved with vectors
-    reference = sp.ground_space_reference(LAT)
+    # the perturbed manifold needs four levels
     h = sp.build_hamiltonian(LAT, h_z=0.05)
-    for res in (sp.lowest_eigenpairs(h, k=3),
-                sp.lowest_eigenpairs(h, k=6, with_vectors=False)):
-        with pytest.raises(ValueError):
-            sp.ground_fidelity(reference, h, res)
+    with pytest.raises(ValueError, match="4 levels"):
+        sp.ground_fidelity(sp.ground_space_reference(LAT), h,
+                           sp.lowest_eigenpairs(h, k=3))
 
 
 def test_fidelity_scan_structure():
@@ -495,12 +494,12 @@ def test_fidelity_scan_structure():
         assert p.error is None
         assert 0.0 <= p.subspace_fidelity <= 1.0
         assert p.manifold_spread < p.gap / 5
-    # the full fidelity schema row: chi, subspace, 4 sector weights,
-    # manifold spread and gap
-    rows = scan.report_rows()
-    assert rows == [(p.chi, p.subspace_fidelity, *p.sector_weights,
-                     p.manifold_spread, p.gap) for p in scan.points]
-    assert len(rows[0]) == 8
+        assert p.sector_weights.shape == (4,)
+        # the bound the solve verified every pair against
+        res = sp.lowest_eigenpairs(
+            sp.build_hamiltonian(LAT, chi=p.chi, h_z=0.05), k=6)
+        assert p.residual_bound == res.residual_bound
+        np.testing.assert_array_equal(p.eigenvalues, res.eigenvalues)
 
 
 def test_fidelity_scan_survives_solver_failure(monkeypatch):
@@ -514,8 +513,9 @@ def test_fidelity_scan_survives_solver_failure(monkeypatch):
     monkeypatch.setattr(sp, "lowest_eigenpairs", flaky)
     scan = sp.fidelity_scan(LAT, [0.0, 0.2], h_z=0.05)
     assert scan.points[0].error is None
-    assert scan.points[1].error is not None
-    assert len(scan.report_rows()) == 1
+    failed = scan.points[1]
+    assert failed.error == "forced failure"
+    assert failed.eigenvalues is None and failed.residual_bound is None
 
 
 @st.composite
