@@ -12,7 +12,7 @@ harness    scenario configs, deterministic run records, figure data
 cli        command-line entry point (``toricsim <subcommand>``)
 """
 
-from .pauli import PauliString, PauliSum, commutator, decompose, multiply
+from .pauli import PauliString, PauliSum, commutator, decompose
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,5 @@ __all__ = [
     "PauliSum",
     "commutator",
     "decompose",
-    "multiply",
     "__version__",
 ]

@@ -129,16 +129,6 @@ class PauliString:
     # -- inspection ---------------------------------------------------
 
     @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        mask = self.x_mask | self.z_mask
-        return tuple(j for j in range(self.n_qubits) if (mask >> j) & 1)
-
-    @property
     def is_hermitian(self) -> bool:
         return self.phase_quarter % 2 == 0
 
@@ -183,9 +173,6 @@ class PauliString:
                  - (x & z).bit_count()
                  + 2 * (self.z_mask & other.x_mask).bit_count())
         return PauliString(self.n_qubits, x, z, phase)
-
-    def adjoint(self) -> "PauliString":
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, -self.phase_quarter)
 
     def commutes_with(self, other: "PauliString") -> bool:
         """Symplectic predicate; ignores the scalar phases."""
@@ -238,11 +225,6 @@ class PauliString:
         out[idx ^ np.uint64(self.x_mask), idx] = (
             QUARTER_TURNS[self.quarter_turns(idx) % 4])
         return out
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product ``a @ b`` with the exact quarter-phase."""
-    return a * b
 
 
 def commutator(a: PauliString, b: PauliString) -> "PauliSum":
@@ -364,9 +346,6 @@ class PauliSum:
     def adjoint(self) -> "PauliSum":
         return PauliSum({s: np.conj(c) for s, c in self._terms.items()},
                         n_qubits=self.n_qubits)
-
-    def is_hermitian(self) -> bool:
-        return all(abs(c.imag) <= 1e-10 for c in self._terms.values())
 
     def l2_norm(self) -> float:
         """Normalized Frobenius norm sqrt(tr(A†A)/2^n) = sqrt(sum |c|^2)."""

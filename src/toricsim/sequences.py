@@ -20,8 +20,7 @@ with the signs of a and c reversed, cancelling the 4th-order residuals.
 
 Effective Hamiltonians are extracted with the principal matrix logarithm of
 the composed unitary (exact to machine precision, all orders), which is the
-oracle for every scaling claim here; :func:`bch_second_order` is the
-closed-form second-order approximant used to cross-check conventions.
+oracle for every scaling claim here.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
-from .pauli import PRUNE_TOL, PauliString, PauliSum, commutator, decompose
+from .pauli import PRUNE_TOL, PauliString, PauliSum, decompose
 
 DEFAULT_VERTEX_GENERATORS = (
     PauliString.from_label("ZYII"),
@@ -182,30 +181,6 @@ def effective_hamiltonian(seq: GateSequence,
         hermiticity_defect=defect, unitarity_defect=unitarity,
         residual=residual,
         target_coefficients={l: (measured[l], complex(p)) for l, p in targets.items()})
-
-
-def bch_second_order(seq: GateSequence) -> PauliSum:
-    """Closed-form second-order Magnus approximant.
-
-    For gates applied in order 1, 2, ..., n,
-
-        H2 = (1/T) sum_j angle_j G_j
-           + (i/2T) sum_{j<k} angle_j angle_k [G_j, G_k]
-
-    (j earlier in time than k).  Built purely in the symplectic algebra;
-    no dense matrices.
-    """
-    total_time = seq.total_duration
-    out = PauliSum.zero(seq.n_qubits)
-    gates = seq.gates
-    for g in gates:
-        out = out + (g.angle / total_time) * PauliSum.from_string(g.generator)
-    for j in range(len(gates)):
-        for k in range(j + 1, len(gates)):
-            c = commutator(gates[j].generator, gates[k].generator)
-            if len(c):
-                out = out + (0.5j * gates[j].angle * gates[k].angle / total_time) * c
-    return out
 
 
 @dataclass

@@ -6,12 +6,15 @@ The model is
     H = -J_e sum_v (vertex ZZZZ) - J_m sum_p (plaquette XXXX)
         - h_z sum_i Z_i + chi sum_pairs X_i Y_j
 
-on the ``2 L^2`` link qubits.  The chi pair set mirrors what the pulse
-sequences leave behind: one X.Y term per vertex and per plaquette placed on
-the 2nd and 3rd links of the neighborhood ordering (``chi_pairs =
-"sequence"``), or the symmetric variant with one term per geometric
-nearest-neighbour link pair (``chi_pairs = "all"``) to bracket the pairing
-ambiguity.
+on the ``2 L^2`` link qubits.  The chi pairs are where the pulse sequences
+leave their residual: the 2nd and 3rd links, (links[1], links[2]), of every
+vertex and plaquette neighborhood in its canonical order (``chi_pairs =
+"sequence"``); ``chi_pairs = "all"`` puts one term on every geometric
+nearest-neighbour link pair instead, to bracket the pairing ambiguity.  The
+letters do not follow the pulses on plaquettes: the vertex sequence leaves
+X_a Y_b, but the plaquette sequence, whose generators are cycled
+X -> Y -> Z, leaves Y_a Z_b (IXYI becomes IYZI).  X.Y on every pair is a
+stand-in until H is derived from the composed pulses.
 
 Every such H is real up to a diagonal phase gauge: S gates on the links
 of a mask found by a GF(2) solve over the terms (:func:`real_gauge`; the
@@ -464,7 +467,12 @@ def build_hamiltonian(lat: lt.TorusLattice, j_e: float = 1.0, j_m: float = 1.0,
                       chi: float = 0.0, h_z: float = 0.0,
                       chi_pairs: str = "sequence") -> SparseHamiltonian:
     """Assemble the perturbed stabilizer Hamiltonian on the lattice links,
-    with the lattice translations as candidate symmetries."""
+    with the lattice translations as candidate symmetries.
+
+    Every chi pair gets chi X_a Y_b.  That is the residual the pulses leave
+    on a vertex's (links[1], links[2]); on a plaquette's they leave Y_a Z_b,
+    so X.Y there is a stand-in.
+    """
     n = lat.n_links
     terms: list[tuple[float, PauliString]] = []
     for v in range(lat.n_vertices):
@@ -767,17 +775,10 @@ class FidelityScanPoint:
     counters: dict[str, int] | None = None
 
 
-@dataclass
-class FidelityScan:
-    h_z: float
-    chi_pairs: str
-    points: list[FidelityScanPoint]
-
-
 def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
                   h_z: float = 0.05, k: int = 6, chi_pairs: str = "sequence",
-                  seed: int = 7) -> FidelityScan:
-    """Ground-manifold fidelity and low-lying spectrum across a chi grid.
+                  seed: int = 7) -> list[FidelityScanPoint]:
+    """Ground-manifold fidelity and low-lying spectrum at each chi point.
 
     Solver failures are recorded per grid point instead of aborting the
     scan.
@@ -800,4 +801,4 @@ def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
             manifold_spread=float(evals[3] - evals[0]),
             gap=float(evals[4] - evals[3]) if len(evals) > 4 else None,
             counters=res.counters))
-    return FidelityScan(h_z=h_z, chi_pairs=chi_pairs, points=points)
+    return points

@@ -121,18 +121,18 @@ def test_criterion_06_l3_quasi_degeneracy_and_fidelity_window():
     details = []
     ok = True
     scan = sp.fidelity_scan(lat, (0.2, 0.4, 0.6), h_z=0.05, k=6, seed=7)
-    ok = ok and all(pt.error is None for pt in scan.points)
+    ok = ok and all(pt.error is None for pt in scan)
     # the scan's chi = 0.2 solve has the same solver, seed and k
     h = sp.build_hamiltonian(lat, h_z=0.05, chi=0.0)
     levels = {0.0: sp.lowest_eigenpairs(h, k=6, seed=7).eigenvalues,
-              0.2: scan.points[0].eigenvalues}
+              0.2: scan[0].eigenvalues}
     for chi, evals in levels.items():
         spread = float(evals[3] - evals[0])
         gap = float(evals[4] - evals[3])
         ok = ok and gap > 0.0 and spread < gap / 5.0
         details.append(f"chi={chi}: spread {spread:.2e} vs gap/5 "
                        f"{gap / 5.0:.3f}")
-    fid = {pt.chi: pt.subspace_fidelity for pt in scan.points}
+    fid = {pt.chi: pt.subspace_fidelity for pt in scan}
     ok = ok and fid[0.2] >= 0.8 and fid[0.4] >= 0.8
     ok = ok and fid[0.6] < fid[0.4] - 0.02
     details.append(f"fidelity {fid[0.2]:.4f} (0.2), {fid[0.4]:.4f} (0.4) "

@@ -6,9 +6,12 @@ that regressions in the scenario pipeline surface as test failures.
 """
 
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ import scipy.sparse
 import scipy.stats
 
 import dense_oracles as oracles
+import toricsim
 from toricsim import cli
 from toricsim import harness as hn
 from toricsim import lattice as lt
@@ -34,6 +38,50 @@ def _density(vec):
     vec = np.asarray(vec, dtype=complex)
     vec = vec / np.linalg.norm(vec)
     return np.outer(vec, vec.conj())
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """One run of the seven scenarios at their defaults, through ``cli.main``
+    as the benchmark calls them: the config fields the scenarios read, and
+    the code object of every Python call made."""
+    read, called = set(), set()
+
+    def unrecorded(call):
+        before = set(read)
+        out = call()
+        read.intersection_update(before)
+        return out
+
+    class Recording(hn.ScenarioConfig):
+        def __getattribute__(self, name):
+            if name in hn.FIELD_SPEC:
+                read.add(name)
+            return super().__getattribute__(name)
+
+        # hashing reads every field, and validation every field it
+        # checks; neither is a scenario reading it
+        def canonical(self):
+            return unrecorded(super().canonical)
+
+        def validate(self):
+            return unrecorded(super().validate)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    outdir = str(tmp_path_factory.mktemp("defaults"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hn, "ScenarioConfig", Recording)
+        sys.setprofile(profile)
+        try:
+            codes = [cli.main([command, "--outdir", outdir])
+                     for command in cli.COMMAND_KINDS]
+        finally:
+            sys.setprofile(None)
+    assert codes == [0] * len(cli.COMMAND_KINDS)
+    return read, called
 
 
 # ---------------------------------------------------------------------------
@@ -79,33 +127,10 @@ class TestScenarioConfig:
         assert list(hn.FIELD_SPEC) == [
             f.name for f in dataclasses.fields(hn.ScenarioConfig)]
 
-    def test_every_field_is_read_by_a_scenario(self, tmp_path):
+    def test_every_field_is_read_by_a_scenario(self, default_runs):
         # a field that no scenario reads is a flag and an INI key that
         # change nothing but the config hash
-        read = set()
-
-        def unrecorded(call):
-            before = set(read)
-            out = call()
-            read.intersection_update(before)
-            return out
-
-        class Recording(hn.ScenarioConfig):
-            def __getattribute__(self, name):
-                if name in hn.FIELD_SPEC:
-                    read.add(name)
-                return super().__getattribute__(name)
-
-            # hashing reads every field, and validation every field it
-            # checks; neither is a scenario reading it
-            def canonical(self):
-                return unrecorded(super().canonical)
-
-            def validate(self):
-                return unrecorded(super().validate)
-
-        for kind in hn.KINDS:
-            assert hn.run(Recording(kind=kind, outdir=str(tmp_path))).ok
+        read, _ = default_runs
         assert set(hn.FIELD_SPEC) - read == set()
 
     def test_ini_overrides_win(self):
@@ -160,6 +185,63 @@ class TestScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+# Public names under src/ that no scenario calls at its defaults, by the
+# reason each stays; the benchmark's traced names stay too.
+UNCALLED = {
+    "entry points: an INI file and `toricsim describe`": (
+        "harness.ScenarioConfig.from_ini", "harness.ScenarioConfig.from_file",
+        "harness.describe_defaults"),
+    "called by the traced harness.excitation_density": (
+        "pauli.PauliString.expectation",),
+    "called by acceptance criteria 01, 04, 08, 09, 13 and 14": (
+        "pauli.commutator", "pauli.PauliString.commutes_with",
+        "pauli.PauliSum.zero", "pauli.PauliSum.from_labels",
+        "pauli.PauliString.apply", "pauli.PauliSum.apply",
+        "lindblad.LindbladModel.pair_rate_ratio",
+        "sequences.plaquette_generators", "sequences.cycled"),
+    "selected by the config (chi_pairs = all)": ("lattice.neighbor_pairs",),
+}
+
+
+def public_code() -> dict[str, object]:
+    """The code object of every public module-level function, and of every
+    public method and property of a public class, under src/, by its dotted
+    name below ``toricsim``.  Dunder methods are out of scope."""
+    out = {}
+    for info in pkgutil.iter_modules(toricsim.__path__):
+        module = importlib.import_module(f"toricsim.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
+            for attr, member in members:
+                # a property's getter, a cached property's function, the
+                # function of a class or static method
+                fn = (getattr(member, "fget", None) or getattr(member, "func", None)
+                      or getattr(member, "__func__", member))
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    out[".".join(filter(None, (info.name, name, attr)))] = fn.__code__
+    return out
+
+
+def test_every_public_function_is_called_by_a_scenario(default_runs,
+                                                      traced_targets):
+    # code that no scenario calls reproduces nothing; an allowlisted name
+    # that is now called, or gone, is a stale entry
+    _, called = default_runs
+    uncalled = {name for name, code in public_code().items()
+                if code not in called}
+    allowed = {name for names in UNCALLED.values() for name in names}
+    traced = {f"{module}.{path}" for module, path in traced_targets}
+    assert uncalled - allowed - traced == set()
+    assert allowed - uncalled == set()
+
+
+# ---------------------------------------------------------------------------
 # figure data emission
 # ---------------------------------------------------------------------------
 
@@ -175,24 +257,6 @@ class TestEmitFigureData:
         assert lines[0].startswith("# toricsim-csv v3 schema=eliminate")
         assert lines[1] == "coupling,relaxation,rate,fit_residual"
         assert "3.333333333333e-01" in lines[2]
-
-    def test_refuses_to_overwrite_a_different_schema(self, tmp_path):
-        target = tmp_path / "figure.csv"
-        hn.emit_figure_data("eliminate", [(0.02, 0.6, 0.001, 1e-3)], target)
-        with pytest.raises(hn.SchemaMismatchError):
-            hn.emit_figure_data(
-                "fidelity",
-                [(0.0, 0.99, 0.99, 0.99, 0.99, 0.99, 1e-3, 3.0)], target)
-        rewritten = hn.emit_figure_data(
-            "eliminate", [(0.03, 0.6, 0.002, 1e-3)], target)
-        assert target.read_text() == rewritten
-        # an empty file has no header, so it differs from every schema
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        with pytest.raises(hn.SchemaMismatchError, match="schema None"):
-            hn.emit_figure_data(
-                "eliminate", [(0.02, 0.6, 0.001, 1e-3)], empty)
-        assert empty.read_text() == ""
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +592,8 @@ class TestScenarioRuns:
         emitted = {}
         emit = hn.emit_figure_data
 
-        def capture(kind, rows, path=None):
-            text = emit(kind, rows, path)
+        def capture(kind, rows):
+            text = emit(kind, rows)
             emitted.setdefault(kind, []).append((rows, text))
             return text
 
@@ -573,9 +637,9 @@ class TestScenarioRuns:
         emitted = {}
         emit = hn.emit_figure_data
 
-        def capture(kind, rows, path=None):
+        def capture(kind, rows):
             emitted[kind] = rows
-            return emit(kind, rows, path)
+            return emit(kind, rows)
 
         monkeypatch.setattr(hn, "emit_figure_data", capture)
         for kind in ("thermalize", "cool-with-noise"):
@@ -662,6 +726,17 @@ class TestCli:
                          "--t-final", "0.5", "--n-times", "3"])
         assert code == 1
         assert "[FAIL] converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid", ["0.1", "0.5, 0.8"])
+    def test_cool_fails_a_grid_that_cannot_show_cooling(self, tmp_path, capsys,
+                                                         grid):
+        # one ratio orders nothing and no ratio above 1 fits nothing: both
+        # checks run on every grid and fail, rather than being skipped
+        code = cli.main(["cool", "--ratio-grid", grid, "--outdir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1 and "(3 assertions" in out
+        assert "[FAIL] scaling-form" in out
+        assert ("[FAIL] monotone-cooling" in out) == (grid == "0.1")
 
     def test_every_subcommand_parses_the_config_flags(self):
         parser = cli.build_parser()

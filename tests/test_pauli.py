@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toricsim.pauli import (QUARTER_TURNS, PauliString, PauliSum, commutator,
-                            decompose, multiply)
+                            decompose)
 
 RNG = np.random.default_rng(20260814)
 LETTERS = "IXYZ"
@@ -79,7 +79,7 @@ def test_products_match_dense_oracle():
         a = PauliString.from_label(random_label(n), int(RNG.integers(0, 4)))
         b = PauliString.from_label(random_label(n), int(RNG.integers(0, 4)))
         np.testing.assert_allclose(
-            multiply(a, b).to_dense(), a.to_dense() @ b.to_dense(), atol=1e-13)
+            (a * b).to_dense(), a.to_dense() @ b.to_dense(), atol=1e-13)
 
 
 def test_commutators_match_dense_oracle():
@@ -150,8 +150,9 @@ def test_sum_arithmetic_and_hermiticity():
     s = a + b
     assert s.coefficient("XYII") == 0
     assert s.coefficient("IXIZ") == pytest.approx(2.0)
-    assert a.is_hermitian()
-    assert not (1j * a).is_hermitian()
+    # real coefficients on phase-free strings: the sum is its own adjoint
+    assert len(a - a.adjoint()) == 0
+    assert len(1j * a - (1j * a).adjoint()) == 2
     np.testing.assert_allclose((2.0 * a).to_dense(), 2.0 * a.to_dense())
 
 
@@ -197,4 +198,3 @@ def test_phase_canonicalization():
     base, scalar = p.canonical()
     assert base.phase_quarter == 0
     np.testing.assert_allclose(scalar * base.to_dense(), p.to_dense())
-    assert p.adjoint().phase_quarter == 1

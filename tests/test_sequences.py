@@ -9,10 +9,10 @@ import scipy.linalg
 import dense_oracles as oracles
 from toricsim import sequences as sq
 from toricsim.pauli import PauliString
-from toricsim.sequences import (BranchCutError, Gate, GateSequence,
-                                bch_second_order, cycled, echoed_u123,
-                                effective_hamiltonian, eq3_targets,
-                                order_scan, plaquette_generators, u123)
+from toricsim.sequences import (BranchCutError, Gate, GateSequence, cycled,
+                                echoed_u123, effective_hamiltonian,
+                                eq3_targets, order_scan, plaquette_generators,
+                                u123)
 
 PHIS = (0.05, 0.08, 0.12, 0.2)
 
@@ -62,6 +62,12 @@ def test_effective_hamiltonian_single_gate():
     rep = effective_hamiltonian(seq)
     assert rep.h_eff.coefficient("Z") == pytest.approx(0.15)
     assert len(rep.h_eff) == 1
+    # time order: ZYII(0.1) then IXYI(0.2) leaves (i/2T)(0.1)(0.2)[ZYII, IXYI]
+    # = +0.01 ZZYI at second order
+    pair = GateSequence((Gate(PauliString.from_label("ZYII"), 0.1),
+                         Gate(PauliString.from_label("IXYI"), 0.2)))
+    assert effective_hamiltonian(pair).h_eff.coefficient("ZZYI") == \
+        pytest.approx(0.01, rel=1e-3)
 
 
 def test_effective_hamiltonian_identity_sequence():
@@ -218,37 +224,6 @@ def test_plaquette_sequence_mirrors_vertex():
         hz.coefficient("ZZZZ"), abs=1e-15)
     assert hx.coefficient("IYZI") == pytest.approx(
         hz.coefficient("IXYI"), abs=1e-15)
-
-
-def test_bch_commuting_gates_exact():
-    z0 = PauliString.from_label("ZI")
-    z1 = PauliString.from_label("IZ")
-    seq = GateSequence((Gate(z0, 0.3), Gate(z1, 0.5)))
-    h2 = bch_second_order(seq)
-    assert h2.coefficient("ZI") == pytest.approx(0.15)
-    assert h2.coefficient("IZ") == pytest.approx(0.25)
-    assert len(h2) == 2
-
-
-def test_bch_convention_matches_matrix_log():
-    seq = GateSequence((Gate(PauliString.from_label("ZYII"), 0.1),
-                        Gate(PauliString.from_label("IXYI"), 0.2)))
-    h2 = bch_second_order(seq)
-    exact = effective_hamiltonian(seq).h_eff
-    assert h2.coefficient("ZZYI") == pytest.approx(0.01)
-    assert exact.coefficient("ZZYI") == pytest.approx(0.01, rel=1e-3)
-
-
-def test_bch_error_is_third_order():
-    epsilons = (0.02, 0.04, 0.08)
-    diffs = []
-    for eps in epsilons:
-        seq = GateSequence((Gate(PauliString.from_label("ZYII"), eps),
-                            Gate(PauliString.from_label("IXYI"), eps)))
-        diffs.append((effective_hamiltonian(seq).h_eff
-                      - bch_second_order(seq)).l2_norm())
-    slope = np.polyfit(np.log(epsilons), np.log(diffs), 1)[0]
-    assert slope >= 2.7
 
 
 def test_serial_compose_disjoint_supports():

@@ -488,9 +488,8 @@ def test_ground_fidelity_aggregates():
 
 def test_fidelity_scan_structure():
     scan = sp.fidelity_scan(LAT, [0.0, 0.2], h_z=0.05)
-    assert scan.h_z == 0.05
-    assert [p.chi for p in scan.points] == [0.0, 0.2]
-    for p in scan.points:
+    assert [p.chi for p in scan] == [0.0, 0.2]
+    for p in scan:
         assert p.error is None
         assert 0.0 <= p.subspace_fidelity <= 1.0
         assert p.manifold_spread < p.gap / 5
@@ -512,8 +511,8 @@ def test_fidelity_scan_survives_solver_failure(monkeypatch):
 
     monkeypatch.setattr(sp, "lowest_eigenpairs", flaky)
     scan = sp.fidelity_scan(LAT, [0.0, 0.2], h_z=0.05)
-    assert scan.points[0].error is None
-    failed = scan.points[1]
+    assert scan[0].error is None
+    failed = scan[1]
     assert failed.error == "forced failure"
     assert failed.eigenvalues is None and failed.residual_bound is None
 
@@ -715,7 +714,7 @@ def test_fidelity_scan_at_l3_holds_no_full_space_array():
         tracemalloc.stop()
     # the 2^18 x 6 complex eigenvectors alone took 24 MiB
     assert peak < 24 * 2 ** 20
-    assert scan.points[0].subspace_fidelity > 0.99
+    assert scan[0].subspace_fidelity > 0.99
 
 
 @st.composite

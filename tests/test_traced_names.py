@@ -1,22 +1,14 @@
 """The benchmark tracer wraps toricsim functions by name: each must exist."""
 
 import importlib
-import importlib.util
-from pathlib import Path
-
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_traced_name_resolves():
-    # load the tracer's target list without installing it
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+def test_every_traced_name_resolves(traced_targets):
     missing = []
-    for module_name, path in spans.TARGETS:
+    for module_name, path in traced_targets:
         owner = importlib.import_module(f"toricsim.{module_name}")
         for part in path.split("."):
             owner = getattr(owner, part, None)
         if not callable(owner):
             missing.append(f"{module_name}.{path}")
-    assert spans.TARGETS and not missing, f"traced names gone: {missing}"
+    assert traced_targets and not missing, f"traced names gone: {missing}"
