@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -163,7 +162,6 @@ class LindbladModel:
 
     hamiltonian: SparseHamiltonian
     jumps: tuple[JumpTerm, ...]
-    temperature_target: float | None = None
     p: float | None = None           # excitation weight of the bath
     lattice: lt.TorusLattice | None = None
     label: str = ""
@@ -247,17 +245,13 @@ def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
     Zero-rate channels are dropped.  Creation and annihilation stand in the
     ratio p/(1-p) and a pair costs delta = ``PAIR_GAP``, so the rates
     drive the code to the Gibbs state at T = delta/ln((1-p)/p) (see
-    :meth:`LindbladModel.detailed_balance_temperature`).
-    ``temperature_target`` records the Boltzmann-weight reading -delta/ln p
-    of the bath parameter (0 when p = 0), which agrees with that
-    temperature only as p -> 0.  Both stabilizer couplings are J = 1, so
-    the pair gap is uniform.
+    :meth:`LindbladModel.detailed_balance_temperature`).  Both stabilizer
+    couplings are J = 1, so the pair gap is uniform.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     if lambda_star < 0.0 or gamma_star < 0.0:
         raise ValueError("rates must be >= 0")
-    temperature = -PAIR_GAP / math.log(p) if p > 0.0 else 0.0
     jumps: list[JumpTerm] = []
     for link, kind in _pair_sites(lat):
         ops = excitation_ops(lat, link, kind)
@@ -271,7 +265,7 @@ def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
                      for label, rate, op in channels if rate > 0.0)
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        temperature_target=temperature, p=p, lattice=lat, label="thermal")
+        p=p, lattice=lat, label="thermal")
 
 
 def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
@@ -293,7 +287,7 @@ def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
                               ops.annihilate + ops.translate_adjoint))
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        temperature_target=0.0, p=0.0, lattice=lat, label="cooling")
+        p=0.0, lattice=lat, label="cooling")
 
 
 def depolarizing_jumps(n_qubits: int, gamma: float) -> tuple[JumpTerm, ...]:
@@ -617,7 +611,7 @@ class _LabelChains:
 
     @property
     def counters(self) -> dict:
-        return {"orbit_states": self.frame.n_orbits,
+        return {"engine": "label-chains", "orbit_states": self.frame.n_orbits,
                 "char_states": self.frame.n_char,
                 "kronecker_sum": self.kronecker_sum}
 
@@ -700,8 +694,7 @@ class EvolutionResult:
     min_eigenvalues: np.ndarray
     kronecker_sum: bool
     frame: StabilizerFrame = field(repr=False, compare=False)
-    counters: dict = field(default_factory=dict)  # sizes and evaluations
-    path: str = "label-chains"          # the engine: two label chains
+    counters: dict = field(default_factory=dict)  # engine, sizes, evaluations
 
     @property
     def populations(self) -> np.ndarray:
@@ -820,30 +813,22 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 class StationaryResult:
     """Stationary state with uniqueness and fixed-point diagnostics.
 
-    Two Gibbs comparisons are reported.  ``detailed_balance_temperature``
-    is delta/ln((1-p)/p), implied by the stored creation/annihilation
-    rates; a thermal jump set converges to that Gibbs state, so
-    ``trace_distance_to_detailed_balance`` sits at round-off.
-    ``gibbs_temperature`` is the model's ``temperature_target`` (for a
-    thermal set the Boltzmann-weight reading -delta/ln p, equal to the
-    former only as p -> 0), and ``trace_distance_to_gibbs`` stays finite
-    whenever the two temperatures differ.  ``orbit_populations`` and
-    ``char_populations`` hold the stationary marginals π_e and π_m, and
-    ``orbit_energies`` and ``char_energies`` split the frame diagonal of H
-    as E_e(o) + E_m(t).  When the chain is a Kronecker sum the joint
-    stationary populations are π_e ⊗ π_m (``populations``); otherwise
-    ``populations`` raises ``ValueError``, and both Gibbs distances are
-    None.
+    ``detailed_balance_temperature`` is delta/ln((1-p)/p), implied by the
+    stored creation/annihilation rates; a thermal jump set converges to
+    that Gibbs state, so ``trace_distance_to_detailed_balance`` sits at
+    round-off.  ``orbit_populations`` and ``char_populations`` hold the
+    stationary marginals π_e and π_m, and ``orbit_energies`` and
+    ``char_energies`` split the frame diagonal of H as E_e(o) + E_m(t).
+    When the chain is a Kronecker sum the joint stationary populations are
+    π_e ⊗ π_m (``populations``); otherwise ``populations`` raises
+    ``ValueError``, and the Gibbs distance is None.
     """
 
     null_dim: int
     residual: float
-    trace_distance_to_gibbs: float | None
-    gibbs_temperature: float | None
     trace_distance_to_detailed_balance: float | None
     detailed_balance_temperature: float | None
     loop_expectations: dict[str, float]
-    method: str
     orbit_populations: np.ndarray
     char_populations: np.ndarray
     orbit_energies: np.ndarray
@@ -913,7 +898,7 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     recurrent classes are the pairs of label classes, so ``null_dim`` is
     null_e × null_m, and for a Kronecker sum the joint fixed point is
     π_e ⊗ π_m.  ``residual`` is the 2-norm of (M_e π_e, M_m π_m).  H is
-    frame-diagonal, and so is every Gibbs state: for a Kronecker sum each
+    frame-diagonal, and so is every Gibbs state: for a Kronecker sum the
     Gibbs distance is ½‖π_e ⊗ π_m − w‖₁ with w the Gibbs weights of the
     frame energies.  Each Wilson loop is label-additive, π_e @ d_e +
     π_m @ d_m (:attr:`StabilizerFrame.wilson_diagonals`).  No dense state is
@@ -933,27 +918,19 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
         null_dim=null_e * null_m,
         residual=float(np.hypot(np.linalg.norm(chains[0] @ pi_e),
                                 np.linalg.norm(chains[1] @ pi_m))),
-        trace_distance_to_gibbs=None,
-        gibbs_temperature=model.temperature_target,
         trace_distance_to_detailed_balance=None,
         detailed_balance_temperature=temperature_db,
-        loop_expectations=loops, method="classical-rate-matrix",
+        loop_expectations=loops,
         orbit_populations=pi_e, char_populations=pi_m,
         orbit_energies=gen.energies[0], char_energies=gen.energies[1],
         kronecker_sum=gen.kronecker_sum, frame=gen.frame,
-        counters={"engine": "label-chains", **gen.counters,
+        counters={**gen.counters,
                   "orbit_null_dim": null_e, "char_null_dim": null_m,
                   "null_dim": null_e * null_m})
-    if res.kronecker_sum:
-        def gibbs_distance(temperature: float) -> float:
-            return float(0.5 * np.abs(res.populations - _gibbs_weights(
-                res.energies, temperature)).sum())
-
-        if res.gibbs_temperature is not None and res.gibbs_temperature > 0.0:
-            res.trace_distance_to_gibbs = gibbs_distance(res.gibbs_temperature)
-        if temperature_db is not None:
-            res.trace_distance_to_detailed_balance = gibbs_distance(
-                temperature_db)
+    if res.kronecker_sum and temperature_db is not None:
+        res.trace_distance_to_detailed_balance = float(0.5 * np.abs(
+            res.populations - _gibbs_weights(res.energies, temperature_db)
+        ).sum())
     return res
 
 
@@ -980,8 +957,6 @@ class PumpProtocol:
 
     theta: float
     gamma20: float
-    rabi_rate: float | None = None
-    ground_state_only: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi / 2:
@@ -992,11 +967,9 @@ class PumpProtocol:
     @property
     def steps(self) -> tuple[tuple, ...]:
         wait = ("wait", WAIT_FACTOR / self.gamma20)
-        schedule = [("pulse", 1, 2, math.pi / 2), wait]
-        if not self.ground_state_only:
-            schedule += [("pulse", 0, 1, math.pi / 2),
-                         ("pulse", 1, 2, self.theta), wait]
-        return tuple(schedule)
+        return (("pulse", 1, 2, math.pi / 2), wait,
+                ("pulse", 0, 1, math.pi / 2), ("pulse", 1, 2, self.theta),
+                wait)
 
 
 @dataclass
@@ -1048,9 +1021,7 @@ def pump_ancilla(protocol: PumpProtocol,
     """Run the pulse schedule on the three-level ancilla.
 
     Pulses are instantaneous unitaries, which assumes the pulse Rabi rate is
-    fast compared with the level-2 decay; when a ``rabi_rate`` below
-    100 * gamma20 is supplied a warning reports the idealization together
-    with the residual level-2 population.  The default start is the
+    fast compared with the level-2 decay.  The default start is the
     maximally mixed pseudospin (the schedule's output is independent of the
     {0, 1} input populations).
     """
@@ -1070,21 +1041,10 @@ def pump_ancilla(protocol: PumpProtocol,
             _, duration = step
             rho = _decay_wait(rho, protocol.gamma20, duration)
             total_wait += duration
-    residual = float(rho[2, 2].real)
-    if protocol.rabi_rate is not None and protocol.rabi_rate < 100.0 * protocol.gamma20:
-        warnings.warn(
-            "pulse Rabi rate is not well separated from the level-2 decay; "
-            "pulses were treated as instantaneous unitaries "
-            f"(residual level-2 population {residual:.3e})",
-            stacklevel=2)
-    if protocol.ground_state_only:
-        temperature = 0.0
-    else:
-        temperature = pump_temperature(protocol.theta)
     return PumpResult(
         rho_pseudospin=rho[:2, :2].copy(),
-        effective_temperature=temperature,
-        residual_level2=residual,
+        effective_temperature=pump_temperature(protocol.theta),
+        residual_level2=float(rho[2, 2].real),
         steps_executed=protocol.steps,
         total_wait_time=total_wait)
 

@@ -214,11 +214,10 @@ class PauliString:
         return complex(np.dot(QUARTER_TURNS.real[q], reached)
                        + 1j * np.dot(QUARTER_TURNS.imag[q], reached))
 
-    def to_dense(self, force: bool = False) -> np.ndarray:
-        if self.n_qubits > DENSE_QUBIT_CAP and not force:
-            raise ValueError(
-                f"{self.n_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}; "
-                "pass force=True to override")
+    def to_dense(self) -> np.ndarray:
+        if self.n_qubits > DENSE_QUBIT_CAP:
+            raise ValueError(f"{self.n_qubits} qubits exceeds the dense cap "
+                             f"of {DENSE_QUBIT_CAP}")
         dim = 1 << self.n_qubits
         idx = np.arange(dim, dtype=np.uint64)
         out = np.zeros((dim, dim), dtype=complex)
@@ -359,15 +358,14 @@ class PauliSum:
             out += coeff * string.apply(state)
         return out
 
-    def to_dense(self, force: bool = False) -> np.ndarray:
-        if self.n_qubits > DENSE_QUBIT_CAP and not force:
-            raise ValueError(
-                f"{self.n_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}; "
-                "pass force=True to override")
+    def to_dense(self) -> np.ndarray:
+        if self.n_qubits > DENSE_QUBIT_CAP:
+            raise ValueError(f"{self.n_qubits} qubits exceeds the dense cap "
+                             f"of {DENSE_QUBIT_CAP}")
         dim = 1 << self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for string, coeff in self._terms.items():
-            out += coeff * string.to_dense(force=force)
+            out += coeff * string.to_dense()
         return out
 
 

@@ -255,8 +255,7 @@ def residual_scale(phi: float, tau: float = 1.0) -> float:
     return (2.0 / (5.0 * tau)) * phi ** 5
 
 
-def four_body_strength(phi: float, tau: float = 1.0,
-                       quadratic_weight: float = 2.0) -> float:
+def four_body_strength(phi: float, tau: float = 1.0) -> float:
     """Magnitude of the synthesized 4-body coefficient at common angle phi.
 
     The matrix-log extraction measures
@@ -265,9 +264,9 @@ def four_body_strength(phi: float, tau: float = 1.0,
     of the echoed pulse product in
     ``tests/test_sequences.py::test_echoed_zzzz_power_series`` gives the
     same -(2/5) phi^3 + (4/5) phi^5 without a matrix logarithm; any other
-    ``quadratic_weight`` misses it by (weight - 2) phi^2 relative.
+    quadratic weight w misses it by (w - 2) phi^2 relative.
     """
-    return residual_scale(phi, tau) * (1.0 - quadratic_weight * phi ** 2) / phi ** 2
+    return residual_scale(phi, tau) * (1.0 - 2.0 * phi ** 2) / phi ** 2
 
 
 def eq3_targets(phi: float, tau: float = 1.0, echoed: bool = True,

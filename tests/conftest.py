@@ -16,3 +16,21 @@ def traced_targets():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans.TARGETS
+
+
+@pytest.fixture(scope="session")
+def csv_columns():
+    """Reader of an emitted CSV: column name -> tuple of its cells, each
+    read as a float where it parses as one (the schema line skipped)."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    def read(path: Path) -> dict[str, tuple]:
+        header, *rows = path.read_text().splitlines()[1:]
+        cells = [tuple(map(cell, row.split(","))) for row in rows]
+        return {name: tuple(row[i] for row in cells)
+                for i, name in enumerate(header.split(","))}
+    return read

@@ -60,7 +60,7 @@ def test_criterion_02_echoed_coefficient_closed_forms():
     ok = True
     for phi in (0.05, 0.1):
         targets = {
-            "ZZZZ": -sq.four_body_strength(phi, quadratic_weight=2.0),
+            "ZZZZ": -sq.four_body_strength(phi),
             "IXYI": sq.residual_scale(phi),
         }
         rep = sq.effective_hamiltonian(sq.echoed_u123(phi, phi, phi),

@@ -135,10 +135,10 @@ class TestScenarioConfig:
 
     def test_ini_overrides_win(self):
         base = ("[scenario]\nkind = pump\nlattice_l = 2\n"
-                "[pump]\ntheta = 0.4\nrabi_rate = 1.25e4\n")
+                "[pump]\ntheta = 0.4\ngamma20 = 40.0\n")
         cfg = hn.ScenarioConfig.from_ini(base, theta=0.5, lattice_l=3)
         assert cfg == hn.ScenarioConfig(kind="pump", theta=0.5, lattice_l=3,
-                                        rabi_rate=1.25e4)
+                                        gamma20=40.0)
 
     def test_unknown_keys_and_bad_values_enumerated(self):
         text = "[scenario]\nkind = pump\nflavor = mint\n[pump]\ntheta = warm\n"
@@ -345,7 +345,8 @@ class TestScenarioRuns:
         assert not check.passed and "(0 points)" in check.detail
 
     @pytest.mark.parametrize("kind", ["spectrum", "fidelity-scan"])
-    def test_failed_chi_point_is_recorded(self, tmp_path, monkeypatch, kind):
+    def test_failed_chi_point_is_recorded(self, tmp_path, monkeypatch,
+                                          csv_columns, kind):
         # both scenarios run one chi scan: a point whose solve fails is
         # left out of every file and fails solver-converged
         solve = sp.lowest_eigenpairs
@@ -360,15 +361,18 @@ class TestScenarioRuns:
                                           outdir=str(tmp_path)))
         check = {a.name: a for a in record.assertions}["solver-converged"]
         assert not check.passed and check.detail == "failed chi points: [0.2]"
-        assert record.metrics["chi"] == (0.0,) * len(record.metrics["chi"])
+        csv = "spectrum.csv" if kind == "spectrum" else "fidelity.csv"
+        chis = csv_columns(tmp_path / csv)["chi"]
+        assert chis and set(chis) == {0.0}
         assert [p["chi"] for p in record.solver["points"]] == [0.0]
 
-    def test_fidelity_scan(self, tmp_path):
+    def test_fidelity_scan(self, tmp_path, csv_columns):
         cfg = hn.ScenarioConfig(kind="fidelity-scan", chi_grid=(0.0, 0.3),
                                 outdir=str(tmp_path))
         record = hn.run(cfg)
         assert record.ok, record.summary_lines()
-        fidelities = record.metrics["subspace_fidelity"]
+        fidelities = csv_columns(tmp_path / "fidelity.csv")[
+            "subspace_fidelity"]
         assert fidelities[0] > 0.99          # measured 0.9994 at chi = 0
         assert all(f >= 0.8 for f in fidelities)
 
@@ -389,29 +393,34 @@ class TestScenarioRuns:
         # 8 characters, each with one recurrent class; the 11 samples are
         # one unit apart, so one pair of propagators serves them.  The
         # cooling points add depolarizing Y, which moves both labels
-        sizes = {"orbit_states": 32, "char_states": 8}
-        chain = {"engine": "label-chains", **sizes, "orbit_null_dim": 1,
-                 "char_null_dim": 1, "null_dim": 1}
+        sizes = {"engine": "label-chains", "orbit_states": 32,
+                 "char_states": 8}
+        chain = {**sizes, "orbit_null_dim": 1, "char_null_dim": 1,
+                 "null_dim": 1}
         record = hn.run(hn.ScenarioConfig(kind="thermalize",
                                           outdir=str(tmp_path)))
         assert record.ok, record.summary_lines()
         assert record.solver == {
             "stationary": {**chain, "kronecker_sum": True},
-            "evolve": {"path": "label-chains", **sizes, "kronecker_sum": True,
-                       "propagator_evaluations": 1},
-            "observables": "label-populations"}
-        stored = json.loads((tmp_path / "thermalize-record.json").read_text())
-        assert stored["solver"] == record.solver
-        record = hn.run(hn.ScenarioConfig(kind="cool-with-noise",
-                                          outdir=str(tmp_path)))
+            "evolve": {**sizes, "kronecker_sum": True,
+                       "propagator_evaluations": 1}}
+        records = [record]
+        cfg = hn.ScenarioConfig(kind="cool-with-noise", outdir=str(tmp_path))
+        record = hn.run(cfg)
         assert record.ok, record.summary_lines()
         assert record.solver == {
-            "points": [{"gamma_e": g, **chain, "kronecker_sum": False}
-                       for g in record.metrics["gamma_e"]],
-            "observables": "label-populations"}
-        stored = json.loads(
-            (tmp_path / "cool-with-noise-record.json").read_text())
-        assert stored["solver"] == record.solver
+            "points": [{"gamma_e": cfg.lambda_star / r, **chain,
+                        "kronecker_sum": False} for r in cfg.ratio_grid]}
+        records.append(record)
+        for record in records:
+            stored = json.loads(
+                (tmp_path / f"{record.scenario}-record.json").read_text())
+            # each block names its engine once, under one key
+            solver = stored["solver"]
+            assert solver == record.solver
+            for block in solver.get("points", solver.values()):
+                assert [k for k, v in block.items()
+                        if v == "label-chains"] == ["engine"]
         # L = 2 is solved by sector: 32 of 8 states in 14 orbits at chi = 0,
         # 4 of 64 in 3 orbits at chi != 0, every solved block by dense eigh
         at_zero = {"sectors": 32, "sector_dim": 8, "orbits": 14,
@@ -441,8 +450,12 @@ class TestScenarioRuns:
         assert at_chi["dense_blocks"] == 0 and at_chi["lanczos_blocks"] >= 1
         stored = json.loads((tmp_path / record_name).read_text())
         assert stored["solver"] == record.solver
+        # the CSVs hold the columns: no record repeats them
+        stored = [json.loads(path.read_text())
+                  for path in tmp_path.glob("*-record.json")]
+        assert len(stored) == 4 and not any("metrics" in r for r in stored)
 
-    def test_thermalize(self, tmp_path, monkeypatch):
+    def test_thermalize(self, tmp_path, monkeypatch, csv_columns):
         # the stationary state and the evolution share one build of the
         # label chains
         builds = []
@@ -454,9 +467,14 @@ class TestScenarioRuns:
         assert record.ok, record.summary_lines()
         assert len(builds) == 1
         report = json.loads((tmp_path / "thermalize.json").read_text())
+        # one bath temperature, the detailed-balance one, and no engine
+        # label: the record's solver block names the engine
+        assert set(report) == {"null_dim", "residual", "loop_expectations",
+                               "detailed_balance_temperature",
+                               "trace_distance_to_detailed_balance"}
         assert report["null_dim"] == 1
-        assert report["method"] == "classical-rate-matrix"
-        distances = record.metrics["trace_distance_to_stationary"]
+        distances = csv_columns(tmp_path / "thermalize.csv")[
+            "trace_distance_to_stationary"]
         assert all(a >= b for a, b in zip(distances, distances[1:]))
         assert distances[-1] < 1e-6          # measured 2.7e-9 at t = 10
         # record file reloads and carries no wall time
@@ -512,11 +530,12 @@ class TestScenarioRuns:
         assert [m.shape for m in solved] == [(32, 32), (8, 8)] * 5
         assert len({id(m) for m in solved}) == 2 + 2 * 4
 
-    def test_cool_with_noise_sweep(self, tmp_path):
+    def test_cool_with_noise_sweep(self, tmp_path, csv_columns):
         cfg = hn.ScenarioConfig(kind="cool-with-noise", outdir=str(tmp_path))
         record = hn.run(cfg)
         assert record.ok, record.summary_lines()
-        temps = record.metrics["fitted_temperature"]
+        temps = csv_columns(tmp_path / "cool-with-noise.csv")[
+            "fitted_temperature"]
         assert all(a > b for a, b in zip(temps, temps[1:]))
         report = json.loads((tmp_path / "cool-with-noise.json").read_text())
         assert report["rank_correlation"] == 1.0
@@ -774,9 +793,11 @@ class TestCli:
         assert "ratio_grid" in capsys.readouterr().err
 
     def test_deleted_flags_exit_two(self):
-        # the explicit angle triple and the single-EPG point are gone
+        # the explicit angle triple, the single-EPG point and the pump's
+        # Rabi rate are gone
         for argv in (["sequence-scan", "--alpha", "0.1"],
-                     ["cool", "--epg", "0.01"]):
+                     ["cool", "--epg", "0.01"],
+                     ["pump", "--rabi-rate", "100"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
