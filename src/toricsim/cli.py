@@ -12,6 +12,7 @@ Exit codes: 0 when every scenario assertion passes, 1 when any fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -40,7 +41,9 @@ _COMMAND_HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     # the config flags, added once and shared by the subcommands that take them
     flags = argparse.ArgumentParser(add_help=False)
     for name, (_, _, help_text) in harness.FIELD_SPEC.items():

@@ -12,8 +12,8 @@ Determinism contract: the configuration plus the seed fix every byte of
 every emitted file.  Wall time is therefore kept on the returned record
 (and printed by the CLI) but never written to disk; what the solvers did
 (the eigensolver, or the label chains of the dissipative scenarios) goes
-into the record's ``solver`` block as counters only.  Quantities an
-eigensolver computes are printed at ``SOLVER_DECIMALS``, far above the
+into the record's ``solver`` block as counters only.  Quantities a
+solver computes are printed at ``SOLVER_DECIMALS``, far above the
 round-off that differs between BLAS builds.
 """
 
@@ -371,9 +371,9 @@ def _versions() -> dict[str, str]:
             "python": platform.python_version()}
 
 
-def _solver_value(value: float) -> float:
-    """``value`` rounded to ``SOLVER_DECIMALS``, with -0.0 folded into 0.0."""
-    return round(float(value), SOLVER_DECIMALS) + 0.0
+def _solver_value(value: float | None) -> float | None:
+    """``value`` rounded to ``SOLVER_DECIMALS``, -0.0 folded into 0.0."""
+    return None if value is None else round(float(value), SOLVER_DECIMALS) + 0.0
 
 
 def _cell(value, solver: bool = False) -> str:
@@ -564,12 +564,14 @@ def _run_sequence_order_scan(cfg: ScenarioConfig) -> _Parts:
 def _chi_scan(cfg: ScenarioConfig,
               parts: _Parts) -> list[sp.FidelityScanPoint]:
     """The solved points of the configured chi scan.  Their solver counters
-    go into the record, and any failed point fails ``solver-converged``."""
+    and the number of sector structures the scan built go into the record,
+    and any failed point fails ``solver-converged``."""
     scan = sp.fidelity_scan(lt.build(cfg.lattice_l), cfg.chi_grid,
                             h_z=cfg.h_z, k=cfg.n_eigenvalues,
                             chi_pairs=cfg.chi_pairs, seed=cfg.seed)
     solved = [p for p in scan if p.error is None]
-    parts.solver = {"points": [{"chi": p.chi, **p.counters} for p in solved]}
+    parts.solver = {"points": [{"chi": p.chi, **p.counters} for p in solved],
+                    "structures": scan.structures}
     failures = [p.chi for p in scan if p.error is not None]
     parts.check("solver-converged", not failures,
                 f"failed chi points: {failures or 'none'}")
@@ -640,11 +642,12 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     parts.files.append(("thermalize.csv", emit_figure_data("thermalize", rows)))
     report = {
         "null_dim": stat.null_dim,
-        "residual": stat.residual,
+        "residual": _solver_value(stat.residual),
         "detailed_balance_temperature": stat.detailed_balance_temperature,
         "trace_distance_to_detailed_balance":
-            stat.trace_distance_to_detailed_balance,
-        "loop_expectations": stat.loop_expectations,
+            _solver_value(stat.trace_distance_to_detailed_balance),
+        "loop_expectations": {name: _solver_value(value) for name, value
+                              in stat.loop_expectations.items()},
     }
     parts.files.append(("thermalize.json",
                         json.dumps(report, sort_keys=True, indent=1)))
@@ -750,7 +753,7 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
     parts.files.append(("cool-with-noise.csv",
                         emit_figure_data("cool-with-noise", rows)))
     report = {
-        "fit_constant": sweep.fit_constant,
+        "fit_constant": _solver_value(sweep.fit_constant),
         "fit_residual": sweep.fit_residual,
         "rank_correlation": sweep.rank_correlation,
         "omega": sweep.omega,

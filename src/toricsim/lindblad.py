@@ -38,9 +38,9 @@ no 2^n x 2^n state.  A model without a lattice, a start that is not the
 two label marginals, or a model whose population sector does not close
 (for example with a transverse field) raises ``ValueError``.
 ``gibbs_state``, ``trace_distance`` and ``StabilizerFrame.operator`` are
-dense L = 2 test oracles that no scenario calls.  The vectorized superoperator
-(``_superoperator``) serves only the adiabatic-elimination probe, which
-eigendecomposes it on the entries of vec(rho) that its start reaches.
+dense L = 2 test oracles that no scenario calls.  The adiabatic-elimination
+probe builds the columns of its vectorized generator that its start reaches,
+and only those, and eigendecomposes it on those entries of vec(rho).
 """
 
 from __future__ import annotations
@@ -462,40 +462,6 @@ class StabilizerFrame:
 # ---------------------------------------------------------------------------
 # compiled generators
 # ---------------------------------------------------------------------------
-
-
-def _superoperator(h, channels) -> scipy.sparse.csr_matrix:
-    """Vectorized generator of ``h`` and ``(rate, operator)`` channels.
-
-    With A = sum r c†c and row-major vec(rho), it is
-    -i(H⊗1 - 1⊗Hᵀ) - (A⊗1 + 1⊗Aᵀ) + sum 2r c⊗c̄.  The triplets of every
-    Kronecker term are concatenated, stably sorted by entry and summed in
-    one conversion, so duplicates add in term order; exact zeros are
-    dropped.  Dense or sparse inputs are accepted.
-    """
-    h = scipy.sparse.csr_matrix(h)
-    n = h.shape[0]
-    channels = [(r, scipy.sparse.csr_matrix(c)) for r, c in channels]
-    absorber = scipy.sparse.csr_matrix((n, n), dtype=complex)
-    for r, c in channels:
-        absorber = absorber + r * (c.conj().T @ c)
-    eye = scipy.sparse.identity(n, dtype=complex, format="csr")
-    terms = [(-1j, h, eye), (1j, eye, h.T), (-1.0, absorber, eye),
-             (-1.0, eye, absorber.T)]
-    terms += [(2.0 * r, c, c.conj()) for r, c in channels]
-    rows, cols, vals = [], [], []
-    for s, a, b in terms:
-        term = scipy.sparse.kron(a, b, format="coo")
-        rows.append(term.row)
-        cols.append(term.col)
-        vals.append(s * term.data)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.argsort(rows.astype(np.int64) * (n * n) + cols, kind="stable")
-    out = scipy.sparse.coo_matrix(
-        (np.concatenate(vals)[order], (rows[order], cols[order])),
-        shape=(n * n, n * n)).tocsr()
-    out.eliminate_zeros()
-    return out
 
 
 def _rate_matrix(shifts: np.ndarray, flows: np.ndarray) -> np.ndarray:
@@ -1130,37 +1096,50 @@ _PROBE_START = (0b0011, 0b1011)
 _PROBE_PAIR = (0b0011, 0b1011, 0b0111, 0b1111)
 
 
-def _reachable(gen: scipy.sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
-    """Sorted indices that ``seeds`` reach under ``gen``: the smallest set
-    of coordinates holding the seeds whose span ``gen`` maps into itself.
+def _reachable_block(h: np.ndarray, channels, seeds: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, block): the sorted entries of row-major vec(rho) that
+    ``seeds`` reach under the vectorized generator of a dense ``h`` and
+    dense ``(rate, operator)`` channels, and the generator on them.
 
-    Entry j feeds entry i when gen[i, j] is stored, so the set grows by the
-    stored pattern of ``gen``, as real ones, until it stops changing.
-    """
-    pattern = scipy.sparse.csr_matrix(
-        (np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
-    reached = np.isin(np.arange(gen.shape[0]), seeds)
-    while True:
-        grown = reached | (pattern @ reached > 0)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
+    With A = sum r c†c the generator is -i(H⊗1 - 1⊗Hᵀ) - (A⊗1 + 1⊗Aᵀ)
+    + sum 2r c⊗c̄; column a n + b of a term s (P ⊗ Q) is s P[:, a] ⊗ Q[:, b].
+    Only reached columns are built, each summing the terms in that order,
+    and their nonzero rows are the next entries reached."""
+    n = h.shape[0]
+    absorber = sum((r * (c.conj().T @ c) for r, c in channels),
+                   np.zeros((n, n), dtype=complex))
+    eye = np.eye(n, dtype=complex)
+    terms = [(-1j, h, eye), (1j, eye, h.T), (-1.0, absorber, eye),
+             (-1.0, eye, absorber.T)]
+    terms += [(2.0 * r, c, c.conj()) for r, c in channels]
+    columns: dict[int, np.ndarray] = {}
+    new = np.unique(seeds)
+    while new.size:
+        a, b = np.divmod(new, n)
+        cols = np.zeros((n, n, new.size), dtype=complex)
+        for s, p, q in terms:
+            cols += s * (p[:, None, a] * q[None, :, b])
+        cols = cols.reshape(n * n, -1)
+        columns.update(zip(new.tolist(), cols.T))
+        new = np.setdiff1d(np.flatnonzero(cols.any(axis=1)), list(columns))
+    idx = np.array(sorted(columns))
+    return idx, np.stack([columns[j] for j in idx.tolist()], axis=1)[idx]
 
 
 def _pair_populations(model: LindbladModel, times: np.ndarray) -> np.ndarray:
     """Excited-pair population of the probe at ``times``, exact.
 
     The vectorized generator is eigendecomposed on the entries of vec(rho)
-    that the start reaches (:func:`_reachable`), an invariant subspace that
-    holds every nonzero entry of rho(t).
+    that the start reaches (:func:`_reachable_block`), an invariant
+    subspace that holds every nonzero entry of rho(t).
     """
     dim = model.dim
-    gen = _superoperator(
-        model.hamiltonian.to_dense(),
-        [(jt.rate, jt.operator.to_dense()) for jt in model.jumps])
     start = np.array(_PROBE_START) * (dim + 1)     # vec index of |s><s|
-    idx = _reachable(gen, start)
-    vals, vecs = np.linalg.eig(gen[idx][:, idx].toarray())
+    idx, block = _reachable_block(
+        model.hamiltonian.to_dense(),
+        [(jt.rate, jt.operator.to_dense()) for jt in model.jumps], start)
+    vals, vecs = np.linalg.eig(block)
     coeffs = np.linalg.solve(vecs, 0.5 * np.isin(idx, start))
     pair = np.isin(idx, np.array(_PROBE_PAIR) * (dim + 1))
     weights = vecs[pair, :].sum(axis=0) * coeffs

@@ -372,8 +372,10 @@ class PauliSum:
 def decompose(matrix: np.ndarray) -> PauliSum:
     """Expand a 2**n x 2**n matrix in the Pauli basis.
 
-    Coefficients are c_P = tr(P† M) / 2**n, computed by recursive 2x2 block
-    reduction over the most-significant qubit, O(n 4**n) total.
+    Coefficients are c_P = tr(P† M) / 2**n, computed by 2x2 block reduction
+    over the most-significant qubit first, O(n 4**n) total: each pass
+    splits every block into (a+d)/2, (b+c)/2, i(b-c)/2 and (a-d)/2, the
+    parts of I, X, Y and Z on that qubit, all blocks at once.
     """
     matrix = np.asarray(matrix, dtype=complex)
     dim = matrix.shape[0]
@@ -382,25 +384,16 @@ def decompose(matrix: np.ndarray) -> PauliSum:
     n = dim.bit_length() - 1
     if n > DENSE_QUBIT_CAP:
         raise ValueError(f"{n} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}")
-
-    terms: dict[PauliString, complex] = {}
-
-    def recurse(block: np.ndarray, qubits_left: int, x: int, z: int):
-        if qubits_left == 0:
-            coeff = complex(block[0, 0])
-            if abs(coeff) > PRUNE_TOL:
-                terms[PauliString(n, x, z, 0)] = coeff
-            return
-        half = block.shape[0] // 2
-        q = qubits_left - 1  # most-significant remaining qubit
-        a = block[:half, :half]
-        b = block[:half, half:]
-        c = block[half:, :half]
-        d = block[half:, half:]
-        recurse((a + d) / 2, q, x, z)                       # I
-        recurse((b + c) / 2, q, x | (1 << q), z)            # X
-        recurse(1j * (b - c) / 2, q, x | (1 << q), z | (1 << q))  # Y
-        recurse((a - d) / 2, q, x, z | (1 << q))            # Z
-
-    recurse(matrix, n, 0, 0)
-    return PauliSum(terms, n_qubits=n)
+    blocks = matrix[None]
+    xs = zs = np.zeros(1, dtype=np.int64)
+    for q in reversed(range(n)):
+        half = blocks.shape[1] // 2
+        a, b = blocks[:, :half, :half], blocks[:, :half, half:]
+        c, d = blocks[:, half:, :half], blocks[:, half:, half:]
+        blocks = np.stack([(a + d) / 2, (b + c) / 2, 1j * (b - c) / 2,
+                           (a - d) / 2], axis=1).reshape(-1, half, half)
+        xs = (xs[:, None] | np.array([0, 1, 1, 0]) << q).reshape(-1)
+        zs = (zs[:, None] | np.array([0, 0, 1, 1]) << q).reshape(-1)
+    return PauliSum({PauliString(n, x, z, 0): coeff for x, z, coeff
+                     in zip(xs.tolist(), zs.tolist(), blocks[:, 0, 0].tolist())
+                     if abs(coeff) > PRUNE_TOL}, n_qubits=n)

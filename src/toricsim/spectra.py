@@ -26,9 +26,11 @@ so H is block diagonal over the cosets of W: 1024 sectors of 256 states
 at L = 3 and chi = 0, 8 of 32768 at chi != 0 (2 with
 ``chi_pairs = "all"``), each its minimum XOR all of W (:class:`Cosets`,
 which also labels the stabilizer frame's orbits in ``toricsim.lindblad``:
-at chi = 0, W is the plaquette-flip group).  H is compiled once in that
-gauge: the compiled operator keeps W's cosets, the gauge links, the terms
-of each X-mask, the diagonal and every sector's Gershgorin floor, and
+at chi = 0, W is the plaquette-flip group).  H is compiled in that gauge
+in two steps: its term strings fix W's cosets, the gauge links, the terms
+of each X-mask and the symmetries below, once per chi scan for chi = 0
+and once for chi != 0; its coefficients fix the diagonal and every
+sector's Gershgorin floor at each chi point.  The compiled operator
 builds the CSR block of a sector, one entry per row for each distinct
 X-mask, only when asked.  The eigensolver builds the blocks it visits,
 skipping every block whose floor proves it holds none of the lowest
@@ -206,33 +208,6 @@ def _term_symmetries(terms: Sequence[tuple[float, PauliString]],
                  if multiset(_permute_bits(xs, p), _permute_bits(zs, p)) == own)
 
 
-def _sector_orbits(op: SectorOperator
-                   ) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """(orbit, carry) of every sector under the operator's symmetries, each
-    mapping a sector onto the one its permuted coset minimum lies in.  The
-    first sector of an orbit in ascending floor is its representative,
-    ``orbit[s]``; ``carry[s]`` takes that coset onto sector s's."""
-    reps = op.cosets.reps
-    moved = [_permute_bits(reps, p) for p in op.symmetries]
-    images = op.cosets.locate(np.reshape(moved, (len(moved), reps.size)))[0]
-    orbit = np.full(reps.size, -1, dtype=np.int64)
-    carry: list = [None] * reps.size
-    identity = tuple(range(op.cosets.n_bits))
-    for first in np.argsort(op.floors, kind="stable"):
-        if orbit[first] >= 0:
-            continue
-        orbit[first], carry[first] = first, identity
-        reached = [first]
-        for s in reached:
-            for perm, image in zip(op.symmetries, images):
-                t = image[s]
-                if orbit[t] < 0:
-                    orbit[t] = first
-                    carry[t] = tuple(perm[q] for q in carry[s])
-                    reached.append(t)
-    return orbit, tuple(carry)
-
-
 def _entry_turns(rows: np.ndarray, masks: np.ndarray,
                  turns0: np.ndarray) -> np.ndarray:
     """k mod 4 at every row j, with i**k the phase of a term's entry at
@@ -269,11 +244,14 @@ class SectorOperator:
     sum_{j != i} |a_ij|), a lower bound on its spectrum.
 
     ``symmetries`` are the candidate link permutations that leave the terms
-    exactly invariant; they commute with H and permute the sectors.
-    ``orbit[s]`` is the representative of sector s's orbit, its first
-    sector in ascending floor (stable sort), and ``carry[s]`` a link
-    permutation, a product of symmetries, that maps the representative's
-    coset onto sector s's.
+    exactly invariant; they commute with H and permute the sectors, sector
+    s onto ``images[i, s]`` under symmetry i.  ``orbit[s]`` is the
+    representative of sector s's orbit, its first sector in ascending
+    floor (stable sort), and ``carry[s]`` a link permutation, a product of
+    symmetries, that maps the representative's coset onto sector s's.
+    :meth:`at` sets ``diagonal``, ``coeffs``, ``floors``, ``orbit`` and
+    ``carry`` from the terms' coefficients, X-mask g's in ``by_mask[g]`` as
+    (term index, mask, turns0), and ``off[e]`` the term of entry e.
     """
 
     cosets: Cosets
@@ -289,6 +267,52 @@ class SectorOperator:
     symmetries: tuple[tuple[int, ...], ...]
     orbit: np.ndarray
     carry: tuple[tuple[int, ...], ...]
+    images: np.ndarray
+    by_mask: tuple[tuple[tuple[int, int, int], ...], ...]
+    off: np.ndarray
+
+    def at(self, coeffs: Sequence[float]) -> SectorOperator:
+        """The operator at the given coefficients, in term order.
+
+        The Gershgorin floors take the diagonal, summed in real arithmetic,
+        and a radius: |coefficient| for an X-mask with one term, and the
+        row-wise |entry| only where terms share an X-mask, on the states in
+        sector order, which are not kept.  The first sector of an orbit in
+        ascending floor represents it.
+        """
+        states = (self.cosets.reps[:, None] ^ self.cosets.elements).reshape(-1)
+        diagonal, radius = np.zeros(states.size), np.zeros(states.size)
+        for x, terms in zip(self.x_masks.tolist(), self.by_mask):
+            if x and len(terms) == 1:
+                radius += abs(coeffs[terms[0][0]])
+                continue
+            w = np.zeros(states.size)
+            for i, m, turns0 in terms:
+                turns = _entry_turns(states, np.uint64(m), turns0)
+                w += coeffs[i] * (1.0 - (turns & 2))
+            if x:
+                radius += np.abs(w)
+            else:
+                diagonal = w
+        floors = (diagonal - radius).reshape(
+            -1, self.cosets.elements.size).min(axis=1)
+        orbit = np.full(floors.size, -1, dtype=np.int64)
+        carry: list = [None] * floors.size
+        for first in np.argsort(floors, kind="stable"):
+            if orbit[first] >= 0:
+                continue
+            orbit[first], carry[first] = first, tuple(range(self.cosets.n_bits))
+            reached = [first]
+            for s in reached:
+                for perm, image in zip(self.symmetries, self.images):
+                    t = image[s]
+                    if orbit[t] < 0:
+                        orbit[t] = first
+                        carry[t] = tuple(perm[q] for q in carry[s])
+                        reached.append(t)
+        return replace(self, diagonal=diagonal, floors=floors, orbit=orbit,
+                       carry=tuple(carry),
+                       coeffs=np.array(coeffs, dtype=float)[self.off])
 
     def phases(self, states: np.ndarray) -> np.ndarray:
         """The real gauge v_j = i**popcount(j & s) at the given states."""
@@ -354,6 +378,7 @@ class SparseHamiltonian:
         for perm in self.symmetries:
             if sorted(perm) != list(range(self.n_qubits)):
                 raise ValueError(f"{perm} is not a permutation of the links")
+        self._sectors = None
         self._compiled = None
 
     @property
@@ -361,28 +386,35 @@ class SparseHamiltonian:
         return 2 ** self.n_qubits
 
     def compile(self) -> SectorOperator:
-        """The sector-ordered operator, built once and cached; terms with
+        """The sector-ordered operator, built once and cached: the
+        structure of the term strings (:meth:`_structure`) at H's
+        coefficients (:meth:`SectorOperator.at`).  No block is built here.
+        """
+        if self._compiled is None:
+            self._compiled = self._structure().at(
+                [coeff for coeff, _ in self.terms])
+        return self._compiled
+
+    def _structure(self) -> SectorOperator:
+        """The string-only step of :meth:`compile`, built once: a sector
+        operator without the fields that its coefficients set.  Terms with
         no :func:`real_gauge` raise ``ValueError``.
 
         A state's place in its sector is its bits at the pivots of W's
         reduced echelon basis (:class:`Cosets`), so the place of j ^ x is
         the place of j XOR the pivot bits of x.  The phase parity of a
         term's entries is the same in every row (:func:`_entry_turns`), so
-        one check per term proves the gauge real.  The Gershgorin floors
-        take the diagonal, summed in real arithmetic, and a radius:
-        |coefficient| for an X-mask with one term, and the row-wise |entry|
-        only where terms share an X-mask, on the states in sector order,
-        which are not kept.  Each coset is sent to its orbit by locating
-        its permuted minimum.  No block is built here.
+        one check per term proves the gauge real.  A coset's image under a
+        symmetry is located from its permuted minimum.
         """
-        if self._compiled is not None:
-            return self._compiled
+        if self._sectors is not None:
+            return self._sectors
         links = real_gauge(self.terms)
         if links is None:
             raise ValueError("no real gauge exists for these terms; "
                              "the sector operator needs one")
-        by_mask: dict[int, list[tuple[float, int, int]]] = {}
-        for coeff, t in self.terms:
+        by_mask: dict[int, list[tuple[int, int, int]]] = {}
+        for i, (_, t) in enumerate(self.terms):
             x = t.x_mask
             # k(0) = q(x) + popcount(x & s), the entry phase at row 0
             turns0 = (int(t.quarter_turns(np.uint64(x)))
@@ -391,41 +423,26 @@ class SparseHamiltonian:
                 raise RuntimeError(
                     f"gauge {links:#x} leaves X-mask {x:#x} complex")
             by_mask.setdefault(x, []).append(
-                (coeff, t.z_mask ^ (x & links), turns0 % 4))
+                (i, t.z_mask ^ (x & links), turns0 % 4))
         xs = sorted(by_mask)
         cosets = Cosets.of(xs, self.n_qubits)
-        order = (cosets.reps[:, None] ^ cosets.elements).reshape(-1)
-        diagonal = np.zeros(self.dim)
-        radius = np.zeros(self.dim)
-        for x in xs:
-            if x and len(by_mask[x]) == 1:
-                radius += abs(by_mask[x][0][0])
-                continue
-            w = np.zeros(self.dim)
-            for coeff, m, turns0 in by_mask[x]:
-                turns = _entry_turns(order, np.uint64(m), turns0)
-                w += coeff * (1.0 - (turns & 2))
-            if x:
-                radius += np.abs(w)
-            else:
-                diagonal = w
-        floors = (diagonal - radius).reshape(
-            -1, cosets.elements.size).min(axis=1)
         off = [(g, *term) for g, x in enumerate(xs) if x
                for term in by_mask[x]]
         x_masks = np.array(xs, dtype=np.uint64)
-        op = SectorOperator(
-            cosets=cosets, gauge=links, x_masks=x_masks, diagonal=diagonal,
+        symmetries = _term_symmetries(self.terms, self.symmetries)
+        moved = [_permute_bits(cosets.reps, p) for p in symmetries]
+        self._sectors = SectorOperator(
+            cosets=cosets, gauge=links, x_masks=x_masks,
             shifts=cosets.locate(x_masks)[1].astype(np.int32),
+            by_mask=tuple(tuple(by_mask[x]) for x in xs),
+            off=np.array([o[1] for o in off], dtype=np.intp),
             groups=np.array([o[0] for o in off], dtype=np.intp),
-            coeffs=np.array([o[1] for o in off], dtype=float),
             masks=np.array([o[2] for o in off], dtype=np.uint64),
             turns0=np.array([o[3] for o in off], dtype=np.uint8),
-            floors=floors, orbit=None, carry=None,
-            symmetries=_term_symmetries(self.terms, self.symmetries))
-        orbit, carry = _sector_orbits(op)
-        self._compiled = replace(op, orbit=orbit, carry=carry)
-        return self._compiled
+            symmetries=symmetries, images=cosets.locate(np.reshape(
+                moved, (len(moved), cosets.reps.size)))[0],
+            diagonal=None, coeffs=None, floors=None, orbit=None, carry=None)
+        return self._sectors
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """H psi in the Z basis, applied block by block in sector order."""
@@ -775,18 +792,42 @@ class FidelityScanPoint:
     counters: dict[str, int] | None = None
 
 
+class FidelityScan(list):
+    """The points of a chi scan in grid order; ``structures`` counts the
+    term-string structures it compiled (:meth:`SparseHamiltonian.compile`)."""
+
+    structures = 0
+
+
 def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
                   h_z: float = 0.05, k: int = 6, chi_pairs: str = "sequence",
-                  seed: int = 7) -> list[FidelityScanPoint]:
+                  seed: int = 7) -> FidelityScan:
     """Ground-manifold fidelity and low-lying spectrum at each chi point.
 
-    Solver failures are recorded per grid point instead of aborting the
-    scan.
+    H is built, and the structure of its strings compiled, once per set
+    of term strings: at the first chi = 0 point and the first chi != 0
+    point.  A later chi != 0 point sets the chi terms of that H, which come
+    last, and compiles only its coefficients.  Solver failures are
+    recorded per grid point instead of aborting the scan.
     """
     reference = ground_space_reference(lat)
-    points = []
+    n_chi = len(chi_pair_terms(lat, chi_pairs))
+    first: dict[bool, SparseHamiltonian] = {}  # by chi != 0
+    points = FidelityScan()
     for chi in chi_values:
-        h = build_hamiltonian(lat, chi=chi, h_z=h_z, chi_pairs=chi_pairs)
+        h = first.get(chi != 0)
+        if h is None:
+            h = first[chi != 0] = build_hamiltonian(
+                lat, chi=chi, h_z=h_z, chi_pairs=chi_pairs)
+        elif chi:
+            # every chi term has coefficient chi, and no link permutation
+            # maps an X.Y term onto a term of another kind: the symmetries,
+            # which match terms by coefficient, and so the whole structure
+            # are the same at every chi != 0
+            shared = h._structure()
+            h = replace(h, terms=h.terms[:-n_chi]
+                        + tuple((chi, t) for _, t in h.terms[-n_chi:]))
+            h._sectors = shared
         try:
             res = lowest_eigenpairs(h, k=k, seed=seed)
         except ConvergenceError as exc:
@@ -801,4 +842,5 @@ def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
             manifold_spread=float(evals[3] - evals[0]),
             gap=float(evals[4] - evals[3]) if len(evals) > 4 else None,
             counters=res.counters))
+    points.structures = len(first)
     return points

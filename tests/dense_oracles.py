@@ -15,6 +15,12 @@ compact forms.
 
 ``trotter_error`` measures the serial composition of two pulse sequences
 with three matrix logarithms of their dense unitaries.
+
+``superoperator`` assembles a whole vectorized Lindblad generator as a
+sparse matrix, and ``reachable`` finds the entries a start reaches under
+it: the oracle of the adiabatic-elimination probe, which builds only the
+reached columns.  ``decompose`` is the recursive Pauli expansion that
+``toricsim.pauli.decompose`` vectorizes.
 """
 
 import functools
@@ -22,10 +28,12 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from toricsim import lindblad as lb
 from toricsim import sequences as sq
 from toricsim import spectra as sp
+from toricsim.pauli import PRUNE_TOL, PauliString, PauliSum
 
 FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a dense start
 
@@ -128,3 +136,82 @@ def trotter_error(first: sq.GateSequence, second: sq.GateSequence) -> float:
              + (second.total_duration / total)
              * sq.effective_hamiltonian(second).h_eff)
     return (sq.effective_hamiltonian(both).h_eff - parts).l2_norm()
+
+
+def superoperator(h, channels) -> scipy.sparse.csr_matrix:
+    """Vectorized generator of ``h`` and ``(rate, operator)`` channels.
+
+    With A = sum r c†c and row-major vec(rho), it is
+    -i(H⊗1 - 1⊗Hᵀ) - (A⊗1 + 1⊗Aᵀ) + sum 2r c⊗c̄.  The triplets of every
+    Kronecker term are concatenated, stably sorted by entry and summed in
+    one conversion, so duplicates add in term order; exact zeros are
+    dropped.  Dense or sparse inputs are accepted.
+    """
+    h = scipy.sparse.csr_matrix(h)
+    n = h.shape[0]
+    channels = [(r, scipy.sparse.csr_matrix(c)) for r, c in channels]
+    absorber = scipy.sparse.csr_matrix((n, n), dtype=complex)
+    for r, c in channels:
+        absorber = absorber + r * (c.conj().T @ c)
+    eye = scipy.sparse.identity(n, dtype=complex, format="csr")
+    terms = [(-1j, h, eye), (1j, eye, h.T), (-1.0, absorber, eye),
+             (-1.0, eye, absorber.T)]
+    terms += [(2.0 * r, c, c.conj()) for r, c in channels]
+    rows, cols, vals = [], [], []
+    for s, a, b in terms:
+        term = scipy.sparse.kron(a, b, format="coo")
+        rows.append(term.row)
+        cols.append(term.col)
+        vals.append(s * term.data)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(rows.astype(np.int64) * (n * n) + cols, kind="stable")
+    out = scipy.sparse.coo_matrix(
+        (np.concatenate(vals)[order], (rows[order], cols[order])),
+        shape=(n * n, n * n)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def reachable(gen: scipy.sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    """Sorted indices that ``seeds`` reach under ``gen``: the smallest set
+    of coordinates holding the seeds whose span ``gen`` maps into itself.
+
+    Entry j feeds entry i when gen[i, j] is stored, so the set grows by the
+    stored pattern of ``gen``, as real ones, until it stops changing.
+    """
+    pattern = scipy.sparse.csr_matrix(
+        (np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
+    reached = np.isin(np.arange(gen.shape[0]), seeds)
+    while True:
+        grown = reached | (pattern @ reached > 0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def decompose(matrix: np.ndarray) -> PauliSum:
+    """Pauli expansion of a 2**n x 2**n matrix by recursive 2x2 block
+    reduction over the most-significant qubit, terms in recursion order."""
+    matrix = np.asarray(matrix, dtype=complex)
+    n = matrix.shape[0].bit_length() - 1
+    terms: dict[PauliString, complex] = {}
+
+    def recurse(block: np.ndarray, qubits_left: int, x: int, z: int):
+        if qubits_left == 0:
+            coeff = complex(block[0, 0])
+            if abs(coeff) > PRUNE_TOL:
+                terms[PauliString(n, x, z, 0)] = coeff
+            return
+        half = block.shape[0] // 2
+        q = qubits_left - 1  # most-significant remaining qubit
+        a = block[:half, :half]
+        b = block[:half, half:]
+        c = block[half:, :half]
+        d = block[half:, half:]
+        recurse((a + d) / 2, q, x, z)                       # I
+        recurse((b + c) / 2, q, x | (1 << q), z)            # X
+        recurse(1j * (b - c) / 2, q, x | (1 << q), z | (1 << q))  # Y
+        recurse((a - d) / 2, q, x, z | (1 << q))            # Z
+
+    recurse(matrix, n, 0, 0)
+    return PauliSum(terms, n_qubits=n)

@@ -434,8 +434,10 @@ class TestScenarioRuns:
                                     outdir=str(tmp_path))
             assert hn.run(cfg).ok
             stored = json.loads((tmp_path / record_name).read_text())
+            # one sector structure per term-string set: chi = 0, chi != 0
             assert stored["solver"] == {"points": [
-                {"chi": 0.0, **at_zero}, {"chi": 0.25, **at_chi}]}
+                {"chi": 0.0, **at_zero}, {"chi": 0.25, **at_chi}],
+                "structures": 2}
         # at cap 16 the 64-state blocks go to Lanczos
         monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
         record = hn.run(cfg)
@@ -473,6 +475,13 @@ class TestScenarioRuns:
                                "detailed_balance_temperature",
                                "trace_distance_to_detailed_balance"}
         assert report["null_dim"] == 1
+        # round-off-level solver values print at SOLVER_DECIMALS, so the
+        # BLAS build cannot change them
+        rounded = [report["residual"],
+                   report["trace_distance_to_detailed_balance"],
+                   *report["loop_expectations"].values()]
+        assert len(rounded) == 2 + 4      # 4 Wilson loops
+        assert all(v == hn._solver_value(v) for v in rounded)
         distances = csv_columns(tmp_path / "thermalize.csv")[
             "trace_distance_to_stationary"]
         assert all(a >= b for a, b in zip(distances, distances[1:]))
@@ -539,6 +548,8 @@ class TestScenarioRuns:
         assert all(a > b for a, b in zip(temps, temps[1:]))
         report = json.loads((tmp_path / "cool-with-noise.json").read_text())
         assert report["rank_correlation"] == 1.0
+        assert report["fit_constant"] == hn._solver_value(
+            report["fit_constant"])
         # measured form-fit residual 0.083: reported, not asserted small
         assert 0.0 < report["fit_residual"] < 0.5
 
@@ -758,7 +769,10 @@ class TestCli:
         assert ("[FAIL] monotone-cooling" in out) == (grid == "0.1")
 
     def test_every_subcommand_parses_the_config_flags(self):
+        # one parser per process serves every call, so no value may leak
+        # from one parse into the next
         parser = cli.build_parser()
+        assert cli.build_parser() is parser
         fields = [name for name in hn.FIELD_SPEC if name != "kind"]
         values = {name: f"value-of-{name}" for name in fields}
         flags = [arg for name in fields

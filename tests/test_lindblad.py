@@ -724,8 +724,8 @@ def test_chain_evolution_matches_superoperator_propagator(name):
     # the entries the start reaches, exactly the frame diagonal
     h = FRAME.operator(model.hamiltonian.to_pauli_sum())
     channels = [(jt.rate, FRAME.operator(jt.operator)) for jt in model.jumps]
-    gen = lb._superoperator(h, channels)
-    idx = lb._reachable(gen, np.flatnonzero(rho0_f))
+    gen = oracles.superoperator(h, channels)
+    idx = oracles.reachable(gen, np.flatnonzero(rho0_f))
     np.testing.assert_array_equal(idx, np.arange(DIM) * (DIM + 1))
     block = gen[idx][:, idx].toarray()
     for k, t in enumerate(times):
@@ -900,7 +900,7 @@ def test_with_rates_validation():
 def test_superoperator_matches_dense_generator_on_probe():
     dense = _DenseGenerator(lb.probe_model(0.03, 1.0))
     sigma = _random_density(dense.h.shape[0], seed=13)
-    vec = lb._superoperator(dense.h, dense.channels) @ sigma.ravel()
+    vec = oracles.superoperator(dense.h, dense.channels) @ sigma.ravel()
     np.testing.assert_allclose(vec.reshape(sigma.shape), dense.apply(sigma),
                                rtol=0, atol=1e-14)
 
@@ -1070,7 +1070,7 @@ def _full_pair_populations(model: lb.LindbladModel,
     projector[[0b0011, 0b1011, 0b0111, 0b1111]] = 1.0
     dense = _DenseGenerator(model)
     vals, vecs = np.linalg.eig(
-        lb._superoperator(dense.h, dense.channels).toarray())
+        oracles.superoperator(dense.h, dense.channels).toarray())
     coeffs = np.linalg.solve(vecs, rho0.ravel())
     diag_idx = np.arange(dim) * (dim + 1)
     weights = (projector[:, None] * vecs[diag_idx, :]).sum(axis=0) * coeffs
@@ -1094,9 +1094,9 @@ def test_restricted_probe_solve_matches_full_eigendecomposition(
 def test_probe_start_reaches_a_closed_set_of_ten_entries():
     model = lb.probe_model(0.03, 1.0)
     dense = _DenseGenerator(model)
-    gen = lb._superoperator(dense.h, dense.channels)
+    gen = oracles.superoperator(dense.h, dense.channels)
     dim = model.dim
-    idx = lb._reachable(gen, np.array(lb._PROBE_START) * (dim + 1))
+    idx = oracles.reachable(gen, np.array(lb._PROBE_START) * (dim + 1))
     assert idx.size == 10
     # populations and coherences of |11,0_t> and |00,1_t>, populations of
     # |00,0_t>, each with the translation ancilla (bit 3) in 0 or 1
@@ -1106,6 +1106,22 @@ def test_probe_start_reaches_a_closed_set_of_ten_entries():
     assert {divmod(int(k), dim) for k in idx} == want
     outside = np.setdiff1d(np.arange(dim * dim), idx)
     assert gen[outside][:, idx].nnz == 0
+
+
+def test_reached_columns_give_the_whole_generators_block():
+    # the probe builds only the generator columns its start reaches: at the
+    # nine default grid points its entries and its block are those of the
+    # whole sparse generator, bit for bit
+    for coupling in (0.02, 0.03, 0.045):
+        for relaxation in (0.6, 1.0, 1.6):
+            model = lb.probe_model(coupling, relaxation)
+            dense = _DenseGenerator(model)
+            start = np.array(lb._PROBE_START) * (model.dim + 1)
+            idx, block = lb._reachable_block(dense.h, dense.channels, start)
+            gen = oracles.superoperator(dense.h, dense.channels)
+            want = oracles.reachable(gen, start)
+            np.testing.assert_array_equal(idx, want)
+            np.testing.assert_array_equal(block, gen[want][:, want].toarray())
 
 
 # -- shared helpers --------------------------------------------------------

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import dense_oracles as oracles
+from toricsim import harness as hn
+from toricsim import sequences as sq
 from toricsim.pauli import (QUARTER_TURNS, PauliString, PauliSum, commutator,
                             decompose)
 
@@ -185,6 +188,26 @@ def test_decompose_random_dense():
         n = int(RNG.integers(1, 4))
         m = RNG.normal(size=(2**n, 2**n)) + 1j * RNG.normal(size=(2**n, 2**n))
         np.testing.assert_allclose(decompose(m).to_dense(), m, atol=1e-12)
+
+
+def test_decompose_is_the_recursion_bit_for_bit(tmp_path, monkeypatch):
+    # the block reduction runs over all blocks at once with the recursion's
+    # operations and order: equal coefficients, terms in the same order
+    seen = []
+
+    def record(m):
+        seen.append(m)
+        return decompose(m)
+
+    monkeypatch.setattr(sq, "decompose", record)
+    assert hn.run(hn.ScenarioConfig(kind="sequence-order-scan",
+                                    outdir=str(tmp_path))).ok
+    assert len(seen) == 15
+    seen += [RNG.normal(size=(2**n, 2**n)) + 1j * RNG.normal(size=(2**n, 2**n))
+             for n in range(1, 6) for _ in range(3)]
+    for m in seen:
+        assert (list(decompose(m).items())
+                == list(oracles.decompose(m).items()))
 
 
 def test_dense_cap_guard():

@@ -501,6 +501,47 @@ def test_fidelity_scan_structure():
         np.testing.assert_array_equal(p.eigenvalues, res.eigenvalues)
 
 
+def _assert_same_operator(got: sp.SectorOperator, want: sp.SectorOperator):
+    """Field for field equal, arrays by value and dtype."""
+    for f in dataclasses.fields(want):
+        pairs = [(getattr(got, f.name), getattr(want, f.name))]
+        if isinstance(pairs[0][1], sp.Cosets):
+            pairs = [(getattr(pairs[0][0], g.name), getattr(pairs[0][1], g.name))
+                     for g in dataclasses.fields(sp.Cosets)]
+        for a, b in pairs:
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+
+@pytest.mark.parametrize("size, grid", [
+    (2, tuple(round(-0.5 + 0.1 * k, 10) for k in range(11))),
+    (3, (0.2, 0.4, 0.6))])
+def test_scan_points_compile_what_a_fresh_compile_does(monkeypatch, size,
+                                                       grid):
+    # a scan builds one structure per term-string set and sets only each
+    # point's coefficients on it; every point's operator is still a fresh
+    # compile's, floors, orbits and carries included
+    lat = lt.build(size)
+    seen = []
+
+    def capture(h, **kw):
+        seen.append(h)
+        raise sp.ConvergenceError("not solved")
+
+    monkeypatch.setattr(sp, "lowest_eigenpairs", capture)
+    scan = sp.fidelity_scan(lat, grid, h_z=0.05)
+    assert [p.chi for p in scan] == list(grid)
+    assert scan.structures == len({chi != 0 for chi in grid})
+    structures = [h._structure() for h in seen]
+    assert len({id(op) for op in structures}) == scan.structures
+    for chi, h in zip(grid, seen):
+        want = sp.build_hamiltonian(lat, chi=chi, h_z=0.05)
+        assert h == want
+        _assert_same_operator(h.compile(), want.compile())
+
+
 def test_fidelity_scan_survives_solver_failure(monkeypatch):
     real = sp.lowest_eigenpairs
 
