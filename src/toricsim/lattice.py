@@ -140,21 +140,6 @@ def x_loops(lat: TorusLattice) -> tuple[PauliString, PauliString]:
     return (PauliString(lat.n_links, x1, 0, 0), PauliString(lat.n_links, x2, 0, 0))
 
 
-def neighbor_pairs(lat: TorusLattice) -> list[tuple[int, int]]:
-    """Unordered pairs of links that must interact: consecutive entries of
-    each vertex and plaquette ordering.  Deduplicated, deterministic order."""
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    for group in (lat.vertex_links, lat.plaquette_links):
-        for links in group:
-            for a, b in zip(links, links[1:]):
-                key = (min(a, b), max(a, b))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-    return out
-
-
 def translations(lat: TorusLattice) -> tuple[tuple[int, ...], ...]:
     """The ``L^2`` lattice translations as link permutations.
 

@@ -34,9 +34,9 @@ label-additive in the frame, d(o, t) = d_e(o) + d_m(t), so they are read
 off the marginals; a chain that is no Kronecker sum carries nothing else.
 
 Lattice dissipation takes and returns label populations only, and builds
-no 2^n x 2^n state.  A model without a lattice, a start that is not the
-two label marginals, or a model whose population sector does not close
-(for example with a transverse field) raises ``ValueError``.
+no 2^n x 2^n state.  A start that is not the two label marginals, or a
+model whose population sector does not close (for example with a
+transverse field), raises ``ValueError``.
 ``gibbs_state``, ``trace_distance`` and ``StabilizerFrame.operator`` are
 dense L = 2 test oracles that no scenario calls.  The adiabatic-elimination
 probe builds the columns of its vectorized generator that its start reaches,
@@ -154,7 +154,8 @@ class JumpTerm:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus a list of rate-weighted jump operators.
+    """Hamiltonian plus a list of rate-weighted jump operators on the
+    links of a lattice.
 
     The label chains (:func:`_compile_generator`) are built on first use
     and cached on the model.
@@ -162,8 +163,8 @@ class LindbladModel:
 
     hamiltonian: SparseHamiltonian
     jumps: tuple[JumpTerm, ...]
+    lattice: lt.TorusLattice
     p: float | None = None           # excitation weight of the bath
-    lattice: lt.TorusLattice | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -175,10 +176,6 @@ class LindbladModel:
     @property
     def n_qubits(self) -> int:
         return self.hamiltonian.n_qubits
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
 
     def pair_rate_ratio(self) -> float:
         """Exact ratio of pair-creation to pair-annihilation rates.
@@ -208,15 +205,14 @@ class LindbladModel:
 
     @property
     def frame(self) -> StabilizerFrame:
-        """Stabilizer frame of the compiled generator (lattice-backed
-        models only)."""
+        """Stabilizer frame of the compiled generator."""
         return _compile_generator(self).frame
 
     def with_rates(self, rates: Sequence[float]) -> "LindbladModel":
         """This model with jump ``k`` at ``rates[k]``; zero-rate jumps are
         dropped.
 
-        A lattice-backed copy reweights the label chains of this model
+        The copy reweights the label chains of this model
         (:meth:`_LabelChains.reweighted`), which are linear in the rates,
         so a rate sweep shares one frame and one pass over the strings.
         """
@@ -226,9 +222,8 @@ class LindbladModel:
                  for jt, r in zip(self.jumps, rates)]
         keep = [k for k, jt in enumerate(terms) if jt.rate > 0.0]
         model = dataclasses.replace(self, jumps=tuple(terms[k] for k in keep))
-        if self.lattice is not None:
-            object.__setattr__(model, "_generator", _compile_generator(
-                self).reweighted(keep, [jt.rate for jt in model.jumps]))
+        object.__setattr__(model, "_generator", _compile_generator(
+            self).reweighted(keep, [jt.rate for jt in model.jumps]))
         return model
 
 
@@ -479,7 +474,7 @@ def _rate_matrix(shifts: np.ndarray, flows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _LabelChains:
-    """The population chain of a lattice-backed model as two label chains:
+    """The population chain of a model as two label chains:
     the orbit chain M_e on ``n_orbits`` states and the character chain M_m
     on ``n_char`` states, built by index arithmetic on the jump strings
     (:meth:`StabilizerFrame.strings`).
@@ -583,12 +578,8 @@ class _LabelChains:
 
 
 def _compile_generator(model: LindbladModel) -> _LabelChains:
-    """Label chains of a lattice-backed model, built once per model and
-    cached on it."""
+    """Label chains of a model, built once per model and cached on it."""
     if model._generator is None:
-        if model.lattice is None:
-            raise ValueError(f"model {model.label!r} has no lattice, so it "
-                             "has no stabilizer frame to be solved in")
         object.__setattr__(model, "_generator", _LabelChains.build(
             model, StabilizerFrame(model.lattice)))
     return model._generator
@@ -670,10 +661,10 @@ class EvolutionResult:
                          in zip(self.orbit_populations, self.char_populations)])
 
 
-def evolve(model: LindbladModel, start: Sequence[np.ndarray], t_final: float,
-           sample_times: Sequence[float] | None = None) -> EvolutionResult:
-    """Evolve a frame-diagonal start under the master equation up to
-    ``t_final``.
+def evolve(model: LindbladModel, start: Sequence[np.ndarray],
+           times: Sequence[float]) -> EvolutionResult:
+    """Evolve a frame-diagonal start under the master equation and sample
+    it at ``times``, a non-empty ascending grid from t >= 0.
 
     ``start`` is the two label marginals (p_e, p_m), real vectors of
     ``frame.n_orbits`` and ``frame.n_char`` entries; any other input, frame
@@ -682,8 +673,8 @@ def evolve(model: LindbladModel, start: Sequence[np.ndarray], t_final: float,
     (:class:`_LabelChains`, strong lumpability), with one
     ``scipy.linalg.expm`` of each per distinct increment between samples.
     When every channel moves one label, M = M_e ⊗ 1 + 1 ⊗ M_m, so the
-    product start p_e ⊗ p_m evolves to p_e(t) ⊗ p_m(t).  A model without
-    a lattice, or whose population sector does not close, raises
+    product start p_e ⊗ p_m evolves to p_e(t) ⊗ p_m(t).  Any other grid,
+    or a model whose population sector does not close, raises
     ``ValueError``.  No dense state is built.
 
     Trace and positivity are monitored at every sample time against a
@@ -692,19 +683,11 @@ def evolve(model: LindbladModel, start: Sequence[np.ndarray], t_final: float,
     read the marginals: the trace defect is the larger |sum p - 1| and the
     smallest eigenvalue is the smallest marginal population.
     """
-    if t_final < 0.0:
-        raise ValueError("t_final must be >= 0")
     gen = _compile_generator(model)
     p_e, p_m = _start_marginals(gen.frame, start)
-    if sample_times is None:
-        times = np.array([0.0, t_final]) if t_final > 0 else np.array([0.0])
-    else:
-        times = np.asarray(sample_times, dtype=float)
-        if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0) \
-                or times[-1] > t_final + 1e-12:
-            raise ValueError("sample times must ascend within [0, t_final]")
-    if t_final == 0.0 or (times.size == 1 and times[0] == 0.0):
-        times = np.array([0.0])
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
+        raise ValueError("sample times must ascend from t >= 0")
     orbit, n_props = _propagate_chain(gen.orbit_chain, p_e, times)
     char, _ = _propagate_chain(gen.char_chain, p_m, times)
     trace_defects = np.maximum(np.abs(orbit.sum(axis=1) - 1.0),
@@ -849,16 +832,16 @@ def _recurrent_distributions(m: np.ndarray) -> list[np.ndarray]:
 
 
 def stationary_state(model: LindbladModel) -> StationaryResult:
-    """Stationary state of a lattice-backed model, on its label chains.
+    """Stationary state of a model, on its label chains.
 
     Every engineered jump moves the orbit label, the character label or
     both by index arithmetic, at a rate that each label sees independently
     of the other (:class:`_LabelChains`), so the stationary marginals are
     the null spaces of the orbit chain M_e and the character chain M_m; no
     channel is transported into the frame and no superoperator is built.
-    A model without a lattice, or one whose population sector does not
-    close, raises ``ValueError``.  Each closed recurrent class of a chain
-    holds one stationary distribution, found with one linear solve
+    A model whose population sector does not close raises ``ValueError``.
+    Each closed recurrent class of a chain holds one stationary
+    distribution, found with one linear solve
     (:func:`_recurrent_distributions`), and when there are several (for
     example at p = 0) they are averaged with equal weights.  The joint
     recurrent classes are the pairs of label classes, so ``null_dim`` is
@@ -1044,9 +1027,29 @@ def _lowering(n: int, qubit: int) -> PauliSum:
          (0.5j, PauliString.single(n, qubit, "Y"))), n_qubits=n)
 
 
-def probe_model(coupling: float, relaxation: float) -> LindbladModel:
+@functools.cache
+def _probe_operators() -> tuple[PauliSum, tuple[PauliSum, ...]]:
+    """The probe's interaction at unit coupling and its three jump
+    operators (ancilla lowering, translation-ancilla raising and lowering),
+    built once: a grid point changes only their scales."""
+    n = 4
+    create, translate = _pair_ops(
+        PauliString.single(n, 0, "X") * PauliString.single(n, 1, "X"),
+        PauliString.single(n, 0, "Z"), PauliString.single(n, 1, "Z"))
+    lower_t, lower_m = _lowering(n, 2), _lowering(n, 3)
+    raise_m = lower_m.adjoint()
+    unit = (create.product(lower_t)
+            + create.adjoint().product(lower_t.adjoint())
+            + translate.product(lower_m)
+            + translate.adjoint().product(raise_m))
+    return unit, (lower_t, raise_m, lower_m)
+
+
+def probe_model(coupling: float, relaxation: float
+                ) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
     """Four-qubit toy: one stabilizer pair exchanging excitations with a
-    damped ancilla (qubit 2) and a translation ancilla (qubit 3).
+    damped ancilla (qubit 2) and a translation ancilla (qubit 3), as its
+    dense H and its dense ``(rate, operator)`` channels.
 
     The stabilizer pair lives on qubits 0 and 1 with single-qubit Z
     "stabilizers" and the joint flip X0 X1, so the pair operators act
@@ -1057,32 +1060,13 @@ def probe_model(coupling: float, relaxation: float) -> LindbladModel:
     """
     if coupling < 0.0 or relaxation <= 0.0:
         raise ValueError("coupling must be >= 0 and relaxation > 0")
-    n = 4
-    create, translate = _pair_ops(
-        PauliString.single(n, 0, "X") * PauliString.single(n, 1, "X"),
-        PauliString.single(n, 0, "Z"), PauliString.single(n, 1, "Z"))
-    lower_t = _lowering(n, 2)
-    lower_m = _lowering(n, 3)
-    raise_t = lower_t.adjoint()
-    raise_m = lower_m.adjoint()
-
-    interaction = (create.product(lower_t)
-                   + create.adjoint().product(raise_t)
-                   + translate.product(lower_m)
-                   + translate.adjoint().product(raise_m)) * coupling
-    terms = []
-    for string, coeff in interaction.items():
-        if abs(coeff.imag) > 1e-12:
-            raise ValueError("interaction failed to be Hermitian")
-        terms.append((float(coeff.real), string))
-    ham = SparseHamiltonian(n_qubits=n, terms=tuple(terms))
-    jumps = (
-        JumpTerm("ancilla-damp", relaxation / 2.0, lower_t),
-        JumpTerm("mix-up", relaxation / 4.0, raise_m),
-        JumpTerm("mix-down", relaxation / 4.0, lower_m),
-    )
-    return LindbladModel(hamiltonian=ham, jumps=jumps, p=0.0,
-                         label="elimination-probe")
+    unit, (lower_t, raise_m, lower_m) = _probe_operators()
+    # SparseHamiltonian refuses a coefficient that is not real
+    h = SparseHamiltonian(4, tuple(
+        (c, s) for s, c in (unit * coupling).items())).to_dense()
+    channels = [(relaxation / 2.0, lower_t), (relaxation / 4.0, raise_m),
+                (relaxation / 4.0, lower_m)]
+    return h, [(rate, op.to_dense()) for rate, op in channels]
 
 
 BURN_IN = 8.0               # ancilla lifetimes before the rate fit
@@ -1127,18 +1111,18 @@ def _reachable_block(h: np.ndarray, channels, seeds: np.ndarray
     return idx, np.stack([columns[j] for j in idx.tolist()], axis=1)[idx]
 
 
-def _pair_populations(model: LindbladModel, times: np.ndarray) -> np.ndarray:
-    """Excited-pair population of the probe at ``times``, exact.
+def _pair_populations(h: np.ndarray, channels, times: np.ndarray
+                      ) -> np.ndarray:
+    """Excited-pair population at ``times`` of the probe with dense ``h``
+    and ``channels`` (:func:`probe_model`), exact.
 
     The vectorized generator is eigendecomposed on the entries of vec(rho)
     that the start reaches (:func:`_reachable_block`), an invariant
     subspace that holds every nonzero entry of rho(t).
     """
-    dim = model.dim
+    dim = h.shape[0]
     start = np.array(_PROBE_START) * (dim + 1)     # vec index of |s><s|
-    idx, block = _reachable_block(
-        model.hamiltonian.to_dense(),
-        [(jt.rate, jt.operator.to_dense()) for jt in model.jumps], start)
+    idx, block = _reachable_block(h, channels, start)
     vals, vecs = np.linalg.eig(block)
     coeffs = np.linalg.solve(vecs, 0.5 * np.isin(idx, start))
     pair = np.isin(idx, np.array(_PROBE_PAIR) * (dim + 1))
@@ -1169,7 +1153,7 @@ def adiabatic_elimination_probe(coupling_values: Sequence[float],
             if g > 0.1 * lam:
                 raise ValueError(
                     f"coupling {g} exceeds a tenth of relaxation {lam}")
-            model = probe_model(g, lam)
+            h, channels = probe_model(g, lam)
             if g == 0.0:
                 points.append(EliminationPoint(g, lam, 0.0, 0.0))
                 continue
@@ -1177,7 +1161,7 @@ def adiabatic_elimination_probe(coupling_values: Sequence[float],
             burn = BURN_IN / lam
             horizon = burn + DECAY_WINDOW / predicted
             t_grid = np.linspace(burn, horizon, 40)
-            pops = _pair_populations(model, t_grid)
+            pops = _pair_populations(h, channels, t_grid)
             if np.any(pops <= 0.0):
                 raise FitRejectedError("pair population lost positivity")
             design = np.column_stack([t_grid, np.ones_like(t_grid)])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -139,7 +139,6 @@ class EffectiveHamiltonianReport:
 
     h_eff: PauliSum
     total_time: float
-    branch_margin: float
     hermiticity_defect: float
     unitarity_defect: float
     residual: PauliSum
@@ -177,9 +176,8 @@ def effective_hamiltonian(seq: GateSequence,
             if s.label(with_phase=False) not in targets}
     residual = PauliSum(keep, n_qubits=seq.n_qubits)
     return EffectiveHamiltonianReport(
-        h_eff=h_eff, total_time=total_time, branch_margin=margin,
-        hermiticity_defect=defect, unitarity_defect=unitarity,
-        residual=residual,
+        h_eff=h_eff, total_time=total_time, hermiticity_defect=defect,
+        unitarity_defect=unitarity, residual=residual,
         target_coefficients={l: (measured[l], complex(p)) for l, p in targets.items()})
 
 
@@ -196,29 +194,28 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(slope)
 
 
-def order_scan(sequence_factory: Callable[[float], GateSequence],
-               phi_values: Iterable[float],
-               target_terms: Iterable[str] = ()) -> OrderScanReport:
+def order_scan(reports: Mapping[float, EffectiveHamiltonianReport]
+               ) -> OrderScanReport:
     """Fit the power-law order in phi of every non-target coefficient, and
-    of the l2 norm of all of them together.
+    of the l2 norm of all of them together, from one extracted report per
+    angle, ``{phi: report}``; each report's targets are the labels of its
+    ``target_coefficients``.  Nothing is solved here.
 
     Points whose coefficient sits below ``10 * PRUNE_TOL`` are dropped from
     that term's fit (they are pruning-floor noise); a term left with fewer
     than two usable points gets no slope.
     """
-    phis = tuple(sorted(float(p) for p in phi_values))
+    phis = sorted(reports)
     if len(phis) < 4:
         raise ValueError("order scan needs at least 4 phi values")
-    targets = set(target_terms)
     tables: dict[str, dict[float, float]] = {}
     residual_norms = []
     for phi in phis:
-        rep = effective_hamiltonian(sequence_factory(phi),
-                                    targets={l: 0.0 for l in targets})
+        rep = reports[phi]
         residual_norms.append(rep.residual.l2_norm())
         for s, c in rep.h_eff.items():
             label = s.label(with_phase=False)
-            if label not in targets:
+            if label not in rep.target_coefficients:
                 tables.setdefault(label, {})[phi] = abs(c)
 
     floor = 10.0 * PRUNE_TOL

@@ -8,13 +8,11 @@ The model is
 
 on the ``2 L^2`` link qubits.  The chi pairs are where the pulse sequences
 leave their residual: the 2nd and 3rd links, (links[1], links[2]), of every
-vertex and plaquette neighborhood in its canonical order (``chi_pairs =
-"sequence"``); ``chi_pairs = "all"`` puts one term on every geometric
-nearest-neighbour link pair instead, to bracket the pairing ambiguity.  The
-letters do not follow the pulses on plaquettes: the vertex sequence leaves
-X_a Y_b, but the plaquette sequence, whose generators are cycled
-X -> Y -> Z, leaves Y_a Z_b (IXYI becomes IYZI).  X.Y on every pair is a
-stand-in until H is derived from the composed pulses.
+vertex and plaquette neighborhood in its canonical order.  The letters do
+not follow the pulses on plaquettes: the vertex sequence leaves X_a Y_b,
+but the plaquette sequence, whose generators are cycled X -> Y -> Z,
+leaves Y_a Z_b (IXYI becomes IYZI).  X.Y on every pair is a stand-in
+until H is derived from the composed pulses.
 
 Every such H is real up to a diagonal phase gauge: S gates on the links
 of a mask found by a GF(2) solve over the terms (:func:`real_gauge`; the
@@ -23,32 +21,31 @@ plaquette with an even number of Y letters.  All arithmetic below is real
 in that gauge, and terms that have none are refused.  Every term maps a
 Z-basis state j only to j ^ x with x in the GF(2) span W of the X-masks,
 so H is block diagonal over the cosets of W: 1024 sectors of 256 states
-at L = 3 and chi = 0, 8 of 32768 at chi != 0 (2 with
-``chi_pairs = "all"``), each its minimum XOR all of W (:class:`Cosets`,
-which also labels the stabilizer frame's orbits in ``toricsim.lindblad``:
-at chi = 0, W is the plaquette-flip group).  H is compiled in that gauge
-in two steps: its term strings fix W's cosets, the gauge links, the terms
-of each X-mask and the symmetries below, once per chi scan for chi = 0
-and once for chi != 0; its coefficients fix the diagonal and every
-sector's Gershgorin floor at each chi point.  The compiled operator
-builds the CSR block of a sector, one entry per row for each distinct
-X-mask, only when asked.  The eigensolver builds the blocks it visits,
-skipping every block whose floor proves it holds none of the lowest
-levels, and rules out a Lanczos-sized block whose lowest level a loose
-one-level Lanczos probe places above the k-th level found; the Z-basis
-matvec applies H block by block.  No code path assembles all 2^n rows at
-once.
+at L = 3 and chi = 0, 8 of 32768 at chi != 0, each its minimum XOR all
+of W (:class:`Cosets`, which also labels the stabilizer frame's orbits in
+``toricsim.lindblad``: at chi = 0, W is the plaquette-flip group).  H is
+compiled in that gauge in two steps: its term strings fix W's cosets, the
+gauge links, the terms of each X-mask and the symmetries below, once per
+chi scan for chi = 0 and once for chi != 0; its coefficients fix the
+diagonal and every sector's Gershgorin floor at each chi point.  The
+compiled operator builds the CSR block of a sector, one entry per row for
+each distinct X-mask, only when asked.  The eigensolver builds the blocks
+it visits, skipping every block whose floor proves it holds none of the
+lowest levels, and rules out a Lanczos-sized block whose lowest level a
+loose one-level Lanczos probe places above the k-th level found; the
+Z-basis matvec applies H block by block.  No code path assembles all 2^n
+rows at once.
 
 The lattice translations permute the links, and those that leave the term
 multiset exactly invariant commute with H and permute the cosets of W.
 Blocks in one translation orbit are permutation-similar, so the solver
 diagonalizes one block per orbit and reuses its levels for the others:
 128 orbits of the 1024 sectors at L = 3 and chi = 0, 4 of the 8 at
-chi != 0 (2 of 2 with ``chi_pairs = "all"``).  A kept vector stays in its
-sector: a member's is the representative's, carried over by the qubit
-permutation and verified on the member's block.  This is the one solver
-path at every lattice size; the dense construction, and dense ``eigh`` of
-the whole H, are the oracle it is tested against.
+chi != 0.  A kept vector stays in its sector: a member's is the
+representative's, carried over by the qubit permutation and verified on
+the member's block.  This is the one solver path at every lattice size;
+the dense construction, and dense ``eigh`` of the whole H, are the oracle
+it is tested against.
 """
 
 from __future__ import annotations
@@ -467,28 +464,23 @@ class SparseHamiltonian:
         return PauliSum.from_terms((c, s) for c, s in self.terms)
 
 
-def chi_pair_terms(lat: lt.TorusLattice, mode: str = "sequence"
-                   ) -> list[tuple[int, int]]:
-    """(x_link, y_link) pairs receiving the chi X.Y coupling."""
-    if mode == "sequence":
-        # the surviving residual acts on the 2nd and 3rd links of every
-        # neighborhood in its canonical order
-        return [(links[1], links[2])
-                for links in lat.vertex_links + lat.plaquette_links]
-    if mode == "all":
-        return lt.neighbor_pairs(lat)
-    raise ValueError(f"unknown chi pair mode {mode!r}")
+def chi_pair_terms(lat: lt.TorusLattice) -> list[tuple[int, int]]:
+    """(x_link, y_link) pairs receiving the chi X.Y coupling: the 2nd and
+    3rd links of every neighborhood in its canonical order, where the
+    surviving residual acts."""
+    return [(links[1], links[2])
+            for links in lat.vertex_links + lat.plaquette_links]
 
 
 def build_hamiltonian(lat: lt.TorusLattice, j_e: float = 1.0, j_m: float = 1.0,
-                      chi: float = 0.0, h_z: float = 0.0,
-                      chi_pairs: str = "sequence") -> SparseHamiltonian:
+                      chi: float = 0.0, h_z: float = 0.0
+                      ) -> SparseHamiltonian:
     """Assemble the perturbed stabilizer Hamiltonian on the lattice links,
     with the lattice translations as candidate symmetries.
 
-    Every chi pair gets chi X_a Y_b.  That is the residual the pulses leave
-    on a vertex's (links[1], links[2]); on a plaquette's they leave Y_a Z_b,
-    so X.Y there is a stand-in.
+    Every chi pair (:func:`chi_pair_terms`) gets chi X_a Y_b.  That is the
+    residual the pulses leave on a vertex's (links[1], links[2]); on a
+    plaquette's they leave Y_a Z_b, so X.Y there is a stand-in.
     """
     n = lat.n_links
     terms: list[tuple[float, PauliString]] = []
@@ -500,7 +492,7 @@ def build_hamiltonian(lat: lt.TorusLattice, j_e: float = 1.0, j_m: float = 1.0,
         for link in range(n):
             terms.append((-h_z, PauliString.single(n, link, "Z")))
     if chi:
-        for a, b in chi_pair_terms(lat, chi_pairs):
+        for a, b in chi_pair_terms(lat):
             x = PauliString.single(n, a, "X")
             y = PauliString.single(n, b, "Y")
             terms.append((chi, x * y))
@@ -800,8 +792,8 @@ class FidelityScan(list):
 
 
 def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
-                  h_z: float = 0.05, k: int = 6, chi_pairs: str = "sequence",
-                  seed: int = 7) -> FidelityScan:
+                  h_z: float = 0.05, k: int = 6, seed: int = 7
+                  ) -> FidelityScan:
     """Ground-manifold fidelity and low-lying spectrum at each chi point.
 
     H is built, and the structure of its strings compiled, once per set
@@ -811,14 +803,13 @@ def fidelity_scan(lat: lt.TorusLattice, chi_values: Sequence[float],
     recorded per grid point instead of aborting the scan.
     """
     reference = ground_space_reference(lat)
-    n_chi = len(chi_pair_terms(lat, chi_pairs))
+    n_chi = len(chi_pair_terms(lat))
     first: dict[bool, SparseHamiltonian] = {}  # by chi != 0
     points = FidelityScan()
     for chi in chi_values:
         h = first.get(chi != 0)
         if h is None:
-            h = first[chi != 0] = build_hamiltonian(
-                lat, chi=chi, h_z=h_z, chi_pairs=chi_pairs)
+            h = first[chi != 0] = build_hamiltonian(lat, chi=chi, h_z=h_z)
         elif chi:
             # every chi term has coefficient chi, and no link permutation
             # maps an X.Y term onto a term of another kind: the symmetries,

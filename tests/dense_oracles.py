@@ -215,3 +215,10 @@ def decompose(matrix: np.ndarray) -> PauliSum:
 
     recurse(matrix, n, 0, 0)
     return PauliSum(terms, n_qubits=n)
+
+
+def scan_reports(factory, phis, targets=()) -> dict:
+    """{phi: report} for ``sq.order_scan``: the extraction of each
+    ``factory(phi)`` with ``targets`` as its target labels."""
+    return {phi: sq.effective_hamiltonian(
+        factory(phi), targets=dict.fromkeys(targets, 0.0)) for phi in phis}

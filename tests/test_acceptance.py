@@ -76,10 +76,10 @@ def test_criterion_02_echoed_coefficient_closed_forms():
 
 
 def test_criterion_03_echo_cancellation_orders():
-    single = sq.order_scan(lambda p: sq.u123(p, p, p), PHI_GRID,
-                           target_terms=("ZZZZ", "IXYI", "IIXZ"))
-    echoed = sq.order_scan(lambda p: sq.echoed_u123(p, p, p), PHI_GRID,
-                           target_terms=("ZZZZ", "IXYI"))
+    single = sq.order_scan(oracles.scan_reports(
+        lambda p: sq.u123(p, p, p), PHI_GRID, ("ZZZZ", "IXYI", "IIXZ")))
+    echoed = sq.order_scan(oracles.scan_reports(
+        lambda p: sq.echoed_u123(p, p, p), PHI_GRID, ("ZZZZ", "IXYI")))
     s_ixzz = single.term_slopes["IXZZ"]
     s_zzyi = single.term_slopes["ZZYI"]
     s_echo = echoed.residual_slope
@@ -185,7 +185,7 @@ def test_criterion_09_dark_state_cooling():
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
     result = lb.evolve(model, oracles.start_populations(model.frame, rho0),
-                       t_final=15.0, sample_times=(0.0, 7.5, 15.0))
+                       (0.0, 7.5, 15.0))
     density = hn.excitation_density(oracles.evolution_states(result)[-1], lat)
     ok = worst < 1e-12 and density < 1e-6
     assert _criterion(9, ok, f"every jump annihilates the ground space "

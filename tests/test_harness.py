@@ -27,6 +27,7 @@ from toricsim import cli
 from toricsim import harness as hn
 from toricsim import lattice as lt
 from toricsim import lindblad as lb
+from toricsim import sequences as sq
 from toricsim import spectra as sp
 from toricsim.pauli import PauliString
 
@@ -71,6 +72,13 @@ def default_runs(tmp_path_factory):
         if event == "call":
             called.add(frame.f_code)
 
+    # a process-wide cache that an earlier test filled would hide the
+    # calls that fill it
+    for info in pkgutil.iter_modules(toricsim.__path__):
+        module = importlib.import_module(f"toricsim.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
     outdir = str(tmp_path_factory.mktemp("defaults"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hn, "ScenarioConfig", Recording)
@@ -87,6 +95,12 @@ def default_runs(tmp_path_factory):
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
+
+
+# config fields that no scenario reads and the benchmark passes
+# (perfbench/workloads.py); each goes with the benchmark change that stops
+# passing it (ROADMAP item 2)
+UNREAD_FIELDS = {"chi_pairs"}
 
 
 class TestScenarioConfig:
@@ -127,11 +141,16 @@ class TestScenarioConfig:
         assert list(hn.FIELD_SPEC) == [
             f.name for f in dataclasses.fields(hn.ScenarioConfig)]
 
-    def test_every_field_is_read_by_a_scenario(self, default_runs):
+    def test_every_field_is_read_by_a_scenario(self, default_runs,
+                                               benchmark_workloads):
         # a field that no scenario reads is a flag and an INI key that
-        # change nothing but the config hash
+        # change nothing but the config hash; one the benchmark still
+        # passes stays until the benchmark stops passing it
         read, _ = default_runs
-        assert set(hn.FIELD_SPEC) - read == set()
+        passed = {name for calls in benchmark_workloads.values()
+                  for call in calls for name, _ in call.fields}
+        assert set(hn.FIELD_SPEC) - read == UNREAD_FIELDS
+        assert UNREAD_FIELDS <= passed
 
     def test_ini_overrides_win(self):
         base = ("[scenario]\nkind = pump\nlattice_l = 2\n"
@@ -202,7 +221,6 @@ UNCALLED = {
         "pauli.PauliString.apply", "pauli.PauliSum.apply",
         "lindblad.LindbladModel.pair_rate_ratio",
         "sequences.plaquette_generators", "sequences.cycled"),
-    "selected by the config (chi_pairs = all)": ("lattice.neighbor_pairs",),
 }
 
 
@@ -312,11 +330,17 @@ class TestDiagnostics:
 
 
 class TestScenarioRuns:
-    def test_sequence_order_scan(self, tmp_path):
+    def test_sequence_order_scan(self, tmp_path, monkeypatch):
         cfg = hn.ScenarioConfig(kind="sequence-order-scan",
                                 outdir=str(tmp_path))
+        calls = []
+        extract = sq.effective_hamiltonian
+        monkeypatch.setattr(sq, "effective_hamiltonian",
+                            lambda *a, **k: calls.append(1) or extract(*a, **k))
         record = hn.run(cfg)
         assert record.ok, record.summary_lines()
+        # one matrix log per sequence, single and echoed, and angle
+        assert len(calls) == 2 * len(cfg.phi_grid)
         report = json.loads((tmp_path / "sequence-order-scan.json")
                             .read_text())
         # measured slopes at the default grid: 3.90, 3.96, 6.88
@@ -805,6 +829,23 @@ class TestCli:
         code = cli.main(["cool", "--ratio-grid", "", "--outdir", str(tmp_path)])
         assert code == 2
         assert "ratio_grid" in capsys.readouterr().err
+        # the chi term sits on the pulse sequence's pairs only
+        code = cli.main(["spectrum", "--chi-pairs", "all",
+                         "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "chi_pairs must be sequence" in capsys.readouterr().err
+
+    def test_every_benchmark_call_parses_and_validates(self, tmp_path,
+                                                       benchmark_workloads):
+        # a flag or config field that the benchmark passes cannot go
+        # without this failing first
+        parser = cli.build_parser()
+        for calls in benchmark_workloads.values():
+            for call in calls:
+                args = parser.parse_args(call.argv(7, str(tmp_path)))
+                assert cli.COMMAND_KINDS[args.command] == call.kind
+                hn.ScenarioConfig(
+                    **call.config_fields(7, str(tmp_path))).require_valid()
 
     def test_deleted_flags_exit_two(self):
         # the explicit angle triple, the single-EPG point and the pump's

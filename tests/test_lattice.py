@@ -85,16 +85,3 @@ def test_loop_anticommutation_pairing(lat):
     assert zl[1].commutes_with(xl[0])
     assert zl[0].commutes_with(zl[1])
     assert xl[0].commutes_with(xl[1])
-
-
-def test_neighbor_pairs_unique_and_shared(lat):
-    pairs = lt.neighbor_pairs(lat)
-    assert len(pairs) == 3 * lat.L**2
-    assert len(set(pairs)) == len(pairs)
-    # every pair is consecutive in exactly one vertex and one plaquette order
-    for a, b in pairs:
-        in_v = sum(any({a, b} == {x, y} for x, y in zip(ls, ls[1:]))
-                   for ls in lat.vertex_links)
-        in_p = sum(any({a, b} == {x, y} for x, y in zip(ls, ls[1:]))
-                   for ls in lat.plaquette_links)
-        assert (in_v, in_p) == (1, 1)

@@ -1,5 +1,6 @@
 """Engineered-dissipation checks against dense oracles (L=2, 256 dimensions)."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -55,12 +56,12 @@ UNIFORM = _uniform(FRAME)
 
 
 class _DenseGenerator:
-    """The oracle: dense H and channels of a model, and the generator
-    -i[H, rho] - {A, rho} + sum 2r c rho c† with A = sum r c†c."""
+    """The oracle: the generator -i[H, rho] - {A, rho} + sum 2r c rho c†
+    with A = sum r c†c, of a dense H and dense ``(rate, c)`` channels, or
+    of a model's (:meth:`of`)."""
 
-    def __init__(self, model: lb.LindbladModel):
-        self.h = model.hamiltonian.to_dense()
-        self.channels = [(jt.rate, jt.operator.to_dense()) for jt in model.jumps]
+    def __init__(self, h: np.ndarray, channels):
+        self.h, self.channels = h, channels
         self.absorber = sum((r * (c.conj().T @ c) for r, c in self.channels),
                             np.zeros_like(self.h))
 
@@ -70,6 +71,11 @@ class _DenseGenerator:
         for rate, c in self.channels:
             out += 2.0 * rate * (c @ rho @ c.conj().T)
         return out
+
+    @classmethod
+    def of(cls, model: lb.LindbladModel) -> "_DenseGenerator":
+        return cls(model.hamiltonian.to_dense(),
+                   [(jt.rate, jt.operator.to_dense()) for jt in model.jumps])
 
 
 def _joint_chain(model: lb.LindbladModel) -> np.ndarray:
@@ -99,14 +105,6 @@ def _null_vector(m: np.ndarray) -> np.ndarray:
     from its last right-singular vector."""
     _, _, vh = np.linalg.svd(m)
     return vh[-1] / vh[-1].sum()
-
-
-def _single_qubit_damped_rabi(rate: float = 0.15):
-    h = SparseHamiltonian(n_qubits=1, terms=((1.0, PauliString.single(1, 0, "X")),))
-    lower = PauliSum.from_terms(((0.5, PauliString.single(1, 0, "X")),
-                                 (0.5j, PauliString.single(1, 0, "Y"))))
-    return lb.LindbladModel(hamiltonian=h,
-                            jumps=(lb.JumpTerm("damp", rate, lower),))
 
 
 # -- excitation / translation operators ---------------------------------
@@ -233,8 +231,7 @@ def test_pair_rate_ratio_is_exact():
         # stored-rate division reintroduces one rounding each way
         assert stored == pytest.approx(p / (1.0 - p), rel=1e-15)
     with pytest.raises(ValueError):
-        lb.LindbladModel(hamiltonian=SparseHamiltonian(n_qubits=1, terms=()),
-                         jumps=()).pair_rate_ratio()
+        dataclasses.replace(THERMAL, p=None).pair_rate_ratio()
 
 
 def test_detailed_balance_temperature():
@@ -273,12 +270,10 @@ def test_cooling_matches_thermal_ground_pump_limit():
 def test_depolarizing_bloch_decay():
     jumps = lb.depolarizing_jumps(1, gamma=0.7)
     assert len(jumps) == 3
-    model = lb.LindbladModel(
-        hamiltonian=SparseHamiltonian(n_qubits=1, terms=()),
-        jumps=jumps)
     # the generator fixes I/2, the Gibbs state of H = 0, and relaxes every
     # Bloch component at exactly gamma
-    dense = _DenseGenerator(model)
+    dense = _DenseGenerator(np.zeros((2, 2), dtype=complex),
+                            [(jt.rate, jt.operator.to_dense()) for jt in jumps])
     np.testing.assert_allclose(dense.apply(np.eye(2) / 2.0), 0.0,
                                rtol=0, atol=1e-15)
     for letter in "XYZ":
@@ -485,8 +480,8 @@ def test_label_chains_at_l3():
         tracemalloc.start()
         try:
             res = lb.stationary_state(model)
-            out = lb.evolve(model, _uniform(model.frame), 10.0,
-                            sample_times=np.linspace(0.0, 10.0, 11))
+            out = lb.evolve(model, _uniform(model.frame),
+                            np.linspace(0.0, 10.0, 11))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,12 +551,7 @@ def test_gibbs_state_stationary_without_translations():
     p = populations.reshape(N_ORB, N_CHAR)
     assert gen.kronecker_sum
     assert np.linalg.norm(gen.orbit_chain @ p + p @ gen.char_chain.T) < 1e-8
-    assert np.linalg.norm(_DenseGenerator(model).apply(gibbs)) < 1e-8
-
-
-def test_stationary_requires_lattice():
-    with pytest.raises(ValueError):
-        lb.stationary_state(_single_qubit_damped_rabi())
+    assert np.linalg.norm(_DenseGenerator.of(model).apply(gibbs)) < 1e-8
 
 
 def test_open_population_sector_is_refused():
@@ -573,7 +563,7 @@ def test_open_population_sector_is_refused():
     with pytest.raises(ValueError, match="does not close"):
         lb.stationary_state(model)
     with pytest.raises(ValueError, match="does not close"):
-        lb.evolve(model, UNIFORM, 1.0)
+        lb.evolve(model, UNIFORM, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("name, classes", [
@@ -615,7 +605,7 @@ def test_null_dim_counts_recurrent_classes(name, classes):
 def test_evolve_relaxes_toward_stationary_state():
     stat = oracles.stationary_rho(lb.stationary_state(THERMAL))
     out = lb.evolve(THERMAL, oracles.start_populations(FRAME, np.eye(DIM) / DIM),
-                    12.0, sample_times=[0.0, 3.0, 6.0, 12.0])
+                    [0.0, 3.0, 6.0, 12.0])
     distances = [lb.trace_distance(s, stat)
                  for s in oracles.evolution_states(out)]
     assert all(a > b for a, b in zip(distances, distances[1:]))
@@ -638,7 +628,7 @@ def test_frame_generator_matches_dense_oracle():
     basis = oracles.basis(FRAME)
     for model in CHAIN_MODELS.values():
         m = _joint_chain(model)
-        dense = _DenseGenerator(model)
+        dense = _DenseGenerator.of(model)
         for _ in range(2):
             p = rng.random(DIM)
             p /= p.sum()
@@ -703,7 +693,7 @@ def test_chain_stationary_state_is_dense_fixed_point(name):
                                    rtol=0, atol=1e-12)
         basis = oracles.basis(FRAME)
         state = (basis * pi) @ basis.T
-    assert np.linalg.norm(_DenseGenerator(model).apply(state)) < 1e-10
+    assert np.linalg.norm(_DenseGenerator.of(model).apply(state)) < 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
@@ -715,7 +705,7 @@ def test_chain_evolution_matches_superoperator_propagator(name):
     rho0_f = np.diag(np.kron(p_e, p_m)).astype(complex)
     times = [0.0, 1.0, 3.0, 10.0]
     out = lb.evolve(model, oracles.start_populations(
-        FRAME, oracles.from_frame(FRAME, rho0_f)), 10.0, sample_times=times)
+        FRAME, oracles.from_frame(FRAME, rho0_f)), times)
     assert out.counters == {"engine": "label-chains", "orbit_states": N_ORB,
                             "char_states": N_CHAR,
                             "kronecker_sum": kron,
@@ -768,7 +758,7 @@ def test_population_observables_match_dense_oracle(name):
     rng = np.random.default_rng(3)
     start = [p / p.sum() for p in (rng.random(N_ORB), rng.random(N_CHAR))]
     p0 = np.kron(*start)
-    out = lb.evolve(model, start, 3.0, sample_times=[0.0, 1.0, 3.0])
+    out = lb.evolve(model, start, [0.0, 1.0, 3.0])
     if res.kronecker_sum:
         np.testing.assert_allclose(oracles.stationary_rho(res),
                                    (basis * res.populations) @ basis.T,
@@ -831,7 +821,7 @@ def test_chain_without_kronecker_sum_keeps_marginals_only():
     assert res.detailed_balance_temperature == THERMAL.detailed_balance_temperature()
     assert res.orbit_populations.sum() == pytest.approx(1.0, abs=1e-14)
     assert res.char_populations.sum() == pytest.approx(1.0, abs=1e-14)
-    out = lb.evolve(model, UNIFORM, 1.0)
+    out = lb.evolve(model, UNIFORM, [0.0, 1.0])
     assert not out.kronecker_sum and out.counters["kronecker_sum"] is False
     for view in (lambda: res.populations, lambda: out.populations):
         with pytest.raises(ValueError, match="only the two label marginals"):
@@ -885,7 +875,7 @@ def test_rate_sweep_reweights_and_matches_fresh_models():
 
 
 def test_with_rates_validation():
-    model = _single_qubit_damped_rabi()
+    model = dataclasses.replace(COOL, jumps=COOL.jumps[:1])
     with pytest.raises(ValueError, match="2 rates for 1 jumps"):
         model.with_rates([0.1, 0.2])
     with pytest.raises(ValueError):
@@ -893,12 +883,10 @@ def test_with_rates_validation():
     assert model.with_rates([0.0]).jumps == ()
     faster = model.with_rates([0.3])
     assert faster.jumps[0].rate == 0.3
-    with pytest.raises(ValueError, match="stabilizer frame"):
-        faster.frame
 
 
 def test_superoperator_matches_dense_generator_on_probe():
-    dense = _DenseGenerator(lb.probe_model(0.03, 1.0))
+    dense = _DenseGenerator(*lb.probe_model(0.03, 1.0))
     sigma = _random_density(dense.h.shape[0], seed=13)
     vec = oracles.superoperator(dense.h, dense.channels) @ sigma.ravel()
     np.testing.assert_allclose(vec.reshape(sigma.shape), dense.apply(sigma),
@@ -906,15 +894,18 @@ def test_superoperator_matches_dense_generator_on_probe():
 
 
 def test_evolve_validation_and_errors():
-    with pytest.raises(ValueError):
-        lb.evolve(THERMAL, UNIFORM, 1.0, sample_times=[0.5, 0.2])
-    with pytest.raises(ValueError):
-        lb.evolve(THERMAL, UNIFORM, 1.0, sample_times=[0.0, 2.0])
+    # the grid is sampled as given, and must be non-empty and ascend from
+    # t >= 0
+    out = lb.evolve(THERMAL, UNIFORM, [0.0, 1.0, 3.0])
+    np.testing.assert_array_equal(out.times, [0.0, 1.0, 3.0])
+    for times in ([], [0.5, 0.2], [-1.0, 0.0]):
+        with pytest.raises(ValueError, match="ascend"):
+            lb.evolve(THERMAL, UNIFORM, times)
     # evolve takes the two label marginals only: frame populations and a
     # dense state are refused
     for start in (np.full(DIM, 1.0 / DIM), np.eye(DIM) / DIM):
         with pytest.raises(ValueError, match=r"two label marginals \(p_e, p_m\)"):
-            lb.evolve(THERMAL, start, 0.5)
+            lb.evolve(THERMAL, start, [0.0, 0.5])
     # the dense oracle carries a dense start into the frame once
     with pytest.raises(lb.PositivityError):
         oracles.start_populations(FRAME, np.eye(DIM) / 128)
@@ -929,9 +920,8 @@ def test_evolve_validation_and_errors():
     with pytest.raises(ValueError, match="coherences"):
         oracles.start_populations(FRAME, coherent)
     assert lb.evolve(THERMAL, oracles.start_populations(
-        FRAME, np.eye(DIM) / DIM), 0.5).counters["engine"] == "label-chains"
-    with pytest.raises(ValueError, match="stabilizer frame"):
-        lb.evolve(_single_qubit_damped_rabi(), np.full(2, 0.5), 0.5)
+        FRAME, np.eye(DIM) / DIM), [0.0, 0.5]).counters["engine"] \
+        == "label-chains"
     # a dense product start carries in as its two marginals, and a
     # correlated one is refused
     correlated = np.zeros(DIM)
@@ -941,15 +931,15 @@ def test_evolve_validation_and_errors():
             FRAME, oracles.from_frame(FRAME, np.diag(correlated)))
     # each marginal is checked like the spectrum of a density matrix
     with pytest.raises(ValueError, match="p_m must hold 8 populations"):
-        lb.evolve(THERMAL, (UNIFORM[0], UNIFORM[0]), 0.5)
+        lb.evolve(THERMAL, (UNIFORM[0], UNIFORM[0]), [0.0, 0.5])
     with pytest.raises(lb.PositivityError, match="trace defect .* in p_e"):
-        lb.evolve(THERMAL, (2.0 * UNIFORM[0], UNIFORM[1]), 0.5)
+        lb.evolve(THERMAL, (2.0 * UNIFORM[0], UNIFORM[1]), [0.0, 0.5])
     # below the floor of a dense start, though within the budget of the
     # monitor at t = 0
     uneven = UNIFORM[1].copy()
     uneven[:2] += (-1.0 / N_CHAR - 5e-9, 1.0 / N_CHAR + 5e-9)
     with pytest.raises(lb.PositivityError, match="below floor"):
-        lb.evolve(THERMAL, (UNIFORM[0], uneven), 0.5)
+        lb.evolve(THERMAL, (UNIFORM[0], uneven), [0.0, 0.5])
 
 
 def test_nan_never_passes_a_population_monitor(monkeypatch):
@@ -957,7 +947,7 @@ def test_nan_never_passes_a_population_monitor(monkeypatch):
         with pytest.raises(lb.PositivityError):
             lb._check_trace_and_floor(defect, low, 1e-9, lb.EIGENVALUE_FLOOR)
     with pytest.raises(lb.PositivityError, match="trace defect nan"):
-        lb.evolve(THERMAL, (np.full(N_ORB, np.nan), UNIFORM[1]), 1.0)
+        lb.evolve(THERMAL, (np.full(N_ORB, np.nan), UNIFORM[1]), [0.0, 1.0])
     rho0 = np.eye(DIM) / DIM
     rho0[3, 3] = np.nan
     with pytest.raises(lb.PositivityError):
@@ -966,19 +956,19 @@ def test_nan_never_passes_a_population_monitor(monkeypatch):
     monkeypatch.setattr(lb, "_propagate_chain", lambda chain, p0, times: (
         np.full((times.size, *p0.shape), np.nan), 1))
     with pytest.raises(lb.PositivityError, match="trace defect nan"):
-        lb.evolve(THERMAL, UNIFORM, 1.0)
+        lb.evolve(THERMAL, UNIFORM, [0.0, 1.0])
 
 
 def test_complex_populations_are_rejected():
     p_e = UNIFORM[0].astype(complex)
     p_e[5] += 1e-3j
     with pytest.raises(ValueError, match="must be real"):
-        lb.evolve(THERMAL, (p_e, UNIFORM[1]), 1.0)
+        lb.evolve(THERMAL, (p_e, UNIFORM[1]), [0.0, 1.0])
     # a complex vector with no imaginary part is a real start
-    real = lb.evolve(THERMAL, UNIFORM, 1.0)
+    real = lb.evolve(THERMAL, UNIFORM, [0.0, 1.0])
     np.testing.assert_array_equal(
         lb.evolve(THERMAL, (p_e.real.astype(complex), UNIFORM[1]),
-                  1.0).populations,
+                  [0.0, 1.0]).populations,
         real.populations)
 
 
@@ -1059,18 +1049,16 @@ def test_probe_zero_coupling_and_errors(monkeypatch):
         lb.probe_model(0.1, -1.0)
 
 
-def _full_pair_populations(model: lb.LindbladModel,
+def _full_pair_populations(h: np.ndarray, channels,
                            times: np.ndarray) -> np.ndarray:
     """The oracle: the excited-pair population from the eigendecomposition
     of the whole 256-dim vectorized generator."""
-    dim = model.dim
+    dim = h.shape[0]
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0b0011, 0b0011] = rho0[0b1011, 0b1011] = 0.5
     projector = np.zeros(dim)
     projector[[0b0011, 0b1011, 0b0111, 0b1111]] = 1.0
-    dense = _DenseGenerator(model)
-    vals, vecs = np.linalg.eig(
-        oracles.superoperator(dense.h, dense.channels).toarray())
+    vals, vecs = np.linalg.eig(oracles.superoperator(h, channels).toarray())
     coeffs = np.linalg.solve(vecs, rho0.ravel())
     diag_idx = np.arange(dim) * (dim + 1)
     weights = (projector[:, None] * vecs[diag_idx, :]).sum(axis=0) * coeffs
@@ -1081,21 +1069,19 @@ def _full_pair_populations(model: lb.LindbladModel,
                          [(0.02, 1.6), (0.03, 1.0), (0.045, 0.6)])
 def test_restricted_probe_solve_matches_full_eigendecomposition(
         coupling, relaxation):
-    model = lb.probe_model(coupling, relaxation)
+    h, channels = lb.probe_model(coupling, relaxation)
     # burn-in and fit window of the probe, from t = 0
     horizon = 8.0 / relaxation + 2.0 * relaxation / (4.0 * coupling ** 2)
     times = np.linspace(0.0, horizon, 41)
-    want = _full_pair_populations(model, times)
-    got = lb._pair_populations(model, times)
+    want = _full_pair_populations(h, channels, times)
+    got = lb._pair_populations(h, channels, times)
     assert got[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_probe_start_reaches_a_closed_set_of_ten_entries():
-    model = lb.probe_model(0.03, 1.0)
-    dense = _DenseGenerator(model)
-    gen = oracles.superoperator(dense.h, dense.channels)
-    dim = model.dim
+    gen = oracles.superoperator(*lb.probe_model(0.03, 1.0))
+    dim = 16
     idx = oracles.reachable(gen, np.array(lb._PROBE_START) * (dim + 1))
     assert idx.size == 10
     # populations and coherences of |11,0_t> and |00,1_t>, populations of
@@ -1108,17 +1094,41 @@ def test_probe_start_reaches_a_closed_set_of_ten_entries():
     assert gen[outside][:, idx].nnz == 0
 
 
+def _probe_per_point(coupling: float, relaxation: float):
+    """The oracle: the probe's dense H and channels from its Pauli algebra
+    built afresh at one grid point, the interaction scaled as a Pauli sum
+    before it is made dense."""
+    create, translate = lb._pair_ops(
+        PauliString.from_label("XXII"), PauliString.from_label("ZIII"),
+        PauliString.from_label("IZII"))
+    lower_t, lower_m = lb._lowering(4, 2), lb._lowering(4, 3)
+    interaction = (create.product(lower_t)
+                   + create.adjoint().product(lower_t.adjoint())
+                   + translate.product(lower_m)
+                   + translate.adjoint().product(lower_m.adjoint())) * coupling
+    h = SparseHamiltonian(4, tuple((c, s) for s, c in interaction.items()))
+    return h.to_dense(), [(r, op.to_dense()) for r, op in (
+        (relaxation / 2.0, lower_t), (relaxation / 4.0, lower_m.adjoint()),
+        (relaxation / 4.0, lower_m))]
+
+
 def test_reached_columns_give_the_whole_generators_block():
-    # the probe builds only the generator columns its start reaches: at the
-    # nine default grid points its entries and its block are those of the
-    # whole sparse generator, bit for bit
+    # at the nine default grid points the shared unit-coupling operators
+    # give the per-point build bit for bit (scaling the dense unit matrix in
+    # place of the Pauli sum does not), and the probe builds only the
+    # generator columns its start reaches: its entries and its block are
+    # those of the whole sparse generator, bit for bit
+    assert lb._probe_operators() is lb._probe_operators()
     for coupling in (0.02, 0.03, 0.045):
         for relaxation in (0.6, 1.0, 1.6):
-            model = lb.probe_model(coupling, relaxation)
-            dense = _DenseGenerator(model)
-            start = np.array(lb._PROBE_START) * (model.dim + 1)
-            idx, block = lb._reachable_block(dense.h, dense.channels, start)
-            gen = oracles.superoperator(dense.h, dense.channels)
+            h, channels = lb.probe_model(coupling, relaxation)
+            want_h, want_channels = _probe_per_point(coupling, relaxation)
+            assert np.array_equal(h, want_h)
+            for (r, c), (want_r, want) in zip(channels, want_channels):
+                assert r == want_r and np.array_equal(c, want)
+            start = np.array(lb._PROBE_START) * 17
+            idx, block = lb._reachable_block(h, channels, start)
+            gen = oracles.superoperator(h, channels)
             want = oracles.reachable(gen, start)
             np.testing.assert_array_equal(idx, want)
             np.testing.assert_array_equal(block, gen[want][:, want].toarray())

@@ -202,7 +202,7 @@ def test_decompose_is_the_recursion_bit_for_bit(tmp_path, monkeypatch):
     monkeypatch.setattr(sq, "decompose", record)
     assert hn.run(hn.ScenarioConfig(kind="sequence-order-scan",
                                     outdir=str(tmp_path))).ok
-    assert len(seen) == 15
+    assert len(seen) == 10
     seen += [RNG.normal(size=(2**n, 2**n)) + 1j * RNG.normal(size=(2**n, 2**n))
              for n in range(1, 6) for _ in range(3)]
     for m in seen:

@@ -186,23 +186,26 @@ def test_sign_reversal_flips_only_fourth_order():
 
 
 def test_order_scan_single_sequence():
-    scan = order_scan(lambda p: u123(p, p, p), PHIS, target_terms=("ZZZZ",))
+    scan = order_scan(oracles.scan_reports(lambda p: u123(p, p, p), PHIS,
+                                           ("ZZZZ",)))
     assert abs(scan.term_slopes["IXZZ"] - 4.0) <= 0.3
     assert abs(scan.term_slopes["ZZYI"] - 4.0) <= 0.3
     assert abs(scan.term_slopes["IXYI"] - 5.0) <= 0.3
 
 
 def test_order_scan_echoed_residual():
-    scan = order_scan(lambda p: echoed_u123(p, p, p), PHIS,
-                      target_terms=("ZZZZ", "IXYI"))
+    scan = order_scan(oracles.scan_reports(lambda p: echoed_u123(p, p, p),
+                                           PHIS, ("ZZZZ", "IXYI")))
     assert scan.residual_slope >= 5.5
-    full = order_scan(lambda p: echoed_u123(p, p, p), PHIS)
+    full = order_scan(oracles.scan_reports(lambda p: echoed_u123(p, p, p),
+                                           PHIS))
     assert abs(full.term_slopes["ZZZZ"] - 3.0) <= 0.15
 
 
 def test_order_scan_needs_four_points():
     with pytest.raises(ValueError):
-        order_scan(lambda p: u123(p, p, p), (0.05, 0.1, 0.2))
+        order_scan(oracles.scan_reports(lambda p: u123(p, p, p),
+                                        (0.05, 0.1, 0.2)))
 
 
 def test_cycled_permutation():

@@ -22,6 +22,29 @@ LAT = lt.build(2)
 RNG = np.random.default_rng(11)
 
 
+def _neighbor_pairs(lat: lt.TorusLattice) -> list[tuple[int, int]]:
+    """Every nearest-neighbour link pair once, ascending within the pair:
+    consecutive links of each vertex and plaquette order, first seen first."""
+    pairs = {}
+    for links in lat.vertex_links + lat.plaquette_links:
+        for a, b in zip(links, links[1:]):
+            pairs.setdefault((min(a, b), max(a, b)), None)
+    return list(pairs)
+
+
+def hamiltonian(lat, chi, mode, h_z=0.05) -> sp.SparseHamiltonian:
+    """H with the chi X.Y term on the pulse sequences' pairs, or ("all") on
+    every nearest-neighbour pair: a second chi != 0 structure for the
+    solver, 2 sectors of 128 states at L = 2, each its own orbit."""
+    h = sp.build_hamiltonian(lat, chi=chi, h_z=h_z)
+    if mode == "sequence" or not chi:
+        return h
+    n, kept = lat.n_links, h.terms[:-len(sp.chi_pair_terms(lat))]
+    return sp.SparseHamiltonian(n, kept + tuple(
+        (chi, PauliString.single(n, a, "X") * PauliString.single(n, b, "Y"))
+        for a, b in _neighbor_pairs(lat)), symmetries=h.symmetries)
+
+
 def dense_lowest(h: sp.SparseHamiltonian, k: int):
     """The oracle: the k lowest pairs of dense ``eigh`` of the whole H."""
     evals, evecs = scipy.linalg.eigh(h.to_dense())
@@ -31,15 +54,11 @@ def dense_lowest(h: sp.SparseHamiltonian, k: int):
 def test_term_counts_and_pair_modes():
     h0 = sp.build_hamiltonian(LAT)
     assert len(h0.terms) == 8
-    h = sp.build_hamiltonian(LAT, chi=0.3, h_z=0.1, chi_pairs="sequence")
+    h = hamiltonian(LAT, 0.3, "sequence", h_z=0.1)
     assert len(h.terms) == 8 + 8 + 8
-    h_all = sp.build_hamiltonian(LAT, chi=0.3, h_z=0.1, chi_pairs="all")
-    assert len(h_all.terms) == 8 + 8 + 12
-    assert sp.chi_pair_terms(LAT, "sequence") == [
+    assert len(hamiltonian(LAT, 0.3, "all", h_z=0.1).terms) == 8 + 8 + 12
+    assert sp.chi_pair_terms(LAT) == [
         (links[1], links[2]) for links in LAT.vertex_links + LAT.plaquette_links]
-    assert sp.chi_pair_terms(LAT, "all") == lt.neighbor_pairs(LAT)
-    with pytest.raises(ValueError):
-        sp.chi_pair_terms(LAT, "diagonal")
 
 
 def test_rejects_non_hermitian_terms():
@@ -65,7 +84,7 @@ def test_unperturbed_ground_sector():
 def test_matvec_matches_dense():
     for chi, h_z, mode in ((0.0, 0.0, "sequence"), (0.3, 0.07, "sequence"),
                            (-0.2, 0.05, "all")):
-        h = sp.build_hamiltonian(LAT, chi=chi, h_z=h_z, chi_pairs=mode)
+        h = hamiltonian(LAT, chi, mode, h_z)
         dense = h.to_dense()
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
         for _ in range(3):
@@ -83,7 +102,7 @@ def _order(op):
 @pytest.mark.parametrize("mode", ["sequence", "all"])
 @pytest.mark.parametrize("chi", [0.0, 0.25])
 def test_compiled_operator_is_the_real_gauge(mode, chi):
-    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    h = hamiltonian(LAT, chi, mode)
     op = h.compile()
     order, n = _order(op), op.cosets.elements.size
     gauge = op.phases(order)
@@ -127,7 +146,7 @@ def _loop_block(h, op, s):
 @pytest.mark.parametrize("mode", ["sequence", "all"])
 @pytest.mark.parametrize("chi", [0.0, 0.25])
 def test_blocks_and_floors_match_term_loop_bitwise(mode, chi):
-    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    h = hamiltonian(LAT, chi, mode)
     op = h.compile()
     n = op.cosets.elements.size
     floors = []
@@ -185,7 +204,7 @@ def test_real_gauge_from_terms_alone(size):
     vertical = sum(1 << link for link in range(lat.n_links)
                    if lat.link_kind(link) == "v")
     for mode in ("sequence", "all"):
-        h = sp.build_hamiltonian(lat, chi=0.2, h_z=0.05, chi_pairs=mode)
+        h = hamiltonian(lat, 0.2, mode)
         mask = sp.real_gauge(h.terms)
         assert mask == vertical
         for _, t in h.terms:
@@ -264,7 +283,7 @@ def test_lowest_eigenpairs_dense_path():
 @pytest.mark.parametrize("mode", ["sequence", "all"])
 @pytest.mark.parametrize("chi", [0.0, 0.25, -0.5])
 def test_lanczos_path_matches_dense(monkeypatch, mode, chi):
-    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    h = hamiltonian(LAT, chi, mode)
     dense_evals, _ = dense_lowest(h, 6)
     np.testing.assert_allclose(sp.lowest_eigenpairs(h, k=6).eigenvalues,
                                dense_evals, rtol=0, atol=1e-12)
@@ -327,7 +346,7 @@ def test_solver_builds_only_the_blocks_it_uses(monkeypatch):
     assert len(built) == res.dense_blocks + res.lanczos_blocks + len(members)
 
 
-# (chi_pairs, chi, k, Lanczos solves, orbits the probe rules out) at L = 2
+# (pairs, chi, k, Lanczos solves, orbits the probe rules out) at L = 2
 # with the 64- and 128-state blocks on Lanczos; where none is ruled out a
 # later orbit holds a kept level, so a probe that rules out all fails there
 PROBED_AT_L2 = [("sequence", 0.25, 1, 1, 1), ("sequence", 0.25, 2, 2, 0),
@@ -337,7 +356,7 @@ PROBED_AT_L2 = [("sequence", 0.25, 1, 1, 1), ("sequence", 0.25, 2, 2, 0),
 @pytest.mark.parametrize("mode, chi, k, lanczos, probed", PROBED_AT_L2)
 def test_probed_orbits_hold_no_kept_level(monkeypatch, mode, chi, k,
                                           lanczos, probed):
-    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    h = hamiltonian(LAT, chi, mode)
     dense_evals, _ = dense_lowest(h, k)
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
     res = sp.lowest_eigenpairs(h, k=k, seed=3)
@@ -605,7 +624,7 @@ ORBITS_AT_L2 = {(0.0, "sequence"): (32, 14), (0.0, "all"): (32, 14),
 @pytest.mark.parametrize("chi, k, from_member", [
     (0.0, 4, False), (0.0, 15, True), (0.2, 4, False), (0.2, 20, True)])
 def test_orbit_solve_matches_every_block(monkeypatch, mode, chi, k, from_member):
-    h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+    h = hamiltonian(LAT, chi, mode)
     levels = np.linalg.eigvalsh(h.to_dense())
     assert levels[k] - levels[k - 1] > 1e-3  # the k lowest span a clean space
     every = sp.SparseHamiltonian(h.n_qubits, h.terms)  # no symmetries
@@ -634,8 +653,7 @@ def test_orbit_solve_matches_every_block(monkeypatch, mode, chi, k, from_member)
 
 
 def _sectors(size, chi, mode="sequence"):
-    return sp.build_hamiltonian(lt.build(size), chi=chi, h_z=0.05,
-                                chi_pairs=mode).compile().cosets
+    return hamiltonian(lt.build(size), chi, mode).compile().cosets
 
 
 def _frame_orbits(size):
@@ -711,7 +729,7 @@ def test_sector_local_overlap_is_the_dense_product(mode):
     reference = sp.ground_space_reference(LAT)
     dense_reference = oracles.reference_states(LAT)
     for chi in DEFAULT_CHI_GRID:
-        h = sp.build_hamiltonian(LAT, chi=chi, h_z=0.05, chi_pairs=mode)
+        h = hamiltonian(LAT, chi, mode)
         res = sp.lowest_eigenpairs(h, k=6, seed=7)
         assert all(v.shape[0] < h.dim for v in vars(res).values()
                    if isinstance(v, np.ndarray))
