@@ -713,8 +713,7 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     # every point is noisy: the noise is built once at unit rate
     noise = lb.depolarizing_jumps(lat.n_links, gamma=1.0)
     sweep = lb.LindbladModel(hamiltonian=cooling.hamiltonian,
-                             jumps=cooling.jumps + noise, lattice=lat,
-                             label="cool-with-noise")
+                             jumps=cooling.jumps + noise, lattice=lat)
     w_e, w_m = excitation_weights(sweep.frame)
     points = []
     for ratio in cfg.ratio_grid:

@@ -165,7 +165,6 @@ class LindbladModel:
     jumps: tuple[JumpTerm, ...]
     lattice: lt.TorusLattice
     p: float | None = None           # excitation weight of the bath
-    label: str = ""
 
     def __post_init__(self):
         for jt in self.jumps:
@@ -260,7 +259,7 @@ def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
                      for label, rate, op in channels if rate > 0.0)
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        p=p, lattice=lat, label="thermal")
+        p=p, lattice=lat)
 
 
 def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
@@ -282,7 +281,7 @@ def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
                               ops.annihilate + ops.translate_adjoint))
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        p=0.0, lattice=lat, label="cooling")
+        p=0.0, lattice=lat)
 
 
 def depolarizing_jumps(n_qubits: int, gamma: float) -> tuple[JumpTerm, ...]:

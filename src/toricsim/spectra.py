@@ -274,25 +274,33 @@ class SectorOperator:
         The Gershgorin floors take the diagonal, summed in real arithmetic,
         and a radius: |coefficient| for an X-mask with one term, and the
         row-wise |entry| only where terms share an X-mask, on the states in
-        sector order, which are not kept.  The first sector of an orbit in
-        ascending floor represents it.
+        sector order, which are not kept.  Each pass takes the whole
+        sectors that fit in ``BLOCK_ROWS`` x (X-masks) rows, as many values
+        as a pass of :meth:`block` holds, or one sector if it is larger.
+        The first sector of an orbit in ascending floor represents it.
         """
-        states = (self.cosets.reps[:, None] ^ self.cosets.elements).reshape(-1)
-        diagonal, radius = np.zeros(states.size), np.zeros(states.size)
-        for x, terms in zip(self.x_masks.tolist(), self.by_mask):
-            if x and len(terms) == 1:
-                radius += abs(coeffs[terms[0][0]])
-                continue
-            w = np.zeros(states.size)
-            for i, m, turns0 in terms:
-                turns = _entry_turns(states, np.uint64(m), turns0)
-                w += coeffs[i] * (1.0 - (turns & 2))
-            if x:
-                radius += np.abs(w)
-            else:
-                diagonal = w
-        floors = (diagonal - radius).reshape(
-            -1, self.cosets.elements.size).min(axis=1)
+        n, reps = self.cosets.elements.size, self.cosets.reps
+        per_pass = max(1, BLOCK_ROWS * self.x_masks.size // n)
+        diagonal, floors = np.zeros(reps.size * n), np.empty(reps.size)
+        for lo in range(0, reps.size, per_pass):
+            states = (reps[lo:lo + per_pass, None]
+                      ^ self.cosets.elements).reshape(-1)
+            rows = slice(lo * n, lo * n + states.size)
+            radius = np.zeros(states.size)
+            for x, terms in zip(self.x_masks.tolist(), self.by_mask):
+                if x and len(terms) == 1:
+                    radius += abs(coeffs[terms[0][0]])
+                    continue
+                w = np.zeros(states.size)
+                for i, m, turns0 in terms:
+                    turns = _entry_turns(states, np.uint64(m), turns0)
+                    w += coeffs[i] * (1.0 - (turns & 2))
+                if x:
+                    radius += np.abs(w)
+                else:
+                    diagonal[rows] = w
+            floors[lo:lo + per_pass] = (diagonal[rows] - radius).reshape(
+                -1, n).min(axis=1)
         orbit = np.full(floors.size, -1, dtype=np.int64)
         carry: list = [None] * floors.size
         for first in np.argsort(floors, kind="stable"):
@@ -545,7 +553,6 @@ ORTHONORMALITY_BOUND = 1e-10
 # the probe's measured residual covers its looseness: at L = 3 the blocks
 # it rules out bottom out about 0.4 above the k-th level
 PROBE_TOL = 1e-4
-PROBE_NCV = 20
 
 
 def _verify(residuals: np.ndarray, residual_bound: float) -> None:
@@ -561,22 +568,23 @@ def _by_lanczos(dim: int, k: int) -> bool:
     return dim > max(DENSE_DIM_CAP, k + 2)
 
 
-def _start_vector(dim: int, seed: int) -> np.ndarray:
-    v0 = np.random.default_rng(seed).normal(size=dim)
-    return v0 / np.linalg.norm(v0)
+def _lanczos(a: scipy.sparse.csr_matrix, k: int, seed: int, **kwargs):
+    """ARPACK ``eigsh`` of the k lowest pairs of a block from a seeded start
+    vector, at ARPACK's default Krylov width capped for small blocks."""
+    v0 = np.random.default_rng(seed).normal(size=a.shape[0])
+    return scipy.sparse.linalg.eigsh(
+        a, k=k, which="SA", v0=v0 / np.linalg.norm(v0),
+        ncv=min(a.shape[0] - 1, max(2 * k + 1, 20)), **kwargs)
 
 
 def _probe_floor(a: scipy.sparse.csr_matrix, seed: int) -> float:
     """theta - ||a y - theta y|| of a loose one-level Lanczos solve of a
-    block (``PROBE_TOL``, ``PROBE_NCV``), from the seeded start vector of
-    its k-level solve.  Some eigenvalue of the block lies within the
-    measured residual of theta, and Lanczos converges to the lowest; -inf
-    if ARPACK fails, so the caller solves the block in full."""
-    dim = a.shape[0]
+    block (``PROBE_TOL``), from the start vector and at the width of its
+    k-level solve (:func:`_lanczos`).  Some eigenvalue of the block lies
+    within the measured residual of theta, and Lanczos converges to the
+    lowest; -inf if ARPACK fails, so the caller solves the block in full."""
     try:
-        theta, y = scipy.sparse.linalg.eigsh(
-            a, k=1, which="SA", v0=_start_vector(dim, seed),
-            ncv=min(dim - 1, PROBE_NCV), tol=PROBE_TOL)
+        theta, y = _lanczos(a, 1, seed, tol=PROBE_TOL)
     except scipy.sparse.linalg.ArpackError:
         return -np.inf
     return float(theta[0] - np.linalg.norm(a @ y[:, 0] - theta[0] * y[:, 0]))
@@ -593,11 +601,9 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
         evals, vecs = scipy.linalg.eigh(
             a.toarray(), subset_by_index=[0, min(k, dim) - 1])
     else:
-        ncv = min(dim - 1, max(4 * k + 1, 40))
         try:
-            evals, vecs = scipy.sparse.linalg.eigsh(
-                a, k=k, which="SA", v0=_start_vector(dim, seed), ncv=ncv,
-                tol=1e-10, maxiter=max(2000, 40 * k))
+            evals, vecs = _lanczos(a, k, seed, tol=1e-10,
+                                   maxiter=max(2000, 40 * k))
         except scipy.sparse.linalg.ArpackError as exc:
             raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
         order = np.argsort(evals)
@@ -620,10 +626,12 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
     floor, and a block is built only when it is used, at most once per
     call.  The first block reached in a translation orbit is solved: by
     dense ``eigh`` at or below ``DENSE_DIM_CAP``, otherwise by symmetric
-    Lanczos (ARPACK ``eigsh``) in real arithmetic, with a Krylov space
-    (ncv >= 4k) wide enough for the 4-fold quasi-degenerate manifold to
-    converge as a block and a seeded start vector.  The other blocks of the
-    orbit are permutation-similar to it and reuse its levels.  The visit
+    Lanczos (ARPACK ``eigsh``) in real arithmetic from a seeded start
+    vector, at ARPACK's default width ncv = min(dim - 1, max(2k + 1, 20))
+    (:func:`_lanczos`): at L = 3 the 4-fold quasi-degenerate manifold
+    splits 2 + 2 over two sectors, and at chi = 0.2, 0.4 and 0.6 the levels
+    equal those of k = 10, ncv = 60 solves within 1e-12.  The other blocks
+    of the orbit are permutation-similar to it and reuse its levels.  The visit
     stops once the next floor lies above the k-th lowest level found plus
     the residual bound: no skipped block can hold a lower level.  Once k
     levels are found, a Lanczos-sized representative is first probed: one

@@ -11,7 +11,9 @@ is meant for the 256 states of L = 2 only.
 ``toricsim.spectra`` keeps eigenvectors sector-local and the reference
 ground states as their support states.  Their 2^n-row Z-basis forms,
 ``eigenvectors`` and ``reference_states``, are built here from those
-compact forms.
+compact forms.  ``one_pass_at`` compiles a sector operator's coefficients
+over all 2^n states at once, where ``SectorOperator.at`` takes a few
+sectors per pass.
 
 ``trotter_error`` measures the serial composition of two pulse sequences
 with three matrix logarithms of their dense unitaries.
@@ -23,6 +25,7 @@ reached columns.  ``decompose`` is the recursive Pauli expansion that
 ``toricsim.pauli.decompose`` vectorizes.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -113,6 +116,45 @@ def eigenvectors(h: sp.SparseHamiltonian, res: sp.SpectrumResult) -> np.ndarray:
     for col, s in enumerate(res.level_sectors):
         out[cosets.members(s), col] = res.local_vectors[:, col]
     return out
+
+
+def one_pass_at(op: sp.SectorOperator, coeffs) -> sp.SectorOperator:
+    """``op.at(coeffs)`` with the diagonal, the Gershgorin radius and the
+    phase temporaries built over all 2^n states at once, then the floors
+    and the orbits exactly as ``SectorOperator.at`` takes them."""
+    states = (op.cosets.reps[:, None] ^ op.cosets.elements).reshape(-1)
+    diagonal, radius = np.zeros(states.size), np.zeros(states.size)
+    for x, terms in zip(op.x_masks.tolist(), op.by_mask):
+        if x and len(terms) == 1:
+            radius += abs(coeffs[terms[0][0]])
+            continue
+        w = np.zeros(states.size)
+        for i, m, turns0 in terms:
+            turns = sp._entry_turns(states, np.uint64(m), turns0)
+            w += coeffs[i] * (1.0 - (turns & 2))
+        if x:
+            radius += np.abs(w)
+        else:
+            diagonal = w
+    floors = (diagonal - radius).reshape(
+        -1, op.cosets.elements.size).min(axis=1)
+    orbit = np.full(floors.size, -1, dtype=np.int64)
+    carry: list = [None] * floors.size
+    for first in np.argsort(floors, kind="stable"):
+        if orbit[first] >= 0:
+            continue
+        orbit[first], carry[first] = first, tuple(range(op.cosets.n_bits))
+        reached = [first]
+        for s in reached:
+            for perm, image in zip(op.symmetries, op.images):
+                t = image[s]
+                if orbit[t] < 0:
+                    orbit[t] = first
+                    carry[t] = tuple(perm[q] for q in carry[s])
+                    reached.append(t)
+    return dataclasses.replace(
+        op, diagonal=diagonal, floors=floors, orbit=orbit, carry=tuple(carry),
+        coeffs=np.array(coeffs, dtype=float)[op.off])
 
 
 def reference_states(lat, reference=None) -> np.ndarray:

@@ -460,17 +460,17 @@ def test_noisy_label_chains_are_the_lumped_joint_chain():
 def test_label_chains_at_l3():
     # the label chains at L = 3 (18 qubits); no scenario runs there yet
     lat = lt.build(3)
-    for model, null_dims in (
-            (lb.thermal_jump_set(lat, p=0.2, lambda_star=1.0, gamma_star=0.5),
-             (1, 1)),
-            (lb.cooling_jump_set(lat, lambda_star=1.0), (4, 1))):
+    for thermal, model, null_dims in (
+            (True, lb.thermal_jump_set(lat, p=0.2, lambda_star=1.0,
+                                       gamma_star=0.5), (1, 1)),
+            (False, lb.cooling_jump_set(lat, lambda_star=1.0), (4, 1))):
         gen = lb._compile_generator(model)
         assert gen.kronecker_sum
         assert gen.orbit_chain.shape == (1024, 1024)
         assert gen.char_chain.shape == (256, 256)
         for m in (gen.orbit_chain, gen.char_chain):
             np.testing.assert_allclose(m.sum(axis=0), 0.0, rtol=0, atol=1e-13)
-        if model.label == "thermal":
+        if thermal:
             # each state moves along each of the 18 links
             assert np.count_nonzero(gen.orbit_chain) == 19456
             assert np.count_nonzero(gen.char_chain) == 4864

@@ -365,31 +365,67 @@ def test_probed_orbits_hold_no_kept_level(monkeypatch, mode, chi, k,
     assert (res.lanczos_blocks, res.probed_blocks) == (lanczos, probed)
 
 
-def test_probe_rules_out_the_size_3_orbits_at_l3(monkeypatch):
-    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
-    op = h.compile()
-    built = _count_blocks(monkeypatch)
-    solves = Counter()
+@pytest.fixture
+def eigsh_calls(monkeypatch) -> list[tuple[int, int]]:
+    """(k, ncv) of every ARPACK ``eigsh`` call from now on."""
+    calls = []
     eigsh = scipy.sparse.linalg.eigsh
 
-    def counted(a, k=6, **kwargs):
-        solves[k] += 1
+    def recorded(a, k=6, **kwargs):
+        calls.append((k, kwargs.get("ncv")))
         return eigsh(a, k=k, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-    res = sp.lowest_eigenpairs(h, k=6, seed=7)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    return calls
+
+
+def test_probe_rules_out_the_size_3_orbits_at_l3(monkeypatch, eigsh_calls):
+    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
+    built = _count_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        res = sp.lowest_eigenpairs(h, k=6, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    op = h.compile()
     assert (res.orbits, res.lanczos_blocks, res.probed_blocks) == (4, 2, 2)
     reps = set(np.unique(op.orbit).tolist())
     probed = reps - set(op.orbit[res.level_sectors].tolist())
     # one build per representative: the second solved one is probed first
     # and solved on the same build, and no member of a probed orbit is built
     assert dict(built) == dict.fromkeys(reps, 1)
-    assert dict(solves) == {6: 2, 1: 3}
+    # solve and probe share ARPACK's default width, max(2k + 1, 20)
+    assert Counter(eigsh_calls) == {(6, 20): 2, (1, 20): 3}
+    # the peak lies in a k = 6 solve of a 32768-state block, which holds
+    # ARPACK's basis and scipy's Ritz-vector buffer, each n x ncv x 8 B:
+    # 2 x 5 MiB at ncv = 20 (24.3 MiB traced in all, compile included),
+    # 2 x 10 MiB at ncv = 40 (33.8 MiB)
+    assert peak < 28 * 2 ** 20
     for s in probed:
         assert np.sum(op.orbit == s) == 3
-        tight = eigsh(op.block(s), k=1, which="SA", tol=1e-10,
-                      v0=np.ones(op.cosets.elements.size))[0][0]
+        tight = scipy.sparse.linalg.eigsh(
+            op.block(s), k=1, which="SA", tol=1e-10,
+            v0=np.ones(op.cosets.elements.size))[0][0]
         assert tight > res.eigenvalues[-1] + res.residual_bound
+
+
+@pytest.mark.parametrize("size, block_rows", [(2, None), (2, 4), (3, None)])
+@pytest.mark.parametrize("chi", [0.0, 0.2])
+def test_compile_in_passes_matches_one_pass(monkeypatch, size, block_rows,
+                                            chi):
+    # the default passes take all of L = 2, 80 of the 256-state sectors at
+    # L = 3, chi = 0 and one at chi = 0.2; with 4 block rows an L = 2
+    # compile takes 2 sectors per pass at chi = 0 and 1 at chi = 0.2
+    if block_rows:
+        monkeypatch.setattr(sp, "BLOCK_ROWS", block_rows)
+    h = sp.build_hamiltonian(lt.build(size), chi=chi, h_z=0.05)
+    op = h.compile()
+    want = oracles.one_pass_at(h._structure(), [c for c, _ in h.terms])
+    for name in ("diagonal", "floors", "orbit", "coeffs"):
+        got, ref = getattr(op, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert op.carry == want.carry
 
 
 def test_compile_never_holds_the_whole_matrix():
@@ -400,8 +436,9 @@ def test_compile_never_holds_the_whole_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 2^18 x 19 CSR matrix alone took 58 MiB
-    assert peak < 40 * 2 ** 20
+    # the 2^18 x 19 CSR matrix alone took 58 MiB, and a compile over all
+    # 2^18 states at once 10.8 MiB; one 32768-state sector per pass 3.4
+    assert peak < 6 * 2 ** 20
     assert not hasattr(op, "matrix")
 
 
@@ -413,7 +450,8 @@ def test_compile_holds_no_other_full_space_array():
     assert full == ["diagonal"]
 
 
-def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
+def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch,
+                                                        eigsh_calls):
     # at chi = 0 the 2nd and 3rd levels are exactly degenerate, and so are
     # levels inside the 8-state blocks; with the cap below the block size
     # every block goes to Lanczos, whose vectors must still be orthonormal
@@ -425,6 +463,8 @@ def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch):
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
     res = sp.lowest_eigenpairs(h, k=5, seed=7)
     assert res.lanczos_blocks > 0
+    # solves and probes alike: the width is capped at dim - 1
+    assert (5, 7) in eigsh_calls and {c[1] for c in eigsh_calls} == {7}
     vecs = oracles.eigenvectors(h, res)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) <= 1e-10
     np.testing.assert_allclose(
