@@ -18,7 +18,8 @@ Every such H is real up to a diagonal phase gauge: S gates on the links
 of a mask found by a GF(2) solve over the terms (:func:`real_gauge`; the
 vertical links) turn each X.Y pair into a real product and leave every
 plaquette with an even number of Y letters.  All arithmetic below is real
-in that gauge, and terms that have none are refused.  Every term maps a
+in that gauge, except in the momentum blocks of a complex character, and
+terms that have none are refused.  Every term maps a
 Z-basis state j only to j ^ x with x in the GF(2) span W of the X-masks,
 so H is block diagonal over the cosets of W: 1024 sectors of 256 states
 at L = 3 and chi = 0, 8 of 32768 at chi != 0, each its minimum XOR all
@@ -43,15 +44,23 @@ diagonalizes one block per orbit and reuses its levels for the others:
 128 orbits of the 1024 sectors at L = 3 and chi = 0, 4 of the 8 at
 chi != 0.  A kept vector stays in its sector: a member's is the
 representative's, carried over by the qubit permutation and verified on
-the member's block.  This is the one solver path at every lattice size;
-the dense construction, and dense ``eigh`` of the whole H, are the oracle
-it is tested against.
+the member's block.  A representative's block too large for dense
+``eigh`` is split by translation momentum: the translations that fix its
+sector form an abelian group, and each character of it has a block built
+from the sector's translation-orbit representatives (Sandvik,
+arXiv:1101.3281; Lin, PRB 42, 6561, 1990).  At L = 3 and chi != 0 all 9
+translations fix sectors 0 and 7, 5 blocks of about 3650 states each
+once a character and its conjugate share one, and an order-3 subgroup
+fixes each of the other six, 2 blocks of about 10920.  This is the one
+solver path at every lattice size; the dense construction, and dense
+``eigh`` of the whole H, are the oracle it is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -219,6 +228,139 @@ def _entry_turns(rows: np.ndarray, masks: np.ndarray,
     return (turns0 + 2 * np.bitwise_count(rows & masks)) & 3
 
 
+def _characters(perms: Sequence[tuple[int, ...]], n_bits: int
+                ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """(group, table) of the abelian group that commuting link permutations
+    generate: its elements, the identity first, and its character table,
+    one row per character, the trivial one first, with unit-modulus
+    entries.  Each generator g not yet in the group H built so far extends
+    it to the union of the cosets g^j H, j < m, with g^m the first power of
+    g in H, and each character of H in m ways: chi(g^j h) = z^j chi(h) for
+    the m roots z of z^m = chi(g^m)."""
+    group = [tuple(range(n_bits))]
+    table = np.ones((1, 1), dtype=complex)
+    for g in perms:
+        if g in group:
+            continue
+        cosets = [group]
+        while (power := tuple(g[q] for q in cosets[-1][0])) not in group:
+            cosets.append([tuple(g[q] for q in h) for h in cosets[-1]])
+        m = len(cosets)
+        z = (table[:, group.index(power), None] ** (1 / m)
+             * np.exp(2j * np.pi * np.arange(m) / m))
+        table = (z[:, :, None, None] ** np.arange(m)[:, None]
+                 * table[:, None, None, :]).reshape(z.size, -1)
+        group = [h for coset in cosets for h in coset]
+    return group, table
+
+
+@dataclass(frozen=True)
+class _Momenta:
+    """The translation momenta of one sector: the abelian group G of the
+    symmetries that fix it (:func:`_characters`) and the orbits of its
+    states under G, which depend on the term strings only.
+
+    ``reps`` are the local indices of the orbit representatives, each its
+    orbit's minimum, ascending; ``rep_of`` indexes into them the
+    representative of every local state, and ``to_rep`` is the element of
+    G that carries the state to it.  ``fixes[g, r]`` says whether element
+    g fixes representative r, ``stab`` counts those elements, and row c of
+    ``table`` is character c of G.  ``shifts`` are the sector operator's:
+    X-mask w takes local row l to column ``l ^ shifts[w]``.  ``pairs[c]``
+    is the conjugate character of c; ``visits`` holds one character of
+    each conjugate pair, the trivial one first.
+    """
+
+    reps: np.ndarray
+    rep_of: np.ndarray
+    to_rep: np.ndarray
+    fixes: np.ndarray
+    stab: np.ndarray
+    table: np.ndarray
+    shifts: np.ndarray
+    pairs: np.ndarray
+    visits: tuple[int, ...]
+
+    @classmethod
+    def of(cls, op: SectorOperator, s: int) -> _Momenta:
+        """The momenta of sector s of ``op``, whose real gauge every
+        symmetry that fixes the sector must leave in place: V commutes
+        with the permutations only then."""
+        fixing = [p for p, image in zip(op.symmetries, op.images)
+                  if image[s] == s]
+        if any(int(_permute_bits(op.gauge, p)) != op.gauge for p in fixing):
+            raise RuntimeError("a symmetry moves the real gauge's links")
+        group, table = _characters(fixing, op.cosets.n_bits)
+        # a state's place is linear in it: the image of rep ^ elements[l]
+        # is the image of rep XOR the images of the rows that l picks
+        images = np.empty((len(group), op.cosets.elements.size), np.int32)
+        for image, g in zip(images, group):
+            base, *rows = op.cosets.locate(_permute_bits(
+                [op.cosets.reps[s], *op.cosets.rows], g))[1]
+            image[:] = _span(rows) ^ np.uint64(base)
+        rep = images.min(axis=0)
+        reps = np.flatnonzero(rep == np.arange(rep.size))
+        rep_of = np.searchsorted(reps, rep).astype(np.int32)
+        fixes = images[:, reps] == reps
+        # a character and its conjugate: each entry's inverse
+        pairs = np.argmin(np.abs(table[:, None, :] - table.conj()).max(
+            axis=2), axis=0)
+        return cls(reps=reps, rep_of=rep_of,
+                   to_rep=images.argmin(axis=0).astype(np.int32),
+                   fixes=fixes, stab=fixes.sum(axis=0), table=table,
+                   shifts=op.shifts, pairs=pairs, visits=tuple(
+                       c for c in range(len(group)) if c <= pairs[c]))
+
+    def _character(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """(chi, at): character c, real where it is real, and the place
+        of each representative in its block, -1 where chi is not trivial
+        on the representative's stabilizer."""
+        chi = self.table[c]
+        if c == self.pairs[c]:
+            chi = chi.real
+        keep = np.all(~self.fixes | (np.abs(chi - 1) < 1e-9)[:, None],
+                      axis=0)
+        return chi, np.where(keep, np.cumsum(keep) - 1, -1)
+
+    def block(self, c: int, entries: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The CSR block of character c, from the representatives' rows of
+        the sector block (``entries``, one column per X-mask), real when
+        chi is real.  Row r keeps one entry per X-mask, as the sector block
+        does: the entry at a state j goes to the column of j's
+        representative r', scaled by chi at the element that carries j to
+        r' and by sqrt(|stab r'| / |stab r|).  Entries that meet in one
+        column add up in every product; an entry at an r' on whose
+        stabilizer chi is not trivial is zero, since r' has no state of
+        this character.  The rows are taken ``BLOCK_ROWS`` at a time."""
+        chi, at = self._character(c)
+        rows = np.flatnonzero(at >= 0)
+        data = np.empty((rows.size, self.shifts.size), dtype=chi.dtype)
+        indices = np.empty(data.shape, dtype=np.int32)
+        for lo in range(0, rows.size, BLOCK_ROWS):
+            r = rows[lo:lo + BLOCK_ROWS]
+            targets = self.reps[r, None] ^ self.shifts
+            to = self.rep_of[targets]
+            data[lo:lo + BLOCK_ROWS] = (
+                entries[r] * chi[self.to_rep[targets]]
+                * np.sqrt(self.stab[to] / self.stab[r, None]))
+            indices[lo:lo + BLOCK_ROWS] = at[to]
+        data[indices < 0] = 0.0
+        np.maximum(indices, 0, out=indices)
+        indptr = np.arange(rows.size + 1, dtype=np.int32) * self.shifts.size
+        return scipy.sparse.csr_matrix(
+            (data.reshape(-1), indices.reshape(-1), indptr),
+            shape=(rows.size, rows.size))
+
+    def expand(self, c: int, phi: np.ndarray) -> np.ndarray:
+        """The sector's local amplitudes of vector ``phi`` of character c's
+        block: phi at the state's representative r, times chi at the
+        element that carries the state to r, times sqrt(|stab r| / |G|)."""
+        chi, at = self._character(c)
+        place = at[self.rep_of]
+        return np.where(place >= 0, phi[place] * chi[self.to_rep] * np.sqrt(
+            self.stab[self.rep_of] / self.table.shape[1]), 0.0)
+
+
 @dataclass(frozen=True)
 class SectorOperator:
     """H in sector order, V A V^H, kept as what builds each diagonal block
@@ -249,6 +391,9 @@ class SectorOperator:
     :meth:`at` sets ``diagonal``, ``coeffs``, ``floors``, ``orbit`` and
     ``carry`` from the terms' coefficients, X-mask g's in ``by_mask[g]`` as
     (term index, mask, turns0), and ``off[e]`` the term of entry e.
+    ``momenta`` holds each split sector's :class:`_Momenta`, which depend
+    on the strings only: built on first use, and shared by the operator at
+    every set of coefficients.
     """
 
     cosets: Cosets
@@ -267,6 +412,7 @@ class SectorOperator:
     images: np.ndarray
     by_mask: tuple[tuple[tuple[int, int, int], ...], ...]
     off: np.ndarray
+    momenta: dict = field(default_factory=dict, repr=False)
 
     def at(self, coeffs: Sequence[float]) -> SectorOperator:
         """The operator at the given coefficients, in term order.
@@ -324,23 +470,36 @@ class SectorOperator:
         return QUARTER_TURNS[np.bitwise_count(states & np.uint64(self.gauge)) % 4]
 
     def block(self, s: int) -> scipy.sparse.csr_matrix:
-        """The CSR block of sector s, built from its own rows.
-
-        Each row lists its entries in ascending X-mask, and each entry sums
-        its X-mask's terms in order from zero.  The rows are taken
-        ``BLOCK_ROWS`` at a time.
-        """
+        """The CSR block of sector s, built from its own rows
+        (:meth:`rows`), each listing its entries in ascending X-mask."""
         n, width = self.cosets.elements.size, self.x_masks.size
-        rows = self.cosets.members(s)
-        data = np.empty((n, width))
-        for lo in range(0, n, BLOCK_ROWS):
-            data[lo:lo + BLOCK_ROWS] = self._entries(rows[lo:lo + BLOCK_ROWS])
-        if width and not self.x_masks[0]:
-            data[:, 0] = self.diagonal[s * n:(s + 1) * n]
         indices = np.arange(n, dtype=np.int32)[:, None] ^ self.shifts
         indptr = np.arange(n + 1, dtype=np.int32) * width
         return scipy.sparse.csr_matrix(
-            (data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+            (self.rows(s, np.arange(n)).reshape(-1), indices.reshape(-1),
+             indptr), shape=(n, n))
+
+    def rows(self, s: int, local: np.ndarray) -> np.ndarray:
+        """The entries of the given local rows of sector s, one column per
+        X-mask, the diagonal in X-mask 0's.  Each entry sums its X-mask's
+        terms in order from zero.  The rows are taken ``BLOCK_ROWS`` at a
+        time.
+        """
+        states = self.cosets.members(s)[local]
+        data = np.empty((local.size, self.x_masks.size))
+        for lo in range(0, local.size, BLOCK_ROWS):
+            data[lo:lo + BLOCK_ROWS] = self._entries(
+                states[lo:lo + BLOCK_ROWS])
+        if self.x_masks.size and not self.x_masks[0]:
+            data[:, 0] = self.diagonal[s * self.cosets.elements.size + local]
+        return data
+
+    def _momenta(self, s: int) -> _Momenta:
+        """Sector s's :class:`_Momenta`, built once per term-string
+        structure."""
+        if s not in self.momenta:
+            self.momenta[s] = _Momenta.of(self, s)
+        return self.momenta[s]
 
     def _entries(self, rows: np.ndarray) -> np.ndarray:
         """The off-diagonal entries of the given rows, one column per
@@ -518,10 +677,13 @@ class SpectrumResult:
     The counters say what the solver did: the number and dimension of the
     sectors it split the space into, the number of translation orbits they
     fall into, how many blocks it solved with dense ``eigh`` and with
-    Lanczos, at most one per orbit, and how many orbit representatives
-    the one-level probe ruled out (``probed_blocks``); the other members
-    of a solved orbit reuse its levels, and the remaining orbits were
-    skipped by their Gershgorin floors.
+    Lanczos, how many momentum blocks the one-level probe ruled out
+    (``probed_blocks``), how many momentum blocks were solved or probed
+    (``momentum_blocks``), and the size of the largest block any solve or
+    probe ran on (``max_block_dim``).  A sector above ``DENSE_DIM_CAP`` is
+    split into momentum blocks; a smaller one is one block.  The other
+    members of a solved orbit reuse its levels, and the remaining orbits
+    were skipped by their Gershgorin floors.
 
     Level c lies in sector ``level_sectors[c]``; column c of
     ``local_vectors`` holds its Z-basis amplitudes there, in local order,
@@ -537,6 +699,8 @@ class SpectrumResult:
     dense_blocks: int
     lanczos_blocks: int
     probed_blocks: int
+    momentum_blocks: int
+    max_block_dim: int
     level_sectors: np.ndarray
     local_vectors: np.ndarray
 
@@ -545,7 +709,9 @@ class SpectrumResult:
         return {"sectors": self.sectors, "sector_dim": self.sector_dim,
                 "orbits": self.orbits, "dense_blocks": self.dense_blocks,
                 "lanczos_blocks": self.lanczos_blocks,
-                "probed_blocks": self.probed_blocks}
+                "probed_blocks": self.probed_blocks,
+                "momentum_blocks": self.momentum_blocks,
+                "max_block_dim": self.max_block_dim}
 
 
 RESIDUAL_BOUND = 1e-8
@@ -562,19 +728,22 @@ def _verify(residuals: np.ndarray, residual_bound: float) -> None:
 
 
 def _by_lanczos(dim: int, k: int) -> bool:
-    """Whether a block of dim states is solved for k levels by Lanczos.
-    ARPACK needs ncv = dim - 1 >= k + 2 to restart; smaller blocks go
-    dense."""
+    """Whether a sector of dim states is split by momentum, its blocks
+    solved for k levels by Lanczos: above ``DENSE_DIM_CAP``, and large
+    enough for ARPACK to run (dim > k + 2).  Smaller sectors go dense."""
     return dim > max(DENSE_DIM_CAP, k + 2)
 
 
 def _lanczos(a: scipy.sparse.csr_matrix, k: int, seed: int, **kwargs):
     """ARPACK ``eigsh`` of the k lowest pairs of a block from a seeded start
-    vector, at ARPACK's default Krylov width capped for small blocks."""
+    vector, at ARPACK's default Krylov width capped at the block's size:
+    a block of at most 20 states gets the whole space, where dim - 1
+    vectors can break down on a degenerate level (ARPACK error 3).  A
+    complex block runs through ``eigs``, which ``eigsh`` calls for it."""
     v0 = np.random.default_rng(seed).normal(size=a.shape[0])
     return scipy.sparse.linalg.eigsh(
         a, k=k, which="SA", v0=v0 / np.linalg.norm(v0),
-        ncv=min(a.shape[0] - 1, max(2 * k + 1, 20)), **kwargs)
+        ncv=min(a.shape[0], max(2 * k + 1, 20)), **kwargs)
 
 
 def _probe_floor(a: scipy.sparse.csr_matrix, seed: int) -> float:
@@ -591,12 +760,11 @@ def _probe_floor(a: scipy.sparse.csr_matrix, seed: int) -> float:
 
 
 def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
-                 residual_bound: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """(eigenvalues, vectors, residuals, by_lanczos) of the k lowest pairs
-    of a real symmetric block, every pair verified."""
+                 residual_bound: float, lanczos: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, vectors, residuals) of the k lowest pairs of a
+    Hermitian block, by Lanczos or dense ``eigh``, every pair verified."""
     dim = a.shape[0]
-    lanczos = _by_lanczos(dim, k)
     if not lanczos:
         evals, vecs = scipy.linalg.eigh(
             a.toarray(), subset_by_index=[0, min(k, dim) - 1])
@@ -608,13 +776,56 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
             raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
-    drift = np.max(np.abs(vecs.T @ vecs - np.eye(len(evals))))
+    drift = np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(evals))))
     if drift > ORTHONORMALITY_BOUND:
         raise ConvergenceError(f"Ritz vectors off orthonormal by {drift:.1e}")
     # V is unitary, so the gauged residual is the Z-basis one
     residuals = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
     _verify(residuals, residual_bound)
-    return evals, vecs, residuals, lanczos
+    return evals, vecs, residuals
+
+
+def _kth(levels: Iterable[float], k: int) -> float:
+    """The k-th lowest of the levels, inf if there are fewer."""
+    levels = sorted(levels)
+    return levels[k - 1] if len(levels) >= k else np.inf
+
+
+def _momentum_levels(op: SectorOperator, s: int, k: int, seed: int,
+                     residual_bound: float, found: list, counts: Counter
+                     ) -> list:
+    """The verified (level, residual, vector) of sector s's momentum
+    blocks, each vector a function that returns the sector's local
+    amplitudes.  The character blocks (:class:`_Momenta`) are visited one
+    per conjugate pair, the trivial one first; a block whose probe places
+    it above the k-th level of ``found`` and the levels so far is ruled
+    out.  A complex block's levels are kept twice: the conjugate block's
+    vectors are the conjugates."""
+    m = op._momenta(s)
+    entries = op.rows(s, m.reps)
+    levels: list = []
+    for c in m.visits:
+        a = m.block(c, entries)
+        dim = a.shape[0]
+        if not dim:
+            continue
+        top = _kth([f[0] for f in found + levels], k) + residual_bound
+        lanczos = dim > k + 2  # ARPACK's need; smaller blocks go dense
+        counts["momentum_blocks"] += 1
+        counts["max_block_dim"] = max(counts["max_block_dim"], dim)
+        if top < np.inf and lanczos and _probe_floor(a, seed) > top:
+            counts["probed_blocks"] += 1
+            continue
+        evals, phi, residuals = _solve_block(a, k, seed, residual_bound,
+                                             lanczos)
+        counts["lanczos_blocks" if lanczos else "dense_blocks"] += 1
+        copies = [(c, phi)]
+        if m.pairs[c] != c:
+            copies.append((m.pairs[c], phi.conj()))
+        for pair, vecs in copies:
+            levels += [(e, r, functools.partial(m.expand, pair, vecs[:, j]))
+                       for j, (e, r) in enumerate(zip(evals, residuals))]
+    return levels
 
 
 def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
@@ -623,39 +834,56 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
 
     The blocks of the real-gauge A = V^H H V
     (:meth:`SparseHamiltonian.compile`) are visited in ascending Gershgorin
-    floor, and a block is built only when it is used, at most once per
-    call.  The first block reached in a translation orbit is solved: by
-    dense ``eigh`` at or below ``DENSE_DIM_CAP``, otherwise by symmetric
-    Lanczos (ARPACK ``eigsh``) in real arithmetic from a seeded start
-    vector, at ARPACK's default width ncv = min(dim - 1, max(2k + 1, 20))
-    (:func:`_lanczos`): at L = 3 the 4-fold quasi-degenerate manifold
-    splits 2 + 2 over two sectors, and at chi = 0.2, 0.4 and 0.6 the levels
-    equal those of k = 10, ncv = 60 solves within 1e-12.  The other blocks
-    of the orbit are permutation-similar to it and reuse its levels.  The visit
-    stops once the next floor lies above the k-th lowest level found plus
-    the residual bound: no skipped block can hold a lower level.  Once k
-    levels are found, a Lanczos-sized representative is first probed: one
-    loose Lanczos level theta with its measured residual ||r|| (an
-    eigenvalue lies within ||r|| of theta), from the same start vector.
-    The whole orbit is ruled out if theta - ||r|| lies above the k-th
-    level plus the residual bound; otherwise the block, built once, is
-    solved for k levels.  The probe relies on Lanczos converging to the
-    bottom of a block exactly as much as the k-level solve does.  A
-    borderline decision can go either way with the BLAS build, and that
-    changes the counters only, never a level: a block whose bottom lies
-    that close to the k-th level holds none below it.  In every
-    solved block the vectors are checked orthonormal to
-    ``ORTHONORMALITY_BOUND``, also across exactly degenerate levels, and
-    every pair is verified against the residual bound, ``RESIDUAL_BOUND``,
-    or :class:`ConvergenceError` is raised.  The k lowest levels are merged
-    and their vectors mapped back to Z-basis amplitudes with V, each in its
-    sector's local order.  A level kept from another member of an orbit
-    takes the representative's amplitudes through the qubit permutation
-    that carries one coset onto the other, which commutes with H, and that
-    vector is verified against the residual bound on the member's block.
-    Caveat: a Lanczos block solve can return one copy only of an exactly
-    degenerate (momentum ±k) pair, so the merged k levels are right only
-    while no such pair lies among the k lowest.
+    floor.  The first block reached in a translation orbit is solved; the
+    other blocks of the orbit are permutation-similar to it and reuse its
+    levels.  The visit stops once the next floor lies above the k-th lowest
+    level found plus the residual bound: no skipped block can hold a lower
+    level.
+
+    A block at or below ``DENSE_DIM_CAP`` (every block at L = 2, every
+    chi = 0 block at L = 3) is built, at most once per call, and solved by
+    dense ``eigh``.  A larger one is never solved whole: it is split by the
+    characters of the translations that fix its sector (:class:`_Momenta`;
+    a sector that none fixes is one block, of the trivial character), and
+    the character blocks are visited in turn, the trivial one first and
+    one of each conjugate pair; the sector's floor bounds them all.  A
+    momentum block is never held against ``DENSE_DIM_CAP``, since a dense
+    solve of a few thousand states takes seconds: it goes to Lanczos
+    whenever ARPACK can run on it (dim > k + 2), and to dense ``eigh`` only
+    below that, which no sector large enough to split yields outside a
+    test that lowers the cap.  Lanczos is ARPACK ``eigsh``
+    from a seeded start vector at ARPACK's default width ncv = min(dim,
+    max(2k + 1, 20)) (:func:`_lanczos`), in real arithmetic on a real
+    character's block.  Once k levels are found, such a block is first
+    probed: one loose Lanczos level theta with its measured residual ||r||
+    (an eigenvalue lies within ||r|| of theta), from the same start vector.
+    The block is ruled out if theta - ||r|| lies above the k-th level plus
+    the residual bound; otherwise it is solved for k levels.  The probe
+    relies on Lanczos converging to the bottom of a block exactly as much
+    as the k-level solve does.  A borderline decision can go either way
+    with the BLAS build, and that changes the counters only, never a level:
+    a block whose bottom lies that close to the k-th level holds none below
+    it.  A complex character's block stands for its conjugate's too, whose
+    levels are the same and whose vectors are the conjugates, so each of
+    its levels is kept twice: both copies of an exactly degenerate momentum
+    +-k pair.  At L = 3 the 4-fold quasi-degenerate manifold splits 2 + 2
+    over sectors 0 and 7, and at chi = 0.2, 0.4 and 0.6 the levels equal
+    those of whole-sector solves within 5e-13.
+
+    In every solved block the vectors are checked orthonormal to
+    ``ORTHONORMALITY_BOUND`` under the conjugate transpose, also across
+    exactly degenerate levels, and every pair is verified against the
+    residual bound, ``RESIDUAL_BOUND``, or :class:`ConvergenceError` is
+    raised.  The k lowest levels are merged and their vectors mapped back
+    to Z-basis amplitudes, each in its sector's local order: a momentum
+    block's through its sector's orbit representatives
+    (:meth:`_Momenta.expand`), then V.  A level kept from another member of
+    an orbit takes the representative's amplitudes through the qubit
+    permutation that carries one coset onto the other, which commutes with
+    H.  Every kept vector not solved on its own sector's block, a member's
+    or a momentum block's, is verified against the residual bound on that
+    sector's CSR block, built once, so no level rests on the momentum
+    construction alone.
 
     When the whole space fits under ``DENSE_DIM_CAP`` every block is
     solved by the backward-stable dense path, so the bound tightens to
@@ -666,59 +894,61 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
     if k < 1:
         raise ValueError("k must be positive")
     op = h.compile()
+    n = op.cosets.elements.size
     residual_bound = RESIDUAL_BOUND
     if h.dim <= DENSE_DIM_CAP:
         norm = sum(abs(coeff) for coeff, _ in h.terms)
         residual_bound = min(residual_bound,
                              h.dim * np.finfo(float).eps * norm)
-    found = []  # the k lowest (level, residual, sector, representative's vector)
-    solved = {}  # orbit representative -> its verified (levels, vectors, residuals)
-    probed = set()  # orbit representatives the probe ruled out
-    lanczos_blocks = 0
+    by_momentum = _by_lanczos(n, k)
+    # the k lowest (level, residual, sector, function that returns the
+    # representative's vector)
+    found: list = []
+    solved = {}  # orbit representative -> its verified levels
+    counts = Counter(dense_blocks=0, lanczos_blocks=0, probed_blocks=0,
+                     momentum_blocks=0, max_block_dim=0)
     for s in np.argsort(op.floors, kind="stable"):
-        top = found[k - 1][0] + residual_bound if len(found) >= k else np.inf
-        if op.floors[s] > top:
+        if op.floors[s] > _kth([f[0] for f in found], k) + residual_bound:
             break
-        if op.orbit[s] == s:
-            a = op.block(s)
-            if (top < np.inf and _by_lanczos(a.shape[0], k)
-                    and _probe_floor(a, seed) > top):
-                probed.add(s)
-            else:
-                evals, vecs, residuals, lanczos = _solve_block(
-                    a, k, seed, residual_bound)
-                solved[s] = evals, vecs, residuals
-                lanczos_blocks += lanczos
-            del a  # the next block is built without this one alive
-        if op.orbit[s] in probed:
-            continue
-        evals, vecs, residuals = solved[op.orbit[s]]
-        found = sorted(found + [(e, r, s, vecs[:, j]) for j, (e, r)
-                                in enumerate(zip(evals, residuals))],
+        if op.orbit[s] == s and by_momentum:
+            solved[s] = _momentum_levels(op, s, k, seed, residual_bound,
+                                         found, counts)
+        elif op.orbit[s] == s:
+            evals, vecs, residuals = _solve_block(
+                op.block(s), k, seed, residual_bound, False)
+            counts["dense_blocks"] += 1
+            counts["max_block_dim"] = n
+            # a vector made on request, as the momentum blocks' are
+            solved[s] = [(e, r, vecs[:, j].copy) for j, (e, r)
+                         in enumerate(zip(evals, residuals))]
+        found = sorted(found + [(e, r, s, v) for e, r, v
+                                in solved[op.orbit[s]]],
                        key=lambda f: f[0])[:k]
     levels, residuals, sectors = (np.array([f[i] for f in found])
                                   for i in range(3))
-    vectors = np.zeros((op.cosets.elements.size, len(found)), dtype=complex)
+    vectors = np.zeros((n, len(found)), dtype=complex)
     for s in np.unique(sectors):
         cols = np.flatnonzero(sectors == s)
         rep = op.cosets.members(op.orbit[s])
         vectors[:, cols] = op.phases(rep)[:, None] * np.stack(
-            [found[c][3] for c in cols], axis=1)
-        if op.orbit[s] != s:  # each member block is built once
+            [found[c][3]() for c in cols], axis=1)
+        if op.orbit[s] != s:
             _, local = op.cosets.locate(_permute_bits(rep, op.carry[s]))
             vectors[local[:, None], cols] = vectors[:, cols]
-            u = (op.phases(op.cosets.members(s)).conj()[:, None]
-                 * vectors[:, cols])
-            residuals[cols] = np.linalg.norm(
-                op.block(s) @ u - u * levels[cols], axis=0)
+        if op.orbit[s] != s or by_momentum:  # each block is built once
+            gauge = op.phases(op.cosets.members(s)).conj()
+            a = op.block(s)  # real: no complex copy of it
+            for c in cols:  # one vector's temporaries at a time
+                u = gauge * vectors[:, c]
+                residuals[c] = np.linalg.norm(
+                    a @ u.real + 1j * (a @ u.imag) - levels[c] * u)
+            del a  # the next block is built without this one alive
             _verify(residuals[cols], residual_bound)
     return SpectrumResult(
         eigenvalues=levels, residuals=residuals, level_sectors=sectors,
         residual_bound=float(residual_bound), local_vectors=vectors,
-        sectors=len(op.floors), sector_dim=op.cosets.elements.size,
-        orbits=int(np.unique(op.orbit).size),
-        dense_blocks=len(solved) - lanczos_blocks,
-        lanczos_blocks=lanczos_blocks, probed_blocks=len(probed))
+        sectors=len(op.floors), sector_dim=n,
+        orbits=int(np.unique(op.orbit).size), **counts)
 
 
 def ground_space_reference(lat: lt.TorusLattice

@@ -447,10 +447,13 @@ class TestScenarioRuns:
                         if v == "label-chains"] == ["engine"]
         # L = 2 is solved by sector: 32 of 8 states in 14 orbits at chi = 0,
         # 4 of 64 in 3 orbits at chi != 0, every solved block by dense eigh
+        # and none split by momentum
         at_zero = {"sectors": 32, "sector_dim": 8, "orbits": 14,
-                   "dense_blocks": 8, "lanczos_blocks": 0, "probed_blocks": 0}
+                   "dense_blocks": 8, "lanczos_blocks": 0, "probed_blocks": 0,
+                   "momentum_blocks": 0, "max_block_dim": 8}
         at_chi = {"sectors": 4, "sector_dim": 64, "orbits": 3,
-                  "dense_blocks": 3, "lanczos_blocks": 0, "probed_blocks": 0}
+                  "dense_blocks": 3, "lanczos_blocks": 0, "probed_blocks": 0,
+                  "momentum_blocks": 0, "max_block_dim": 64}
         for kind, record_name in (("spectrum", "spectrum-record.json"),
                                   ("fidelity-scan",
                                    "fidelity-scan-record.json")):
@@ -462,7 +465,8 @@ class TestScenarioRuns:
             assert stored["solver"] == {"points": [
                 {"chi": 0.0, **at_zero}, {"chi": 0.25, **at_chi}],
                 "structures": 2}
-        # at cap 16 the 64-state blocks go to Lanczos
+        # at cap 16 the 64-state blocks are split by momentum, and their
+        # blocks go to Lanczos
         monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
         record = hn.run(cfg)
         assert record.ok, record.summary_lines()
@@ -474,6 +478,8 @@ class TestScenarioRuns:
         assert (at_chi["sectors"], at_chi["sector_dim"]) == (4, 64)
         assert at_chi["orbits"] == 3
         assert at_chi["dense_blocks"] == 0 and at_chi["lanczos_blocks"] >= 1
+        assert at_chi["momentum_blocks"] >= at_chi["lanczos_blocks"]
+        assert at_zero["momentum_blocks"] == 0 and at_chi["max_block_dim"] < 64
         stored = json.loads((tmp_path / record_name).read_text())
         assert stored["solver"] == record.solver
         # the CSVs hold the columns: no record repeats them

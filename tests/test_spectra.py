@@ -346,11 +346,12 @@ def test_solver_builds_only_the_blocks_it_uses(monkeypatch):
     assert len(built) == res.dense_blocks + res.lanczos_blocks + len(members)
 
 
-# (pairs, chi, k, Lanczos solves, orbits the probe rules out) at L = 2
-# with the 64- and 128-state blocks on Lanczos; where none is ruled out a
-# later orbit holds a kept level, so a probe that rules out all fails there
-PROBED_AT_L2 = [("sequence", 0.25, 1, 1, 1), ("sequence", 0.25, 2, 2, 0),
-                ("all", -0.5, 4, 1, 1), ("all", -0.5, 6, 2, 0)]
+# (pairs, chi, k, Lanczos solves, momentum blocks the probe rules out) at
+# L = 2 with the 64- and 128-state sectors split by momentum and their
+# blocks on Lanczos; where two or three blocks are solved a later block
+# holds a kept level, so a probe that rules out all fails there
+PROBED_AT_L2 = [("sequence", 0.25, 1, 1, 7), ("sequence", 0.25, 2, 2, 6),
+                ("all", -0.5, 4, 1, 7), ("all", -0.5, 6, 3, 5)]
 
 
 @pytest.mark.parametrize("mode, chi, k, lanczos, probed", PROBED_AT_L2)
@@ -389,25 +390,109 @@ def test_probe_rules_out_the_size_3_orbits_at_l3(monkeypatch, eigsh_calls):
     finally:
         tracemalloc.stop()
     op = h.compile()
-    assert (res.orbits, res.lanczos_blocks, res.probed_blocks) == (4, 2, 2)
+    # the size-1 orbits (sectors 0 and 7) are fixed by all 9 translations:
+    # 5 blocks each, the real k = 0 one and one per conjugate pair; each
+    # size-3 orbit by an order-3 subgroup: 2 blocks.  4 blocks are solved
+    # and the probe rules out the other 10, every block of the size-3
+    # orbits among them
+    assert (res.orbits, res.lanczos_blocks, res.probed_blocks,
+            res.momentum_blocks, res.dense_blocks) == (4, 4, 10, 14, 0)
+    assert res.max_block_dim == 10928
     reps = set(np.unique(op.orbit).tolist())
     probed = reps - set(op.orbit[res.level_sectors].tolist())
-    # one build per representative: the second solved one is probed first
-    # and solved on the same build, and no member of a probed orbit is built
-    assert dict(built) == dict.fromkeys(reps, 1)
-    # solve and probe share ARPACK's default width, max(2k + 1, 20)
-    assert Counter(eigsh_calls) == {(6, 20): 2, (1, 20): 3}
-    # the peak lies in a k = 6 solve of a 32768-state block, which holds
-    # ARPACK's basis and scipy's Ritz-vector buffer, each n x ncv x 8 B:
-    # 2 x 5 MiB at ncv = 20 (24.3 MiB traced in all, compile included),
-    # 2 x 10 MiB at ncv = 40 (33.8 MiB)
-    assert peak < 28 * 2 ** 20
+    # the whole blocks are built only to verify the kept levels, once each
+    assert dict(built) == dict.fromkeys(res.level_sectors.tolist(), 1)
+    assert sorted(built) == sorted(reps - probed)
+    # solve and probe share ARPACK's default width, max(2k + 1, 20); 3 of
+    # the 13 probes end in a solve
+    assert Counter(eigsh_calls) == {(6, 20): 4, (1, 20): 13}
+    # the whole-sector solve peaked at 24.3 MiB traced, compile included:
+    # ARPACK's basis and scipy's Ritz-vector buffer, each 32768 x 20 x 8 B.
+    # The largest momentum block has 10928 rows; the peak (18.8 MiB) now
+    # lies in the check of the kept vectors on a sector's 7.25 MiB block
+    assert peak < 24 * 2 ** 20
     for s in probed:
         assert np.sum(op.orbit == s) == 3
         tight = scipy.sparse.linalg.eigsh(
             op.block(s), k=1, which="SA", tol=1e-10,
             v0=np.ones(op.cosets.elements.size))[0][0]
         assert tight > res.eigenvalues[-1] + res.residual_bound
+
+
+@pytest.mark.parametrize("size, chi, mode", [
+    (2, 0.25, "sequence"), (2, -0.5, "all"), (3, 0.0, "sequence")])
+def test_momentum_blocks_split_every_sector_block(size, chi, mode):
+    # the oracle is dense eigh of each whole sector block: the character
+    # blocks hold its spectrum once, and their vectors, mapped back to the
+    # sector, are its eigenvectors.  At L = 3 the 9 translations give
+    # complex characters; the first 8 sectors are checked
+    op = hamiltonian(lt.build(size), chi, mode).compile()
+    for s in range(min(op.floors.size, 8)):
+        m = op._momenta(s)
+        size_g = m.table.shape[1]
+        np.testing.assert_allclose(m.table @ m.table.conj().T,
+                                   size_g * np.eye(size_g), atol=1e-12)
+        entries, whole = op.rows(s, m.reps), op.block(s).toarray()
+        levels, vectors = [], []
+        for c in range(size_g):
+            a = m.block(c, entries).toarray()
+            np.testing.assert_allclose(a, a.conj().T, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(m.block(m.pairs[c], entries).toarray(),
+                                       a.conj(), rtol=0, atol=1e-14)
+            e, phi = np.linalg.eigh(a)
+            levels += e.tolist()
+            vectors += [m.expand(c, phi[:, j]) for j in range(e.size)]
+        v = np.stack(vectors, axis=1)
+        np.testing.assert_allclose(np.sort(levels), np.linalg.eigvalsh(whole),
+                                   rtol=0, atol=1e-12)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
+        np.testing.assert_allclose(whole @ v, v * levels, rtol=0, atol=1e-12)
+
+
+def test_momenta_need_symmetries_that_keep_the_gauge():
+    # the translations keep the real gauge's links (the vertical ones) in
+    # place, so V commutes with them; a swap that moves them is refused
+    for size in (2, 3):
+        op = sp.build_hamiltonian(lt.build(size), chi=0.2, h_z=0.05).compile()
+        assert len(op.symmetries) == size ** 2
+        assert all(sp._permute_bits(op.gauge, p) == op.gauge
+                   for p in op.symmetries)
+    one = functools.partial(PauliString.single, 2)
+    h = sp.SparseHamiltonian(2, ((1.0, one(0, "X") * one(1, "Y")),
+                                 (1.0, one(0, "Y") * one(1, "X"))),
+                             symmetries=((1, 0),))
+    op = h.compile()
+    assert op.symmetries == ((1, 0),) and op.gauge == 0b10
+    with pytest.raises(RuntimeError, match="gauge"):
+        op._momenta(0)
+
+
+def test_both_copies_of_each_exactly_degenerate_pair_at_l3():
+    # above the six levels of the default k, sector 7 holds two exactly
+    # degenerate momentum +-k pairs, -14.68546 and -14.68162.  A whole-sector
+    # Lanczos solve can return one copy of such a pair (at k = 8 and width
+    # 40 it does); each momentum block's levels come twice, the -k vectors
+    # the conjugates of the k ones.  The oracle: wide Lanczos solves of the
+    # whole blocks of sectors 0 and 7, which hold every kept level, from a
+    # random start; sector 0's next pair, -14.67729, lies above them
+    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
+    op = h.compile()
+    v0 = np.random.default_rng(1).normal(size=op.cosets.elements.size)
+    wide = np.sort(np.concatenate([scipy.sparse.linalg.eigsh(
+        op.block(s), k=k, which="SA", ncv=40, tol=1e-10, v0=v0)[0]
+        for s, k in ((0, 6), (7, 10))]))
+    np.testing.assert_allclose(wide[6:10], [-14.68546, -14.68546, -14.68162,
+                                            -14.68162], rtol=0, atol=1e-5)
+    res = sp.lowest_eigenpairs(h, k=10, seed=7)
+    np.testing.assert_allclose(res.eigenvalues, wide[:10], rtol=0,
+                               atol=res.residual_bound)
+    assert res.level_sectors[6:].tolist() == [7] * 4
+    gauged = (op.phases(op.cosets.members(7)).conj()[:, None]
+              * res.local_vectors[:, 6:])
+    assert np.max(np.abs(gauged.conj().T @ gauged - np.eye(4))) < 1e-10
+    for c in (0, 2):
+        np.testing.assert_allclose(gauged[:, c + 1], gauged[:, c].conj(),
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("size, block_rows", [(2, None), (2, 4), (3, None)])
@@ -454,17 +539,19 @@ def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch,
                                                         eigsh_calls):
     # at chi = 0 the 2nd and 3rd levels are exactly degenerate, and so are
     # levels inside the 8-state blocks; with the cap below the block size
-    # every block goes to Lanczos, whose vectors must still be orthonormal
-    # and span the dense solve's manifold.  k = 5 is the largest k that
-    # leaves ARPACK room to restart in an 8-state block (ncv = 7 > k + 1)
+    # and no symmetry to split a block by momentum, every block goes whole
+    # to Lanczos, whose vectors must still be orthonormal and span the
+    # dense solve's manifold.  k = 5 is the largest k that ARPACK runs on
+    # an 8-state block (dim > k + 2)
     h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
+    h = sp.SparseHamiltonian(h.n_qubits, h.terms)
     reference = oracles.reference_states(LAT)
     _, dense_vecs = dense_lowest(h, 5)
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
     res = sp.lowest_eigenpairs(h, k=5, seed=7)
-    assert res.lanczos_blocks > 0
-    # solves and probes alike: the width is capped at dim - 1
-    assert (5, 7) in eigsh_calls and {c[1] for c in eigsh_calls} == {7}
+    assert res.lanczos_blocks > 0 and res.max_block_dim == 8
+    # solves and probes alike: the width is capped at dim
+    assert (5, 8) in eigsh_calls and {c[1] for c in eigsh_calls} == {8}
     vecs = oracles.eigenvectors(h, res)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) <= 1e-10
     np.testing.assert_allclose(
@@ -558,6 +645,24 @@ def test_fidelity_scan_structure():
             sp.build_hamiltonian(LAT, chi=p.chi, h_z=0.05), k=6)
         assert p.residual_bound == res.residual_bound
         np.testing.assert_array_equal(p.eigenvalues, res.eigenvalues)
+
+
+def test_scan_builds_each_sectors_momenta_once(monkeypatch):
+    # the momenta depend on the term strings only: a chi scan builds each
+    # split sector's once, on first use, and its later points reuse them
+    built = Counter()
+    of = sp._Momenta.of.__func__
+
+    def counted(cls, op, s):
+        built[int(s)] += 1
+        return of(cls, op, s)
+
+    monkeypatch.setattr(sp._Momenta, "of", classmethod(counted))
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)  # the 64-state sectors split
+    scan = sp.fidelity_scan(LAT, [0.2, 0.3, -0.4], h_z=0.05)
+    assert all(p.error is None and p.counters["momentum_blocks"] > 0
+               for p in scan)
+    assert built and set(built.values()) == {1}
 
 
 def _assert_same_operator(got: sp.SectorOperator, want: sp.SectorOperator):
@@ -668,7 +773,8 @@ def test_orbit_solve_matches_every_block(monkeypatch, mode, chi, k, from_member)
     levels = np.linalg.eigvalsh(h.to_dense())
     assert levels[k] - levels[k - 1] > 1e-3  # the k lowest span a clean space
     every = sp.SparseHamiltonian(h.n_qubits, h.terms)  # no symmetries
-    # at cap 16 the 8-state blocks (chi = 0) go dense, the others to Lanczos
+    # at cap 16 the 8-state blocks (chi = 0) go dense, the others are split
+    # by momentum
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
     res = sp.lowest_eigenpairs(h, k=k, seed=3)
     ref = sp.lowest_eigenpairs(every, k=k, seed=3)
@@ -676,8 +782,12 @@ def test_orbit_solve_matches_every_block(monkeypatch, mode, chi, k, from_member)
     assert ref.orbits == ref.sectors
     assert (res.sectors, res.orbits) == ORBITS_AT_L2[chi, mode]
     assert (res.lanczos_blocks > 0) == (chi != 0.0)
-    assert (res.dense_blocks + res.lanczos_blocks
-            <= min(res.orbits, ref.dense_blocks + ref.lanczos_blocks))
+    if chi:
+        # with no symmetry a sector is one block, of the trivial character
+        assert res.max_block_dim < ref.max_block_dim == res.sector_dim
+    else:
+        # one dense solve per orbit at most
+        assert res.dense_blocks <= min(res.orbits, ref.dense_blocks)
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues,
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(res.eigenvalues, levels[:k], rtol=0, atol=1e-8)
