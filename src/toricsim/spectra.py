@@ -44,7 +44,7 @@ diagonalizes one block per orbit and reuses its levels for the others:
 128 orbits of the 1024 sectors at L = 3 and chi = 0, 4 of the 8 at
 chi != 0.  A kept vector stays in its sector: a member's is the
 representative's, carried over by the qubit permutation and verified on
-the member's block.  A representative's block too large for dense
+the member's rows.  A representative's block too large for dense
 ``eigh`` is split by translation momentum: the translations that fix its
 sector form an abelian group, and each character of it has a block built
 from the sector's translation-orbit representatives (Sandvik,
@@ -470,14 +470,19 @@ class SectorOperator:
         return QUARTER_TURNS[np.bitwise_count(states & np.uint64(self.gauge)) % 4]
 
     def block(self, s: int) -> scipy.sparse.csr_matrix:
-        """The CSR block of sector s, built from its own rows
-        (:meth:`rows`), each listing its entries in ascending X-mask."""
-        n, width = self.cosets.elements.size, self.x_masks.size
-        indices = np.arange(n, dtype=np.int32)[:, None] ^ self.shifts
-        indptr = np.arange(n + 1, dtype=np.int32) * width
+        """The CSR block of sector s, all of its rows (:meth:`_row_csr`)."""
+        return self._row_csr(s, np.arange(self.cosets.elements.size))
+
+    def _row_csr(self, s: int, local: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The given local rows of sector s as CSR rows over all of its
+        columns: row i lists the entries of row ``local[i]`` (:meth:`rows`)
+        in ascending X-mask, at columns ``local[i] ^ shifts``."""
+        width = self.x_masks.size
+        indices = local.astype(np.int32)[:, None] ^ self.shifts
+        indptr = np.arange(local.size + 1, dtype=np.int32) * width
         return scipy.sparse.csr_matrix(
-            (self.rows(s, np.arange(n)).reshape(-1), indices.reshape(-1),
-             indptr), shape=(n, n))
+            (self.rows(s, local).reshape(-1), indices.reshape(-1), indptr),
+            shape=(local.size, self.cosets.elements.size))
 
     def rows(self, s: int, local: np.ndarray) -> np.ndarray:
         """The entries of the given local rows of sector s, one column per
@@ -634,7 +639,10 @@ class SparseHamiltonian:
 def chi_pair_terms(lat: lt.TorusLattice) -> list[tuple[int, int]]:
     """(x_link, y_link) pairs receiving the chi X.Y coupling: the 2nd and
     3rd links of every neighborhood in its canonical order, where the
-    surviving residual acts."""
+    surviving residual acts, the L^2 vertex pairs first.  Every plaquette
+    pair is a vertex pair: plaquette (r, c)'s east and south links are
+    vertex (r + 1, c + 1)'s north and west links, so the 2 L^2 pairs are
+    L^2 distinct ones, each listed twice."""
     return [(links[1], links[2])
             for links in lat.vertex_links + lat.plaquette_links]
 
@@ -647,7 +655,10 @@ def build_hamiltonian(lat: lt.TorusLattice, j_e: float = 1.0, j_m: float = 1.0,
 
     Every chi pair (:func:`chi_pair_terms`) gets chi X_a Y_b.  That is the
     residual the pulses leave on a vertex's (links[1], links[2]); on a
-    plaquette's they leave Y_a Z_b, so X.Y there is a stand-in.
+    plaquette's they leave Y_a Z_b, so X.Y there is a stand-in.  Each
+    plaquette pair is also a vertex pair, so H carries 2 chi X_a Y_b on L^2
+    pairs, not chi on 2 L^2; with the pulses' letters those links would
+    carry chi (X_a Y_b + Y_a Z_b).
     """
     n = lat.n_links
     terms: list[tuple[float, PauliString]] = []
@@ -791,20 +802,39 @@ def _kth(levels: Iterable[float], k: int) -> float:
     return levels[k - 1] if len(levels) >= k else np.inf
 
 
-def _momentum_levels(op: SectorOperator, s: int, k: int, seed: int,
-                     residual_bound: float, found: list, counts: Counter
-                     ) -> list:
-    """The verified (level, residual, vector) of sector s's momentum
-    blocks, each vector a function that returns the sector's local
-    amplitudes.  The character blocks (:class:`_Momenta`) are visited one
-    per conjugate pair, the trivial one first; a block whose probe places
-    it above the k-th level of ``found`` and the levels so far is ruled
-    out.  A complex block's levels are kept twice: the conjugate block's
-    vectors are the conjugates."""
+def _sector_residuals(op: SectorOperator, s: int, vectors: np.ndarray,
+                      levels: np.ndarray) -> np.ndarray:
+    """||A u - e u|| of each of sector s's kept vectors, u = V^H v, on the
+    sector's CSR rows ``BLOCK_ROWS`` at a time
+    (:meth:`SectorOperator._row_csr`): each chunk multiplies all the
+    vectors at once, their real and imaginary parts apart, so no whole
+    block is built."""
+    u = op.phases(op.cosets.members(s)).conj()[:, None] * vectors
+    re, im = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
+    squares = np.zeros(levels.size)
+    for lo in range(0, u.shape[0], BLOCK_ROWS):
+        local = np.arange(lo, min(lo + BLOCK_ROWS, u.shape[0]))
+        a = op._row_csr(s, local)
+        r = a @ re + 1j * (a @ im) - u[local] * levels
+        squares += np.sum(r.real ** 2 + r.imag ** 2, axis=0)
+    return np.sqrt(squares)
+
+
+def _momentum_levels(op: SectorOperator, s: int, part: slice, k: int,
+                     seed: int, residual_bound: float, found: list,
+                     counts: Counter) -> list:
+    """The verified (level, residual, vector) of the momentum blocks of
+    sector s that ``part`` picks from its characters, one per conjugate
+    pair, the trivial one first (``_Momenta.visits``), each vector a
+    function that returns the sector's local amplitudes.  A block whose
+    probe places it above the k-th level of ``found`` and the levels so
+    far is ruled out.  A complex block's levels are kept twice: the
+    conjugate block's vectors are the conjugates."""
     m = op._momenta(s)
-    entries = op.rows(s, m.reps)
+    visits = m.visits[part]
+    entries = op.rows(s, m.reps) if visits else None
     levels: list = []
-    for c in m.visits:
+    for c in visits:
         a = m.block(c, entries)
         dim = a.shape[0]
         if not dim:
@@ -842,17 +872,23 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
 
     A block at or below ``DENSE_DIM_CAP`` (every block at L = 2, every
     chi = 0 block at L = 3) is built, at most once per call, and solved by
-    dense ``eigh``.  A larger one is never solved whole: it is split by the
-    characters of the translations that fix its sector (:class:`_Momenta`;
-    a sector that none fixes is one block, of the trivial character), and
-    the character blocks are visited in turn, the trivial one first and
-    one of each conjugate pair; the sector's floor bounds them all.  A
-    momentum block is never held against ``DENSE_DIM_CAP``, since a dense
-    solve of a few thousand states takes seconds: it goes to Lanczos
-    whenever ARPACK can run on it (dim > k + 2), and to dense ``eigh`` only
-    below that, which no sector large enough to split yields outside a
-    test that lowers the cap.  Lanczos is ARPACK ``eigsh``
-    from a seeded start vector at ARPACK's default width ncv = min(dim,
+    dense ``eigh`` in that one visit.  A larger one is never solved whole:
+    it is split by the characters of the translations that fix its sector
+    (:class:`_Momenta`; a sector that none fixes is one block, of the
+    trivial character), and the sectors are visited twice, both times in
+    ascending floor and with the same stop, since the sector's floor bounds
+    all its blocks.  The first pass takes each representative's trivial
+    (k = 0) block only, the second its other characters, one of each
+    conjugate pair; a member takes its representative's new levels in each
+    pass.  The order changes which blocks are solved and which are ruled
+    out, never the levels kept: at L = 3 and chi = 0.2, 0.4 and 0.6 the
+    k = 0 blocks of sectors 0 and 7 hold all six levels and are the only
+    k-level solves.  A momentum block is never held against
+    ``DENSE_DIM_CAP``, since a dense solve of a few thousand states takes
+    seconds: it goes to Lanczos whenever ARPACK can run on it (dim > k + 2),
+    and to dense ``eigh`` only below that, which no sector large enough to
+    split yields outside a test that lowers the cap.  Lanczos is ARPACK
+    ``eigsh`` from a seeded start vector at ARPACK's default width ncv = min(dim,
     max(2k + 1, 20)) (:func:`_lanczos`), in real arithmetic on a real
     character's block.  Once k levels are found, such a block is first
     probed: one loose Lanczos level theta with its measured residual ||r||
@@ -882,8 +918,10 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
     permutation that carries one coset onto the other, which commutes with
     H.  Every kept vector not solved on its own sector's block, a member's
     or a momentum block's, is verified against the residual bound on that
-    sector's CSR block, built once, so no level rests on the momentum
-    construction alone.
+    sector's CSR rows, ``BLOCK_ROWS`` at a time, each chunk multiplying all
+    of the sector's kept vectors (:func:`_sector_residuals`), so no level
+    rests on the momentum construction alone and no whole block is built
+    for the check.
 
     When the whole space fits under ``DENSE_DIM_CAP`` every block is
     solved by the backward-stable dense path, so the bound tightens to
@@ -907,23 +945,27 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
     solved = {}  # orbit representative -> its verified levels
     counts = Counter(dense_blocks=0, lanczos_blocks=0, probed_blocks=0,
                      momentum_blocks=0, max_block_dim=0)
-    for s in np.argsort(op.floors, kind="stable"):
-        if op.floors[s] > _kth([f[0] for f in found], k) + residual_bound:
-            break
-        if op.orbit[s] == s and by_momentum:
-            solved[s] = _momentum_levels(op, s, k, seed, residual_bound,
-                                         found, counts)
-        elif op.orbit[s] == s:
-            evals, vecs, residuals = _solve_block(
-                op.block(s), k, seed, residual_bound, False)
-            counts["dense_blocks"] += 1
-            counts["max_block_dim"] = n
-            # a vector made on request, as the momentum blocks' are
-            solved[s] = [(e, r, vecs[:, j].copy) for j, (e, r)
-                         in enumerate(zip(evals, residuals))]
-        found = sorted(found + [(e, r, s, v) for e, r, v
-                                in solved[op.orbit[s]]],
-                       key=lambda f: f[0])[:k]
+    # split sectors are visited twice: the trivial characters first, then
+    # the others; a representative's levels of each pass are its orbit's
+    for part in (slice(0, 1), slice(1, None)) if by_momentum else (None,):
+        for s in np.argsort(op.floors, kind="stable"):
+            top = _kth([f[0] for f in found], k) + residual_bound
+            if op.floors[s] > top:
+                break
+            if op.orbit[s] == s and by_momentum:
+                solved[s] = _momentum_levels(op, s, part, k, seed,
+                                             residual_bound, found, counts)
+            elif op.orbit[s] == s:
+                evals, vecs, residuals = _solve_block(
+                    op.block(s), k, seed, residual_bound, False)
+                counts["dense_blocks"] += 1
+                counts["max_block_dim"] = n
+                # a vector made on request, as the momentum blocks' are
+                solved[s] = [(e, r, vecs[:, j].copy) for j, (e, r)
+                             in enumerate(zip(evals, residuals))]
+            found = sorted(found + [(e, r, s, v) for e, r, v
+                                    in solved[op.orbit[s]]],
+                           key=lambda f: f[0])[:k]
     levels, residuals, sectors = (np.array([f[i] for f in found])
                                   for i in range(3))
     vectors = np.zeros((n, len(found)), dtype=complex)
@@ -935,14 +977,9 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
         if op.orbit[s] != s:
             _, local = op.cosets.locate(_permute_bits(rep, op.carry[s]))
             vectors[local[:, None], cols] = vectors[:, cols]
-        if op.orbit[s] != s or by_momentum:  # each block is built once
-            gauge = op.phases(op.cosets.members(s)).conj()
-            a = op.block(s)  # real: no complex copy of it
-            for c in cols:  # one vector's temporaries at a time
-                u = gauge * vectors[:, c]
-                residuals[c] = np.linalg.norm(
-                    a @ u.real + 1j * (a @ u.imag) - levels[c] * u)
-            del a  # the next block is built without this one alive
+        if op.orbit[s] != s or by_momentum:
+            residuals[cols] = _sector_residuals(op, s, vectors[:, cols],
+                                                levels[cols])
             _verify(residuals[cols], residual_bound)
     return SpectrumResult(
         eigenvalues=levels, residuals=residuals, level_sectors=sectors,

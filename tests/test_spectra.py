@@ -61,6 +61,24 @@ def test_term_counts_and_pair_modes():
         (links[1], links[2]) for links in LAT.vertex_links + LAT.plaquette_links]
 
 
+def test_every_plaquette_chi_pair_is_a_vertex_chi_pair():
+    # plaquette (r, c)'s (links[1], links[2]), its east and south links,
+    # are vertex (r + 1, c + 1)'s north and west links: the stand-in puts
+    # 2 chi X_a Y_b on L^2 pairs, not chi on 2 L^2 pairs
+    for size in (2, 3, 4):
+        lat, n = lt.build(size), size * size
+        pairs = sp.chi_pair_terms(lat)
+        vertex, plaquette = pairs[:n], pairs[n:]
+        assert len(plaquette) == n and len(set(pairs)) == n
+        for p, pair in enumerate(plaquette):
+            r, c = divmod(p, size)
+            assert pair == vertex[((r + 1) % size) * size + (c + 1) % size]
+    h = sp.build_hamiltonian(LAT, chi=0.3, h_z=0.05)
+    doubled = sp.SparseHamiltonian(LAT.n_links, h.terms[:-8] + tuple(
+        (0.6, t) for _, t in h.terms[-8:-4]))
+    np.testing.assert_array_equal(h.to_dense(), doubled.to_dense())
+
+
 def test_rejects_non_hermitian_terms():
     z = PauliString.single(8, 0, "Z")
     with pytest.raises(ValueError):
@@ -329,29 +347,27 @@ def _count_blocks(monkeypatch) -> Counter:
 
 
 def test_solver_builds_only_the_blocks_it_uses(monkeypatch):
-    h = sp.build_hamiltonian(lt.build(3), chi=0.0, h_z=0.05)
-    h.compile()
-    built = _count_blocks(monkeypatch)
-    res = sp.lowest_eigenpairs(h, k=6, seed=7)
-    assert res.dense_blocks + res.lanczos_blocks == 20
-    members = {s for s in built if h.compile().orbit[s] != s}
-    assert len(built) == 20 + len(members) and set(built.values()) == {1}
-    # a member block is built once for the check of all its kept levels
-    h = sp.build_hamiltonian(LAT, chi=0.2, h_z=0.05)
-    built = _count_blocks(monkeypatch)
-    res = sp.lowest_eigenpairs(h, k=20, seed=3)
-    op = h.compile()
-    members = {s for s in built if op.orbit[s] != s}
-    assert members and set(built.values()) == {1}
-    assert len(built) == res.dense_blocks + res.lanczos_blocks + len(members)
+    # each dense-solved representative's block is built once; the kept
+    # vectors of the other members of its orbit are checked on row chunks,
+    # so no member block is built.  At L = 2, chi = 0.2 and k = 20 levels
+    # are kept from members
+    for size, chi, k, seed, dense in ((3, 0.0, 6, 7, 20), (2, 0.2, 20, 3, 3)):
+        h = sp.build_hamiltonian(lt.build(size), chi=chi, h_z=0.05)
+        op = h.compile()
+        built = _count_blocks(monkeypatch)
+        res = sp.lowest_eigenpairs(h, k=k, seed=seed)
+        assert (res.dense_blocks, res.lanczos_blocks) == (dense, 0)
+        assert len(built) == dense and set(built.values()) == {1}
+        assert all(op.orbit[s] == s for s in built)
+    assert any(op.orbit[s] != s for s in res.level_sectors)
 
 
 # (pairs, chi, k, Lanczos solves, momentum blocks the probe rules out) at
 # L = 2 with the 64- and 128-state sectors split by momentum and their
-# blocks on Lanczos; where two or three blocks are solved a later block
-# holds a kept level, so a probe that rules out all fails there
+# blocks on Lanczos; where two blocks are solved a later block holds a
+# kept level, so a probe that rules out all fails there
 PROBED_AT_L2 = [("sequence", 0.25, 1, 1, 7), ("sequence", 0.25, 2, 2, 6),
-                ("all", -0.5, 4, 1, 7), ("all", -0.5, 6, 3, 5)]
+                ("all", -0.5, 4, 1, 7), ("all", -0.5, 6, 2, 6)]
 
 
 @pytest.mark.parametrize("mode, chi, k, lanczos, probed", PROBED_AT_L2)
@@ -392,31 +408,81 @@ def test_probe_rules_out_the_size_3_orbits_at_l3(monkeypatch, eigsh_calls):
     op = h.compile()
     # the size-1 orbits (sectors 0 and 7) are fixed by all 9 translations:
     # 5 blocks each, the real k = 0 one and one per conjugate pair; each
-    # size-3 orbit by an order-3 subgroup: 2 blocks.  4 blocks are solved
-    # and the probe rules out the other 10, every block of the size-3
-    # orbits among them
+    # size-3 orbit by an order-3 subgroup: 2 blocks.  The k = 0 blocks of
+    # sectors 0 and 7, visited first, hold all six levels: those 2 blocks
+    # are solved and the probe rules out the other 12, every block of the
+    # size-3 orbits among them
     assert (res.orbits, res.lanczos_blocks, res.probed_blocks,
-            res.momentum_blocks, res.dense_blocks) == (4, 4, 10, 14, 0)
+            res.momentum_blocks, res.dense_blocks) == (4, 2, 12, 14, 0)
     assert res.max_block_dim == 10928
     reps = set(np.unique(op.orbit).tolist())
     probed = reps - set(op.orbit[res.level_sectors].tolist())
-    # the whole blocks are built only to verify the kept levels, once each
-    assert dict(built) == dict.fromkeys(res.level_sectors.tolist(), 1)
-    assert sorted(built) == sorted(reps - probed)
-    # solve and probe share ARPACK's default width, max(2k + 1, 20); 3 of
-    # the 13 probes end in a solve
-    assert Counter(eigsh_calls) == {(6, 20): 4, (1, 20): 13}
-    # the whole-sector solve peaked at 24.3 MiB traced, compile included:
-    # ARPACK's basis and scipy's Ritz-vector buffer, each 32768 x 20 x 8 B.
-    # The largest momentum block has 10928 rows; the peak (18.8 MiB) now
-    # lies in the check of the kept vectors on a sector's 7.25 MiB block
-    assert peak < 24 * 2 ** 20
+    assert sorted(reps - probed) == [0, 7]
+    # the kept vectors are verified on row chunks: no whole block is built
+    assert not built
+    # solve and probe share ARPACK's default width, max(2k + 1, 20); 1 of
+    # the 13 probes, sector 7's k = 0 block, ends in a solve
+    assert Counter(eigsh_calls) == {(6, 20): 2, (1, 20): 13}
+    # a whole-sector solve peaks at 24.3 MiB traced, compile included:
+    # ARPACK's basis and scipy's Ritz-vector buffer, each 32768 x 20 x 8 B,
+    # and a check of the kept vectors on a sector's whole 7.25 MiB block at
+    # 18.8 MiB.  On row chunks the peak is 14.2 MiB, level with the
+    # momentum solves before the check
+    assert peak < 16 * 2 ** 20
+    # the oracle: a tight Lanczos solve of each ruled-out whole sector block
+    # from a seeded random start, whose Krylov space holds every momentum;
+    # the bottoms lie 0.42 above the 6th level, -14.69798
     for s in probed:
         assert np.sum(op.orbit == s) == 3
-        tight = scipy.sparse.linalg.eigsh(
-            op.block(s), k=1, which="SA", tol=1e-10,
-            v0=np.ones(op.cosets.elements.size))[0][0]
+        a = op.block(s)
+        v0 = np.random.default_rng(s).normal(size=a.shape[0])
+        tight = scipy.sparse.linalg.eigsh(a, k=1, which="SA", tol=1e-6,
+                                          v0=v0)[0][0]
+        assert tight == pytest.approx(-14.2778, abs=2e-4)
         assert tight > res.eigenvalues[-1] + res.residual_bound
+
+
+@pytest.mark.parametrize("size, k, block_rows", [(2, 20, 16), (3, 6, None)])
+def test_row_chunk_residuals_are_the_whole_blocks(monkeypatch, size, k,
+                                                  block_rows):
+    # each kept vector not solved on its own sector's block is verified on
+    # that sector's rows a chunk at a time; its residual is the one the
+    # whole CSR block gives.  At L = 2, chi = 0.2 and k = 20 levels are
+    # kept from orbit members, whose 64-state sectors take 4 chunks of 16
+    # rows; at L = 3 every kept vector is a momentum block's, and each
+    # 32768-state sector takes 16 chunks
+    if block_rows:
+        monkeypatch.setattr(sp, "BLOCK_ROWS", block_rows)
+    h = sp.build_hamiltonian(lt.build(size), chi=0.2, h_z=0.05)
+    res = sp.lowest_eigenpairs(h, k=k, seed=7)
+    op = h.compile()
+    assert size == 3 or any(op.orbit[s] != s for s in res.level_sectors)
+    whole = []
+    for c, s in enumerate(res.level_sectors):
+        u = op.phases(op.cosets.members(s)).conj() * res.local_vectors[:, c]
+        whole.append(np.linalg.norm(op.block(s) @ u - res.eigenvalues[c] * u))
+    np.testing.assert_allclose(res.residuals, whole, rtol=1e-12, atol=0)
+
+
+def test_a_wrong_kept_vector_fails_the_row_chunk_check(monkeypatch):
+    # no level rests on the momentum construction alone: one kept vector
+    # perturbed in its sector's last row on its way back from its momentum
+    # block fails the check on row chunks
+    expand = sp._Momenta.expand
+    calls = []
+
+    def perturbed(m, c, phi):
+        out = expand(m, c, phi)
+        calls.append(c)
+        if len(calls) == 3:
+            out[-1] += 1e-6
+        return out
+
+    monkeypatch.setattr(sp._Momenta, "expand", perturbed)
+    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
+    with pytest.raises(sp.ConvergenceError, match="exceed the bound"):
+        sp.lowest_eigenpairs(h, k=6, seed=7)
+    assert len(calls) >= 3
 
 
 @pytest.mark.parametrize("size, chi, mode", [
@@ -493,6 +559,10 @@ def test_both_copies_of_each_exactly_degenerate_pair_at_l3():
     for c in (0, 2):
         np.testing.assert_allclose(gauged[:, c + 1], gauged[:, c].conj(),
                                    rtol=0, atol=1e-12)
+    # their residuals, checked on row chunks, are the whole block's
+    whole = op.block(7) @ gauged - gauged * res.eigenvalues[6:]
+    np.testing.assert_allclose(res.residuals[6:],
+                               np.linalg.norm(whole, axis=0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("size, block_rows", [(2, None), (2, 4), (3, None)])
