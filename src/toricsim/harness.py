@@ -38,7 +38,6 @@ from . import lattice as lt
 from . import lindblad as lb
 from . import sequences as sq
 from . import spectra as sp
-from .pauli import PauliString, PauliSum
 
 SCHEMA_VERSION = 3
 # Fixed-point decimals of the solver columns (energies, gaps, fidelities,
@@ -458,33 +457,14 @@ def population_entropy(populations: np.ndarray) -> float:
     return float(-(vals * np.log(vals)).sum())
 
 
-def _stabilizers(lat: lt.TorusLattice) -> list[PauliString]:
-    return ([lt.vertex_stabilizer(lat, v) for v in range(lat.n_vertices)]
-            + [lt.plaquette_stabilizer(lat, q) for q in range(lat.n_plaquettes)])
-
-
 # a test oracle, kept here because perfbench/spans.py wraps it by name
 def excitation_density(rho: np.ndarray, lat: lt.TorusLattice) -> float:
     """Mean flipped-stabilizer weight (1 - <h>)/2 over all stabilizers."""
-    stabs = _stabilizers(lat)
+    stabs = lt.stabilizers(lat)
     total = 0.0
     for stab in stabs:
         total += (1.0 - stab.expectation(rho).real) / 2.0
     return total / len(stabs)
-
-
-def excitation_weights(
-        frame: lb.StabilizerFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Mean flipped-stabilizer weight of each frame state as an orbit part
-    and a character part, w(o, t) = w_e(o) + w_m(t): the label diagonal of
-    the mean of (1 - h)/2 over the stabilizers.  A frame-diagonal state
-    with label marginals p_e and p_m has excitation density
-    p_e @ w_e + p_m @ w_m."""
-    stabs = _stabilizers(frame.lattice)
-    weight = 0.5 / len(stabs)
-    return frame.label_diagonal(PauliSum.from_terms(
-        [(0.5, PauliString.identity(frame.n_qubits))]
-        + [(-weight, stab) for stab in stabs], n_qubits=frame.n_qubits))
 
 
 def _fitted_temperature(density: float) -> float:
@@ -623,14 +603,14 @@ def _run_thermalize(cfg: ScenarioConfig) -> _Parts:
     model = lb.thermal_jump_set(lat, p=cfg.p, lambda_star=cfg.lambda_star,
                                 gamma_star=cfg.gamma_star)
     stat = lb.stationary_state(model)
-    frame = model.frame
+    labels = model.labels
     times = np.linspace(0.0, cfg.t_final, cfg.n_times)
-    out = lb.evolve(model, (np.full(frame.n_orbits, 1.0 / frame.n_orbits),
-                            np.full(frame.n_char, 1.0 / frame.n_char)), times)
+    out = lb.evolve(model, (np.full(labels.n_orbits, 1.0 / labels.n_orbits),
+                            np.full(labels.n_char, 1.0 / labels.n_char)), times)
     # every sample is frame-diagonal: energy and excitation density are
     # label-additive and read off the marginals, entropy and distance off
     # the product populations of the Kronecker-sum chain
-    w_e, w_m = excitation_weights(frame)
+    w_e, w_m = labels.excitation_weights
     stationary = stat.populations
     rows = []
     for t, p_e, p_m, pops in zip(out.times, out.orbit_populations,
@@ -714,7 +694,7 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     noise = lb.depolarizing_jumps(lat.n_links, gamma=1.0)
     sweep = lb.LindbladModel(hamiltonian=cooling.hamiltonian,
                              jumps=cooling.jumps + noise, lattice=lat)
-    w_e, w_m = excitation_weights(sweep.frame)
+    w_e, w_m = sweep.labels.excitation_weights
     points = []
     for ratio in cfg.ratio_grid:
         gamma_e = gamma_c / ratio

@@ -111,6 +111,12 @@ def plaquette_stabilizer(lat: TorusLattice, plaquette: int) -> PauliString:
     return PauliString(lat.n_links, x, 0, 0)
 
 
+def stabilizers(lat: TorusLattice) -> list[PauliString]:
+    """Every vertex stabilizer, then every plaquette stabilizer."""
+    return ([vertex_stabilizer(lat, v) for v in range(lat.n_vertices)]
+            + [plaquette_stabilizer(lat, p) for p in range(lat.n_plaquettes)])
+
+
 def z_loops(lat: TorusLattice) -> tuple[PauliString, PauliString]:
     """Dual-cycle Z-loops: (horizontal links of column 0, vertical links of row 0).
 

@@ -1,9 +1,9 @@
 """Engineered dissipation for the stabilizer code.
 
-Pair-creation / translation operators built from adjacent stabilizer
-neighborhoods, thermal and cooling jump-operator sets, stationary states
-and time evolution of the master equation, three-level ancilla pumping,
-and a small adiabatic-elimination rate probe.
+Thermal and cooling jump sets of pair-creation / translation channels,
+depolarizing noise, stationary states and time evolution of the master
+equation, three-level ancilla pumping, and a small adiabatic-elimination
+rate probe.
 
 Generator convention throughout: with jump entries c = sqrt(rate) * op,
 
@@ -12,35 +12,37 @@ Generator convention throughout: with jump entries c = sqrt(rate) * op,
 so a jump of rate r relaxes the target population at rate 2r.
 
 Lattice dissipation runs in an orthonormal eigenbasis of the stabilizer
-group (``StabilizerFrame``).  Its states carry two labels: an orbit o of
-the plaquette-flip group, which holds the vertex stabilizers and the
-logical Z sector, and a group character t, which holds the plaquette
-stabilizers.  The labels of a bitstring are its coset and its place in
-it under the plaquette-flip group, the same ``spectra.Cosets`` that
-labels the sectors of H (``spectra.plaquette_cosets``); they are linear,
-so every Pauli string acts as a signed permutation there by an XOR on
-each label, o -> o ^ a and t -> t ^ u, which ``StabilizerFrame.strings``
-reads off the masks.  Each engineered channel moves one label at a rate
-the other label does not change, so the population chain splits into an
-orbit chain M_e and a character chain M_m (``_LabelChains``), built with
-no channel carried into the frame: the joint chain is M_e ⊗ 1 + 1 ⊗ M_m.
-Depolarizing Y moves both labels; the joint chain is then no Kronecker
-sum, but each label's marginal is still an autonomous chain (strong
-lumpability).  The stationary marginals are the null spaces of M_e and
-M_m, and the marginals of a frame-diagonal start evolve exactly by
-exp(M_e t) and exp(M_m t).  For a Kronecker sum a product start stays a
-product, p_e(t) ⊗ p_m(t).  H, the excitation weights and the Z loops are
-label-additive in the frame, d(o, t) = d_e(o) + d_m(t), so they are read
-off the marginals; a chain that is no Kronecker sum carries nothing else.
+group.  Its states carry two labels: an orbit o of the plaquette-flip
+group, which holds the vertex syndrome and the logical Z sector, and a
+group character t, which holds the plaquette syndrome (``FrameLabels``,
+from the same ``spectra.Cosets`` that labels the sectors of H).  The
+labels are linear, so a link flip moves each by an XOR, o -> o ^ a and
+t -> t ^ u.  Every engineered channel is a link flip times projectors on
+the stabilizers at the link's two ends (``JumpTerm``): it moves one label
+at a rate set by two syndrome bits of that label, so the population chain
+splits into an orbit chain M_e and a character chain M_m
+(``_LabelChains``), built from the link incidence alone, and the joint
+chain is M_e ⊗ 1 + 1 ⊗ M_m.  Depolarizing Y moves both labels; the joint
+chain is then no Kronecker sum, but each label's marginal is still an
+autonomous chain (strong lumpability).  The stationary marginals are the
+null spaces of M_e and M_m, and the marginals of a frame-diagonal start
+evolve exactly by exp(M_e t) and exp(M_m t); for a Kronecker sum a
+product start stays a product, p_e(t) ⊗ p_m(t).  H, the excitation
+weights and the Z loops are label-additive, d(o, t) = d_e(o) + d_m(t),
+read off the same syndrome bits and so off the marginals; a chain that is
+no Kronecker sum carries nothing else.
 
 Lattice dissipation takes and returns label populations only, and builds
-no 2^n x 2^n state.  A start that is not the two label marginals, or a
-model whose population sector does not close (for example with a
-transverse field), raises ``ValueError``.
-``gibbs_state``, ``trace_distance`` and ``StabilizerFrame.operator`` are
-dense L = 2 test oracles that no scenario calls.  The adiabatic-elimination
-probe builds the columns of its vectorized generator that its start reaches,
-and only those, and eigendecomposes it on those entries of vec(rho).
+no 2^n x 2^n state and no Pauli sum.  A start that is not the two label
+marginals, or a model whose population sector does not close (for example
+with a transverse field), raises ``ValueError``.  ``StabilizerFrame``, the
+Pauli-level view that carries each string into the frame, ``gibbs_state``
+and ``trace_distance`` are test oracles that no scenario calls; the tests
+check the label chains against chains built from the Pauli strings of
+each channel (``tests/dense_oracles.py``).  The adiabatic-elimination
+probe builds the columns of its vectorized generator that its start
+reaches, and only those, and eigendecomposes it on those entries of
+vec(rho).
 """
 
 from __future__ import annotations
@@ -77,85 +79,53 @@ class FitRejectedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# excitation / translation operators
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExcitationOps:
-    """Pair-creation and translation operators for one link and flavor.
-
-    ``create`` flips the two stabilizers adjacent to the link when both are
-    unexcited; ``translate`` moves an excitation from the first adjacent
-    neighborhood to the second.  All four operators are quarter-weight
-    products of the link flip with stabilizer projectors.
-    """
-
-    link: int
-    kind: str                      # "e" (vertex flavor) or "m" (plaquette)
-    create: PauliSum               # flip * (1 + h_a)(1 + h_b) / 4
-    annihilate: PauliSum           # adjoint of create
-    translate: PauliSum            # flip * (1 - h_a)(1 + h_b) / 4
-    translate_adjoint: PauliSum
-
-
-def _pair_ops(flip: PauliString, h_a: PauliString,
-              h_b: PauliString) -> tuple[PauliSum, PauliSum]:
-    """flip (1 + h_a)(1 + h_b) / 4 and flip (1 - h_a)(1 + h_b) / 4, each a
-    ±1/4-weighted sum of the four strings flip, flip h_b, flip h_a and
-    flip h_a h_b."""
-    flip_a = flip * h_a
-    strings = (flip, flip * h_b, flip_a, flip_a * h_b)
-    return (PauliSum.from_terms(zip((0.25, 0.25, 0.25, 0.25), strings)),
-            PauliSum.from_terms(zip((0.25, 0.25, -0.25, -0.25), strings)))
-
-
-def excitation_ops(lat: lt.TorusLattice, link: int, kind: str) -> ExcitationOps:
-    """Build the four excitation operators for ``link`` and flavor ``kind``.
-
-    For the vertex flavor the flip is X on the link and the projectors use
-    the two vertex stabilizers sharing it; for the plaquette flavor the flip
-    is Z and the projectors use the two adjacent plaquettes.
-    """
-    n = lat.n_links
-    if not 0 <= link < n:
-        raise ValueError(f"link {link} outside 0..{n - 1}")
-    if kind == "e":
-        letter, ends, stabilizer = "X", lat.link_vertices(link), lt.vertex_stabilizer
-    elif kind == "m":
-        letter, ends, stabilizer = "Z", lat.link_plaquettes(link), lt.plaquette_stabilizer
-    else:
-        raise ValueError(f"flavor must be 'e' or 'm', got {kind!r}")
-    create, translate = _pair_ops(PauliString.single(n, link, letter),
-                                  *(stabilizer(lat, end) for end in ends))
-    return ExcitationOps(
-        link=link, kind=kind,
-        create=create, annihilate=create.adjoint(),
-        translate=translate, translate_adjoint=translate.adjoint())
-
-
-# ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
+
+# the end bits (a, b) each engineered action needs set (1), unset (0) or
+# either (-1): flip (1 -+ h_a)(1 -+ h_b) / 4 for the thermal four, and
+# flip (1 - h) / 2 on one end for the two cooling channels
+_END_BITS = {"annihilate": (1, 1), "create": (0, 0), "translate": (1, 0),
+             "translate_adj": (0, 1), "absorb_a": (1, -1), "absorb_b": (-1, 1)}
+# the labels (orbit, character) that the flip of each flavor, or each
+# depolarizing Pauli, moves: an X moves the orbit, a Z the character
+_MOVES = {"e": (True, False), "m": (False, True),
+          "X": (True, False), "Y": (True, True), "Z": (False, True)}
 
 
 @dataclass(frozen=True)
 class JumpTerm:
-    """One dissipative channel: generator term 2r O rho O† - r {O†O, rho}."""
+    """One dissipative channel O on link ``link``: generator term
+    2r O rho O† - r {O†O, rho}.
+
+    A channel of flavor ``"e"`` (vertex) or ``"m"`` (plaquette) is the link
+    flip, X or Z, times projectors on the stabilizers h_a and h_b at the
+    link's ends (``link_vertices`` or ``link_plaquettes``); ``action``
+    names them by the ends it needs excited: ``annihilate`` both, flip
+    (1 - h_a)(1 - h_b) / 4, ``create`` neither, ``translate`` a and not b,
+    ``translate_adj`` b and not a, ``absorb_a`` a, flip (1 - h_a) / 2, and
+    ``absorb_b`` b.  A depolarizing channel has no flavor, and its
+    ``action`` is the Pauli letter on the link.
+    """
 
     label: str
     rate: float
-    operator: PauliSum
+    link: int
+    action: str
+    flavor: str | None = None
 
     def __post_init__(self):
         if not (self.rate >= 0.0) or not math.isfinite(self.rate):
             raise ValueError(f"jump rate must be finite and >= 0, got {self.rate}")
+        actions = {None: ("X", "Y", "Z"), "e": _END_BITS, "m": _END_BITS}
+        if self.action not in actions.get(self.flavor, ()):
+            raise ValueError(f"no action {self.action!r} for flavor {self.flavor!r}")
 
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus a list of rate-weighted jump operators on the
-    links of a lattice.
+    """Hamiltonian plus a list of rate-weighted jump channels on the links
+    of a lattice.
 
     The label chains (:func:`_compile_generator`) are built on first use
     and cached on the model.
@@ -168,13 +138,9 @@ class LindbladModel:
 
     def __post_init__(self):
         for jt in self.jumps:
-            if jt.operator.n_qubits != self.n_qubits:
+            if not 0 <= jt.link < self.lattice.n_links:
                 raise ValueError(f"jump {jt.label!r} acts outside the register")
         object.__setattr__(self, "_generator", None)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.hamiltonian.n_qubits
 
     def pair_rate_ratio(self) -> float:
         """Exact ratio of pair-creation to pair-annihilation rates.
@@ -203,9 +169,9 @@ class LindbladModel:
         return PAIR_GAP / math.log((1.0 - self.p) / self.p)
 
     @property
-    def frame(self) -> StabilizerFrame:
-        """Stabilizer frame of the compiled generator."""
-        return _compile_generator(self).frame
+    def labels(self) -> FrameLabels:
+        """Frame labels of the compiled generator."""
+        return _compile_generator(self).labels
 
     def with_rates(self, rates: Sequence[float]) -> "LindbladModel":
         """This model with jump ``k`` at ``rates[k]``; zero-rate jumps are
@@ -213,11 +179,11 @@ class LindbladModel:
 
         The copy reweights the label chains of this model
         (:meth:`_LabelChains.reweighted`), which are linear in the rates,
-        so a rate sweep shares one frame and one pass over the strings.
+        so a rate sweep shares one set of labels and one build of the flows.
         """
         if len(rates) != len(self.jumps):
             raise ValueError(f"{len(rates)} rates for {len(self.jumps)} jumps")
-        terms = [JumpTerm(jt.label, float(r), jt.operator)
+        terms = [JumpTerm(jt.label, float(r), jt.link, jt.action, jt.flavor)
                  for jt, r in zip(self.jumps, rates)]
         keep = [k for k, jt in enumerate(terms) if jt.rate > 0.0]
         model = dataclasses.replace(self, jumps=tuple(terms[k] for k in keep))
@@ -248,15 +214,12 @@ def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
         raise ValueError("rates must be >= 0")
     jumps: list[JumpTerm] = []
     for link, kind in _pair_sites(lat):
-        ops = excitation_ops(lat, link, kind)
-        channels = (
-            (f"annihilate[{kind},{link}]", (1.0 - p) * lambda_star / 2.0, ops.annihilate),
-            (f"create[{kind},{link}]", p * lambda_star / 2.0, ops.create),
-            (f"translate[{kind},{link}]", gamma_star / 4.0, ops.translate),
-            (f"translate_adj[{kind},{link}]", gamma_star / 4.0, ops.translate_adjoint),
-        )
-        jumps.extend(JumpTerm(label, rate, op)
-                     for label, rate, op in channels if rate > 0.0)
+        channels = (("annihilate", (1.0 - p) * lambda_star / 2.0),
+                    ("create", p * lambda_star / 2.0),
+                    ("translate", gamma_star / 4.0),
+                    ("translate_adj", gamma_star / 4.0))
+        jumps.extend(JumpTerm(f"{action}[{kind},{link}]", rate, link, action, kind)
+                     for action, rate in channels if rate > 0.0)
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
         p=p, lattice=lat)
@@ -267,18 +230,15 @@ def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
 
     The combinations annihilate + translate and annihilate +
     translate_adjoint collapse to (flip)(1 - h)/2 on each adjacent
-    neighborhood; they contain no creation component, so every ground state
-    is dark.  The couplings are J = 1, so a pair costs ``PAIR_GAP``.
+    neighborhood (``absorb_a`` and ``absorb_b``); they contain no creation
+    component, so every ground state is dark.  The couplings are J = 1, so
+    a pair costs ``PAIR_GAP``.
     """
     if not lambda_star > 0.0:
         raise ValueError("lambda_star must be > 0")
-    jumps: list[JumpTerm] = []
-    for link, kind in _pair_sites(lat):
-        ops = excitation_ops(lat, link, kind)
-        jumps.append(JumpTerm(f"absorb_a[{kind},{link}]", lambda_star,
-                              ops.annihilate + ops.translate))
-        jumps.append(JumpTerm(f"absorb_b[{kind},{link}]", lambda_star,
-                              ops.annihilate + ops.translate_adjoint))
+    jumps = [JumpTerm(f"{action}[{kind},{link}]", lambda_star, link, action, kind)
+             for link, kind in _pair_sites(lat)
+             for action in ("absorb_a", "absorb_b")]
     return LindbladModel(
         hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
         p=0.0, lattice=lat)
@@ -293,17 +253,129 @@ def depolarizing_jumps(n_qubits: int, gamma: float) -> tuple[JumpTerm, ...]:
     """
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    jumps = []
-    for q in range(n_qubits):
-        for letter in "XYZ":
-            jumps.append(JumpTerm(
-                f"depolarize[{letter},{q}]", gamma / 8.0,
-                PauliSum.from_string(PauliString.single(n_qubits, q, letter))))
-    return tuple(jumps)
+    return tuple(JumpTerm(f"depolarize[{letter},{q}]", gamma / 8.0, q, letter)
+                 for q in range(n_qubits) for letter in "XYZ")
 
 
 # ---------------------------------------------------------------------------
-# stabilizer frame
+# frame labels
+# ---------------------------------------------------------------------------
+
+
+def _parity(masks: np.ndarray) -> np.ndarray:
+    """|m| mod 2 of each mask, as int64."""
+    return (np.bitwise_count(masks) & 1).astype(np.int64)
+
+
+def _masks(links: Sequence[Sequence[int]]) -> np.ndarray:
+    """The link mask of each group of links."""
+    return np.array([sum(1 << link for link in group) for group in links],
+                    dtype=np.uint64)
+
+
+class FrameLabels:
+    """The orbit and character labels of the stabilizer frame, read as the
+    syndrome bits of the lattice.
+
+    A frame state |o, t> (:class:`StabilizerFrame`) carries an orbit o, a
+    coset of the plaquette-flip group, and a character t, an index into the
+    group's elements, from the group's ``cosets``
+    (:func:`~toricsim.spectra.plaquette_cosets`).  Vertex v is excited on
+    orbit o when reps[o] meets its star an odd number of times
+    (``vertex_bits[v, o]``), and plaquette p on character t when t meets
+    e_p, the element that ``cosets.locate`` gives p's X-mask
+    (``plaquette_bits[p, t]``).  The labels are GF(2)-linear, so an X or Y
+    on link l moves every orbit o to o ^ ``link_shifts[l]``, the coset of
+    1 << l, and a Z or Y moves every character t to t ^ ``link_flips[l]``,
+    whose bit i is set when Z_l anticommutes with the group's row i.  No
+    table here spans the 2^n bitstrings, but the label chains are dense, so
+    more than ``FRAME_QUBIT_CAP`` qubits raise ``ValueError``.
+    """
+
+    def __init__(self, lat: lt.TorusLattice):
+        n = lat.n_links
+        if n > FRAME_QUBIT_CAP:
+            raise ValueError(f"{n} qubits exceeds the frame cap of {FRAME_QUBIT_CAP}")
+        self.lattice = lat
+        self.cosets = cosets = plaquette_cosets(lat)
+        self.n_orbits, self.n_char = cosets.reps.size, cosets.elements.size
+        self._rows = np.array(cosets.rows, dtype=np.uint64)
+        links = np.uint64(1) << np.arange(n, dtype=np.uint64)
+        self.link_shifts, self.link_flips = cosets.locate(links)[0], self._flips(links)
+        self.link_vertices = np.array([lat.link_vertices(link) for link in range(n)])
+        self.link_plaquettes = np.array([lat.link_plaquettes(link)
+                                         for link in range(n)])
+        plaquettes = cosets.locate(_masks(lat.plaquette_links))[1]
+        self.vertex_bits = _parity(_masks(lat.vertex_links)[:, None] & cosets.reps)
+        self.plaquette_bits = _parity(plaquettes[:, None] & np.arange(self.n_char))
+
+    def _flips(self, z: np.ndarray) -> np.ndarray:
+        """The character flip u of each Z-mask: bit i is set when the mask
+        anticommutes with the group's row i."""
+        return (_parity(z[:, None] & self._rows)
+                << np.arange(self._rows.size)).sum(axis=1)
+
+    def diagonal(self, terms: Sequence[tuple[float, PauliString]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Frame diagonal of Hermitian Pauli terms (coefficient, string) as
+        an orbit part and a character part, d(o, t) = d_e(o) + d_m(t).
+
+        A Z string that commutes with every plaquette keeps both labels and
+        reads the orbit, c i**phase (-1)**|reps[o] & z| (the identity among
+        them); an X string in the plaquette-flip group keeps both and reads
+        the character, c i**phase (-1)**|t & e| with e its element.  Each
+        part sums its terms in order, as complex values, and is returned as
+        the real part of that sum.  Any other term moves a label or reads
+        both, and raises ``ValueError``: the population sector of such an H
+        does not close on the two label chains.
+        """
+        coeffs = np.array([c * QUARTER_TURNS[s.phase_quarter] for c, s in terms])
+        x = np.array([s.x_mask for _, s in terms], dtype=np.uint64)
+        z = np.array([s.z_mask for _, s in terms], dtype=np.uint64)
+        shift, element = self.cosets.locate(x)
+        on_orbit = (x == 0) & (self._flips(z) == 0)
+        on_char = (z == 0) & (x != 0) & (shift == 0)
+        if not np.all(on_orbit | on_char):
+            raise ValueError("H is not diagonal in the stabilizer frame, so "
+                             "the population sector does not close")
+        orbit = 1 - 2 * _parity(z[on_orbit, None] & self.cosets.reps)
+        char = 1 - 2 * _parity(element[on_char, None] & np.arange(self.n_char))
+        # .real of a complex sum is a strided view, so p @ d takes BLAS's
+        # strided dot loop; the unrounded fit_residual of cool-with-noise
+        # depends on that summation order in its last digits
+        return ((coeffs[on_orbit, None] * orbit).sum(axis=0).real,
+                (coeffs[on_char, None] * char).sum(axis=0).real)
+
+    @functools.cached_property
+    def excitation_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean flipped-stabilizer weight of each frame state as an orbit
+        part and a character part, w(o, t) = w_e(o) + w_m(t): the
+        :meth:`diagonal` of the mean of (1 - h)/2 over the stabilizers,
+        whose vertex terms read the vertex bits of the orbit and whose
+        plaquette terms read the plaquette bits of the character.  A
+        frame-diagonal state with label marginals p_e and p_m has
+        excitation density p_e @ w_e + p_m @ w_m."""
+        stabilizers = lt.stabilizers(self.lattice)
+        weight = 0.5 / len(stabilizers)
+        return self.diagonal(
+            [(0.5, PauliString.identity(self.lattice.n_links))]
+            + [(-weight, stab) for stab in stabilizers])
+
+    @functools.cached_property
+    def wilson_diagonals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """:meth:`diagonal` of each Z Wilson loop, and the zero diagonal of
+        each X loop, whose X-mask lies outside the plaquette-flip group so
+        that it moves the orbit; keyed ``wilson_z_<i>`` and
+        ``wilson_x_<i>``, built on first use."""
+        zero = (np.zeros(self.n_orbits), np.zeros(self.n_char))
+        return {**{f"wilson_z_{i}": self.diagonal([(1.0, loop)])
+                   for i, loop in enumerate(lt.z_loops(self.lattice))},
+                **{f"wilson_x_{i}": zero for i in range(2)}}
+
+
+# ---------------------------------------------------------------------------
+# stabilizer frame: the Pauli-level view, a test oracle kept here because
+# perfbench/spans.py wraps StabilizerFrame.operator by name
 # ---------------------------------------------------------------------------
 
 
@@ -328,19 +400,11 @@ class FrameStrings:
     orbit: both label maps are int64 XORs, and no array spans both labels.
     """
 
-    owner: np.ndarray       # (n_strings,) index of the Pauli sum of each string
     coeffs: np.ndarray      # (n_strings,) complex coefficients
-    x: np.ndarray           # (n_strings,) X-masks
     turns: np.ndarray       # (n_strings, n_orbits) q(reps[o]) mod 4
     shift: np.ndarray       # (n_strings,) orbit map o -> o ^ shift
     element: np.ndarray     # (n_strings,) group element reached
     flips: np.ndarray       # (n_strings,) character map t -> t ^ u
-
-    @property
-    def keeps_labels(self) -> np.ndarray:
-        """Strings that keep both labels: X in the plaquette-flip group and
-        u = 0."""
-        return (self.shift == 0) & (self.flips == 0)
 
     def amplitudes(self, orbits: slice, chars: np.ndarray) -> np.ndarray:
         """amplitude(s, o, t) of every string on the orbits ``orbits`` and
@@ -351,34 +415,23 @@ class FrameStrings:
         return values[:, :, None] * signs[:, None, :]
 
 
-class StabilizerFrame:
-    """Orthonormal eigenbasis of the vertex and plaquette stabilizer group.
+class StabilizerFrame(FrameLabels):
+    """Orthonormal eigenbasis of the vertex and plaquette stabilizer group,
+    the Pauli-level view of :class:`FrameLabels`.
 
-    Basis states are labeled by an orbit o of the plaquette-flip group
-    acting on computational bitstrings and by a group character t, |o, t>
-    = sum_e (-1)**|t & e| |reps[o] ^ elements[e]> / sqrt(n_char), from the
-    group's ``cosets`` (:func:`~toricsim.spectra.plaquette_cosets`): bit i
-    of t is its sign on the group's reduced row i.  Every Pauli string
-    maps one basis state to exactly one basis state times a scalar, by an
-    XOR on each label (:meth:`strings`), so operators built from few
-    strings are sparse signed permutations here; :meth:`operator`
-    assembles the frame matrix of a Pauli sum.  No table here spans the
-    2^n bitstrings.
+    Basis states are labeled by an orbit o and a group character t, |o, t>
+    = sum_e (-1)**|t & e| |reps[o] ^ elements[e]> / sqrt(n_char): bit i of
+    t is its sign on the group's reduced row i.  Every Pauli string maps
+    one basis state to exactly one basis state times a scalar, by an XOR
+    on each label (:meth:`strings`), so operators built from few strings
+    are sparse signed permutations here; :meth:`operator` assembles the
+    frame matrix of a Pauli sum.  No table here spans the 2^n bitstrings.
     """
 
     def __init__(self, lat: lt.TorusLattice):
-        n = lat.n_links
-        if n > FRAME_QUBIT_CAP:
-            raise ValueError(f"{n} qubits exceeds the frame cap of {FRAME_QUBIT_CAP}")
-        self.lattice = lat
-        self.n_qubits = n
-        self.dim = 1 << n
-        self.cosets = plaquette_cosets(lat)
-        self.n_orbits = self.cosets.reps.size
-        self.n_char = self.cosets.elements.size
+        super().__init__(lat)
+        self.n_qubits = lat.n_links
         self.size = self.n_orbits * self.n_char
-
-    # -- Pauli strings on the two labels ----------------------------------
 
     def strings(self, ops: Sequence[PauliSum]) -> FrameStrings:
         """The action of every string of ``ops`` on the orbit and character
@@ -387,54 +440,16 @@ class StabilizerFrame:
         :func:`~toricsim.pauli.quarter_turns` (see :class:`FrameStrings`)."""
         if any(op.n_qubits != self.n_qubits for op in ops):
             raise ValueError("operator register size mismatch")
-        terms = [(k, coeff, s) for k, op in enumerate(ops)
-                 for s, coeff in op.items()]
-        x = np.array([s.x_mask for *_, s in terms], dtype=np.uint64)
-        z = np.array([s.z_mask for *_, s in terms], dtype=np.uint64)
-        # bit i of u: the string anticommutes with the group's row i
-        rows = np.array(self.cosets.rows, dtype=np.uint64)
-        anti = (np.bitwise_count(z[:, None] & rows) & 1).astype(np.int64)
+        terms = [(coeff, s) for op in ops for s, coeff in op.items()]
+        x = np.array([s.x_mask for _, s in terms], dtype=np.uint64)
+        z = np.array([s.z_mask for _, s in terms], dtype=np.uint64)
         shift, element = self.cosets.locate(x)
         return FrameStrings(
-            owner=np.array([k for k, *_ in terms], dtype=np.int64),
-            coeffs=np.array([coeff for _, coeff, _ in terms], dtype=complex),
-            x=x,
+            coeffs=np.array([coeff for coeff, _ in terms], dtype=complex),
             # the keys of a PauliSum carry no phase
             turns=quarter_turns(0, x[:, None], z[:, None], self.cosets.reps) & 3,
-            shift=shift, element=element,
-            flips=(anti << np.arange(rows.size)).sum(axis=1))
+            shift=shift, element=element, flips=self._flips(z))
 
-    def label_diagonal(self, op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-        """Real frame diagonal of a Hermitian Pauli sum as an orbit part and
-        a character part, d(o, t) = d_e(o) + d_m(t).
-
-        A string that moves either label has a zero diagonal.  One that
-        keeps both is diagonal with the value c i**q(reps[o]) (-1)**|t & e|:
-        with e = 0 it depends on the orbit alone, and with q the same on
-        every orbit representative on the character alone.  A diagonal
-        string that depends on both labels (the product of a vertex and a
-        plaquette stabilizer, say) raises ``ValueError``.
-        """
-        s = self.strings([op])
-        still = s.keeps_labels
-        on_char = still & (s.element != 0)
-        if np.any(on_char & np.any(s.turns != s.turns[:, :1], axis=1)):
-            raise ValueError("a diagonal string depends on both frame labels")
-        chars = np.arange(self.n_char)
-        on_orbit = s.amplitudes(slice(None), chars[:1])[:, :, 0]
-        on_t = s.amplitudes(slice(0, 1), chars)[:, 0]
-        return (on_orbit[still & (s.element == 0)].sum(axis=0).real,
-                on_t[on_char].sum(axis=0).real)
-
-    @functools.cached_property
-    def wilson_diagonals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """:meth:`label_diagonal` of each Z and X Wilson loop, keyed
-        ``wilson_z_<i>`` and ``wilson_x_<i>``, built on first use."""
-        loops = {"z": lt.z_loops(self.lattice), "x": lt.x_loops(self.lattice)}
-        return {f"wilson_{name}_{idx}": self.label_diagonal(PauliSum.from_string(s))
-                for name, strings in loops.items() for idx, s in enumerate(strings)}
-
-    # a test oracle, kept here because perfbench/spans.py wraps it by name
     def operator(self, op: PauliSum) -> scipy.sparse.csr_matrix:
         """Frame matrix of a Pauli sum, assembled from :meth:`strings`:
         string s puts amplitude(s, o, t) at (o ^ shift, t ^ u), (o, t)."""
@@ -471,80 +486,65 @@ def _rate_matrix(shifts: np.ndarray, flows: np.ndarray) -> np.ndarray:
     return m
 
 
+def _flows(moved: np.ndarray, needs: np.ndarray,
+           end_bits: np.ndarray) -> np.ndarray:
+    """Unit-rate flows on one label, shape (n_channels, n_states): 2 where
+    the channel moves this label and the state's ``end_bits`` (n_channels,
+    2, n_states) meet its ``needs`` (a bit of -1 meets both), 0 elsewhere."""
+    met = ((needs[:, :, None] < 0) | (end_bits == needs[:, :, None])).all(axis=1)
+    return 2.0 * (met & moved[:, None])
+
+
 @dataclass(frozen=True, eq=False)
 class _LabelChains:
-    """The population chain of a model as two label chains:
-    the orbit chain M_e on ``n_orbits`` states and the character chain M_m
-    on ``n_char`` states, built by index arithmetic on the jump strings
-    (:meth:`StabilizerFrame.strings`).
+    """The population chain of a model as two label chains: the orbit
+    chain M_e on ``n_orbits`` states and the character chain M_m on
+    ``n_char`` states, built from the link incidence (:class:`FrameLabels`).
 
-    The strings of a channel must share one map of the labels (the same
-    character flip u, and X-masks in one coset of the plaquette-flip
-    group), so that the channel is a partial permutation in the frame, or
-    ``ValueError`` names it.  A channel moves the orbit (X outside the
-    group), the character (u != 0), both, or neither.  Its rate on one
-    label must not depend on the other: for an orbit move its strings share
-    X, so |v(o, t)|^2 depends on o alone, and for a character move their
-    relative phases are the same on every orbit, so it depends on t alone;
-    a channel that breaks this raises ``ValueError``.  Each label's flow is
-    therefore read on one slice of the other, t = 0 and o = 0, and each
-    label's marginal is an autonomous chain (strong lumpability; Kemeny &
-    Snell, *Finite Markov Chains*, 1960).  When no channel moves both
-    labels the joint chain is the Kronecker sum M = M_e ⊗ 1 + 1 ⊗ M_m
-    (``kronecker_sum``); a depolarizing Y moves both.  H must keep both
-    labels, or the population sector does not close, and its frame
-    diagonal is E_e(o) + E_m(t).  The chains are linear in the rates, so a
-    rate sweep reweights the same unit flows (:meth:`reweighted`).
+    A channel's flip on link l moves the orbit by ``link_shifts[l]`` (X),
+    the character by ``link_flips[l]`` (Z), or both (Y), with amplitude of
+    modulus 1 on the states its end projectors pass and 0 elsewhere.  Its
+    unit-rate flow 2|v|^2 is therefore twice the indicator that the end
+    bits of the label it moves meet its action (:class:`JumpTerm`): the
+    vertex bits at the link's ends for the orbit, the plaquette bits for
+    the character; a depolarizing Pauli flows from every state.  The rate
+    on one label does not depend on the other, so each label's marginal is
+    an autonomous chain (strong lumpability; Kemeny & Snell, *Finite
+    Markov Chains*, 1960).  When no channel moves both labels the joint
+    chain is the Kronecker sum M = M_e ⊗ 1 + 1 ⊗ M_m (``kronecker_sum``); a
+    depolarizing Y moves both.  H must be a sum of label diagonals
+    (:meth:`FrameLabels.diagonal`), or the population sector does not
+    close, and its frame diagonal is E_e(o) + E_m(t).  The chains are
+    linear in the rates, so a rate sweep reweights the same unit flows
+    (:meth:`reweighted`).
     """
 
-    frame: StabilizerFrame
+    labels: FrameLabels
     energies: tuple[np.ndarray, np.ndarray]   # H's frame diagonal: E_e, E_m
     rates: np.ndarray           # (n_channels,)
     orbit_shifts: np.ndarray    # (n_channels,) orbit map o -> o ^ a
-    orbit_flows: np.ndarray     # (n_channels, n_orbits) 2|v(o, 0)|^2, unit rate
+    orbit_flows: np.ndarray     # (n_channels, n_orbits) 2|v(o, t)|^2, unit rate
     char_flips: np.ndarray      # (n_channels,) character map t -> t ^ u
-    char_flows: np.ndarray      # (n_channels, n_char) 2|v(0, t)|^2, unit rate
+    char_flows: np.ndarray      # (n_channels, n_char) 2|v(o, t)|^2, unit rate
 
     @classmethod
-    def build(cls, model: LindbladModel,
-              frame: StabilizerFrame) -> "_LabelChains":
-        h = model.hamiltonian.to_pauli_sum()
-        if not frame.strings([h]).keeps_labels.all():
-            raise ValueError("H is not diagonal in the stabilizer frame, so "
-                             "the population sector does not close")
-        s = frame.strings([jt.operator for jt in model.jumps])
-        lead = np.searchsorted(s.owner, s.owner)   # first string per channel
-        moves_orbit, moves_char = s.shift != 0, s.flips != 0
-        relative = (s.turns - s.turns[lead]) & 3
-        checks = (
-            ((s.shift == s.shift[lead]) & (s.flips == s.flips[lead]),
-             "is not a partial permutation in the stabilizer frame"),
-            ((~moves_orbit | (s.x == s.x[lead]))
-             & (~moves_char | np.all(relative == relative[:, :1], axis=1)),
-             "has a rate that depends on both frame labels"))
-        for ok, why in checks:
-            if not ok.all():
-                bad = model.jumps[s.owner[np.argmin(ok)]].label
-                raise ValueError(f"channel {bad!r} {why}")
-        # an orbit move is read on the slice t = 0, a character move on o = 0
-        chars = np.arange(frame.n_char)
-        slices = ((moves_orbit, s.amplitudes(slice(None), chars[:1])[:, :, 0]),
-                  (moves_char, s.amplitudes(slice(0, 1), chars)[:, 0]))
-        n = len(model.jumps)
-        flows = []
-        for moves, amplitudes in slices:
-            v = np.zeros((n, amplitudes.shape[1]), dtype=complex)
-            np.add.at(v, s.owner[moves], amplitudes[moves])
-            v[np.abs(v) < 1e-15] = 0.0
-            flows.append(2.0 * np.abs(v) ** 2)
-        orbit_shifts = np.zeros(n, dtype=np.int64)
-        orbit_shifts[s.owner] = s.shift
-        char_flips = np.zeros(n, dtype=np.int64)
-        char_flips[s.owner] = s.flips
-        return cls(frame=frame, energies=frame.label_diagonal(h),
-                   rates=np.array([jt.rate for jt in model.jumps], dtype=float),
-                   orbit_shifts=orbit_shifts, orbit_flows=flows[0],
-                   char_flips=char_flips, char_flows=flows[1])
+    def build(cls, model: LindbladModel) -> "_LabelChains":
+        labels = FrameLabels(model.lattice)
+        energies = labels.diagonal(model.hamiltonian.terms)
+        links = np.array([jt.link for jt in model.jumps], dtype=np.int64)
+        moves = np.array([_MOVES[jt.flavor or jt.action] for jt in model.jumps],
+                         dtype=bool).reshape(-1, 2)
+        needs = np.array([_END_BITS.get(jt.action, (-1, -1))
+                          for jt in model.jumps], dtype=np.int64).reshape(-1, 2)
+        return cls(
+            labels=labels, energies=energies,
+            rates=np.array([jt.rate for jt in model.jumps], dtype=float),
+            orbit_shifts=np.where(moves[:, 0], labels.link_shifts[links], 0),
+            orbit_flows=_flows(moves[:, 0], needs, labels.vertex_bits[
+                labels.link_vertices[links]]),
+            char_flips=np.where(moves[:, 1], labels.link_flips[links], 0),
+            char_flows=_flows(moves[:, 1], needs, labels.plaquette_bits[
+                labels.link_plaquettes[links]]))
 
     def reweighted(self, keep: Sequence[int],
                    rates: Sequence[float]) -> "_LabelChains":
@@ -571,16 +571,15 @@ class _LabelChains:
 
     @property
     def counters(self) -> dict:
-        return {"engine": "label-chains", "orbit_states": self.frame.n_orbits,
-                "char_states": self.frame.n_char,
+        return {"engine": "label-chains", "orbit_states": self.labels.n_orbits,
+                "char_states": self.labels.n_char,
                 "kronecker_sum": self.kronecker_sum}
 
 
 def _compile_generator(model: LindbladModel) -> _LabelChains:
     """Label chains of a model, built once per model and cached on it."""
     if model._generator is None:
-        object.__setattr__(model, "_generator", _LabelChains.build(
-            model, StabilizerFrame(model.lattice)))
+        object.__setattr__(model, "_generator", _LabelChains.build(model))
     return model._generator
 
 
@@ -604,16 +603,16 @@ def _check_trace_and_floor(defect: float, low: float, trace_tol: float,
             f"eigenvalue {low:.3e} below floor {eig_floor:.1e}{where}")
 
 
-def _start_marginals(frame: StabilizerFrame, start) -> list[np.ndarray]:
+def _start_marginals(labels: FrameLabels, start) -> list[np.ndarray]:
     """The label marginals ``start`` = (p_e, p_m), two real vectors each
     checked like a density matrix's spectrum."""
     if isinstance(start, np.ndarray) or len(start) != 2:
         raise ValueError(
             f"the start must be the two label marginals (p_e, p_m), of "
-            f"{frame.n_orbits} orbit and {frame.n_char} character populations")
+            f"{labels.n_orbits} orbit and {labels.n_char} character populations")
     out = []
     for name, p, n in zip(("p_e", "p_m"), start,
-                          (frame.n_orbits, frame.n_char)):
+                          (labels.n_orbits, labels.n_char)):
         p = np.asarray(p)
         if p.shape != (n,):
             raise ValueError(f"{name} must hold {n} populations, not an "
@@ -649,7 +648,7 @@ class EvolutionResult:
     trace_defects: np.ndarray
     min_eigenvalues: np.ndarray
     kronecker_sum: bool
-    frame: StabilizerFrame = field(repr=False, compare=False)
+    labels: FrameLabels = field(repr=False, compare=False)
     counters: dict = field(default_factory=dict)  # engine, sizes, evaluations
 
     @property
@@ -666,7 +665,7 @@ def evolve(model: LindbladModel, start: Sequence[np.ndarray],
     it at ``times``, a non-empty ascending grid from t >= 0.
 
     ``start`` is the two label marginals (p_e, p_m), real vectors of
-    ``frame.n_orbits`` and ``frame.n_char`` entries; any other input, frame
+    ``labels.n_orbits`` and ``labels.n_char`` entries; any other input, frame
     populations or a dense density matrix included, raises ``ValueError``.
     Each marginal evolves exactly by its own label chain
     (:class:`_LabelChains`, strong lumpability), with one
@@ -683,7 +682,7 @@ def evolve(model: LindbladModel, start: Sequence[np.ndarray],
     smallest eigenvalue is the smallest marginal population.
     """
     gen = _compile_generator(model)
-    p_e, p_m = _start_marginals(gen.frame, start)
+    p_e, p_m = _start_marginals(gen.labels, start)
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("sample times must ascend from t >= 0")
@@ -700,7 +699,7 @@ def evolve(model: LindbladModel, start: Sequence[np.ndarray],
                            char_populations=char,
                            trace_defects=trace_defects,
                            min_eigenvalues=min_eigs,
-                           kronecker_sum=gen.kronecker_sum, frame=gen.frame,
+                           kronecker_sum=gen.kronecker_sum, labels=gen.labels,
                            counters={**gen.counters,
                                      "propagator_evaluations": n_props})
 
@@ -782,7 +781,7 @@ class StationaryResult:
     orbit_energies: np.ndarray
     char_energies: np.ndarray
     kronecker_sum: bool
-    frame: StabilizerFrame = field(repr=False, compare=False)
+    labels: FrameLabels = field(repr=False, compare=False)
     counters: dict = field(default_factory=dict)  # engine and sizes
 
     @property
@@ -849,7 +848,7 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     frame-diagonal, and so is every Gibbs state: for a Kronecker sum the
     Gibbs distance is ½‖π_e ⊗ π_m − w‖₁ with w the Gibbs weights of the
     frame energies.  Each Wilson loop is label-additive, π_e @ d_e +
-    π_m @ d_m (:attr:`StabilizerFrame.wilson_diagonals`).  No dense state is
+    π_m @ d_m (:attr:`FrameLabels.wilson_diagonals`).  No dense state is
     built.  ``counters`` names the engine (``label-chains``) with both
     chain sizes and null dimensions.
     """
@@ -859,7 +858,7 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     pi_e, pi_m = (np.mean(d, axis=0) for d in dists)
     null_e, null_m = (len(d) for d in dists)
     loops = {name: float(pi_e @ d_e + pi_m @ d_m)
-             for name, (d_e, d_m) in gen.frame.wilson_diagonals.items()}
+             for name, (d_e, d_m) in gen.labels.wilson_diagonals.items()}
     temperature_db = (None if model.p is None
                       else model.detailed_balance_temperature())
     res = StationaryResult(
@@ -871,7 +870,7 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
         loop_expectations=loops,
         orbit_populations=pi_e, char_populations=pi_m,
         orbit_energies=gen.energies[0], char_energies=gen.energies[1],
-        kronecker_sum=gen.kronecker_sum, frame=gen.frame,
+        kronecker_sum=gen.kronecker_sum, labels=gen.labels,
         counters={**gen.counters,
                   "orbit_null_dim": null_e, "char_null_dim": null_m,
                   "null_dim": null_e * null_m})
@@ -1018,6 +1017,18 @@ class EliminationReport:
     model_residuals: dict[str, float]
     favored_model: str
     prefactor: float
+
+
+def _pair_ops(flip: PauliString, h_a: PauliString,
+              h_b: PauliString) -> tuple[PauliSum, PauliSum]:
+    """flip (1 + h_a)(1 + h_b) / 4 and flip (1 - h_a)(1 + h_b) / 4, each a
+    ±1/4-weighted sum of the four strings flip, flip h_b, flip h_a and
+    flip h_a h_b: the pair-creation and translation operators of a link
+    whose flip and end stabilizers are given."""
+    flip_a = flip * h_a
+    strings = (flip, flip * h_b, flip_a, flip_a * h_b)
+    return (PauliSum.from_terms(zip((0.25, 0.25, 0.25, 0.25), strings)),
+            PauliSum.from_terms(zip((0.25, 0.25, -0.25, -0.25), strings)))
 
 
 def _lowering(n: int, qubit: int) -> PauliSum:

@@ -275,10 +275,6 @@ class PauliSum:
         return cls(acc, n_qubits=n_qubits)
 
     @classmethod
-    def from_string(cls, string: PauliString) -> "PauliSum":
-        return cls({string: 1.0})
-
-    @classmethod
     def from_labels(cls, n_qubits: int, labels: Mapping[str, complex]) -> "PauliSum":
         return cls({PauliString.from_label(l): c for l, c in labels.items()},
                    n_qubits=n_qubits)

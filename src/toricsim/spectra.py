@@ -68,7 +68,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from . import lattice as lt
-from .pauli import QUARTER_TURNS, PauliString, PauliSum
+from .pauli import QUARTER_TURNS, PauliString
 
 DENSE_DIM_CAP = 4096
 # rows per vectorized pass of a block build: a pass's rows x terms
@@ -631,9 +631,6 @@ class SparseHamiltonian:
         for coeff, s in self.terms:
             h += coeff * s.to_dense()
         return h
-
-    def to_pauli_sum(self) -> PauliSum:
-        return PauliSum.from_terms((c, s) for c, s in self.terms)
 
 
 def chi_pair_terms(lat: lt.TorusLattice) -> list[tuple[int, int]]:

@@ -18,6 +18,15 @@ sectors per pass.
 ``trotter_error`` measures the serial composition of two pulse sequences
 with three matrix logarithms of their dense unitaries.
 
+The Pauli-level bath is the oracle of the label chains, which
+``toricsim.lindblad`` builds from the link incidence.  ``excitation_ops``
+gives each link's pair operators as ±¼-weighted sums of Pauli strings,
+``channel_operator`` the Pauli sum of a bath channel, and ``string_chains``
+the label chains built from those strings, each carried into the frame
+with ``StabilizerFrame.strings``; ``label_diagonal``,
+``wilson_diagonals`` and ``excitation_weights`` read label diagonals the
+same way.
+
 ``superoperator`` assembles a whole vectorized Lindblad generator as a
 sparse matrix, and ``reachable`` finds the entries a start reaches under
 it: the oracle of the adiabatic-elimination probe, which builds only the
@@ -33,6 +42,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from toricsim import lattice as lt
 from toricsim import lindblad as lb
 from toricsim import sequences as sq
 from toricsim import spectra as sp
@@ -42,24 +52,26 @@ FRAME_DIAGONAL_TOL = 1e-12   # largest off-diagonal frame norm of a dense start
 
 
 @functools.cache
-def basis(frame: lb.StabilizerFrame) -> np.ndarray:
+def basis(frame: lb.FrameLabels) -> np.ndarray:
     """Real orthogonal matrix whose columns are the frame states, |o, t>
-    = sum_e (-1)**|t & e| |reps[o] ^ elements[e]> / sqrt(n_char)."""
+    = sum_e (-1)**|t & e| |reps[o] ^ elements[e]> / sqrt(n_char), of the
+    labels of a result or of a ``StabilizerFrame``."""
     norm = 1.0 / math.sqrt(frame.n_char)
     chars = np.arange(frame.n_char)
     rows = frame.cosets.reps[:, None, None] ^ frame.cosets.elements[:, None]
-    cols = np.arange(frame.size).reshape(frame.n_orbits, 1, frame.n_char)
-    out = np.zeros((frame.dim, frame.size))
+    size = frame.n_orbits * frame.n_char
+    cols = np.arange(size).reshape(frame.n_orbits, 1, frame.n_char)
+    out = np.zeros((1 << frame.cosets.n_bits, size))
     out[rows, cols] = norm * lb._char_sign(chars[:, None], chars)
     return out
 
 
-def to_frame(frame: lb.StabilizerFrame, rho: np.ndarray) -> np.ndarray:
+def to_frame(frame: lb.FrameLabels, rho: np.ndarray) -> np.ndarray:
     b = basis(frame)
     return b.T @ rho @ b
 
 
-def from_frame(frame: lb.StabilizerFrame, rho_f: np.ndarray) -> np.ndarray:
+def from_frame(frame: lb.FrameLabels, rho_f: np.ndarray) -> np.ndarray:
     b = basis(frame)
     return b @ rho_f @ b.T
 
@@ -76,7 +88,7 @@ def validate_density_matrix(rho: np.ndarray, trace_tol: float = 1e-9,
                               trace_tol, eig_floor)
 
 
-def start_populations(frame: lb.StabilizerFrame,
+def start_populations(frame: lb.FrameLabels,
                       rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label marginals (p_e, p_m) of a dense start.  Its frame diagonal is
     that of a validated density matrix, which must have no frame
@@ -96,7 +108,7 @@ def start_populations(frame: lb.StabilizerFrame,
 
 def stationary_rho(res: lb.StationaryResult) -> np.ndarray:
     """Dense stationary density matrix, Hermitian with unit trace."""
-    rho = from_frame(res.frame, np.diag(res.populations.astype(complex)))
+    rho = from_frame(res.labels, np.diag(res.populations.astype(complex)))
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return rho
@@ -104,8 +116,187 @@ def stationary_rho(res: lb.StationaryResult) -> np.ndarray:
 
 def evolution_states(out: lb.EvolutionResult) -> np.ndarray:
     """Dense states, shape (n_times, dim, dim)."""
-    b = basis(out.frame)
+    b = basis(out.labels)
     return np.stack([(b * p) @ b.T for p in out.populations])
+
+
+# ---------------------------------------------------------------------------
+# the Pauli-level bath
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class ExcitationOps:
+    """Pair-creation and translation operators for one link and flavor.
+
+    ``create`` flips the two stabilizers adjacent to the link when both are
+    unexcited; ``translate`` moves an excitation from the first adjacent
+    neighborhood to the second.  All four operators are quarter-weight
+    products of the link flip with stabilizer projectors.
+    """
+
+    link: int
+    kind: str                      # "e" (vertex flavor) or "m" (plaquette)
+    create: PauliSum               # flip * (1 + h_a)(1 + h_b) / 4
+    annihilate: PauliSum           # adjoint of create
+    translate: PauliSum            # flip * (1 - h_a)(1 + h_b) / 4
+    translate_adjoint: PauliSum
+
+
+def excitation_ops(lat, link: int, kind: str) -> ExcitationOps:
+    """The four excitation operators for ``link`` and flavor ``kind``.
+
+    For the vertex flavor the flip is X on the link and the projectors use
+    the two vertex stabilizers sharing it; for the plaquette flavor the flip
+    is Z and the projectors use the two adjacent plaquettes.
+    """
+    n = lat.n_links
+    if not 0 <= link < n:
+        raise ValueError(f"link {link} outside 0..{n - 1}")
+    if kind == "e":
+        letter, ends, stabilizer = "X", lat.link_vertices(link), lt.vertex_stabilizer
+    elif kind == "m":
+        letter, ends, stabilizer = "Z", lat.link_plaquettes(link), lt.plaquette_stabilizer
+    else:
+        raise ValueError(f"flavor must be 'e' or 'm', got {kind!r}")
+    create, translate = lb._pair_ops(PauliString.single(n, link, letter),
+                                     *(stabilizer(lat, end) for end in ends))
+    return ExcitationOps(
+        link=link, kind=kind,
+        create=create, annihilate=create.adjoint(),
+        translate=translate, translate_adjoint=translate.adjoint())
+
+
+def channel_operator(lat, jt: lb.JumpTerm) -> PauliSum:
+    """The Pauli sum of a bath channel: its Pauli on its link, or its
+    flavor's excitation operator, absorb_a and absorb_b being annihilate
+    plus translate and plus its adjoint."""
+    if jt.flavor is None:
+        return PauliSum({PauliString.single(lat.n_links, jt.link,
+                                            jt.action): 1.0})
+    ops = excitation_ops(lat, jt.link, jt.flavor)
+    return {"annihilate": ops.annihilate, "create": ops.create,
+            "translate": ops.translate,
+            "translate_adj": ops.translate_adjoint,
+            "absorb_a": ops.annihilate + ops.translate,
+            "absorb_b": ops.annihilate + ops.translate_adjoint}[jt.action]
+
+
+def label_diagonal(frame: lb.StabilizerFrame,
+                   op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Real frame diagonal of a Hermitian Pauli sum as an orbit part and a
+    character part, d(o, t) = d_e(o) + d_m(t).
+
+    A string that moves either label has a zero diagonal.  One that keeps
+    both is diagonal with the value c i**q(reps[o]) (-1)**|t & e|: with
+    e = 0 it depends on the orbit alone, and with q the same on every
+    orbit representative on the character alone.  A diagonal string that
+    depends on both labels (the product of a vertex and a plaquette
+    stabilizer, say) raises ``ValueError``.
+    """
+    s = frame.strings([op])
+    still = (s.shift == 0) & (s.flips == 0)
+    on_char = still & (s.element != 0)
+    if np.any(on_char & np.any(s.turns != s.turns[:, :1], axis=1)):
+        raise ValueError("a diagonal string depends on both frame labels")
+    chars = np.arange(frame.n_char)
+    on_orbit = s.amplitudes(slice(None), chars[:1])[:, :, 0]
+    on_t = s.amplitudes(slice(0, 1), chars)[:, 0]
+    return (on_orbit[still & (s.element == 0)].sum(axis=0).real,
+            on_t[on_char].sum(axis=0).real)
+
+
+def wilson_diagonals(frame: lb.StabilizerFrame) -> dict:
+    """:func:`label_diagonal` of each Z and X Wilson loop, keyed
+    ``wilson_z_<i>`` and ``wilson_x_<i>``."""
+    loops = {"z": lt.z_loops(frame.lattice), "x": lt.x_loops(frame.lattice)}
+    return {f"wilson_{name}_{idx}": label_diagonal(frame, PauliSum({s: 1.0}))
+            for name, strings in loops.items() for idx, s in enumerate(strings)}
+
+
+def excitation_weights(frame: lb.StabilizerFrame) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`label_diagonal` of the mean of (1 - h)/2 over the
+    stabilizers."""
+    stabs = lt.stabilizers(frame.lattice)
+    weight = 0.5 / len(stabs)
+    return label_diagonal(frame, PauliSum.from_terms(
+        [(0.5, PauliString.identity(frame.n_qubits))]
+        + [(-weight, stab) for stab in stabs], n_qubits=frame.n_qubits))
+
+
+@dataclasses.dataclass(frozen=True)
+class StringChains:
+    """Unit-rate label chains built from Pauli strings: the fields of the
+    same name on ``lindblad._LabelChains``."""
+
+    energies: tuple[np.ndarray, np.ndarray]
+    orbit_shifts: np.ndarray
+    orbit_flows: np.ndarray
+    char_flips: np.ndarray
+    char_flows: np.ndarray
+
+
+def string_chains(frame: lb.StabilizerFrame, h: PauliSum,
+                  channels) -> StringChains:
+    """The label chains of ``h`` and ``(label, Pauli sum)`` channels, each
+    string carried into the frame (:meth:`StabilizerFrame.strings`).
+
+    The strings of a channel must share one map of the labels (the same
+    character flip u, and X-masks in one coset of the plaquette-flip
+    group), so that the channel is a partial permutation in the frame, or
+    ``ValueError`` names it.  Its rate on one label must not depend on the
+    other: for an orbit move its strings share X, and for a character move
+    their relative phases are the same on every orbit; a channel that
+    breaks this raises ``ValueError``.  Each label's flow is read on one
+    slice of the other, t = 0 and o = 0.  H must keep both labels.
+    """
+    hs = frame.strings([h])
+    if not np.all((hs.shift == 0) & (hs.flips == 0)):
+        raise ValueError("H is not diagonal in the stabilizer frame, so "
+                         "the population sector does not close")
+    labels = [label for label, _ in channels]
+    s = frame.strings([op for _, op in channels])
+    owner = np.array([k for k, (_, op) in enumerate(channels) for _ in op],
+                     dtype=np.int64)
+    x = np.array([string.x_mask for _, op in channels for string in op],
+                 dtype=np.uint64)
+    lead = np.searchsorted(owner, owner)   # first string per channel
+    moves_orbit, moves_char = s.shift != 0, s.flips != 0
+    relative = (s.turns - s.turns[lead]) & 3
+    checks = (
+        ((s.shift == s.shift[lead]) & (s.flips == s.flips[lead]),
+         "is not a partial permutation in the stabilizer frame"),
+        ((~moves_orbit | (x == x[lead]))
+         & (~moves_char | np.all(relative == relative[:, :1], axis=1)),
+         "has a rate that depends on both frame labels"))
+    for ok, why in checks:
+        if not ok.all():
+            raise ValueError(f"channel {labels[owner[np.argmin(ok)]]!r} {why}")
+    chars = np.arange(frame.n_char)
+    slices = ((moves_orbit, s.amplitudes(slice(None), chars[:1])[:, :, 0]),
+              (moves_char, s.amplitudes(slice(0, 1), chars)[:, 0]))
+    n = len(channels)
+    flows = []
+    for moves, amplitudes in slices:
+        v = np.zeros((n, amplitudes.shape[1]), dtype=complex)
+        np.add.at(v, owner[moves], amplitudes[moves])
+        v[np.abs(v) < 1e-15] = 0.0
+        flows.append(2.0 * np.abs(v) ** 2)
+    orbit_shifts = np.zeros(n, dtype=np.int64)
+    orbit_shifts[owner] = s.shift
+    char_flips = np.zeros(n, dtype=np.int64)
+    char_flips[owner] = s.flips
+    return StringChains(energies=label_diagonal(frame, h),
+                        orbit_shifts=orbit_shifts, orbit_flows=flows[0],
+                        char_flips=char_flips, char_flows=flows[1])
+
+
+def model_chains(model: lb.LindbladModel) -> StringChains:
+    """:func:`string_chains` of a model's H and channel operators."""
+    return string_chains(
+        lb.StabilizerFrame(model.lattice),
+        PauliSum.from_terms(model.hamiltonian.terms),
+        [(jt.label, channel_operator(model.lattice, jt)) for jt in model.jumps])
 
 
 def eigenvectors(h: sp.SparseHamiltonian, res: sp.SpectrumResult) -> np.ndarray:

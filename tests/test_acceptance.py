@@ -179,12 +179,14 @@ def test_criterion_09_dark_state_cooling():
     lat = lt.build(2)
     model = lb.thermal_jump_set(lat, p=0.0, lambda_star=1.0, gamma_star=0.5)
     ground = oracles.reference_states(lat)
-    worst = max(np.linalg.norm(term.operator.apply(ground[:, s]))
+    worst = max(np.linalg.norm(
+                    oracles.channel_operator(lat, term).apply(ground[:, s]))
                 for term in model.jumps for s in range(4))
-    psi = lb.excitation_ops(lat, 0, "e").create.apply(ground[:, 0])
+    psi = oracles.excitation_ops(lat, 0, "e").create.apply(ground[:, 0])
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
-    result = lb.evolve(model, oracles.start_populations(model.frame, rho0),
+    frame = lb.StabilizerFrame(lat)
+    result = lb.evolve(model, oracles.start_populations(frame, rho0),
                        (0.0, 7.5, 15.0))
     density = hn.excitation_density(oracles.evolution_states(result)[-1], lat)
     ok = worst < 1e-12 and density < 1e-6

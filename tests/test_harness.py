@@ -29,7 +29,7 @@ from toricsim import lattice as lt
 from toricsim import lindblad as lb
 from toricsim import sequences as sq
 from toricsim import spectra as sp
-from toricsim.pauli import PauliString
+from toricsim.pauli import PauliString, PauliSum
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CHI_GRID = (-0.4, -0.2, 0.0, 0.2, 0.4)
@@ -215,6 +215,9 @@ UNCALLED = {
         "harness.describe_defaults"),
     "called by the traced harness.excitation_density": (
         "pauli.PauliString.expectation",),
+    "called by the traced StabilizerFrame.operator, the Pauli-level frame "
+    "that the bath's label chains are checked against": (
+        "lindblad.StabilizerFrame.strings", "lindblad.FrameStrings.amplitudes"),
     "called by acceptance criteria 01, 04, 08, 09, 13 and 14": (
         "pauli.commutator", "pauli.PauliString.commutes_with",
         "pauli.PauliSum.zero", "pauli.PauliSum.from_labels",
@@ -524,27 +527,30 @@ class TestScenarioRuns:
 
     def test_dissipation_makes_no_frame_transport(self, tmp_path,
                                                   monkeypatch):
-        # the label chains are index arithmetic on the jump strings: no
-        # operator is carried into the frame, one frame serves each
-        # scenario, and the cooling sweep reweights one build of the chains
-        def transport(*args):
-            raise AssertionError("operator carried into the frame")
+        # the label chains are built from the link incidence: the bath
+        # scenarios build no Pauli sum and use no stabilizer frame, one
+        # build of the chains serves each scenario, and the cooling sweep
+        # reweights it
+        pauli_sums, frames, builds = [], [], []
 
-        frames, builds = [], []
-        init, build = lb.StabilizerFrame.__init__, lb._LabelChains.build
-        monkeypatch.setattr(lb.StabilizerFrame, "operator", transport)
-        monkeypatch.setattr(lb.StabilizerFrame, "__init__",
-                            lambda f, lat: frames.append(1) or init(f, lat))
+        def counted(calls, fn):
+            return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(PauliSum, "__init__",
+                            counted(pauli_sums, PauliSum.__init__))
+        for name in ("__init__", "strings", "operator"):
+            monkeypatch.setattr(lb.StabilizerFrame, name, counted(
+                frames, getattr(lb.StabilizerFrame, name)))
         monkeypatch.setattr(lb._LabelChains, "build",
-                            lambda *a: builds.append(1) or build(*a))
+                            counted(builds, lb._LabelChains.build))
         for kind in ("thermalize", "cool-with-noise"):
             record = hn.run(hn.ScenarioConfig(kind=kind,
                                               outdir=str(tmp_path)))
             assert record.ok, record.summary_lines()
-        assert len(frames) == len(builds) == 2
+        assert (len(pauli_sums), len(frames), len(builds)) == (0, 0, 2)
         sweep = hn.cool_with_noise(hn.ScenarioConfig(kind="cool-with-noise"))
         assert len(sweep.points) == 4
-        assert len(frames) == len(builds) == 3
+        assert (len(pauli_sums), len(frames), len(builds)) == (0, 0, 3)
 
     def test_dissipation_builds_no_dense_state(self, tmp_path, monkeypatch):
         # the scenarios read populations only: the stationary solve and

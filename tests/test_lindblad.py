@@ -75,19 +75,20 @@ class _DenseGenerator:
     @classmethod
     def of(cls, model: lb.LindbladModel) -> "_DenseGenerator":
         return cls(model.hamiltonian.to_dense(),
-                   [(jt.rate, jt.operator.to_dense()) for jt in model.jumps])
+                   [(jt.rate, oracles.channel_operator(LAT, jt).to_dense())
+                    for jt in model.jumps])
 
 
 def _joint_chain(model: lb.LindbladModel) -> np.ndarray:
     """The oracle: the 256-state population chain, m[r, c] the rate c -> r,
-    from H and every channel carried into the frame with
+    from H and every channel's Pauli sum carried into the frame with
     ``StabilizerFrame.operator``.  H is frame-diagonal and every channel a
     partial permutation there, so the frame populations close."""
-    h = FRAME.operator(model.hamiltonian.to_pauli_sum())
+    h = FRAME.operator(PauliSum.from_terms(model.hamiltonian.terms))
     assert np.abs((h - scipy.sparse.diags(h.diagonal())).toarray()).max() < 1e-12
     m = np.zeros((DIM, DIM))
     for jt in model.jumps:
-        c = FRAME.operator(jt.operator).tocoo()
+        c = FRAME.operator(oracles.channel_operator(LAT, jt)).tocoo()
         assert np.unique(c.row).size == np.unique(c.col).size == c.nnz
         flows = 2.0 * jt.rate * np.abs(c.data) ** 2
         np.add.at(m, (c.row, c.col), flows)
@@ -113,7 +114,7 @@ def _null_vector(m: np.ndarray) -> np.ndarray:
 def test_excitation_ops_match_projector_oracle():
     eye = np.eye(DIM)
     for link, kind in [(0, "e"), (3, "e"), (5, "m"), (6, "m")]:
-        ops = lb.excitation_ops(LAT, link, kind)
+        ops = oracles.excitation_ops(LAT, link, kind)
         if kind == "e":
             flip = PauliString.single(LAT.n_links, link, "X").to_dense()
             a, b = LAT.link_vertices(link)
@@ -135,19 +136,19 @@ def test_excitation_ops_match_projector_oracle():
                                    translate.conj().T, atol=1e-14)
         assert len(ops.create) == 4 and len(ops.translate) == 4
     with pytest.raises(ValueError):
-        lb.excitation_ops(LAT, LAT.n_links, "e")
+        oracles.excitation_ops(LAT, LAT.n_links, "e")
     with pytest.raises(ValueError):
-        lb.excitation_ops(LAT, 0, "q")
+        oracles.excitation_ops(LAT, 0, "q")
 
 
 def test_pair_creation_squares_to_zero():
     for link, kind in [(0, "e"), (5, "m")]:
-        create = lb.excitation_ops(LAT, link, kind).create
+        create = oracles.excitation_ops(LAT, link, kind).create
         assert create.product(create).l2_norm() < 1e-14
 
 
 def test_pair_creation_lifts_ground_states_by_gap():
-    cd = lb.excitation_ops(LAT, 0, "e").create.to_dense()
+    cd = oracles.excitation_ops(LAT, 0, "e").create.to_dense()
     for k in range(4):
         v = cd @ GROUND[:, k]
         norm = np.linalg.norm(v)
@@ -160,7 +161,7 @@ def test_pair_creation_lifts_ground_states_by_gap():
 
 
 def test_translation_idles_on_ground_and_moves_excitations():
-    ops0 = lb.excitation_ops(LAT, 0, "e")
+    ops0 = oracles.excitation_ops(LAT, 0, "e")
     for k in range(4):
         gs = GROUND[:, k]
         assert np.linalg.norm(ops0.translate.to_dense() @ gs) < 1e-13
@@ -171,7 +172,8 @@ def test_translation_idles_on_ground_and_moves_excitations():
     mover = LAT.v_index(0, 0)
     assert LAT.link_vertices(mover)[0] == 0
     excited = ops0.create.to_dense() @ GROUND[:, 0]
-    moved = lb.excitation_ops(LAT, mover, "e").translate.to_dense() @ excited
+    translate = oracles.excitation_ops(LAT, mover, "e").translate
+    moved = translate.to_dense() @ excited
     assert np.linalg.norm(moved) == pytest.approx(1.0, abs=1e-12)
     energy = float(np.real(moved.conj() @ H_DENSE @ moved))
     assert energy == pytest.approx(ENERGIES[0] + GAP, abs=1e-10)
@@ -185,10 +187,10 @@ def test_wilson_loop_commutation_pairing():
     def comm(a, b):
         return (a.product(b) - b.product(a)).l2_norm()
 
-    x_loops = [PauliSum.from_string(s) for s in lt.x_loops(LAT)]
-    z_loops = [PauliSum.from_string(s) for s in lt.z_loops(LAT)]
-    ops_e = lb.excitation_ops(LAT, 0, "e")
-    ops_m = lb.excitation_ops(LAT, 0, "m")
+    x_loops = [PauliSum({s: 1.0}) for s in lt.x_loops(LAT)]
+    z_loops = [PauliSum({s: 1.0}) for s in lt.z_loops(LAT)]
+    ops_e = oracles.excitation_ops(LAT, 0, "e")
+    ops_m = oracles.excitation_ops(LAT, 0, "m")
     for loop in x_loops:
         assert comm(ops_e.create, loop) < 1e-14
         assert comm(ops_e.translate, loop) < 1e-14
@@ -248,8 +250,9 @@ def test_cooling_set_is_dark_on_ground_states():
     model = lb.cooling_jump_set(LAT, lambda_star=1.0)
     assert len(model.jumps) == 2 * 2 * LAT.n_links
     for jt in model.jumps:
-        assert len(jt.operator) == 2  # half-weight flip times one projector
-        dense = jt.operator.to_dense()
+        op = oracles.channel_operator(LAT, jt)
+        assert len(op) == 2  # half-weight flip times one projector
+        dense = op.to_dense()
         for k in range(4):
             assert np.linalg.norm(dense @ GROUND[:, k]) < 1e-13
     with pytest.raises(ValueError):
@@ -269,11 +272,13 @@ def test_cooling_matches_thermal_ground_pump_limit():
 
 def test_depolarizing_bloch_decay():
     jumps = lb.depolarizing_jumps(1, gamma=0.7)
-    assert len(jumps) == 3
+    assert [(jt.link, jt.action, jt.flavor) for jt in jumps] == [
+        (0, "X", None), (0, "Y", None), (0, "Z", None)]
     # the generator fixes I/2, the Gibbs state of H = 0, and relaxes every
     # Bloch component at exactly gamma
-    dense = _DenseGenerator(np.zeros((2, 2), dtype=complex),
-                            [(jt.rate, jt.operator.to_dense()) for jt in jumps])
+    dense = _DenseGenerator(np.zeros((2, 2), dtype=complex), [
+        (jt.rate, PauliString.single(1, jt.link, jt.action).to_dense())
+        for jt in jumps])
     np.testing.assert_allclose(dense.apply(np.eye(2) / 2.0), 0.0,
                                rtol=0, atol=1e-15)
     for letter in "XYZ":
@@ -300,9 +305,9 @@ def test_frame_operator_matches_dense_conjugation():
     rng_sum = PauliSum.from_labels(8, {"XYIZIIXZ": 0.3 + 0.2j,
                                        "ZZIIYYII": -1.1,
                                        "IIIIIIIX": 0.5j})
-    candidates = [build_hamiltonian(LAT).to_pauli_sum(),
-                  lb.excitation_ops(LAT, 2, "e").create,
-                  lb.excitation_ops(LAT, 7, "m").translate,
+    candidates = [PauliSum.from_terms(build_hamiltonian(LAT).terms),
+                  oracles.excitation_ops(LAT, 2, "e").create,
+                  oracles.excitation_ops(LAT, 7, "m").translate,
                   rng_sum]
     for op in candidates:
         target = basis.T @ op.to_dense() @ basis
@@ -334,7 +339,8 @@ def test_frame_operator_is_dense_conjugation(op):
 
 def test_frame_diagonalizes_hamiltonian():
     frame = lb.StabilizerFrame(LAT)
-    h_frame = frame.operator(build_hamiltonian(LAT).to_pauli_sum()).toarray()
+    h_frame = frame.operator(
+        PauliSum.from_terms(build_hamiltonian(LAT).terms)).toarray()
     off = h_frame - np.diag(np.diag(h_frame))
     assert np.abs(off).max() < 1e-12
     np.testing.assert_allclose(np.sort(np.real(np.diag(h_frame))), ENERGIES,
@@ -358,35 +364,40 @@ def test_unperturbed_sectors_are_the_frame_orbits(size, shape, h_z):
 
 def test_frame_build_holds_no_table_over_the_states():
     lat = lt.build(3)
-    tracemalloc.start()
-    try:
-        frame = lb.StabilizerFrame(lat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # two label tables over the 2^18 states took 4 MiB
-    assert peak < 2 ** 20
-    assert not hasattr(frame, "orbit_of") and not hasattr(frame, "element_of")
+    for build in (lb.StabilizerFrame, lb.FrameLabels):
+        tracemalloc.start()
+        try:
+            frame = build(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two label tables over the 2^18 states took 4 MiB
+        assert peak < 2 ** 20
+        assert not hasattr(frame, "orbit_of")
+        assert not hasattr(frame, "element_of")
 
 
 def test_frame_cap_refuses_l4():
     # L = 3 has 18 qubits; the dense label chains of L = 4 (32 qubits)
     # would be 2^17 x 2^17
+    for build in (lb.StabilizerFrame, lb.FrameLabels):
+        with pytest.raises(ValueError, match="frame cap of 18"):
+            build(lt.build(4))
     with pytest.raises(ValueError, match="frame cap of 18"):
-        lb.StabilizerFrame(lt.build(4))
+        lb.stationary_state(lb.cooling_jump_set(lt.build(4), lambda_star=1.0))
 
 
 def test_label_diagonal_matches_frame_operator():
-    stabs = [PauliSum.from_string(s) for s in hn._stabilizers(LAT)]
-    loops = [PauliSum.from_string(s) for s in lt.z_loops(LAT) + lt.x_loops(LAT)]
-    for op in [build_hamiltonian(LAT).to_pauli_sum(), *stabs, *loops,
-               lb.excitation_ops(LAT, 3, "e").create]:
-        d_e, d_m = FRAME.label_diagonal(op)
+    stabs = [PauliSum({s: 1.0}) for s in lt.stabilizers(LAT)]
+    loops = [PauliSum({s: 1.0}) for s in lt.z_loops(LAT) + lt.x_loops(LAT)]
+    for op in [PauliSum.from_terms(build_hamiltonian(LAT).terms), *stabs,
+               *loops, oracles.excitation_ops(LAT, 3, "e").create]:
+        d_e, d_m = oracles.label_diagonal(FRAME, op)
         assert d_e.shape == (N_ORB,) and d_m.shape == (N_CHAR,)
         np.testing.assert_allclose((d_e[:, None] + d_m[None, :]).ravel(),
                                    FRAME.operator(op).diagonal().real,
                                    rtol=0, atol=1e-15)
-    w_e, w_m = hn.excitation_weights(FRAME)
+    w_e, w_m = oracles.excitation_weights(FRAME)
     want = sum((1.0 - FRAME.operator(op).diagonal().real) / 2.0
                for op in stabs) / len(stabs)
     np.testing.assert_allclose((w_e[:, None] + w_m[None, :]).ravel(), want,
@@ -394,7 +405,7 @@ def test_label_diagonal_matches_frame_operator():
     # a vertex times a plaquette stabilizer reads both labels at once
     both = lt.vertex_stabilizer(LAT, 0) * lt.plaquette_stabilizer(LAT, 0)
     with pytest.raises(ValueError, match="both frame labels"):
-        FRAME.label_diagonal(PauliSum.from_string(both))
+        oracles.label_diagonal(FRAME, PauliSum({both: 1.0}))
 
 
 @pytest.mark.parametrize("size", [2, 3])
@@ -405,11 +416,12 @@ def test_broadcast_phases_match_the_per_string_rule(size):
     lat = lt.build(size)
     frame = lb.StabilizerFrame(lat)
     reps = frame.cosets.reps
-    ops = [jt.operator for model in (
+    ops = [oracles.channel_operator(lat, jt) for model in (
                lb.thermal_jump_set(lat, p=0.2, lambda_star=1.0, gamma_star=0.8),
                lb.cooling_jump_set(lat, lambda_star=1.0))
            for jt in model.jumps]
-    ops += [jt.operator for jt in lb.depolarizing_jumps(lat.n_links, gamma=0.1)]
+    ops += [oracles.channel_operator(lat, jt)
+            for jt in lb.depolarizing_jumps(lat.n_links, gamma=0.1)]
     turns = frame.strings(ops).turns
     strings = [string for op in ops for string in op]
     assert turns.shape == (len(strings), frame.n_orbits)
@@ -419,15 +431,60 @@ def test_broadcast_phases_match_the_per_string_rule(size):
             assert row.tolist() == [
                 ((string.x_mask & string.z_mask).bit_count()
                  + 2 * (int(r) & string.z_mask).bit_count()) % 4 for r in reps]
-    # the Wilson-loop diagonals are built once per frame
-    loops = {**{f"wilson_z_{i}": s for i, s in enumerate(lt.z_loops(lat))},
-             **{f"wilson_x_{i}": s for i, s in enumerate(lt.x_loops(lat))}}
-    cached = frame.wilson_diagonals
-    assert list(cached) == list(loops) and frame.wilson_diagonals is cached
-    for name, string in loops.items():
-        d_e, d_m = frame.label_diagonal(PauliSum.from_string(string))
-        assert np.array_equal(cached[name][0], d_e)
-        assert np.array_equal(cached[name][1], d_m)
+
+
+def _oracle_models(lat: lt.TorusLattice) -> dict[str, lb.LindbladModel]:
+    cool = lb.cooling_jump_set(lat, lambda_star=1.0)
+    return {
+        **{f"thermal-p{p}": lb.thermal_jump_set(lat, p=p, lambda_star=1.0,
+                                                gamma_star=0.5)
+           for p in (0.0, 0.2)},
+        "cooling": cool,
+        "noisy-cooling": lb.LindbladModel(
+            hamiltonian=cool.hamiltonian, lattice=lat,
+            jumps=cool.jumps + lb.depolarizing_jumps(lat.n_links, gamma=0.1))}
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_incidence_chains_match_the_string_oracle(size):
+    # the label chains read the link incidence; the oracle carries every
+    # Pauli string of every channel into the frame.  Shifts, flips, flows
+    # and energies agree bit for bit
+    lat = lt.build(size)
+    for name, model in _oracle_models(lat).items():
+        got, want = lb._compile_generator(model), oracles.model_chains(model)
+        for key in ("orbit_shifts", "orbit_flows", "char_flips", "char_flows"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, key)
+        for a, b in zip(got.energies, want.energies):
+            assert np.array_equal(a, b), name
+    # the excitation weights and the Wilson-loop diagonals: multiples of
+    # 1/16 at L = 2, of 1/36 at L = 3
+    labels = lb.FrameLabels(lat)
+    frame = lb.StabilizerFrame(lat)
+    loops = labels.wilson_diagonals
+    assert labels.wilson_diagonals is loops
+    want_loops = oracles.wilson_diagonals(frame)
+    assert list(loops) == list(want_loops)
+    pairs = list(zip(labels.excitation_weights,
+                     oracles.excitation_weights(frame)))
+    pairs += [(a, b) for key in loops for a, b in zip(loops[key],
+                                                        want_loops[key])]
+    for a, b in pairs:
+        if size == 2:
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+
+
+def test_jump_terms_name_a_known_action():
+    for flavor, action in (("e", "X"), ("m", "flip"), (None, "create"),
+                           ("q", "create"), (None, "XY"), (None, "")):
+        with pytest.raises(ValueError, match="no action"):
+            lb.JumpTerm("bad", 0.1, 0, action, flavor)
+    with pytest.raises(ValueError, match="outside the register"):
+        lb.LindbladModel(hamiltonian=COOL.hamiltonian, lattice=LAT, jumps=(
+            lb.JumpTerm("far", 0.1, LAT.n_links, "create", "e"),))
 
 
 @pytest.mark.parametrize("name", sorted(KRONECKER_MODELS))
@@ -476,11 +533,11 @@ def test_label_chains_at_l3():
             assert np.count_nonzero(gen.char_chain) == 4864
         # no path builds a dense state: the frame basis alone would be
         # 2^18 x 2^18 floats (512 GiB)
-        size = model.frame.size
+        size = model.labels.n_orbits * model.labels.n_char
         tracemalloc.start()
         try:
             res = lb.stationary_state(model)
-            out = lb.evolve(model, _uniform(model.frame),
+            out = lb.evolve(model, _uniform(model.labels),
                             np.linspace(0.0, 10.0, 11))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -544,7 +601,7 @@ def test_gibbs_state_stationary_without_translations():
     gen = lb._compile_generator(model)
     # H is frame-diagonal, so the Gibbs state is too: its frame diagonal
     # holds all of it
-    gibbs_f = oracles.to_frame(gen.frame, gibbs)
+    gibbs_f = oracles.to_frame(gen.labels, gibbs)
     populations = np.diag(gibbs_f).real
     assert np.linalg.norm(gibbs_f - np.diag(populations)) < 1e-12
     # the Kronecker-sum chain on P = populations as (n_orbits, n_char)
@@ -638,31 +695,27 @@ def test_frame_generator_matches_dense_oracle():
 
 
 def test_frame_matrices_need_permutation_channels():
+    # the string-built oracle chains refuse a channel that is no partial
+    # permutation in the frame, or whose rate reads both labels
+    h = PauliSum.from_terms(COOL.hamiltonian.terms)
+    cooling = [(jt.label, oracles.channel_operator(LAT, jt))
+               for jt in COOL.jumps[:2]]
     mixed = PauliSum.from_terms(((1.0, PauliString.single(8, 0, "X")),
                                  (1.0, PauliString.single(8, 1, "X"))))
-    model = lb.LindbladModel(
-        hamiltonian=COOL.hamiltonian, lattice=LAT,
-        jumps=COOL.jumps[:2] + (lb.JumpTerm("x0+x1", 0.1, mixed),))
     with pytest.raises(ValueError, match=r"'x0\+x1' is not a partial"):
-        lb._compile_generator(model)
+        oracles.string_chains(FRAME, h, cooling + [("x0+x1", mixed)])
     # Z_0 and Z_1 keep the orbit but flip different characters
     flips = PauliSum.from_terms(((1.0, PauliString.single(8, 0, "Z")),
                                  (1.0, PauliString.single(8, 1, "Z"))))
-    model = lb.LindbladModel(
-        hamiltonian=COOL.hamiltonian, lattice=LAT,
-        jumps=(lb.JumpTerm("z0+z1", 0.1, flips),))
     with pytest.raises(ValueError, match=r"'z0\+z1' is not a partial"):
-        lb._compile_generator(model)
+        oracles.string_chains(FRAME, h, [("z0+z1", flips)])
     # X_0 (1 + B_0) / 2 moves the orbit at a rate set by the plaquette
     # B_0, which the character reads: its label chains would not lump
     flip = PauliString.single(8, 0, "X")
     lopsided = PauliSum.from_terms(
         ((0.5, flip), (0.5, flip * lt.plaquette_stabilizer(LAT, 0))))
-    model = lb.LindbladModel(
-        hamiltonian=COOL.hamiltonian, lattice=LAT,
-        jumps=(lb.JumpTerm("lopsided", 0.1, lopsided),))
     with pytest.raises(ValueError, match="'lopsided' has a rate that depends"):
-        lb._compile_generator(model)
+        oracles.string_chains(FRAME, h, [("lopsided", lopsided)])
 
 
 # the label null dimensions of each chain model
@@ -712,8 +765,9 @@ def test_chain_evolution_matches_superoperator_propagator(name):
                             "propagator_evaluations": 3}
     # independent propagator: the vectorized frame generator, exp(S t), on
     # the entries the start reaches, exactly the frame diagonal
-    h = FRAME.operator(model.hamiltonian.to_pauli_sum())
-    channels = [(jt.rate, FRAME.operator(jt.operator)) for jt in model.jumps]
+    h = FRAME.operator(PauliSum.from_terms(model.hamiltonian.terms))
+    channels = [(jt.rate, FRAME.operator(oracles.channel_operator(LAT, jt)))
+                for jt in model.jumps]
     gen = oracles.superoperator(h, channels)
     idx = oracles.reachable(gen, np.flatnonzero(rho0_f))
     np.testing.assert_array_equal(idx, np.arange(DIM) * (DIM + 1))
@@ -772,10 +826,9 @@ def test_population_observables_match_dense_oracle(name):
             with pytest.raises(ValueError, match="not a Kronecker sum"):
                 view()
         assert res.trace_distance_to_detailed_balance is None
-    w_e, w_m = hn.excitation_weights(FRAME)
+    w_e, w_m = res.labels.excitation_weights
     loops = lt.z_loops(LAT) + lt.x_loops(LAT)
-    diagonals = [FRAME.label_diagonal(PauliSum.from_string(loop))
-                 for loop in loops]
+    diagonals = res.labels.wilson_diagonals.values()
     gibbs = {t: (lb._gibbs_weights(res.energies, t), lb.gibbs_state(h, t))
              for t in (0.0, 2.0, math.inf)}
     marginals = [(res.orbit_populations, res.char_populations),
@@ -862,7 +915,7 @@ def test_rate_sweep_reweights_and_matches_fresh_models():
                                  lattice=LAT)
         assert ([(jt.label, jt.rate) for jt in shared.jumps]
                 == [(jt.label, jt.rate) for jt in fresh.jumps])
-        assert shared.frame is sweep.frame
+        assert shared.labels is sweep.labels
         a, b = lb._compile_generator(shared), lb._compile_generator(fresh)
         assert a.kronecker_sum == b.kronecker_sum == (gamma == 0.0)
         np.testing.assert_array_equal(a.orbit_chain, b.orbit_chain)
