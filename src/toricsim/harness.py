@@ -692,8 +692,7 @@ def cool_with_noise(cfg: ScenarioConfig) -> CoolingSweep:
     cooling = lb.cooling_jump_set(lat, lambda_star=gamma_c)
     # every point is noisy: the noise is built once at unit rate
     noise = lb.depolarizing_jumps(lat.n_links, gamma=1.0)
-    sweep = lb.LindbladModel(hamiltonian=cooling.hamiltonian,
-                             jumps=cooling.jumps + noise, lattice=lat)
+    sweep = lb.LindbladModel(jumps=cooling.jumps + noise, lattice=lat)
     w_e, w_m = sweep.labels.excitation_weights
     points = []
     for ratio in cfg.ratio_grid:
@@ -734,7 +733,7 @@ def _run_cool_with_noise(cfg: ScenarioConfig) -> _Parts:
                         emit_figure_data("cool-with-noise", rows)))
     report = {
         "fit_constant": _solver_value(sweep.fit_constant),
-        "fit_residual": sweep.fit_residual,
+        "fit_residual": _solver_value(sweep.fit_residual),
         "rank_correlation": sweep.rank_correlation,
         "omega": sweep.omega,
         "omega_definition": sweep.omega_definition,

@@ -117,19 +117,21 @@ def stabilizers(lat: TorusLattice) -> list[PauliString]:
             + [plaquette_stabilizer(lat, p) for p in range(lat.n_plaquettes)])
 
 
+def z_loop_links(lat: TorusLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The links of the two dual cycles: (horizontal links of column 0,
+    vertical links of row 0)."""
+    return (tuple(lat.h_index(r, 0) for r in range(lat.L)),
+            tuple(lat.v_index(0, c) for c in range(lat.L)))
+
+
 def z_loops(lat: TorusLattice) -> tuple[PauliString, PauliString]:
-    """Dual-cycle Z-loops: (horizontal links of column 0, vertical links of row 0).
+    """Dual-cycle Z-loops on the links of :func:`z_loop_links`.
 
     They commute with every stabilizer and with every plaquette-flip product;
     their joint eigenvalues label the four ground sectors.
     """
-    z1 = 0
-    for r in range(lat.L):
-        z1 |= 1 << lat.h_index(r, 0)
-    z2 = 0
-    for c in range(lat.L):
-        z2 |= 1 << lat.v_index(0, c)
-    return (PauliString(lat.n_links, 0, z1, 0), PauliString(lat.n_links, 0, z2, 0))
+    return tuple(PauliString(lat.n_links, 0, sum(1 << link for link in group), 0)
+                 for group in z_loop_links(lat))
 
 
 def x_loops(lat: TorusLattice) -> tuple[PauliString, PauliString]:

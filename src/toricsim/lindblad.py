@@ -27,15 +27,16 @@ chain is then no Kronecker sum, but each label's marginal is still an
 autonomous chain (strong lumpability).  The stationary marginals are the
 null spaces of M_e and M_m, and the marginals of a frame-diagonal start
 evolve exactly by exp(M_e t) and exp(M_m t); for a Kronecker sum a
-product start stays a product, p_e(t) ⊗ p_m(t).  H, the excitation
-weights and the Z loops are label-additive, d(o, t) = d_e(o) + d_m(t),
-read off the same syndrome bits and so off the marginals; a chain that is
-no Kronecker sum carries nothing else.
+product start stays a product, p_e(t) ⊗ p_m(t).  The bath's Hamiltonian
+is the stabilizer Hamiltonian at J = 1, whose energy counts the flipped
+stabilizers.  It, the excitation weights and the Z loops are
+label-additive, d(o, t) = d_e(o) + d_m(t), read off the same syndrome bits
+and so off the marginals; a chain that is no Kronecker sum carries nothing
+else.
 
 Lattice dissipation takes and returns label populations only, and builds
-no 2^n x 2^n state and no Pauli sum.  A start that is not the two label
-marginals, or a model whose population sector does not close (for example
-with a transverse field), raises ``ValueError``.  ``StabilizerFrame``, the
+no 2^n x 2^n state, no Hamiltonian and no Pauli sum.  A start that is not
+the two label marginals raises ``ValueError``.  ``StabilizerFrame``, the
 Pauli-level view that carries each string into the frame, ``gibbs_state``
 and ``trace_distance`` are test oracles that no scenario calls; the tests
 check the label chains against chains built from the Pauli strings of
@@ -60,7 +61,7 @@ import scipy.sparse.csgraph
 
 from . import lattice as lt
 from .pauli import QUARTER_TURNS, PauliString, PauliSum, quarter_turns
-from .spectra import SparseHamiltonian, build_hamiltonian, plaquette_cosets
+from .spectra import SparseHamiltonian, plaquette_cosets
 
 # the dense label chains: 1024 x 1024 at L = 3 (18 qubits), but 2^17 x 2^17
 # (128 GiB) at L = 4
@@ -124,14 +125,14 @@ class JumpTerm:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus a list of rate-weighted jump channels on the links
-    of a lattice.
+    """A list of rate-weighted jump channels on the links of a lattice,
+    under the stabilizer Hamiltonian at J = 1, whose frame diagonal is
+    :attr:`FrameLabels.energies`.
 
     The label chains (:func:`_compile_generator`) are built on first use
     and cached on the model.
     """
 
-    hamiltonian: SparseHamiltonian
     jumps: tuple[JumpTerm, ...]
     lattice: lt.TorusLattice
     p: float | None = None           # excitation weight of the bath
@@ -220,9 +221,7 @@ def thermal_jump_set(lat: lt.TorusLattice, p: float, lambda_star: float,
                     ("translate_adj", gamma_star / 4.0))
         jumps.extend(JumpTerm(f"{action}[{kind},{link}]", rate, link, action, kind)
                      for action, rate in channels if rate > 0.0)
-    return LindbladModel(
-        hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        p=p, lattice=lat)
+    return LindbladModel(jumps=tuple(jumps), lattice=lat, p=p)
 
 
 def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
@@ -239,9 +238,7 @@ def cooling_jump_set(lat: lt.TorusLattice, lambda_star: float) -> LindbladModel:
     jumps = [JumpTerm(f"{action}[{kind},{link}]", lambda_star, link, action, kind)
              for link, kind in _pair_sites(lat)
              for action in ("absorb_a", "absorb_b")]
-    return LindbladModel(
-        hamiltonian=build_hamiltonian(lat), jumps=tuple(jumps),
-        p=0.0, lattice=lat)
+    return LindbladModel(jumps=tuple(jumps), lattice=lat, p=0.0)
 
 
 def depolarizing_jumps(n_qubits: int, gamma: float) -> tuple[JumpTerm, ...]:
@@ -315,62 +312,42 @@ class FrameLabels:
         return (_parity(z[:, None] & self._rows)
                 << np.arange(self._rows.size)).sum(axis=1)
 
-    def diagonal(self, terms: Sequence[tuple[float, PauliString]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Frame diagonal of Hermitian Pauli terms (coefficient, string) as
-        an orbit part and a character part, d(o, t) = d_e(o) + d_m(t).
-
-        A Z string that commutes with every plaquette keeps both labels and
-        reads the orbit, c i**phase (-1)**|reps[o] & z| (the identity among
-        them); an X string in the plaquette-flip group keeps both and reads
-        the character, c i**phase (-1)**|t & e| with e its element.  Each
-        part sums its terms in order, as complex values, and is returned as
-        the real part of that sum.  Any other term moves a label or reads
-        both, and raises ``ValueError``: the population sector of such an H
-        does not close on the two label chains.
-        """
-        coeffs = np.array([c * QUARTER_TURNS[s.phase_quarter] for c, s in terms])
-        x = np.array([s.x_mask for _, s in terms], dtype=np.uint64)
-        z = np.array([s.z_mask for _, s in terms], dtype=np.uint64)
-        shift, element = self.cosets.locate(x)
-        on_orbit = (x == 0) & (self._flips(z) == 0)
-        on_char = (z == 0) & (x != 0) & (shift == 0)
-        if not np.all(on_orbit | on_char):
-            raise ValueError("H is not diagonal in the stabilizer frame, so "
-                             "the population sector does not close")
-        orbit = 1 - 2 * _parity(z[on_orbit, None] & self.cosets.reps)
-        char = 1 - 2 * _parity(element[on_char, None] & np.arange(self.n_char))
-        # .real of a complex sum is a strided view, so p @ d takes BLAS's
-        # strided dot loop; the unrounded fit_residual of cool-with-noise
-        # depends on that summation order in its last digits
-        return ((coeffs[on_orbit, None] * orbit).sum(axis=0).real,
-                (coeffs[on_char, None] * char).sum(axis=0).real)
+    @functools.cached_property
+    def energies(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frame diagonal of the stabilizer Hamiltonian at J = 1, H = -sum_v
+        A_v - sum_p B_p, as an orbit part and a character part, E(o, t) =
+        E_e(o) + E_m(t): a stabilizer reads -1 where its syndrome bit is
+        set, so E_e(o) = -sum_v (1 - 2 ``vertex_bits[v, o]``) and E_m(t) =
+        -sum_p (1 - 2 ``plaquette_bits[p, t]``)."""
+        return tuple((2 * bits - 1).sum(axis=0).astype(float)
+                     for bits in (self.vertex_bits, self.plaquette_bits))
 
     @functools.cached_property
     def excitation_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean flipped-stabilizer weight of each frame state as an orbit
-        part and a character part, w(o, t) = w_e(o) + w_m(t): the
-        :meth:`diagonal` of the mean of (1 - h)/2 over the stabilizers,
-        whose vertex terms read the vertex bits of the orbit and whose
-        plaquette terms read the plaquette bits of the character.  A
+        part and a character part, w(o, t) = w_e(o) + w_m(t): the mean of
+        (1 - h)/2 over the stabilizers, 1/2 + E(o, t) / (2 n_stabilizers)
+        (:attr:`energies`), with the 1/2 in the orbit part.  A
         frame-diagonal state with label marginals p_e and p_m has
         excitation density p_e @ w_e + p_m @ w_m."""
-        stabilizers = lt.stabilizers(self.lattice)
-        weight = 0.5 / len(stabilizers)
-        return self.diagonal(
-            [(0.5, PauliString.identity(self.lattice.n_links))]
-            + [(-weight, stab) for stab in stabilizers])
+        weight = 0.5 / (self.lattice.n_vertices + self.lattice.n_plaquettes)
+        e_e, e_m = self.energies
+        return 0.5 + weight * e_e, weight * e_m
 
     @functools.cached_property
     def wilson_diagonals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """:meth:`diagonal` of each Z Wilson loop, and the zero diagonal of
-        each X loop, whose X-mask lies outside the plaquette-flip group so
-        that it moves the orbit; keyed ``wilson_z_<i>`` and
-        ``wilson_x_<i>``, built on first use."""
-        zero = (np.zeros(self.n_orbits), np.zeros(self.n_char))
-        return {**{f"wilson_z_{i}": self.diagonal([(1.0, loop)])
-                   for i, loop in enumerate(lt.z_loops(self.lattice))},
-                **{f"wilson_x_{i}": zero for i in range(2)}}
+        """The frame diagonal of each Wilson loop as an orbit part and a
+        character part, keyed ``wilson_z_<i>`` and ``wilson_x_<i>``.  A Z
+        loop reads the orbit, 1 - 2 |reps[o] & loop| mod 2; an X loop's
+        X-mask lies outside the plaquette-flip group, so it moves the orbit
+        and its diagonal is zero."""
+        zero = np.zeros(self.n_char)
+        z_loops = 1.0 - 2.0 * _parity(
+            _masks(lt.z_loop_links(self.lattice))[:, None] & self.cosets.reps)
+        return {**{f"wilson_z_{i}": (loop, zero)
+                   for i, loop in enumerate(z_loops)},
+                **{f"wilson_x_{i}": (np.zeros(self.n_orbits), zero)
+                   for i in range(2)}}
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +489,11 @@ class _LabelChains:
     an autonomous chain (strong lumpability; Kemeny & Snell, *Finite
     Markov Chains*, 1960).  When no channel moves both labels the joint
     chain is the Kronecker sum M = M_e ⊗ 1 + 1 ⊗ M_m (``kronecker_sum``); a
-    depolarizing Y moves both.  H must be a sum of label diagonals
-    (:meth:`FrameLabels.diagonal`), or the population sector does not
-    close, and its frame diagonal is E_e(o) + E_m(t).  The chains are
-    linear in the rates, so a rate sweep reweights the same unit flows
-    (:meth:`reweighted`).
+    depolarizing Y moves both.  The chains are linear in the rates, so a
+    rate sweep reweights the same unit flows (:meth:`reweighted`).
     """
 
     labels: FrameLabels
-    energies: tuple[np.ndarray, np.ndarray]   # H's frame diagonal: E_e, E_m
     rates: np.ndarray           # (n_channels,)
     orbit_shifts: np.ndarray    # (n_channels,) orbit map o -> o ^ a
     orbit_flows: np.ndarray     # (n_channels, n_orbits) 2|v(o, t)|^2, unit rate
@@ -530,14 +503,13 @@ class _LabelChains:
     @classmethod
     def build(cls, model: LindbladModel) -> "_LabelChains":
         labels = FrameLabels(model.lattice)
-        energies = labels.diagonal(model.hamiltonian.terms)
         links = np.array([jt.link for jt in model.jumps], dtype=np.int64)
         moves = np.array([_MOVES[jt.flavor or jt.action] for jt in model.jumps],
                          dtype=bool).reshape(-1, 2)
         needs = np.array([_END_BITS.get(jt.action, (-1, -1))
                           for jt in model.jumps], dtype=np.int64).reshape(-1, 2)
         return cls(
-            labels=labels, energies=energies,
+            labels=labels,
             rates=np.array([jt.rate for jt in model.jumps], dtype=float),
             orbit_shifts=np.where(moves[:, 0], labels.link_shifts[links], 0),
             orbit_flows=_flows(moves[:, 0], needs, labels.vertex_bits[
@@ -671,9 +643,8 @@ def evolve(model: LindbladModel, start: Sequence[np.ndarray],
     (:class:`_LabelChains`, strong lumpability), with one
     ``scipy.linalg.expm`` of each per distinct increment between samples.
     When every channel moves one label, M = M_e ⊗ 1 + 1 ⊗ M_m, so the
-    product start p_e ⊗ p_m evolves to p_e(t) ⊗ p_m(t).  Any other grid,
-    or a model whose population sector does not close, raises
-    ``ValueError``.  No dense state is built.
+    product start p_e ⊗ p_m evolves to p_e(t) ⊗ p_m(t).  Any other grid
+    raises ``ValueError``.  No dense state is built.
 
     Trace and positivity are monitored at every sample time against a
     budget of 1e-9 per unit time; violations, NaN included, raise
@@ -837,7 +808,6 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     of the other (:class:`_LabelChains`), so the stationary marginals are
     the null spaces of the orbit chain M_e and the character chain M_m; no
     channel is transported into the frame and no superoperator is built.
-    A model whose population sector does not close raises ``ValueError``.
     Each closed recurrent class of a chain holds one stationary
     distribution, found with one linear solve
     (:func:`_recurrent_distributions`), and when there are several (for
@@ -847,10 +817,11 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
     π_e ⊗ π_m.  ``residual`` is the 2-norm of (M_e π_e, M_m π_m).  H is
     frame-diagonal, and so is every Gibbs state: for a Kronecker sum the
     Gibbs distance is ½‖π_e ⊗ π_m − w‖₁ with w the Gibbs weights of the
-    frame energies.  Each Wilson loop is label-additive, π_e @ d_e +
-    π_m @ d_m (:attr:`FrameLabels.wilson_diagonals`).  No dense state is
-    built.  ``counters`` names the engine (``label-chains``) with both
-    chain sizes and null dimensions.
+    frame energies (:attr:`FrameLabels.energies`).  Each Wilson loop is
+    label-additive, π_e @ d_e + π_m @ d_m
+    (:attr:`FrameLabels.wilson_diagonals`).  No dense state is built.
+    ``counters`` names the engine (``label-chains``) with both chain sizes
+    and null dimensions.
     """
     gen = _compile_generator(model)
     chains = (gen.orbit_chain, gen.char_chain)
@@ -869,7 +840,8 @@ def stationary_state(model: LindbladModel) -> StationaryResult:
         detailed_balance_temperature=temperature_db,
         loop_expectations=loops,
         orbit_populations=pi_e, char_populations=pi_m,
-        orbit_energies=gen.energies[0], char_energies=gen.energies[1],
+        orbit_energies=gen.labels.energies[0],
+        char_energies=gen.labels.energies[1],
         kronecker_sum=gen.kronecker_sum, labels=gen.labels,
         counters={**gen.counters,
                   "orbit_null_dim": null_e, "char_null_dim": null_m,

@@ -90,10 +90,6 @@ class PauliString:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0, 0)
-
-    @classmethod
     def from_label(cls, label: str, phase_quarter: int = 0) -> "PauliString":
         """Parse ``"ZYII"`` or ``"+i·ZYII"`` (leftmost letter = qubit 0)."""
         text = label.strip()

@@ -165,8 +165,8 @@ class Cosets:
 def plaquette_cosets(lat: lt.TorusLattice) -> Cosets:
     """The cosets of the plaquette-flip group, the span of the plaquette
     X-masks; the last plaquette is the product of the others."""
-    return Cosets.of((lt.plaquette_stabilizer(lat, p).x_mask
-                      for p in range(lat.n_plaquettes)), lat.n_links)
+    return Cosets.of((sum(1 << link for link in links)
+                      for links in lat.plaquette_links), lat.n_links)
 
 
 def real_gauge(terms: Sequence[tuple[float, PauliString]]) -> int | None:

@@ -220,14 +220,15 @@ def excitation_weights(frame: lb.StabilizerFrame) -> tuple[np.ndarray, np.ndarra
     stabs = lt.stabilizers(frame.lattice)
     weight = 0.5 / len(stabs)
     return label_diagonal(frame, PauliSum.from_terms(
-        [(0.5, PauliString.identity(frame.n_qubits))]
+        [(0.5, PauliString(frame.n_qubits, 0, 0))]
         + [(-weight, stab) for stab in stabs], n_qubits=frame.n_qubits))
 
 
 @dataclasses.dataclass(frozen=True)
 class StringChains:
     """Unit-rate label chains built from Pauli strings: the fields of the
-    same name on ``lindblad._LabelChains``."""
+    same name on ``lindblad._LabelChains``, and ``energies`` on
+    ``lindblad.FrameLabels``."""
 
     energies: tuple[np.ndarray, np.ndarray]
     orbit_shifts: np.ndarray
@@ -292,10 +293,11 @@ def string_chains(frame: lb.StabilizerFrame, h: PauliSum,
 
 
 def model_chains(model: lb.LindbladModel) -> StringChains:
-    """:func:`string_chains` of a model's H and channel operators."""
+    """:func:`string_chains` of the stabilizer H at J = 1, under which
+    every model runs, and of a model's channel operators."""
     return string_chains(
         lb.StabilizerFrame(model.lattice),
-        PauliSum.from_terms(model.hamiltonian.terms),
+        PauliSum.from_terms(sp.build_hamiltonian(model.lattice).terms),
         [(jt.label, channel_operator(model.lattice, jt)) for jt in model.jumps])
 
 

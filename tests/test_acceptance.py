@@ -154,7 +154,7 @@ def test_criterion_07_gibbs_fixed_point_at_target_temperature():
                     else DELTA / math.log((1.0 - p) / p))
         distance = lb.trace_distance(
             oracles.stationary_rho(stat),
-            lb.gibbs_state(model.hamiltonian, t_target))
+            lb.gibbs_state(sp.build_hamiltonian(lat), t_target))
         ok = ok and distance < 1e-6
         details.append(
             f"p={p}: distance {distance:.3e} vs < 1e-6 at T = "

@@ -214,7 +214,7 @@ UNCALLED = {
         "harness.ScenarioConfig.from_ini", "harness.ScenarioConfig.from_file",
         "harness.describe_defaults"),
     "called by the traced harness.excitation_density": (
-        "pauli.PauliString.expectation",),
+        "pauli.PauliString.expectation", "lattice.stabilizers"),
     "called by the traced StabilizerFrame.operator, the Pauli-level frame "
     "that the bath's label chains are checked against": (
         "lindblad.StabilizerFrame.strings", "lindblad.FrameStrings.amplitudes"),
@@ -527,17 +527,20 @@ class TestScenarioRuns:
 
     def test_dissipation_makes_no_frame_transport(self, tmp_path,
                                                   monkeypatch):
-        # the label chains are built from the link incidence: the bath
-        # scenarios build no Pauli sum and use no stabilizer frame, one
-        # build of the chains serves each scenario, and the cooling sweep
-        # reweights it
-        pauli_sums, frames, builds = [], [], []
+        # the label chains are built from the link incidence and the
+        # energies read off the syndrome bits: the bath scenarios build no
+        # Hamiltonian, no Pauli string or sum and use no stabilizer frame,
+        # one build of the chains serves each scenario, and the cooling
+        # sweep reweights it
+        hamiltonians, paulis, frames, builds = [], [], [], []
 
         def counted(calls, fn):
             return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
 
-        monkeypatch.setattr(PauliSum, "__init__",
-                            counted(pauli_sums, PauliSum.__init__))
+        monkeypatch.setattr(sp.SparseHamiltonian, "__post_init__", counted(
+            hamiltonians, sp.SparseHamiltonian.__post_init__))
+        for cls in (PauliString, PauliSum):
+            monkeypatch.setattr(cls, "__init__", counted(paulis, cls.__init__))
         for name in ("__init__", "strings", "operator"):
             monkeypatch.setattr(lb.StabilizerFrame, name, counted(
                 frames, getattr(lb.StabilizerFrame, name)))
@@ -547,10 +550,12 @@ class TestScenarioRuns:
             record = hn.run(hn.ScenarioConfig(kind=kind,
                                               outdir=str(tmp_path)))
             assert record.ok, record.summary_lines()
-        assert (len(pauli_sums), len(frames), len(builds)) == (0, 0, 2)
+        assert (len(hamiltonians), len(paulis), len(frames),
+                len(builds)) == (0, 0, 0, 2)
         sweep = hn.cool_with_noise(hn.ScenarioConfig(kind="cool-with-noise"))
         assert len(sweep.points) == 4
-        assert (len(pauli_sums), len(frames), len(builds)) == (0, 0, 3)
+        assert (len(hamiltonians), len(paulis), len(frames),
+                len(builds)) == (0, 0, 0, 3)
 
     def test_dissipation_builds_no_dense_state(self, tmp_path, monkeypatch):
         # the scenarios read populations only: the stationary solve and
@@ -699,19 +704,27 @@ class TestScenarioRuns:
         # formulas differ by up to ~1e-14 (round-off, as between BLAS
         # builds).  Every solver cell must sit at least `margin` from the
         # midpoint between two printed values, so no such drift flips it.
+        # The same holds for the sweep fit that cool-with-noise.json prints.
         margin = 5e-13
-        emitted = {}
-        emit = hn.emit_figure_data
+        emitted, sweeps = {}, []
+        emit, sweep = hn.emit_figure_data, hn.cool_with_noise
 
         def capture(kind, rows):
             emitted[kind] = rows
             return emit(kind, rows)
 
         monkeypatch.setattr(hn, "emit_figure_data", capture)
+        monkeypatch.setattr(hn, "cool_with_noise",
+                            lambda cfg: sweeps.append(sweep(cfg)) or sweeps[-1])
         for kind in ("thermalize", "cool-with-noise"):
             assert hn.run(hn.ScenarioConfig(kind=kind,
                                             outdir=str(tmp_path))).ok
         unit = 10.0 ** -hn.SOLVER_DECIMALS
+
+        def gap(value):
+            scaled = abs(value) / unit
+            return abs(scaled - math.floor(scaled) - 0.5) * unit
+
         for kind, rows in emitted.items():
             columns = hn._FIGURE_SCHEMAS[kind][0]
             solver = hn._SOLVER_COLUMNS[kind]
@@ -719,10 +732,11 @@ class TestScenarioRuns:
             for row in rows:
                 for column, value in zip(columns, row):
                     if column in solver:
-                        scaled = abs(value) / unit
-                        gap = abs(scaled - math.floor(scaled) - 0.5) * unit
                         # nearest measured: 9.8e-13, the t = 2 entropy
-                        assert gap >= margin, (kind, column, value)
+                        assert gap(value) >= margin, (kind, column, value)
+        (fit,) = sweeps
+        # measured: 3.3e-11 and 1.45e-11
+        assert gap(fit.fit_constant) >= margin and gap(fit.fit_residual) >= margin
         assert set(emitted) == {"thermalize", "cool-with-noise"}
 
 

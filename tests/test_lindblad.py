@@ -20,6 +20,7 @@ from toricsim.spectra import SparseHamiltonian, build_hamiltonian
 
 LAT = lt.build(2)
 DIM = 2 ** LAT.n_links
+H_SUM = PauliSum.from_terms(build_hamiltonian(LAT).terms)
 H_DENSE = build_hamiltonian(LAT).to_dense()
 ENERGIES, VECTORS = scipy.linalg.eigh(H_DENSE)
 GROUND = VECTORS[:, :4]
@@ -28,10 +29,9 @@ GAP = 4.0
 THERMAL = lb.thermal_jump_set(LAT, p=0.2, lambda_star=1.0, gamma_star=0.8)
 COOL = lb.cooling_jump_set(LAT, lambda_star=1.0)
 NOISY = lb.LindbladModel(
-    hamiltonian=COOL.hamiltonian,
     jumps=COOL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=0.1),
     lattice=LAT)
-# the three jump sets whose population sector closes
+# a thermal, a cooling and a noisy cooling jump set
 CHAIN_MODELS = {"thermal": THERMAL, "cooling": COOL, "noisy-cooling": NOISY}
 # the jump sets whose every channel moves one frame label
 KRONECKER_MODELS = {
@@ -74,7 +74,7 @@ class _DenseGenerator:
 
     @classmethod
     def of(cls, model: lb.LindbladModel) -> "_DenseGenerator":
-        return cls(model.hamiltonian.to_dense(),
+        return cls(H_DENSE,
                    [(jt.rate, oracles.channel_operator(LAT, jt).to_dense())
                     for jt in model.jumps])
 
@@ -84,7 +84,7 @@ def _joint_chain(model: lb.LindbladModel) -> np.ndarray:
     from H and every channel's Pauli sum carried into the frame with
     ``StabilizerFrame.operator``.  H is frame-diagonal and every channel a
     partial permutation there, so the frame populations close."""
-    h = FRAME.operator(PauliSum.from_terms(model.hamiltonian.terms))
+    h = FRAME.operator(H_SUM)
     assert np.abs((h - scipy.sparse.diags(h.diagonal())).toarray()).max() < 1e-12
     m = np.zeros((DIM, DIM))
     for jt in model.jumps:
@@ -441,36 +441,37 @@ def _oracle_models(lat: lt.TorusLattice) -> dict[str, lb.LindbladModel]:
            for p in (0.0, 0.2)},
         "cooling": cool,
         "noisy-cooling": lb.LindbladModel(
-            hamiltonian=cool.hamiltonian, lattice=lat,
+            lattice=lat,
             jumps=cool.jumps + lb.depolarizing_jumps(lat.n_links, gamma=0.1))}
 
 
 @pytest.mark.parametrize("size", [2, 3])
 def test_incidence_chains_match_the_string_oracle(size):
-    # the label chains read the link incidence; the oracle carries every
-    # Pauli string of every channel into the frame.  Shifts, flips, flows
-    # and energies agree bit for bit
+    # the label chains read the link incidence, and the energies, weights
+    # and loops the syndrome bits; the oracle carries every Pauli string of
+    # each channel, of H and of each observable into the frame.  Shifts,
+    # flips, flows, energies and loops agree bit for bit
     lat = lt.build(size)
     for name, model in _oracle_models(lat).items():
         got, want = lb._compile_generator(model), oracles.model_chains(model)
         for key in ("orbit_shifts", "orbit_flows", "char_flips", "char_flows"):
             a, b = getattr(got, key), getattr(want, key)
             assert a.dtype == b.dtype and np.array_equal(a, b), (name, key)
-        for a, b in zip(got.energies, want.energies):
-            assert np.array_equal(a, b), name
-    # the excitation weights and the Wilson-loop diagonals: multiples of
-    # 1/16 at L = 2, of 1/36 at L = 3
+        for a, b in zip(got.labels.energies, want.energies):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
     labels = lb.FrameLabels(lat)
     frame = lb.StabilizerFrame(lat)
     loops = labels.wilson_diagonals
     assert labels.wilson_diagonals is loops
     want_loops = oracles.wilson_diagonals(frame)
     assert list(loops) == list(want_loops)
-    pairs = list(zip(labels.excitation_weights,
-                     oracles.excitation_weights(frame)))
-    pairs += [(a, b) for key in loops for a, b in zip(loops[key],
-                                                        want_loops[key])]
-    for a, b in pairs:
+    for key in loops:
+        for a, b in zip(loops[key], want_loops[key]):
+            assert a.dtype == b.dtype and np.array_equal(a, b), key
+    # the weights: multiples of 1/16 at L = 2, each exact; multiples of
+    # 1/36 at L = 3, which the oracle sums term by term
+    for a, b in zip(labels.excitation_weights,
+                    oracles.excitation_weights(frame)):
         if size == 2:
             assert np.array_equal(a, b)
         else:
@@ -483,7 +484,7 @@ def test_jump_terms_name_a_known_action():
         with pytest.raises(ValueError, match="no action"):
             lb.JumpTerm("bad", 0.1, 0, action, flavor)
     with pytest.raises(ValueError, match="outside the register"):
-        lb.LindbladModel(hamiltonian=COOL.hamiltonian, lattice=LAT, jumps=(
+        lb.LindbladModel(lattice=LAT, jumps=(
             lb.JumpTerm("far", 0.1, LAT.n_links, "create", "e"),))
 
 
@@ -596,7 +597,7 @@ def test_stationary_ground_pump_has_four_sectors():
 
 def test_gibbs_state_stationary_without_translations():
     model = lb.thermal_jump_set(LAT, p=0.2, lambda_star=1.0, gamma_star=0.0)
-    gibbs = lb.gibbs_state(model.hamiltonian,
+    gibbs = lb.gibbs_state(H_DENSE,
                            model.detailed_balance_temperature())
     gen = lb._compile_generator(model)
     # H is frame-diagonal, so the Gibbs state is too: its frame diagonal
@@ -609,18 +610,6 @@ def test_gibbs_state_stationary_without_translations():
     assert gen.kronecker_sum
     assert np.linalg.norm(gen.orbit_chain @ p + p @ gen.char_chain.T) < 1e-8
     assert np.linalg.norm(_DenseGenerator.of(model).apply(gibbs)) < 1e-8
-
-
-def test_open_population_sector_is_refused():
-    # a transverse field moves frame states, so the populations do not
-    # close under the generator
-    model = lb.LindbladModel(
-        hamiltonian=build_hamiltonian(LAT, h_z=0.05),
-        jumps=THERMAL.jumps, lattice=LAT)
-    with pytest.raises(ValueError, match="does not close"):
-        lb.stationary_state(model)
-    with pytest.raises(ValueError, match="does not close"):
-        lb.evolve(model, UNIFORM, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("name, classes", [
@@ -697,7 +686,7 @@ def test_frame_generator_matches_dense_oracle():
 def test_frame_matrices_need_permutation_channels():
     # the string-built oracle chains refuse a channel that is no partial
     # permutation in the frame, or whose rate reads both labels
-    h = PauliSum.from_terms(COOL.hamiltonian.terms)
+    h = H_SUM
     cooling = [(jt.label, oracles.channel_operator(LAT, jt))
                for jt in COOL.jumps[:2]]
     mixed = PauliSum.from_terms(((1.0, PauliString.single(8, 0, "X")),
@@ -765,7 +754,7 @@ def test_chain_evolution_matches_superoperator_propagator(name):
                             "propagator_evaluations": 3}
     # independent propagator: the vectorized frame generator, exp(S t), on
     # the entries the start reaches, exactly the frame diagonal
-    h = FRAME.operator(PauliSum.from_terms(model.hamiltonian.terms))
+    h = FRAME.operator(H_SUM)
     channels = [(jt.rate, FRAME.operator(oracles.channel_operator(LAT, jt)))
                 for jt in model.jumps]
     gen = oracles.superoperator(h, channels)
@@ -804,7 +793,7 @@ def test_population_observables_match_dense_oracle(name):
     # marginals must be its lumped populations, and only the label-additive
     # observables (energy, density, loops) are read
     model = CHAIN_MODELS[name]
-    h = model.hamiltonian.to_dense()
+    h = H_DENSE
     basis = oracles.basis(FRAME)
     res = lb.stationary_state(model)
     # a random frame-diagonal product start breaks the logical symmetry of
@@ -865,7 +854,6 @@ def test_chain_without_kronecker_sum_keeps_marginals_only():
     # a thermal bath with depolarizing noise: both marginals are solved,
     # but no joint state and no Gibbs distance can be read
     model = lb.LindbladModel(
-        hamiltonian=THERMAL.hamiltonian,
         jumps=THERMAL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=0.1),
         p=THERMAL.p, lattice=LAT)
     res = lb.stationary_state(model)
@@ -904,14 +892,12 @@ def test_rate_sweep_reweights_and_matches_fresh_models():
     def jumps(gamma):
         return COOL.jumps + lb.depolarizing_jumps(LAT.n_links, gamma=gamma)
 
-    sweep = lb.LindbladModel(hamiltonian=COOL.hamiltonian,
-                             jumps=jumps(0.1), lattice=LAT)
+    sweep = lb.LindbladModel(jumps=jumps(0.1), lattice=LAT)
     built = lb._compile_generator(sweep)
     for gamma in (0.3, 0.0):
         point = jumps(gamma)
         shared = sweep.with_rates([jt.rate for jt in point])
-        fresh = lb.LindbladModel(hamiltonian=COOL.hamiltonian,
-                                 jumps=tuple(jt for jt in point if jt.rate > 0),
+        fresh = lb.LindbladModel(jumps=tuple(jt for jt in point if jt.rate > 0),
                                  lattice=LAT)
         assert ([(jt.label, jt.rate) for jt in shared.jumps]
                 == [(jt.label, jt.rate) for jt in fresh.jumps])

@@ -211,7 +211,7 @@ def test_decompose_is_the_recursion_bit_for_bit(tmp_path, monkeypatch):
 
 
 def test_dense_cap_guard():
-    p = PauliString.identity(20)
+    p = PauliString(20, 0, 0)
     with pytest.raises(ValueError):
         p.to_dense()
 
