@@ -33,9 +33,9 @@ compiled operator builds the CSR block of a sector, one entry per row for
 each distinct X-mask, only when asked.  The eigensolver builds the blocks
 it visits, skipping every block whose floor proves it holds none of the
 lowest levels, and rules out a Lanczos-sized block whose lowest level a
-loose one-level Lanczos probe places above the k-th level found; the
-Z-basis matvec applies H block by block.  No code path assembles all 2^n
-rows at once.
+loose probe, a plain Lanczos recurrence with no ARPACK, places above the
+k-th level found; the Z-basis matvec applies H block by block.  No code
+path assembles all 2^n rows at once.
 
 The lattice translations permute the links, and those that leave the term
 multiset exactly invariant commute with H and permute the cosets of W.
@@ -685,7 +685,7 @@ class SpectrumResult:
     The counters say what the solver did: the number and dimension of the
     sectors it split the space into, the number of translation orbits they
     fall into, how many blocks it solved with dense ``eigh`` and with
-    Lanczos, how many momentum blocks the one-level probe ruled out
+    Lanczos, how many momentum blocks the probe ruled out
     (``probed_blocks``), how many momentum blocks were solved or probed
     (``momentum_blocks``), and the size of the largest block any solve or
     probe ran on (``max_block_dim``).  A sector above ``DENSE_DIM_CAP`` is
@@ -727,6 +727,9 @@ ORTHONORMALITY_BOUND = 1e-10
 # the probe's measured residual covers its looseness: at L = 3 the blocks
 # it rules out bottom out about 0.4 above the k-th level
 PROBE_TOL = 1e-4
+# the probe's step cap, which bounds the memory of its single-precision
+# basis: the L = 3 probes converge in 20 to 65 steps at chi <= 0.6
+PROBE_STEPS = 200
 
 
 def _verify(residuals: np.ndarray, residual_bound: float) -> None:
@@ -742,29 +745,74 @@ def _by_lanczos(dim: int, k: int) -> bool:
     return dim > max(DENSE_DIM_CAP, k + 2)
 
 
-def _lanczos(a: scipy.sparse.csr_matrix, k: int, seed: int, **kwargs):
-    """ARPACK ``eigsh`` of the k lowest pairs of a block from a seeded start
-    vector, at ARPACK's default Krylov width capped at the block's size:
-    a block of at most 20 states gets the whole space, where dim - 1
-    vectors can break down on a degenerate level (ARPACK error 3).  A
-    complex block runs through ``eigs``, which ``eigsh`` calls for it."""
+def _start(a: scipy.sparse.csr_matrix, seed: int) -> np.ndarray:
+    """The seeded unit start vector of a block's Lanczos solve and probe,
+    normal deviates in the block's dtype."""
     v0 = np.random.default_rng(seed).normal(size=a.shape[0])
+    return (v0 / np.linalg.norm(v0)).astype(a.dtype)
+
+
+def _lanczos(a: scipy.sparse.csr_matrix, k: int, seed: int):
+    """ARPACK ``eigsh`` of the k lowest pairs of a block from the seeded
+    start vector (:func:`_start`), at ARPACK's default Krylov width capped
+    at the block's size: a block of at most 20 states gets the whole space,
+    where dim - 1 vectors can break down on a degenerate level (ARPACK
+    error 3).  A complex block runs through ``eigs``, which ``eigsh`` calls
+    for it."""
     return scipy.sparse.linalg.eigsh(
-        a, k=k, which="SA", v0=v0 / np.linalg.norm(v0),
-        ncv=min(a.shape[0], max(2 * k + 1, 20)), **kwargs)
+        a, k=k, which="SA", v0=_start(a, seed), tol=1e-10,
+        maxiter=max(2000, 40 * k), ncv=min(a.shape[0], max(2 * k + 1, 20)))
 
 
 def _probe_floor(a: scipy.sparse.csr_matrix, seed: int) -> float:
-    """theta - ||a y - theta y|| of a loose one-level Lanczos solve of a
-    block (``PROBE_TOL``), from the start vector and at the width of its
-    k-level solve (:func:`_lanczos`).  Some eigenvalue of the block lies
+    """theta - ||a y - theta y|| of a loose Lanczos estimate (theta, y) of
+    the lowest level of a Hermitian block, from the start vector of its
+    k-level solve (:func:`_start`).  Some eigenvalue of the block lies
     within the measured residual of theta, and Lanczos converges to the
-    lowest; -inf if ARPACK fails, so the caller solves the block in full."""
-    try:
-        theta, y = _lanczos(a, 1, seed, tol=PROBE_TOL)
-    except scipy.sparse.linalg.ArpackError:
-        return -np.inf
-    return float(theta[0] - np.linalg.norm(a @ y[:, 0] - theta[0] * y[:, 0]))
+    lowest.
+
+    The plain three-term recurrence, beta_j q_{j+1} = a q_j - alpha_j q_j
+    - beta_{j-1} q_{j-1}, runs in the block's dtype with no
+    reorthogonalization, which the extreme level does not need (Paige,
+    Linear Algebra Appl. 34, 235, 1980).  Every 5 steps, and at a
+    breakdown (beta_m at rounding level) or m = dim, the lowest pair
+    (theta, s) of the tridiagonal T_m is taken; it is accepted once
+    beta_m |s_m| <= ``PROBE_TOL`` |theta|, ARPACK's test at that
+    tolerance, and always at a breakdown or m = dim.  Each q_j is kept in
+    single precision; y = sum s_j q_j is formed in double, and its own
+    Rayleigh quotient and residual, measured in double, are the floor, so
+    the single-precision basis only widens ||r||.  -inf if the recurrence
+    reaches ``PROBE_STEPS`` unconverged, so the caller solves the block in
+    full."""
+    dim = a.shape[0]
+    single = np.complex64 if np.iscomplexobj(a.data) else np.float32
+    q, prev, beta, scale = _start(a, seed), 0.0, 0.0, 0.0
+    basis, alphas, betas = [], [], []
+    for m in range(1, min(dim, PROBE_STEPS) + 1):
+        basis.append(q.astype(single))
+        w = a @ q
+        alphas.append(np.vdot(q, w).real)
+        w -= alphas[-1] * q
+        w -= beta * prev
+        beta = np.linalg.norm(w)
+        betas.append(beta)
+        scale = max(scale, abs(alphas[-1]), beta)
+        last = m == dim or beta <= dim * np.finfo(float).eps * scale
+        if last or m % 5 == 0:
+            theta, s = scipy.linalg.eigh_tridiagonal(
+                alphas, betas[:-1], select="i", select_range=(0, 0))
+            if last or beta * abs(s[-1, 0]) <= PROBE_TOL * abs(theta[0]):
+                y = np.zeros(dim, dtype=a.dtype)
+                for coeff, v in zip(s[:, 0], basis):
+                    y += coeff * v
+                y /= np.linalg.norm(y)
+                ay = a @ y
+                theta = np.vdot(y, ay).real
+                return float(theta - np.linalg.norm(ay - theta * y))
+        # a product, since numpy divides a complex array by a real one
+        # several times slower
+        prev, q = q, w * (1 / beta)
+    return -np.inf
 
 
 def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
@@ -778,8 +826,7 @@ def _solve_block(a: scipy.sparse.csr_matrix, k: int, seed: int,
             a.toarray(), subset_by_index=[0, min(k, dim) - 1])
     else:
         try:
-            evals, vecs = _lanczos(a, k, seed, tol=1e-10,
-                                   maxiter=max(2000, 40 * k))
+            evals, vecs = _lanczos(a, k, seed)
         except scipy.sparse.linalg.ArpackError as exc:
             raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
         order = np.argsort(evals)
@@ -885,13 +932,16 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
     seconds: it goes to Lanczos whenever ARPACK can run on it (dim > k + 2),
     and to dense ``eigh`` only below that, which no sector large enough to
     split yields outside a test that lowers the cap.  Lanczos is ARPACK
-    ``eigsh`` from a seeded start vector at ARPACK's default width ncv = min(dim,
-    max(2k + 1, 20)) (:func:`_lanczos`), in real arithmetic on a real
-    character's block.  Once k levels are found, such a block is first
-    probed: one loose Lanczos level theta with its measured residual ||r||
-    (an eigenvalue lies within ||r|| of theta), from the same start vector.
-    The block is ruled out if theta - ||r|| lies above the k-th level plus
-    the residual bound; otherwise it is solved for k levels.  The probe
+    ``eigsh`` from a seeded start vector at ARPACK's default width ncv =
+    min(dim, max(2k + 1, 20)) (:func:`_lanczos`), in real arithmetic on a
+    real character's block.  Once k levels are found, such a block is first
+    probed (:func:`_probe_floor`): a plain Lanczos recurrence from the same
+    start vector, with no ARPACK and no reorthogonalization, gives one loose
+    level theta with its residual ||r|| measured in double (an eigenvalue
+    lies within ||r|| of theta).  The block is ruled out if theta - ||r||
+    lies above the k-th level plus the residual bound; otherwise, or if the
+    recurrence reaches ``PROBE_STEPS`` unconverged, it is solved for k
+    levels.  The probe
     relies on Lanczos converging to the bottom of a block exactly as much
     as the k-level solve does.  A borderline decision can go either way
     with the BLAS build, and that changes the counters only, never a level:

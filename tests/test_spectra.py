@@ -382,6 +382,63 @@ def test_probed_orbits_hold_no_kept_level(monkeypatch, mode, chi, k,
     assert (res.lanczos_blocks, res.probed_blocks) == (lanczos, probed)
 
 
+def _probes(monkeypatch) -> list:
+    """(block, floor) of every probe from now on."""
+    calls = []
+    probe = sp._probe_floor
+
+    def recorded(a, seed):
+        calls.append((a, probe(a, seed)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sp, "_probe_floor", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("mode, chi, k, lanczos, probed", PROBED_AT_L2)
+def test_probe_floor_lies_just_below_each_blocks_bottom(monkeypatch, mode,
+                                                        chi, k, lanczos,
+                                                        probed):
+    # the oracle: dense eigvalsh of every block the probe visits; its floor
+    # is a lower bound, loose by about the probe's tolerance
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
+    probes = _probes(monkeypatch)
+    sp.lowest_eigenpairs(hamiltonian(LAT, chi, mode), k=k, seed=3)
+    assert len(probes) >= probed
+    for a, floor in probes:
+        bottom = scipy.linalg.eigvalsh(a.toarray())[0]
+        assert bottom - 2 * sp.PROBE_TOL * abs(bottom) <= floor <= bottom
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("diagonal", [[3.0, -1.0, 2.0] * 3,
+                                      [0.5, -2.0, 1.0, 4.0]])
+def test_probe_stops_where_the_krylov_space_closes(dtype, diagonal):
+    # three distinct levels close the Krylov space after 3 steps (beta_3 =
+    # 0), four levels in 4 states at m = dim, both before the 5-step test
+    a = scipy.sparse.csr_matrix(np.diag(diagonal).astype(dtype))
+    floor = sp._probe_floor(a, seed=7)
+    assert np.isfinite(floor)
+    assert min(diagonal) - 1e-6 <= floor <= min(diagonal)
+
+
+def test_probe_at_its_step_cap_leaves_the_block_to_a_full_solve(
+        monkeypatch):
+    h = hamiltonian(LAT, 0.25, "sequence")
+    monkeypatch.setattr(sp, "DENSE_DIM_CAP", 16)
+    free = sp.lowest_eigenpairs(h, k=1, seed=3)
+    monkeypatch.setattr(sp, "PROBE_STEPS", 2)
+    probes = _probes(monkeypatch)
+    capped = sp.lowest_eigenpairs(h, k=1, seed=3)
+    # no probe converges in 2 steps, so each block it would have ruled out
+    # is solved for k levels instead, and the levels kept stay the same
+    assert len(probes) == free.probed_blocks
+    assert all(floor == -np.inf for _, floor in probes)
+    assert (capped.probed_blocks, capped.lanczos_blocks) == (
+        0, free.lanczos_blocks + free.probed_blocks)
+    np.testing.assert_array_equal(capped.eigenvalues, free.eigenvalues)
+
+
 @pytest.fixture
 def eigsh_calls(monkeypatch) -> list[tuple[int, int]]:
     """(k, ncv) of every ARPACK ``eigsh`` call from now on."""
@@ -420,14 +477,15 @@ def test_probe_rules_out_the_size_3_orbits_at_l3(monkeypatch, eigsh_calls):
     assert sorted(reps - probed) == [0, 7]
     # the kept vectors are verified on row chunks: no whole block is built
     assert not built
-    # solve and probe share ARPACK's default width, max(2k + 1, 20); 1 of
-    # the 13 probes, sector 7's k = 0 block, ends in a solve
-    assert Counter(eigsh_calls) == {(6, 20): 2, (1, 20): 13}
+    # the two solves run ARPACK at its default width, max(2k + 1, 20); the
+    # 13 probes, 1 of which (sector 7's k = 0 block) ends in a solve, run
+    # their own recurrence and make no ARPACK call
+    assert Counter(eigsh_calls) == {(6, 20): 2}
     # a whole-sector solve peaks at 24.3 MiB traced, compile included:
     # ARPACK's basis and scipy's Ritz-vector buffer, each 32768 x 20 x 8 B,
     # and a check of the kept vectors on a sector's whole 7.25 MiB block at
     # 18.8 MiB.  On row chunks the peak is 14.2 MiB, level with the
-    # momentum solves before the check
+    # momentum solves before the check; the probes peak at 13.5 MiB
     assert peak < 16 * 2 ** 20
     # the oracle: a tight Lanczos solve of each ruled-out whole sector block
     # from a seeded random start, whose Krylov space holds every momentum;
@@ -620,7 +678,7 @@ def test_lanczos_vectors_orthonormal_at_exact_degeneracy(monkeypatch,
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
     res = sp.lowest_eigenpairs(h, k=5, seed=7)
     assert res.lanczos_blocks > 0 and res.max_block_dim == 8
-    # solves and probes alike: the width is capped at dim
+    # the width of every ARPACK solve is capped at dim
     assert (5, 8) in eigsh_calls and {c[1] for c in eigsh_calls} == {8}
     vecs = oracles.eigenvectors(h, res)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) <= 1e-10
@@ -648,7 +706,8 @@ def test_arpack_failure_is_a_convergence_error(monkeypatch):
     def fail(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackError(3)
 
-    h = sp.build_hamiltonian(LAT, chi=0.0, h_z=0.05)
+    # at chi = 0.2 a k-level Lanczos solve runs ARPACK; the probes run none
+    h = sp.build_hamiltonian(LAT, chi=0.2, h_z=0.05)
     monkeypatch.setattr(sp, "DENSE_DIM_CAP", 4)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
     with pytest.raises(sp.ConvergenceError, match="ARPACK error 3"):
