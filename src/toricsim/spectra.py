@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -262,18 +262,19 @@ class _Momenta:
 
     ``reps`` are the local indices of the orbit representatives, each its
     orbit's minimum, ascending; ``rep_of`` indexes into them the
-    representative of every local state, and ``to_rep`` is the element of
-    G that carries the state to it.  ``fixes[g, r]`` says whether element
-    g fixes representative r, ``stab`` counts those elements, and row c of
-    ``table`` is character c of G.  ``shifts`` are the sector operator's:
-    X-mask w takes local row l to column ``l ^ shifts[w]``.  ``pairs[c]``
-    is the conjugate character of c; ``visits`` holds one character of
-    each conjugate pair, the trivial one first.
+    representative r' of every local state, and ``code`` is g |reps| + r'
+    for the element g of G that carries the state to r'.  ``fixes[g, r]``
+    says whether element g fixes representative r, ``stab`` counts those
+    elements, and row c of ``table`` is character c of G.  ``shifts`` are
+    the sector operator's: X-mask w takes local row l to column ``l ^
+    shifts[w]``.  ``pairs[c]`` is the conjugate character of c;
+    ``visits`` holds one character of each conjugate pair, the trivial
+    one first.
     """
 
     reps: np.ndarray
     rep_of: np.ndarray
-    to_rep: np.ndarray
+    code: np.ndarray
     fixes: np.ndarray
     stab: np.ndarray
     table: np.ndarray
@@ -305,45 +306,58 @@ class _Momenta:
         # a character and its conjugate: each entry's inverse
         pairs = np.argmin(np.abs(table[:, None, :] - table.conj()).max(
             axis=2), axis=0)
-        return cls(reps=reps, rep_of=rep_of,
-                   to_rep=images.argmin(axis=0).astype(np.int32),
-                   fixes=fixes, stab=fixes.sum(axis=0), table=table,
+        code = images.argmin(axis=0).astype(np.int32) * reps.size + rep_of
+        return cls(reps=reps, rep_of=rep_of, code=code, fixes=fixes,
+                   stab=fixes.sum(axis=0), table=table,
                    shifts=op.shifts, pairs=pairs, visits=tuple(
                        c for c in range(len(group)) if c <= pairs[c]))
 
     def _character(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """(chi, at): character c, real where it is real, and the place
-        of each representative in its block, -1 where chi is not trivial
-        on the representative's stabilizer."""
+        """(chi, at) of character c by ``code``: chi at the element, real
+        where it is real, and the representative's place in the block, -1
+        where chi is not trivial on its stabilizer; the first |reps| codes
+        are the identity's."""
         chi = self.table[c]
         if c == self.pairs[c]:
             chi = chi.real
         keep = np.all(~self.fixes | (np.abs(chi - 1) < 1e-9)[:, None],
                       axis=0)
-        return chi, np.where(keep, np.cumsum(keep) - 1, -1)
+        at = np.where(keep, np.cumsum(keep) - 1, -1).astype(np.int32)
+        return np.repeat(chi, keep.size), np.tile(at, chi.size)
 
-    def block(self, c: int, entries: np.ndarray) -> scipy.sparse.csr_matrix:
-        """The CSR block of character c, from the representatives' rows of
-        the sector block (``entries``, one column per X-mask), real when
-        chi is real.  Row r keeps one entry per X-mask, as the sector block
-        does: the entry at a state j goes to the column of j's
-        representative r', scaled by chi at the element that carries j to
-        r' and by sqrt(|stab r'| / |stab r|).  Entries that meet in one
-        column add up in every product; an entry at an r' on whose
-        stabilizer chi is not trivial is zero, since r' has no state of
-        this character.  The rows are taken ``BLOCK_ROWS`` at a time."""
+    def gather(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(entries, code) that every character's block takes from the
+        representatives' rows of the sector block (``entries``, one column
+        per X-mask): the entry of row r at a state j, scaled in place by
+        sqrt(|stab r'| / |stab r|) for j's representative r', and j's
+        ``code``.  The rows are taken ``BLOCK_ROWS`` at a time."""
+        code = np.empty(entries.shape, dtype=np.int32)
+        stab = self.stab[self.rep_of]  # |stab r'| at every local state
+        for lo in range(0, self.reps.size, BLOCK_ROWS):
+            r = slice(lo, lo + BLOCK_ROWS)
+            targets = self.reps[r, None] ^ self.shifts
+            code[r] = self.code[targets]
+            entries[r] *= np.sqrt(stab[targets] / self.stab[r, None])
+        return entries, code
+
+    def block(self, c: int, entries: np.ndarray,
+              code: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The CSR block of character c from the sector's :meth:`gather`,
+        real when chi is real: each scaled entry times chi at its element,
+        in the column of its representative r' in this block.  Row r keeps
+        one entry per X-mask, as the sector block does; entries that meet
+        in one column add up in every product, and an entry at an r' on
+        whose stabilizer chi is not trivial is zero, since r' has no state
+        of this character.  The rows are taken ``BLOCK_ROWS`` at a time."""
         chi, at = self._character(c)
-        rows = np.flatnonzero(at >= 0)
+        rows = np.flatnonzero(at[:self.reps.size] >= 0)
         data = np.empty((rows.size, self.shifts.size), dtype=chi.dtype)
         indices = np.empty(data.shape, dtype=np.int32)
         for lo in range(0, rows.size, BLOCK_ROWS):
             r = rows[lo:lo + BLOCK_ROWS]
-            targets = self.reps[r, None] ^ self.shifts
-            to = self.rep_of[targets]
-            data[lo:lo + BLOCK_ROWS] = (
-                entries[r] * chi[self.to_rep[targets]]
-                * np.sqrt(self.stab[to] / self.stab[r, None]))
-            indices[lo:lo + BLOCK_ROWS] = at[to]
+            codes = code[r]
+            data[lo:lo + BLOCK_ROWS] = entries[r] * chi.take(codes)
+            indices[lo:lo + BLOCK_ROWS] = at.take(codes)
         data[indices < 0] = 0.0
         np.maximum(indices, 0, out=indices)
         indptr = np.arange(rows.size + 1, dtype=np.int32) * self.shifts.size
@@ -356,8 +370,8 @@ class _Momenta:
         block: phi at the state's representative r, times chi at the
         element that carries the state to r, times sqrt(|stab r| / |G|)."""
         chi, at = self._character(c)
-        place = at[self.rep_of]
-        return np.where(place >= 0, phi[place] * chi[self.to_rep] * np.sqrt(
+        place = at[self.code]
+        return np.where(place >= 0, phi[place] * chi[self.code] * np.sqrt(
             self.stab[self.rep_of] / self.table.shape[1]), 0.0)
 
 
@@ -376,9 +390,10 @@ class SectorOperator:
     ascending order: X-mask g puts the entry of local row l of a sector at
     local column ``l ^ shifts[g]``.  ``diagonal``, A's diagonal sector by
     sector, is the only array here with an entry per state.  The other
-    terms, ordered by X-mask and in H's order within one, are ``groups``
-    (the index of their X-mask) and the ``masks``, ``turns0`` and
-    ``coeffs`` of their entries' phases (:func:`_entry_turns`).
+    terms make one entry per distinct Pauli string, the sum of the
+    string's terms; ordered by X-mask and by first term within one, the
+    entries are ``groups`` (the index of their X-mask) and the ``masks``,
+    ``turns0`` and ``coeffs`` of their phases (:func:`_entry_turns`).
     ``floors[s]`` is the Gershgorin floor of block s, min_i(a_ii -
     sum_{j != i} |a_ij|), a lower bound on its spectrum.
 
@@ -389,8 +404,9 @@ class SectorOperator:
     floor (stable sort), and ``carry[s]`` a link permutation, a product of
     symmetries, that maps the representative's coset onto sector s's.
     :meth:`at` sets ``diagonal``, ``coeffs``, ``floors``, ``orbit`` and
-    ``carry`` from the terms' coefficients, X-mask g's in ``by_mask[g]`` as
-    (term index, mask, turns0), and ``off[e]`` the term of entry e.
+    ``carry`` from the terms' coefficients, X-mask g's entries in
+    ``by_mask[g]`` as (term-index tuple, mask, turns0); an entry's
+    coefficient is its terms' sum, in term order.
     ``momenta`` holds each split sector's :class:`_Momenta`, which depend
     on the strings only: built on first use, and shared by the operator at
     every set of coefficients.
@@ -410,21 +426,23 @@ class SectorOperator:
     orbit: np.ndarray
     carry: tuple[tuple[int, ...], ...]
     images: np.ndarray
-    by_mask: tuple[tuple[tuple[int, int, int], ...], ...]
-    off: np.ndarray
+    by_mask: tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]
     momenta: dict = field(default_factory=dict, repr=False)
 
     def at(self, coeffs: Sequence[float]) -> SectorOperator:
         """The operator at the given coefficients, in term order.
 
         The Gershgorin floors take the diagonal, summed in real arithmetic,
-        and a radius: |coefficient| for an X-mask with one term, and the
-        row-wise |entry| only where terms share an X-mask, on the states in
+        and a radius: |coefficient| for an X-mask with one entry, which
+        may sum several terms of one string, and the row-wise |entry|
+        only where strings share an X-mask, on the states in
         sector order, which are not kept.  Each pass takes the whole
         sectors that fit in ``BLOCK_ROWS`` x (X-masks) rows, as many values
         as a pass of :meth:`block` holds, or one sector if it is larger.
         The first sector of an orbit in ascending floor represents it.
         """
+        sums = [[sum(coeffs[i] for i in t) for t, _, _ in e]
+                for e in self.by_mask]
         n, reps = self.cosets.elements.size, self.cosets.reps
         per_pass = max(1, BLOCK_ROWS * self.x_masks.size // n)
         diagonal, floors = np.zeros(reps.size * n), np.empty(reps.size)
@@ -433,14 +451,14 @@ class SectorOperator:
                       ^ self.cosets.elements).reshape(-1)
             rows = slice(lo * n, lo * n + states.size)
             radius = np.zeros(states.size)
-            for x, terms in zip(self.x_masks.tolist(), self.by_mask):
-                if x and len(terms) == 1:
-                    radius += abs(coeffs[terms[0][0]])
+            for x, e, cs in zip(self.x_masks.tolist(), self.by_mask, sums):
+                if x and len(cs) == 1:
+                    radius += abs(cs[0])
                     continue
                 w = np.zeros(states.size)
-                for i, m, turns0 in terms:
+                for c, (_, m, turns0) in zip(cs, e):
                     turns = _entry_turns(states, np.uint64(m), turns0)
-                    w += coeffs[i] * (1.0 - (turns & 2))
+                    w += c * (1.0 - (turns & 2))
                 if x:
                     radius += np.abs(w)
                 else:
@@ -463,7 +481,8 @@ class SectorOperator:
                         reached.append(t)
         return replace(self, diagonal=diagonal, floors=floors, orbit=orbit,
                        carry=tuple(carry),
-                       coeffs=np.array(coeffs, dtype=float)[self.off])
+                       coeffs=np.array([c for x, cs in zip(self.x_masks, sums)
+                                        if x for c in cs], dtype=float))
 
     def phases(self, states: np.ndarray) -> np.ndarray:
         """The real gauge v_j = i**popcount(j & s) at the given states."""
@@ -486,8 +505,8 @@ class SectorOperator:
 
     def rows(self, s: int, local: np.ndarray) -> np.ndarray:
         """The entries of the given local rows of sector s, one column per
-        X-mask, the diagonal in X-mask 0's.  Each entry sums its X-mask's
-        terms in order from zero.  The rows are taken ``BLOCK_ROWS`` at a
+        X-mask, the diagonal in X-mask 0's.  Each sums its X-mask's
+        strings in order from zero.  The rows are taken ``BLOCK_ROWS`` at a
         time.
         """
         states = self.cosets.members(s)[local]
@@ -514,7 +533,7 @@ class SectorOperator:
         if np.bitwise_or.reduce(turns, None) & 1:
             x = self.x_masks[self.groups[np.any(turns & 1, axis=0)][0]]
             raise RuntimeError(f"the gauge leaves X-mask {x:#x} complex")
-        values = self.coeffs * QUARTER_TURNS.real[turns]
+        values = self.coeffs * (1.0 - (turns & 2))
         slots = (np.arange(n)[:, None] * width + self.groups).reshape(-1)
         # summed in index order; bincount is integer if there are no terms
         return np.bincount(slots, values.reshape(-1), n * width).astype(
@@ -582,7 +601,8 @@ class SparseHamiltonian:
         if links is None:
             raise ValueError("no real gauge exists for these terms; "
                              "the sector operator needs one")
-        by_mask: dict[int, list[tuple[int, int, int]]] = {}
+        # X-mask -> (mask, turns0) of each distinct string -> its terms
+        by_mask: dict[int, dict[tuple[int, int], list[int]]] = {}
         for i, (_, t) in enumerate(self.terms):
             x = t.x_mask
             # k(0) = q(x) + popcount(x & s), the entry phase at row 0
@@ -591,23 +611,24 @@ class SparseHamiltonian:
             if turns0 & 1:
                 raise RuntimeError(
                     f"gauge {links:#x} leaves X-mask {x:#x} complex")
-            by_mask.setdefault(x, []).append(
-                (i, t.z_mask ^ (x & links), turns0 % 4))
+            by_mask.setdefault(x, {}).setdefault(
+                (t.z_mask ^ (x & links), turns0 % 4), []).append(i)
         xs = sorted(by_mask)
+        entries = tuple(tuple((tuple(terms), *key)
+                              for key, terms in by_mask[x].items()) for x in xs)
         cosets = Cosets.of(xs, self.n_qubits)
-        off = [(g, *term) for g, x in enumerate(xs) if x
-               for term in by_mask[x]]
+        off = [(g, m, turns0) for g, x in enumerate(xs) if x
+               for _, m, turns0 in entries[g]]
         x_masks = np.array(xs, dtype=np.uint64)
         symmetries = _term_symmetries(self.terms, self.symmetries)
         moved = [_permute_bits(cosets.reps, p) for p in symmetries]
         self._sectors = SectorOperator(
             cosets=cosets, gauge=links, x_masks=x_masks,
             shifts=cosets.locate(x_masks)[1].astype(np.int32),
-            by_mask=tuple(tuple(by_mask[x]) for x in xs),
-            off=np.array([o[1] for o in off], dtype=np.intp),
+            by_mask=entries,
             groups=np.array([o[0] for o in off], dtype=np.intp),
-            masks=np.array([o[2] for o in off], dtype=np.uint64),
-            turns0=np.array([o[3] for o in off], dtype=np.uint8),
+            masks=np.array([o[1] for o in off], dtype=np.uint64),
+            turns0=np.array([o[2] for o in off], dtype=np.uint8),
             symmetries=symmetries, images=cosets.locate(np.reshape(
                 moved, (len(moved), cosets.reps.size)))[0],
             diagonal=None, coeffs=None, floors=None, orbit=None, carry=None)
@@ -714,12 +735,9 @@ class SpectrumResult:
 
     @property
     def counters(self) -> dict[str, int]:
-        return {"sectors": self.sectors, "sector_dim": self.sector_dim,
-                "orbits": self.orbits, "dense_blocks": self.dense_blocks,
-                "lanczos_blocks": self.lanczos_blocks,
-                "probed_blocks": self.probed_blocks,
-                "momentum_blocks": self.momentum_blocks,
-                "max_block_dim": self.max_block_dim}
+        """The int fields, ``sectors`` to ``max_block_dim``, in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.type == "int"}
 
 
 RESIDUAL_BOUND = 1e-8
@@ -736,13 +754,6 @@ def _verify(residuals: np.ndarray, residual_bound: float) -> None:
     if np.any(residuals > residual_bound):
         raise ConvergenceError(
             f"residuals {residuals} exceed the bound {residual_bound}")
-
-
-def _by_lanczos(dim: int, k: int) -> bool:
-    """Whether a sector of dim states is split by momentum, its blocks
-    solved for k levels by Lanczos: above ``DENSE_DIM_CAP``, and large
-    enough for ARPACK to run (dim > k + 2).  Smaller sectors go dense."""
-    return dim > max(DENSE_DIM_CAP, k + 2)
 
 
 def _start(a: scipy.sparse.csr_matrix, seed: int) -> np.ndarray:
@@ -870,16 +881,20 @@ def _momentum_levels(op: SectorOperator, s: int, part: slice, k: int,
     """The verified (level, residual, vector) of the momentum blocks of
     sector s that ``part`` picks from its characters, one per conjugate
     pair, the trivial one first (``_Momenta.visits``), each vector a
-    function that returns the sector's local amplitudes.  A block whose
-    probe places it above the k-th level of ``found`` and the levels so
-    far is ruled out.  A complex block's levels are kept twice: the
-    conjugate block's vectors are the conjugates."""
+    function that returns the sector's local amplitudes.  Every block
+    takes the visit's one :meth:`_Momenta.gather`, which is let go before
+    the last block is probed or solved.  A block whose probe places it
+    above the k-th level of ``found`` and the levels so far is ruled out.
+    A complex block's levels are kept twice: the conjugate block's vectors
+    are the conjugates."""
     m = op._momenta(s)
     visits = m.visits[part]
-    entries = op.rows(s, m.reps) if visits else None
+    gather = m.gather(op.rows(s, m.reps)) if visits else None
     levels: list = []
     for c in visits:
-        a = m.block(c, entries)
+        a = m.block(c, *gather)
+        if c == visits[-1]:
+            gather = None  # not held while the last block is solved
         dim = a.shape[0]
         if not dim:
             continue
@@ -924,28 +939,24 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
     all its blocks.  The first pass takes each representative's trivial
     (k = 0) block only, the second its other characters, one of each
     conjugate pair; a member takes its representative's new levels in each
-    pass.  The order changes which blocks are solved and which are ruled
-    out, never the levels kept: at L = 3 and chi = 0.2, 0.4 and 0.6 the
+    pass.  A visit gathers the representatives' rows once for all its
+    characters (:meth:`_Momenta.gather`); holding the first pass's through
+    the second would raise the L = 3 peak by about 4 MiB.  The order
+    changes which blocks are solved and which are ruled out, never the
+    levels kept: at L = 3 and chi = 0.2, 0.4 and 0.6 the
     k = 0 blocks of sectors 0 and 7 hold all six levels and are the only
     k-level solves.  A momentum block is never held against
     ``DENSE_DIM_CAP``, since a dense solve of a few thousand states takes
     seconds: it goes to Lanczos whenever ARPACK can run on it (dim > k + 2),
     and to dense ``eigh`` only below that, which no sector large enough to
     split yields outside a test that lowers the cap.  Lanczos is ARPACK
-    ``eigsh`` from a seeded start vector at ARPACK's default width ncv =
-    min(dim, max(2k + 1, 20)) (:func:`_lanczos`), in real arithmetic on a
-    real character's block.  Once k levels are found, such a block is first
-    probed (:func:`_probe_floor`): a plain Lanczos recurrence from the same
-    start vector, with no ARPACK and no reorthogonalization, gives one loose
-    level theta with its residual ||r|| measured in double (an eigenvalue
-    lies within ||r|| of theta).  The block is ruled out if theta - ||r||
-    lies above the k-th level plus the residual bound; otherwise, or if the
-    recurrence reaches ``PROBE_STEPS`` unconverged, it is solved for k
-    levels.  The probe
-    relies on Lanczos converging to the bottom of a block exactly as much
-    as the k-level solve does.  A borderline decision can go either way
-    with the BLAS build, and that changes the counters only, never a level:
-    a block whose bottom lies that close to the k-th level holds none below
+    ``eigsh`` (:func:`_lanczos`), in real arithmetic on a real character's
+    block.  Once k levels are found, such a block is first probed
+    (:func:`_probe_floor`), and ruled out if the probe's floor lies above
+    the k-th level plus the residual bound; otherwise it is solved for k
+    levels.  A borderline decision can go either way with the BLAS build,
+    and that changes the counters only, never a level: a block whose
+    bottom lies that close to the k-th level holds none below
     it.  A complex character's block stands for its conjugate's too, whose
     levels are the same and whose vectors are the conjugates, so each of
     its levels is kept twice: both copies of an exactly degenerate momentum
@@ -985,7 +996,8 @@ def lowest_eigenpairs(h: SparseHamiltonian, k: int = 6,
         norm = sum(abs(coeff) for coeff, _ in h.terms)
         residual_bound = min(residual_bound,
                              h.dim * np.finfo(float).eps * norm)
-    by_momentum = _by_lanczos(n, k)
+    # sectors above the cap, large enough for ARPACK (dim > k + 2), split
+    by_momentum = n > max(DENSE_DIM_CAP, k + 2)
     # the k lowest (level, residual, sector, function that returns the
     # representative's vector)
     found: list = []

@@ -12,8 +12,9 @@ is meant for the 256 states of L = 2 only.
 ground states as their support states.  Their 2^n-row Z-basis forms,
 ``eigenvectors`` and ``reference_states``, are built here from those
 compact forms.  ``one_pass_at`` compiles a sector operator's coefficients
-over all 2^n states at once, where ``SectorOperator.at`` takes a few
-sectors per pass.
+over all 2^n states at once and one term at a time, where
+``SectorOperator.at`` takes a few sectors per pass and sums the terms of
+one distinct string first.
 
 ``trotter_error`` measures the serial composition of two pulse sequences
 with three matrix logarithms of their dense unitaries.
@@ -317,7 +318,11 @@ def one_pass_at(op: sp.SectorOperator, coeffs) -> sp.SectorOperator:
     and the orbits exactly as ``SectorOperator.at`` takes them."""
     states = (op.cosets.reps[:, None] ^ op.cosets.elements).reshape(-1)
     diagonal, radius = np.zeros(states.size), np.zeros(states.size)
-    for x, terms in zip(op.x_masks.tolist(), op.by_mask):
+    for x, entries in zip(op.x_masks.tolist(), op.by_mask):
+        # one term at a time, in term order, where ``at`` sums the terms
+        # of one distinct string first
+        terms = sorted((i, m, turns0) for idx, m, turns0 in entries
+                       for i in idx)
         if x and len(terms) == 1:
             radius += abs(coeffs[terms[0][0]])
             continue
@@ -347,7 +352,9 @@ def one_pass_at(op: sp.SectorOperator, coeffs) -> sp.SectorOperator:
                     reached.append(t)
     return dataclasses.replace(
         op, diagonal=diagonal, floors=floors, orbit=orbit, carry=tuple(carry),
-        coeffs=np.array(coeffs, dtype=float)[op.off])
+        coeffs=np.array([sum(coeffs[i] for i in idx)
+                         for x, entries in zip(op.x_masks.tolist(), op.by_mask)
+                         if x for idx, _, _ in entries], dtype=float))
 
 
 def reference_states(lat, reference=None) -> np.ndarray:

@@ -556,12 +556,12 @@ def test_momentum_blocks_split_every_sector_block(size, chi, mode):
         size_g = m.table.shape[1]
         np.testing.assert_allclose(m.table @ m.table.conj().T,
                                    size_g * np.eye(size_g), atol=1e-12)
-        entries, whole = op.rows(s, m.reps), op.block(s).toarray()
+        gather, whole = m.gather(op.rows(s, m.reps)), op.block(s).toarray()
         levels, vectors = [], []
         for c in range(size_g):
-            a = m.block(c, entries).toarray()
+            a = m.block(c, *gather).toarray()
             np.testing.assert_allclose(a, a.conj().T, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(m.block(m.pairs[c], entries).toarray(),
+            np.testing.assert_allclose(m.block(m.pairs[c], *gather).toarray(),
                                        a.conj(), rtol=0, atol=1e-14)
             e, phi = np.linalg.eigh(a)
             levels += e.tolist()
@@ -639,6 +639,36 @@ def test_compile_in_passes_matches_one_pass(monkeypatch, size, block_rows,
         got, ref = getattr(op, name), getattr(want, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
     assert op.carry == want.carry
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_a_duplicated_string_compiles_as_one_at_the_summed_coefficient(size):
+    # every plaquette chi pair is a vertex chi pair, so H holds each of the
+    # L^2 chi strings twice; the compile keeps one entry per distinct
+    # string, and H with each string once at chi + chi compiles to the
+    # same bits
+    lat = lt.build(size)
+    h = sp.build_hamiltonian(lat, chi=0.2, h_z=0.05)
+    n_chi = len(sp.chi_pair_terms(lat))
+    twice = h.terms[-n_chi:]
+    once = sp.SparseHamiltonian(h.n_qubits, h.terms[:-n_chi] + tuple(
+        (0.2 + 0.2, t) for _, t in twice[:n_chi // 2]),
+        symmetries=h.symmetries)
+    assert {t for _, t in twice} == {t for _, t in once.terms[-n_chi // 2:]}
+    got, want = h.compile(), once.compile()
+    chi_masks = {t.x_mask for _, t in twice}
+    for x, entries in zip(got.x_masks.tolist(), got.by_mask):
+        assert len(entries) == 1 or x not in chi_masks
+        if x in chi_masks:
+            assert len(entries[0][0]) == 2
+    assert got.masks.size == want.masks.size == size ** 2 + n_chi // 2
+    for name in ("diagonal", "floors", "coeffs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for s in range(got.floors.size):
+        a, b = got.block(s), want.block(s)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_compile_never_holds_the_whole_matrix():
@@ -792,6 +822,48 @@ def test_scan_builds_each_sectors_momenta_once(monkeypatch):
     assert all(p.error is None and p.counters["momentum_blocks"] > 0
                for p in scan)
     assert built and set(built.values()) == {1}
+
+
+def test_each_sector_visit_builds_one_gather(monkeypatch):
+    # a warm L = 3, chi = 0.2 solve: every visit of a split sector builds
+    # its representatives' rows and its gather once, and no character's
+    # block builds either; 4 orbits, each visited in both passes
+    h = sp.build_hamiltonian(lt.build(3), chi=0.2, h_z=0.05)
+    sp.lowest_eigenpairs(h, k=6, seed=7)
+    counts, inside = Counter(), []
+    rows, gather, block = (sp.SectorOperator.rows, sp._Momenta.gather,
+                           sp._Momenta.block)
+    levels = sp._momentum_levels
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name, bool(inside)] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    def visiting(op, s, part, *args):
+        counts["visits"] += bool(op._momenta(s).visits[part])
+        inside.append("levels")
+        try:
+            return levels(op, s, part, *args)
+        finally:
+            inside.pop()
+
+    def building(*args):
+        before = counts.copy()
+        a = block(*args)
+        assert counts == before  # no rows and no gather inside a block
+        counts["blocks"] += 1
+        return a
+
+    monkeypatch.setattr(sp.SectorOperator, "rows", counted("rows", rows))
+    monkeypatch.setattr(sp._Momenta, "gather", counted("gather", gather))
+    monkeypatch.setattr(sp._Momenta, "block", building)
+    monkeypatch.setattr(sp, "_momentum_levels", visiting)
+    res = sp.lowest_eigenpairs(h, k=6, seed=7)
+    assert counts["visits"] == 8 and counts["blocks"] == res.momentum_blocks
+    assert counts["gather", True] == counts["rows", True] == 8
+    assert counts["gather", False] == 0
 
 
 def _assert_same_operator(got: sp.SectorOperator, want: sp.SectorOperator):
